@@ -109,9 +109,8 @@ def _radial_integrand_zz(material, k, omega):
 def _radial_breakpoints(material, omega, k_lo, k_hi):
     eps = drude_epsilon(material, omega)
     k_delta = abs(math.sqrt(abs(eps)) * omega / C_LIGHT)
-    k_nu = material.collision_rate / material.fermi_velocity
-    k_star = math.sqrt(3.0) * material.plasma_frequency / material.fermi_velocity
-    return [x for x in (0.3 * k_delta, k_delta, 3.0 * k_delta, k_nu, k_star)
+    return [x for x in (0.3 * k_delta, k_delta, 3.0 * k_delta,
+                        material.k_nu, material.k_star)
             if k_lo < x < k_hi]
 
 

@@ -318,8 +318,33 @@ def _group_header(label: str, units: str) -> list:
     ]
 
 
-def _cells_to_csv_fields(cell) -> list:
-    return [_fmt(v) for v in cell[:5]] + [cell[5]]
+def _csv_row(axis_value, cells) -> str:
+    fields = [_fmt(axis_value)]
+    for cell in cells:
+        fields += [_fmt(v) for v in cell[:5]] + [cell[5]]
+    return ",".join(fields)
+
+
+def _sweep_rows(material, cfg, axis, grid, fixed, models, temps=None):
+    """Evaluate a sweep: per grid value, (cells, tensor of the last model).
+
+    cells run over models and, per model, over temps (default: the
+    point's own temperature); chi is evaluated once per (point, model).
+    fixed is (z, omega, temperature, qubit name, orientation, moment).
+    """
+    z, omega, temp, qubit_name, orientation, moment = fixed
+
+    def eval_point(axis_value):
+        point = _Point(axis, axis_value, z, omega, temp)
+        cells, tensor = [], None
+        for model in models:
+            model_cells, tensor = _group_cell(material, point, model, qubit_name,
+                                              orientation, moment, cfg,
+                                              temps or [point.temp])
+            cells += model_cells
+        return cells, tensor
+
+    return _ordered_map(eval_point, [float(v) for v in grid])
 
 
 def _worst_exit(cells_iter) -> int:
@@ -345,28 +370,22 @@ def _cmd_sweep(args) -> int:
     moment = args.moment if args.moment is not None else _DEFAULT_MOMENTS[args.qubit]
     units = _chi_units_for(args.qubit)
 
-    def eval_point(axis_value):
-        point = _Point(args.axis, float(axis_value), args.z, args.omega, args.temp)
-        row = []
-        for model in models:
-            cells, _ = _group_cell(material, point, model, args.qubit,
-                                   args.orientation, moment, cfg, [point.temp])
-            row.append(cells[0])
-        return row
-
-    rows = _ordered_map(eval_point, [float(v) for v in grid])
+    fixed = (args.z, args.omega, args.temp, args.qubit, args.orientation, moment)
+    if args.axis == "temperature":
+        # chi does not depend on T: one point, one cell per grid temperature
+        [(cells, _)] = _sweep_rows(material, cfg, args.axis, grid[:1], fixed, models,
+                                   [float(v) for v in grid])
+        rows = [cells[i::len(grid)] for i in range(len(grid))]
+    else:
+        rows = [cells for cells, _ in
+                _sweep_rows(material, cfg, args.axis, grid, fixed, models)]
 
     header = [f"{args.axis}[{_AXIS_UNITS[args.axis]}]"]
     for model in models:
         header += _group_header(model, units)
 
     if args.format == "csv":
-        lines = [",".join(header)]
-        for axis_value, row in zip(grid, rows):
-            fields = [_fmt(axis_value)]
-            for cell in row:
-                fields += _cells_to_csv_fields(cell)
-            lines.append(",".join(fields))
+        lines = [",".join(header)] + [_csv_row(v, row) for v, row in zip(grid, rows)]
         text = "\n".join(lines) + "\n"
     else:
         out_rows = []
@@ -489,26 +508,9 @@ def _cmd_figure(args) -> int:
     units = _chi_units_for(spec["qubit"])
     moment = _DEFAULT_MOMENTS[spec["qubit"]]
     orientation = "x"
-
-    def eval_point(axis_value):
-        point = _Point(axis, axis_value, spec.get("z"),
-                       spec.get("omega", _OMEGA_DEFAULT), 0.0)
-        cells = []
-        decomp = None
-        for model in spec["models"]:
-            model_cells, tensor = _group_cell(
-                material, point, model, spec["qubit"], orientation, moment,
-                cfg, spec["temps"],
-            )
-            cells.extend(model_cells)
-            if spec["decomposition"] and tensor is not None:
-                decomp = (tensor.decomposition.get("rs_part", math.nan),
-                          tensor.decomposition.get("rp_part", math.nan))
-        if spec["decomposition"]:
-            cells.append(decomp if decomp is not None else (math.nan, math.nan))
-        return cells
-
-    rows = _ordered_map(eval_point, grid)
+    fixed = (spec.get("z"), spec.get("omega", _OMEGA_DEFAULT), 0.0, spec["qubit"],
+             orientation, moment)
+    rows = _sweep_rows(material, cfg, axis, grid, fixed, spec["models"], spec["temps"])
 
     comments = [
         f"{args.name}: {spec['qubit']} qubit, orientation {orientation},"
@@ -526,24 +528,22 @@ def _cmd_figure(args) -> int:
         comments.append(f"model auto resolves to {choice.model} at the fixed point")
 
     header = [f"{axis}[{_AXIS_UNITS[axis]}]"]
-    n_groups = 0
     for model in spec["models"]:
         for temp in spec["temps"]:
             label = model if len(spec["temps"]) == 1 else f"{model}:T={temp:g}K"
             header += _group_header(label, units)
-            n_groups += 1
     if spec["decomposition"]:
         header += [f"chi_xx_rs_part[{units}]", f"chi_xx_rp_part[{units}]"]
 
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for axis_value, row in zip(grid, rows):
-        fields = [_fmt(axis_value)]
-        for cell in row[:n_groups]:
-            fields += _cells_to_csv_fields(cell)
+    for axis_value, (cells, tensor) in zip(grid, rows):
+        line = _csv_row(axis_value, cells)
         if spec["decomposition"]:
-            fields += [_fmt(v) for v in row[n_groups]]
-        lines.append(",".join(fields))
+            parts = tensor.decomposition if tensor is not None else {}
+            line += "".join("," + _fmt(parts.get(k, math.nan))
+                            for k in ("rs_part", "rp_part"))
+        lines.append(line)
     text = "\n".join(lines) + "\n"
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -553,7 +553,7 @@ def _cmd_figure(args) -> int:
     print(f"wrote {path} ({len(grid)} rows)")
     for c in comments:
         print(f"  {c}")
-    return _worst_exit(cell for row in rows for cell in row[:n_groups])
+    return _worst_exit(cell for cells, _ in rows for cell in cells)
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,11 @@ through the surface impedance integral I_p, r_s to leading order in
 and kappa^-4 (r_s) and are evaluated with the power-law tail map, never
 a hard cutoff.
 
+nonlocal_reflection_quasistatic, the one nonlocal kernel, runs the
+kappa-integrals of an array of p as one quadrature batch: its integrand
+gets an (m, 15) block of kappa plus the owning p of each row, so
+epsilon_l/epsilon_t see an (m, 15) array of k per refinement round.
+
 Branch policy: the vacuum normal wavevector q is real >= 0 for
 propagating waves and +i|q| for evanescent ones; the metal-side root is
 taken with Im >= 0 so fields decay into the absorbing half-space.
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .materials import C_LIGHT, Material, epsilon_l, epsilon_t
-from .quadrature import QuadratureConfig, integrate_semi_infinite_decaying
+from .quadrature import QuadratureConfig, integrate_power_tails
 
 
 class ReflectionPair(NamedTuple):
@@ -63,19 +68,54 @@ def local_reflection(p, omega, eps) -> ReflectionPair:
     return ReflectionPair(r_s=r_s, r_p=r_p, p=p, omega=omega)
 
 
-def _scales(material: Material):
-    # screening and collision wavevector scales of the nonlocal response;
-    # used only to seed quadrature panels
-    k_star = math.sqrt(3.0) * material.plasma_frequency / material.fermi_velocity
-    k_nu = material.collision_rate / material.fermi_velocity
-    return k_nu, k_star
+def nonlocal_reflection_quasistatic(
+    material: Material,
+    p,
+    omega: float,
+    polarization: str,
+    cfg: QuadratureConfig | None = None,
+    eps_fn: Callable | None = None,
+) -> np.ndarray:
+    """Nonlocal r_p ("p") or r_s ("s") at every p of an array.
 
-
-def _check_p_omega(p, omega):
-    if not (p > 0):
+    Formulas and the eps_fn override (of epsilon_l or epsilon_t) as in
+    nonlocal_rp_quasistatic and nonlocal_rs_quasistatic, their batches
+    of one; each kappa-integral has its own tail scale max(p, k_star).
+    """
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if not np.all(p > 0):
         raise DomainError("p must be > 0")
     if not (omega > 0):
         raise DomainError("omega must be > 0")
+    if polarization not in ("p", "s"):
+        raise DomainError("polarization must be 'p' or 's'")
+    transverse = polarization == "s"
+    if eps_fn is None:
+        eps_of = epsilon_t if transverse else epsilon_l
+        eps_fn = lambda k, w: eps_of(material, k, w)
+    p2_rows = (p * p)[:, None]
+
+    def integrand(kappa, owner):
+        k2 = p2_rows[owner] + kappa * kappa
+        eps = eps_fn(np.sqrt(k2), omega)
+        return eps / (k2 * k2) if transverse else 1.0 / (k2 * eps)
+
+    k_nu, k_star = material.k_nu, material.k_star
+    p_list = p.tolist()
+    breaks = [[x for x in (0.3 * q, q, 3.0 * q, k_nu, k_star, 3.0 * k_star) if x > 0]
+              for q in p_list]
+    results = integrate_power_tails(integrand, 0.0, [max(q, k_star) for q in p_list],
+                                    breaks, cfg or QuadratureConfig())
+    # combined on Python scalars: numpy complex division rounds differently
+    r = []
+    for q, res in zip(p_list, results):
+        if transverse:
+            j_p = (4.0 * q**3 / math.pi) * res.value
+            r.append(omega**2 / (4.0 * q**2 * C_LIGHT**2) * (j_p - 1.0))
+        else:
+            i_p = (2.0 * q / math.pi) * res.value
+            r.append((1.0 - i_p) / (1.0 + i_p))
+    return np.array(r, dtype=complex)
 
 
 def nonlocal_rp_quasistatic(
@@ -95,23 +135,8 @@ def nonlocal_rp_quasistatic(
     constant-epsilon limit checks, where I_p = 1/eps analytically); it
     must broadcast over an array k.
     """
-    _check_p_omega(p, omega)
-    cfg = cfg or QuadratureConfig()
-    if eps_l_fn is None:
-        eps_l_fn = lambda k, w: epsilon_l(material, k, w)
-    k_nu, k_star = _scales(material)
-
-    def integrand(kappa):
-        k2 = p * p + kappa * kappa
-        return 1.0 / (k2 * eps_l_fn(np.sqrt(k2), omega))
-
-    scale = max(p, k_star)
-    breaks = [x for x in (0.3 * p, p, 3.0 * p, k_nu, k_star, 3.0 * k_star) if x > 0]
-    value, _ = integrate_semi_infinite_decaying(
-        integrand, 0.0, scale, cfg, tail="power", breakpoints=breaks
-    )
-    i_p = (2.0 * p / math.pi) * value
-    return complex((1.0 - i_p) / (1.0 + i_p))
+    return complex(nonlocal_reflection_quasistatic(material, [p], omega, "p", cfg,
+                                                   eps_l_fn)[0])
 
 
 def nonlocal_rs_quasistatic(
@@ -129,20 +154,5 @@ def nonlocal_rs_quasistatic(
     With constant eps_t the integral gives J_p = eps, reproducing the
     local quasistatic expansion (eps - 1) omega^2/(4 p^2 c^2).
     """
-    _check_p_omega(p, omega)
-    cfg = cfg or QuadratureConfig()
-    if eps_t_fn is None:
-        eps_t_fn = lambda k, w: epsilon_t(material, k, w)
-    k_nu, k_star = _scales(material)
-
-    def integrand(kappa):
-        k2 = p * p + kappa * kappa
-        return eps_t_fn(np.sqrt(k2), omega) / (k2 * k2)
-
-    scale = max(p, k_star)
-    breaks = [x for x in (0.3 * p, p, 3.0 * p, k_nu, k_star, 3.0 * k_star) if x > 0]
-    value, _ = integrate_semi_infinite_decaying(
-        integrand, 0.0, scale, cfg, tail="power", breakpoints=breaks
-    )
-    j_p = (4.0 * p**3 / math.pi) * value
-    return complex(omega**2 / (4.0 * p**2 * C_LIGHT**2) * (j_p - 1.0))
+    return complex(nonlocal_reflection_quasistatic(material, [p], omega, "s", cfg,
+                                                   eps_t_fn)[0])

@@ -74,6 +74,16 @@ class Material:
     def fermi_wavelength(self) -> float:
         return 2.0 * math.pi / self.fermi_wavevector
 
+    @property
+    def k_nu(self) -> float:
+        """Collision wavevector nu / v_F."""
+        return self.collision_rate / self.fermi_velocity
+
+    @property
+    def k_star(self) -> float:
+        """Screening wavevector sqrt(3) omega_p / v_F."""
+        return math.sqrt(3.0) * self.plasma_frequency / self.fermi_velocity
+
 
 COPPER = Material(
     name="copper",

@@ -1,11 +1,14 @@
 """Adaptive one-dimensional quadrature for complex integrands.
 
-One shared engine serves every integral in the package: a globally
-adaptive Gauss-Kronrod 15(7) rule with deterministic panel subdivision
+One engine serves every integral in the package: a globally adaptive
+Gauss-Kronrod 15(7) rule with deterministic panel subdivision
 (worst-panel-first, ties broken by insertion order), so repeated runs
-produce bit-identical results. Integrands are called with a numpy array
-of nodes and must return an array of values; everything in this package
-is vectorized to keep nested integrals affordable.
+produce bit-identical results. integrate_batch refines N integrals in
+lockstep, one integrand call per round; the other entry points are
+batches of one. A scalar integrand f(x) gets a 1-D node array of any
+length; a batched one, f(x, owner), gets an (m, 15) block of nodes plus
+the (m,) indices of the integrals owning its rows. Both return values
+shaped like x, and a node's value may not depend on the others.
 
 Semi-infinite integrals come in two contractual flavors: exponentially
 decaying tails are accumulated window by window until the geometric tail
@@ -20,7 +23,6 @@ makes a fixed interior rule adequate.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -52,7 +54,7 @@ _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -93,31 +95,119 @@ class QuadResult(NamedTuple):
     error: float
 
 
-def _gk15(f: Callable, a: float, b: float):
-    """One Gauss-Kronrod 15(7) panel. Returns (integral, error, resabs)."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fv = np.asarray(f(center + half * _NODES), dtype=complex)
-    resk = np.sum(_WEIGHTS_K * fv)
-    resg = np.sum(_WEIGHTS_G * fv)
-    resabs = float(np.sum(_WEIGHTS_K * np.abs(fv)))
+def _gk15(f: Callable, panels: list):
+    """Gauss-Kronrod 15(7) on panels (owner, lo, hi) in one call of f.
+
+    Returns (values, errors) as lists of Python scalars. Sums run along
+    the 15-node axis, so no panel's result depends on the rest.
+    """
+    owner, lo, hi = (np.asarray(col) for col in zip(*panels))
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    fv = np.ascontiguousarray(f(nodes, owner), dtype=complex)
+    resk = np.sum(_WEIGHTS_K * fv, axis=1)
+    resg = np.sum(_WEIGHTS_G * fv, axis=1)
+    resabs = np.sum(_WEIGHTS_K * np.abs(fv), axis=1) * half
     # variation measure, sharpened error estimate as in classic QUADPACK
-    reskh = 0.5 * resk
-    resasc = float(np.sum(_WEIGHTS_K * np.abs(fv - reskh)))
-    err = abs(resk - resg) * half
-    resasc *= half
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    resabs *= half
-    if resabs > 0.0:
-        err = max(err, 50.0 * _EPS * resabs)
-    return resk * half, err, resabs
+    resasc = np.sum(_WEIGHTS_K * np.abs(fv - (0.5 * resk)[:, None]), axis=1) * half
+    errors = []
+    for diff, h, asc, absval in zip((resk - resg).tolist(), half.tolist(),
+                                    resasc.tolist(), resabs.tolist()):
+        err = abs(diff) * h
+        if asc != 0.0 and err != 0.0:
+            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+        if absval > 0.0:
+            err = max(err, 50.0 * _EPS * absval)
+        errors.append(err)
+    return (resk * half).tolist(), errors
 
 
-def _seed_panels(a: float, b: float, breakpoints: Sequence[float]):
-    cuts = sorted({float(x) for x in breakpoints if a < x < b})
-    edges = [a] + cuts + [b]
-    return list(zip(edges[:-1], edges[1:]))
+def integrate_batch(
+    f: Callable,
+    a: Sequence[float],
+    b: Sequence[float],
+    cfg: QuadratureConfig | None = None,
+    breakpoints: Sequence[Sequence[float]] | None = None,
+) -> list:
+    """QuadResults of a batched f over [a[i], b[i]], refined in lockstep.
+
+    Integral i, seeded at breakpoints[i], keeps its own panel heap,
+    tolerance test and budget, taking exactly the steps it would take
+    alone; each round evaluates the children of all unconverged ones in
+    one call. Raises the QuadratureError of the lowest-index integral
+    out of budget, as a loop over the integrals in order would.
+    """
+    cfg = cfg or QuadratureConfig()
+    n = len(a)
+    if n == 0:
+        return []
+    panels = []
+    for i in range(n):
+        if not (a[i] < b[i]):
+            raise DomainError("integration requires a < b")
+        cuts = breakpoints[i] if breakpoints is not None else ()
+        edges = [a[i]] + sorted({float(x) for x in cuts if a[i] < x < b[i]}) + [b[i]]
+        panels += [(i, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    heaps = [[] for _ in range(n)]
+    counters = [0] * n
+    totals = [0.0 + 0.0j] * n
+    errors = [0.0] * n
+    subdivisions = [0] * n
+    for (i, lo, hi), val, err in zip(panels, *_gk15(f, panels)):
+        heapq.heappush(heaps[i], (-err, counters[i], lo, hi, val, err))
+        counters[i] += 1
+        totals[i] += val
+        errors[i] += err
+
+    active = range(n)
+    failed = n  # lowest index out of budget; later ones stop refining
+    while True:
+        panels, parents = [], []
+        for i in active:
+            if i > failed:
+                break
+            while errors[i] > max(cfg.rel_tol * abs(totals[i]), cfg.abs_tol):
+                if subdivisions[i] >= cfg.max_subdivisions:
+                    failed = i
+                    break
+                parent = heapq.heappop(heaps[i])
+                lo, hi = parent[2], parent[3]
+                mid = 0.5 * (lo + hi)
+                subdivisions[i] += 1
+                if mid <= lo or mid >= hi:
+                    # panel at floating-point resolution; accept its estimate
+                    heapq.heappush(heaps[i], (0.0, counters[i]) + parent[2:])
+                    counters[i] += 1
+                    continue
+                panels += [(i, lo, mid), (i, mid, hi)]
+                parents.append(parent)
+                break
+        if not parents:
+            break
+        values, errs = _gk15(f, panels)
+        for j, parent in enumerate(parents):
+            (i, lo, mid), (_, _, hi) = panels[2 * j:2 * j + 2]
+            (v1, v2), (e1, e2) = values[2 * j:2 * j + 2], errs[2 * j:2 * j + 2]
+            totals[i] += v1 + v2 - parent[4]
+            errors[i] += e1 + e2 - parent[5]
+            heapq.heappush(heaps[i], (-e1, counters[i], lo, mid, v1, e1))
+            heapq.heappush(heaps[i], (-e2, counters[i] + 1, mid, hi, v2, e2))
+            counters[i] += 2
+        active = [i for i, _, _ in panels[::2]]
+
+    if failed < n:
+        total, total_err = np.complex128(totals[failed]), np.float64(errors[failed])
+        raise QuadratureError(
+            f"integral not converged after {subdivisions[failed]} subdivisions "
+            f"(estimate {total!r}, error bound {total_err:.3e})",
+            best_estimate=total,
+            error_bound=total_err,
+        )
+    return [QuadResult(complex(t), float(e)) for t, e in zip(totals, errors)]
+
+
+def _batch_of_one(f: Callable) -> Callable:
+    return lambda x, owner: np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
 
 
 def integrate_finite(
@@ -127,56 +217,40 @@ def integrate_finite(
     cfg: QuadratureConfig | None = None,
     breakpoints: Sequence[float] = (),
 ) -> QuadResult:
-    """Adaptive integral of a complex-valued f over [a, b].
+    """Adaptive integral of a complex-valued scalar integrand f over [a, b].
 
-    f receives a numpy array of nodes. breakpoints seed the initial
-    panel layout at known interior structure (kept out of the contract
-    tolerance logic; purely a convergence aid).
+    breakpoints seed the initial panel layout at known interior structure
+    (kept out of the contract tolerance logic; purely a convergence aid).
 
     Raises QuadratureError with the best estimate attached if the
     subdivision budget runs out before the tolerance is met.
     """
-    cfg = cfg or QuadratureConfig()
-    if not (a < b):
-        raise DomainError("integration requires a < b")
-    heap = []
-    counter = 0
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    for lo, hi in _seed_panels(a, b, breakpoints):
-        val, err, _ = _gk15(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-        total += val
-        total_err += err
+    return integrate_batch(_batch_of_one(f), [a], [b], cfg, [breakpoints])[0]
 
-    subdivisions = 0
-    while total_err > max(cfg.rel_tol * abs(total), cfg.abs_tol):
-        if subdivisions >= cfg.max_subdivisions:
-            raise QuadratureError(
-                f"integral not converged after {subdivisions} subdivisions "
-                f"(estimate {total!r}, error bound {total_err:.3e})",
-                best_estimate=total,
-                error_bound=total_err,
-            )
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # panel at floating-point resolution; accept its estimate
-            heapq.heappush(heap, (0.0, counter, lo, hi, val, err))
-            counter += 1
-            subdivisions += 1
-            continue
-        v1, e1, _ = _gk15(f, lo, mid)
-        v2, e2, _ = _gk15(f, mid, hi)
-        total += v1 + v2 - val
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
-        counter += 1
-        subdivisions += 1
-    return QuadResult(complex(total), float(total_err))
+
+def integrate_power_tails(
+    f: Callable,
+    a: float,
+    scales: Sequence[float],
+    breakpoints: Sequence[Sequence[float]],
+    cfg: QuadratureConfig | None = None,
+) -> list:
+    """QuadResults of a batched f over [a, infinity) for |f| = O(t^-2).
+
+    Integral i maps t = a + s u/(1 - u), s = scales[i], onto u in [0, 1),
+    its seed breakpoints[i] (values of t) with it.
+    """
+    s_rows = np.asarray(scales, dtype=float)[:, None]
+
+    def mapped(u, owner):
+        one_minus = 1.0 - u
+        s = s_rows[owner]
+        return f(a + s * u / one_minus, owner) * (s / (one_minus * one_minus))
+
+    n = len(scales)
+    u_breaks = [[(t - a) / (t - a + s) for t in cuts if t > a]
+                for s, cuts in zip(scales, breakpoints)]
+    return integrate_batch(mapped, [0.0] * n, [1.0] * n, cfg, u_breaks)
 
 
 def integrate_semi_infinite_decaying(
@@ -195,25 +269,15 @@ def integrate_semi_infinite_decaying(
     geometric continuation then bounds the discarded tail well below
     tail_cut * |result|.
 
-    tail="power": |f| decays at least like t^(-2); the map
-    t = a + s u/(1-u) with s = decay_scale takes the whole half-line to
-    u in [0, 1) with a bounded transformed integrand.
+    tail="power": |f| decays at least like t^(-2); integrate_power_tails
+    with s = decay_scale.
     """
     cfg = cfg or QuadratureConfig()
     if not (decay_scale > 0):
         raise DomainError("decay_scale must be > 0")
     if tail == "power":
-        s = float(decay_scale)
-
-        def mapped(u):
-            one_minus = 1.0 - u
-            t = a + s * u / one_minus
-            return f(t) * (s / (one_minus * one_minus))
-
-        u_breaks = [
-            (t - a) / (t - a + s) for t in breakpoints if t > a
-        ]
-        return integrate_finite(mapped, 0.0, 1.0, cfg, breakpoints=u_breaks)
+        return integrate_power_tails(_batch_of_one(f), a, [float(decay_scale)],
+                                     [breakpoints], cfg)[0]
     if tail != "exp":
         raise DomainError("tail must be 'exp' or 'power'")
 

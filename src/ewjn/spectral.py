@@ -26,12 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .fresnel import (
-    local_reflection,
-    nonlocal_rp_quasistatic,
-    nonlocal_rs_quasistatic,
-    vacuum_normal_wavevector,
-)
+from .fresnel import local_reflection, nonlocal_reflection_quasistatic
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, skin_depth
 from .quadrature import (
     QuadratureConfig,
@@ -153,33 +148,7 @@ def chi_B_quasistatic_local(material: Material, z: float, omega: float) -> Spect
 def _outer_breakpoints(material: Material, z: float) -> list:
     # structure of Im r sits at the collision and screening wavevectors;
     # seed them when they fall inside the exponential window
-    k_nu = material.collision_rate / material.fermi_velocity
-    k_star = math.sqrt(3.0) * material.plasma_frequency / material.fermi_velocity
-    return [k_nu, k_star, 0.25 / z, 1.0 / z]
-
-
-def _loop_rp(material, omega, cfg_inner):
-    def f(p_values):
-        out = np.empty(np.shape(p_values), dtype=complex)
-        flat = np.atleast_1d(p_values)
-        res = out.reshape(-1)
-        for i, p in enumerate(flat):
-            res[i] = nonlocal_rp_quasistatic(material, float(p), omega, cfg_inner)
-        return out
-
-    return f
-
-
-def _loop_rs(material, omega, cfg_inner):
-    def f(p_values):
-        out = np.empty(np.shape(p_values), dtype=complex)
-        flat = np.atleast_1d(p_values)
-        res = out.reshape(-1)
-        for i, p in enumerate(flat):
-            res[i] = nonlocal_rs_quasistatic(material, float(p), omega, cfg_inner)
-        return out
-
-    return f
+    return [material.k_nu, material.k_star, 0.25 / z, 1.0 / z]
 
 
 def chi_E_quasistatic_nonlocal(
@@ -192,10 +161,11 @@ def chi_E_quasistatic_nonlocal(
     """
     _check_z_omega(z, omega)
     cfg = cfg or QuadratureConfig()
-    rp = _loop_rp(material, omega, cfg.inner())
+    cfg_inner = cfg.inner()
 
     def integrand(p):
-        return p * p * np.exp(-2.0 * p * z) * np.imag(rp(p))
+        r_p = nonlocal_reflection_quasistatic(material, p, omega, "p", cfg_inner)
+        return p * p * np.exp(-2.0 * p * z) * np.imag(r_p)
 
     value, err = integrate_semi_infinite_decaying(
         integrand, 0.0, 0.5 / z, cfg, tail="exp",
@@ -228,14 +198,15 @@ def chi_B_quasistatic_nonlocal(
     """
     _check_z_omega(z, omega)
     cfg = cfg or QuadratureConfig()
-    rs = _loop_rs(material, omega, cfg.inner())
-    rp = _loop_rp(material, omega, cfg.inner())
+    cfg_inner = cfg.inner()
 
     def integrand_s(p):
-        return p * p * np.exp(-2.0 * p * z) * np.imag(rs(p))
+        r_s = nonlocal_reflection_quasistatic(material, p, omega, "s", cfg_inner)
+        return p * p * np.exp(-2.0 * p * z) * np.imag(r_s)
 
     def integrand_p(p):
-        return np.exp(-2.0 * p * z) * np.imag(rp(p))
+        r_p = nonlocal_reflection_quasistatic(material, p, omega, "p", cfg_inner)
+        return np.exp(-2.0 * p * z) * np.imag(r_p)
 
     breaks = _outer_breakpoints(material, z)
     val_s, err_s = integrate_semi_infinite_decaying(

@@ -164,6 +164,27 @@ def test_sweep_temperature_axis_thermal_ratio(capsys):
         == pytest.approx(expected, rel=1e-7)
 
 
+def test_sweep_temperature_axis_evaluates_chi_once_per_model(capsys, monkeypatch):
+    import ewjn.cli
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    evaluate = ewjn.cli.evaluate
+    monkeypatch.setattr(ewjn.cli, "evaluate", counting)
+    code, out, _ = run_cli([
+        "sweep", "--axis", "temperature", "--min", "0", "--max", "3",
+        "--count", "4", "--spacing", "linear", "--z", str(10 * LAM_F),
+        "--models", "local-quasistatic,local-retarded",
+    ], capsys)
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 4
+    assert len(calls) == 2
+
+
 def test_sweep_json_format(capsys):
     code, out, _ = run_cli([
         "sweep", "--axis", "z", "--min", "1e-9", "--max", "1e-8",

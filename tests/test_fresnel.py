@@ -18,11 +18,15 @@ from ewjn import (
     Material,
     QuadratureConfig,
     drude_epsilon,
+    epsilon_l,
+    epsilon_t,
+    integrate_semi_infinite_decaying,
     local_reflection,
     nonlocal_rp_quasistatic,
     nonlocal_rs_quasistatic,
     vacuum_normal_wavevector,
 )
+from ewjn.fresnel import nonlocal_reflection_quasistatic
 
 
 def rel(a, b):
@@ -167,3 +171,82 @@ def test_nonlocal_domain(copper, omega0):
         nonlocal_rs_quasistatic(copper, -1.0, omega0)
     with pytest.raises(DomainError):
         nonlocal_rp_quasistatic(copper, 1e8, 0.0)
+
+
+# ----------------------------------------------------------- batched kernel
+
+def _reference_r(material, p, omega, cfg, transverse):
+    """One kappa-integral through the scalar power-tail path, combined on
+    Python scalars."""
+    eps_fn = epsilon_t if transverse else epsilon_l
+
+    def integrand(kappa):
+        k2 = p * p + kappa * kappa
+        eps = eps_fn(material, np.sqrt(k2), omega)
+        return eps / (k2 * k2) if transverse else 1.0 / (k2 * eps)
+
+    k_nu, k_star = material.k_nu, material.k_star
+    breaks = [x for x in (0.3 * p, p, 3.0 * p, k_nu, k_star, 3.0 * k_star) if x > 0]
+    value, _ = integrate_semi_infinite_decaying(integrand, 0.0, max(p, k_star), cfg,
+                                                tail="power", breakpoints=breaks)
+    if transverse:
+        j_p = (4.0 * p**3 / math.pi) * value
+        return omega**2 / (4.0 * p**2 * C_LIGHT**2) * (j_p - 1.0)
+    i_p = (2.0 * p / math.pi) * value
+    return (1.0 - i_p) / (1.0 + i_p)
+
+
+def test_nonlocal_batch_matches_scalar_bitwise(copper, omega0, cfg):
+    ps = np.geomspace(1e5, 1e12, 40)
+    eps = drude_epsilon(copper, omega0)
+    stub = lambda k, w: eps
+    for override in (None, stub):
+        r_p = nonlocal_reflection_quasistatic(copper, ps, omega0, "p", cfg, override)
+        r_s = nonlocal_reflection_quasistatic(copper, ps, omega0, "s", cfg, override)
+        for i, p in enumerate(ps.tolist()):
+            assert r_p[i] == nonlocal_rp_quasistatic(copper, p, omega0, cfg, override)
+            assert r_s[i] == nonlocal_rs_quasistatic(copper, p, omega0, cfg, override)
+            if override is None and i % 4 == 0:
+                assert r_p[i] == _reference_r(copper, p, omega0, cfg, False)
+                assert r_s[i] == _reference_r(copper, p, omega0, cfg, True)
+
+
+def test_nonlocal_batch_domain(copper, omega0):
+    with pytest.raises(DomainError):
+        nonlocal_reflection_quasistatic(copper, [1e8, 0.0], omega0, "p")
+    with pytest.raises(DomainError):
+        nonlocal_reflection_quasistatic(copper, [1e8], omega0, "x")
+
+
+@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
+def test_surface_integrals_match_scipy_quad(copper, omega0, cfg):
+    # independent oracle: QUADPACK on the same kappa-integrands. Its
+    # half-line rule misjudges these tails, so the range is cut into
+    # decades up to K = 1e6 max(p, k_star) and closed analytically with
+    # the vacuum response (eps -> 1 there, relative error ~ (k_star/K)^2)
+    integrate = pytest.importorskip("scipy.integrate")
+    ps = np.array([1e6, 1e7, 1e8, 1e9, 1e10])
+    for transverse, eps_fn in ((False, epsilon_l), (True, epsilon_t)):
+        r = nonlocal_reflection_quasistatic(copper, ps, omega0, "ps"[transverse], cfg)
+        for p, r_p_or_s in zip(ps.tolist(), r.tolist()):
+            def f(kappa):
+                k2 = p * p + kappa * kappa
+                eps = complex(eps_fn(copper, math.sqrt(k2), omega0))
+                return eps / (k2 * k2) if transverse else 1.0 / (k2 * eps)
+
+            top = max(p, copper.k_star)
+            edges = sorted({0.0, 0.3 * p, p, 3.0 * p, copper.k_nu, copper.k_star,
+                            3.0 * copper.k_star} | {top * 10.0**j for j in range(1, 7)})
+            total = sum(integrate.quad(f, lo, hi, complex_func=True, epsabs=0.0,
+                                       epsrel=1e-10, limit=200)[0]
+                        for lo, hi in zip(edges[:-1], edges[1:]))
+            big = edges[-1]
+            # I_p and J_p recovered from r_p and r_s lose < 1e-11 relative
+            if transverse:
+                total += 1.0 / (3.0 * big**3)
+                j_p = 1.0 + r_p_or_s * 4.0 * p**2 * C_LIGHT**2 / omega0**2
+                assert rel(j_p, 4.0 * p**3 / math.pi * total) <= 1e-7
+            else:
+                total += (0.5 * math.pi - math.atan(big / p)) / p
+                i_p = (1.0 - r_p_or_s) / (1.0 + r_p_or_s)
+                assert rel(i_p, 2.0 * p / math.pi * total) <= 1e-7

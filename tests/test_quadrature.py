@@ -1,5 +1,6 @@
 """Adaptive Gauss-Kronrod integration on finite and half-line domains."""
 
+import heapq
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from ewjn import (
     integrate_finite,
     integrate_semi_infinite_decaying,
 )
+from ewjn.quadrature import integrate_batch
 
 
 # ------------------------------------------------------------------- config
@@ -169,3 +171,130 @@ def test_monomials_exact(b, n):
     res = integrate_finite(lambda x: x**n, 0.0, b, QuadratureConfig())
     exact = b ** (n + 1) / (n + 1)
     assert abs(res.value - exact) <= max(1e-12 * exact, res.error)
+
+
+# ------------------------------------------------------------ batched engine
+
+BATCH_CASES = [
+    # polynomial: converges on its seed panel
+    (lambda x: x**3 - x, 0.0, 2.0, ()),
+    # kink seeded by a breakpoint
+    (lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, (1.0 / 3.0,)),
+    (lambda x: 1.0 / (1e-8 + (x - 0.3) ** 2), 0.0, 1.0, ()),
+    # ~480 periods: hundreds of subdivisions
+    (lambda x: 2.0 + np.cos(300.0 * x), 0.0, 10.0, ()),
+    (lambda x: np.exp(1j * 40.0 * x) / (1.0 + x), 0.0, 5.0, (1.0, 2.0)),
+    (lambda x: np.sqrt(np.abs(x - 0.5)), -1.0, 1.0, ()),
+    (np.cos, -3.0, 7.0, (0.0, 5.0, 100.0)),
+]
+
+
+def _batched(fs, calls):
+    def f(x, owner):
+        calls.append(x.shape)
+        assert x.ndim == 2 and x.shape[1] == 15 and owner.shape == x.shape[:1]
+        out = np.empty(x.shape, dtype=complex)
+        for i, fi in enumerate(fs):
+            rows = owner == i
+            out[rows] = fi(x[rows])
+        return out
+
+    return f
+
+
+def _counted(f, calls):
+    def g(x):
+        calls.append(x.shape)
+        return f(x)
+
+    return g
+
+
+def _serial_reference(f, a, b, cfg, breakpoints=()):
+    """The one-integral adaptive loop with one GK15 call per panel."""
+    from ewjn.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K
+
+    def gk15(lo, hi):
+        center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fv = np.asarray(f(center + half * _NODES), dtype=complex)
+        resk = np.sum(_WEIGHTS_K * fv)
+        resg = np.sum(_WEIGHTS_G * fv)
+        resabs = float(np.sum(_WEIGHTS_K * np.abs(fv))) * half
+        resasc = float(np.sum(_WEIGHTS_K * np.abs(fv - 0.5 * resk))) * half
+        err = abs(resk - resg) * half
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        if resabs > 0.0:
+            err = max(err, 50.0 * np.finfo(float).eps * resabs)
+        return resk * half, err
+
+    edges = [a] + sorted({float(x) for x in breakpoints if a < x < b}) + [b]
+    heap, total, total_err = [], 0.0 + 0.0j, 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = gk15(lo, hi)
+        heapq.heappush(heap, (-err, len(heap), lo, hi, val, err))
+        total += val
+        total_err += err
+    counter = len(heap)
+    while total_err > max(cfg.rel_tol * abs(total), cfg.abs_tol):
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            heapq.heappush(heap, (0.0, counter, lo, hi, val, err))
+            counter += 1
+            continue
+        (v1, e1), (v2, e2) = gk15(lo, mid), gk15(mid, hi)
+        total += v1 + v2 - val
+        total_err += e1 + e2 - err
+        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
+        counter += 2
+    return complex(total), float(total_err)
+
+
+def test_batch_matches_separate_integrals_bitwise():
+    cfg = QuadratureConfig(rel_tol=1e-10)
+    fs, a, b, breaks = zip(*BATCH_CASES)
+    batch_calls = []
+    results = integrate_batch(_batched(fs, batch_calls), a, b, cfg, breaks)
+    single_calls = []
+    for (f, lo, hi, bp), res in zip(BATCH_CASES, results):
+        calls = []
+        single = integrate_finite(_counted(f, calls), lo, hi, cfg, breakpoints=bp)
+        single_calls.append(len(calls))
+        assert res.value == single.value
+        assert res.error == single.error
+        assert (single.value, single.error) == _serial_reference(f, lo, hi, cfg, bp)
+    assert single_calls[0] == 1
+    assert max(single_calls) >= 100
+    # lockstep: one call per round, as many rounds as the slowest member
+    assert len(batch_calls) == max(single_calls)
+
+
+def test_batch_raises_error_of_lowest_failing_integral():
+    cfg = QuadratureConfig(max_subdivisions=8)
+    fs = [
+        lambda x: x * x,
+        lambda x: np.abs(x - 0.3) ** -0.5,
+        lambda x: 1.0 / (1e-8 + (x - 0.7) ** 2),
+    ]
+    with pytest.raises(QuadratureError) as single:
+        integrate_finite(fs[1], 0.0, 1.0, cfg)
+    with pytest.raises(QuadratureError) as batch:
+        integrate_batch(_batched(fs, []), [0.0] * 3, [1.0] * 3, cfg)
+    assert str(batch.value) == str(single.value)
+    assert batch.value.best_estimate == single.value.best_estimate
+    assert batch.value.error_bound == single.value.error_bound
+    # a failing member behind converging ones raises its own error
+    ok = [fs[0], fs[0], fs[2]]
+    with pytest.raises(QuadratureError) as last:
+        integrate_batch(_batched(ok, []), [0.0] * 3, [1.0] * 3, cfg)
+    with pytest.raises(QuadratureError) as alone:
+        integrate_finite(fs[2], 0.0, 1.0, cfg)
+    assert last.value.best_estimate == alone.value.best_estimate
+
+
+def test_batch_domain_validation():
+    with pytest.raises(DomainError):
+        integrate_batch(_batched([np.sin, np.sin], []), [0.0, 1.0], [1.0, 1.0])
+    assert integrate_batch(_batched([], []), [], []) == []
