@@ -6,9 +6,9 @@ every column header and one column group per requested model. Exit
 codes: 0 success, 1 validation, 2 physics-domain error, 3 quadrature
 non-convergence.
 
-Sweep grid points are independent; they may be evaluated across a
-thread pool (EWJN_THREADS caps the worker count) but rows are always
-assembled in grid order, so output bytes never depend on scheduling.
+A sweep evaluates chi with one spectral.evaluate_batch call per
+(omega, model): a z-sweep is one call per model, so its local-retarded
+points refine together; rows are assembled in grid order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,12 +29,11 @@ from .materials import (
     C_LIGHT,
     E_CHARGE,
     EPS0,
-    HBAR,
     load_material,
 )
 from .quadrature import QuadratureConfig
-from .relaxation import QubitSpec, t1 as compute_t1, thermal_factor
-from .spectral import Model, evaluate, regime_select
+from .relaxation import QubitSpec, relaxation_rate, t1 as compute_t1, thermal_factor
+from .spectral import Model, evaluate, evaluate_batch, regime_select
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -70,28 +68,6 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("EWJN_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"EWJN_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError("EWJN_THREADS must be >= 1")
-    return n
-
-
-def _ordered_map(fn, items):
-    """Evaluate fn over items, results in item order however scheduled."""
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _add_common_flags(sub):
@@ -250,57 +226,27 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.min, args.max, args.count)
 
 
-class _Point:
-    """Coordinates of one evaluation: the sweep axis merged with the
-    fixed flags."""
-
-    def __init__(self, axis, axis_value, z, omega, temp):
-        self.z = axis_value if axis == "z" else z
-        self.omega = axis_value if axis == "omega" else omega
-        self.temp = axis_value if axis == "temperature" else temp
-        if self.z is None:
-            raise DomainError("--z is required when it is not the sweep axis")
-
-
-def _group_cell(material, point, model, qubit_name, orientation, moment, cfg,
-                temps):
-    """Evaluate chi once at the point, derive one cell per temperature.
-
-    Returns (cells, tensor): cells is a list (one per temperature) of
-    (chi_xx, chi_zz, rate, t1, err, status) tuples.
-    """
-    failed = None
-    tensor = None
-    try:
-        qubit = QubitSpec(
-            kind=_QUBIT_KINDS[qubit_name],
-            moment=moment,
-            orientation=orientation,
-            level_splitting=point.omega,
-        )
-        tensor = evaluate(material, qubit.field_kind, point.z, point.omega,
-                          model, cfg)
-    except QuadratureError:
-        failed = "quadrature-error"
-    except DomainError:
-        failed = "domain-error"
+def _group_cell(outcome, omega, model, orientation, moment, temps):
+    """(chi_xx, chi_zz, rate, t1, err, status) per temperature from chi's
+    outcome at a point: a tensor, or the DomainError or QuadratureError."""
+    if isinstance(outcome, Exception):
+        failed = ("quadrature-error" if isinstance(outcome, QuadratureError)
+                  else "domain-error")
+        return [(math.nan,) * 5 + (failed,) for _ in temps]
     cells = []
     for temp in temps:
-        if failed is not None:
-            cells.append((math.nan,) * 5 + (failed,))
-            continue
         try:
-            factor = thermal_factor(point.omega, temp)
+            factor = thermal_factor(omega, temp)
         except DomainError:
             cells.append((math.nan,) * 5 + ("domain-error",))
             continue
-        chi = tensor.chi_zz if orientation == "z" else tensor.chi_xx
-        rate = (moment / HBAR) ** 2 * chi * factor
+        chi = outcome.chi_zz if orientation == "z" else outcome.chi_xx
+        rate = relaxation_rate(moment, chi, factor)
         t1_value = 1.0 / rate if rate > 0 else math.inf
-        status = "ok" if model != Model.AUTO.value else f"ok:{tensor.model}"
-        cells.append((float(tensor.chi_xx), float(tensor.chi_zz), float(rate),
-                      float(t1_value), float(tensor.error_estimate), status))
-    return cells, tensor
+        status = "ok" if model != Model.AUTO.value else f"ok:{outcome.model}"
+        cells.append((float(outcome.chi_xx), float(outcome.chi_zz), float(rate),
+                      float(t1_value), float(outcome.error_estimate), status))
+    return cells
 
 
 def _chi_units_for(qubit_name: str) -> str:
@@ -329,22 +275,36 @@ def _sweep_rows(material, cfg, axis, grid, fixed, models, temps=None):
     """Evaluate a sweep: per grid value, (cells, tensor of the last model).
 
     cells run over models and, per model, over temps (default: the
-    point's own temperature); chi is evaluated once per (point, model).
+    point's own temperature); chi is evaluated once per (point, model),
+    in one evaluate_batch call per (omega, model).
     fixed is (z, omega, temperature, qubit name, orientation, moment).
     """
     z, omega, temp, qubit_name, orientation, moment = fixed
-
-    def eval_point(axis_value):
-        point = _Point(axis, axis_value, z, omega, temp)
-        cells, tensor = [], None
-        for model in models:
-            model_cells, tensor = _group_cell(material, point, model, qubit_name,
-                                              orientation, moment, cfg,
-                                              temps or [point.temp])
-            cells += model_cells
-        return cells, tensor
-
-    return _ordered_map(eval_point, [float(v) for v in grid])
+    if axis != "z" and z is None:
+        raise DomainError("--z is required when it is not the sweep axis")
+    # (z, omega, temperature) of each point: the axis merged with the fixed flags
+    points = [(v if axis == "z" else z, v if axis == "omega" else omega,
+               v if axis == "temperature" else temp) for v in map(float, grid)]
+    by_omega = {}
+    for i, point in enumerate(points):
+        by_omega.setdefault(point[1], []).append(i)
+    cells = [[] for _ in points]
+    tensors = [None] * len(points)
+    for model in models:
+        for w, idx in by_omega.items():
+            try:
+                field_kind = QubitSpec(kind=_QUBIT_KINDS[qubit_name], moment=moment,
+                                       orientation=orientation,
+                                       level_splitting=w).field_kind
+                outcomes = evaluate_batch(material, field_kind,
+                                          [points[i][0] for i in idx], w, model, cfg)
+            except DomainError as exc:
+                outcomes = [exc] * len(idx)
+            for i, outcome in zip(idx, outcomes):
+                cells[i] += _group_cell(outcome, w, model, orientation, moment,
+                                        temps or [points[i][2]])
+                tensors[i] = None if isinstance(outcome, Exception) else outcome
+    return list(zip(cells, tensors))
 
 
 def _worst_exit(cells_iter) -> int:
@@ -468,7 +428,7 @@ def _bulk_reference_comments(material, omega, cfg, moment) -> list:
         series = getattr(exc, "convergence_series", [])
         status = "not converged across cutoff ladder; last rung used"
     chi_bulk = omega**2 / (EPS0 * C_LIGHT**2) * im_d
-    rate = (moment / HBAR) ** 2 * chi_bulk
+    rate = relaxation_rate(moment, chi_bulk)
     return [
         f"bulk_reference_im_D[J*s/m] = {_fmt(im_d)} ({status})",
         "bulk_ladder " + " ".join(f"({k:.3e},{_fmt(v)})" for k, v in series),

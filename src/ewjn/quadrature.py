@@ -3,17 +3,20 @@
 One engine serves every integral in the package: a globally adaptive
 Gauss-Kronrod 15(7) rule with deterministic panel subdivision
 (worst-panel-first, ties broken by insertion order), so repeated runs
-produce bit-identical results. integrate_batch refines N integrals in
-lockstep, one integrand call per round; the other entry points are
-batches of one. A scalar integrand f(x) gets a 1-D node array of any
-length; a batched one, f(x, owner), gets an (m, 15) block of nodes plus
-the (m,) indices of the integrals owning its rows. Both return values
-shaped like x, and a node's value may not depend on the others.
+produce bit-identical results. integrate_lockstep refines N integrals in
+lockstep, one integrand call per round, and returns one outcome per
+integral: a QuadResult or that integral's own QuadratureError.
+integrate_batch raises the lowest-index error instead, and the scalar
+entry points are batches of one. A scalar integrand f(x) gets a 1-D node
+array of any length; a batched one, f(x, owner), gets an (m, 15) block
+of nodes plus the (m,) indices of the integrals owning its rows. Both
+return values shaped like x, and a node's value may not depend on the
+others.
 
 Semi-infinite integrals come in two contractual flavors: exponentially
-decaying tails are accumulated window by window until the geometric tail
-bound drops below tail_cut of the accumulated result, and power-law
-tails are mapped onto [0, 1) via t = a + s u/(1 - u).
+decaying tails are accumulated window by window, window n of every open
+integral in one batch (integrate_exp_tails), and power-law tails are
+mapped onto [0, 1) via t = a + s u/(1 - u) (integrate_power_tails).
 
 Endpoint algebraic singularities are never handled here; callers remove
 them by substitution first (see the spectral module), which is what
@@ -122,20 +125,20 @@ def _gk15(f: Callable, panels: list):
     return (resk * half).tolist(), errors
 
 
-def integrate_batch(
+def integrate_lockstep(
     f: Callable,
     a: Sequence[float],
     b: Sequence[float],
     cfg: QuadratureConfig | None = None,
     breakpoints: Sequence[Sequence[float]] | None = None,
 ) -> list:
-    """QuadResults of a batched f over [a[i], b[i]], refined in lockstep.
+    """Outcomes of a batched f over [a[i], b[i]], refined in lockstep.
 
     Integral i, seeded at breakpoints[i], keeps its own panel heap,
     tolerance test and budget, taking exactly the steps it would take
     alone; each round evaluates the children of all unconverged ones in
-    one call. Raises the QuadratureError of the lowest-index integral
-    out of budget, as a loop over the integrals in order would.
+    one call. Outcome i is a QuadResult, or the QuadratureError of
+    integral i if its budget ran out.
     """
     cfg = cfg or QuadratureConfig()
     n = len(a)
@@ -160,15 +163,13 @@ def integrate_batch(
         errors[i] += err
 
     active = range(n)
-    failed = n  # lowest index out of budget; later ones stop refining
+    failed = set()
     while True:
         panels, parents = [], []
         for i in active:
-            if i > failed:
-                break
             while errors[i] > max(cfg.rel_tol * abs(totals[i]), cfg.abs_tol):
                 if subdivisions[i] >= cfg.max_subdivisions:
-                    failed = i
+                    failed.add(i)
                     break
                 parent = heapq.heappop(heaps[i])
                 lo, hi = parent[2], parent[3]
@@ -195,15 +196,39 @@ def integrate_batch(
             counters[i] += 2
         active = [i for i, _, _ in panels[::2]]
 
-    if failed < n:
-        total, total_err = np.complex128(totals[failed]), np.float64(errors[failed])
-        raise QuadratureError(
-            f"integral not converged after {subdivisions[failed]} subdivisions "
+    outcomes = []
+    for i in range(n):
+        if i not in failed:
+            outcomes.append(QuadResult(complex(totals[i]), float(errors[i])))
+            continue
+        total, total_err = np.complex128(totals[i]), np.float64(errors[i])
+        outcomes.append(QuadratureError(
+            f"integral not converged after {subdivisions[i]} subdivisions "
             f"(estimate {total!r}, error bound {total_err:.3e})",
             best_estimate=total,
             error_bound=total_err,
-        )
-    return [QuadResult(complex(t), float(e)) for t, e in zip(totals, errors)]
+        ))
+    return outcomes
+
+
+def _raise_first(outcomes: list) -> list:
+    """The outcomes, all QuadResults, or raise the first QuadratureError."""
+    for outcome in outcomes:
+        if isinstance(outcome, QuadratureError):
+            raise outcome
+    return outcomes
+
+
+def integrate_batch(
+    f: Callable,
+    a: Sequence[float],
+    b: Sequence[float],
+    cfg: QuadratureConfig | None = None,
+    breakpoints: Sequence[Sequence[float]] | None = None,
+) -> list:
+    """QuadResults of integrate_lockstep, or raise the QuadratureError
+    of the lowest-index integral out of budget."""
+    return _raise_first(integrate_lockstep(f, a, b, cfg, breakpoints))
 
 
 def _batch_of_one(f: Callable) -> Callable:
@@ -253,6 +278,56 @@ def integrate_power_tails(
     return integrate_batch(mapped, [0.0] * n, [1.0] * n, cfg, u_breaks)
 
 
+def integrate_exp_tails(
+    f: Callable,
+    a: float,
+    scales: Sequence[float],
+    breakpoints: Sequence[Sequence[float]],
+    cfg: QuadratureConfig | None = None,
+) -> list:
+    """Outcomes of a batched f over [a, infinity), |f| = O(exp(-t/s)).
+
+    Integral i, s = scales[i], runs windows of width 10 s from a, its
+    seed breakpoints[i] in the first, until window n >= 1 adds at most
+    max(tail_cut |total|, abs_tol); the geometric continuation then
+    bounds the discarded tail well below tail_cut * |result|. Window n
+    of every open integral is one integrate_lockstep batch. Outcome i is
+    a QuadResult, or the QuadratureError of a window out of budget or of
+    a tail still open after 100 windows.
+    """
+    cfg = cfg or QuadratureConfig()
+    if not all(s > 0 for s in scales):
+        raise DomainError("decay_scale must be > 0")
+    max_windows = 100
+    n = len(scales)
+    los, totals, errors = [float(a)] * n, [0.0 + 0.0j] * n, [0.0] * n
+    outcomes = [None] * n
+    active = list(range(n))
+    for w in range(max_windows):
+        rows = np.array(active)
+        his = [los[i] + 10.0 * float(scales[i]) for i in active]
+        results = integrate_lockstep(lambda x, owner: f(x, rows[owner]),
+                                     [los[i] for i in active], his, cfg,
+                                     [breakpoints[i] if w == 0 else () for i in active])
+        for i, hi, res in zip(active, his, results):
+            if isinstance(res, QuadResult):
+                totals[i] += res.value
+                errors[i] += res.error
+                if not (w >= 1 and abs(res.value) <= max(cfg.tail_cut * abs(totals[i]),
+                                                         cfg.abs_tol)):
+                    los[i] = hi
+                    continue
+                res = QuadResult(complex(totals[i]), float(errors[i]))
+            outcomes[i] = res
+        active = [i for i in active if outcomes[i] is None]
+        if not active:
+            return outcomes
+    for i in active:
+        outcomes[i] = QuadratureError(f"exponential tail not closed after {max_windows} windows",
+                                      best_estimate=totals[i], error_bound=errors[i])
+    return outcomes
+
+
 def integrate_semi_infinite_decaying(
     f: Callable,
     a: float,
@@ -263,40 +338,16 @@ def integrate_semi_infinite_decaying(
 ) -> QuadResult:
     """Integral of f over [a, infinity) for decaying integrands.
 
-    tail="exp": |f| is eventually dominated by exp(-t/decay_scale).
-    Windows of width 10 decay_scale are accumulated until a window's
-    contribution falls below tail_cut of the running total; the
-    geometric continuation then bounds the discarded tail well below
-    tail_cut * |result|.
+    tail="exp": |f| is eventually dominated by exp(-t/decay_scale);
+    integrate_exp_tails with s = decay_scale.
 
     tail="power": |f| decays at least like t^(-2); integrate_power_tails
     with s = decay_scale.
     """
-    cfg = cfg or QuadratureConfig()
     if not (decay_scale > 0):
         raise DomainError("decay_scale must be > 0")
-    if tail == "power":
-        return integrate_power_tails(_batch_of_one(f), a, [float(decay_scale)],
-                                     [breakpoints], cfg)[0]
-    if tail != "exp":
+    if tail not in ("exp", "power"):
         raise DomainError("tail must be 'exp' or 'power'")
-
-    window = 10.0 * float(decay_scale)
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    max_windows = 100
-    lo = float(a)
-    for n in range(max_windows):
-        hi = lo + window
-        seeds = breakpoints if n == 0 else ()
-        val, err = integrate_finite(f, lo, hi, cfg, breakpoints=seeds)
-        total += val
-        total_err += err
-        if n >= 1 and abs(val) <= max(cfg.tail_cut * abs(total), cfg.abs_tol):
-            return QuadResult(complex(total), float(total_err))
-        lo = hi
-    raise QuadratureError(
-        f"exponential tail not closed after {max_windows} windows",
-        best_estimate=total,
-        error_bound=total_err,
-    )
+    tails = integrate_power_tails if tail == "power" else integrate_exp_tails
+    outcomes = tails(_batch_of_one(f), a, [float(decay_scale)], [breakpoints], cfg)
+    return _raise_first(outcomes)[0]

@@ -76,6 +76,11 @@ def thermal_factor(omega: float, temperature: float) -> float:
     return 1.0 / math.tanh(HBAR * omega / (2.0 * K_BOLTZMANN * temperature))
 
 
+def relaxation_rate(moment: float, chi: float, factor: float = 1.0) -> float:
+    """(moment/hbar)^2 chi factor, 1/s; factor is the thermal coth."""
+    return (moment / HBAR) ** 2 * chi * factor
+
+
 def t1(
     material: Material,
     qubit: QubitSpec,
@@ -92,7 +97,7 @@ def t1(
     component = "zz" if qubit.orientation == "z" else "xx"
     chi = tensor.chi_zz if component == "zz" else tensor.chi_xx
     factor = thermal_factor(omega, temperature)
-    rate = (qubit.moment / HBAR) ** 2 * chi * factor
+    rate = relaxation_rate(qubit.moment, chi, factor)
     return RelaxationResult(
         rate=rate,
         t1=1.0 / rate if rate > 0 else math.inf,
@@ -101,5 +106,5 @@ def t1(
         chi_units=_CHI_UNITS[tensor.field_kind],
         thermal_factor=factor,
         model=tensor.model,
-        error_estimate=(qubit.moment / HBAR) ** 2 * tensor.error_estimate * factor,
+        error_estimate=relaxation_rate(qubit.moment, tensor.error_estimate, factor),
     )

@@ -25,12 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .fresnel import local_reflection, nonlocal_reflection_quasistatic
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, skin_depth
 from .quadrature import (
     QuadratureConfig,
-    integrate_finite,
+    integrate_exp_tails,
+    integrate_lockstep,
     integrate_semi_infinite_decaying,
 )
 
@@ -232,24 +233,28 @@ def chi_B_quasistatic_nonlocal(
     )
 
 
-def _retarded_integrals(material, z, omega, cfg, swap: bool):
-    """Shared machinery of the retarded chi integrals.
+def _local_retarded(material, field_kind, zs, omega, cfg) -> list:
+    """local-retarded tensors at every z of zs, as one quadrature batch.
 
-    Returns (I_xx, I_zz, err) where
+    chi = scale * (I_xx, I_zz), scale = hbar/eps0 (E) or hbar/(eps0 c^2) (B),
       I_xx = Re Integral dp (p/q) e^{2 i q z} (omega^2/c^2 r_a - q^2 r_b)/2
       I_zz = Re Integral dp (p^3/q) e^{2 i q z} r_b
     with (r_a, r_b) = (r_s, r_p) for the electric field and swapped for
     the magnetic one. The propagating part uses p = (omega/c) sin(theta);
     the evanescent part uses u = |q| as the variable, so its weight is
     exp(-2 u z) and the xx integrand becomes Im[omega^2/c^2 r_a + u^2 r_b].
+    A point whose propagating part fails gets its QuadratureError, else
+    one whose evanescent part fails gets that one.
     """
     eps = drude_epsilon(material, omega)
     w_c = omega / C_LIGHT
+    z_rows = np.asarray(zs, dtype=float)[:, None]
 
     def pick(pair):
-        return (pair.r_p, pair.r_s) if swap else (pair.r_s, pair.r_p)
+        return (pair.r_p, pair.r_s) if field_kind == "B" else (pair.r_s, pair.r_p)
 
-    def prop(theta):
+    def prop(theta, owner):
+        z = z_rows[owner]
         p = w_c * np.sin(theta)
         q = w_c * np.cos(theta)
         r_a, r_b = pick(local_reflection(p, omega, eps))
@@ -258,7 +263,8 @@ def _retarded_integrals(material, z, omega, cfg, swap: bool):
         f_zz = w_c**3 * np.sin(theta) ** 3 * phase * r_b
         return np.real(f_xx) + 1.0j * np.real(f_zz)
 
-    def evan(u):
+    def evan(u, owner):
+        z = z_rows[owner]
         p = np.sqrt(u * u + w_c * w_c)
         r_a, r_b = pick(local_reflection(p, omega, eps))
         damp = np.exp(-2.0 * u * z)
@@ -266,55 +272,40 @@ def _retarded_integrals(material, z, omega, cfg, swap: bool):
         f_zz = damp * p * p * np.imag(r_b)
         return f_xx + 1.0j * f_zz
 
-    res_prop = integrate_finite(prop, 0.0, 0.5 * math.pi, cfg)
+    n = len(zs)
+    props = integrate_lockstep(prop, [0.0] * n, [0.5 * math.pi] * n, cfg)
     # Im r knees sit at u ~ sqrt(|eps|) omega/c (skin depth scale)
     knee = math.sqrt(abs(eps)) * w_c
-    res_evan = integrate_semi_infinite_decaying(
-        evan, 0.0, 0.5 / z, cfg, tail="exp",
-        breakpoints=[0.5 * knee, knee, 2.0 * knee],
-    )
-    i_xx = res_prop.value.real + res_evan.value.real
-    i_zz = res_prop.value.imag + res_evan.value.imag
-    err = res_prop.error + res_evan.error
-    return i_xx, i_zz, err
+    evans = integrate_exp_tails(evan, 0.0, [0.5 / z for z in zs],
+                                [[0.5 * knee, knee, 2.0 * knee]] * n, cfg)
+    scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
+    out = []
+    for z, res_prop, res_evan in zip(zs, props, evans):
+        failed = [r for r in (res_prop, res_evan) if isinstance(r, QuadratureError)]
+        out.append(failed[0] if failed else SpectralDensityTensor(
+            field_kind=field_kind,
+            chi_xx=scale * (res_prop.value.real + res_evan.value.real),
+            chi_zz=scale * (res_prop.value.imag + res_evan.value.imag),
+            z=z,
+            omega=omega,
+            model=Model.LOCAL_RETARDED,
+            error_estimate=scale * (res_prop.error + res_evan.error),
+        ))
+    return out
 
 
 def chi_E_local_retarded(
     material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
 ) -> SpectralDensityTensor:
     """Retarded electric noise over the local Fresnel coefficients."""
-    _check_z_omega(z, omega)
-    cfg = cfg or QuadratureConfig()
-    i_xx, i_zz, err = _retarded_integrals(material, z, omega, cfg, swap=False)
-    scale = HBAR / EPS0
-    return SpectralDensityTensor(
-        field_kind="E",
-        chi_xx=scale * i_xx,
-        chi_zz=scale * i_zz,
-        z=z,
-        omega=omega,
-        model=Model.LOCAL_RETARDED,
-        error_estimate=scale * err,
-    )
+    return evaluate(material, "E", z, omega, Model.LOCAL_RETARDED, cfg)
 
 
 def chi_B_local_retarded(
     material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
 ) -> SpectralDensityTensor:
     """Retarded magnetic noise over the local Fresnel coefficients."""
-    _check_z_omega(z, omega)
-    cfg = cfg or QuadratureConfig()
-    i_xx, i_zz, err = _retarded_integrals(material, z, omega, cfg, swap=True)
-    scale = HBAR / (EPS0 * C_LIGHT**2)
-    return SpectralDensityTensor(
-        field_kind="B",
-        chi_xx=scale * i_xx,
-        chi_zz=scale * i_zz,
-        z=z,
-        omega=omega,
-        model=Model.LOCAL_RETARDED,
-        error_estimate=scale * err,
-    )
+    return evaluate(material, "B", z, omega, Model.LOCAL_RETARDED, cfg)
 
 
 _DISPATCH = {
@@ -322,9 +313,43 @@ _DISPATCH = {
     ("B", Model.LOCAL_QUASISTATIC): lambda mat, z, w, cfg: chi_B_quasistatic_local(mat, z, w),
     ("E", Model.NONLOCAL_QUASISTATIC): chi_E_quasistatic_nonlocal,
     ("B", Model.NONLOCAL_QUASISTATIC): chi_B_quasistatic_nonlocal,
-    ("E", Model.LOCAL_RETARDED): chi_E_local_retarded,
-    ("B", Model.LOCAL_RETARDED): chi_B_local_retarded,
 }
+
+
+def evaluate_batch(
+    material: Material,
+    field_kind: str,
+    zs,
+    omega: float,
+    model: Model | str = Model.AUTO,
+    cfg: QuadratureConfig | None = None,
+) -> list:
+    """evaluate at every z of zs at one omega, as outcomes.
+
+    Outcome i is the tensor at zs[i], or the DomainError or
+    QuadratureError that evaluate would raise there. model="auto"
+    resolves per point; every local-retarded point runs in one batch,
+    the other models point by point.
+    """
+    if field_kind not in ("E", "B"):
+        raise DomainError("field_kind must be 'E' or 'B'")
+    model = Model(model)
+    out = []
+    for z in zs:
+        try:
+            _check_z_omega(z, omega)
+            m = regime_select(material, z, omega).model if model is Model.AUTO else model
+            out.append(None if m is Model.LOCAL_RETARDED
+                       else _DISPATCH[(field_kind, m)](material, z, omega, cfg))
+        except (DomainError, QuadratureError) as exc:
+            out.append(exc)
+    retarded = [i for i, o in enumerate(out) if o is None]
+    if retarded:
+        tensors = _local_retarded(material, field_kind, [zs[i] for i in retarded],
+                                  omega, cfg)
+        for i, tensor in zip(retarded, tensors):
+            out[i] = tensor
+    return out
 
 
 def evaluate(
@@ -336,9 +361,7 @@ def evaluate(
     cfg: QuadratureConfig | None = None,
 ) -> SpectralDensityTensor:
     """Evaluate one noise tensor, resolving model="auto" by regime."""
-    if field_kind not in ("E", "B"):
-        raise DomainError("field_kind must be 'E' or 'B'")
-    model = Model(model)
-    if model is Model.AUTO:
-        model = regime_select(material, z, omega).model
-    return _DISPATCH[(field_kind, model)](material, z, omega, cfg)
+    [outcome] = evaluate_batch(material, field_kind, [z], omega, model, cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

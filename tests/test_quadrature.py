@@ -15,7 +15,7 @@ from ewjn import (
     integrate_finite,
     integrate_semi_infinite_decaying,
 )
-from ewjn.quadrature import integrate_batch
+from ewjn.quadrature import integrate_batch, integrate_exp_tails, integrate_lockstep
 
 
 # ------------------------------------------------------------------- config
@@ -298,3 +298,88 @@ def test_batch_domain_validation():
     with pytest.raises(DomainError):
         integrate_batch(_batched([np.sin, np.sin], []), [0.0, 1.0], [1.0, 1.0])
     assert integrate_batch(_batched([], []), [], []) == []
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except QuadratureError as exc:
+        return exc
+
+
+def _same_outcome(got, want):
+    if isinstance(want, QuadratureError):
+        assert isinstance(got, QuadratureError)
+        assert str(got) == str(want)
+        assert got.best_estimate == want.best_estimate
+        assert got.error_bound == want.error_bound
+    else:
+        assert (got.value, got.error) == (want.value, want.error)
+
+
+def test_lockstep_outcomes_match_separate_runs_past_failures():
+    cfg = QuadratureConfig(max_subdivisions=8)
+    fs = [
+        lambda x: x * x,
+        lambda x: np.abs(x - 0.3) ** -0.5,
+        np.sin,
+        lambda x: 1.0 / (1e-8 + (x - 0.7) ** 2),
+        lambda x: np.exp(1j * 3.0 * x),
+    ]
+    outcomes = integrate_lockstep(_batched(fs, []), [0.0] * 5, [1.0] * 5, cfg)
+    singles = [_outcome(integrate_finite, f, 0.0, 1.0, cfg) for f in fs]
+    assert [isinstance(s, QuadratureError) for s in singles] == [
+        False, True, False, True, False]
+    for got, want in zip(outcomes, singles):
+        _same_outcome(got, want)
+
+
+EXP_TAIL_CASES = [
+    # (f, decay_scale, breakpoints)
+    (lambda t: np.exp(-5.0 * t), 1.0, ()),
+    (lambda t: np.exp(-t) * (1.0 + np.cos(t)), 0.1, ()),
+    # kink seeded in the first window; only that window takes seeds
+    (lambda t: np.exp(-t) * np.abs(t - 0.8), 1.0, (0.8, 15.0)),
+    # power-law decay never closes an exponential tail
+    (lambda t: 1.0 / (1.0 + t * t), 0.01, ()),
+]
+
+
+def _serial_exp_tail(f, a, scale, cfg, breakpoints):
+    """The window-by-window exp-tail loop, one integral at a time."""
+    total, total_err, lo = 0.0 + 0.0j, 0.0, float(a)
+    for n in range(100):
+        hi = lo + 10.0 * scale
+        val, err = integrate_finite(f, lo, hi, cfg, breakpoints if n == 0 else ())
+        total += val
+        total_err += err
+        if n >= 1 and abs(val) <= max(cfg.tail_cut * abs(total), cfg.abs_tol):
+            return QuadResult(complex(total), float(total_err))
+        lo = hi
+    return QuadratureError("exponential tail not closed after 100 windows",
+                           best_estimate=total, error_bound=total_err)
+
+
+def test_exp_tails_batch_matches_semi_infinite_bitwise():
+    cfg = QuadratureConfig(rel_tol=1e-10)
+    fs, scales, breaks = zip(*EXP_TAIL_CASES)
+    outcomes = integrate_exp_tails(_batched(fs, []), 0.5, scales, breaks, cfg)
+    windows = []
+    for (f, scale, bp), got in zip(EXP_TAIL_CASES, outcomes):
+        seen = []
+
+        def recorded(x, f=f):
+            seen.append(x)
+            return f(x)
+
+        want = _outcome(integrate_semi_infinite_decaying, recorded, 0.5, scale,
+                        cfg, tail="exp", breakpoints=bp)
+        _same_outcome(got, want)
+        _same_outcome(got, _serial_exp_tail(f, 0.5, scale, cfg, bp))
+        # GK nodes are interior, so the farthest one names the last window
+        nodes = np.concatenate(seen)
+        windows.append(int(np.max(np.floor((nodes - 0.5) / (10.0 * scale)))) + 1)
+    assert windows[0] == 2 and windows[3] == 100
+    assert windows[1] > 20 and windows[2] > 2
+    assert isinstance(outcomes[3], QuadratureError)
+    assert "not closed after 100 windows" in str(outcomes[3])

@@ -8,6 +8,7 @@ individual tolerances say which reference is in play.
 
 import math
 
+import numpy as np
 import pytest
 
 from ewjn import (
@@ -15,6 +16,8 @@ from ewjn import (
     DomainError,
     Material,
     Model,
+    QuadratureConfig,
+    QuadratureError,
     chi_B_local_retarded,
     chi_B_quasistatic_local,
     chi_B_quasistatic_nonlocal,
@@ -24,7 +27,9 @@ from ewjn import (
     drude_epsilon,
     evaluate,
     regime_select,
+    skin_depth,
 )
+from ewjn.spectral import evaluate_batch
 
 
 def rel(a, b):
@@ -262,6 +267,91 @@ def test_retarded_magnetic_agrees_with_quasistatic_inside_skin_depth(
     qs = chi_B_quasistatic_local(copper, z, omega0)
     assert abs(ret.chi_xx / qs.chi_xx - 1.0) < 0.01
     assert abs(ret.chi_zz / qs.chi_zz - 1.0) < 0.01
+
+
+# one metal of each end of the far-field benchmark's Latin hypercube
+# (omega_p 1e15-2e16 rad/s, nu 3e12-1e14 rad/s, omega 1e8-1e10 rad/s)
+_FARFIELD = [
+    (COPPER, 6e8 * math.pi),
+    (Material(name="dilute", plasma_frequency=3e15, collision_rate=1e13,
+              fermi_energy=5.0 * 1.602176634e-19), 3e8),
+    (Material(name="dense", plasma_frequency=1.5e16, collision_rate=8e13,
+              fermi_energy=10.0 * 1.602176634e-19), 5e9),
+]
+_RETARDED = {"E": chi_E_local_retarded, "B": chi_B_local_retarded}
+
+
+def _farfield_grid(material, omega):
+    delta = skin_depth(material, omega)
+    return [float(z) for z in np.geomspace(delta / 10.0, 30.0 * delta, 20)]
+
+
+@pytest.mark.parametrize("material,omega", _FARFIELD, ids=lambda v: getattr(v, "name", ""))
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_retarded_batch_matches_scalar_bitwise(material, omega, field_kind):
+    zs = _farfield_grid(material, omega)
+    batch = evaluate_batch(material, field_kind, zs, omega, "local-retarded")
+    for z, tensor in zip(zs, batch):
+        single = _RETARDED[field_kind](material, z, omega)
+        assert tensor.chi_xx == single.chi_xx
+        assert tensor.chi_zz == single.chi_zz
+        assert tensor.error_estimate == single.error_estimate
+        assert (tensor.z, tensor.model) == (z, Model.LOCAL_RETARDED)
+
+
+@pytest.mark.parametrize("max_subdivisions", [12, 16])
+def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions,
+                                              monkeypatch):
+    import ewjn.spectral as spectral
+
+    # the propagating batch and the exp-tail batch, as the grid sees them
+    parts = {}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            parts[name] = fn(*args, **kwargs)
+            return parts[name]
+        return wrapper
+
+    monkeypatch.setattr(spectral, "integrate_lockstep",
+                        recording("prop", spectral.integrate_lockstep))
+    monkeypatch.setattr(spectral, "integrate_exp_tails",
+                        recording("evan", spectral.integrate_exp_tails))
+    cfg = QuadratureConfig(rel_tol=1e-9, max_subdivisions=max_subdivisions)
+    zs = _farfield_grid(copper, omega0)
+    batch = evaluate_batch(copper, "E", zs, omega0, "local-retarded", cfg)
+    failed = [[isinstance(r, QuadratureError) for r in parts[k]] for k in ("prop", "evan")]
+    for z, outcome, prop, evan, prop_failed, evan_failed in zip(
+            zs, batch, parts["prop"], parts["evan"], *failed):
+        # the propagating error comes first, as in a point-by-point run
+        assert outcome is (prop if prop_failed else evan if evan_failed else outcome)
+        try:
+            single = chi_E_local_retarded(copper, z, omega0, cfg)
+        except QuadratureError as exc:
+            assert isinstance(outcome, QuadratureError)
+            assert str(outcome) == str(exc)
+            assert outcome.best_estimate == exc.best_estimate
+            assert outcome.error_bound == exc.error_bound
+            continue
+        assert (outcome.chi_xx, outcome.chi_zz, outcome.error_estimate) \
+            == (single.chi_xx, single.chi_zz, single.error_estimate)
+    both = sum(p and e for p, e in zip(*failed))
+    if max_subdivisions == 12:
+        # the propagating part fails everywhere, the tail too at larger z
+        assert all(failed[0]) and 0 < both < len(zs)
+    else:
+        # only the tail fails, and only at some z
+        assert not any(failed[0]) and 0 < sum(failed[1]) < len(zs)
+
+
+def test_evaluate_batch_resolves_auto_per_point(copper, omega0, lam_f):
+    zs = [-1e-9, 10.0 * lam_f, 1e-6, 3e-6]
+    batch = evaluate_batch(copper, "E", zs, omega0, "auto", QuadratureConfig(rel_tol=1e-6))
+    assert isinstance(batch[0], DomainError)
+    assert [t.model for t in batch[1:]] == [
+        Model.NONLOCAL_QUASISTATIC, Model.LOCAL_RETARDED, Model.LOCAL_RETARDED]
+    for z, tensor in zip(zs[1:], batch[1:]):
+        assert tensor == evaluate(copper, "E", z, omega0, "auto", QuadratureConfig(rel_tol=1e-6))
 
 
 # ---------------------------------------------------------------- dispatch
