@@ -11,7 +11,17 @@ entry points are batches of one. A scalar integrand f(x) gets a 1-D node
 array of any length; a batched one, f(x, owner), gets an (m, 15) block
 of nodes plus the (m,) indices of the integrals owning its rows. Both
 return values shaped like x, and a node's value may not depend on the
-others.
+others. per_integral(*fs) makes a batched integrand of scalar ones, one
+per integral.
+
+The engine's state lives in arrays, so a round costs a fixed number of
+numpy calls however many integrals are open: a row of panels (lo, hi,
+value, error, in the order made) per unconverged integral, and totals,
+errors and subdivision counts per integral. The argmax of a row, the
+earliest of equal errors, is the worst-first, insertion-order pick, and
+the error estimate uses np.hypot and np.float_power, which give the bits
+of Python's abs and **: each integral gets its one-integral result, bit
+for bit.
 
 Semi-infinite integrals come in two contractual flavors: exponentially
 decaying tails are accumulated window by window, window n of every open
@@ -25,7 +35,6 @@ makes a fixed interior rule adequate.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -56,6 +65,9 @@ _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 # Gauss weights live on nodes 1, 3, 5, ... (odd indices of the 15-vector)
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+# complex copies: the products fv * w then skip a cast, with the same bits
+_WEIGHTS_K_C = _WEIGHTS_K.astype(complex)
+_WEIGHTS_G_C = _WEIGHTS_G.astype(complex)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -98,31 +110,93 @@ class QuadResult(NamedTuple):
     error: float
 
 
-def _gk15(f: Callable, panels: list):
-    """Gauss-Kronrod 15(7) on panels (owner, lo, hi) in one call of f.
+def _gk15(f: Callable, owner, lo, hi):
+    """Gauss-Kronrod 15(7) on panels [lo, hi] in one call of f.
 
-    Returns (values, errors) as lists of Python scalars. Sums run along
-    the 15-node axis, so no panel's result depends on the rest.
+    Returns (values, errors) as arrays. Sums run along the 15-node axis,
+    so no panel's result depends on the rest. The error finish is the
+    scalar rule's to the bit: np.hypot and np.float_power run the libm
+    hypot and pow behind Python's complex abs and float ** (np.abs and
+    np.power take vector paths whose bits differ).
     """
-    owner, lo, hi = (np.asarray(col) for col in zip(*panels))
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     fv = np.ascontiguousarray(f(nodes, owner), dtype=complex)
-    resk = np.sum(_WEIGHTS_K * fv, axis=1)
-    resg = np.sum(_WEIGHTS_G * fv, axis=1)
-    resabs = np.sum(_WEIGHTS_K * np.abs(fv), axis=1) * half
+    resk = (_WEIGHTS_K_C * fv).sum(axis=1)
+    resg = (_WEIGHTS_G_C * fv).sum(axis=1)
+    resabs = (_WEIGHTS_K * np.abs(fv)).sum(axis=1) * half
     # variation measure, sharpened error estimate as in classic QUADPACK
-    resasc = np.sum(_WEIGHTS_K * np.abs(fv - (0.5 * resk)[:, None]), axis=1) * half
-    errors = []
-    for diff, h, asc, absval in zip((resk - resg).tolist(), half.tolist(),
-                                    resasc.tolist(), resabs.tolist()):
-        err = abs(diff) * h
-        if asc != 0.0 and err != 0.0:
-            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-        if absval > 0.0:
-            err = max(err, 50.0 * _EPS * absval)
-        errors.append(err)
-    return (resk * half).tolist(), errors
+    resasc = (_WEIGHTS_K * np.abs(fv - (0.5 * resk)[:, None])).sum(axis=1) * half
+    diff = resk - resg
+    err = np.hypot(diff.real, diff.imag) * half
+    sharpen = (resasc != 0.0) & (err != 0.0)
+    ratio = np.float_power(np.divide(200.0 * err, resasc, out=np.ones(len(err)),
+                                     where=sharpen), 1.5)
+    # fmin(ratio, 1) is min(1.0, ratio), NaN included
+    err = np.where(sharpen, resasc * np.fmin(ratio, 1.0), err)
+    # err >= 0, so the floor only lifts panels with resabs > 0
+    floor = 50.0 * _EPS * resabs
+    return resk * half, np.where(floor > err, floor, err)
+
+
+class _PanelRows:
+    """The panels of the integrals still refining, one row per integral.
+
+    Row r holds lo, hi, value and error of every panel its integral has
+    made, in the order they were made, in the first `used` columns (a
+    row may skip a column, whose error stays -inf). A panel that was
+    split has error -inf and one at floating-point resolution error 0,
+    so the argmax of a row is its worst panel, ties going to the
+    earliest, which is the heap order of the serial rule.
+    """
+
+    _COLUMNS = ("lo", "hi", "val", "err")
+
+    def __init__(self, lo, hi, val, err):
+        self.lo, self.hi, self.val, self.err = lo, hi, val, err
+        self.used = lo.shape[1]
+        self._widen(self.used + 8)
+
+    def reserve(self, extra: int):
+        """Room for extra more columns."""
+        if self.used + extra > self.lo.shape[1]:
+            self._widen(max(2 * self.lo.shape[1], self.used + extra))
+
+    def _widen(self, cap: int):
+        for name in self._COLUMNS:
+            old = getattr(self, name)
+            grown = np.full((old.shape[0], cap), -np.inf if name == "err" else 0.0,
+                            dtype=old.dtype)
+            grown[:, :old.shape[1]] = old
+            setattr(self, name, grown)
+
+    def keep(self, rows):
+        for name in self._COLUMNS:
+            setattr(self, name, getattr(self, name)[rows])
+
+    def worst(self):
+        """Column and flat index of the worst panel of every row."""
+        pos = self.err[:, :self.used].argmax(axis=1)
+        cap = self.lo.shape[1]
+        return pos, np.arange(0, len(pos) * cap, cap) + pos
+
+
+def _seed_panels(a, b, breakpoints):
+    """(lo, hi) of [a[i], b[i]] cut at the distinct breakpoints[i]
+    strictly inside, one row per integral, padded with empty panels."""
+    width = max(map(len, breakpoints), default=0) if breakpoints is not None else 0
+    if not width:
+        return a[:, None], b[:, None]
+    cuts = np.full((len(a), width), np.inf)
+    for i, row in enumerate(breakpoints):
+        cuts[i, :len(row)] = row
+    cuts[~((cuts > a[:, None]) & (cuts < b[:, None]))] = np.inf
+    cuts.sort(axis=1)
+    cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf
+    cuts.sort(axis=1)
+    edges = np.concatenate([a[:, None], np.where(cuts < np.inf, cuts, b[:, None]),
+                            b[:, None]], axis=1)
+    return edges[:, :-1], edges[:, 1:]
 
 
 def integrate_lockstep(
@@ -134,84 +208,129 @@ def integrate_lockstep(
 ) -> list:
     """Outcomes of a batched f over [a[i], b[i]], refined in lockstep.
 
-    Integral i, seeded at breakpoints[i], keeps its own panel heap,
+    Integral i, seeded at breakpoints[i], keeps its own panels,
     tolerance test and budget, taking exactly the steps it would take
     alone; each round evaluates the children of all unconverged ones in
     one call. Outcome i is a QuadResult, or the QuadratureError of
     integral i if its budget ran out.
     """
     cfg = cfg or QuadratureConfig()
-    n = len(a)
-    if n == 0:
+    if len(a) == 0:
         return []
-    panels = []
-    for i in range(n):
-        if not (a[i] < b[i]):
-            raise DomainError("integration requires a < b")
-        cuts = breakpoints[i] if breakpoints is not None else ()
-        edges = [a[i]] + sorted({float(x) for x in cuts if a[i] < x < b[i]}) + [b[i]]
-        panels += [(i, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    heaps = [[] for _ in range(n)]
-    counters = [0] * n
-    totals = [0.0 + 0.0j] * n
-    errors = [0.0] * n
-    subdivisions = [0] * n
-    for (i, lo, hi), val, err in zip(panels, *_gk15(f, panels)):
-        heapq.heappush(heaps[i], (-err, counters[i], lo, hi, val, err))
-        counters[i] += 1
-        totals[i] += val
-        errors[i] += err
+    columns = (col.tolist() for col in _lockstep(f, a, b, cfg, breakpoints))
+    return [_budget_error(total, error, subs) if out else QuadResult(total, error)
+            for total, error, subs, out in zip(*columns)]
 
-    active = range(n)
-    failed = set()
+
+def _budget_error(total, error, subdivisions) -> QuadratureError:
+    total, error = np.complex128(total), np.float64(error)
+    return QuadratureError(
+        f"integral not converged after {subdivisions} subdivisions "
+        f"(estimate {total!r}, error bound {error:.3e})",
+        best_estimate=total,
+        error_bound=error,
+    )
+
+
+def _lockstep(f: Callable, a, b, cfg: QuadratureConfig, breakpoints) -> tuple:
+    """integrate_lockstep as arrays: the totals, errors, subdivisions and
+    out-of-budget flags of the integrals."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not np.all(a < b):
+        raise DomainError("integration requires a < b")
+    n = len(a)
+    lo, hi = _seed_panels(a, b, breakpoints)
+    seed = lo < hi
+    owner = np.nonzero(seed)[0]
+    val, err = _gk15(f, owner, lo[seed], hi[seed])
+    seed_val, seed_err = np.zeros(lo.shape, dtype=complex), np.full(lo.shape, -np.inf)
+    seed_val[seed], seed_err[seed] = val, err
+    panels = _PanelRows(lo, hi, seed_val, seed_err)
+    # totals and errors add up panel by panel, as in the scalar rule
+    totals, errors = np.zeros(n, dtype=complex), np.zeros(n)
+    np.add.at(totals, owner, val)
+    np.add.at(errors, owner, err)
+    subdivisions = np.zeros(n, dtype=np.int64)
+    failed = np.zeros(n, dtype=bool)
+
+    # per-row state of the integrals still refining
+    live, tot, tot_err, subs = np.arange(n), totals.copy(), errors.copy(), subdivisions.copy()
+
+    def retire(done, out_of_budget):
+        nonlocal live, tot, tot_err, subs
+        ids, keep = live[done], ~done
+        totals[ids], errors[ids], subdivisions[ids] = tot[done], tot_err[done], subs[done]
+        failed[ids] = out_of_budget
+        live, tot, tot_err, subs = live[keep], tot[keep], tot_err[keep], subs[keep]
+        panels.keep(keep)
+
     while True:
-        panels, parents = [], []
-        for i in active:
-            while errors[i] > max(cfg.rel_tol * abs(totals[i]), cfg.abs_tol):
-                if subdivisions[i] >= cfg.max_subdivisions:
-                    failed.add(i)
-                    break
-                parent = heapq.heappop(heaps[i])
-                lo, hi = parent[2], parent[3]
-                mid = 0.5 * (lo + hi)
-                subdivisions[i] += 1
-                if mid <= lo or mid >= hi:
-                    # panel at floating-point resolution; accept its estimate
-                    heapq.heappush(heaps[i], (0.0, counters[i]) + parent[2:])
-                    counters[i] += 1
-                    continue
-                panels += [(i, lo, mid), (i, mid, hi)]
-                parents.append(parent)
+        need = tot_err > np.maximum(cfg.rel_tol * np.hypot(tot.real, tot.imag), cfg.abs_tol)
+        go = need & (subs < cfg.max_subdivisions)
+        if np.count_nonzero(go) < go.size:
+            retire(~go, need[~go])
+            if not live.size:
                 break
-        if not parents:
-            break
-        values, errs = _gk15(f, panels)
-        for j, parent in enumerate(parents):
-            (i, lo, mid), (_, _, hi) = panels[2 * j:2 * j + 2]
-            (v1, v2), (e1, e2) = values[2 * j:2 * j + 2], errs[2 * j:2 * j + 2]
-            totals[i] += v1 + v2 - parent[4]
-            errors[i] += e1 + e2 - parent[5]
-            heapq.heappush(heaps[i], (-e1, counters[i], lo, mid, v1, e1))
-            heapq.heappush(heaps[i], (-e2, counters[i] + 1, mid, hi, v2, e2))
-            counters[i] += 2
-        active = [i for i, _, _ in panels[::2]]
+        pos, at = panels.worst()
+        subs += 1
+        p_lo, p_hi = panels.lo.take(at), panels.hi.take(at)
+        mid = 0.5 * (p_lo + p_hi)
+        stuck = (mid <= p_lo) | (mid >= p_hi)
+        if np.count_nonzero(stuck):
+            spent = np.zeros(live.size, dtype=bool)
+            for r in np.flatnonzero(stuck).tolist():
+                subs[r], spent[r] = _resolve_stuck(panels, r, int(pos[r]), int(subs[r]),
+                                                   cfg.max_subdivisions)
+            if spent.any():
+                retire(spent, True)
+                if not live.size:
+                    break
+            pos, at = panels.worst()
+            p_lo, p_hi = panels.lo.take(at), panels.hi.take(at)
+            mid = 0.5 * (p_lo + p_hi)
+        m = live.size
+        c_lo, c_hi = np.empty((m, 2)), np.empty((m, 2))
+        c_lo[:, 0], c_lo[:, 1], c_hi[:, 0], c_hi[:, 1] = p_lo, mid, mid, p_hi
+        val, err = _gk15(f, live.repeat(2), c_lo.ravel(), c_hi.ravel())
+        val, err = val.reshape(m, 2), err.reshape(m, 2)
+        tot += val[:, 0] + val[:, 1] - panels.val.take(at)
+        tot_err += err[:, 0] + err[:, 1] - panels.err.take(at)
+        # the parent leaves; its children take the next two columns
+        panels.err.put(at, -np.inf)
+        panels.reserve(2)
+        new = slice(panels.used, panels.used + 2)
+        panels.lo[:, new], panels.hi[:, new], panels.val[:, new], panels.err[:, new] = \
+            c_lo, c_hi, val, err
+        panels.used += 2
+    return totals, errors, subdivisions, failed
 
-    outcomes = []
-    for i in range(n):
-        if i not in failed:
-            outcomes.append(QuadResult(complex(totals[i]), float(errors[i])))
-            continue
-        total, total_err = np.complex128(totals[i]), np.float64(errors[i])
-        outcomes.append(QuadratureError(
-            f"integral not converged after {subdivisions[i]} subdivisions "
-            f"(estimate {total!r}, error bound {total_err:.3e})",
-            best_estimate=total,
-            error_bound=total_err,
-        ))
-    return outcomes
+
+def _resolve_stuck(panels: _PanelRows, r: int, pos: int, subdivisions: int, budget):
+    """The resolution-limit rule for row r, whose picked panel pos cannot
+    be halved: the panel goes back with error 0 as the row's newest and
+    the row picks again while its budget lasts. Returns the subdivision
+    count and whether the budget ran out; if not, the argmax of the row
+    is the panel to split.
+    """
+    while True:
+        panels.reserve(1)
+        new = panels.used
+        panels.used += 1
+        for name in ("lo", "hi", "val"):
+            column = getattr(panels, name)
+            column[r, new] = column[r, pos]
+        panels.err[r, pos], panels.err[r, new] = -np.inf, 0.0
+        if subdivisions >= budget:
+            return subdivisions, True
+        pos = int(panels.err[r, :panels.used].argmax())
+        subdivisions += 1
+        lo, hi = panels.lo[r, pos], panels.hi[r, pos]
+        mid = 0.5 * (lo + hi)
+        if not (mid <= lo or mid >= hi):
+            return subdivisions, False
 
 
-def _raise_first(outcomes: list) -> list:
+def raise_first(outcomes: list) -> list:
     """The outcomes, all QuadResults, or raise the first QuadratureError."""
     for outcome in outcomes:
         if isinstance(outcome, QuadratureError):
@@ -228,11 +347,25 @@ def integrate_batch(
 ) -> list:
     """QuadResults of integrate_lockstep, or raise the QuadratureError
     of the lowest-index integral out of budget."""
-    return _raise_first(integrate_lockstep(f, a, b, cfg, breakpoints))
+    return raise_first(integrate_lockstep(f, a, b, cfg, breakpoints))
 
 
-def _batch_of_one(f: Callable) -> Callable:
-    return lambda x, owner: np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+def per_integral(*fs: Callable) -> Callable:
+    """The batched integrand whose integral i has scalar integrand fs[i].
+
+    Each fs[i] gets the nodes of its own rows as one flat array, as in a
+    batch of one.
+    """
+    def f(x, owner):
+        out = np.empty(x.shape, dtype=complex)
+        for i, fi in enumerate(fs):
+            rows = owner == i
+            if rows.any():
+                nodes = x[rows]
+                out[rows] = np.asarray(fi(nodes.ravel())).reshape(nodes.shape)
+        return out
+
+    return f
 
 
 def integrate_finite(
@@ -250,7 +383,7 @@ def integrate_finite(
     Raises QuadratureError with the best estimate attached if the
     subdivision budget runs out before the tolerance is met.
     """
-    return integrate_batch(_batch_of_one(f), [a], [b], cfg, [breakpoints])[0]
+    return integrate_batch(per_integral(f), [a], [b], cfg, [breakpoints])[0]
 
 
 def integrate_power_tails(
@@ -300,31 +433,37 @@ def integrate_exp_tails(
         raise DomainError("decay_scale must be > 0")
     max_windows = 100
     n = len(scales)
-    los, totals, errors = [float(a)] * n, [0.0 + 0.0j] * n, [0.0] * n
+    widths = 10.0 * np.asarray(scales, dtype=float)
+    lo, totals, errors = np.full(n, float(a)), np.zeros(n, dtype=complex), np.zeros(n)
     outcomes = [None] * n
-    active = list(range(n))
+    active = np.arange(n)
     for w in range(max_windows):
-        rows = np.array(active)
-        his = [los[i] + 10.0 * float(scales[i]) for i in active]
-        results = integrate_lockstep(lambda x, owner: f(x, rows[owner]),
-                                     [los[i] for i in active], his, cfg,
-                                     [breakpoints[i] if w == 0 else () for i in active])
-        for i, hi, res in zip(active, his, results):
-            if isinstance(res, QuadResult):
-                totals[i] += res.value
-                errors[i] += res.error
-                if not (w >= 1 and abs(res.value) <= max(cfg.tail_cut * abs(totals[i]),
-                                                         cfg.abs_tol)):
-                    los[i] = hi
-                    continue
-                res = QuadResult(complex(totals[i]), float(errors[i]))
-            outcomes[i] = res
-        active = [i for i in active if outcomes[i] is None]
-        if not active:
+        if not active.size:
             return outcomes
-    for i in active:
+        hi = lo[active] + widths[active]
+        val, err, subs, failed = _lockstep(
+            lambda x, owner: f(x, active[owner]), lo[active], hi, cfg,
+            [breakpoints[i] for i in active.tolist()] if w == 0 else None)
+        for k in np.flatnonzero(failed).tolist():
+            outcomes[active[k]] = _budget_error(val[k], err[k], int(subs[k]))
+        ok = ~failed
+        ids = active[ok]
+        totals[ids] += val[ok]
+        errors[ids] += err[ok]
+        closed = np.zeros(active.size, dtype=bool)
+        if w >= 1:
+            thresh = np.maximum(cfg.tail_cut * np.hypot(totals[ids].real, totals[ids].imag),
+                                cfg.abs_tol)
+            closed[ok] = np.hypot(val[ok].real, val[ok].imag) <= thresh
+        for i in active[closed].tolist():
+            outcomes[i] = QuadResult(complex(totals[i]), float(errors[i]))
+        still_open = ~(closed | failed)
+        lo[active[still_open]] = hi[still_open]
+        active = active[still_open]
+    for i in active.tolist():
         outcomes[i] = QuadratureError(f"exponential tail not closed after {max_windows} windows",
-                                      best_estimate=totals[i], error_bound=errors[i])
+                                      best_estimate=complex(totals[i]),
+                                      error_bound=float(errors[i]))
     return outcomes
 
 
@@ -349,5 +488,5 @@ def integrate_semi_infinite_decaying(
     if tail not in ("exp", "power"):
         raise DomainError("tail must be 'exp' or 'power'")
     tails = integrate_power_tails if tail == "power" else integrate_exp_tails
-    outcomes = tails(_batch_of_one(f), a, [float(decay_scale)], [breakpoints], cfg)
-    return _raise_first(outcomes)[0]
+    outcomes = tails(per_integral(f), a, [float(decay_scale)], [breakpoints], cfg)
+    return raise_first(outcomes)[0]

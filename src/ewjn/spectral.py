@@ -33,6 +33,8 @@ from .quadrature import (
     integrate_exp_tails,
     integrate_lockstep,
     integrate_semi_infinite_decaying,
+    per_integral,
+    raise_first,
 )
 
 
@@ -96,11 +98,21 @@ def regime_select(material: Material, z: float, omega: float) -> RegimeChoice:
     model takes over.
     """
     _check_z_omega(z, omega)
-    lam_f = material.fermi_wavelength
-    delta = skin_depth(material, omega)
-    if z < _NONLOCAL_Z_LIMIT * lam_f:
+    return _regime(z, _regime_limits(material, omega))
+
+
+def _regime_limits(material: Material, omega: float) -> tuple:
+    """z below which the nonlocal model is required, and z from which
+    the retarded one takes over, at omega."""
+    return (_NONLOCAL_Z_LIMIT * material.fermi_wavelength,
+            _RETARDED_Z_FRACTION * skin_depth(material, omega))
+
+
+def _regime(z: float, limits: tuple) -> RegimeChoice:
+    nonlocal_below, retarded_from = limits
+    if z < nonlocal_below:
         return RegimeChoice(Model.NONLOCAL_QUASISTATIC, False)
-    if z < _RETARDED_Z_FRACTION * delta:
+    if z < retarded_from:
         return RegimeChoice(Model.NONLOCAL_QUASISTATIC, True)
     return RegimeChoice(Model.LOCAL_RETARDED, False)
 
@@ -209,13 +221,10 @@ def chi_B_quasistatic_nonlocal(
         r_p = nonlocal_reflection_quasistatic(material, p, omega, "p", cfg_inner)
         return np.exp(-2.0 * p * z) * np.imag(r_p)
 
+    # both channels in one pass; the r_s channel's error wins if both fail
     breaks = _outer_breakpoints(material, z)
-    val_s, err_s = integrate_semi_infinite_decaying(
-        integrand_s, 0.0, 0.5 / z, cfg, tail="exp", breakpoints=breaks
-    )
-    val_p, err_p = integrate_semi_infinite_decaying(
-        integrand_p, 0.0, 0.5 / z, cfg, tail="exp", breakpoints=breaks
-    )
+    (val_s, err_s), (val_p, err_p) = raise_first(integrate_exp_tails(
+        per_integral(integrand_s, integrand_p), 0.0, [0.5 / z] * 2, [breaks] * 2, cfg))
     scale = HBAR / (EPS0 * C_LIGHT**2)
     chi_zz = scale * val_s.real
     rs_part = 0.5 * chi_zz
@@ -255,12 +264,13 @@ def _local_retarded(material, field_kind, zs, omega, cfg) -> list:
 
     def prop(theta, owner):
         z = z_rows[owner]
-        p = w_c * np.sin(theta)
+        sin = np.sin(theta)
+        p = w_c * sin
         q = w_c * np.cos(theta)
         r_a, r_b = pick(local_reflection(p, omega, eps))
         phase = np.exp(2.0j * q * z)
-        f_xx = 0.5 * w_c * np.sin(theta) * phase * (w_c**2 * r_a - q * q * r_b)
-        f_zz = w_c**3 * np.sin(theta) ** 3 * phase * r_b
+        f_xx = 0.5 * w_c * sin * phase * (w_c**2 * r_a - q * q * r_b)
+        f_zz = w_c**3 * sin ** 3 * phase * r_b
         return np.real(f_xx) + 1.0j * np.real(f_zz)
 
     def evan(u, owner):
@@ -334,11 +344,15 @@ def evaluate_batch(
     if field_kind not in ("E", "B"):
         raise DomainError("field_kind must be 'E' or 'B'")
     model = Model(model)
+    limits = None
     out = []
     for z in zs:
         try:
             _check_z_omega(z, omega)
-            m = regime_select(material, z, omega).model if model is Model.AUTO else model
+            m = model
+            if m is Model.AUTO:
+                limits = limits or _regime_limits(material, omega)
+                m = _regime(z, limits).model
             out.append(None if m is Model.LOCAL_RETARDED
                        else _DISPATCH[(field_kind, m)](material, z, omega, cfg))
         except (DomainError, QuadratureError) as exc:

@@ -22,7 +22,8 @@ from ewjn import (
     epsilon_t,
     surface_limit_imD,
 )
-from ewjn.bulk import _radial_integrand_xx, _radial_integrand_zz
+from ewjn.bulk import _radial_breakpoints, _radial_integrand_xx, _radial_integrand_zz
+from ewjn.quadrature import integrate_finite
 
 LADDER_VALUES = [
     (3.0, 1.665716584076565e-13),
@@ -145,6 +146,33 @@ def test_ladder_vacuum_converges_to_silence(vacuumish, omega0):
     assert res.im_D_zz == 0.0
     assert res.k_max_used == pytest.approx(10.0 * vacuumish.fermi_wavevector,
                                            rel=1e-12)
+
+
+def _ladder_separate(material, omega, cfg):
+    """(k_max, zz total, xx total) per rung, zz and xx integrated apart."""
+    series, zz, xx, k_lo = [], 0.0, 0.0, 0.0
+    for mult in (3.0, 10.0, 30.0, 100.0):
+        k_hi = mult * material.fermi_wavevector
+        breaks = _radial_breakpoints(material, omega, k_lo, k_hi)
+        zz += integrate_finite(lambda k: _radial_integrand_zz(material, k, omega),
+                               k_lo, k_hi, cfg, breakpoints=breaks).value.real
+        xx += integrate_finite(lambda k: _radial_integrand_xx(material, k, omega),
+                               k_lo, k_hi, cfg, breakpoints=breaks).value.real
+        series.append((k_hi, zz, xx))
+        k_lo = k_hi
+    return series
+
+
+def test_ladder_rungs_equal_separate_integrals(copper, omega0, cfg, monkeypatch):
+    # each rung integrates zz and xx as one batch of two
+    separate = _ladder_separate(copper, omega0, cfg)
+    with pytest.raises(QuadratureError) as excinfo:
+        bulk_imD_coincident(copper, omega0, cfg)
+    assert excinfo.value.convergence_series == [(k, zz) for k, zz, _ in separate]
+    # a loose settling rule stops at the second rung, where xx shows too
+    monkeypatch.setattr("ewjn.bulk._LADDER_REL", 1.0)
+    res = bulk_imD_coincident(copper, omega0, cfg)
+    assert (res.k_max_used, res.im_D_zz, res.im_D_xx) == separate[1]
 
 
 def test_ladder_domain(copper):

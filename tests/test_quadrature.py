@@ -210,8 +210,12 @@ def _counted(f, calls):
     return g
 
 
-def _serial_reference(f, a, b, cfg, breakpoints=()):
-    """The one-integral adaptive loop with one GK15 call per panel."""
+def _serial_reference(f, a, b, cfg, breakpoints=(), splits=None):
+    """The one-integral adaptive loop with one GK15 call per panel.
+
+    Returns (value, error), or the QuadratureError of a spent budget;
+    splits, if given, collects the (lo, hi) of every panel popped.
+    """
     from ewjn.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K
 
     def gk15(lo, hi):
@@ -235,9 +239,18 @@ def _serial_reference(f, a, b, cfg, breakpoints=()):
         heapq.heappush(heap, (-err, len(heap), lo, hi, val, err))
         total += val
         total_err += err
-    counter = len(heap)
+    counter, subdivisions = len(heap), 0
     while total_err > max(cfg.rel_tol * abs(total), cfg.abs_tol):
+        if subdivisions >= cfg.max_subdivisions:
+            total, total_err = np.complex128(total), np.float64(total_err)
+            return QuadratureError(
+                f"integral not converged after {subdivisions} subdivisions "
+                f"(estimate {total!r}, error bound {total_err:.3e})",
+                best_estimate=total, error_bound=total_err)
         _, _, lo, hi, val, err = heapq.heappop(heap)
+        subdivisions += 1
+        if splits is not None:
+            splits.append((lo, hi))
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             heapq.heappush(heap, (0.0, counter, lo, hi, val, err))
@@ -383,3 +396,129 @@ def test_exp_tails_batch_matches_semi_infinite_bitwise():
     assert windows[1] > 20 and windows[2] > 2
     assert isinstance(outcomes[3], QuadratureError)
     assert "not closed after 100 windows" in str(outcomes[3])
+
+
+def _same_as_reference(got, want):
+    """Outcome got equals the serial reference's, bit for bit (NaN too)."""
+    if isinstance(want, QuadratureError):
+        _same_outcome(got, want)
+        return
+    assert isinstance(got, QuadResult)
+    assert repr((got.value, got.error)) == repr(want)
+
+
+def _recorded(f, log):
+    def g(x):
+        log.append(np.array(x))
+        return f(x)
+
+    return g
+
+
+def test_error_finish_ufuncs_give_python_bits():
+    # the engine's error estimate relies on these ufuncs running the
+    # same libm hypot and pow as Python's complex abs and float **
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal(20000) * 10.0 ** rng.uniform(-300, 300, 20000)
+    w = rng.standard_normal(20000) * 10.0 ** rng.uniform(-300, 300, 20000)
+    x = rng.uniform(0.0, 1.0, 20000) * 10.0 ** rng.uniform(-40, 3, 20000)
+    edge = [0.0, 5e-324, 1e-310, 1.0, np.inf, np.nan]
+    z, w, x = np.r_[z, edge, edge], np.r_[w, edge, edge[::-1]], np.r_[x, edge]
+    assert repr(np.hypot(z, w).tolist()) == repr([abs(complex(p, q)) for p, q in zip(z, w)])
+    assert repr(np.float_power(x, 1.5).tolist()) == repr([v ** 1.5 for v in x.tolist()])
+
+
+def test_equal_error_children_split_in_insertion_order():
+    # a constant's children always tie on error (the 50 eps floor), so
+    # only the insertion counter orders the splits; rel_tol sits below
+    # that floor and the budget decides the end
+    cfg = QuadratureConfig(rel_tol=1e-15, max_subdivisions=40)
+    f = lambda x: np.full(x.shape, 1.0 + 1.0j)
+    ref_nodes, nodes, splits = [], [], []
+    want = _serial_reference(_recorded(f, ref_nodes), 0.0, 3.0, cfg, (1.0,), splits)
+    got = integrate_lockstep(_batched([_recorded(f, nodes)], []), [0.0], [3.0], cfg, [(1.0,)])[0]
+    _same_as_reference(got, want)
+    # the three unit panels tie; (0, 1), seeded first, goes first
+    assert splits[:4] == [(1.0, 3.0), (0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+    # the engine halves the same panels in the same order
+    assert np.array_equal(np.concatenate([x.ravel() for x in nodes]),
+                          np.concatenate([x.ravel() for x in ref_nodes]))
+
+
+@pytest.mark.parametrize("max_subdivisions", [3, 30, 300])
+def test_panel_at_resolution_limit(max_subdivisions):
+    eps = np.finfo(float).eps
+    cases = [
+        # a double pole at 1: halving runs out of floats next to it
+        (lambda x: 1.0 / ((x - 1.0) ** 2 + 1e-300), 1.0, 1.0 + 4 * eps, ()),
+        # a one-ulp seed panel, the worst, cannot be halved; it goes back
+        # with error 0 and the wide panel refines in its place
+        (lambda x: np.where(x == 1.0, 1e20, np.sin(40.0 * x)), 1.0, 2.0, (1.0 + eps,)),
+    ]
+    cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=max_subdivisions)
+    fs, a, b, breaks = zip(*cases)
+    outcomes = integrate_lockstep(_batched(fs, []), a, b, cfg, breaks)
+    for (f, lo, hi, bp), got in zip(cases, outcomes):
+        splits = []
+        want = _serial_reference(f, lo, hi, cfg, bp, splits)
+        assert any(0.5 * (p + q) in (p, q) for p, q in splits)
+        assert isinstance(want, QuadratureError)
+        _same_as_reference(got, want)
+    # the wide panel of the last case was split after all
+    assert (1.0 + eps, 2.0) in splits
+
+
+def test_mixed_batch_matches_serial_reference():
+    eps = np.finfo(float).eps
+    cases = [
+        # converges on its seed panels
+        (lambda x: x**3 - x, 0.0, 2.0, (1.0,)),
+        # out of budget
+        (lambda x: (np.abs(x - 0.3) + 1e-15) ** -0.9, 0.0, 1.0, ()),
+        # reaches floating-point resolution, then the budget
+        (lambda x: 1.0 / ((x - 1.0) ** 2 + 1e-300), 1.0, 1.0 + 4 * eps, ()),
+        # a repeated and an outside breakpoint
+        (lambda x: np.exp(1j * 4.0 * x) / (1.0 + x), 0.0, 5.0, (1.0, 2.0, 2.0, 9.0)),
+        # NaN from the first round on: stops at once, as alone
+        (lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0, ()),
+        # NaN only inside a sliver that a later round reaches
+        (lambda x: np.where(np.abs(x - 0.6) < 1e-4, np.nan, 1.0 / (1e-4 + (x - 0.6) ** 2)),
+         0.0, 1.0, ()),
+    ]
+    cfg = QuadratureConfig(rel_tol=1e-12, max_subdivisions=60)
+    fs, a, b, breaks = zip(*cases)
+    outcomes = integrate_lockstep(_batched(fs, []), a, b, cfg, breaks)
+    wants = [_serial_reference(f, lo, hi, cfg, bp) for f, lo, hi, bp in cases]
+    kinds = [type(w).__name__ for w in wants]
+    assert kinds == ["tuple", "QuadratureError", "QuadratureError", "tuple", "tuple", "tuple"]
+    assert np.isnan(wants[4][0]) and np.isnan(wants[5][0])
+    for got, want in zip(outcomes, wants):
+        _same_as_reference(got, want)
+
+
+_FAMILIES = [
+    lambda x, p: np.sin(p[0] * x) / (1.0 + p[1] * x * x),
+    lambda x, p: (np.abs(x - p[2]) + 1e-9) ** -0.4,
+    lambda x, p: 1.0 / (p[3] + (x - p[2]) ** 2),
+    lambda x, p: np.exp(1j * p[0] * x) * np.sqrt(np.abs(x - p[2])),
+    lambda x, p: np.where(x < p[2], 1.0, 2.0 + 0.5j),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), max_subdivisions=st.sampled_from([2, 15, 2000]),
+       rel_tol=st.sampled_from([1e-5, 1e-9, 1e-13]))
+def test_lockstep_equals_serial_reference_property(data, n, max_subdivisions, rel_tol):
+    unit = st.floats(0.0, 1.0)
+    fams = data.draw(st.lists(st.integers(0, len(_FAMILIES) - 1), min_size=n, max_size=n))
+    pars = [(1.0 + 60.0 * data.draw(unit), 0.1 + 50.0 * data.draw(unit),
+             0.05 + 0.9 * data.draw(unit), 10.0 ** (-8.0 + 6.0 * data.draw(unit)))
+            for _ in range(n)]
+    a = [-1.0 + data.draw(unit) for _ in range(n)]
+    b = [lo + 0.1 + 2.0 * data.draw(unit) for lo in a]
+    breaks = [data.draw(st.lists(st.floats(-1.0, 3.0), max_size=4)) for _ in range(n)]
+    fs = [lambda x, k=k, p=p: _FAMILIES[k](x, p) for k, p in zip(fams, pars)]
+    cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
+    outcomes = integrate_lockstep(_batched(fs, []), a, b, cfg, breaks)
+    for f, lo, hi, bp, got in zip(fs, a, b, breaks, outcomes):
+        _same_as_reference(got, _serial_reference(f, lo, hi, cfg, bp))

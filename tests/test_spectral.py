@@ -29,6 +29,9 @@ from ewjn import (
     regime_select,
     skin_depth,
 )
+from ewjn.fresnel import nonlocal_reflection_quasistatic
+from ewjn.materials import C_LIGHT, EPS0, HBAR
+from ewjn.quadrature import integrate_semi_infinite_decaying
 from ewjn.spectral import evaluate_batch
 
 
@@ -140,6 +143,52 @@ def test_chi_B_nonlocal_reference(b_nl_10):
     assert parts["rp_part"] > 0.0
     # trapezoid reference for the tiny r_p channel
     assert rel(parts["rp_part"], 1.160240532637131e-39) < 1e-4
+
+
+def _chi_B_two_passes(material, z, omega, cfg):
+    """Nonlocal chi^B with the r_s and r_p channels in separate passes."""
+    inner = cfg.inner()
+
+    def channel(polarization, weight):
+        def f(p):
+            r = nonlocal_reflection_quasistatic(material, p, omega, polarization, inner)
+            return weight(p) * np.exp(-2.0 * p * z) * np.imag(r)
+        return integrate_semi_infinite_decaying(
+            f, 0.0, 0.5 / z, cfg, tail="exp",
+            breakpoints=[material.k_nu, material.k_star, 0.25 / z, 1.0 / z])
+
+    val_s, err_s = channel("s", lambda p: p * p)
+    val_p, err_p = channel("p", lambda p: 1.0)
+    scale = HBAR / (EPS0 * C_LIGHT**2)
+    rs_part = 0.5 * (scale * val_s.real)
+    rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * val_p.real
+    return (rs_part + rp_part, scale * val_s.real,
+            scale * (err_s + 0.5 * (omega / C_LIGHT) ** 2 * err_p),
+            {"rs_part": rs_part, "rp_part": rp_part})
+
+
+@pytest.mark.parametrize("z_over_lam_f", [1.0, 30.0, 3000.0])
+def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, cfg_fast, z_over_lam_f):
+    z = z_over_lam_f * lam_f
+    tensor = chi_B_quasistatic_nonlocal(copper, z, omega0, cfg_fast)
+    assert (tensor.chi_xx, tensor.chi_zz, tensor.error_estimate, tensor.decomposition) \
+        == _chi_B_two_passes(copper, z, omega0, cfg_fast)
+
+
+@pytest.mark.parametrize("rel_tol,max_subdivisions", [
+    (1e-6, 2),    # an inner r_s integral runs out of budget first
+    (1e-8, 16),   # the outer r_p channel runs out, the r_s one converges
+])
+def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, rel_tol,
+                                                  max_subdivisions):
+    cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
+    with pytest.raises(QuadratureError) as one_pass:
+        chi_B_quasistatic_nonlocal(copper, 30.0 * lam_f, omega0, cfg)
+    with pytest.raises(QuadratureError) as two_passes:
+        _chi_B_two_passes(copper, 30.0 * lam_f, omega0, cfg)
+    assert str(one_pass.value) == str(two_passes.value)
+    assert one_pass.value.best_estimate == two_passes.value.best_estimate
+    assert one_pass.value.error_bound == two_passes.value.error_bound
 
 
 def test_nonlocal_to_local_ratios(copper, omega0, lam_f, e_nl_10, b_nl_10):
