@@ -134,7 +134,6 @@ def bulk_imD_coincident(
     series = []
     total_zz = 0.0
     total_xx = 0.0
-    err = 0.0
     k_lo = 0.0
     converged_at = None
     for mult in _LADDER:
@@ -143,7 +142,6 @@ def bulk_imD_coincident(
         res_zz, res_xx = integrate_batch(integrand, [k_lo] * 2, [k_hi] * 2, cfg, [breaks] * 2)
         total_zz += res_zz.value.real
         total_xx += res_xx.value.real
-        err += res_zz.error
         series.append((k_hi, total_zz))
         if len(series) >= 2:
             prev = series[-2][1]

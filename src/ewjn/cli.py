@@ -7,8 +7,8 @@ codes: 0 success, 1 validation, 2 physics-domain error, 3 quadrature
 non-convergence.
 
 A sweep evaluates chi with one spectral.evaluate_batch call per
-(omega, model): a z-sweep is one call per model, so its local-retarded
-points refine together; rows are assembled in grid order.
+(omega, model): a z-sweep is one call per model, which runs that
+model's points as one batch; rows are assembled in grid order.
 """
 
 from __future__ import annotations

@@ -14,6 +14,12 @@ frequency. Models:
 regime_select picks a model from the physical scales: nonlocal effects
 matter within tens of Fermi wavelengths of the surface, retardation
 within a fraction of the skin depth of the far field.
+
+Every model is one batch function of an array of z at one omega, and
+evaluate_batch, the one evaluation path, groups the points of a z-array
+by model and makes one call per model; evaluate and the chi_* functions
+are batches of one. A batch gives each point the bits and the error
+that the point gets alone.
 """
 
 from __future__ import annotations
@@ -28,14 +34,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .fresnel import local_reflection, nonlocal_reflection_quasistatic
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, skin_depth
-from .quadrature import (
-    QuadratureConfig,
-    integrate_exp_tails,
-    integrate_lockstep,
-    integrate_semi_infinite_decaying,
-    per_integral,
-    raise_first,
-)
+from .quadrature import QuadratureConfig, integrate_exp_tails, integrate_lockstep, per_integral
 
 
 class Model(str, enum.Enum):
@@ -83,6 +82,9 @@ class SpectralDensityTensor:
 def _check_z_omega(z, omega):
     if not (z > 0):
         raise DomainError("z must be > 0")
+    if z == math.inf:
+        # the integrals' decay scale 1/z would vanish for the whole batch
+        raise DomainError("z must be finite")
     if not (omega > 0):
         raise DomainError("omega must be > 0")
 
@@ -117,133 +119,104 @@ def _regime(z: float, limits: tuple) -> RegimeChoice:
     return RegimeChoice(Model.LOCAL_RETARDED, False)
 
 
-def chi_E_quasistatic_local(material: Material, z: float, omega: float) -> SpectralDensityTensor:
-    """Closed-form electric noise of the local half-space.
+# A model's batch function maps (material, field_kind, zs, omega, cfg)
+# to one outcome per z: a QuadratureError, or the values
+# (chi_xx, chi_zz, error_estimate, decomposition) of the tensor there.
 
-    chi_xx = hbar/(8 eps0 z^3) Im[(eps-1)/(eps+1)], chi_zz = 2 chi_xx.
+def _local_quasistatic(material, field_kind, zs, omega, cfg) -> list:
+    """The closed forms at every z of zs.
+
+      E: chi_xx = hbar/(8 eps0 z^3) Im[(eps-1)/(eps+1)], chi_zz = 2 chi_xx
+      B: chi_zz = hbar omega^2/(8 eps0 c^4 z) Im eps, chi_xx = chi_zz/2
+
+    The magnetic form holds well below the skin depth; its 1/z growth
+    saturates near delta in the retarded treatment. Each z runs on
+    Python floats, since numpy's power rounds differently from **.
     """
-    _check_z_omega(z, omega)
     eps = drude_epsilon(material, omega)
-    image = (eps - 1.0) / (eps + 1.0)
-    chi_xx = HBAR / (8.0 * EPS0 * z**3) * image.imag
-    return SpectralDensityTensor(
-        field_kind="E",
-        chi_xx=chi_xx,
-        chi_zz=2.0 * chi_xx,
-        z=z,
-        omega=omega,
-        model=Model.LOCAL_QUASISTATIC,
-        error_estimate=0.0,
-    )
+    out = []
+    for z in zs:
+        if field_kind == "E":
+            chi_xx = HBAR / (8.0 * EPS0 * z**3) * ((eps - 1.0) / (eps + 1.0)).imag
+            out.append((chi_xx, 2.0 * chi_xx, 0.0, {}))
+        else:
+            chi_zz = HBAR * omega**2 / (8.0 * EPS0 * C_LIGHT**4 * z) * eps.imag
+            out.append((0.5 * chi_zz, chi_zz, 0.0, {}))
+    return out
 
 
-def chi_B_quasistatic_local(material: Material, z: float, omega: float) -> SpectralDensityTensor:
-    """Closed-form magnetic noise of the local half-space.
+def _nonlocal_quasistatic(material, field_kind, zs, omega, cfg) -> list:
+    """The nonlocal quasistatic integrals at every z of zs, as one batch.
 
-    chi_zz = hbar omega^2/(8 eps0 c^4 z) Im eps, chi_xx = chi_zz/2.
-    Valid for z well below the skin depth; the 1/z growth saturates
-    near delta in the retarded treatment.
+    E: chi_zz = (hbar/eps0) Integral_0^inf dp p^2 e^{-2 p z} Im r_p(p),
+       chi_xx = chi_zz / 2.
+    B: chi_zz = (hbar/(eps0 c^2)) Integral dp p^2 e^{-2 p z} Im r_s(p)
+       chi_xx = (hbar/(2 eps0 c^2)) Integral dp e^{-2 p z}
+                Im[(omega^2/c^2) r_p(p) + p^2 r_s(p)]
+    The two magnetic xx channels are kept separately in
+    decomposition["rp_part"] and decomposition["rs_part"] (signed,
+    T^2 s); the r_s channel equals chi_zz/2 term by term.
+
+    Every (z, channel) pair is one outer integral of an exp-tail batch:
+    E has the r_p channel, B the r_s channel, then the r_p one. Each
+    outer integral makes its own inner r_p/r_s call per round, so inner
+    batches keep the size they have at a single point. A point whose
+    inner integral fails gets that QuadratureError, and its channels
+    integrate zeros from then on; else a point gets its r_s outer error,
+    else its r_p one, as a point-by-point run raises them.
     """
-    _check_z_omega(z, omega)
-    eps = drude_epsilon(material, omega)
-    chi_zz = HBAR * omega**2 / (8.0 * EPS0 * C_LIGHT**4 * z) * eps.imag
-    return SpectralDensityTensor(
-        field_kind="B",
-        chi_xx=0.5 * chi_zz,
-        chi_zz=chi_zz,
-        z=z,
-        omega=omega,
-        model=Model.LOCAL_QUASISTATIC,
-        error_estimate=0.0,
-    )
+    cfg = cfg or QuadratureConfig()
+    cfg_inner = cfg.inner()
+    channels = (("p", True),) if field_kind == "E" else (("s", True), ("p", False))
+    inner_error = [None] * len(zs)
 
+    def channel(k, polarization, p2_weight):
+        z = zs[k]
 
-def _outer_breakpoints(material: Material, z: float) -> list:
+        def f(p):
+            if inner_error[k] is None:
+                try:
+                    r = nonlocal_reflection_quasistatic(material, p, omega, polarization,
+                                                        cfg_inner)
+                except QuadratureError as exc:
+                    inner_error[k] = exc
+                else:
+                    return (p * p if p2_weight else 1.0) * np.exp(-2.0 * p * z) * np.imag(r)
+            return np.zeros(p.shape)
+
+        return f
+
     # structure of Im r sits at the collision and screening wavevectors;
     # seed them when they fall inside the exponential window
-    return [material.k_nu, material.k_star, 0.25 / z, 1.0 / z]
-
-
-def chi_E_quasistatic_nonlocal(
-    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
-) -> SpectralDensityTensor:
-    """Electric noise from the nonlocal quasistatic reflection.
-
-    chi_zz = (hbar/eps0) Integral_0^inf dp p^2 e^{-2 p z} Im r_p(p),
-    chi_xx = chi_zz / 2.
-    """
-    _check_z_omega(z, omega)
-    cfg = cfg or QuadratureConfig()
-    cfg_inner = cfg.inner()
-
-    def integrand(p):
-        r_p = nonlocal_reflection_quasistatic(material, p, omega, "p", cfg_inner)
-        return p * p * np.exp(-2.0 * p * z) * np.imag(r_p)
-
-    value, err = integrate_semi_infinite_decaying(
-        integrand, 0.0, 0.5 / z, cfg, tail="exp",
-        breakpoints=_outer_breakpoints(material, z),
-    )
-    chi_zz = HBAR / EPS0 * value.real
-    return SpectralDensityTensor(
-        field_kind="E",
-        chi_xx=0.5 * chi_zz,
-        chi_zz=chi_zz,
-        z=z,
-        omega=omega,
-        model=Model.NONLOCAL_QUASISTATIC,
-        error_estimate=HBAR / EPS0 * err,
-    )
-
-
-def chi_B_quasistatic_nonlocal(
-    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
-) -> SpectralDensityTensor:
-    """Magnetic noise from the nonlocal quasistatic reflections.
-
-    chi_zz = (hbar/(eps0 c^2)) Integral dp p^2 e^{-2 p z} Im r_s(p)
-    chi_xx = (hbar/(2 eps0 c^2)) Integral dp e^{-2 p z}
-             Im[(omega^2/c^2) r_p(p) + p^2 r_s(p)]
-
-    The two xx channels are kept separately in decomposition["rp_part"]
-    and decomposition["rs_part"] (signed, T^2 s); the r_s channel equals
-    chi_zz/2 term by term.
-    """
-    _check_z_omega(z, omega)
-    cfg = cfg or QuadratureConfig()
-    cfg_inner = cfg.inner()
-
-    def integrand_s(p):
-        r_s = nonlocal_reflection_quasistatic(material, p, omega, "s", cfg_inner)
-        return p * p * np.exp(-2.0 * p * z) * np.imag(r_s)
-
-    def integrand_p(p):
-        r_p = nonlocal_reflection_quasistatic(material, p, omega, "p", cfg_inner)
-        return np.exp(-2.0 * p * z) * np.imag(r_p)
-
-    # both channels in one pass; the r_s channel's error wins if both fail
-    breaks = _outer_breakpoints(material, z)
-    (val_s, err_s), (val_p, err_p) = raise_first(integrate_exp_tails(
-        per_integral(integrand_s, integrand_p), 0.0, [0.5 / z] * 2, [breaks] * 2, cfg))
-    scale = HBAR / (EPS0 * C_LIGHT**2)
-    chi_zz = scale * val_s.real
-    rs_part = 0.5 * chi_zz
-    rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * val_p.real
-    err = scale * (err_s + 0.5 * (omega / C_LIGHT) ** 2 * err_p)
-    return SpectralDensityTensor(
-        field_kind="B",
-        chi_xx=rs_part + rp_part,
-        chi_zz=chi_zz,
-        z=z,
-        omega=omega,
-        model=Model.NONLOCAL_QUASISTATIC,
-        error_estimate=err,
-        decomposition={"rs_part": rs_part, "rp_part": rp_part},
-    )
+    results = integrate_exp_tails(
+        per_integral(*(channel(k, *ch) for k in range(len(zs)) for ch in channels)), 0.0,
+        [0.5 / z for z in zs for _ in channels],
+        [[material.k_nu, material.k_star, 0.25 / z, 1.0 / z] for z in zs for _ in channels],
+        cfg)
+    out = []
+    for k in range(len(zs)):
+        outcomes = results[k * len(channels):(k + 1) * len(channels)]
+        failed = [r for r in (inner_error[k], *outcomes) if isinstance(r, QuadratureError)]
+        if failed:
+            out.append(failed[0])
+        elif field_kind == "E":
+            [(value, err)] = outcomes
+            chi_zz = HBAR / EPS0 * value.real
+            out.append((0.5 * chi_zz, chi_zz, HBAR / EPS0 * err, {}))
+        else:
+            (val_s, err_s), (val_p, err_p) = outcomes
+            scale = HBAR / (EPS0 * C_LIGHT**2)
+            chi_zz = scale * val_s.real
+            rs_part = 0.5 * chi_zz
+            rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * val_p.real
+            out.append((rs_part + rp_part, chi_zz,
+                        scale * (err_s + 0.5 * (omega / C_LIGHT) ** 2 * err_p),
+                        {"rs_part": rs_part, "rp_part": rp_part}))
+    return out
 
 
 def _local_retarded(material, field_kind, zs, omega, cfg) -> list:
-    """local-retarded tensors at every z of zs, as one quadrature batch.
+    """The local retarded integrals at every z of zs, as one batch.
 
     chi = scale * (I_xx, I_zz), scale = hbar/eps0 (E) or hbar/(eps0 c^2) (B),
       I_xx = Re Integral dp (p/q) e^{2 i q z} (omega^2/c^2 r_a - q^2 r_b)/2
@@ -290,39 +263,19 @@ def _local_retarded(material, field_kind, zs, omega, cfg) -> list:
                                 [[0.5 * knee, knee, 2.0 * knee]] * n, cfg)
     scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
     out = []
-    for z, res_prop, res_evan in zip(zs, props, evans):
+    for res_prop, res_evan in zip(props, evans):
         failed = [r for r in (res_prop, res_evan) if isinstance(r, QuadratureError)]
-        out.append(failed[0] if failed else SpectralDensityTensor(
-            field_kind=field_kind,
-            chi_xx=scale * (res_prop.value.real + res_evan.value.real),
-            chi_zz=scale * (res_prop.value.imag + res_evan.value.imag),
-            z=z,
-            omega=omega,
-            model=Model.LOCAL_RETARDED,
-            error_estimate=scale * (res_prop.error + res_evan.error),
-        ))
+        out.append(failed[0] if failed else (
+            scale * (res_prop.value.real + res_evan.value.real),
+            scale * (res_prop.value.imag + res_evan.value.imag),
+            scale * (res_prop.error + res_evan.error), {}))
     return out
 
 
-def chi_E_local_retarded(
-    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
-) -> SpectralDensityTensor:
-    """Retarded electric noise over the local Fresnel coefficients."""
-    return evaluate(material, "E", z, omega, Model.LOCAL_RETARDED, cfg)
-
-
-def chi_B_local_retarded(
-    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
-) -> SpectralDensityTensor:
-    """Retarded magnetic noise over the local Fresnel coefficients."""
-    return evaluate(material, "B", z, omega, Model.LOCAL_RETARDED, cfg)
-
-
-_DISPATCH = {
-    ("E", Model.LOCAL_QUASISTATIC): lambda mat, z, w, cfg: chi_E_quasistatic_local(mat, z, w),
-    ("B", Model.LOCAL_QUASISTATIC): lambda mat, z, w, cfg: chi_B_quasistatic_local(mat, z, w),
-    ("E", Model.NONLOCAL_QUASISTATIC): chi_E_quasistatic_nonlocal,
-    ("B", Model.NONLOCAL_QUASISTATIC): chi_B_quasistatic_nonlocal,
+_BATCH = {
+    Model.LOCAL_QUASISTATIC: _local_quasistatic,
+    Model.NONLOCAL_QUASISTATIC: _nonlocal_quasistatic,
+    Model.LOCAL_RETARDED: _local_retarded,
 }
 
 
@@ -338,31 +291,35 @@ def evaluate_batch(
 
     Outcome i is the tensor at zs[i], or the DomainError or
     QuadratureError that evaluate would raise there. model="auto"
-    resolves per point; every local-retarded point runs in one batch,
-    the other models point by point.
+    resolves per point; the points of each model then run as one batch,
+    with the outcomes a point-by-point run would give.
     """
     if field_kind not in ("E", "B"):
         raise DomainError("field_kind must be 'E' or 'B'")
     model = Model(model)
     limits = None
-    out = []
-    for z in zs:
+    out = [None] * len(zs)
+    by_model = {}
+    for i, z in enumerate(zs):
         try:
             _check_z_omega(z, omega)
-            m = model
-            if m is Model.AUTO:
-                limits = limits or _regime_limits(material, omega)
-                m = _regime(z, limits).model
-            out.append(None if m is Model.LOCAL_RETARDED
-                       else _DISPATCH[(field_kind, m)](material, z, omega, cfg))
-        except (DomainError, QuadratureError) as exc:
-            out.append(exc)
-    retarded = [i for i, o in enumerate(out) if o is None]
-    if retarded:
-        tensors = _local_retarded(material, field_kind, [zs[i] for i in retarded],
-                                  omega, cfg)
-        for i, tensor in zip(retarded, tensors):
-            out[i] = tensor
+        except DomainError as exc:
+            out[i] = exc
+            continue
+        m = model
+        if m is Model.AUTO:
+            limits = limits or _regime_limits(material, omega)
+            m = _regime(z, limits).model
+        by_model.setdefault(m, []).append(i)
+    for m, idx in by_model.items():
+        outcomes = _BATCH[m](material, field_kind, [zs[i] for i in idx], omega, cfg)
+        for i, outcome in zip(idx, outcomes):
+            if isinstance(outcome, QuadratureError):
+                out[i] = outcome
+            else:
+                chi_xx, chi_zz, err, parts = outcome
+                out[i] = SpectralDensityTensor(field_kind, chi_xx, chi_zz, zs[i], omega, m,
+                                               err, parts)
     return out
 
 
@@ -379,3 +336,44 @@ def evaluate(
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def chi_E_quasistatic_local(material: Material, z: float, omega: float) -> SpectralDensityTensor:
+    """Closed-form electric noise of the local half-space."""
+    return evaluate(material, "E", z, omega, Model.LOCAL_QUASISTATIC)
+
+
+def chi_B_quasistatic_local(material: Material, z: float, omega: float) -> SpectralDensityTensor:
+    """Closed-form magnetic noise of the local half-space."""
+    return evaluate(material, "B", z, omega, Model.LOCAL_QUASISTATIC)
+
+
+def chi_E_quasistatic_nonlocal(
+    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
+) -> SpectralDensityTensor:
+    """Electric noise from the nonlocal quasistatic reflection."""
+    return evaluate(material, "E", z, omega, Model.NONLOCAL_QUASISTATIC, cfg)
+
+
+def chi_B_quasistatic_nonlocal(
+    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
+) -> SpectralDensityTensor:
+    """Magnetic noise from the nonlocal quasistatic reflections.
+
+    decomposition holds the signed r_s and r_p parts of chi_xx.
+    """
+    return evaluate(material, "B", z, omega, Model.NONLOCAL_QUASISTATIC, cfg)
+
+
+def chi_E_local_retarded(
+    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
+) -> SpectralDensityTensor:
+    """Retarded electric noise over the local Fresnel coefficients."""
+    return evaluate(material, "E", z, omega, Model.LOCAL_RETARDED, cfg)
+
+
+def chi_B_local_retarded(
+    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
+) -> SpectralDensityTensor:
+    """Retarded magnetic noise over the local Fresnel coefficients."""
+    return evaluate(material, "B", z, omega, Model.LOCAL_RETARDED, cfg)

@@ -348,6 +348,30 @@ def test_retarded_batch_matches_scalar_bitwise(material, omega, field_kind):
         assert (tensor.z, tensor.model) == (z, Model.LOCAL_RETARDED)
 
 
+def _recording(parts, name, fn):
+    """fn, storing the result of its first call in parts[name]."""
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        parts.setdefault(name, result)
+        return result
+    return wrapper
+
+
+def _assert_same_outcome(outcome, material, field_kind, z, omega, model, cfg):
+    """outcome is, bit for bit, what evaluate gives or raises at z alone."""
+    try:
+        single = evaluate(material, field_kind, z, omega, model, cfg)
+    except QuadratureError as exc:
+        assert isinstance(outcome, QuadratureError)
+        assert str(outcome) == str(exc)
+        assert outcome.best_estimate == exc.best_estimate
+        assert outcome.error_bound == exc.error_bound
+        return
+    assert (outcome.chi_xx, outcome.chi_zz, outcome.error_estimate, outcome.decomposition) \
+        == (single.chi_xx, single.chi_zz, single.error_estimate, single.decomposition)
+    assert (outcome.z, outcome.model) == (z, single.model)
+
+
 @pytest.mark.parametrize("max_subdivisions", [12, 16])
 def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions,
                                               monkeypatch):
@@ -355,17 +379,10 @@ def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions,
 
     # the propagating batch and the exp-tail batch, as the grid sees them
     parts = {}
-
-    def recording(name, fn):
-        def wrapper(*args, **kwargs):
-            parts[name] = fn(*args, **kwargs)
-            return parts[name]
-        return wrapper
-
     monkeypatch.setattr(spectral, "integrate_lockstep",
-                        recording("prop", spectral.integrate_lockstep))
+                        _recording(parts, "prop", spectral.integrate_lockstep))
     monkeypatch.setattr(spectral, "integrate_exp_tails",
-                        recording("evan", spectral.integrate_exp_tails))
+                        _recording(parts, "evan", spectral.integrate_exp_tails))
     cfg = QuadratureConfig(rel_tol=1e-9, max_subdivisions=max_subdivisions)
     zs = _farfield_grid(copper, omega0)
     batch = evaluate_batch(copper, "E", zs, omega0, "local-retarded", cfg)
@@ -374,16 +391,7 @@ def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions,
             zs, batch, parts["prop"], parts["evan"], *failed):
         # the propagating error comes first, as in a point-by-point run
         assert outcome is (prop if prop_failed else evan if evan_failed else outcome)
-        try:
-            single = chi_E_local_retarded(copper, z, omega0, cfg)
-        except QuadratureError as exc:
-            assert isinstance(outcome, QuadratureError)
-            assert str(outcome) == str(exc)
-            assert outcome.best_estimate == exc.best_estimate
-            assert outcome.error_bound == exc.error_bound
-            continue
-        assert (outcome.chi_xx, outcome.chi_zz, outcome.error_estimate) \
-            == (single.chi_xx, single.chi_zz, single.error_estimate)
+        _assert_same_outcome(outcome, copper, "E", z, omega0, "local-retarded", cfg)
     both = sum(p and e for p, e in zip(*failed))
     if max_subdivisions == 12:
         # the propagating part fails everywhere, the tail too at larger z
@@ -391,6 +399,33 @@ def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions,
     else:
         # only the tail fails, and only at some z
         assert not any(failed[0]) and 0 < sum(failed[1]) < len(zs)
+
+
+@pytest.mark.parametrize("model,field_kind,rel_tol,max_subdivisions,pattern", [
+    ("local-quasistatic", "E", 1e-8, 2000, "........."),
+    ("local-quasistatic", "B", 1e-8, 2000, "........."),
+    ("nonlocal-quasistatic", "E", 1e-8, 2000, "........."),
+    ("nonlocal-quasistatic", "B", 1e-8, 2000, "........."),
+    # budgets tight enough that outer and inner integrals run out
+    ("nonlocal-quasistatic", "E", 1e-6, 10, "....oiiii"),
+    ("nonlocal-quasistatic", "B", 1e-6, 12, "..ooooiii"),
+])
+def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind, rel_tol,
+                                        max_subdivisions, pattern, monkeypatch):
+    import ewjn.spectral as spectral
+
+    parts = {}
+    monkeypatch.setattr(spectral, "integrate_exp_tails",
+                        _recording(parts, "outer", spectral.integrate_exp_tails))
+    cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
+    zs = [float(z) for z in np.geomspace(lam_f, 3000.0 * lam_f, 9)]
+    batch = evaluate_batch(copper, field_kind, zs, omega0, model, cfg)
+    # "." a tensor, "o" an outer integral's error, "i" an inner one's
+    outer = parts.get("outer", [])
+    assert "".join("." if not isinstance(o, QuadratureError) else
+                   "o" if any(o is r for r in outer) else "i" for o in batch) == pattern
+    for z, outcome in zip(zs, batch):
+        _assert_same_outcome(outcome, copper, field_kind, z, omega0, model, cfg)
 
 
 def test_evaluate_batch_resolves_auto_per_point(copper, omega0, lam_f):
@@ -428,6 +463,15 @@ def test_evaluate_validation(copper, omega0):
         evaluate(copper, "E", 0.0, omega0)
     with pytest.raises(DomainError):
         evaluate(copper, "E", 1e-8, -omega0)
+
+
+@pytest.mark.parametrize("model", ["local-quasistatic", "nonlocal-quasistatic",
+                                   "local-retarded"])
+def test_evaluate_batch_domain_error_stays_at_its_point(copper, omega0, lam_f, model):
+    tensor, infinite = evaluate_batch(copper, "B", [10.0 * lam_f, math.inf], omega0, model,
+                                      QuadratureConfig(rel_tol=1e-6))
+    assert tensor.model is Model(model)
+    assert isinstance(infinite, DomainError)
 
 
 def test_domain_checks_everywhere(copper, omega0):
