@@ -14,8 +14,12 @@ gets an (m, 15) block of kappa plus the owning p of each row, so
 epsilon_l/epsilon_t see an (m, 15) array of k per refinement round.
 
 Branch policy: the vacuum normal wavevector q is real >= 0 for
-propagating waves and +i|q| for evanescent ones; the metal-side root is
-taken with Im >= 0 so fields decay into the absorbing half-space.
+propagating waves and +i|q| for evanescent ones; the metal-side root
+q_m = sqrt((eps - 1) omega^2/c^2 + q^2) is taken with Im >= 0 so fields
+decay into the absorbing half-space. The local kernel,
+local_reflection_q, takes q itself: rebuilding q = sqrt(omega^2/c^2 -
+p^2) from p cancels digits near the light line, where the grazing
+structure of r_p sits. local_reflection(p, ...) is q(p) fed to it.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ from .quadrature import QuadratureConfig, integrate_power_tails
 class ReflectionPair(NamedTuple):
     r_s: complex
     r_p: complex
-    p: float
-    omega: float
 
 
 def vacuum_normal_wavevector(p, omega):
@@ -51,21 +53,24 @@ def vacuum_normal_wavevector(p, omega):
     return np.where(q.imag < 0, -q, q)[()]
 
 
-def _metal_root(eps, p, omega):
-    qm = np.sqrt(eps * (omega / C_LIGHT) ** 2 - np.asarray(p, dtype=float) ** 2)
-    return np.where(qm.imag < 0, -qm, qm)
+def local_reflection_q(q, omega, eps) -> ReflectionPair:
+    """Classical Fresnel r_s, r_p at vacuum normal wavevector q.
+
+    q follows the branch policy (real >= 0 or +i|q|), and the metal root
+    q_m = sqrt((eps - 1) omega^2/c^2 + q^2) is built from q alone, so a
+    small |q| near the light line keeps its relative accuracy.
+    Vectorized over q; the returned pair then carries arrays.
+    """
+    q = np.asarray(q, dtype=complex)
+    qm = np.sqrt((eps - 1.0) * (omega / C_LIGHT) ** 2 + q * q)
+    qm = np.where(qm.imag < 0, -qm, qm)
+    return ReflectionPair(r_s=(q - qm) / (q + qm), r_p=(eps * q - qm) / (eps * q + qm))
 
 
 def local_reflection(p, omega, eps) -> ReflectionPair:
-    """Classical Fresnel r_s, r_p for a half-space of permittivity eps.
-
-    Vectorized over p; the returned pair then carries arrays.
-    """
-    q1 = vacuum_normal_wavevector(p, omega)
-    qm = _metal_root(eps, p, omega)
-    r_s = (q1 - qm) / (q1 + qm)
-    r_p = (eps * q1 - qm) / (eps * q1 + qm)
-    return ReflectionPair(r_s=r_s, r_p=r_p, p=p, omega=omega)
+    """Classical Fresnel r_s, r_p for a half-space of permittivity eps,
+    at in-plane wavevector p: local_reflection_q at q(p)."""
+    return local_reflection_q(vacuum_normal_wavevector(p, omega), omega, eps)
 
 
 def nonlocal_reflection_quasistatic(

@@ -19,7 +19,9 @@ Every model is one batch function of an array of z at one omega, and
 evaluate_batch, the one evaluation path, groups the points of a z-array
 by model and makes one call per model; evaluate and the chi_* functions
 are batches of one. A batch gives each point the bits and the error
-that the point gets alone.
+that the point gets alone. A local-retarded point is one integral over
+a log-mapped axis that joins the propagating and evanescent parts, with
+the Fresnel coefficients taken from the vacuum normal wavevector q.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .fresnel import local_reflection, nonlocal_reflection_quasistatic
+from .fresnel import local_reflection_q, nonlocal_reflection_quasistatic
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, skin_depth
 from .quadrature import QuadratureConfig, integrate_exp_tails, integrate_lockstep, per_integral
 
@@ -222,54 +224,57 @@ def _local_retarded(material, field_kind, zs, omega, cfg) -> list:
       I_xx = Re Integral dp (p/q) e^{2 i q z} (omega^2/c^2 r_a - q^2 r_b)/2
       I_zz = Re Integral dp (p^3/q) e^{2 i q z} r_b
     with (r_a, r_b) = (r_s, r_p) for the electric field and swapped for
-    the magnetic one. The propagating part uses p = (omega/c) sin(theta);
-    the evanescent part uses u = |q| as the variable, so its weight is
-    exp(-2 u z) and the xx integrand becomes Im[omega^2/c^2 r_a + u^2 r_b].
-    A point whose propagating part fails gets its QuadratureError, else
-    one whose evanescent part fails gets that one.
+    the magnetic one. One real axis s carries both parts: s = -q < 0 is
+    propagating (q real, (p/q) dp = ds) and s = u >= 0 evanescent
+    (q = i u, (p/q) dp = -i du), with p^2 = omega^2/c^2 - q^2 and the
+    Fresnel coefficients taken from q (local_reflection_q).
+
+    The axis is mapped by s = sign(t) g (e^|t| - 1), g = (omega/c)/sqrt|eps|,
+    the grazing-incidence turn of r_p, so every decade of |s| from g up
+    to the skin-depth knee u ~ sqrt|eps| omega/c costs about one unit of
+    t; t = 0 (the light line, where the integrand jumps) and the knee
+    are seeded. The evanescent part is cut at U = x/(2z), where
+    exp(-x) (1 + x + x^2/2 + x^3/6), the share of a u^3 exp(-2 u z)
+    integrand beyond U, is tail_cut: the zz integrand grows like u^2 in
+    the quasistatic range and like u^3 below the knee for B, where
+    Im r_s ~ u. Each z is then one integral over [t(-omega/c), t(U)],
+    all z in one lockstep run, and its error_estimate adds the bound on
+    the discarded tail: the integrand at U times
+    Integral_U^inf u^3 e^{-2uz} du / (U^3 e^{-2Uz}).
     """
+    cfg = cfg or QuadratureConfig()
     eps = drude_epsilon(material, omega)
     w_c = omega / C_LIGHT
+    g = w_c / math.sqrt(abs(eps))
     z_rows = np.asarray(zs, dtype=float)[:, None]
+    x = -math.log(cfg.tail_cut)
+    for _ in range(4):
+        x = -math.log(cfg.tail_cut) + math.log1p(x + x * x / 2.0 + x**3 / 6.0)
 
-    def pick(pair):
-        return (pair.r_p, pair.r_s) if field_kind == "B" else (pair.r_s, pair.r_p)
+    def integrand(s, z):
+        evanescent = s >= 0.0
+        q = np.where(evanescent, 1j * s, -s)
+        pair = local_reflection_q(q, omega, eps)
+        r_a, r_b = (pair.r_p, pair.r_s) if field_kind == "B" else (pair.r_s, pair.r_p)
+        w = np.where(evanescent, -1j, 1.0) * np.exp(2j * q * z)
+        q2 = q * q
+        return (0.5 * np.real(w * (w_c**2 * r_a - q2 * r_b))
+                + 1j * np.real(w * (w_c**2 - q2) * r_b))
 
-    def prop(theta, owner):
-        z = z_rows[owner]
-        sin = np.sin(theta)
-        p = w_c * sin
-        q = w_c * np.cos(theta)
-        r_a, r_b = pick(local_reflection(p, omega, eps))
-        phase = np.exp(2.0j * q * z)
-        f_xx = 0.5 * w_c * sin * phase * (w_c**2 * r_a - q * q * r_b)
-        f_zz = w_c**3 * sin ** 3 * phase * r_b
-        return np.real(f_xx) + 1.0j * np.real(f_zz)
-
-    def evan(u, owner):
-        z = z_rows[owner]
-        p = np.sqrt(u * u + w_c * w_c)
-        r_a, r_b = pick(local_reflection(p, omega, eps))
-        damp = np.exp(-2.0 * u * z)
-        f_xx = 0.5 * damp * np.imag(w_c**2 * r_a + u * u * r_b)
-        f_zz = damp * p * p * np.imag(r_b)
-        return f_xx + 1.0j * f_zz
+    def mapped(t, owner):
+        s = np.sign(t) * g * np.expm1(np.abs(t))
+        return integrand(s, z_rows[owner]) * (np.abs(s) + g)
 
     n = len(zs)
-    props = integrate_lockstep(prop, [0.0] * n, [0.5 * math.pi] * n, cfg)
-    # Im r knees sit at u ~ sqrt(|eps|) omega/c (skin depth scale)
-    knee = math.sqrt(abs(eps)) * w_c
-    evans = integrate_exp_tails(evan, 0.0, [0.5 / z for z in zs],
-                                [[0.5 * knee, knee, 2.0 * knee]] * n, cfg)
+    cuts = x / (2.0 * z_rows)
+    results = integrate_lockstep(mapped, [-math.log1p(w_c / g)] * n,
+                                 np.log1p(cuts[:, 0] / g), cfg,
+                                 [[0.0, math.log1p(abs(eps))]] * n)
+    tails = np.abs(integrand(cuts, z_rows)) * (1 + 3 / x + 6 / x**2 + 6 / x**3) / (2 * z_rows)
     scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
-    out = []
-    for res_prop, res_evan in zip(props, evans):
-        failed = [r for r in (res_prop, res_evan) if isinstance(r, QuadratureError)]
-        out.append(failed[0] if failed else (
-            scale * (res_prop.value.real + res_evan.value.real),
-            scale * (res_prop.value.imag + res_evan.value.imag),
-            scale * (res_prop.error + res_evan.error), {}))
-    return out
+    return [res if isinstance(res, QuadratureError) else
+            (scale * res.value.real, scale * res.value.imag, scale * (res.error + tail), {})
+            for res, tail in zip(results, tails[:, 0].tolist())]
 
 
 _BATCH = {

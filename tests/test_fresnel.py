@@ -26,7 +26,7 @@ from ewjn import (
     nonlocal_rs_quasistatic,
     vacuum_normal_wavevector,
 )
-from ewjn.fresnel import nonlocal_reflection_quasistatic
+from ewjn.fresnel import ReflectionPair, local_reflection_q, nonlocal_reflection_quasistatic
 
 
 def rel(a, b):
@@ -94,6 +94,27 @@ def test_local_reflection_vectorized(copper, omega0):
         single = local_reflection(float(p), omega0, eps)
         assert pair.r_s[i] == single.r_s
         assert pair.r_p[i] == single.r_p
+
+
+def test_local_reflection_q_matches_mpmath_near_grazing_turn(copper, omega0):
+    # evanescent q = i u around the grazing turn u ~ g of r_p, where
+    # rebuilding q from p = sqrt(u^2 + (omega/c)^2) cancels digits
+    mp = pytest.importorskip("mpmath")
+    eps = drude_epsilon(copper, omega0)
+    k0 = omega0 / C_LIGHT
+    g = k0 / math.sqrt(abs(eps))
+    us = [0.1 * g, g, 10.0 * g]
+    pair = local_reflection_q(1j * np.array(us), omega0, eps)
+    assert ReflectionPair._fields == ("r_s", "r_p")
+    with mp.workdps(30):
+        e = mp.mpc(eps)
+        for u, r_s, r_p in zip(us, pair.r_s, pair.r_p):
+            q = mp.mpc(0, u)
+            qm = mp.sqrt((e - 1) * mp.mpf(k0) ** 2 + q * q)
+            qm = -qm if mp.im(qm) < 0 else qm
+            ref_s, ref_p = complex((q - qm) / (q + qm)), complex((e * q - qm) / (e * q + qm))
+            assert abs(r_p - ref_p) <= 1e-14 * abs(ref_p)
+            assert abs(r_s - ref_s) <= 1e-14 * abs(ref_s)
 
 
 # ----------------------------------------------------------------- nonlocal

@@ -372,33 +372,98 @@ def _assert_same_outcome(outcome, material, field_kind, z, omega, model, cfg):
     assert (outcome.z, outcome.model) == (z, single.model)
 
 
-@pytest.mark.parametrize("max_subdivisions", [12, 16])
-def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions,
-                                              monkeypatch):
+@pytest.mark.parametrize("max_subdivisions,rel_tol,pattern", [
+    (12, 1e-9, ".............xxxxxxx"),
+    (16, 1e-12, ".xxxxx.xxxxxxx.xxxxx"),
+], ids=["12", "16"])
+def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions, rel_tol,
+                                              pattern, monkeypatch):
     import ewjn.spectral as spectral
 
-    # the propagating batch and the exp-tail batch, as the grid sees them
-    parts = {}
+    runs = []
+    lockstep = spectral.integrate_lockstep
     monkeypatch.setattr(spectral, "integrate_lockstep",
-                        _recording(parts, "prop", spectral.integrate_lockstep))
-    monkeypatch.setattr(spectral, "integrate_exp_tails",
-                        _recording(parts, "evan", spectral.integrate_exp_tails))
-    cfg = QuadratureConfig(rel_tol=1e-9, max_subdivisions=max_subdivisions)
+                        lambda *args: runs.append(args) or lockstep(*args))
+    cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     zs = _farfield_grid(copper, omega0)
     batch = evaluate_batch(copper, "E", zs, omega0, "local-retarded", cfg)
-    failed = [[isinstance(r, QuadratureError) for r in parts[k]] for k in ("prop", "evan")]
-    for z, outcome, prop, evan, prop_failed, evan_failed in zip(
-            zs, batch, parts["prop"], parts["evan"], *failed):
-        # the propagating error comes first, as in a point-by-point run
-        assert outcome is (prop if prop_failed else evan if evan_failed else outcome)
+    # every z is one integral, and the grid is one lockstep run
+    assert len(runs) == 1 and len(runs[0][1]) == len(zs)
+    assert "".join("x" if isinstance(o, QuadratureError) else "." for o in batch) == pattern
+    for z, outcome in zip(zs, batch):
         _assert_same_outcome(outcome, copper, "E", z, omega0, "local-retarded", cfg)
-    both = sum(p and e for p, e in zip(*failed))
-    if max_subdivisions == 12:
-        # the propagating part fails everywhere, the tail too at larger z
-        assert all(failed[0]) and 0 < both < len(zs)
-    else:
-        # only the tail fails, and only at some z
-        assert not any(failed[0]) and 0 < sum(failed[1]) < len(zs)
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_retarded_converges_at_tight_tolerance(copper, omega0, lam_f, delta, field_kind):
+    zs = [float(z) for z in np.geomspace(1e-3 * lam_f, 3.0 * delta, 12)]
+    cfg = QuadratureConfig(rel_tol=1e-11)
+    for outcome in evaluate_batch(copper, field_kind, zs, omega0, "local-retarded", cfg):
+        assert not isinstance(outcome, QuadratureError), outcome
+        # the converged integral's error plus the bound on the cut tail
+        assert outcome.error_estimate <= (cfg.rel_tol + cfg.tail_cut) * math.hypot(
+            outcome.chi_xx, outcome.chi_zz)
+
+
+@pytest.mark.parametrize("loose", [
+    QuadratureConfig(rel_tol=1e-8),
+    # the cut tail then dominates the error
+    QuadratureConfig(rel_tol=1e-10, tail_cut=1e-4),
+], ids=["rel_tol", "tail_cut"])
+@pytest.mark.parametrize("material,omega", _FARFIELD, ids=lambda v: getattr(v, "name", ""))
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_retarded_error_estimate_covers_the_shift_to_a_tight_run(material, omega, field_kind,
+                                                                 loose):
+    zs = _farfield_grid(material, omega)
+    runs = (evaluate_batch(material, field_kind, zs, omega, "local-retarded", cfg)
+            for cfg in (loose, QuadratureConfig(rel_tol=1e-10)))
+    for a, b in zip(*runs):
+        assert abs(a.chi_xx - b.chi_xx) <= a.error_estimate
+        assert abs(a.chi_zz - b.chi_zz) <= a.error_estimate
+
+
+def _retarded_p_space_oracle(material, field_kind, z, omega):
+    """chi from the p-space integrals at 30 digits, with q exact on each
+    side of the light line and mpmath's tanh-sinh rule."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        eps, k, z = mp.mpc(drude_epsilon(material, omega)), mp.mpf(omega) / C_LIGHT, mp.mpf(z)
+
+        def f(p, q):
+            if q == 0:  # a node rounded onto the light line
+                return mp.mpc(0)
+            qm = mp.sqrt(eps * k**2 - p**2)
+            qm = -qm if mp.im(qm) < 0 else qm
+            r_s, r_p = (q - qm) / (q + qm), (eps * q - qm) / (eps * q + qm)
+            r_a, r_b = (r_p, r_s) if field_kind == "B" else (r_s, r_p)
+            w = p / q * mp.exp(2j * q * z)
+            return mp.re(w * (k**2 * r_a - q**2 * r_b) / 2) + 1j * mp.re(w * p**2 * r_b)
+
+        # cut at every decade of |q| from a tenth of the grazing turn on
+        g = k / mp.sqrt(abs(eps))
+        qs = [g * mp.mpf(10) ** j for j in range(-1, 40) if g * mp.mpf(10) ** j < 40 / z]
+        prop = mp.quad(lambda p: f(p, mp.sqrt((k - p) * (k + p))),
+                       [0] + sorted(mp.sqrt(k**2 - q**2) for q in qs if q < k) + [k])
+        evan = mp.quad(lambda p: f(p, 1j * mp.sqrt((p - k) * (p + k))),
+                       [k] + [mp.sqrt(k**2 + q**2) for q in qs + [40 / z]] + [mp.inf])
+        total = prop + evan
+    scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
+    return scale * float(mp.re(total)), scale * float(mp.im(total))
+
+
+@pytest.mark.parametrize("material,omega,field_kind,z_over_delta", [
+    (COPPER, 6e8 * math.pi, "E", 1.0),
+    (COPPER, 6e8 * math.pi, "B", 10.0),
+    (_FARFIELD[2][0], _FARFIELD[2][1], "E", 10.0),
+    (_FARFIELD[2][0], _FARFIELD[2][1], "B", 1.0),
+], ids=["copper-E-delta", "copper-B-10delta", "dense-E-10delta", "dense-B-delta"])
+def test_retarded_matches_p_space_oracle(material, omega, field_kind, z_over_delta):
+    z = z_over_delta * skin_depth(material, omega)
+    chi_xx, chi_zz = _retarded_p_space_oracle(material, field_kind, z, omega)
+    t = evaluate(material, field_kind, z, omega, "local-retarded",
+                 QuadratureConfig(rel_tol=1e-10))
+    assert rel(t.chi_xx, chi_xx) < 1e-8
+    assert rel(t.chi_zz, chi_zz) < 1e-8
 
 
 @pytest.mark.parametrize("model,field_kind,rel_tol,max_subdivisions,pattern", [
