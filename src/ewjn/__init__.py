@@ -3,112 +3,38 @@
 Field spectral densities (electric and magnetic, local or nonlocal
 response, quasistatic or retarded) and the qubit relaxation times they
 imply. See the README for the CLI and the physics conventions.
+
+The package namespace is the public API: the inputs a caller builds
+(a Material, a QuadratureConfig, a Model, a QubitSpec), the evaluation
+path (evaluate_batch over an array of heights, evaluate at one), the
+relaxation time, the bulk and surface-limit Green function, and the two
+error types. Constants, dielectric functions, reflection kernels and
+the quadrature engine are reached through their modules.
 """
 
 from .errors import DomainError, QuadratureError
-from .materials import (
-    BOHR_MAGNETON,
-    BOHR_RADIUS,
-    COPPER,
-    C_LIGHT,
-    EPS0,
-    E_CHARGE,
-    HBAR,
-    K_BOLTZMANN,
-    Material,
-    drude_epsilon,
-    epsilon_l,
-    epsilon_t,
-    lindhard_f_l,
-    lindhard_f_t,
-    load_material,
-    parse_material_config,
-    skin_depth,
-)
-from .quadrature import (
-    QuadratureConfig,
-    QuadResult,
-    integrate_finite,
-    integrate_semi_infinite_decaying,
-)
-from .fresnel import (
-    ReflectionPair,
-    local_reflection,
-    nonlocal_rp_quasistatic,
-    nonlocal_rs_quasistatic,
-    vacuum_normal_wavevector,
-)
-from .spectral import (
-    Model,
-    RegimeChoice,
-    SpectralDensityTensor,
-    chi_B_local_retarded,
-    chi_B_quasistatic_local,
-    chi_B_quasistatic_nonlocal,
-    chi_E_local_retarded,
-    chi_E_quasistatic_local,
-    chi_E_quasistatic_nonlocal,
-    evaluate,
-    regime_select,
-)
-from .bulk import (
-    BulkGreenResult,
-    SurfaceLimit,
-    bulk_green_k,
-    bulk_imD_coincident,
-    surface_limit_imD,
-)
-from .relaxation import QubitSpec, RelaxationResult, t1, thermal_factor
+from .materials import COPPER, Material, load_material, parse_material_config
+from .quadrature import QuadratureConfig
+from .spectral import Model, evaluate, evaluate_batch, regime_select
+from .bulk import bulk_imD_coincident, surface_limit_imD
+from .relaxation import QubitSpec, t1
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOHR_MAGNETON",
-    "BOHR_RADIUS",
-    "BulkGreenResult",
     "COPPER",
-    "C_LIGHT",
     "DomainError",
-    "EPS0",
-    "E_CHARGE",
-    "HBAR",
-    "K_BOLTZMANN",
     "Material",
     "Model",
-    "QuadResult",
     "QuadratureConfig",
     "QuadratureError",
     "QubitSpec",
-    "ReflectionPair",
-    "RegimeChoice",
-    "RelaxationResult",
-    "SpectralDensityTensor",
-    "SurfaceLimit",
-    "bulk_green_k",
     "bulk_imD_coincident",
-    "chi_B_local_retarded",
-    "chi_B_quasistatic_local",
-    "chi_B_quasistatic_nonlocal",
-    "chi_E_local_retarded",
-    "chi_E_quasistatic_local",
-    "chi_E_quasistatic_nonlocal",
-    "drude_epsilon",
-    "epsilon_l",
-    "epsilon_t",
     "evaluate",
-    "integrate_finite",
-    "integrate_semi_infinite_decaying",
-    "lindhard_f_l",
-    "lindhard_f_t",
+    "evaluate_batch",
     "load_material",
-    "local_reflection",
-    "nonlocal_rp_quasistatic",
-    "nonlocal_rs_quasistatic",
     "parse_material_config",
     "regime_select",
-    "skin_depth",
     "surface_limit_imD",
     "t1",
-    "thermal_factor",
-    "vacuum_normal_wavevector",
 ]

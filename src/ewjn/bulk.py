@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_l, epsilon_t
-from .quadrature import QuadratureConfig, integrate_batch, per_integral
+from .quadrature import QuadratureConfig, integrate_lockstep
 from .spectral import chi_E_quasistatic_nonlocal
 
 _LADDER = (3.0, 10.0, 30.0, 100.0)
@@ -129,8 +129,14 @@ def bulk_imD_coincident(
     cfg = cfg or QuadratureConfig()
     k_f = material.fermi_wavevector
 
-    integrand = per_integral(lambda k: _radial_integrand_zz(material, k, omega),
-                             lambda k: _radial_integrand_xx(material, k, omega))
+    def integrand(k, owner):
+        # integral 0 of a rung is zz, integral 1 xx
+        out = np.empty(k.shape)
+        zz = owner == 0
+        out[zz] = _radial_integrand_zz(material, k[zz], omega)
+        out[~zz] = _radial_integrand_xx(material, k[~zz], omega)
+        return out
+
     series = []
     total_zz = 0.0
     total_xx = 0.0
@@ -139,7 +145,11 @@ def bulk_imD_coincident(
     for mult in _LADDER:
         k_hi = mult * k_f
         breaks = _radial_breakpoints(material, omega, k_lo, k_hi)
-        res_zz, res_xx = integrate_batch(integrand, [k_lo] * 2, [k_hi] * 2, cfg, [breaks] * 2)
+        res_zz, res_xx = integrate_lockstep(integrand, [k_lo] * 2, [k_hi] * 2, cfg,
+                                            [breaks] * 2)
+        for res in (res_zz, res_xx):
+            if isinstance(res, QuadratureError):
+                raise res
         total_zz += res_zz.value.real
         total_xx += res_xx.value.real
         series.append((k_hi, total_zz))

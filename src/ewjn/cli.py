@@ -32,7 +32,13 @@ from .materials import (
     load_material,
 )
 from .quadrature import QuadratureConfig
-from .relaxation import QubitSpec, relaxation_rate, t1 as compute_t1, thermal_factor
+from .relaxation import (
+    QubitSpec,
+    relaxation_rate,
+    relaxation_time,
+    t1 as compute_t1,
+    thermal_factor,
+)
 from .spectral import Model, evaluate, evaluate_batch, regime_select
 
 _EXIT_OK = 0
@@ -228,21 +234,22 @@ def _sweep_grid(args) -> np.ndarray:
 
 def _group_cell(outcome, omega, model, orientation, moment, temps):
     """(chi_xx, chi_zz, rate, t1, err, status) per temperature from chi's
-    outcome at a point: a tensor, or the DomainError or QuadratureError."""
+    outcome at a point: a tensor, or the DomainError or QuadratureError.
+    A negative temperature or reflected chi makes a domain-error cell."""
     if isinstance(outcome, Exception):
         failed = ("quadrature-error" if isinstance(outcome, QuadratureError)
                   else "domain-error")
         return [(math.nan,) * 5 + (failed,) for _ in temps]
+    component = "zz" if orientation == "z" else "xx"
+    chi = outcome.chi_zz if orientation == "z" else outcome.chi_xx
     cells = []
     for temp in temps:
         try:
-            factor = thermal_factor(omega, temp)
+            rate = relaxation_rate(moment, chi, thermal_factor(omega, temp))
+            t1_value = relaxation_time(rate, component)
         except DomainError:
             cells.append((math.nan,) * 5 + ("domain-error",))
             continue
-        chi = outcome.chi_zz if orientation == "z" else outcome.chi_xx
-        rate = relaxation_rate(moment, chi, factor)
-        t1_value = 1.0 / rate if rate > 0 else math.inf
         status = "ok" if model != Model.AUTO.value else f"ok:{outcome.model}"
         cells.append((float(outcome.chi_xx), float(outcome.chi_zz), float(rate),
                       float(t1_value), float(outcome.error_estimate), status))

@@ -11,7 +11,11 @@ a hard cutoff.
 nonlocal_reflection_quasistatic, the one nonlocal kernel, runs the
 kappa-integrals of an array of p as one quadrature batch: its integrand
 gets an (m, 15) block of kappa plus the owning p of each row, so
-epsilon_l/epsilon_t see an (m, 15) array of k per refinement round.
+epsilon_l/epsilon_t see an (m, 15) array of k per refinement round. It
+returns one outcome per p, r or the QuadratureError of that p's own
+kappa-integral, so a caller that batches the p of many outer integrals
+(the nonlocal spectral model calls it once per outer refinement round
+and polarization) can tell whose inner integral failed.
 
 Branch policy: the vacuum normal wavevector q is real >= 0 for
 propagating waves and +i|q| for evanescent ones; the metal-side root
@@ -30,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .materials import C_LIGHT, Material, epsilon_l, epsilon_t
 from .quadrature import QuadratureConfig, integrate_power_tails
 
@@ -80,12 +84,24 @@ def nonlocal_reflection_quasistatic(
     polarization: str,
     cfg: QuadratureConfig | None = None,
     eps_fn: Callable | None = None,
-) -> np.ndarray:
-    """Nonlocal r_p ("p") or r_s ("s") at every p of an array.
+) -> list:
+    """Nonlocal r_p ("p") or r_s ("s") at every p of an array, as outcomes.
 
-    Formulas and the eps_fn override (of epsilon_l or epsilon_t) as in
-    nonlocal_rp_quasistatic and nonlocal_rs_quasistatic, their batches
-    of one; each kappa-integral has its own tail scale max(p, k_star).
+    Quasistatic p-polarized reflection:
+      r_p = (1 - I_p)/(1 + I_p),
+      I_p = (2p/pi) Integral_0^inf dkappa / (k^2 eps_l(k, omega)),
+    and s-polarized, to leading order in omega^2/(p c)^2:
+      r_s = (omega^2/(4 p^2 c^2)) (J_p - 1),
+      J_p = (4 p^3/pi) Integral_0^inf dkappa eps_t(k, omega)/k^4,
+    with k^2 = p^2 + kappa^2. With constant eps_t, J_p = eps reproduces
+    the local quasistatic expansion (eps - 1) omega^2/(4 p^2 c^2); with
+    constant eps_l, I_p = 1/eps.
+
+    eps_fn(k, omega) overrides epsilon_l ("p") or epsilon_t ("s"), as in
+    the constant-epsilon limit checks; it must broadcast over an array k.
+    Each kappa-integral has its own tail scale max(p, k_star). Outcome i
+    is r at p[i] as a Python complex, or the QuadratureError of that
+    kappa-integral; a p gets the same outcome in any batch.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if not np.all(p > 0):
@@ -109,55 +125,17 @@ def nonlocal_reflection_quasistatic(
     p_list = p.tolist()
     breaks = [[x for x in (0.3 * q, q, 3.0 * q, k_nu, k_star, 3.0 * k_star) if x > 0]
               for q in p_list]
-    results = integrate_power_tails(integrand, 0.0, [max(q, k_star) for q in p_list],
-                                    breaks, cfg or QuadratureConfig())
+    outcomes = integrate_power_tails(integrand, 0.0, [max(q, k_star) for q in p_list],
+                                     breaks, cfg or QuadratureConfig())
     # combined on Python scalars: numpy complex division rounds differently
     r = []
-    for q, res in zip(p_list, results):
-        if transverse:
+    for q, res in zip(p_list, outcomes):
+        if isinstance(res, QuadratureError):
+            r.append(res)
+        elif transverse:
             j_p = (4.0 * q**3 / math.pi) * res.value
             r.append(omega**2 / (4.0 * q**2 * C_LIGHT**2) * (j_p - 1.0))
         else:
             i_p = (2.0 * q / math.pi) * res.value
             r.append((1.0 - i_p) / (1.0 + i_p))
-    return np.array(r, dtype=complex)
-
-
-def nonlocal_rp_quasistatic(
-    material: Material,
-    p: float,
-    omega: float,
-    cfg: QuadratureConfig | None = None,
-    eps_l_fn: Callable | None = None,
-) -> complex:
-    """Quasistatic p-polarized reflection from the nonlocal half-space.
-
-    r_p = (1 - I_p)/(1 + I_p),
-    I_p = (2p/pi) Integral_0^inf dkappa / (k^2 eps_l(k, omega)),
-    k^2 = p^2 + kappa^2.
-
-    eps_l_fn(k, omega) overrides the material response (used by the
-    constant-epsilon limit checks, where I_p = 1/eps analytically); it
-    must broadcast over an array k.
-    """
-    return complex(nonlocal_reflection_quasistatic(material, [p], omega, "p", cfg,
-                                                   eps_l_fn)[0])
-
-
-def nonlocal_rs_quasistatic(
-    material: Material,
-    p: float,
-    omega: float,
-    cfg: QuadratureConfig | None = None,
-    eps_t_fn: Callable | None = None,
-) -> complex:
-    """Quasistatic s-polarized reflection, leading order in omega^2/(p c)^2.
-
-    r_s = (omega^2/(4 p^2 c^2)) (J_p - 1),
-    J_p = (4 p^3/pi) Integral_0^inf dkappa eps_t(k, omega)/k^4.
-
-    With constant eps_t the integral gives J_p = eps, reproducing the
-    local quasistatic expansion (eps - 1) omega^2/(4 p^2 c^2).
-    """
-    return complex(nonlocal_reflection_quasistatic(material, [p], omega, "s", cfg,
-                                                   eps_t_fn)[0])
+    return r

@@ -1,18 +1,25 @@
 """Adaptive one-dimensional quadrature for complex integrands.
 
-One engine serves every integral in the package: a globally adaptive
-Gauss-Kronrod 15(7) rule with deterministic panel subdivision
-(worst-panel-first, ties broken by insertion order), so repeated runs
-produce bit-identical results. integrate_lockstep refines N integrals in
-lockstep, one integrand call per round, and returns one outcome per
-integral: a QuadResult or that integral's own QuadratureError.
-integrate_batch raises the lowest-index error instead, and the scalar
-entry points are batches of one. A scalar integrand f(x) gets a 1-D node
-array of any length; a batched one, f(x, owner), gets an (m, 15) block
-of nodes plus the (m,) indices of the integrals owning its rows. Both
-return values shaped like x, and a node's value may not depend on the
-others. per_integral(*fs) makes a batched integrand of scalar ones, one
-per integral.
+Three integrators serve every integral in the package, and all three
+share one contract: they take a batch of N integrals and return one
+outcome per integral, a QuadResult or that integral's own
+QuadratureError, with the bits the integral gets when run alone.
+Callers decide what a failure means; no integrator raises one.
+
+  integrate_lockstep     N finite intervals [a[i], b[i]]
+  integrate_power_tails  [a, infinity), |f| = O(t^-2), mapped onto
+                         [0, 1) by t = a + s u/(1 - u)
+  integrate_exp_tails    [a, infinity), |f| = O(exp(-t/s)), window by
+                         window, window n of every open integral in one
+                         lockstep run
+
+The rule is a globally adaptive Gauss-Kronrod 15(7) with deterministic
+panel subdivision (worst-panel-first, ties broken by insertion order),
+so repeated runs produce bit-identical results. The N integrals refine
+in lockstep, one integrand call per round: the integrand f(x, owner)
+gets an (m, 15) block of nodes plus the (m,) indices of the integrals
+owning its rows, and returns values shaped like x; a node's value may
+not depend on the others.
 
 The engine's state lives in arrays, so a round costs a fixed number of
 numpy calls however many integrals are open: a row of panels (lo, hi,
@@ -22,11 +29,6 @@ earliest of equal errors, is the worst-first, insertion-order pick, and
 the error estimate uses np.hypot and np.float_power, which give the bits
 of Python's abs and **: each integral gets its one-integral result, bit
 for bit.
-
-Semi-infinite integrals come in two contractual flavors: exponentially
-decaying tails are accumulated window by window, window n of every open
-integral in one batch (integrate_exp_tails), and power-law tails are
-mapped onto [0, 1) via t = a + s u/(1 - u) (integrate_power_tails).
 
 Endpoint algebraic singularities are never handled here; callers remove
 them by substitution first (see the spectral module), which is what
@@ -330,62 +332,6 @@ def _resolve_stuck(panels: _PanelRows, r: int, pos: int, subdivisions: int, budg
             return subdivisions, False
 
 
-def raise_first(outcomes: list) -> list:
-    """The outcomes, all QuadResults, or raise the first QuadratureError."""
-    for outcome in outcomes:
-        if isinstance(outcome, QuadratureError):
-            raise outcome
-    return outcomes
-
-
-def integrate_batch(
-    f: Callable,
-    a: Sequence[float],
-    b: Sequence[float],
-    cfg: QuadratureConfig | None = None,
-    breakpoints: Sequence[Sequence[float]] | None = None,
-) -> list:
-    """QuadResults of integrate_lockstep, or raise the QuadratureError
-    of the lowest-index integral out of budget."""
-    return raise_first(integrate_lockstep(f, a, b, cfg, breakpoints))
-
-
-def per_integral(*fs: Callable) -> Callable:
-    """The batched integrand whose integral i has scalar integrand fs[i].
-
-    Each fs[i] gets the nodes of its own rows as one flat array, as in a
-    batch of one.
-    """
-    def f(x, owner):
-        out = np.empty(x.shape, dtype=complex)
-        for i, fi in enumerate(fs):
-            rows = owner == i
-            if rows.any():
-                nodes = x[rows]
-                out[rows] = np.asarray(fi(nodes.ravel())).reshape(nodes.shape)
-        return out
-
-    return f
-
-
-def integrate_finite(
-    f: Callable,
-    a: float,
-    b: float,
-    cfg: QuadratureConfig | None = None,
-    breakpoints: Sequence[float] = (),
-) -> QuadResult:
-    """Adaptive integral of a complex-valued scalar integrand f over [a, b].
-
-    breakpoints seed the initial panel layout at known interior structure
-    (kept out of the contract tolerance logic; purely a convergence aid).
-
-    Raises QuadratureError with the best estimate attached if the
-    subdivision budget runs out before the tolerance is met.
-    """
-    return integrate_batch(per_integral(f), [a], [b], cfg, [breakpoints])[0]
-
-
 def integrate_power_tails(
     f: Callable,
     a: float,
@@ -393,11 +339,14 @@ def integrate_power_tails(
     breakpoints: Sequence[Sequence[float]],
     cfg: QuadratureConfig | None = None,
 ) -> list:
-    """QuadResults of a batched f over [a, infinity) for |f| = O(t^-2).
+    """Outcomes of a batched f over [a, infinity) for |f| = O(t^-2).
 
     Integral i maps t = a + s u/(1 - u), s = scales[i], onto u in [0, 1),
-    its seed breakpoints[i] (values of t) with it.
+    its seed breakpoints[i] (values of t) with it, and runs as integral
+    i of one integrate_lockstep batch.
     """
+    if not all(s > 0 for s in scales):
+        raise DomainError("scales must be > 0")
     s_rows = np.asarray(scales, dtype=float)[:, None]
 
     def mapped(u, owner):
@@ -408,7 +357,7 @@ def integrate_power_tails(
     n = len(scales)
     u_breaks = [[(t - a) / (t - a + s) for t in cuts if t > a]
                 for s, cuts in zip(scales, breakpoints)]
-    return integrate_batch(mapped, [0.0] * n, [1.0] * n, cfg, u_breaks)
+    return integrate_lockstep(mapped, [0.0] * n, [1.0] * n, cfg, u_breaks)
 
 
 def integrate_exp_tails(
@@ -430,7 +379,7 @@ def integrate_exp_tails(
     """
     cfg = cfg or QuadratureConfig()
     if not all(s > 0 for s in scales):
-        raise DomainError("decay_scale must be > 0")
+        raise DomainError("scales must be > 0")
     max_windows = 100
     n = len(scales)
     widths = 10.0 * np.asarray(scales, dtype=float)
@@ -465,28 +414,3 @@ def integrate_exp_tails(
                                       best_estimate=complex(totals[i]),
                                       error_bound=float(errors[i]))
     return outcomes
-
-
-def integrate_semi_infinite_decaying(
-    f: Callable,
-    a: float,
-    decay_scale: float,
-    cfg: QuadratureConfig | None = None,
-    tail: str = "exp",
-    breakpoints: Sequence[float] = (),
-) -> QuadResult:
-    """Integral of f over [a, infinity) for decaying integrands.
-
-    tail="exp": |f| is eventually dominated by exp(-t/decay_scale);
-    integrate_exp_tails with s = decay_scale.
-
-    tail="power": |f| decays at least like t^(-2); integrate_power_tails
-    with s = decay_scale.
-    """
-    if not (decay_scale > 0):
-        raise DomainError("decay_scale must be > 0")
-    if tail not in ("exp", "power"):
-        raise DomainError("tail must be 'exp' or 'power'")
-    tails = integrate_power_tails if tail == "power" else integrate_exp_tails
-    outcomes = tails(per_integral(f), a, [float(decay_scale)], [breakpoints], cfg)
-    return raise_first(outcomes)[0]

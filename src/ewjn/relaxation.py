@@ -81,6 +81,20 @@ def relaxation_rate(moment: float, chi: float, factor: float = 1.0) -> float:
     return (moment / HBAR) ** 2 * chi * factor
 
 
+def relaxation_time(rate: float, component: str) -> float:
+    """t1 = 1/rate, and inf at rate 0, where the medium does not relax.
+
+    chi, and so the rate, holds the field reflected by the medium alone:
+    the free-space term is not included, and the reflected chi can be
+    negative in the far field. A negative rate raises DomainError, which
+    names the chi component ("xx" or "zz") the rate came from.
+    """
+    if rate < 0:
+        raise DomainError(f"reflected chi_{component} is negative (rate {rate:.3e} 1/s); "
+                          "the free-space term is not included, so no T1 follows")
+    return 1.0 / rate if rate > 0 else math.inf
+
+
 def t1(
     material: Material,
     qubit: QubitSpec,
@@ -89,7 +103,11 @@ def t1(
     model: Model | str = Model.AUTO,
     cfg: QuadratureConfig | None = None,
 ) -> RelaxationResult:
-    """Relaxation time of the qubit at height z above the half-space."""
+    """Relaxation time of the qubit at height z above the half-space.
+
+    Raises DomainError where the reflected chi along the qubit axis is
+    negative (see relaxation_time).
+    """
     omega = qubit.level_splitting
     tensor: SpectralDensityTensor = evaluate(
         material, qubit.field_kind, z, omega, model, cfg
@@ -100,7 +118,7 @@ def t1(
     rate = relaxation_rate(qubit.moment, chi, factor)
     return RelaxationResult(
         rate=rate,
-        t1=1.0 / rate if rate > 0 else math.inf,
+        t1=relaxation_time(rate, component),
         chi_component=component,
         chi_value=chi,
         chi_units=_CHI_UNITS[tensor.field_kind],

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .fresnel import local_reflection_q, nonlocal_reflection_quasistatic
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, skin_depth
-from .quadrature import QuadratureConfig, integrate_exp_tails, integrate_lockstep, per_integral
+from .quadrature import QuadratureConfig, integrate_exp_tails, integrate_lockstep
 
 
 class Model(str, enum.Enum):
@@ -159,48 +159,62 @@ def _nonlocal_quasistatic(material, field_kind, zs, omega, cfg) -> list:
     decomposition["rp_part"] and decomposition["rs_part"] (signed,
     T^2 s); the r_s channel equals chi_zz/2 term by term.
 
-    Every (z, channel) pair is one outer integral of an exp-tail batch:
-    E has the r_p channel, B the r_s channel, then the r_p one. Each
-    outer integral makes its own inner r_p/r_s call per round, so inner
-    batches keep the size they have at a single point. A point whose
-    inner integral fails gets that QuadratureError, and its channels
-    integrate zeros from then on; else a point gets its r_s outer error,
-    else its r_p one, as a point-by-point run raises them.
+    Every (z, channel) pair is one outer integral of one exp-tail
+    batch: E has the r_p channel, B the r_s channel, then the r_p one.
+    The batched integrand calls the kernel once per refinement round and
+    polarization, with the nodes of every point not yet failed; for B
+    the r_s call runs first. A point's inner error is the first failing
+    p among its own rows, in row order: its rows are zero in that round,
+    it is left out of that round's r_p call, and its channels integrate
+    zeros from then on. A point whose inner integral failed gets that
+    QuadratureError; else it gets its r_s outer error, else its r_p one,
+    as a point-by-point run raises them.
     """
     cfg = cfg or QuadratureConfig()
     cfg_inner = cfg.inner()
-    channels = (("p", True),) if field_kind == "E" else (("s", True), ("p", False))
+    # integral n k + c is channel c of point k; channel 0 carries p^2
+    channels = ("p",) if field_kind == "E" else ("s", "p")
+    n = len(channels)
+    z_of = np.asarray(zs, dtype=float)
     inner_error = [None] * len(zs)
+    failed = np.zeros(len(zs), dtype=bool)
 
-    def channel(k, polarization, p2_weight):
-        z = zs[k]
-
-        def f(p):
-            if inner_error[k] is None:
-                try:
-                    r = nonlocal_reflection_quasistatic(material, p, omega, polarization,
-                                                        cfg_inner)
-                except QuadratureError as exc:
-                    inner_error[k] = exc
-                else:
-                    return (p * p if p2_weight else 1.0) * np.exp(-2.0 * p * z) * np.imag(r)
-            return np.zeros(p.shape)
-
-        return f
+    def integrand(p, owner):
+        out = np.zeros(p.shape)
+        point, channel = np.divmod(owner, n)
+        for c, polarization in enumerate(channels):
+            rows = np.flatnonzero((channel == c) & ~failed[point])
+            if not rows.size:
+                continue
+            nodes = p[rows]
+            r = nonlocal_reflection_quasistatic(material, nodes.ravel(), omega, polarization,
+                                                cfg_inner)
+            for i, o in enumerate(r):
+                if isinstance(o, QuadratureError):
+                    k = point[rows[i // nodes.shape[1]]]
+                    if not failed[k]:
+                        failed[k], inner_error[k] = True, o
+                    r[i] = 0.0
+            keep = ~failed[point[rows]]
+            rows, nodes = rows[keep], nodes[keep]
+            im = np.imag(np.array(r, dtype=complex).reshape(keep.size, -1)[keep])
+            z = z_of[point[rows]][:, None]
+            out[rows] = (nodes * nodes if c == 0 else 1.0) * np.exp(-2.0 * nodes * z) * im
+        return out
 
     # structure of Im r sits at the collision and screening wavevectors;
     # seed them when they fall inside the exponential window
     results = integrate_exp_tails(
-        per_integral(*(channel(k, *ch) for k in range(len(zs)) for ch in channels)), 0.0,
+        integrand, 0.0,
         [0.5 / z for z in zs for _ in channels],
         [[material.k_nu, material.k_star, 0.25 / z, 1.0 / z] for z in zs for _ in channels],
         cfg)
     out = []
     for k in range(len(zs)):
-        outcomes = results[k * len(channels):(k + 1) * len(channels)]
-        failed = [r for r in (inner_error[k], *outcomes) if isinstance(r, QuadratureError)]
-        if failed:
-            out.append(failed[0])
+        outcomes = results[k * n:(k + 1) * n]
+        errors = [o for o in (inner_error[k], *outcomes) if isinstance(o, QuadratureError)]
+        if errors:
+            out.append(errors[0])
         elif field_kind == "E":
             [(value, err)] = outcomes
             chi_zz = HBAR / EPS0 * value.real

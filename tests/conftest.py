@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from ewjn import COPPER, Material, QuadratureConfig, skin_depth
+from ewjn import COPPER, Material, QuadratureConfig
+from ewjn.materials import skin_depth
 
 OMEGA0 = 6e8 * math.pi
 

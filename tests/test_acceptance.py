@@ -18,30 +18,33 @@ import numpy as np
 import pytest
 
 from ewjn import (
+    QuadratureConfig,
+    QuadratureError,
+    QubitSpec,
+    bulk_imD_coincident,
+    surface_limit_imD,
+    t1,
+)
+from ewjn.fresnel import nonlocal_reflection_quasistatic
+from ewjn.materials import (
     BOHR_MAGNETON,
     BOHR_RADIUS,
     C_LIGHT,
     E_CHARGE,
     HBAR,
     K_BOLTZMANN,
-    QuadratureConfig,
-    QuadratureError,
-    QubitSpec,
-    bulk_imD_coincident,
+    drude_epsilon,
+    epsilon_l,
+    epsilon_t,
+    skin_depth,
+)
+from ewjn.spectral import (
     chi_B_local_retarded,
     chi_B_quasistatic_local,
     chi_B_quasistatic_nonlocal,
     chi_E_local_retarded,
     chi_E_quasistatic_local,
     chi_E_quasistatic_nonlocal,
-    drude_epsilon,
-    epsilon_l,
-    epsilon_t,
-    nonlocal_rp_quasistatic,
-    nonlocal_rs_quasistatic,
-    skin_depth,
-    surface_limit_imD,
-    t1,
 )
 
 _LINES = {}
@@ -210,10 +213,10 @@ def test_criterion_07_thermal_scaling(copper, lam_f):
 def test_criterion_08_limiting_forms(copper, omega0, lam_f, cfg):
     p = 1.0 / (2.0 * lam_f)
     eps = drude_epsilon(copper, omega0)
-    rp = nonlocal_rp_quasistatic(copper, p, omega0, cfg,
-                                 eps_l_fn=lambda k, w: eps)
-    rs = nonlocal_rs_quasistatic(copper, p, omega0, cfg,
-                                 eps_t_fn=lambda k, w: eps)
+    [rp] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg,
+                                           eps_fn=lambda k, w: eps)
+    [rs] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg,
+                                           eps_fn=lambda k, w: eps)
     rp_dev = abs(rp / ((eps - 1.0) / (eps + 1.0)) - 1.0)
     rs_dev = abs(rs / ((eps - 1.0) * omega0**2
                        / (4.0 * p**2 * C_LIGHT**2)) - 1.0)

@@ -11,19 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from ewjn import (
-    C_LIGHT,
-    DomainError,
-    HBAR,
-    QuadratureError,
+from ewjn import DomainError, QuadratureError, bulk_imD_coincident, surface_limit_imD
+from ewjn.bulk import (
+    _radial_breakpoints,
+    _radial_integrand_xx,
+    _radial_integrand_zz,
     bulk_green_k,
-    bulk_imD_coincident,
-    epsilon_l,
-    epsilon_t,
-    surface_limit_imD,
 )
-from ewjn.bulk import _radial_breakpoints, _radial_integrand_xx, _radial_integrand_zz
-from ewjn.quadrature import integrate_finite
+from ewjn.materials import C_LIGHT, HBAR, epsilon_l, epsilon_t
+from ewjn.quadrature import integrate_lockstep
 
 LADDER_VALUES = [
     (3.0, 1.665716584076565e-13),
@@ -154,10 +150,10 @@ def _ladder_separate(material, omega, cfg):
     for mult in (3.0, 10.0, 30.0, 100.0):
         k_hi = mult * material.fermi_wavevector
         breaks = _radial_breakpoints(material, omega, k_lo, k_hi)
-        zz += integrate_finite(lambda k: _radial_integrand_zz(material, k, omega),
-                               k_lo, k_hi, cfg, breakpoints=breaks).value.real
-        xx += integrate_finite(lambda k: _radial_integrand_xx(material, k, omega),
-                               k_lo, k_hi, cfg, breakpoints=breaks).value.real
+        zz += integrate_lockstep(lambda k, owner: _radial_integrand_zz(material, k, omega),
+                                 [k_lo], [k_hi], cfg, [breaks])[0].value.real
+        xx += integrate_lockstep(lambda k, owner: _radial_integrand_xx(material, k, omega),
+                                 [k_lo], [k_hi], cfg, [breaks])[0].value.real
         series.append((k_hi, zz, xx))
         k_lo = k_hi
     return series
@@ -201,7 +197,7 @@ def test_surface_limit_reference(copper, omega0, cfg):
     "when z is halved; it is a stand-in at a fixed height, not a "
     "converged z -> 0 limit"))
 def test_surface_limit_is_z_stable(copper, omega0, lam_f, cfg):
-    from ewjn import chi_E_quasistatic_nonlocal
+    from ewjn.spectral import chi_E_quasistatic_nonlocal
 
     # conversion factor cancels in the ratio, so compare chi directly
     at = chi_E_quasistatic_nonlocal(copper, 1e-3 * lam_f, omega0, cfg)

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from ewjn import HBAR, K_BOLTZMANN
+from ewjn.materials import HBAR, K_BOLTZMANN
 from ewjn.cli import main
 
 LAM_F = 4.635454439837973e-10  # copper Fermi wavelength, m
@@ -240,6 +240,27 @@ def test_sweep_per_point_quadrature_failure_is_cell_status(capsys):
     for row in rows:
         assert row[status_col] == "quadrature-error"
         assert row[t1_col] == "nan"
+
+
+def test_negative_reflected_chi_is_domain_error(capsys, tmp_path):
+    # far field of a dilute metal: the reflected chi_xx is negative at
+    # 15-18.7 skin depths (1.0614e-6 m), chi_zz positive
+    mat = tmp_path / "farfield.cfg"
+    mat.write_text("name = farfield\nomega_p_rad_s = 4.628e15\nnu_rad_s = 8.427e13\n"
+                   "fermi_energy_ev = 3.44\n")
+    flags = ["--material", str(mat), "--omega", "6.232e11"]
+    code, out, err = run_cli(["t1", "--z", "1.985e-5"] + flags, capsys)
+    assert (code, out) == (2, "")
+    assert "chi_xx" in err and "free-space term is not included" in err
+    for orientation, status, want in (("x", "domain-error", 2), ("z", "ok", 0)):
+        code, out, _ = run_cli([
+            "sweep", "--axis", "z", "--min", "1.592e-5", "--max", "1.985e-5", "--count", "2",
+            "--models", "local-retarded", "--orientation", orientation] + flags, capsys)
+        assert code == want
+        header, rows = parse_csv(out)
+        for row in rows:
+            assert row[header.index("local-retarded:status")] == status
+            assert (row[header.index("local-retarded:t1[s]")] == "nan") == (status != "ok")
 
 
 # --------------------------------------------------------------- exit codes

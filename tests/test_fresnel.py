@@ -11,22 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from ewjn import (
-    COPPER,
-    C_LIGHT,
-    DomainError,
-    Material,
-    QuadratureConfig,
-    drude_epsilon,
-    epsilon_l,
-    epsilon_t,
-    integrate_semi_infinite_decaying,
+from ewjn import COPPER, DomainError, Material, QuadratureConfig, QuadratureError
+from ewjn.fresnel import (
+    ReflectionPair,
     local_reflection,
-    nonlocal_rp_quasistatic,
-    nonlocal_rs_quasistatic,
+    local_reflection_q,
+    nonlocal_reflection_quasistatic,
     vacuum_normal_wavevector,
 )
-from ewjn.fresnel import ReflectionPair, local_reflection_q, nonlocal_reflection_quasistatic
+from ewjn.materials import C_LIGHT, drude_epsilon, epsilon_l, epsilon_t
+from ewjn.quadrature import integrate_power_tails
 
 
 def rel(a, b):
@@ -121,7 +115,7 @@ def test_local_reflection_q_matches_mpmath_near_grazing_turn(copper, omega0):
 
 def test_nonlocal_rp_golden(copper, omega0, lam_f):
     p = 1.0 / (2.0 * lam_f)
-    rp = nonlocal_rp_quasistatic(copper, p, omega0)
+    [rp] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p")
     assert rel(rp, 0.8850806463958903 + 2.2095472224834032e-08j) < 1e-6
     # fixed-grid trapezoid reference truncates the kappa tail at a hard
     # cutoff, which biases it by ~5e-5; agreement is checked at 3e-4
@@ -130,7 +124,7 @@ def test_nonlocal_rp_golden(copper, omega0, lam_f):
 
 def test_nonlocal_rs_golden(copper, omega0, lam_f):
     p = 1.0 / (2.0 * lam_f)
-    rs = nonlocal_rs_quasistatic(copper, p, omega0)
+    [rs] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s")
     assert rel(rs, -1.6810285479893236e-15 + 1.3462629501361742e-09j) < 1e-6
 
 
@@ -139,10 +133,10 @@ def test_nonlocal_constant_eps_stubs(copper, omega0, lam_f, cfg):
     # I_p = 1/eps and J_p = eps
     eps = drude_epsilon(copper, omega0)
     p = 1.0 / (2.0 * lam_f)
-    rp = nonlocal_rp_quasistatic(copper, p, omega0, cfg,
-                                 eps_l_fn=lambda k, w: eps)
-    rs = nonlocal_rs_quasistatic(copper, p, omega0, cfg,
-                                 eps_t_fn=lambda k, w: eps)
+    [rp] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg,
+                                           eps_fn=lambda k, w: eps)
+    [rs] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg,
+                                           eps_fn=lambda k, w: eps)
     assert rel(rp, (eps - 1.0) / (eps + 1.0)) < 10.0 * cfg.rel_tol
     assert rel(rs, (eps - 1.0) * omega0**2 / (4.0 * p**2 * C_LIGHT**2)) \
         < 10.0 * cfg.rel_tol
@@ -154,8 +148,9 @@ def test_nonlocal_rs_frozen_eps_omega_scaling(copper, omega0, lam_f, cfg):
     eps = -5.0 + 3.0j
     p = 1.0 / (2.0 * lam_f)
     stub = lambda k, w: eps
-    r1 = nonlocal_rs_quasistatic(copper, p, omega0, cfg, eps_t_fn=stub)
-    r2 = nonlocal_rs_quasistatic(copper, p, 2.0 * omega0, cfg, eps_t_fn=stub)
+    [r1] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg, eps_fn=stub)
+    [r2] = nonlocal_reflection_quasistatic(copper, [p], 2.0 * omega0, "s", cfg,
+                                           eps_fn=stub)
     assert rel(r2, 4.0 * r1) < 1e-12
 
 
@@ -163,8 +158,8 @@ def test_nonlocal_vacuum_limit(vacuumish, omega0, lam_f):
     # I_p and J_p both evaluate to 1 up to quadrature noise, so the
     # residual reflection is bounded by the relative tolerance
     p = 1.0 / (2.0 * lam_f)
-    assert abs(nonlocal_rp_quasistatic(vacuumish, p, omega0)) < 1e-7
-    assert abs(nonlocal_rs_quasistatic(vacuumish, p, omega0)) < 1e-15
+    assert abs(nonlocal_reflection_quasistatic(vacuumish, [p], omega0, "p")[0]) < 1e-7
+    assert abs(nonlocal_reflection_quasistatic(vacuumish, [p], omega0, "s")[0]) < 1e-15
 
 
 def test_nonlocal_recovers_local_for_slow_fermi_sea(copper, omega0):
@@ -174,42 +169,42 @@ def test_nonlocal_recovers_local_for_slow_fermi_sea(copper, omega0):
                     collision_rate=copper.collision_rate,
                     fermi_energy=copper.fermi_energy / 1e6)
     eps = drude_epsilon(copper, omega0)
-    rp = nonlocal_rp_quasistatic(slow, 1e7, omega0)
+    [rp] = nonlocal_reflection_quasistatic(slow, [1e7], omega0, "p")
     assert rel(rp, (eps - 1.0) / (eps + 1.0)) < 1e-4
 
 
 def test_nonlocal_dissipative_sign(copper, omega0, lam_f, cfg_fast):
     for p in (1e6, 1e8, 1.0 / (2.0 * lam_f)):
-        assert nonlocal_rp_quasistatic(copper, p, omega0, cfg_fast).imag > 0.0
-        assert nonlocal_rs_quasistatic(copper, p, omega0, cfg_fast).imag > 0.0
-    assert nonlocal_rp_quasistatic(copper, 1e8, 1e10, cfg_fast).imag > 0.0
+        for polarization in ("p", "s"):
+            [r] = nonlocal_reflection_quasistatic(copper, [p], omega0, polarization, cfg_fast)
+            assert r.imag > 0.0
+    assert nonlocal_reflection_quasistatic(copper, [1e8], 1e10, "p", cfg_fast)[0].imag > 0.0
 
 
 def test_nonlocal_domain(copper, omega0):
     with pytest.raises(DomainError):
-        nonlocal_rp_quasistatic(copper, 0.0, omega0)
+        nonlocal_reflection_quasistatic(copper, [0.0], omega0, "p")
     with pytest.raises(DomainError):
-        nonlocal_rs_quasistatic(copper, -1.0, omega0)
+        nonlocal_reflection_quasistatic(copper, [-1.0], omega0, "s")
     with pytest.raises(DomainError):
-        nonlocal_rp_quasistatic(copper, 1e8, 0.0)
+        nonlocal_reflection_quasistatic(copper, [1e8], 0.0, "p")
 
 
 # ----------------------------------------------------------- batched kernel
 
 def _reference_r(material, p, omega, cfg, transverse):
-    """One kappa-integral through the scalar power-tail path, combined on
-    Python scalars."""
+    """One kappa-integral as a power-tail batch of one, combined on Python
+    scalars."""
     eps_fn = epsilon_t if transverse else epsilon_l
 
-    def integrand(kappa):
+    def integrand(kappa, owner):
         k2 = p * p + kappa * kappa
         eps = eps_fn(material, np.sqrt(k2), omega)
         return eps / (k2 * k2) if transverse else 1.0 / (k2 * eps)
 
     k_nu, k_star = material.k_nu, material.k_star
     breaks = [x for x in (0.3 * p, p, 3.0 * p, k_nu, k_star, 3.0 * k_star) if x > 0]
-    value, _ = integrate_semi_infinite_decaying(integrand, 0.0, max(p, k_star), cfg,
-                                                tail="power", breakpoints=breaks)
+    [(value, _)] = integrate_power_tails(integrand, 0.0, [max(p, k_star)], [breaks], cfg)
     if transverse:
         j_p = (4.0 * p**3 / math.pi) * value
         return omega**2 / (4.0 * p**2 * C_LIGHT**2) * (j_p - 1.0)
@@ -225,11 +220,29 @@ def test_nonlocal_batch_matches_scalar_bitwise(copper, omega0, cfg):
         r_p = nonlocal_reflection_quasistatic(copper, ps, omega0, "p", cfg, override)
         r_s = nonlocal_reflection_quasistatic(copper, ps, omega0, "s", cfg, override)
         for i, p in enumerate(ps.tolist()):
-            assert r_p[i] == nonlocal_rp_quasistatic(copper, p, omega0, cfg, override)
-            assert r_s[i] == nonlocal_rs_quasistatic(copper, p, omega0, cfg, override)
+            assert [r_p[i]] == nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg,
+                                                               override)
+            assert [r_s[i]] == nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg,
+                                                               override)
             if override is None and i % 4 == 0:
                 assert r_p[i] == _reference_r(copper, p, omega0, cfg, False)
                 assert r_s[i] == _reference_r(copper, p, omega0, cfg, True)
+
+
+@pytest.mark.parametrize("polarization,pattern", [("p", "xx......"), ("s", "xxxx....")])
+def test_nonlocal_batch_failure_stays_in_its_slot(copper, omega0, polarization, pattern):
+    # at 4 subdivisions the kappa-integrals of the smallest p run out
+    cfg = QuadratureConfig(max_subdivisions=4)
+    ps = np.geomspace(1e5, 1e12, 8)
+    r = nonlocal_reflection_quasistatic(copper, ps, omega0, polarization, cfg)
+    assert "".join("x" if isinstance(o, QuadratureError) else "." for o in r) == pattern
+    for p, got in zip(ps.tolist(), r):
+        [alone] = nonlocal_reflection_quasistatic(copper, [p], omega0, polarization, cfg)
+        if isinstance(alone, QuadratureError):
+            assert (str(got), got.best_estimate, got.error_bound) \
+                == (str(alone), alone.best_estimate, alone.error_bound)
+        else:
+            assert type(got) is complex and got == alone
 
 
 def test_nonlocal_batch_domain(copper, omega0):
@@ -249,7 +262,7 @@ def test_surface_integrals_match_scipy_quad(copper, omega0, cfg):
     ps = np.array([1e6, 1e7, 1e8, 1e9, 1e10])
     for transverse, eps_fn in ((False, epsilon_l), (True, epsilon_t)):
         r = nonlocal_reflection_quasistatic(copper, ps, omega0, "ps"[transverse], cfg)
-        for p, r_p_or_s in zip(ps.tolist(), r.tolist()):
+        for p, r_p_or_s in zip(ps.tolist(), r):
             def f(kappa):
                 k2 = p * p + kappa * kappa
                 eps = complex(eps_fn(copper, math.sqrt(k2), omega0))

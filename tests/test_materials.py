@@ -11,20 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ewjn import (
-    COPPER,
+from ewjn import COPPER, DomainError, Material, load_material, parse_material_config
+from ewjn.materials import (
     C_LIGHT,
-    DomainError,
     E_CHARGE,
     HBAR,
-    Material,
     drude_epsilon,
     epsilon_l,
     epsilon_t,
     lindhard_f_l,
     lindhard_f_t,
-    load_material,
-    parse_material_config,
     skin_depth,
 )
 from ewjn.materials import M_ELECTRON
@@ -100,6 +96,25 @@ def test_lindhard_series_matches_asymptote():
     for x in (1e3, 1e3 * (0.6 + 0.8j)):
         target = -1.0 / (3.0 * x**2) - 1.0 / (5.0 * x**4)
         assert rel(lindhard_f_l(x), target) < 1e-8
+
+
+@pytest.mark.parametrize("modulus", [0.5, 2.0, 7.99, 8.01, 50.0, 1e4])
+def test_lindhard_matches_mpmath_on_both_sides_of_the_switch(modulus):
+    # 50-digit oracle of the log form on a half circle in the upper half
+    # plane; the log branch (|x| < 8) loses up to ~2e-13 to cancellation
+    # just below the switch, the series branch stays at rounding level
+    mp = pytest.importorskip("mpmath")
+    angles = [1e-3, 0.2, 0.8, 0.5 * math.pi, 2.2, math.pi - 1e-3]
+    xs = modulus * np.exp(1j * np.array(angles))
+    tol = 1e-14 if modulus >= 8.0 else 1e-12
+    with mp.workdps(50):
+        for x, f_l, f_t in zip(xs, lindhard_f_l(xs), lindhard_f_t(xs)):
+            X = mp.mpc(complex(x))
+            dlog = mp.log(X + 1) - mp.log(X - 1)
+            ref_l = complex(1 - X / 2 * dlog)
+            ref_t = complex(mp.mpf(3) / 2 * X**2 - mp.mpf(3) / 4 * X * (X**2 - 1) * dlog)
+            assert abs(f_l - ref_l) <= tol * abs(ref_l)
+            assert abs(f_t - ref_t) <= tol * abs(ref_t)
 
 
 def test_lindhard_far_asymptote():

@@ -7,15 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ewjn import (
-    DomainError,
-    QuadratureConfig,
-    QuadratureError,
+from ewjn import DomainError, QuadratureConfig, QuadratureError
+from ewjn.quadrature import (
     QuadResult,
-    integrate_finite,
-    integrate_semi_infinite_decaying,
+    integrate_exp_tails,
+    integrate_lockstep,
+    integrate_power_tails,
 )
-from ewjn.quadrature import integrate_batch, integrate_exp_tails, integrate_lockstep
+
+
+def _one(f):
+    """The batched integrand of a batch of one with scalar integrand f."""
+    return lambda x, owner: f(x)
+
+
+def _finite(f, a, b, cfg=None, breakpoints=()):
+    """The outcome of one integral of f over [a, b], a lockstep batch of one."""
+    return integrate_lockstep(_one(f), [a], [b], cfg, [breakpoints])[0]
 
 
 # ------------------------------------------------------------------- config
@@ -56,7 +64,7 @@ FINITE_CASES = [
 
 @pytest.mark.parametrize("f,a,b,exact", FINITE_CASES)
 def test_finite_error_bounds_true_error(f, a, b, exact):
-    res = integrate_finite(f, a, b, QuadratureConfig())
+    res = _finite(f, a, b, QuadratureConfig())
     assert isinstance(res, QuadResult)
     # the estimate must bound the actual miss (tiny rounding floor aside)
     assert abs(res.value - exact) <= res.error + 1e-15 * (1.0 + abs(exact))
@@ -66,12 +74,11 @@ def test_finite_error_bounds_true_error(f, a, b, exact):
 
 def test_semi_infinite_error_bounds():
     cases = [
-        ("exp", lambda t: np.exp(-3.0 * t) * np.cos(t), 1.0 / 3.0, 0.3),
-        ("power", lambda t: 1.0 / (1.0 + t * t), 1.0, math.pi / 2.0),
+        (integrate_exp_tails, lambda t: np.exp(-3.0 * t) * np.cos(t), 1.0 / 3.0, 0.3),
+        (integrate_power_tails, lambda t: 1.0 / (1.0 + t * t), 1.0, math.pi / 2.0),
     ]
-    for tail, f, scale, exact in cases:
-        res = integrate_semi_infinite_decaying(f, 0.0, scale, QuadratureConfig(),
-                                               tail=tail)
+    for tails, f, scale, exact in cases:
+        [res] = tails(_one(f), 0.0, [scale], [()], QuadratureConfig())
         assert abs(res.value - exact) <= res.error + 1e-15
         assert abs(res.value - exact) <= 1e-8 * abs(exact)
 
@@ -79,8 +86,8 @@ def test_semi_infinite_error_bounds():
 def test_halving_rel_tol_stays_within_reported_error():
     f = lambda x: 1.0 / (1.0 + 25.0 * x * x)
     for tol in (1e-4, 1e-6, 1e-8):
-        first = integrate_finite(f, 0.0, 2.0, QuadratureConfig(rel_tol=tol))
-        second = integrate_finite(f, 0.0, 2.0, QuadratureConfig(rel_tol=tol / 2))
+        first = _finite(f, 0.0, 2.0, QuadratureConfig(rel_tol=tol))
+        second = _finite(f, 0.0, 2.0, QuadratureConfig(rel_tol=tol / 2))
         assert abs(second.value - first.value) <= first.error + 1e-16
 
 
@@ -91,9 +98,9 @@ def test_linearity():
     f = lambda x: np.exp(-x) * np.sin(3.0 * x)
     g = lambda x: 1.0 / (1.0 + x * x)
     cfg = QuadratureConfig()
-    combo = integrate_finite(lambda x: alpha * f(x) + beta * g(x), 0.0, 3.0, cfg)
-    f_res = integrate_finite(f, 0.0, 3.0, cfg)
-    g_res = integrate_finite(g, 0.0, 3.0, cfg)
+    combo = _finite(lambda x: alpha * f(x) + beta * g(x), 0.0, 3.0, cfg)
+    f_res = _finite(f, 0.0, 3.0, cfg)
+    g_res = _finite(g, 0.0, 3.0, cfg)
     budget = combo.error + abs(alpha) * f_res.error + abs(beta) * g_res.error
     assert abs(combo.value - (alpha * f_res.value + beta * g_res.value)) \
         <= budget + 1e-14
@@ -101,22 +108,21 @@ def test_linearity():
 
 def test_determinism_bitwise():
     f = lambda x: np.sin(7.0 * x) / (1.0 + x)
-    a = integrate_finite(f, 0.0, 5.0, QuadratureConfig())
-    b = integrate_finite(f, 0.0, 5.0, QuadratureConfig())
+    a = _finite(f, 0.0, 5.0, QuadratureConfig())
+    b = _finite(f, 0.0, 5.0, QuadratureConfig())
     assert a.value == b.value
     assert a.error == b.error
 
 
 # -------------------------------------------------------------- subdivision
 
-def test_budget_exhaustion_raises_with_best_estimate():
+def test_budget_exhaustion_returns_error_with_best_estimate():
     # integrable singularity inside the panel: 8 bisections cannot reach
     # 1e-8, so the budget trips and the partial answer rides along
     f = lambda x: np.abs(x - 0.3) ** -0.5
     cfg = QuadratureConfig(max_subdivisions=8)
-    with pytest.raises(QuadratureError) as excinfo:
-        integrate_finite(f, 0.0, 1.0, cfg)
-    err = excinfo.value
+    err = _finite(f, 0.0, 1.0, cfg)
+    assert isinstance(err, QuadratureError)
     assert np.isfinite(err.best_estimate.real)
     assert 0.0 < err.best_estimate.real < 10.0
     assert err.error_bound > 0.0
@@ -126,8 +132,8 @@ def test_breakpoints_are_only_an_accelerator():
     # kink at 1/3; exact integral of |x - 1/3| over [0, 1] is 5/18
     f = lambda x: np.abs(x - 1.0 / 3.0)
     cfg = QuadratureConfig()
-    plain = integrate_finite(f, 0.0, 1.0, cfg)
-    seeded = integrate_finite(f, 0.0, 1.0, cfg, breakpoints=[1.0 / 3.0])
+    plain = _finite(f, 0.0, 1.0, cfg)
+    seeded = _finite(f, 0.0, 1.0, cfg, breakpoints=[1.0 / 3.0])
     exact = 5.0 / 18.0
     assert abs(plain.value - exact) <= 1e-10 * exact
     assert abs(seeded.value - exact) <= 1e-12 * exact
@@ -138,37 +144,36 @@ def test_power_tail_breakpoints_mapped():
     # far-out lorentzian bump; its center must survive the u-substitution
     f = lambda t: 1.0 / (1.0 + (t - 5.0) ** 2)
     exact = math.pi / 2.0 + math.atan(5.0)
-    res = integrate_semi_infinite_decaying(f, 0.0, 1.0, QuadratureConfig(),
-                                           tail="power", breakpoints=[5.0])
+    [res] = integrate_power_tails(_one(f), 0.0, [1.0], [[5.0]], QuadratureConfig())
     assert abs(res.value - exact) <= 1e-8 * exact
 
 
 def test_exp_tail_window_scaling():
     cfg = QuadratureConfig()
     # decay scale guessed far too small: more windows, same answer
-    small = integrate_semi_infinite_decaying(lambda t: np.exp(-t), 0.0, 0.1, cfg)
+    [small] = integrate_exp_tails(_one(lambda t: np.exp(-t)), 0.0, [0.1], [()], cfg)
     assert abs(small.value - 1.0) <= 1e-10
     # guessed far too large: one giant window still integrates cleanly
-    big = integrate_semi_infinite_decaying(lambda t: np.exp(-t), 0.0, 100.0, cfg)
+    [big] = integrate_exp_tails(_one(lambda t: np.exp(-t)), 0.0, [100.0], [()], cfg)
     assert abs(big.value - 1.0) <= 1e-8
 
 
 def test_domain_validation():
     cfg = QuadratureConfig()
     with pytest.raises(DomainError):
-        integrate_finite(np.sin, 1.0, 1.0, cfg)
+        _finite(np.sin, 1.0, 1.0, cfg)
     with pytest.raises(DomainError):
-        integrate_finite(np.sin, 2.0, 1.0, cfg)
+        _finite(np.sin, 2.0, 1.0, cfg)
     with pytest.raises(DomainError):
-        integrate_semi_infinite_decaying(np.exp, 0.0, -1.0, cfg)
+        integrate_exp_tails(_one(np.exp), 0.0, [-1.0], [()], cfg)
     with pytest.raises(DomainError):
-        integrate_semi_infinite_decaying(np.exp, 0.0, 1.0, cfg, tail="spline")
+        integrate_power_tails(_one(np.exp), 0.0, [-1.0], [()], cfg)
 
 
 @settings(max_examples=40, deadline=None)
 @given(b=st.floats(0.1, 50.0), n=st.integers(0, 6))
 def test_monomials_exact(b, n):
-    res = integrate_finite(lambda x: x**n, 0.0, b, QuadratureConfig())
+    res = _finite(lambda x: x**n, 0.0, b, QuadratureConfig())
     exact = b ** (n + 1) / (n + 1)
     assert abs(res.value - exact) <= max(1e-12 * exact, res.error)
 
@@ -269,11 +274,11 @@ def test_batch_matches_separate_integrals_bitwise():
     cfg = QuadratureConfig(rel_tol=1e-10)
     fs, a, b, breaks = zip(*BATCH_CASES)
     batch_calls = []
-    results = integrate_batch(_batched(fs, batch_calls), a, b, cfg, breaks)
+    results = integrate_lockstep(_batched(fs, batch_calls), a, b, cfg, breaks)
     single_calls = []
     for (f, lo, hi, bp), res in zip(BATCH_CASES, results):
         calls = []
-        single = integrate_finite(_counted(f, calls), lo, hi, cfg, breakpoints=bp)
+        single = _finite(_counted(f, calls), lo, hi, cfg, breakpoints=bp)
         single_calls.append(len(calls))
         assert res.value == single.value
         assert res.error == single.error
@@ -284,40 +289,36 @@ def test_batch_matches_separate_integrals_bitwise():
     assert len(batch_calls) == max(single_calls)
 
 
-def test_batch_raises_error_of_lowest_failing_integral():
+def _first_error(outcomes):
+    """The error a caller raising the first failure of a batch raises."""
+    return next(o for o in outcomes if isinstance(o, QuadratureError))
+
+
+def test_first_error_of_a_batch_is_the_lowest_failing_integrals_own():
     cfg = QuadratureConfig(max_subdivisions=8)
     fs = [
         lambda x: x * x,
         lambda x: np.abs(x - 0.3) ** -0.5,
         lambda x: 1.0 / (1e-8 + (x - 0.7) ** 2),
     ]
-    with pytest.raises(QuadratureError) as single:
-        integrate_finite(fs[1], 0.0, 1.0, cfg)
-    with pytest.raises(QuadratureError) as batch:
-        integrate_batch(_batched(fs, []), [0.0] * 3, [1.0] * 3, cfg)
-    assert str(batch.value) == str(single.value)
-    assert batch.value.best_estimate == single.value.best_estimate
-    assert batch.value.error_bound == single.value.error_bound
-    # a failing member behind converging ones raises its own error
+    single = _finite(fs[1], 0.0, 1.0, cfg)
+    assert isinstance(single, QuadratureError)
+    batch = _first_error(integrate_lockstep(_batched(fs, []), [0.0] * 3, [1.0] * 3, cfg))
+    assert str(batch) == str(single)
+    assert batch.best_estimate == single.best_estimate
+    assert batch.error_bound == single.error_bound
+    # a failing member behind converging ones gives its own error
     ok = [fs[0], fs[0], fs[2]]
-    with pytest.raises(QuadratureError) as last:
-        integrate_batch(_batched(ok, []), [0.0] * 3, [1.0] * 3, cfg)
-    with pytest.raises(QuadratureError) as alone:
-        integrate_finite(fs[2], 0.0, 1.0, cfg)
-    assert last.value.best_estimate == alone.value.best_estimate
+    last = _first_error(integrate_lockstep(_batched(ok, []), [0.0] * 3, [1.0] * 3, cfg))
+    alone = _finite(fs[2], 0.0, 1.0, cfg)
+    assert isinstance(alone, QuadratureError)
+    assert last.best_estimate == alone.best_estimate
 
 
 def test_batch_domain_validation():
     with pytest.raises(DomainError):
-        integrate_batch(_batched([np.sin, np.sin], []), [0.0, 1.0], [1.0, 1.0])
-    assert integrate_batch(_batched([], []), [], []) == []
-
-
-def _outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except QuadratureError as exc:
-        return exc
+        integrate_lockstep(_batched([np.sin, np.sin], []), [0.0, 1.0], [1.0, 1.0])
+    assert integrate_lockstep(_batched([], []), [], []) == []
 
 
 def _same_outcome(got, want):
@@ -340,7 +341,7 @@ def test_lockstep_outcomes_match_separate_runs_past_failures():
         lambda x: np.exp(1j * 3.0 * x),
     ]
     outcomes = integrate_lockstep(_batched(fs, []), [0.0] * 5, [1.0] * 5, cfg)
-    singles = [_outcome(integrate_finite, f, 0.0, 1.0, cfg) for f in fs]
+    singles = [_finite(f, 0.0, 1.0, cfg) for f in fs]
     assert [isinstance(s, QuadratureError) for s in singles] == [
         False, True, False, True, False]
     for got, want in zip(outcomes, singles):
@@ -363,7 +364,10 @@ def _serial_exp_tail(f, a, scale, cfg, breakpoints):
     total, total_err, lo = 0.0 + 0.0j, 0.0, float(a)
     for n in range(100):
         hi = lo + 10.0 * scale
-        val, err = integrate_finite(f, lo, hi, cfg, breakpoints if n == 0 else ())
+        res = _finite(f, lo, hi, cfg, breakpoints if n == 0 else ())
+        if isinstance(res, QuadratureError):
+            return res
+        val, err = res
         total += val
         total_err += err
         if n >= 1 and abs(val) <= max(cfg.tail_cut * abs(total), cfg.abs_tol):
@@ -385,8 +389,7 @@ def test_exp_tails_batch_matches_semi_infinite_bitwise():
             seen.append(x)
             return f(x)
 
-        want = _outcome(integrate_semi_infinite_decaying, recorded, 0.5, scale,
-                        cfg, tail="exp", breakpoints=bp)
+        [want] = integrate_exp_tails(_one(recorded), 0.5, [scale], [bp], cfg)
         _same_outcome(got, want)
         _same_outcome(got, _serial_exp_tail(f, 0.5, scale, cfg, bp))
         # GK nodes are interior, so the farthest one names the last window

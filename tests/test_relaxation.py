@@ -4,18 +4,9 @@ import math
 
 import pytest
 
-from ewjn import (
-    BOHR_MAGNETON,
-    BOHR_RADIUS,
-    DomainError,
-    E_CHARGE,
-    HBAR,
-    K_BOLTZMANN,
-    Model,
-    QubitSpec,
-    t1,
-    thermal_factor,
-)
+from ewjn import DomainError, Material, Model, QubitSpec, t1
+from ewjn.materials import BOHR_MAGNETON, BOHR_RADIUS, E_CHARGE, HBAR, K_BOLTZMANN, skin_depth
+from ewjn.relaxation import thermal_factor
 
 
 def rel(a, b):
@@ -177,6 +168,20 @@ def test_t1_infinite_for_transparent_medium(vacuumish, omega0, lam_f):
              "local-quasistatic")
     assert res.rate == 0.0
     assert math.isinf(res.t1)
+
+
+def test_t1_negative_reflected_chi_is_domain_error():
+    # far field of a dilute metal, where the reflected chi_xx alone is
+    # negative (about -3.7e-14 (V/m)^2 s); without the free-space term
+    # no rate follows, and t1 = inf would pass for a transparent medium
+    metal = Material(name="farfield", plasma_frequency=4.628e15, collision_rate=8.427e13,
+                     fermi_energy=3.44 * E_CHARGE)
+    omega = 6.232e11
+    z = 18.7 * skin_depth(metal, omega)
+    with pytest.raises(DomainError, match="chi_xx.*free-space term is not included"):
+        t1(metal, charge_qubit(omega), z)
+    # chi_zz is positive there and gives a finite T1
+    assert 0.0 < t1(metal, charge_qubit(omega, "z"), z).t1 < math.inf
 
 
 def test_t1_domain(copper, omega0, lam_f):

@@ -18,21 +18,21 @@ from ewjn import (
     Model,
     QuadratureConfig,
     QuadratureError,
+    evaluate,
+    evaluate_batch,
+    regime_select,
+)
+from ewjn.fresnel import nonlocal_reflection_quasistatic
+from ewjn.materials import C_LIGHT, EPS0, HBAR, drude_epsilon, skin_depth
+from ewjn.quadrature import integrate_exp_tails
+from ewjn.spectral import (
     chi_B_local_retarded,
     chi_B_quasistatic_local,
     chi_B_quasistatic_nonlocal,
     chi_E_local_retarded,
     chi_E_quasistatic_local,
     chi_E_quasistatic_nonlocal,
-    drude_epsilon,
-    evaluate,
-    regime_select,
-    skin_depth,
 )
-from ewjn.fresnel import nonlocal_reflection_quasistatic
-from ewjn.materials import C_LIGHT, EPS0, HBAR
-from ewjn.quadrature import integrate_semi_infinite_decaying
-from ewjn.spectral import evaluate_batch
 
 
 def rel(a, b):
@@ -150,12 +150,19 @@ def _chi_B_two_passes(material, z, omega, cfg):
     inner = cfg.inner()
 
     def channel(polarization, weight):
-        def f(p):
-            r = nonlocal_reflection_quasistatic(material, p, omega, polarization, inner)
-            return weight(p) * np.exp(-2.0 * p * z) * np.imag(r)
-        return integrate_semi_infinite_decaying(
-            f, 0.0, 0.5 / z, cfg, tail="exp",
-            breakpoints=[material.k_nu, material.k_star, 0.25 / z, 1.0 / z])
+        def f(p, owner):
+            r = nonlocal_reflection_quasistatic(material, p.ravel(), omega, polarization,
+                                                inner)
+            # the first failing p raises, as in a pass of this channel alone
+            for outcome in r:
+                if isinstance(outcome, QuadratureError):
+                    raise outcome
+            return weight(p) * np.exp(-2.0 * p * z) * np.imag(np.reshape(r, p.shape))
+        [res] = integrate_exp_tails(
+            f, 0.0, [0.5 / z], [[material.k_nu, material.k_star, 0.25 / z, 1.0 / z]], cfg)
+        if isinstance(res, QuadratureError):
+            raise res
+        return res
 
     val_s, err_s = channel("s", lambda p: p * p)
     val_p, err_p = channel("p", lambda p: 1.0)
@@ -474,21 +481,34 @@ def test_retarded_matches_p_space_oracle(material, omega, field_kind, z_over_del
     # budgets tight enough that outer and inner integrals run out
     ("nonlocal-quasistatic", "E", 1e-6, 10, "....oiiii"),
     ("nonlocal-quasistatic", "B", 1e-6, 12, "..ooooiii"),
+    # inner r_p integrals fail at one point, inner r_s ones at the next
+    ("nonlocal-quasistatic", "B", 1e-6, 11, "..ooooiss"),
 ])
 def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind, rel_tol,
                                         max_subdivisions, pattern, monkeypatch):
     import ewjn.spectral as spectral
 
-    parts = {}
+    parts, inner_s = {}, []
     monkeypatch.setattr(spectral, "integrate_exp_tails",
                         _recording(parts, "outer", spectral.integrate_exp_tails))
+    kernel = spectral.nonlocal_reflection_quasistatic
+
+    def recorded_kernel(material, p, omega, polarization, cfg):
+        r = kernel(material, p, omega, polarization, cfg)
+        if polarization == "s":
+            inner_s.extend(o for o in r if isinstance(o, QuadratureError))
+        return r
+
+    monkeypatch.setattr(spectral, "nonlocal_reflection_quasistatic", recorded_kernel)
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     zs = [float(z) for z in np.geomspace(lam_f, 3000.0 * lam_f, 9)]
     batch = evaluate_batch(copper, field_kind, zs, omega0, model, cfg)
-    # "." a tensor, "o" an outer integral's error, "i" an inner one's
+    # "." a tensor, "o" an outer integral's error, "i" an inner r_p
+    # integral's, "s" an inner r_s integral's
     outer = parts.get("outer", [])
     assert "".join("." if not isinstance(o, QuadratureError) else
-                   "o" if any(o is r for r in outer) else "i" for o in batch) == pattern
+                   "o" if any(o is r for r in outer) else
+                   "s" if any(o is r for r in inner_s) else "i" for o in batch) == pattern
     for z, outcome in zip(zs, batch):
         _assert_same_outcome(outcome, copper, field_kind, z, omega0, model, cfg)
 
