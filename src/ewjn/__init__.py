@@ -6,7 +6,7 @@ imply. See the README for the CLI and the physics conventions.
 
 The package namespace is the public API: the inputs a caller builds
 (a Material, a QuadratureConfig, a Model, a QubitSpec), the evaluation
-path (evaluate_batch over an array of heights, evaluate at one), the
+path (evaluate_batch over (z, omega) points, evaluate at one), the
 relaxation time, the bulk and surface-limit Green function, and the two
 error types. Constants, dielectric functions, reflection kernels and
 the quadrature engine are reached through their modules.

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_l, epsilon_t
 from .quadrature import QuadratureConfig, integrate_lockstep
-from .spectral import chi_E_quasistatic_nonlocal
+from .spectral import Model, evaluate
 
 _LADDER = (3.0, 10.0, 30.0, 100.0)
 _LADDER_REL = 0.01
@@ -126,6 +126,8 @@ def bulk_imD_coincident(
     """
     if not (omega > 0):
         raise DomainError("omega must be > 0")
+    if omega == math.inf:
+        raise DomainError("omega must be finite")
     cfg = cfg or QuadratureConfig()
     k_f = material.fermi_wavevector
 
@@ -188,6 +190,6 @@ def surface_limit_imD(
     converts with Im D_ij = (eps0 c^2/omega^2) chi^E_ij.
     """
     z = _SURFACE_Z_FRACTION * material.fermi_wavelength
-    tensor = chi_E_quasistatic_nonlocal(material, z, omega, cfg)
+    tensor = evaluate(material, "E", z, omega, Model.NONLOCAL_QUASISTATIC, cfg)
     conv = EPS0 * C_LIGHT**2 / omega**2
     return SurfaceLimit(im_D_xx=conv * tensor.chi_xx, im_D_zz=conv * tensor.chi_zz)

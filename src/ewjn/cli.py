@@ -6,9 +6,9 @@ every column header and one column group per requested model. Exit
 codes: 0 success, 1 validation, 2 physics-domain error, 3 quadrature
 non-convergence.
 
-A sweep evaluates chi with one spectral.evaluate_batch call per
-(omega, model): a z-sweep is one call per model, which runs that
-model's points as one batch; rows are assembled in grid order.
+A sweep evaluates chi with one spectral.evaluate_batch call per model
+over the (z, omega) points of its grid, on every axis; the spectral
+layer groups the points, and rows are assembled in grid order.
 """
 
 from __future__ import annotations
@@ -221,6 +221,8 @@ def _sweep_grid(args) -> np.ndarray:
         raise ValueError("sweep count must be >= 2")
     if not (args.min < args.max):
         raise ValueError("sweep requires min < max")
+    if not (math.isfinite(args.min) and math.isfinite(args.max)):
+        raise DomainError("sweep bounds must be finite")
     if args.axis in ("z", "omega") and args.min <= 0:
         raise ValueError(f"{args.axis} grid must be positive")
     if args.axis == "temperature" and args.min < 0:
@@ -283,34 +285,31 @@ def _sweep_rows(material, cfg, axis, grid, fixed, models, temps=None):
 
     cells run over models and, per model, over temps (default: the
     point's own temperature); chi is evaluated once per (point, model),
-    in one evaluate_batch call per (omega, model).
-    fixed is (z, omega, temperature, qubit name, orientation, moment).
+    in one evaluate_batch call per model. A qubit that fails its checks
+    makes every cell a domain error. fixed is (z, omega, temperature,
+    qubit name, orientation, moment).
     """
     z, omega, temp, qubit_name, orientation, moment = fixed
     if axis != "z" and z is None:
         raise DomainError("--z is required when it is not the sweep axis")
-    # (z, omega, temperature) of each point: the axis merged with the fixed flags
-    points = [(v if axis == "z" else z, v if axis == "omega" else omega,
-               v if axis == "temperature" else temp) for v in map(float, grid)]
-    by_omega = {}
-    for i, point in enumerate(points):
-        by_omega.setdefault(point[1], []).append(i)
-    cells = [[] for _ in points]
-    tensors = [None] * len(points)
-    for model in models:
-        for w, idx in by_omega.items():
-            try:
-                field_kind = QubitSpec(kind=_QUBIT_KINDS[qubit_name], moment=moment,
-                                       orientation=orientation,
-                                       level_splitting=w).field_kind
-                outcomes = evaluate_batch(material, field_kind,
-                                          [points[i][0] for i in idx], w, model, cfg)
-            except DomainError as exc:
-                outcomes = [exc] * len(idx)
-            for i, outcome in zip(idx, outcomes):
-                cells[i] += _group_cell(outcome, w, model, orientation, moment,
-                                        temps or [points[i][2]])
-                tensors[i] = None if isinstance(outcome, Exception) else outcome
+    # z, omega and temperature of each point: the axis merged with the fixed flags
+    zs, omegas, point_temps = zip(*[(v if axis == "z" else z, v if axis == "omega" else omega,
+                                     v if axis == "temperature" else temp)
+                                    for v in map(float, grid)])
+    try:
+        field_kind = QubitSpec(_QUBIT_KINDS[qubit_name], moment, orientation,
+                               omegas[0]).field_kind
+        batches = [evaluate_batch(material, field_kind, zs, omegas, model, cfg)
+                   for model in models]
+    except DomainError as exc:
+        batches = [[exc] * len(zs)] * len(models)
+    cells = [[] for _ in zs]
+    tensors = [None] * len(zs)
+    for model, outcomes in zip(models, batches):
+        for i, outcome in enumerate(outcomes):
+            cells[i] += _group_cell(outcome, omegas[i], model, orientation, moment,
+                                    temps or [point_temps[i]])
+            tensors[i] = None if isinstance(outcome, Exception) else outcome
     return list(zip(cells, tensors))
 
 

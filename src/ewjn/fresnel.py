@@ -23,7 +23,8 @@ q_m = sqrt((eps - 1) omega^2/c^2 + q^2) is taken with Im >= 0 so fields
 decay into the absorbing half-space. The local kernel,
 local_reflection_q, takes q itself: rebuilding q = sqrt(omega^2/c^2 -
 p^2) from p cancels digits near the light line, where the grazing
-structure of r_p sits. local_reflection(p, ...) is q(p) fed to it.
+structure of r_p sits. It takes k2_metal = (eps - 1) omega^2/c^2 in
+place of omega; local_reflection(p, omega, eps) is q(p) fed to it.
 """
 
 from __future__ import annotations
@@ -57,30 +58,33 @@ def vacuum_normal_wavevector(p, omega):
     return np.where(q.imag < 0, -q, q)[()]
 
 
-def local_reflection_q(q, omega, eps) -> ReflectionPair:
+def local_reflection_q(q, k2_metal, eps) -> ReflectionPair:
     """Classical Fresnel r_s, r_p at vacuum normal wavevector q.
 
     q follows the branch policy (real >= 0 or +i|q|), and the metal root
-    q_m = sqrt((eps - 1) omega^2/c^2 + q^2) is built from q alone, so a
-    small |q| near the light line keeps its relative accuracy.
-    Vectorized over q; the returned pair then carries arrays.
+    q_m = sqrt(k2_metal + q^2), k2_metal = (eps - 1) omega^2/c^2, is
+    built from q alone, so a small |q| near the light line keeps its
+    relative accuracy. Vectorized over q, with eps and k2_metal scalars
+    or arrays that broadcast against it; the pair then carries arrays.
     """
     q = np.asarray(q, dtype=complex)
-    qm = np.sqrt((eps - 1.0) * (omega / C_LIGHT) ** 2 + q * q)
+    qm = np.sqrt(k2_metal + q * q)
     qm = np.where(qm.imag < 0, -qm, qm)
-    return ReflectionPair(r_s=(q - qm) / (q + qm), r_p=(eps * q - qm) / (eps * q + qm))
+    eq = eps * q
+    return ReflectionPair(r_s=(q - qm) / (q + qm), r_p=(eq - qm) / (eq + qm))
 
 
 def local_reflection(p, omega, eps) -> ReflectionPair:
     """Classical Fresnel r_s, r_p for a half-space of permittivity eps,
     at in-plane wavevector p: local_reflection_q at q(p)."""
-    return local_reflection_q(vacuum_normal_wavevector(p, omega), omega, eps)
+    return local_reflection_q(vacuum_normal_wavevector(p, omega),
+                              (eps - 1.0) * (omega / C_LIGHT) ** 2, eps)
 
 
 def nonlocal_reflection_quasistatic(
     material: Material,
     p,
-    omega: float,
+    omega,
     polarization: str,
     cfg: QuadratureConfig | None = None,
     eps_fn: Callable | None = None,
@@ -97,16 +101,18 @@ def nonlocal_reflection_quasistatic(
     the local quasistatic expansion (eps - 1) omega^2/(4 p^2 c^2); with
     constant eps_l, I_p = 1/eps.
 
-    eps_fn(k, omega) overrides epsilon_l ("p") or epsilon_t ("s"), as in
-    the constant-epsilon limit checks; it must broadcast over an array k.
-    Each kappa-integral has its own tail scale max(p, k_star). Outcome i
-    is r at p[i] as a Python complex, or the QuadratureError of that
+    omega is one value or one per p. eps_fn(k, omega) overrides
+    epsilon_l ("p") or epsilon_t ("s"), as in the constant-epsilon limit
+    checks; it must broadcast over arrays k and omega. Each
+    kappa-integral has its own tail scale max(p, k_star). Outcome i is r
+    at p[i] as a Python complex, or the QuadratureError of that
     kappa-integral; a p gets the same outcome in any batch.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if not np.all(p > 0):
         raise DomainError("p must be > 0")
-    if not (omega > 0):
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), p.shape)
+    if not np.all(omega > 0):
         raise DomainError("omega must be > 0")
     if polarization not in ("p", "s"):
         raise DomainError("polarization must be 'p' or 's'")
@@ -114,11 +120,11 @@ def nonlocal_reflection_quasistatic(
     if eps_fn is None:
         eps_of = epsilon_t if transverse else epsilon_l
         eps_fn = lambda k, w: eps_of(material, k, w)
-    p2_rows = (p * p)[:, None]
+    p2_rows, w_rows = (p * p)[:, None], omega[:, None]
 
     def integrand(kappa, owner):
         k2 = p2_rows[owner] + kappa * kappa
-        eps = eps_fn(np.sqrt(k2), omega)
+        eps = eps_fn(np.sqrt(k2), w_rows[owner])
         return eps / (k2 * k2) if transverse else 1.0 / (k2 * eps)
 
     k_nu, k_star = material.k_nu, material.k_star
@@ -129,12 +135,12 @@ def nonlocal_reflection_quasistatic(
                                      breaks, cfg or QuadratureConfig())
     # combined on Python scalars: numpy complex division rounds differently
     r = []
-    for q, res in zip(p_list, outcomes):
+    for q, w, res in zip(p_list, omega.tolist(), outcomes):
         if isinstance(res, QuadratureError):
             r.append(res)
         elif transverse:
             j_p = (4.0 * q**3 / math.pi) * res.value
-            r.append(omega**2 / (4.0 * q**2 * C_LIGHT**2) * (j_p - 1.0))
+            r.append(w**2 / (4.0 * q**2 * C_LIGHT**2) * (j_p - 1.0))
         else:
             i_p = (2.0 * q / math.pi) * res.value
             r.append((1.0 - i_p) / (1.0 + i_p))

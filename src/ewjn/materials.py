@@ -55,12 +55,12 @@ class Material:
     fermi_energy: float  # J
 
     def __post_init__(self):
-        if not (self.plasma_frequency > 0):
-            raise DomainError("plasma_frequency must be > 0")
-        if not (self.collision_rate > 0):
-            raise DomainError("collision_rate must be > 0")
-        if not (self.fermi_energy > 0):
-            raise DomainError("fermi_energy must be > 0")
+        for name in ("plasma_frequency", "collision_rate", "fermi_energy"):
+            value = getattr(self, name)
+            if not (value > 0):
+                raise DomainError(f"{name} must be > 0")
+            if value == math.inf:
+                raise DomainError(f"{name} must be finite")
 
     @property
     def fermi_velocity(self) -> float:
@@ -169,7 +169,8 @@ def epsilon_l(material: Material, k, omega):
                     / (omega + i nu f_l(x)),   x = (omega + i nu)/(k v_F)
 
     The denominator structure keeps the k -> 0 limit equal to the Drude
-    form at every omega. Accepts scalar or array k at scalar omega.
+    form at every omega. k and omega are scalars or arrays that
+    broadcast together.
     """
     _check_k_omega(k, omega)
     k = np.asarray(k, dtype=float)

@@ -38,10 +38,12 @@ class QubitSpec:
             raise DomainError(f"kind must be one of {_KINDS}")
         if self.orientation not in _ORIENTATIONS:
             raise DomainError(f"orientation must be one of {_ORIENTATIONS}")
-        if not (self.moment > 0):
-            raise DomainError("moment must be > 0")
-        if not (self.level_splitting > 0):
-            raise DomainError("level_splitting must be > 0")
+        for name in ("moment", "level_splitting"):
+            value = getattr(self, name)
+            if not (value > 0):
+                raise DomainError(f"{name} must be > 0")
+            if value == math.inf:
+                raise DomainError(f"{name} must be finite")
 
     @property
     def field_kind(self) -> str:
@@ -69,8 +71,10 @@ def thermal_factor(omega: float, temperature: float) -> float:
     """
     if not (omega > 0):
         raise DomainError("omega must be > 0")
-    if temperature < 0:
+    if not (temperature >= 0):
         raise DomainError("temperature must be >= 0")
+    if math.inf in (omega, temperature):
+        raise DomainError("omega and temperature must be finite")
     if temperature == 0:
         return 1.0
     return 1.0 / math.tanh(HBAR * omega / (2.0 * K_BOLTZMANN * temperature))

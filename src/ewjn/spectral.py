@@ -15,12 +15,13 @@ regime_select picks a model from the physical scales: nonlocal effects
 matter within tens of Fermi wavelengths of the surface, retardation
 within a fraction of the skin depth of the far field.
 
-Every model is one batch function of an array of z at one omega, and
-evaluate_batch, the one evaluation path, groups the points of a z-array
-by model and makes one call per model; evaluate and the chi_* functions
-are batches of one. A batch gives each point the bits and the error
-that the point gets alone. A local-retarded point is one integral over
-a log-mapped axis that joins the propagating and evanescent parts, with
+Every model is one batch function of an array of (z, omega) points, and
+evaluate_batch, the one evaluation path, groups the points by model and
+makes one call per model; evaluate is a batch of one. A batch gives
+each point the bits and the error that the point gets alone: the Drude
+constants of each distinct omega are computed once, on Python scalars,
+and indexed per point. A local-retarded point is one integral over a
+log-mapped axis that joins the propagating and evanescent parts, with
 the Fresnel coefficients taken from the vacuum normal wavevector q.
 """
 
@@ -89,6 +90,8 @@ def _check_z_omega(z, omega):
         raise DomainError("z must be finite")
     if not (omega > 0):
         raise DomainError("omega must be > 0")
+    if omega == math.inf:
+        raise DomainError("omega must be finite")
 
 
 def regime_select(material: Material, z: float, omega: float) -> RegimeChoice:
@@ -107,7 +110,7 @@ def regime_select(material: Material, z: float, omega: float) -> RegimeChoice:
 
 def _regime_limits(material: Material, omega: float) -> tuple:
     """z below which the nonlocal model is required, and z from which
-    the retarded one takes over, at omega."""
+    the retarded one takes over, at one omega."""
     return (_NONLOCAL_Z_LIMIT * material.fermi_wavelength,
             _RETARDED_Z_FRACTION * skin_depth(material, omega))
 
@@ -121,23 +124,24 @@ def _regime(z: float, limits: tuple) -> RegimeChoice:
     return RegimeChoice(Model.LOCAL_RETARDED, False)
 
 
-# A model's batch function maps (material, field_kind, zs, omega, cfg)
-# to one outcome per z: a QuadratureError, or the values
-# (chi_xx, chi_zz, error_estimate, decomposition) of the tensor there.
+# A model's batch function maps (material, field_kind, zs, omegas, cfg),
+# one omega per z, to one outcome per point: a QuadratureError, or the
+# values (chi_xx, chi_zz, error_estimate, decomposition) of the tensor.
 
-def _local_quasistatic(material, field_kind, zs, omega, cfg) -> list:
-    """The closed forms at every z of zs.
+def _local_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
+    """The closed forms at every point.
 
       E: chi_xx = hbar/(8 eps0 z^3) Im[(eps-1)/(eps+1)], chi_zz = 2 chi_xx
       B: chi_zz = hbar omega^2/(8 eps0 c^4 z) Im eps, chi_xx = chi_zz/2
 
     The magnetic form holds well below the skin depth; its 1/z growth
-    saturates near delta in the retarded treatment. Each z runs on
+    saturates near delta in the retarded treatment. Each point runs on
     Python floats, since numpy's power rounds differently from **.
     """
-    eps = drude_epsilon(material, omega)
+    eps_of = {w: drude_epsilon(material, w) for w in set(omegas)}
     out = []
-    for z in zs:
+    for z, omega in zip(zs, omegas):
+        eps = eps_of[omega]
         if field_kind == "E":
             chi_xx = HBAR / (8.0 * EPS0 * z**3) * ((eps - 1.0) / (eps + 1.0)).imag
             out.append((chi_xx, 2.0 * chi_xx, 0.0, {}))
@@ -147,8 +151,8 @@ def _local_quasistatic(material, field_kind, zs, omega, cfg) -> list:
     return out
 
 
-def _nonlocal_quasistatic(material, field_kind, zs, omega, cfg) -> list:
-    """The nonlocal quasistatic integrals at every z of zs, as one batch.
+def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
+    """The nonlocal quasistatic integrals at every point, as one batch.
 
     E: chi_zz = (hbar/eps0) Integral_0^inf dp p^2 e^{-2 p z} Im r_p(p),
        chi_xx = chi_zz / 2.
@@ -162,13 +166,13 @@ def _nonlocal_quasistatic(material, field_kind, zs, omega, cfg) -> list:
     Every (z, channel) pair is one outer integral of one exp-tail
     batch: E has the r_p channel, B the r_s channel, then the r_p one.
     The batched integrand calls the kernel once per refinement round and
-    polarization, with the nodes of every point not yet failed; for B
-    the r_s call runs first. A point's inner error is the first failing
-    p among its own rows, in row order: its rows are zero in that round,
-    it is left out of that round's r_p call, and its channels integrate
-    zeros from then on. A point whose inner integral failed gets that
-    QuadratureError; else it gets its r_s outer error, else its r_p one,
-    as a point-by-point run raises them.
+    polarization, with the nodes and the omega of every point not yet
+    failed; for B the r_s call runs first. A point's inner error is the
+    first failing p among its own rows, in row order: its rows are zero
+    in that round, it is left out of that round's r_p call, and its
+    channels integrate zeros from then on. A point whose inner integral
+    failed gets that QuadratureError; else it gets its r_s outer error,
+    else its r_p one, as a point-by-point run raises them.
     """
     cfg = cfg or QuadratureConfig()
     cfg_inner = cfg.inner()
@@ -176,6 +180,7 @@ def _nonlocal_quasistatic(material, field_kind, zs, omega, cfg) -> list:
     channels = ("p",) if field_kind == "E" else ("s", "p")
     n = len(channels)
     z_of = np.asarray(zs, dtype=float)
+    w_of = np.asarray(omegas, dtype=float)
     inner_error = [None] * len(zs)
     failed = np.zeros(len(zs), dtype=bool)
 
@@ -186,19 +191,20 @@ def _nonlocal_quasistatic(material, field_kind, zs, omega, cfg) -> list:
             rows = np.flatnonzero((channel == c) & ~failed[point])
             if not rows.size:
                 continue
-            nodes = p[rows]
-            r = nonlocal_reflection_quasistatic(material, nodes.ravel(), omega, polarization,
-                                                cfg_inner)
+            nodes, at = p[rows], point[rows]
+            r = nonlocal_reflection_quasistatic(material, nodes.ravel(),
+                                                np.repeat(w_of[at], nodes.shape[1]),
+                                                polarization, cfg_inner)
             for i, o in enumerate(r):
                 if isinstance(o, QuadratureError):
-                    k = point[rows[i // nodes.shape[1]]]
+                    k = at[i // nodes.shape[1]]
                     if not failed[k]:
                         failed[k], inner_error[k] = True, o
                     r[i] = 0.0
-            keep = ~failed[point[rows]]
+            keep = ~failed[at]
             rows, nodes = rows[keep], nodes[keep]
             im = np.imag(np.array(r, dtype=complex).reshape(keep.size, -1)[keep])
-            z = z_of[point[rows]][:, None]
+            z = z_of[at[keep]][:, None]
             out[rows] = (nodes * nodes if c == 0 else 1.0) * np.exp(-2.0 * nodes * z) * im
         return out
 
@@ -210,7 +216,7 @@ def _nonlocal_quasistatic(material, field_kind, zs, omega, cfg) -> list:
         [[material.k_nu, material.k_star, 0.25 / z, 1.0 / z] for z in zs for _ in channels],
         cfg)
     out = []
-    for k in range(len(zs)):
+    for k, omega in enumerate(omegas):
         outcomes = results[k * n:(k + 1) * n]
         errors = [o for o in (inner_error[k], *outcomes) if isinstance(o, QuadratureError)]
         if errors:
@@ -231,8 +237,8 @@ def _nonlocal_quasistatic(material, field_kind, zs, omega, cfg) -> list:
     return out
 
 
-def _local_retarded(material, field_kind, zs, omega, cfg) -> list:
-    """The local retarded integrals at every z of zs, as one batch.
+def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
+    """The local retarded integrals at every point, as one batch.
 
     chi = scale * (I_xx, I_zz), scale = hbar/eps0 (E) or hbar/(eps0 c^2) (B),
       I_xx = Re Integral dp (p/q) e^{2 i q z} (omega^2/c^2 r_a - q^2 r_b)/2
@@ -251,40 +257,50 @@ def _local_retarded(material, field_kind, zs, omega, cfg) -> list:
     exp(-x) (1 + x + x^2/2 + x^3/6), the share of a u^3 exp(-2 u z)
     integrand beyond U, is tail_cut: the zz integrand grows like u^2 in
     the quasistatic range and like u^3 below the knee for B, where
-    Im r_s ~ u. Each z is then one integral over [t(-omega/c), t(U)],
-    all z in one lockstep run, and its error_estimate adds the bound on
-    the discarded tail: the integrand at U times
+    Im r_s ~ u. Each point is then one integral over [t(-omega/c), t(U)],
+    all points in one lockstep run, and its error_estimate adds the bound
+    on the discarded tail: the integrand at U times
     Integral_U^inf u^3 e^{-2uz} du / (U^3 e^{-2Uz}).
     """
     cfg = cfg or QuadratureConfig()
-    eps = drude_epsilon(material, omega)
-    w_c = omega / C_LIGHT
-    g = w_c / math.sqrt(abs(eps))
+
+    def constants(omega):
+        eps = drude_epsilon(material, omega)
+        w_c = omega / C_LIGHT
+        g = w_c / math.sqrt(abs(eps))
+        return (eps, (eps - 1.0) * w_c**2, w_c**2, g, -math.log1p(w_c / g),
+                math.log1p(abs(eps)))
+
+    per_omega = {w: constants(w) for w in set(omegas)}
+    eps, k2_metal, w_c2, g, lo, knee = zip(*(per_omega[w] for w in omegas))
+    # one row per point
+    eps, k2_metal, w_c2, g = (np.array(c)[:, None] for c in (eps, k2_metal, w_c2, g))
     z_rows = np.asarray(zs, dtype=float)[:, None]
     x = -math.log(cfg.tail_cut)
     for _ in range(4):
         x = -math.log(cfg.tail_cut) + math.log1p(x + x * x / 2.0 + x**3 / 6.0)
 
-    def integrand(s, z):
+    def integrand(s, z, eps, k2_metal, w_c2):
         evanescent = s >= 0.0
         q = np.where(evanescent, 1j * s, -s)
-        pair = local_reflection_q(q, omega, eps)
+        pair = local_reflection_q(q, k2_metal, eps)
         r_a, r_b = (pair.r_p, pair.r_s) if field_kind == "B" else (pair.r_s, pair.r_p)
         w = np.where(evanescent, -1j, 1.0) * np.exp(2j * q * z)
         q2 = q * q
-        return (0.5 * np.real(w * (w_c**2 * r_a - q2 * r_b))
-                + 1j * np.real(w * (w_c**2 - q2) * r_b))
+        return (0.5 * np.real(w * (w_c2 * r_a - q2 * r_b))
+                + 1j * np.real(w * (w_c2 - q2) * r_b))
 
     def mapped(t, owner):
-        s = np.sign(t) * g * np.expm1(np.abs(t))
-        return integrand(s, z_rows[owner]) * (np.abs(s) + g)
+        g_rows = g[owner]
+        s = np.sign(t) * g_rows * np.expm1(np.abs(t))
+        return (integrand(s, z_rows[owner], eps[owner], k2_metal[owner], w_c2[owner])
+                * (np.abs(s) + g_rows))
 
-    n = len(zs)
     cuts = x / (2.0 * z_rows)
-    results = integrate_lockstep(mapped, [-math.log1p(w_c / g)] * n,
-                                 np.log1p(cuts[:, 0] / g), cfg,
-                                 [[0.0, math.log1p(abs(eps))]] * n)
-    tails = np.abs(integrand(cuts, z_rows)) * (1 + 3 / x + 6 / x**2 + 6 / x**3) / (2 * z_rows)
+    results = integrate_lockstep(mapped, list(lo), np.log1p(cuts[:, 0] / g[:, 0]), cfg,
+                                 [[0.0, k] for k in knee])
+    tails = (np.abs(integrand(cuts, z_rows, eps, k2_metal, w_c2))
+             * (1 + 3 / x + 6 / x**2 + 6 / x**3) / (2 * z_rows))
     scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
     return [res if isinstance(res, QuadratureError) else
             (scale * res.value.real, scale * res.value.imag, scale * (res.error + tail), {})
@@ -302,42 +318,50 @@ def evaluate_batch(
     material: Material,
     field_kind: str,
     zs,
-    omega: float,
+    omega,
     model: Model | str = Model.AUTO,
     cfg: QuadratureConfig | None = None,
 ) -> list:
-    """evaluate at every z of zs at one omega, as outcomes.
+    """evaluate at every (z, omega) point, as outcomes.
 
-    Outcome i is the tensor at zs[i], or the DomainError or
-    QuadratureError that evaluate would raise there. model="auto"
-    resolves per point; the points of each model then run as one batch,
-    with the outcomes a point-by-point run would give.
+    omega is one frequency for every z of zs, or one per z; any other
+    length raises DomainError. Outcome i is the tensor at point i, or
+    the DomainError or QuadratureError that evaluate would raise there.
+    model="auto" resolves per point; the points of each model then run
+    as one batch, with the outcomes a point-by-point run would give.
     """
     if field_kind not in ("E", "B"):
         raise DomainError("field_kind must be 'E' or 'B'")
     model = Model(model)
-    limits = None
+    omegas = np.ravel(np.asarray(omega, dtype=float)).tolist()
+    if len(omegas) == 1:
+        omegas *= len(zs)
+    if len(omegas) != len(zs):
+        raise DomainError("omega must be one value or one per z")
+    limits = {}
     out = [None] * len(zs)
     by_model = {}
-    for i, z in enumerate(zs):
+    for i, (z, w) in enumerate(zip(zs, omegas)):
         try:
-            _check_z_omega(z, omega)
+            _check_z_omega(z, w)
         except DomainError as exc:
             out[i] = exc
             continue
         m = model
         if m is Model.AUTO:
-            limits = limits or _regime_limits(material, omega)
-            m = _regime(z, limits).model
+            if w not in limits:
+                limits[w] = _regime_limits(material, w)
+            m = _regime(z, limits[w]).model
         by_model.setdefault(m, []).append(i)
     for m, idx in by_model.items():
-        outcomes = _BATCH[m](material, field_kind, [zs[i] for i in idx], omega, cfg)
+        outcomes = _BATCH[m](material, field_kind, [zs[i] for i in idx],
+                             [omegas[i] for i in idx], cfg)
         for i, outcome in zip(idx, outcomes):
             if isinstance(outcome, QuadratureError):
                 out[i] = outcome
             else:
                 chi_xx, chi_zz, err, parts = outcome
-                out[i] = SpectralDensityTensor(field_kind, chi_xx, chi_zz, zs[i], omega, m,
+                out[i] = SpectralDensityTensor(field_kind, chi_xx, chi_zz, zs[i], omegas[i], m,
                                                err, parts)
     return out
 
@@ -355,44 +379,3 @@ def evaluate(
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def chi_E_quasistatic_local(material: Material, z: float, omega: float) -> SpectralDensityTensor:
-    """Closed-form electric noise of the local half-space."""
-    return evaluate(material, "E", z, omega, Model.LOCAL_QUASISTATIC)
-
-
-def chi_B_quasistatic_local(material: Material, z: float, omega: float) -> SpectralDensityTensor:
-    """Closed-form magnetic noise of the local half-space."""
-    return evaluate(material, "B", z, omega, Model.LOCAL_QUASISTATIC)
-
-
-def chi_E_quasistatic_nonlocal(
-    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
-) -> SpectralDensityTensor:
-    """Electric noise from the nonlocal quasistatic reflection."""
-    return evaluate(material, "E", z, omega, Model.NONLOCAL_QUASISTATIC, cfg)
-
-
-def chi_B_quasistatic_nonlocal(
-    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
-) -> SpectralDensityTensor:
-    """Magnetic noise from the nonlocal quasistatic reflections.
-
-    decomposition holds the signed r_s and r_p parts of chi_xx.
-    """
-    return evaluate(material, "B", z, omega, Model.NONLOCAL_QUASISTATIC, cfg)
-
-
-def chi_E_local_retarded(
-    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
-) -> SpectralDensityTensor:
-    """Retarded electric noise over the local Fresnel coefficients."""
-    return evaluate(material, "E", z, omega, Model.LOCAL_RETARDED, cfg)
-
-
-def chi_B_local_retarded(
-    material: Material, z: float, omega: float, cfg: QuadratureConfig | None = None
-) -> SpectralDensityTensor:
-    """Retarded magnetic noise over the local Fresnel coefficients."""
-    return evaluate(material, "B", z, omega, Model.LOCAL_RETARDED, cfg)

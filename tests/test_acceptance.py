@@ -22,6 +22,7 @@ from ewjn import (
     QuadratureError,
     QubitSpec,
     bulk_imD_coincident,
+    evaluate,
     surface_limit_imD,
     t1,
 )
@@ -37,14 +38,6 @@ from ewjn.materials import (
     epsilon_l,
     epsilon_t,
     skin_depth,
-)
-from ewjn.spectral import (
-    chi_B_local_retarded,
-    chi_B_quasistatic_local,
-    chi_B_quasistatic_nonlocal,
-    chi_E_local_retarded,
-    chi_E_quasistatic_local,
-    chi_E_quasistatic_nonlocal,
 )
 
 _LINES = {}
@@ -117,10 +110,10 @@ def test_criterion_02_surface_limit(copper, omega0, cfg):
     "meets the 1% agreement window"))
 def test_criterion_03_retarded_quasistatic_agreement(copper, omega0, delta, cfg):
     z = delta / 20.0
-    e_ret = chi_E_local_retarded(copper, z, omega0, cfg)
-    e_qs = chi_E_quasistatic_local(copper, z, omega0)
-    b_ret = chi_B_local_retarded(copper, z, omega0, cfg)
-    b_qs = chi_B_quasistatic_local(copper, z, omega0)
+    e_ret = evaluate(copper, "E", z, omega0, "local-retarded", cfg)
+    e_qs = evaluate(copper, "E", z, omega0, "local-quasistatic")
+    b_ret = evaluate(copper, "B", z, omega0, "local-retarded", cfg)
+    b_qs = evaluate(copper, "B", z, omega0, "local-quasistatic")
     e_dev = max(abs(e_ret.chi_xx / e_qs.chi_xx - 1.0),
                 abs(e_ret.chi_zz / e_qs.chi_zz - 1.0))
     b_dev = max(abs(b_ret.chi_xx / b_qs.chi_xx - 1.0),
@@ -137,12 +130,12 @@ def test_criterion_03_retarded_quasistatic_agreement(copper, omega0, delta, cfg)
     "stay finite and the local power law is exact"))
 def test_criterion_04_contact_behavior(copper, omega0, lam_f, cfg):
     z0 = 1e-3 * lam_f
-    a = chi_E_quasistatic_nonlocal(copper, z0, omega0, cfg)
-    b = chi_E_quasistatic_nonlocal(copper, z0 / 2.0, omega0, cfg)
+    a = evaluate(copper, "E", z0, omega0, "nonlocal-quasistatic", cfg)
+    b = evaluate(copper, "E", z0 / 2.0, omega0, "nonlocal-quasistatic", cfg)
     finite = all(map(math.isfinite, (a.chi_xx, a.chi_zz, b.chi_xx, b.chi_zz)))
     drift = abs(b.chi_zz / a.chi_zz - 1.0)
-    loc1 = chi_E_quasistatic_local(copper, z0, omega0)
-    loc2 = chi_E_quasistatic_local(copper, 2.0 * z0, omega0)
+    loc1 = evaluate(copper, "E", z0, omega0, "local-quasistatic")
+    loc2 = evaluate(copper, "E", 2.0 * z0, omega0, "local-quasistatic")
     slope = math.log(loc2.chi_zz / loc1.chi_zz) / math.log(2.0)
     detail = (f"nonlocal chi finite at 1e-3 Fermi wavelengths: {finite}; "
               f"halving drift {drift:.4f} (2% allowed); local log-log "
@@ -160,10 +153,10 @@ def test_criterion_05_crossover_ratios(copper, omega0, lam_f, cfg_fast):
     e_ratios, b_ratios = [], []
     for mult in (30.0, 300.0, 3000.0):
         z = mult * lam_f
-        e_nl = chi_E_quasistatic_nonlocal(copper, z, omega0, cfg_fast)
-        e_loc = chi_E_quasistatic_local(copper, z, omega0)
-        b_nl = chi_B_quasistatic_nonlocal(copper, z, omega0, cfg_fast)
-        b_loc = chi_B_quasistatic_local(copper, z, omega0)
+        e_nl = evaluate(copper, "E", z, omega0, "nonlocal-quasistatic", cfg_fast)
+        e_loc = evaluate(copper, "E", z, omega0, "local-quasistatic")
+        b_nl = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg_fast)
+        b_loc = evaluate(copper, "B", z, omega0, "local-quasistatic")
         e_ratios.append(e_nl.chi_zz / e_loc.chi_zz)
         b_ratios.append(b_nl.chi_zz / b_loc.chi_zz)
     e_ok = all(1.0 < r < 1.5 for r in e_ratios)
@@ -246,7 +239,7 @@ def test_criterion_10_magnetic_channel_scalings(copper, lam_f, cfg_fast):
     omegas = np.geomspace(1e7, 1e9, 5)
     rs_parts, rp_parts = [], []
     for w in omegas:
-        tensor = chi_B_quasistatic_nonlocal(copper, z, float(w), cfg_fast)
+        tensor = evaluate(copper, "B", z, float(w), "nonlocal-quasistatic", cfg_fast)
         rs_parts.append(tensor.decomposition["rs_part"])
         rp_parts.append(tensor.decomposition["rp_part"])
     s_rs = np.polyfit(np.log(omegas), np.log(np.abs(rs_parts)), 1)[0]

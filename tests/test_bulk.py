@@ -174,6 +174,8 @@ def test_ladder_rungs_equal_separate_integrals(copper, omega0, cfg, monkeypatch)
 def test_ladder_domain(copper):
     with pytest.raises(DomainError):
         bulk_imD_coincident(copper, 0.0)
+    with pytest.raises(DomainError):
+        bulk_imD_coincident(copper, math.inf)
 
 
 # ------------------------------------------------------------- surface limit
@@ -197,9 +199,9 @@ def test_surface_limit_reference(copper, omega0, cfg):
     "when z is halved; it is a stand-in at a fixed height, not a "
     "converged z -> 0 limit"))
 def test_surface_limit_is_z_stable(copper, omega0, lam_f, cfg):
-    from ewjn.spectral import chi_E_quasistatic_nonlocal
+    from ewjn import evaluate
 
     # conversion factor cancels in the ratio, so compare chi directly
-    at = chi_E_quasistatic_nonlocal(copper, 1e-3 * lam_f, omega0, cfg)
-    halved = chi_E_quasistatic_nonlocal(copper, 5e-4 * lam_f, omega0, cfg)
+    at = evaluate(copper, "E", 1e-3 * lam_f, omega0, "nonlocal-quasistatic", cfg)
+    halved = evaluate(copper, "E", 5e-4 * lam_f, omega0, "nonlocal-quasistatic", cfg)
     assert abs(halved.chi_zz / at.chi_zz - 1.0) < 0.02

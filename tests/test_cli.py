@@ -175,41 +175,51 @@ def test_sweep_temperature_axis_evaluates_chi_once_per_model(capsys, monkeypatch
 
     evaluate_batch = ewjn.cli.evaluate_batch
     monkeypatch.setattr(ewjn.cli, "evaluate_batch", counting)
-    code, out, _ = run_cli([
-        "sweep", "--axis", "temperature", "--min", "0", "--max", "3",
-        "--count", "4", "--spacing", "linear", "--z", str(10 * LAM_F),
-        "--models", "local-quasistatic,local-retarded",
-    ], capsys)
-    assert code == 0
-    assert len(parse_csv(out)[1]) == 4
-    assert len(calls) == 2
+    # chi at the one point of a temperature sweep, and at every point of
+    # an omega sweep: one call per model either way
+    for axis, lo, hi, points in (("temperature", "0", "3", 1), ("omega", "1e8", "1e10", 4)):
+        calls.clear()
+        code, out, _ = run_cli([
+            "sweep", "--axis", axis, "--min", lo, "--max", hi,
+            "--count", "4", "--spacing", "linear", "--z", str(10 * LAM_F),
+            "--models", "local-quasistatic,local-retarded",
+        ], capsys)
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 4
+        assert len(calls) == 2
+        assert all(len(args[2]) == points for args in calls)
 
 
 def test_sweep_across_regime_boundary_matches_single_points(capsys):
     # copper's skin depth at the default omega is ~3.8 um, so auto goes
-    # from nonlocal-quasistatic to local-retarded at ~0.38 um
-    code, out, _ = run_cli([
-        "sweep", "--axis", "z", "--min", "1e-7", "--max", "3e-6", "--count", "5",
-        "--models", "auto,local-retarded", "--rel-tol", "1e-6", "--format", "json",
-    ], capsys)
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert len(rows) == 10
-    statuses = [row["status"] for row in rows if row["model"] == "auto"]
-    assert statuses[0] == "ok:nonlocal-quasistatic"
-    assert statuses[-1] == "ok:local-retarded"
-    assert set(statuses) == {"ok:nonlocal-quasistatic", "ok:local-retarded"}
-    for row in rows:
-        code, single, _ = run_cli([
-            "spectral", "--z", repr(row["axis_value"]), "--model", row["model"],
-            "--rel-tol", "1e-6",
+    # from nonlocal-quasistatic to local-retarded at ~0.38 um; at z = 1 um
+    # it does so at omega ~ 3e8 rad/s
+    sweeps = (("z", ["--min", "1e-7", "--max", "3e-6"], lambda v: ["--z", repr(v)]),
+              ("omega", ["--min", "1e7", "--max", "1e12", "--z", "1e-6"],
+               lambda v: ["--z", "1e-6", "--omega", repr(v)]))
+    for axis, grid, point in sweeps:
+        code, out, _ = run_cli([
+            "sweep", "--axis", axis, "--count", "5", *grid,
+            "--models", "auto,local-retarded", "--rel-tol", "1e-6", "--format", "json",
         ], capsys)
         assert code == 0
-        doc = json.loads(single)
-        assert row["status"] == ("ok:" + doc["model_used"] if row["model"] == "auto"
-                                 else "ok")
-        assert (row["chi_xx"], row["chi_zz"], row["chi_err"]) \
-            == (doc["chi_xx"], doc["chi_zz"], doc["error_estimate"])
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 10
+        statuses = [row["status"] for row in rows if row["model"] == "auto"]
+        assert statuses[0] == "ok:nonlocal-quasistatic"
+        assert statuses[-1] == "ok:local-retarded"
+        assert set(statuses) == {"ok:nonlocal-quasistatic", "ok:local-retarded"}
+        for row in rows:
+            code, single, _ = run_cli([
+                "spectral", *point(row["axis_value"]), "--model", row["model"],
+                "--rel-tol", "1e-6",
+            ], capsys)
+            assert code == 0
+            doc = json.loads(single)
+            assert row["status"] == ("ok:" + doc["model_used"] if row["model"] == "auto"
+                                     else "ok")
+            assert (row["chi_xx"], row["chi_zz"], row["chi_err"]) \
+                == (doc["chi_xx"], doc["chi_zz"], doc["error_estimate"])
 
 
 def test_sweep_json_format(capsys):
@@ -293,6 +303,42 @@ def test_domain_exit_codes(capsys):
     assert main(["sweep", "--axis", "omega", "--min", "1e8", "--max", "1e9",
                  "--count", "2", "--models", "local-quasistatic"]) == 2
     capsys.readouterr()
+
+
+_Z_SWEEP = ["sweep", "--axis", "z", "--min", "1e-8", "--max", "1e-7", "--count", "2",
+            "--models", "local-quasistatic,auto"]
+
+
+@pytest.mark.parametrize("argv,cells", [
+    (["t1", "--z", "1e-8", "--model", "local-quasistatic", "--temp", "nan"], False),
+    (["t1", "--z", "1e-8", "--model", "local-quasistatic", "--temp", "inf"], False),
+    (["t1", "--z", "1e-8", "--model", "local-quasistatic", "--moment", "inf"], False),
+    (["spectral", "--z", "1e-8", "--omega", "inf", "--model", "local-quasistatic"], False),
+    (["spectral", "--z", "1e-8", "--omega", "inf"], False),
+    (["spectral", "--z", "1e-8", "--model", "local-quasistatic", "--material", "INF"], False),
+    (["bulk", "--omega", "inf"], False),
+    (["sweep", "--axis", "temperature", "--min", "0", "--max", "inf", "--count", "2",
+      "--spacing", "linear", "--z", "1e-8", "--models", "local-quasistatic"], False),
+    (_Z_SWEEP + ["--temp", "nan"], True),
+    (_Z_SWEEP + ["--temp", "inf"], True),
+    (_Z_SWEEP + ["--moment", "inf"], True),
+    (_Z_SWEEP + ["--omega", "inf"], True),
+], ids=["t1-temp-nan", "t1-temp-inf", "t1-moment-inf", "spectral-omega-inf",
+        "spectral-auto-omega-inf", "material-omega-p-inf", "bulk-omega-inf",
+        "temperature-sweep-max-inf", "sweep-temp-nan", "sweep-temp-inf", "sweep-moment-inf",
+        "sweep-omega-inf"])
+def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
+    metal = tmp_path / "inf.cfg"
+    metal.write_text("name = inf\nomega_p_rad_s = inf\nnu_rad_s = 1e13\nfermi_energy_ev = 5\n")
+    code, out, err = run_cli([str(metal) if a == "INF" else a for a in argv], capsys)
+    assert code == 2
+    if cells:
+        header, rows = parse_csv(out)
+        statuses = [row[i] for row in rows for i, h in enumerate(header) if h.endswith(":status")]
+        assert len(statuses) == 4 and set(statuses) == {"domain-error"}
+    else:
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

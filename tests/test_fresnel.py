@@ -98,7 +98,7 @@ def test_local_reflection_q_matches_mpmath_near_grazing_turn(copper, omega0):
     k0 = omega0 / C_LIGHT
     g = k0 / math.sqrt(abs(eps))
     us = [0.1 * g, g, 10.0 * g]
-    pair = local_reflection_q(1j * np.array(us), omega0, eps)
+    pair = local_reflection_q(1j * np.array(us), (eps - 1.0) * k0**2, eps)
     assert ReflectionPair._fields == ("r_s", "r_p")
     with mp.workdps(30):
         e = mp.mpc(eps)

@@ -50,6 +50,13 @@ def test_material_validation():
         Material("m", plasma_frequency=1e16, collision_rate=-1.0, fermi_energy=1e-19)
     with pytest.raises(DomainError):
         Material("m", plasma_frequency=1e16, collision_rate=1.0, fermi_energy=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            Material("m", plasma_frequency=bad, collision_rate=1.0, fermi_energy=1e-19)
+        with pytest.raises(DomainError):
+            Material("m", plasma_frequency=1e16, collision_rate=bad, fermi_energy=1e-19)
+        with pytest.raises(DomainError):
+            Material("m", plasma_frequency=1e16, collision_rate=1.0, fermi_energy=bad)
 
 
 # ------------------------------------------------------------------- drude

@@ -57,6 +57,9 @@ def test_thermal_factor_domain():
         thermal_factor(0.0, 1.0)
     with pytest.raises(DomainError):
         thermal_factor(1e9, -0.1)
+    for omega, temp in ((math.inf, 1.0), (1e9, math.inf), (1e9, math.nan)):
+        with pytest.raises(DomainError):
+            thermal_factor(omega, temp)
 
 
 # -------------------------------------------------------------- qubit spec
@@ -74,6 +77,12 @@ def test_qubit_spec_validation(omega0):
     with pytest.raises(DomainError):
         QubitSpec(kind="electric-dipole", moment=1e-30, orientation="x",
                   level_splitting=0.0)
+    with pytest.raises(DomainError):
+        QubitSpec(kind="electric-dipole", moment=math.inf, orientation="x",
+                  level_splitting=omega0)
+    with pytest.raises(DomainError):
+        QubitSpec(kind="electric-dipole", moment=1e-30, orientation="x",
+                  level_splitting=math.inf)
 
 
 def test_qubit_field_kind(omega0):

@@ -25,14 +25,6 @@ from ewjn import (
 from ewjn.fresnel import nonlocal_reflection_quasistatic
 from ewjn.materials import C_LIGHT, EPS0, HBAR, drude_epsilon, skin_depth
 from ewjn.quadrature import integrate_exp_tails
-from ewjn.spectral import (
-    chi_B_local_retarded,
-    chi_B_quasistatic_local,
-    chi_B_quasistatic_nonlocal,
-    chi_E_local_retarded,
-    chi_E_quasistatic_local,
-    chi_E_quasistatic_nonlocal,
-)
 
 
 def rel(a, b):
@@ -41,12 +33,12 @@ def rel(a, b):
 
 @pytest.fixture(scope="module")
 def e_nl_10(copper, omega0, lam_f):
-    return chi_E_quasistatic_nonlocal(copper, 10.0 * lam_f, omega0)
+    return evaluate(copper, "E", 10.0 * lam_f, omega0, "nonlocal-quasistatic")
 
 
 @pytest.fixture(scope="module")
 def b_nl_10(copper, omega0, lam_f):
-    return chi_B_quasistatic_nonlocal(copper, 10.0 * lam_f, omega0)
+    return evaluate(copper, "B", 10.0 * lam_f, omega0, "nonlocal-quasistatic")
 
 
 # ----------------------------------------------------------- regime choice
@@ -77,7 +69,7 @@ def test_model_enum_round_trip():
 # ------------------------------------------------------------ local closed
 
 def test_chi_E_local_reference(copper, omega0, lam_f):
-    t = chi_E_quasistatic_local(copper, 10.0 * lam_f, omega0)
+    t = evaluate(copper, "E", 10.0 * lam_f, omega0, "local-quasistatic")
     # 40-digit evaluation of the closed form
     assert rel(t.chi_xx, 4.149089189120954e-09) < 1e-6
     assert rel(t.chi_zz, 8.298178378241907e-09) < 1e-6
@@ -91,8 +83,8 @@ def test_chi_E_local_reference(copper, omega0, lam_f):
 
 
 def test_chi_E_local_scaling(copper, omega0, lam_f):
-    a = chi_E_quasistatic_local(copper, 10.0 * lam_f, omega0)
-    b = chi_E_quasistatic_local(copper, 20.0 * lam_f, omega0)
+    a = evaluate(copper, "E", 10.0 * lam_f, omega0, "local-quasistatic")
+    b = evaluate(copper, "E", 20.0 * lam_f, omega0, "local-quasistatic")
     assert rel(a.chi_xx / b.chi_xx, 8.0) < 1e-12
 
 
@@ -100,23 +92,23 @@ def test_chi_E_local_lossless_metal(omega0, lam_f):
     # dissipation switched off: no noise (up to denormal dust)
     quiet = Material("quiet", plasma_frequency=COPPER.plasma_frequency,
                      collision_rate=1e-300, fermi_energy=COPPER.fermi_energy)
-    t = chi_E_quasistatic_local(quiet, 10.0 * lam_f, omega0)
+    t = evaluate(quiet, "E", 10.0 * lam_f, omega0, "local-quasistatic")
     assert 0.0 <= t.chi_xx < 1e-300
 
 
 def test_chi_B_local_reference(copper, omega0, lam_f):
-    t = chi_B_quasistatic_local(copper, 10.0 * lam_f, omega0)
+    t = evaluate(copper, "B", 10.0 * lam_f, omega0, "local-quasistatic")
     # 40-digit evaluation of the closed form
     assert rel(t.chi_zz, 1.0178933487271821e-21) < 1e-9
     assert t.chi_xx == 0.5 * t.chi_zz
     assert t.field_kind == "B"
 
-    half = chi_B_quasistatic_local(copper, 5.0 * lam_f, omega0)
+    half = evaluate(copper, "B", 5.0 * lam_f, omega0, "local-quasistatic")
     assert rel(half.chi_zz / t.chi_zz, 2.0) < 1e-12
 
     # omega^2 prefactor times Im eps ~ 1/omega: linear growth while
     # omega stays far below the collision rate
-    t2 = chi_B_quasistatic_local(copper, 10.0 * lam_f, 2.0 * omega0)
+    t2 = evaluate(copper, "B", 10.0 * lam_f, 2.0 * omega0, "local-quasistatic")
     assert rel(t2.chi_zz / t.chi_zz, 2.0) < 1e-6
 
 
@@ -177,7 +169,7 @@ def _chi_B_two_passes(material, z, omega, cfg):
 @pytest.mark.parametrize("z_over_lam_f", [1.0, 30.0, 3000.0])
 def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, cfg_fast, z_over_lam_f):
     z = z_over_lam_f * lam_f
-    tensor = chi_B_quasistatic_nonlocal(copper, z, omega0, cfg_fast)
+    tensor = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg_fast)
     assert (tensor.chi_xx, tensor.chi_zz, tensor.error_estimate, tensor.decomposition) \
         == _chi_B_two_passes(copper, z, omega0, cfg_fast)
 
@@ -190,7 +182,7 @@ def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, rel_tol
                                                   max_subdivisions):
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     with pytest.raises(QuadratureError) as one_pass:
-        chi_B_quasistatic_nonlocal(copper, 30.0 * lam_f, omega0, cfg)
+        evaluate(copper, "B", 30.0 * lam_f, omega0, "nonlocal-quasistatic", cfg)
     with pytest.raises(QuadratureError) as two_passes:
         _chi_B_two_passes(copper, 30.0 * lam_f, omega0, cfg)
     assert str(one_pass.value) == str(two_passes.value)
@@ -199,8 +191,8 @@ def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, rel_tol
 
 
 def test_nonlocal_to_local_ratios(copper, omega0, lam_f, e_nl_10, b_nl_10):
-    e_loc = chi_E_quasistatic_local(copper, 10.0 * lam_f, omega0)
-    b_loc = chi_B_quasistatic_local(copper, 10.0 * lam_f, omega0)
+    e_loc = evaluate(copper, "E", 10.0 * lam_f, omega0, "local-quasistatic")
+    b_loc = evaluate(copper, "B", 10.0 * lam_f, omega0, "local-quasistatic")
     e_ratio = e_nl_10.chi_zz / e_loc.chi_zz
     b_ratio = b_nl_10.chi_zz / b_loc.chi_zz
     assert rel(e_ratio, 35.08991614369891) < 1e-5
@@ -213,16 +205,16 @@ def test_nonlocal_to_local_ratios(copper, omega0, lam_f, e_nl_10, b_nl_10):
 def test_magnetic_nonlocal_never_exceeds_local(copper, omega0, lam_f, cfg_fast):
     for zf in (1.0, 1000.0):
         z = zf * lam_f
-        nl = chi_B_quasistatic_nonlocal(copper, z, omega0, cfg_fast)
-        loc = chi_B_quasistatic_local(copper, z, omega0)
+        nl = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg_fast)
+        loc = evaluate(copper, "B", z, omega0, "local-quasistatic")
         assert nl.chi_zz < loc.chi_zz
         assert nl.chi_xx < loc.chi_xx
 
 
 def test_electric_nonlocal_exceeds_local_at_30lamF(copper, omega0, lam_f, cfg_fast):
     z = 30.0 * lam_f
-    en = chi_E_quasistatic_nonlocal(copper, z, omega0, cfg_fast)
-    el = chi_E_quasistatic_local(copper, z, omega0)
+    en = evaluate(copper, "E", z, omega0, "nonlocal-quasistatic", cfg_fast)
+    el = evaluate(copper, "E", z, omega0, "local-quasistatic")
     assert en.chi_zz > el.chi_zz
 
 
@@ -233,8 +225,8 @@ def test_electric_nonlocal_exceeds_local_at_30lamF(copper, omega0, lam_f, cfg_fa
     "where this implementation puts it"))
 def test_electric_nonlocal_within_50pct_at_30lamF(copper, omega0, lam_f, cfg_fast):
     z = 30.0 * lam_f
-    en = chi_E_quasistatic_nonlocal(copper, z, omega0, cfg_fast)
-    el = chi_E_quasistatic_local(copper, z, omega0)
+    en = evaluate(copper, "E", z, omega0, "nonlocal-quasistatic", cfg_fast)
+    el = evaluate(copper, "E", z, omega0, "local-quasistatic")
     assert en.chi_zz > el.chi_zz
     assert abs(en.chi_zz / el.chi_zz - 1.0) < 0.5
 
@@ -243,8 +235,8 @@ def test_nonlocal_finite_at_extreme_proximity(copper, omega0, lam_f):
     # the local form blows up as z^-3; the screened one stays finite
     # and, by lambda_F/1000, already sits below it
     z = 1e-3 * lam_f
-    nl = chi_E_quasistatic_nonlocal(copper, z, omega0)
-    loc = chi_E_quasistatic_local(copper, z, omega0)
+    nl = evaluate(copper, "E", z, omega0, "nonlocal-quasistatic")
+    loc = evaluate(copper, "E", z, omega0, "local-quasistatic")
     assert math.isfinite(nl.chi_zz)
     assert 0.0 < nl.chi_zz < loc.chi_zz
 
@@ -252,8 +244,8 @@ def test_nonlocal_finite_at_extreme_proximity(copper, omega0, lam_f):
 # ---------------------------------------------------------------- retarded
 
 def test_retarded_reference_10lamF(copper, omega0, lam_f):
-    e = chi_E_local_retarded(copper, 10.0 * lam_f, omega0)
-    b = chi_B_local_retarded(copper, 10.0 * lam_f, omega0)
+    e = evaluate(copper, "E", 10.0 * lam_f, omega0, "local-retarded")
+    b = evaluate(copper, "B", 10.0 * lam_f, omega0, "local-retarded")
     # adaptive reference run of the same split integrals
     assert rel(e.chi_xx, 4.149089305593538e-09) < 1e-6
     assert rel(e.chi_zz, 8.298178494656287e-09) < 1e-6
@@ -265,8 +257,8 @@ def test_retarded_reference_10lamF(copper, omega0, lam_f):
 
 def test_retarded_reference_inside_skin_depth(copper, omega0, delta):
     z = delta / 20.0
-    e = chi_E_local_retarded(copper, z, omega0)
-    b = chi_B_local_retarded(copper, z, omega0)
+    e = evaluate(copper, "E", z, omega0, "local-retarded")
+    b = evaluate(copper, "B", z, omega0, "local-retarded")
     assert rel(e.chi_xx, 1.7781348867372387e-13) < 1e-6
     assert rel(e.chi_zz, 3.5553405983302195e-13) < 1e-6
     assert rel(b.chi_xx, 1.603811570019369e-23) < 1e-6
@@ -274,8 +266,8 @@ def test_retarded_reference_inside_skin_depth(copper, omega0, delta):
 
 
 def test_retarded_vacuum_is_silent(vacuumish, omega0):
-    e = chi_E_local_retarded(vacuumish, 1e-6, omega0)
-    b = chi_B_local_retarded(vacuumish, 1e-6, omega0)
+    e = evaluate(vacuumish, "E", 1e-6, omega0, "local-retarded")
+    b = evaluate(vacuumish, "B", 1e-6, omega0, "local-retarded")
     assert e.chi_xx == 0.0 and e.chi_zz == 0.0
     assert b.chi_xx == 0.0 and b.chi_zz == 0.0
 
@@ -284,8 +276,8 @@ def test_retarded_anisotropy_deep_in_near_field(copper, omega0, lam_f):
     # at 10 lambda_F the evanescent sector dominates and the closed-form
     # anisotropies reappear: zz = 2 xx for E, and for B as well since
     # the r_p channel is negligible at this frequency
-    e = chi_E_local_retarded(copper, 10.0 * lam_f, omega0)
-    b = chi_B_local_retarded(copper, 10.0 * lam_f, omega0)
+    e = evaluate(copper, "E", 10.0 * lam_f, omega0, "local-retarded")
+    b = evaluate(copper, "B", 10.0 * lam_f, omega0, "local-retarded")
     assert abs(e.chi_zz / (2.0 * e.chi_xx) - 1.0) < 1e-4
     assert abs(b.chi_zz / (2.0 * b.chi_xx) - 1.0) < 1e-2
 
@@ -294,8 +286,8 @@ def test_retarded_electric_agrees_with_quasistatic_inside_skin_depth(
         copper, omega0, delta):
     devs = []
     for z in (delta / 20.0, delta / 2.0, 2.0 * delta):
-        ret = chi_E_local_retarded(copper, z, omega0)
-        qs = chi_E_quasistatic_local(copper, z, omega0)
+        ret = evaluate(copper, "E", z, omega0, "local-retarded")
+        qs = evaluate(copper, "E", z, omega0, "local-quasistatic")
         devs.append(abs(ret.chi_xx / qs.chi_xx - 1.0))
     assert devs[0] < 0.01
     # retardation grows with z once the skin depth is approached
@@ -305,8 +297,8 @@ def test_retarded_electric_agrees_with_quasistatic_inside_skin_depth(
 def test_retarded_magnetic_deviation_grows_with_z(copper, omega0, delta):
     devs = []
     for z in (delta / 20.0, delta / 2.0, 2.0 * delta):
-        ret = chi_B_local_retarded(copper, z, omega0)
-        qs = chi_B_quasistatic_local(copper, z, omega0)
+        ret = evaluate(copper, "B", z, omega0, "local-retarded")
+        qs = evaluate(copper, "B", z, omega0, "local-quasistatic")
         devs.append(abs(ret.chi_xx / qs.chi_xx - 1.0))
     assert devs[0] < devs[1] < devs[2]
 
@@ -319,8 +311,8 @@ def test_retarded_magnetic_deviation_grows_with_z(copper, omega0, delta):
 def test_retarded_magnetic_agrees_with_quasistatic_inside_skin_depth(
         copper, omega0, delta):
     z = delta / 20.0
-    ret = chi_B_local_retarded(copper, z, omega0)
-    qs = chi_B_quasistatic_local(copper, z, omega0)
+    ret = evaluate(copper, "B", z, omega0, "local-retarded")
+    qs = evaluate(copper, "B", z, omega0, "local-quasistatic")
     assert abs(ret.chi_xx / qs.chi_xx - 1.0) < 0.01
     assert abs(ret.chi_zz / qs.chi_zz - 1.0) < 0.01
 
@@ -334,7 +326,6 @@ _FARFIELD = [
     (Material(name="dense", plasma_frequency=1.5e16, collision_rate=8e13,
               fermi_energy=10.0 * 1.602176634e-19), 5e9),
 ]
-_RETARDED = {"E": chi_E_local_retarded, "B": chi_B_local_retarded}
 
 
 def _farfield_grid(material, omega):
@@ -348,7 +339,7 @@ def test_retarded_batch_matches_scalar_bitwise(material, omega, field_kind):
     zs = _farfield_grid(material, omega)
     batch = evaluate_batch(material, field_kind, zs, omega, "local-retarded")
     for z, tensor in zip(zs, batch):
-        single = _RETARDED[field_kind](material, z, omega)
+        single = evaluate(material, field_kind, z, omega, "local-retarded")
         assert tensor.chi_xx == single.chi_xx
         assert tensor.chi_zz == single.chi_zz
         assert tensor.error_estimate == single.error_estimate
@@ -376,7 +367,7 @@ def _assert_same_outcome(outcome, material, field_kind, z, omega, model, cfg):
         return
     assert (outcome.chi_xx, outcome.chi_zz, outcome.error_estimate, outcome.decomposition) \
         == (single.chi_xx, single.chi_zz, single.error_estimate, single.decomposition)
-    assert (outcome.z, outcome.model) == (z, single.model)
+    assert (outcome.z, outcome.omega, outcome.model) == (z, omega, single.model)
 
 
 @pytest.mark.parametrize("max_subdivisions,rel_tol,pattern", [
@@ -473,19 +464,35 @@ def test_retarded_matches_p_space_oracle(material, omega, field_kind, z_over_del
     assert rel(t.chi_zz, chi_zz) < 1e-8
 
 
-@pytest.mark.parametrize("model,field_kind,rel_tol,max_subdivisions,pattern", [
-    ("local-quasistatic", "E", 1e-8, 2000, "........."),
-    ("local-quasistatic", "B", 1e-8, 2000, "........."),
-    ("nonlocal-quasistatic", "E", 1e-8, 2000, "........."),
-    ("nonlocal-quasistatic", "B", 1e-8, 2000, "........."),
+# one omega per z, from 1e7 to 1e11 rad/s: auto then resolves to the
+# nonlocal model at the six lowest points and to the retarded one above
+_OMEGA_PER_Z = np.geomspace(1e7, 1e11, 9).tolist()
+_Z_BATCH_CASES = [
+    ("local-quasistatic", "E", 1e-8, 2000, ".........", None),
+    ("local-quasistatic", "B", 1e-8, 2000, ".........", None),
+    ("nonlocal-quasistatic", "E", 1e-8, 2000, ".........", None),
+    ("nonlocal-quasistatic", "B", 1e-8, 2000, ".........", None),
     # budgets tight enough that outer and inner integrals run out
-    ("nonlocal-quasistatic", "E", 1e-6, 10, "....oiiii"),
-    ("nonlocal-quasistatic", "B", 1e-6, 12, "..ooooiii"),
+    ("nonlocal-quasistatic", "E", 1e-6, 10, "....oiiii", None),
+    ("nonlocal-quasistatic", "B", 1e-6, 12, "..ooooiii", None),
     # inner r_p integrals fail at one point, inner r_s ones at the next
-    ("nonlocal-quasistatic", "B", 1e-6, 11, "..ooooiss"),
-])
+    ("nonlocal-quasistatic", "B", 1e-6, 11, "..ooooiss", None),
+    ("local-quasistatic", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z),
+    ("local-retarded", "E", 1e-8, 2000, ".........", _OMEGA_PER_Z),
+    ("auto", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z),
+    ("auto", "E", 1e-8, 16, "...oo....", _OMEGA_PER_Z),
+    ("nonlocal-quasistatic", "E", 1e-6, 14, ".....o.ii", _OMEGA_PER_Z),
+    ("nonlocal-quasistatic", "B", 1e-8, 16, ".oooo..ii", _OMEGA_PER_Z),
+    ("nonlocal-quasistatic", "B", 1e-6, 11, "....iiiss", _OMEGA_PER_Z),
+]
+
+
+@pytest.mark.parametrize("model,field_kind,rel_tol,max_subdivisions,pattern,omegas",
+                         _Z_BATCH_CASES,
+                         ids=["-".join(map(str, case[:5])) + ("-omega-per-z" if case[5] else "")
+                              for case in _Z_BATCH_CASES])
 def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind, rel_tol,
-                                        max_subdivisions, pattern, monkeypatch):
+                                        max_subdivisions, pattern, omegas, monkeypatch):
     import ewjn.spectral as spectral
 
     parts, inner_s = {}, []
@@ -502,15 +509,15 @@ def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind
     monkeypatch.setattr(spectral, "nonlocal_reflection_quasistatic", recorded_kernel)
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     zs = [float(z) for z in np.geomspace(lam_f, 3000.0 * lam_f, 9)]
-    batch = evaluate_batch(copper, field_kind, zs, omega0, model, cfg)
+    batch = evaluate_batch(copper, field_kind, zs, omegas or omega0, model, cfg)
     # "." a tensor, "o" an outer integral's error, "i" an inner r_p
     # integral's, "s" an inner r_s integral's
     outer = parts.get("outer", [])
     assert "".join("." if not isinstance(o, QuadratureError) else
                    "o" if any(o is r for r in outer) else
                    "s" if any(o is r for r in inner_s) else "i" for o in batch) == pattern
-    for z, outcome in zip(zs, batch):
-        _assert_same_outcome(outcome, copper, field_kind, z, omega0, model, cfg)
+    for z, omega, outcome in zip(zs, omegas or [omega0] * len(zs), batch):
+        _assert_same_outcome(outcome, copper, field_kind, z, omega, model, cfg)
 
 
 def test_evaluate_batch_resolves_auto_per_point(copper, omega0, lam_f):
@@ -527,7 +534,7 @@ def test_evaluate_batch_resolves_auto_per_point(copper, omega0, lam_f):
 
 def test_evaluate_dispatch(copper, omega0, lam_f, e_nl_10):
     far = evaluate(copper, "E", 1e-6, omega0, Model.AUTO)
-    direct = chi_E_local_retarded(copper, 1e-6, omega0)
+    direct = evaluate(copper, "E", 1e-6, omega0, "local-retarded")
     assert far.model is Model.LOCAL_RETARDED
     assert far.chi_xx == direct.chi_xx
 
@@ -536,7 +543,7 @@ def test_evaluate_dispatch(copper, omega0, lam_f, e_nl_10):
     assert near.chi_zz == e_nl_10.chi_zz
 
     named = evaluate(copper, "B", 10.0 * lam_f, omega0, "local-quasistatic")
-    assert named.chi_zz == chi_B_quasistatic_local(copper, 10.0 * lam_f, omega0).chi_zz
+    assert named.chi_zz == evaluate(copper, "B", 10.0 * lam_f, omega0, "local-quasistatic").chi_zz
 
 
 def test_evaluate_validation(copper, omega0):
@@ -548,6 +555,11 @@ def test_evaluate_validation(copper, omega0):
         evaluate(copper, "E", 0.0, omega0)
     with pytest.raises(DomainError):
         evaluate(copper, "E", 1e-8, -omega0)
+    with pytest.raises(DomainError):
+        evaluate(copper, "E", 1e-8, math.inf)
+    # omega is one value or one per z
+    with pytest.raises(DomainError):
+        evaluate_batch(copper, "E", [1e-8, 2e-8, 3e-8], [omega0, omega0])
 
 
 @pytest.mark.parametrize("model", ["local-quasistatic", "nonlocal-quasistatic",
@@ -560,10 +572,9 @@ def test_evaluate_batch_domain_error_stays_at_its_point(copper, omega0, lam_f, m
 
 
 def test_domain_checks_everywhere(copper, omega0):
-    for fn in (chi_E_quasistatic_local, chi_B_quasistatic_local,
-               chi_E_quasistatic_nonlocal, chi_B_quasistatic_nonlocal,
-               chi_E_local_retarded, chi_B_local_retarded):
-        with pytest.raises(DomainError):
-            fn(copper, -1e-9, omega0)
-        with pytest.raises(DomainError):
-            fn(copper, 1e-8, 0.0)
+    for model in ("local-quasistatic", "nonlocal-quasistatic", "local-retarded"):
+        for field_kind in ("E", "B"):
+            with pytest.raises(DomainError):
+                evaluate(copper, field_kind, -1e-9, omega0, model)
+            with pytest.raises(DomainError):
+                evaluate(copper, field_kind, 1e-8, 0.0, model)
