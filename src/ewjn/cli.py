@@ -9,6 +9,11 @@ non-convergence.
 A sweep evaluates chi with one spectral.evaluate_batch call per model
 over the (z, omega) points of its grid, on every axis; the spectral
 layer groups the points, and rows are assembled in grid order.
+Temperature is never a point coordinate: a temperature sweep is one
+point with one cell per temperature. Every cell is relaxation.relax on
+its point's tensor, and a figure is such a sweep over one row of a fixed
+spec table, written by the same table builder. A result that is not
+finite is a domain error, so JSON output never holds NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -32,13 +37,7 @@ from .materials import (
     load_material,
 )
 from .quadrature import QuadratureConfig
-from .relaxation import (
-    QubitSpec,
-    relaxation_rate,
-    relaxation_time,
-    t1 as compute_t1,
-    thermal_factor,
-)
+from .relaxation import QubitSpec, relax, relaxation_rate, t1 as compute_t1
 from .spectral import Model, evaluate, evaluate_batch, regime_select
 
 _EXIT_OK = 0
@@ -47,10 +46,23 @@ _EXIT_DOMAIN = 2
 _EXIT_QUADRATURE = 3
 
 _OMEGA_DEFAULT = 6e8 * math.pi
-_QUBIT_KINDS = {"charge": "electric-dipole", "spin": "magnetic-dipole"}
-_DEFAULT_MOMENTS = {"charge": E_CHARGE * BOHR_RADIUS, "spin": BOHR_MAGNETON}
-_MOMENT_UNITS = {"charge": "C*m", "spin": "J/T"}
+# per qubit: dipole kind, field kind, default moment, moment units
+_QUBITS = {"charge": ("electric-dipole", "E", E_CHARGE * BOHR_RADIUS, "C*m"),
+           "spin": ("magnetic-dipole", "B", BOHR_MAGNETON, "J/T")}
+_CHI_UNITS = {"E": "(V/m)^2*s", "B": "T^2*s"}
 _AXIS_UNITS = {"z": "m", "omega": "rad/s", "temperature": "K"}
+_CELL_JSON_KEYS = ("chi_xx", "chi_zz", "rate_per_s", "t1_s", "chi_err")
+
+# per figure: axis, qubit, models, temperatures, bulk-reference comments,
+# r_s/r_p columns. A z axis runs from lambda_F to 3000 lambda_F at the
+# default omega, an omega axis from 1e7 to 1e11 rad/s at z = 10 lambda_F.
+_QUASISTATIC = ("local-quasistatic", "nonlocal-quasistatic")
+_FIGURES = {
+    "fig1": ("z", "charge", _QUASISTATIC, (0.0,), True, False),
+    "fig2": ("omega", "charge", ("auto",), (0.0, 2.0), False, False),
+    "fig3": ("z", "spin", _QUASISTATIC, (0.0,), False, False),
+    "fig4": ("omega", "spin", ("auto",), (0.0, 2.0), False, True),
+}
 
 _FMT = "%.8e"
 
@@ -93,7 +105,7 @@ def _add_point_flags(sub):
 
 
 def _add_qubit_flags(sub):
-    sub.add_argument("--qubit", default="charge", choices=sorted(_QUBIT_KINDS))
+    sub.add_argument("--qubit", default="charge", choices=sorted(_QUBITS))
     sub.add_argument("--moment", type=float, default=None,
                      help="dipole moment; C*m for charge, J/T for spin "
                           "(defaults: |e|a_B and mu_B)")
@@ -136,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--omega", type=float, default=_OMEGA_DEFAULT)
 
     fp = subs.add_parser("figure", help="regenerate figure data files")
-    fp.add_argument("name", choices=["fig1", "fig2", "fig3", "fig4"])
+    fp.add_argument("name", choices=sorted(_FIGURES))
     fp.add_argument("--out-dir", default=".")
     fp.add_argument("--material", default="copper")
     fp.add_argument("--rel-tol", type=float, default=1e-8)
@@ -144,23 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _qubit_from_args(args, omega: float) -> QubitSpec:
-    moment = args.moment
-    if moment is None:
-        moment = _DEFAULT_MOMENTS[args.qubit]
-    return QubitSpec(
-        kind=_QUBIT_KINDS[args.qubit],
-        moment=moment,
-        orientation=args.orientation,
-        level_splitting=omega,
-    )
+def _moment(args) -> float:
+    return _QUBITS[args.qubit][2] if args.moment is None else args.moment
+
+
+def _json_number(x):
+    """A cell value in JSON: nan (a failed cell) is null, inf (t1 at rate 0) "inf"."""
+    return None if math.isnan(x) else "inf" if math.isinf(x) else x
 
 
 def _cmd_spectral(args) -> int:
     material = load_material(args.material)
     cfg = QuadratureConfig(rel_tol=args.rel_tol)
     tensor = evaluate(material, args.field, args.z, args.omega, args.model, cfg)
-    units = "(V/m)^2*s" if args.field == "E" else "T^2*s"
     doc = {
         "inputs": {
             "material": material.name,
@@ -173,7 +181,7 @@ def _cmd_spectral(args) -> int:
         "model_used": str(tensor.model),
         "chi_xx": tensor.chi_xx,
         "chi_zz": tensor.chi_zz,
-        "chi_units": units,
+        "chi_units": _CHI_UNITS[args.field],
         "error_estimate": tensor.error_estimate,
     }
     if tensor.decomposition:
@@ -185,14 +193,14 @@ def _cmd_spectral(args) -> int:
 def _cmd_t1(args) -> int:
     material = load_material(args.material)
     cfg = QuadratureConfig(rel_tol=args.rel_tol)
-    qubit = _qubit_from_args(args, args.omega)
+    qubit = QubitSpec(_QUBITS[args.qubit][0], _moment(args), args.orientation, args.omega)
     res = compute_t1(material, qubit, args.z, args.temp, args.model, cfg)
     doc = {
         "inputs": {
             "material": material.name,
             "qubit": args.qubit,
             "moment": qubit.moment,
-            "moment_units": _MOMENT_UNITS[args.qubit],
+            "moment_units": _QUBITS[args.qubit][3],
             "orientation": qubit.orientation,
             "z_m": args.z,
             "omega_rad_per_s": args.omega,
@@ -208,14 +216,14 @@ def _cmd_t1(args) -> int:
         },
         "thermal_factor": res.thermal_factor,
         "rate_per_s": res.rate,
-        "t1_s": res.t1 if math.isfinite(res.t1) else "inf",
+        "t1_s": _json_number(res.t1),
         "error_estimate_per_s": res.error_estimate,
     }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return _EXIT_OK
 
 
-def _sweep_grid(args) -> np.ndarray:
+def _sweep_grid(args) -> list:
     """Grid from the sweep flags. Shape problems are validation errors."""
     if args.count < 2:
         raise ValueError("sweep count must be >= 2")
@@ -230,87 +238,75 @@ def _sweep_grid(args) -> np.ndarray:
     if args.spacing == "log":
         if args.min <= 0:
             raise ValueError("log spacing requires min > 0")
-        return np.geomspace(args.min, args.max, args.count)
-    return np.linspace(args.min, args.max, args.count)
+        return np.geomspace(args.min, args.max, args.count).tolist()
+    return np.linspace(args.min, args.max, args.count).tolist()
 
 
-def _group_cell(outcome, omega, model, orientation, moment, temps):
-    """(chi_xx, chi_zz, rate, t1, err, status) per temperature from chi's
-    outcome at a point: a tensor, or the DomainError or QuadratureError.
-    A negative temperature or reflected chi makes a domain-error cell."""
+def _cells(outcome, model, orientation, moment, temps) -> list:
+    """(chi_xx, chi_zz, rate, t1, chi_err, status) per temperature from
+    chi's outcome at a point: a tensor, or the DomainError or
+    QuadratureError. A temperature at which relax raises DomainError
+    (a negative temperature, a negative or non-finite rate) makes a
+    domain-error cell."""
     if isinstance(outcome, Exception):
         failed = ("quadrature-error" if isinstance(outcome, QuadratureError)
                   else "domain-error")
         return [(math.nan,) * 5 + (failed,) for _ in temps]
-    component = "zz" if orientation == "z" else "xx"
-    chi = outcome.chi_zz if orientation == "z" else outcome.chi_xx
+    status = "ok" if model != Model.AUTO.value else f"ok:{outcome.model}"
     cells = []
     for temp in temps:
         try:
-            rate = relaxation_rate(moment, chi, thermal_factor(omega, temp))
-            t1_value = relaxation_time(rate, component)
+            res = relax(outcome, moment, orientation, temp)
         except DomainError:
             cells.append((math.nan,) * 5 + ("domain-error",))
             continue
-        status = "ok" if model != Model.AUTO.value else f"ok:{outcome.model}"
-        cells.append((float(outcome.chi_xx), float(outcome.chi_zz), float(rate),
-                      float(t1_value), float(outcome.error_estimate), status))
+        cells.append((float(outcome.chi_xx), float(outcome.chi_zz), float(res.rate),
+                      float(res.t1), float(outcome.error_estimate), status))
     return cells
 
 
-def _chi_units_for(qubit_name: str) -> str:
-    return "(V/m)^2*s" if qubit_name == "charge" else "T^2*s"
+def _sweep_rows(material, cfg, zs, omegas, temps, qubit, orientation, moment, models):
+    """Evaluate a sweep: per (z, omega) point, (cells, tensor of the last
+    model, or None where it failed). zs and omegas broadcast.
 
-
-def _group_header(label: str, units: str) -> list:
-    return [
-        f"{label}:chi_xx[{units}]",
-        f"{label}:chi_zz[{units}]",
-        f"{label}:rate[1/s]",
-        f"{label}:t1[s]",
-        f"{label}:chi_err[{units}]",
-        f"{label}:status",
-    ]
-
-
-def _csv_row(axis_value, cells) -> str:
-    fields = [_fmt(axis_value)]
-    for cell in cells:
-        fields += [_fmt(v) for v in cell[:5]] + [cell[5]]
-    return ",".join(fields)
-
-
-def _sweep_rows(material, cfg, axis, grid, fixed, models, temps=None):
-    """Evaluate a sweep: per grid value, (cells, tensor of the last model).
-
-    cells run over models and, per model, over temps (default: the
-    point's own temperature); chi is evaluated once per (point, model),
-    in one evaluate_batch call per model. A qubit that fails its checks
-    makes every cell a domain error. fixed is (z, omega, temperature,
-    qubit name, orientation, moment).
+    A point's cells run over models and, per model, over temps; chi is
+    evaluated once per (point, model), in one evaluate_batch call per
+    model. A qubit that fails its checks makes every cell a domain error.
     """
-    z, omega, temp, qubit_name, orientation, moment = fixed
-    if axis != "z" and z is None:
-        raise DomainError("--z is required when it is not the sweep axis")
-    # z, omega and temperature of each point: the axis merged with the fixed flags
-    zs, omegas, point_temps = zip(*[(v if axis == "z" else z, v if axis == "omega" else omega,
-                                     v if axis == "temperature" else temp)
-                                    for v in map(float, grid)])
+    zs, omegas = (a.tolist() for a in np.broadcast_arrays(zs, omegas))
+    kind, field_kind = _QUBITS[qubit][:2]
     try:
-        field_kind = QubitSpec(_QUBIT_KINDS[qubit_name], moment, orientation,
-                               omegas[0]).field_kind
+        QubitSpec(kind, moment, orientation, omegas[0])
         batches = [evaluate_batch(material, field_kind, zs, omegas, model, cfg)
                    for model in models]
     except DomainError as exc:
         batches = [[exc] * len(zs)] * len(models)
     cells = [[] for _ in zs]
-    tensors = [None] * len(zs)
     for model, outcomes in zip(models, batches):
-        for i, outcome in enumerate(outcomes):
-            cells[i] += _group_cell(outcome, omegas[i], model, orientation, moment,
-                                    temps or [point_temps[i]])
-            tensors[i] = None if isinstance(outcome, Exception) else outcome
+        for point, outcome in zip(cells, outcomes):
+            point += _cells(outcome, model, orientation, moment, temps)
+    tensors = [None if isinstance(o, Exception) else o for o in batches[-1]]
     return list(zip(cells, tensors))
+
+
+def _table(axis, grid, labels, units, rows, extra) -> list:
+    """CSV lines of a sweep or figure: the header, then one line per grid
+    value. Each label (a model, or a model at a temperature) heads the
+    six columns of its cells in rows[i]; extra maps the name of each
+    further chi column to its value per grid value."""
+    header = [f"{axis}[{_AXIS_UNITS[axis]}]"]
+    for label in labels:
+        header += [f"{label}:chi_xx[{units}]", f"{label}:chi_zz[{units}]",
+                   f"{label}:rate[1/s]", f"{label}:t1[s]", f"{label}:chi_err[{units}]",
+                   f"{label}:status"]
+    header += [f"{name}[{units}]" for name in extra]
+    lines = [",".join(header)]
+    for i, (axis_value, cells) in enumerate(zip(grid, rows)):
+        fields = [_fmt(axis_value)]
+        for cell in cells:
+            fields += [_fmt(v) for v in cell[:5]] + [cell[5]]
+        lines.append(",".join(fields + [_fmt(column[i]) for column in extra.values()]))
+    return lines
 
 
 def _worst_exit(cells_iter) -> int:
@@ -332,47 +328,32 @@ def _cmd_sweep(args) -> int:
     for model in models:
         if model not in valid:
             raise ValueError(f"unknown model {model!r}")
-    grid = _sweep_grid(args)
-    moment = args.moment if args.moment is not None else _DEFAULT_MOMENTS[args.qubit]
-    units = _chi_units_for(args.qubit)
-
-    fixed = (args.z, args.omega, args.temp, args.qubit, args.orientation, moment)
-    if args.axis == "temperature":
-        # chi does not depend on T: one point, one cell per grid temperature
-        [(cells, _)] = _sweep_rows(material, cfg, args.axis, grid[:1], fixed, models,
-                                   [float(v) for v in grid])
+    axis, grid = args.axis, _sweep_grid(args)
+    if axis != "z" and args.z is None:
+        raise DomainError("--z is required when it is not the sweep axis")
+    points = _sweep_rows(material, cfg, grid if axis == "z" else [args.z],
+                         grid if axis == "omega" else [args.omega],
+                         grid if axis == "temperature" else [args.temp],
+                         args.qubit, args.orientation, _moment(args), models)
+    if axis == "temperature":
+        [(cells, _)] = points
         rows = [cells[i::len(grid)] for i in range(len(grid))]
     else:
-        rows = [cells for cells, _ in
-                _sweep_rows(material, cfg, args.axis, grid, fixed, models)]
-
-    header = [f"{args.axis}[{_AXIS_UNITS[args.axis]}]"]
-    for model in models:
-        header += _group_header(model, units)
+        rows = [cells for cells, _ in points]
+    units = _CHI_UNITS[_QUBITS[args.qubit][1]]
 
     if args.format == "csv":
-        lines = [",".join(header)] + [_csv_row(v, row) for v, row in zip(grid, rows)]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_table(axis, grid, models, units, rows, {})) + "\n"
     else:
-        out_rows = []
-        for axis_value, row in zip(grid, rows):
-            for model, cell in zip(models, row):
-                out_rows.append({
-                    "axis_value": float(axis_value),
-                    "model": model,
-                    "chi_xx": None if math.isnan(cell[0]) else cell[0],
-                    "chi_zz": None if math.isnan(cell[1]) else cell[1],
-                    "rate_per_s": None if math.isnan(cell[2]) else cell[2],
-                    "t1_s": (None if math.isnan(cell[3])
-                             else ("inf" if math.isinf(cell[3]) else cell[3])),
-                    "chi_err": None if math.isnan(cell[4]) else cell[4],
-                    "status": cell[5],
-                })
         doc = {
-            "axis": args.axis,
-            "axis_units": _AXIS_UNITS[args.axis],
+            "axis": axis,
+            "axis_units": _AXIS_UNITS[axis],
             "chi_units": units,
-            "rows": out_rows,
+            "rows": [{"axis_value": axis_value, "model": model,
+                      **{k: _json_number(v) for k, v in zip(_CELL_JSON_KEYS, cell)},
+                      "status": cell[5]}
+                     for axis_value, row in zip(grid, rows)
+                     for model, cell in zip(models, row)],
         }
         text = json.dumps(doc, indent=2) + "\n"
 
@@ -380,31 +361,29 @@ def _cmd_sweep(args) -> int:
     return _worst_exit(cell for row in rows for cell in row)
 
 
+def _bulk_ladder(material, omega, cfg):
+    """The outcome of bulk_imD_coincident (its result, or the
+    QuadratureError of a ladder that did not converge) and its series."""
+    try:
+        res = bulk_imD_coincident(material, omega, cfg)
+        return res, res.convergence_series
+    except QuadratureError as exc:
+        return exc, getattr(exc, "convergence_series", [])
+
+
 def _cmd_bulk(args) -> int:
     material = load_material(args.material)
     cfg = QuadratureConfig(rel_tol=args.rel_tol)
-    exit_code = _EXIT_OK
-    try:
-        res = bulk_imD_coincident(material, args.omega, cfg)
-        bulk_doc = {
-            "im_D_xx": res.im_D_xx,
-            "im_D_zz": res.im_D_zz,
-            "units": "J*s/m",
-            "k_max_used_per_m": res.k_max_used,
-            "convergence_series": [[k, v] for k, v in res.convergence_series],
-            "status": "ok",
-        }
-    except QuadratureError as exc:
-        series = getattr(exc, "convergence_series", [])
-        bulk_doc = {
-            "im_D_xx": None,
-            "im_D_zz": None,
-            "units": "J*s/m",
-            "best_estimate": exc.best_estimate,
-            "convergence_series": [[k, v] for k, v in series],
-            "status": "not-converged",
-        }
-        exit_code = _EXIT_QUADRATURE
+    res, series = _bulk_ladder(material, args.omega, cfg)
+    failed = isinstance(res, QuadratureError)
+    if failed:
+        bulk_doc = {"im_D_xx": None, "im_D_zz": None, "units": "J*s/m",
+                    "best_estimate": res.best_estimate}
+    else:
+        bulk_doc = {"im_D_xx": res.im_D_xx, "im_D_zz": res.im_D_zz, "units": "J*s/m",
+                    "k_max_used_per_m": res.k_max_used}
+    bulk_doc["convergence_series"] = [[k, v] for k, v in series]
+    bulk_doc["status"] = "not-converged" if failed else "ok"
     surf = surface_limit_imD(material, args.omega, cfg)
     doc = {
         "inputs": {
@@ -420,19 +399,15 @@ def _cmd_bulk(args) -> int:
         },
     }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
-    return exit_code
+    return _EXIT_QUADRATURE if failed else _EXIT_OK
 
 
 def _bulk_reference_comments(material, omega, cfg, moment) -> list:
-    try:
-        res = bulk_imD_coincident(material, omega, cfg)
-        im_d = res.im_D_xx
-        status = f"converged at k_max={res.k_max_used:.4e} 1/m"
-        series = res.convergence_series
-    except QuadratureError as exc:
-        im_d = exc.best_estimate
-        series = getattr(exc, "convergence_series", [])
-        status = "not converged across cutoff ladder; last rung used"
+    res, series = _bulk_ladder(material, omega, cfg)
+    if isinstance(res, QuadratureError):
+        im_d, status = res.best_estimate, "not converged across cutoff ladder; last rung used"
+    else:
+        im_d, status = res.im_D_xx, f"converged at k_max={res.k_max_used:.4e} 1/m"
     chi_bulk = omega**2 / (EPS0 * C_LIGHT**2) * im_d
     rate = relaxation_rate(moment, chi_bulk)
     return [
@@ -442,84 +417,43 @@ def _bulk_reference_comments(material, omega, cfg, moment) -> list:
     ]
 
 
-def _figure_spec(name: str, material):
-    lam_f = material.fermi_wavelength
-    z_grid = np.geomspace(lam_f, 3000 * lam_f, 15)
-    omega_grid = np.geomspace(1e7, 1e11, 17)
-    if name == "fig1":
-        return dict(axis="z", grid=z_grid, qubit="charge",
-                    omega=_OMEGA_DEFAULT, temps=[0.0],
-                    models=["local-quasistatic", "nonlocal-quasistatic"],
-                    bulk_reference=True, decomposition=False)
-    if name == "fig2":
-        return dict(axis="omega", grid=omega_grid, qubit="charge",
-                    z=10 * lam_f, temps=[0.0, 2.0],
-                    models=["auto"], bulk_reference=False, decomposition=False)
-    if name == "fig3":
-        return dict(axis="z", grid=z_grid, qubit="spin",
-                    omega=_OMEGA_DEFAULT, temps=[0.0],
-                    models=["local-quasistatic", "nonlocal-quasistatic"],
-                    bulk_reference=False, decomposition=False)
-    return dict(axis="omega", grid=omega_grid, qubit="spin",
-                z=10 * lam_f, temps=[0.0, 2.0],
-                models=["auto"], bulk_reference=False, decomposition=True)
-
-
 def _cmd_figure(args) -> int:
     material = load_material(args.material)
     cfg = QuadratureConfig(rel_tol=args.rel_tol)
-    spec = _figure_spec(args.name, material)
-    axis = spec["axis"]
-    grid = [float(v) for v in spec["grid"]]
-    units = _chi_units_for(spec["qubit"])
-    moment = _DEFAULT_MOMENTS[spec["qubit"]]
-    orientation = "x"
-    fixed = (spec.get("z"), spec.get("omega", _OMEGA_DEFAULT), 0.0, spec["qubit"],
-             orientation, moment)
-    rows = _sweep_rows(material, cfg, axis, grid, fixed, spec["models"], spec["temps"])
-
-    comments = [
-        f"{args.name}: {spec['qubit']} qubit, orientation {orientation},"
-        f" material {material.name}",
-    ]
+    axis, qubit, models, temps, bulk_reference, decomposition = _FIGURES[args.name]
+    _, field_kind, moment, _ = _QUBITS[qubit]
+    orientation, lam_f = "x", material.fermi_wavelength
     if axis == "z":
-        comments.append(f"omega[rad/s] = {_fmt(spec['omega'])}")
+        grid = np.geomspace(lam_f, 3000 * lam_f, 15).tolist()
+        zs, omegas, fixed = grid, [_OMEGA_DEFAULT], f"omega[rad/s] = {_fmt(_OMEGA_DEFAULT)}"
     else:
-        comments.append(f"z[m] = {_fmt(spec['z'])}")
-    if spec["bulk_reference"]:
-        comments += _bulk_reference_comments(material, spec["omega"], cfg, moment)
-    if "auto" in spec["models"]:
-        choice = regime_select(material, spec.get("z") or grid[0],
-                               spec.get("omega", _OMEGA_DEFAULT))
+        grid = np.geomspace(1e7, 1e11, 17).tolist()
+        zs, omegas, fixed = [10 * lam_f], grid, f"z[m] = {_fmt(10 * lam_f)}"
+    points = _sweep_rows(material, cfg, zs, omegas, temps, qubit, orientation, moment, models)
+
+    comments = [f"{args.name}: {qubit} qubit, orientation {orientation},"
+                f" material {material.name}", fixed]
+    if bulk_reference:
+        comments += _bulk_reference_comments(material, _OMEGA_DEFAULT, cfg, moment)
+    if "auto" in models:
+        choice = regime_select(material, zs[0], _OMEGA_DEFAULT)
         comments.append(f"model auto resolves to {choice.model} at the fixed point")
-
-    header = [f"{axis}[{_AXIS_UNITS[axis]}]"]
-    for model in spec["models"]:
-        for temp in spec["temps"]:
-            label = model if len(spec["temps"]) == 1 else f"{model}:T={temp:g}K"
-            header += _group_header(label, units)
-    if spec["decomposition"]:
-        header += [f"chi_xx_rs_part[{units}]", f"chi_xx_rp_part[{units}]"]
-
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for axis_value, (cells, tensor) in zip(grid, rows):
-        line = _csv_row(axis_value, cells)
-        if spec["decomposition"]:
-            parts = tensor.decomposition if tensor is not None else {}
-            line += "".join("," + _fmt(parts.get(k, math.nan))
-                            for k in ("rs_part", "rp_part"))
-        lines.append(line)
-    text = "\n".join(lines) + "\n"
+    labels = [model if len(temps) == 1 else f"{model}:T={temp:g}K"
+              for model in models for temp in temps]
+    parts = [{} if tensor is None else tensor.decomposition for _, tensor in points]
+    extra = {f"chi_xx_{k}": [p.get(k, math.nan) for p in parts]
+             for k in ("rs_part", "rp_part") if decomposition}
+    lines = [f"# {c}" for c in comments] + _table(
+        axis, grid, labels, _CHI_UNITS[field_kind], [cells for cells, _ in points], extra)
 
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"{args.name}.csv")
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {path} ({len(grid)} rows)")
     for c in comments:
         print(f"  {c}")
-    return _worst_exit(cell for cells, _ in rows for cell in cells)
+    return _worst_exit(cell for cells, _ in points for cell in cells)
 
 
 def main(argv=None) -> int:

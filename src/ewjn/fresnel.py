@@ -24,7 +24,7 @@ decay into the absorbing half-space. The local kernel,
 local_reflection_q, takes q itself: rebuilding q = sqrt(omega^2/c^2 -
 p^2) from p cancels digits near the light line, where the grazing
 structure of r_p sits. It takes k2_metal = (eps - 1) omega^2/c^2 in
-place of omega; local_reflection(p, omega, eps) is q(p) fed to it.
+place of omega; the retarded model integrates over q and passes it.
 """
 
 from __future__ import annotations
@@ -45,19 +45,6 @@ class ReflectionPair(NamedTuple):
     r_p: complex
 
 
-def vacuum_normal_wavevector(p, omega):
-    """q = sqrt(omega^2/c^2 - p^2): real for propagating, +i|q| evanescent."""
-    if np.any(np.asarray(p) < 0):
-        raise DomainError("p must be >= 0")
-    if omega <= 0:
-        raise DomainError("omega must be > 0")
-    arg = np.asarray((omega / C_LIGHT) ** 2 - np.asarray(p, dtype=float) ** 2)
-    q = np.sqrt(arg.astype(complex))
-    # principal sqrt of a negative real lands on +i|q| already; this
-    # guards the convention against any -0.0j corner
-    return np.where(q.imag < 0, -q, q)[()]
-
-
 def local_reflection_q(q, k2_metal, eps) -> ReflectionPair:
     """Classical Fresnel r_s, r_p at vacuum normal wavevector q.
 
@@ -72,13 +59,6 @@ def local_reflection_q(q, k2_metal, eps) -> ReflectionPair:
     qm = np.where(qm.imag < 0, -qm, qm)
     eq = eps * q
     return ReflectionPair(r_s=(q - qm) / (q + qm), r_p=(eq - qm) / (eq + qm))
-
-
-def local_reflection(p, omega, eps) -> ReflectionPair:
-    """Classical Fresnel r_s, r_p for a half-space of permittivity eps,
-    at in-plane wavevector p: local_reflection_q at q(p)."""
-    return local_reflection_q(vacuum_normal_wavevector(p, omega),
-                              (eps - 1.0) * (omega / C_LIGHT) ** 2, eps)
 
 
 def nonlocal_reflection_quasistatic(

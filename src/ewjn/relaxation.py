@@ -6,6 +6,10 @@ with chi^E for an electric dipole (moment in C m) and chi^B for a
 magnetic one (moment in J/T). The qubit is a point dipole; only the
 component along its orientation contributes, and the in-plane symmetry
 of the half-space makes x and y identical.
+
+relax is the one place that turns a noise tensor, a moment, an
+orientation and a temperature into a rate and a T1; t1 and every CLI
+sweep cell call it. A negative or non-finite rate is a DomainError.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ def thermal_factor(omega: float, temperature: float) -> float:
 
     1/tanh is stable at both ends: tanh saturates to 1 for large
     arguments instead of overflowing, and the small-argument growth
-    2 k_B T/(hbar omega) comes out of the division untouched.
+    2 k_B T/(hbar omega) comes out of the division untouched. An
+    argument that underflows to 0 is a DomainError.
     """
     if not (omega > 0):
         raise DomainError("omega must be > 0")
@@ -77,12 +82,18 @@ def thermal_factor(omega: float, temperature: float) -> float:
         raise DomainError("omega and temperature must be finite")
     if temperature == 0:
         return 1.0
-    return 1.0 / math.tanh(HBAR * omega / (2.0 * K_BOLTZMANN * temperature))
+    x = HBAR * omega / (2.0 * K_BOLTZMANN * temperature)
+    if x == 0:
+        raise DomainError("hbar omega/(2 k_B T) underflows to 0")
+    return 1.0 / math.tanh(x)
 
 
 def relaxation_rate(moment: float, chi: float, factor: float = 1.0) -> float:
     """(moment/hbar)^2 chi factor, 1/s; factor is the thermal coth."""
-    return (moment / HBAR) ** 2 * chi * factor
+    try:
+        return (moment / HBAR) ** 2 * chi * factor
+    except OverflowError:
+        raise DomainError("(moment/hbar)^2 overflows") from None
 
 
 def relaxation_time(rate: float, component: str) -> float:
@@ -91,12 +102,37 @@ def relaxation_time(rate: float, component: str) -> float:
     chi, and so the rate, holds the field reflected by the medium alone:
     the free-space term is not included, and the reflected chi can be
     negative in the far field. A negative rate raises DomainError, which
-    names the chi component ("xx" or "zz") the rate came from.
+    names the chi component ("xx" or "zz") the rate came from, and so
+    does a rate that is not finite.
     """
+    if not math.isfinite(rate):
+        raise DomainError(f"rate from chi_{component} is not finite ({rate} 1/s); "
+                          "the inputs leave the float range")
     if rate < 0:
         raise DomainError(f"reflected chi_{component} is negative (rate {rate:.3e} 1/s); "
                           "the free-space term is not included, so no T1 follows")
     return 1.0 / rate if rate > 0 else math.inf
+
+
+def relax(tensor: SpectralDensityTensor, moment: float, orientation: str,
+          temperature: float) -> RelaxationResult:
+    """Rate, T1 and rate error of a dipole along orientation (as QubitSpec
+    checks them) at temperature, from the noise tensor at its point.
+    Raises DomainError on a negative or non-finite rate."""
+    component = "zz" if orientation == "z" else "xx"
+    chi = tensor.chi_zz if component == "zz" else tensor.chi_xx
+    factor = thermal_factor(tensor.omega, temperature)
+    rate = relaxation_rate(moment, chi, factor)
+    return RelaxationResult(
+        rate=rate,
+        t1=relaxation_time(rate, component),
+        chi_component=component,
+        chi_value=chi,
+        chi_units=_CHI_UNITS[tensor.field_kind],
+        thermal_factor=factor,
+        model=tensor.model,
+        error_estimate=relaxation_rate(moment, tensor.error_estimate, factor),
+    )
 
 
 def t1(
@@ -107,26 +143,8 @@ def t1(
     model: Model | str = Model.AUTO,
     cfg: QuadratureConfig | None = None,
 ) -> RelaxationResult:
-    """Relaxation time of the qubit at height z above the half-space.
-
-    Raises DomainError where the reflected chi along the qubit axis is
-    negative (see relaxation_time).
-    """
-    omega = qubit.level_splitting
-    tensor: SpectralDensityTensor = evaluate(
-        material, qubit.field_kind, z, omega, model, cfg
-    )
-    component = "zz" if qubit.orientation == "z" else "xx"
-    chi = tensor.chi_zz if component == "zz" else tensor.chi_xx
-    factor = thermal_factor(omega, temperature)
-    rate = relaxation_rate(qubit.moment, chi, factor)
-    return RelaxationResult(
-        rate=rate,
-        t1=relaxation_time(rate, component),
-        chi_component=component,
-        chi_value=chi,
-        chi_units=_CHI_UNITS[tensor.field_kind],
-        thermal_factor=factor,
-        model=tensor.model,
-        error_estimate=relaxation_rate(qubit.moment, tensor.error_estimate, factor),
-    )
+    """Relaxation time of the qubit at height z above the half-space:
+    evaluate, then relax, which raises DomainError on a negative or
+    non-finite rate."""
+    tensor = evaluate(material, qubit.field_kind, z, qubit.level_splitting, model, cfg)
+    return relax(tensor, qubit.moment, qubit.orientation, temperature)

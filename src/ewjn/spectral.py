@@ -125,8 +125,9 @@ def _regime(z: float, limits: tuple) -> RegimeChoice:
 
 
 # A model's batch function maps (material, field_kind, zs, omegas, cfg),
-# one omega per z, to one outcome per point: a QuadratureError, or the
-# values (chi_xx, chi_zz, error_estimate, decomposition) of the tensor.
+# one omega per z, to one outcome per point: a QuadratureError or
+# DomainError, or the values (chi_xx, chi_zz, error_estimate,
+# decomposition) of the tensor.
 
 def _local_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     """The closed forms at every point.
@@ -136,14 +137,19 @@ def _local_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
 
     The magnetic form holds well below the skin depth; its 1/z growth
     saturates near delta in the retarded treatment. Each point runs on
-    Python floats, since numpy's power rounds differently from **.
+    Python floats, since numpy's power rounds differently from **. An
+    electric point whose 8 eps0 z^3 underflows to 0 gets a DomainError.
     """
     eps_of = {w: drude_epsilon(material, w) for w in set(omegas)}
     out = []
     for z, omega in zip(zs, omegas):
         eps = eps_of[omega]
         if field_kind == "E":
-            chi_xx = HBAR / (8.0 * EPS0 * z**3) * ((eps - 1.0) / (eps + 1.0)).imag
+            cube = 8.0 * EPS0 * z**3
+            if cube == 0:
+                out.append(DomainError(f"z = {z:.6g} m is too small: 8 eps0 z^3 underflows to 0"))
+                continue
+            chi_xx = HBAR / cube * ((eps - 1.0) / (eps + 1.0)).imag
             out.append((chi_xx, 2.0 * chi_xx, 0.0, {}))
         else:
             chi_zz = HBAR * omega**2 / (8.0 * EPS0 * C_LIGHT**4 * z) * eps.imag
@@ -328,7 +334,9 @@ def evaluate_batch(
     length raises DomainError. Outcome i is the tensor at point i, or
     the DomainError or QuadratureError that evaluate would raise there.
     model="auto" resolves per point; the points of each model then run
-    as one batch, with the outcomes a point-by-point run would give.
+    as one batch, with the outcomes a point-by-point run would give. A
+    point whose chi_xx, chi_zz or error_estimate is not finite (its
+    inputs leave the float range) gets a DomainError.
     """
     if field_kind not in ("E", "B"):
         raise DomainError("field_kind must be 'E' or 'B'")
@@ -357,8 +365,11 @@ def evaluate_batch(
         outcomes = _BATCH[m](material, field_kind, [zs[i] for i in idx],
                              [omegas[i] for i in idx], cfg)
         for i, outcome in zip(idx, outcomes):
-            if isinstance(outcome, QuadratureError):
+            if isinstance(outcome, Exception):
                 out[i] = outcome
+            elif not all(map(math.isfinite, outcome[:3])):
+                out[i] = DomainError(f"chi is not finite at z = {zs[i]:.6g} m, omega = "
+                                     f"{omegas[i]:.6g} rad/s; the inputs leave the float range")
             else:
                 chi_xx, chi_zz, err, parts = outcome
                 out[i] = SpectralDensityTensor(field_kind, chi_xx, chi_zz, zs[i], omegas[i], m,

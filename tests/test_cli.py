@@ -12,7 +12,8 @@ import sys
 
 import pytest
 
-from ewjn.materials import HBAR, K_BOLTZMANN
+from ewjn import QuadratureConfig, QubitSpec, load_material, t1
+from ewjn.materials import BOHR_MAGNETON, BOHR_RADIUS, E_CHARGE, HBAR, K_BOLTZMANN
 from ewjn.cli import main
 
 LAM_F = 4.635454439837973e-10  # copper Fermi wavelength, m
@@ -22,6 +23,15 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def loads(text):
+    """Strict JSON: NaN, Infinity and -Infinity raise."""
+    return json.loads(text, parse_constant=_reject)
 
 
 def parse_csv(text):
@@ -40,7 +50,7 @@ def test_spectral_json_local(capsys):
         "spectral", "--z", str(10 * LAM_F), "--model", "local-quasistatic",
     ], capsys)
     assert code == 0
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["inputs"]["material"] == "copper"
     assert doc["inputs"]["model_requested"] == "local-quasistatic"
     assert doc["model_used"] == "local-quasistatic"
@@ -53,7 +63,7 @@ def test_spectral_json_local(capsys):
 def test_spectral_json_auto_resolves_far_field(capsys):
     code, out, _ = run_cli(["spectral", "--z", "1e-6"], capsys)
     assert code == 0
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["inputs"]["model_requested"] == "auto"
     assert doc["model_used"] == "local-retarded"
 
@@ -64,7 +74,7 @@ def test_spectral_json_magnetic_decomposition(capsys):
         "--model", "nonlocal-quasistatic", "--rel-tol", "1e-6",
     ], capsys)
     assert code == 0
-    doc = json.loads(out)
+    doc = loads(out)
     parts = doc["chi_xx_decomposition"]
     assert set(parts) == {"rp_part", "rs_part"}
     assert doc["chi_xx"] == parts["rs_part"] + parts["rp_part"]
@@ -76,7 +86,7 @@ def test_t1_json_charge_defaults(capsys):
         "t1", "--z", str(10 * LAM_F), "--model", "local-quasistatic",
     ], capsys)
     assert code == 0
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["inputs"]["qubit"] == "charge"
     assert doc["inputs"]["moment_units"] == "C*m"
     assert doc["chi"]["component"] == "xx"
@@ -94,7 +104,7 @@ def test_t1_json_infinite_encoded_as_string(capsys, tmp_path):
         "--model", "local-quasistatic",
     ], capsys)
     assert code == 0
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["rate_per_s"] == 0.0
     assert doc["t1_s"] == "inf"
 
@@ -110,7 +120,7 @@ def test_material_file_and_out_flag(capsys, tmp_path):
     ], capsys)
     assert code == 0
     assert out == ""
-    doc = json.loads(out_path.read_text())
+    doc = loads(out_path.read_text())
     assert doc["inputs"]["material"] == "slab"
 
 
@@ -203,7 +213,7 @@ def test_sweep_across_regime_boundary_matches_single_points(capsys):
             "--models", "auto,local-retarded", "--rel-tol", "1e-6", "--format", "json",
         ], capsys)
         assert code == 0
-        rows = json.loads(out)["rows"]
+        rows = loads(out)["rows"]
         assert len(rows) == 10
         statuses = [row["status"] for row in rows if row["model"] == "auto"]
         assert statuses[0] == "ok:nonlocal-quasistatic"
@@ -215,7 +225,7 @@ def test_sweep_across_regime_boundary_matches_single_points(capsys):
                 "--rel-tol", "1e-6",
             ], capsys)
             assert code == 0
-            doc = json.loads(single)
+            doc = loads(single)
             assert row["status"] == ("ok:" + doc["model_used"] if row["model"] == "auto"
                                      else "ok")
             assert (row["chi_xx"], row["chi_zz"], row["chi_err"]) \
@@ -228,12 +238,34 @@ def test_sweep_json_format(capsys):
         "--count", "3", "--models", "local-quasistatic", "--format", "json",
     ], capsys)
     assert code == 0
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["axis"] == "z"
     assert doc["axis_units"] == "m"
     assert len(doc["rows"]) == 3
     assert all(row["status"] == "ok" for row in doc["rows"])
     assert doc["rows"][0]["model"] == "local-quasistatic"
+
+
+def test_sweep_cells_equal_t1_bitwise(capsys):
+    # each cell is relax on its point's tensor, as relaxation.t1 is
+    copper, cfg = load_material("copper"), QuadratureConfig(rel_tol=1e-6)
+    omega = 6e8 * math.pi
+    qubits = {"charge": ("electric-dipole", E_CHARGE * BOHR_RADIUS),
+              "spin": ("magnetic-dipole", BOHR_MAGNETON)}
+    for qubit, (kind, moment) in qubits.items():
+        for orientation in ("x", "z"):
+            for temp in (0.0, 2.0):
+                code, out, _ = run_cli([
+                    "sweep", "--axis", "z", "--min", "1e-7", "--max", "1e-6", "--count", "2",
+                    "--models", "local-quasistatic,local-retarded", "--qubit", qubit,
+                    "--orientation", orientation, "--temp", repr(temp), "--rel-tol", "1e-6",
+                    "--format", "json",
+                ], capsys)
+                assert code == 0
+                spec = QubitSpec(kind, moment, orientation, omega)
+                for row in loads(out)["rows"]:
+                    res = t1(copper, spec, row["axis_value"], temp, row["model"], cfg)
+                    assert (row["rate_per_s"], row["t1_s"]) == (res.rate, res.t1)
 
 
 def test_sweep_per_point_quadrature_failure_is_cell_status(capsys):
@@ -307,26 +339,44 @@ def test_domain_exit_codes(capsys):
 
 _Z_SWEEP = ["sweep", "--axis", "z", "--min", "1e-8", "--max", "1e-7", "--count", "2",
             "--models", "local-quasistatic,auto"]
+_LQ = ["--model", "local-quasistatic"]
+_FAILED = ["domain-error"] * 4
 
 
 @pytest.mark.parametrize("argv,cells", [
-    (["t1", "--z", "1e-8", "--model", "local-quasistatic", "--temp", "nan"], False),
-    (["t1", "--z", "1e-8", "--model", "local-quasistatic", "--temp", "inf"], False),
-    (["t1", "--z", "1e-8", "--model", "local-quasistatic", "--moment", "inf"], False),
-    (["spectral", "--z", "1e-8", "--omega", "inf", "--model", "local-quasistatic"], False),
-    (["spectral", "--z", "1e-8", "--omega", "inf"], False),
-    (["spectral", "--z", "1e-8", "--model", "local-quasistatic", "--material", "INF"], False),
-    (["bulk", "--omega", "inf"], False),
+    (["t1", "--z", "1e-8", *_LQ, "--temp", "nan"], None),
+    (["t1", "--z", "1e-8", *_LQ, "--temp", "inf"], None),
+    (["t1", "--z", "1e-8", *_LQ, "--moment", "inf"], None),
+    (["spectral", "--z", "1e-8", "--omega", "inf", *_LQ], None),
+    (["spectral", "--z", "1e-8", "--omega", "inf"], None),
+    (["spectral", "--z", "1e-8", *_LQ, "--material", "INF"], None),
+    (["bulk", "--omega", "inf"], None),
     (["sweep", "--axis", "temperature", "--min", "0", "--max", "inf", "--count", "2",
-      "--spacing", "linear", "--z", "1e-8", "--models", "local-quasistatic"], False),
-    (_Z_SWEEP + ["--temp", "nan"], True),
-    (_Z_SWEEP + ["--temp", "inf"], True),
-    (_Z_SWEEP + ["--moment", "inf"], True),
-    (_Z_SWEEP + ["--omega", "inf"], True),
+      "--spacing", "linear", "--z", "1e-8", "--models", "local-quasistatic"], None),
+    (_Z_SWEEP + ["--temp", "nan"], _FAILED),
+    (_Z_SWEEP + ["--temp", "inf"], _FAILED),
+    (_Z_SWEEP + ["--moment", "inf"], _FAILED),
+    (_Z_SWEEP + ["--omega", "inf"], _FAILED),
+    # finite inputs whose results leave the float range
+    (["t1", "--z", "1e-8", *_LQ, "--moment", "1e300"], None),
+    (["t1", "--z", "1e-8", *_LQ, "--moment", "1e160"], None),
+    (["t1", "--z", "1e-8", *_LQ, "--omega", "1e-300", "--temp", "1"], None),
+    (["spectral", "--z", "1e-8", *_LQ, "--omega", "1e-310"], None),
+    (["spectral", "--z", "1e-300", *_LQ], None),
+    (_Z_SWEEP + ["--moment", "1e300"], _FAILED),
+    (_Z_SWEEP[:-1] + ["local-quasistatic", "--omega", "1e-310"], _FAILED[:2]),
+    (["sweep", "--axis", "temperature", "--min", "0", "--max", "1", "--count", "2",
+      "--spacing", "linear", "--z", "1e-8", "--omega", "1e-300",
+      "--models", "nonlocal-quasistatic", "--rel-tol", "1e-6"], ["ok", "domain-error"]),
+    (["sweep", "--axis", "z", "--min", "1e-300", "--max", "1e-8", "--count", "3",
+      "--models", "local-quasistatic"], ["domain-error", "domain-error", "ok"]),
 ], ids=["t1-temp-nan", "t1-temp-inf", "t1-moment-inf", "spectral-omega-inf",
         "spectral-auto-omega-inf", "material-omega-p-inf", "bulk-omega-inf",
         "temperature-sweep-max-inf", "sweep-temp-nan", "sweep-temp-inf", "sweep-moment-inf",
-        "sweep-omega-inf"])
+        "sweep-omega-inf", "t1-rate-overflow", "t1-moment-squared-overflow",
+        "t1-thermal-underflow", "spectral-chi-nan", "spectral-z-cubed-underflow",
+        "sweep-rate-overflow", "sweep-chi-nan", "temperature-sweep-thermal-underflow",
+        "sweep-z-cubed-underflow"])
 def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
     metal = tmp_path / "inf.cfg"
     metal.write_text("name = inf\nomega_p_rad_s = inf\nnu_rad_s = 1e13\nfermi_energy_ev = 5\n")
@@ -335,7 +385,15 @@ def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
     if cells:
         header, rows = parse_csv(out)
         statuses = [row[i] for row in rows for i, h in enumerate(header) if h.endswith(":status")]
-        assert len(statuses) == 4 and set(statuses) == {"domain-error"}
+        assert statuses == cells
+        # a failed cell holds nan, an ok one finite values (t1 may be inf)
+        for row in rows:
+            for i, h in enumerate(header):
+                if h.endswith(":status"):
+                    values = [float(v) for v in row[i - 5:i]]
+                    assert all(map(math.isnan, values)) == (row[i] == "domain-error")
+                    assert all(math.isfinite(v) for v in values[:3] + values[4:]) \
+                        == (row[i] == "ok")
     else:
         assert out == ""
         assert err.startswith("error: ")
@@ -353,7 +411,7 @@ def test_help_exits_zero(capsys):
 def test_bulk_command_reports_nonconvergence(capsys):
     code, out, _ = run_cli(["bulk"], capsys)
     assert code == 3
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["bulk"]["status"] == "not-converged"
     assert doc["bulk"]["im_D_xx"] is None
     assert doc["bulk"]["best_estimate"] == pytest.approx(
@@ -431,3 +489,29 @@ def test_figure_fig4_decomposition_columns(capsys, tmp_path):
         assert math.isfinite(float(row[rp_col]))
     # at the low-frequency end the linear channel dwarfs the cubic one
     assert float(rows[0][rs_col]) / float(rows[0][rp_col]) > 1e3
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+def test_figure_equals_sweep_over_its_grid(capsys, tmp_path, name):
+    lam_f = load_material("copper").fermi_wavelength
+    if name == "fig2":
+        sweep = ["--axis", "omega", "--min", "1e7", "--max", "1e11", "--count", "17",
+                 "--z", repr(10 * lam_f), "--models", "auto"]
+        temps = ["0", "2"]
+    else:
+        sweep = ["--axis", "z", "--min", repr(lam_f), "--max", repr(3000 * lam_f),
+                 "--count", "15", "--qubit", "spin",
+                 "--models", "local-quasistatic,nonlocal-quasistatic"]
+        temps = ["0"]
+    code, _, _ = run_cli(["figure", name, "--out-dir", str(tmp_path), "--rel-tol", "1e-6"],
+                         capsys)
+    assert code == 0
+    header, rows = parse_csv((tmp_path / f"{name}.csv").read_text())
+    for temp in temps:
+        code, out, _ = run_cli(["sweep", *sweep, "--temp", temp, "--rel-tol", "1e-6"], capsys)
+        assert code == 0
+        sweep_header, sweep_rows = parse_csv(out)
+        # the figure's columns at this temperature, in the sweep's order
+        tag = "" if len(temps) == 1 else f"T={temp}K:"
+        cols = [header.index(h.replace(":", ":" + tag, 1)) for h in sweep_header]
+        assert [[row[c] for c in cols] for row in rows] == sweep_rows

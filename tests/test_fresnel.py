@@ -14,10 +14,8 @@ import pytest
 from ewjn import COPPER, DomainError, Material, QuadratureConfig, QuadratureError
 from ewjn.fresnel import (
     ReflectionPair,
-    local_reflection,
     local_reflection_q,
     nonlocal_reflection_quasistatic,
-    vacuum_normal_wavevector,
 )
 from ewjn.materials import C_LIGHT, drude_epsilon, epsilon_l, epsilon_t
 from ewjn.quadrature import integrate_power_tails
@@ -27,65 +25,43 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
-# ------------------------------------------------------------ vacuum branch
-
-def test_vacuum_normal_wavevector_values(omega0):
-    k0 = omega0 / C_LIGHT
-    assert vacuum_normal_wavevector(0.0, omega0) == pytest.approx(k0, rel=1e-12)
-    assert abs(vacuum_normal_wavevector(k0, omega0)) <= 1e-12 * k0
-    q = vacuum_normal_wavevector(2.0 * k0, omega0)
-    # evanescent root sits on the positive imaginary axis
-    assert q.real == pytest.approx(0.0, abs=1e-12 * k0)
-    assert q.imag == pytest.approx(math.sqrt(3.0) * k0, rel=1e-12)
-
-
-def test_vacuum_normal_wavevector_branch_grid(omega0):
-    k0 = omega0 / C_LIGHT
-    ps = np.linspace(0.0, 3.0, 301) * k0
-    q = vacuum_normal_wavevector(ps, omega0)
-    assert np.all(q.imag >= 0.0)
-    assert np.all(q.real >= 0.0)
-
-
-def test_vacuum_normal_wavevector_domain(omega0):
-    with pytest.raises(DomainError):
-        vacuum_normal_wavevector(-1.0, omega0)
-    with pytest.raises(DomainError):
-        vacuum_normal_wavevector(1.0, 0.0)
-
-
 # ------------------------------------------------------------------- local
 
+def _k2_metal(eps, omega):
+    return (eps - 1.0) * (omega / C_LIGHT) ** 2
+
+
 def test_local_reflection_vacuum(omega0):
-    pair = local_reflection(0.5 * omega0 / C_LIGHT, omega0, 1.0 + 0.0j)
+    # propagating q = omega/(2c): with eps = 1 the metal root is q itself
+    pair = local_reflection_q(0.5 * omega0 / C_LIGHT, 0.0, 1.0 + 0.0j)
     assert pair.r_s == 0.0
     assert pair.r_p == 0.0
 
 
 def test_local_reflection_quasistatic_limits(copper, omega0):
     eps = drude_epsilon(copper, omega0)
-    # deep evanescent means p well beyond sqrt|eps| omega/c (the inverse
-    # skin depth, ~3.8e5 1/m here), not just beyond omega/c
-    p = 1e8
-    pair = local_reflection(p, omega0, eps)
+    # deep evanescent means |q| ~ p well beyond sqrt|eps| omega/c (the
+    # inverse skin depth, ~3.8e5 1/m here), not just beyond omega/c
+    u = 1e8
+    pair = local_reflection_q(1j * u, _k2_metal(eps, omega0), eps)
     assert rel(pair.r_p, (eps - 1.0) / (eps + 1.0)) < 1e-4
-    assert rel(pair.r_s, (eps - 1.0) * omega0**2 / (4.0 * p**2 * C_LIGHT**2)) < 1e-3
+    assert rel(pair.r_s, (eps - 1.0) * omega0**2 / (4.0 * u**2 * C_LIGHT**2)) < 1e-3
 
 
 def test_local_reflection_propagating_bounded(copper, omega0):
     eps = drude_epsilon(copper, omega0)
-    ps = np.linspace(0.01, 0.99, 50) * omega0 / C_LIGHT
-    pair = local_reflection(ps, omega0, eps)
+    qs = np.linspace(0.01, 1.0, 50) * omega0 / C_LIGHT
+    pair = local_reflection_q(qs, _k2_metal(eps, omega0), eps)
     assert np.all(np.abs(pair.r_s) <= 1.0 + 1e-12)
     assert np.all(np.abs(pair.r_p) <= 1.0 + 1e-12)
 
 
 def test_local_reflection_vectorized(copper, omega0):
     eps = drude_epsilon(copper, omega0)
-    ps = np.array([1e5, 1e7, 1e9])
-    pair = local_reflection(ps, omega0, eps)
-    for i, p in enumerate(ps):
-        single = local_reflection(float(p), omega0, eps)
+    qs = 1j * np.array([1e5, 1e7, 1e9])
+    pair = local_reflection_q(qs, _k2_metal(eps, omega0), eps)
+    for i, q in enumerate(qs):
+        single = local_reflection_q(complex(q), _k2_metal(eps, omega0), eps)
         assert pair.r_s[i] == single.r_s
         assert pair.r_p[i] == single.r_p
 

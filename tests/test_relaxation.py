@@ -57,7 +57,8 @@ def test_thermal_factor_domain():
         thermal_factor(0.0, 1.0)
     with pytest.raises(DomainError):
         thermal_factor(1e9, -0.1)
-    for omega, temp in ((math.inf, 1.0), (1e9, math.inf), (1e9, math.nan)):
+    # hbar omega/(2 k_B T) underflows to 0 at omega = 1e-300
+    for omega, temp in ((math.inf, 1.0), (1e9, math.inf), (1e9, math.nan), (1e-300, 1.0)):
         with pytest.raises(DomainError):
             thermal_factor(omega, temp)
 

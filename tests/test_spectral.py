@@ -560,6 +560,11 @@ def test_evaluate_validation(copper, omega0):
     # omega is one value or one per z
     with pytest.raises(DomainError):
         evaluate_batch(copper, "E", [1e-8, 2e-8, 3e-8], [omega0, omega0])
+    # z^3 underflowing to 0 and a NaN chi are DomainErrors of their own points
+    underflow, tensor, nan = evaluate_batch(copper, "E", [1e-300, 1e-8, 1e-8],
+                                            [omega0, omega0, 1e-310], "local-quasistatic")
+    assert isinstance(underflow, DomainError) and isinstance(nan, DomainError)
+    assert tensor == evaluate(copper, "E", 1e-8, omega0, "local-quasistatic")
 
 
 @pytest.mark.parametrize("model", ["local-quasistatic", "nonlocal-quasistatic",

@@ -1,0 +1,136 @@
+"""Compare the `ewjn` CLI of this checkout with another checkout's.
+
+    python3 tools/cli_identity.py PARENT_DIR
+
+Run from the repository root. The commands are those of seeds 501, 612
+and 777 of every perfbench workload (perfbench/workloads.py) plus the
+fixed EDGES list below. Each command runs in a fresh interpreter, once
+with PARENT_DIR/src and once with ./src on PYTHONPATH, each time in a
+new empty working directory that holds only the command's material
+file. The exit code, stdout, stderr and every file the command leaves
+in its working directory are compared. Each command that differs is
+printed with its first differing line per stream ("-" the parent's,
+"+" this checkout's); the exit status is 1 if any command differs,
+else 0.
+"""
+
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.getcwd()
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402
+
+SEEDS = (501, 612, 777)
+
+_Z = ["--z", "4.64e-9"]
+_LQ = ["--model", "local-quasistatic"]
+_Z_SWEEP = ["sweep", "--axis", "z", "--min", "1e-8", "--max", "1e-7", "--count", "3",
+            "--models", "local-quasistatic,auto"]
+_LQ_SWEEP = ["sweep", "--axis", "z", "--min", "1e-8", "--max", "1e-7", "--count", "3",
+             "--models", "local-quasistatic"]
+EDGES = [
+    # every command shape: point JSON, sweep axes and formats, cell failures
+    ["spectral", *_Z, "--omega", "1.885e9", "--model", "nonlocal-quasistatic"],
+    ["spectral", "--field", "B", *_Z, "--model", "nonlocal-quasistatic", "--rel-tol", "1e-6"],
+    ["spectral", "--z", "1e-6"],
+    ["t1", *_Z, *_LQ],
+    ["t1", "--qubit", "spin", "--orientation", "z", *_Z, "--temp", "2", "--rel-tol", "1e-6"],
+    ["t1", *_Z, *_LQ, "--moment", "0"],
+    ["sweep", "--axis", "z", "--min", "1e-7", "--max", "3e-6", "--count", "5",
+     "--models", "auto,local-retarded", "--rel-tol", "1e-6", "--format", "json"],
+    ["sweep", "--axis", "omega", "--min", "1e7", "--max", "1e12", "--count", "5", "--z", "1e-6",
+     "--models", "auto,local-retarded", "--rel-tol", "1e-6"],
+    ["sweep", "--axis", "omega", "--min", "1e7", "--max", "1e12", "--count", "5", "--z", "1e-6",
+     "--models", "auto", "--qubit", "spin", "--temp", "2", "--rel-tol", "1e-6", "--format", "json"],
+    ["sweep", "--axis", "temperature", "--min", "0", "--max", "4", "--count", "3",
+     "--spacing", "linear", *_Z, "--models", "local-quasistatic,nonlocal-quasistatic",
+     "--qubit", "spin", "--orientation", "z", "--rel-tol", "1e-6"],
+    ["sweep", "--axis", "temperature", "--min", "0", "--max", "4", "--count", "3",
+     "--spacing", "linear", *_Z, "--models", "local-quasistatic", "--format", "json"],
+    ["sweep", "--axis", "z", "--min", "1e-6", "--max", "2e-6", "--count", "2",
+     "--models", "local-retarded", "--rel-tol", "1e-16"],
+    ["sweep", "--axis", "omega", "--min", "1e8", "--max", "1e9", "--count", "2",
+     "--models", "local-quasistatic"],
+    _Z_SWEEP + ["--moment=-1"],
+    _Z_SWEEP + ["--omega=-1"],
+    _Z_SWEEP + ["--temp", "nan", "--format", "json"],
+    ["bulk"],
+    ["bulk", "--omega", "1e12", "--rel-tol", "1e-6"],
+    *(["figure", name, "--rel-tol", "1e-6", "--out-dir", "out"]
+      for name in ("fig1", "fig2", "fig3", "fig4")),
+    # finite inputs at the edge of the float range
+    ["t1", "--z", "1e-8", *_LQ, "--moment", "1e300"],
+    ["t1", "--z", "1e-8", *_LQ, "--moment", "1e160"],
+    ["t1", "--z", "1e-8", *_LQ, "--omega", "1e-310"],
+    ["t1", "--z", "1e-8", *_LQ, "--omega", "1e-300", "--temp", "1"],
+    ["spectral", "--z", "1e-8", *_LQ, "--omega", "1e-310"],
+    ["spectral", "--z", "1e-300", *_LQ],
+    ["sweep", "--axis", "z", "--min", "1e-300", "--max", "1e-8", "--count", "3",
+     "--models", "local-quasistatic"],
+    _Z_SWEEP + ["--moment", "1e300"],
+    _LQ_SWEEP + ["--omega", "1e-310", "--format", "json"],
+    _LQ_SWEEP + ["--omega", "1e-300", "--temp", "1"],
+]
+
+
+def run(src, argv, material) -> dict:
+    """Exit code, stdout, stderr and the text of each file left by one
+    command, by name; material is (file name, text) or None."""
+    env = {k: v for k, v in os.environ.items() if k != "EWJN_THREADS"}
+    env["PYTHONPATH"] = src
+    with tempfile.TemporaryDirectory() as work:
+        if material is not None:
+            with open(os.path.join(work, material[0]), "w") as fh:
+                fh.write(material[1])
+        proc = subprocess.run([sys.executable, "-m", "ewjn.cli", *argv], cwd=work, env=env,
+                              capture_output=True, text=True)
+        out = {"exit": str(proc.returncode), "stdout": proc.stdout, "stderr": proc.stderr}
+        for dirpath, _, names in os.walk(work):
+            for name in names:
+                path = os.path.join(dirpath, name)
+                with open(path) as fh:
+                    out["file " + os.path.relpath(path, work)] = fh.read()
+    return out
+
+
+def first_difference(a: str, b: str) -> list:
+    """The first line that differs on each side, as '-parent' and '+this
+    checkout', or None for a side with no such line."""
+    lines = list(difflib.unified_diff(a.splitlines(), b.splitlines(), lineterm="", n=0))[2:]
+    return [next((ln for ln in lines if ln.startswith(sign)), None) for sign in "-+"]
+
+
+def main(argv) -> int:
+    if len(argv) != 1 or not os.path.isfile(os.path.join(argv[0], "src", "ewjn", "cli.py")):
+        print("usage: python3 tools/cli_identity.py PARENT_DIR (a checkout with src/ewjn)",
+              file=sys.stderr)
+        return 2
+    if not os.path.isfile(os.path.join(ROOT, "src", "ewjn", "cli.py")):
+        print("cli_identity: no ./src/ewjn here; run from the repository root", file=sys.stderr)
+        return 2
+    sources = [os.path.abspath(os.path.join(argv[0], "src")), os.path.join(ROOT, "src")]
+    cases = [(c.argv, (c.flags["material"], c.material_file) if c.material_file else None)
+             for name in workloads.WORKLOADS for seed in SEEDS
+             for c in workloads.generate(name, seed).commands]
+    cases += [(edge, None) for edge in EDGES]
+    differing = 0
+    for command, material in cases:
+        parent, change = (run(src, command, material) for src in sources)
+        keys = [k for k in dict.fromkeys([*parent, *change]) if parent.get(k) != change.get(k)]
+        if keys:
+            differing += 1
+            print("differs: ewjn " + " ".join(command), flush=True)
+            for k in keys:
+                for line in first_difference(parent.get(k, ""), change.get(k, "")):
+                    if line is not None:
+                        print(f"  {k}: {line[:160]}")
+    print(f"{differing} of {len(cases)} commands differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
