@@ -6,7 +6,9 @@ forms driven by the wavevector-resolved epsilon_l, epsilon_t: r_p
 through the surface impedance integral I_p, r_s to leading order in
 (omega/c p)^2 through J_p. The kappa-integrals decay as kappa^-2 (r_p)
 and kappa^-4 (r_s) and are evaluated with the power-law tail map, never
-a hard cutoff.
+a hard cutoff. Im I_p and Im J_p, which carry the dissipation, sit
+1e-10..1e-5 below |I_p| and |J_p| at low omega; the engine's per-part
+test resolves them to rel_tol of themselves.
 
 nonlocal_reflection_quasistatic, the one nonlocal kernel, runs the
 kappa-integrals of an array of p as one quadrature batch: its integrand
@@ -105,7 +107,12 @@ def nonlocal_reflection_quasistatic(
     def integrand(kappa, owner):
         k2 = p2_rows[owner] + kappa * kappa
         eps = eps_fn(np.sqrt(k2), w_rows[owner])
-        return eps / (k2 * k2) if transverse else 1.0 / (k2 * eps)
+        if not transverse:
+            return 1.0 / (k2 * eps)
+        # Re J_p rides as Re - Im, met to rel_tol of |Im J_p| only: Re eps_t
+        # (< 0 < Im eps_t where J_p lives) can sit below Im's resolution
+        f = eps / (k2 * k2)
+        return f - f.imag
 
     k_nu, k_star = material.k_nu, material.k_star
     p_list = p.tolist()
@@ -119,7 +126,8 @@ def nonlocal_reflection_quasistatic(
         if isinstance(res, QuadratureError):
             r.append(res)
         elif transverse:
-            j_p = (4.0 * q**3 / math.pi) * res.value
+            value = complex(res.value.real + res.value.imag, res.value.imag)
+            j_p = (4.0 * q**3 / math.pi) * value
             r.append(w**2 / (4.0 * q**2 * C_LIGHT**2) * (j_p - 1.0))
         else:
             i_p = (2.0 * q / math.pi) * res.value

@@ -1,34 +1,36 @@
 """Adaptive one-dimensional quadrature for complex integrands.
 
-Three integrators serve every integral in the package, and all three
-share one contract: they take a batch of N integrals and return one
-outcome per integral, a QuadResult or that integral's own
-QuadratureError, with the bits the integral gets when run alone.
-Callers decide what a failure means; no integrator raises one.
+Two integrators serve every integral in the package, and both share one
+contract: they take a batch of N integrals and return one outcome per
+integral, a QuadResult or that integral's own QuadratureError, with the
+bits the integral gets when run alone. Callers decide what a failure
+means; no integrator raises one.
 
   integrate_lockstep     N finite intervals [a[i], b[i]]
   integrate_power_tails  [a, infinity), |f| = O(t^-2), mapped onto
                          [0, 1) by t = a + s u/(1 - u)
-  integrate_exp_tails    [a, infinity), |f| = O(exp(-t/s)), window by
-                         window, window n of every open integral in one
-                         lockstep run
 
 The rule is a globally adaptive Gauss-Kronrod 15(7) with deterministic
-panel subdivision (worst-panel-first, ties broken by insertion order),
-so repeated runs produce bit-identical results. The N integrals refine
-in lockstep, one integrand call per round: the integrand f(x, owner)
+panel subdivision (worst panel first, ties by insertion order). The N
+integrals refine in lockstep, one integrand call per round: f(x, owner)
 gets an (m, 15) block of nodes plus the (m,) indices of the integrals
-owning its rows, and returns values shaped like x; a node's value may
+owning its rows and returns values shaped like x; a node's value may
 not depend on the others.
 
-The engine's state lives in arrays, so a round costs a fixed number of
-numpy calls however many integrals are open: a row of panels (lo, hi,
-value, error, in the order made) per unconverged integral, and totals,
-errors and subdivision counts per integral. The argmax of a row, the
-earliest of equal errors, is the worst-first, insertion-order pick, and
-the error estimate uses np.hypot and np.float_power, which give the bits
-of Python's abs and **: each integral gets its one-integral result, bit
-for bit.
+The real and the imaginary part of an integral have their own sums and
+error estimates, the vector-integrand test of DCUHRE (Berntsen, Espelid
+& Genz, ACM TOMS 17, 437, 1991): an integral has converged when the
+error of each part j is at most max(rel_tol |I_j|, abs_tol), so a part
+many orders below the other is still resolved to rel_tol of itself;
+callers choose what goes into the two parts. A panel's pick key,
+max_j err_j / tol_j against its integral's tolerances in the round it
+is made, is fixed then, so the worst panel is one argmax.
+
+The state lives in arrays, a row of panels per unconverged integral, so
+a round costs a fixed number of numpy calls however many integrals are
+open. Row argmaxes pick as the serial heap does, the 15-node sums run
+along a last, contiguous axis and np.float_power gives the bits of
+Python's **: each integral gets its one-integral result, bit for bit.
 
 Endpoint algebraic singularities are never handled here; callers remove
 them by substitution first (see the spectral module), which is what
@@ -67,9 +69,6 @@ _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 # Gauss weights live on nodes 1, 3, 5, ... (odd indices of the 15-vector)
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
-# complex copies: the products fv * w then skip a cast, with the same bits
-_WEIGHTS_K_C = _WEIGHTS_K.astype(complex)
-_WEIGHTS_G_C = _WEIGHTS_G.astype(complex)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -97,10 +96,11 @@ class QuadratureConfig:
         """Budget for an integral nested inside another one.
 
         Inner integrals run a factor 10 tighter so the outer rule's
-        error model stays valid.
+        error model stays valid, but never below 100 ulps, a precision
+        double arithmetic still holds.
         """
         return QuadratureConfig(
-            rel_tol=self.rel_tol / 10.0,
+            rel_tol=max(self.rel_tol / 10.0, 100.0 * _EPS),
             abs_tol=self.abs_tol / 10.0,
             max_subdivisions=self.max_subdivisions,
             tail_cut=self.tail_cut,
@@ -108,6 +108,9 @@ class QuadratureConfig:
 
 
 class QuadResult(NamedTuple):
+    """An integral's value and a bound on |value - exact|, the hypot of
+    the bounds on its real and imaginary parts."""
+
     value: complex
     error: float
 
@@ -115,24 +118,24 @@ class QuadResult(NamedTuple):
 def _gk15(f: Callable, owner, lo, hi):
     """Gauss-Kronrod 15(7) on panels [lo, hi] in one call of f.
 
-    Returns (values, errors) as arrays. Sums run along the 15-node axis,
-    so no panel's result depends on the rest. The error finish is the
-    scalar rule's to the bit: np.hypot and np.float_power run the libm
-    hypot and pow behind Python's complex abs and float ** (np.abs and
-    np.power take vector paths whose bits differ).
+    Returns (values, errors), each (2, m): the real and the imaginary
+    part of every panel, from sums along the 15-node axis, so no panel's
+    result depends on the rest. np.float_power runs the libm pow behind
+    Python's float ** (np.power takes a vector path whose bits differ).
     """
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    fv = np.ascontiguousarray(f(nodes, owner), dtype=complex)
-    resk = (_WEIGHTS_K_C * fv).sum(axis=1)
-    resg = (_WEIGHTS_G_C * fv).sum(axis=1)
-    resabs = (_WEIGHTS_K * np.abs(fv)).sum(axis=1) * half
+    fv = np.asarray(f(nodes, owner), dtype=complex)
+    parts = np.empty((2,) + fv.shape)
+    parts[0], parts[1] = fv.real, fv.imag
+    resk = (_WEIGHTS_K * parts).sum(axis=2)
+    resg = (_WEIGHTS_G * parts).sum(axis=2)
+    resabs = (_WEIGHTS_K * np.abs(parts)).sum(axis=2) * half
     # variation measure, sharpened error estimate as in classic QUADPACK
-    resasc = (_WEIGHTS_K * np.abs(fv - (0.5 * resk)[:, None])).sum(axis=1) * half
-    diff = resk - resg
-    err = np.hypot(diff.real, diff.imag) * half
+    resasc = (_WEIGHTS_K * np.abs(parts - (0.5 * resk)[:, :, None])).sum(axis=2) * half
+    err = np.abs(resk - resg) * half
     sharpen = (resasc != 0.0) & (err != 0.0)
-    ratio = np.float_power(np.divide(200.0 * err, resasc, out=np.ones(len(err)),
+    ratio = np.float_power(np.divide(200.0 * err, resasc, out=np.ones(err.shape),
                                      where=sharpen), 1.5)
     # fmin(ratio, 1) is min(1.0, ratio), NaN included
     err = np.where(sharpen, resasc * np.fmin(ratio, 1.0), err)
@@ -141,21 +144,30 @@ def _gk15(f: Callable, owner, lo, hi):
     return resk * half, np.where(floor > err, floor, err)
 
 
+def _keys(err, tol):
+    """Pick keys max_j err_j / tol_j of panels with part errors err
+    (2, ...) against their integrals' tolerances tol, which broadcast
+    against err; a part with error 0 adds 0, a NaN error gives NaN."""
+    ratio = np.divide(err, tol, out=np.zeros(err.shape), where=err != 0.0)
+    return np.maximum(ratio[0], ratio[1])
+
+
 class _PanelRows:
     """The panels of the integrals still refining, one row per integral.
 
-    Row r holds lo, hi, value and error of every panel its integral has
-    made, in the order they were made, in the first `used` columns (a
-    row may skip a column, whose error stays -inf). A panel that was
-    split has error -inf and one at floating-point resolution error 0,
-    so the argmax of a row is its worst panel, ties going to the
-    earliest, which is the heap order of the serial rule.
+    Row r holds lo, hi, the part values and errors (leading axis of val
+    and err) and the pick key of every panel its integral has made, in
+    the order they were made, in the first `used` columns (a row may
+    skip a column, whose key stays -inf). A panel that was split has key
+    -inf and one at floating-point resolution key 0, so the argmax of a
+    row is its worst panel, ties going to the earliest, which is the
+    heap order of the serial rule.
     """
 
-    _COLUMNS = ("lo", "hi", "val", "err")
+    _COLUMNS = ("lo", "hi", "val", "err", "key")
 
-    def __init__(self, lo, hi, val, err):
-        self.lo, self.hi, self.val, self.err = lo, hi, val, err
+    def __init__(self, lo, hi, val, err, key):
+        self.lo, self.hi, self.val, self.err, self.key = lo, hi, val, err, key
         self.used = lo.shape[1]
         self._widen(self.used + 8)
 
@@ -167,18 +179,17 @@ class _PanelRows:
     def _widen(self, cap: int):
         for name in self._COLUMNS:
             old = getattr(self, name)
-            grown = np.full((old.shape[0], cap), -np.inf if name == "err" else 0.0,
-                            dtype=old.dtype)
-            grown[:, :old.shape[1]] = old
+            grown = np.full(old.shape[:-1] + (cap,), -np.inf if name == "key" else 0.0)
+            grown[..., :old.shape[-1]] = old
             setattr(self, name, grown)
 
     def keep(self, rows):
         for name in self._COLUMNS:
-            setattr(self, name, getattr(self, name)[rows])
+            setattr(self, name, getattr(self, name)[..., rows, :])
 
     def worst(self):
         """Column and flat index of the worst panel of every row."""
-        pos = self.err[:, :self.used].argmax(axis=1)
+        pos = self.key[:, :self.used].argmax(axis=1)
         cap = self.lo.shape[1]
         return pos, np.arange(0, len(pos) * cap, cap) + pos
 
@@ -217,41 +228,26 @@ def integrate_lockstep(
     integral i if its budget ran out.
     """
     cfg = cfg or QuadratureConfig()
-    if len(a) == 0:
-        return []
-    columns = (col.tolist() for col in _lockstep(f, a, b, cfg, breakpoints))
-    return [_budget_error(total, error, subs) if out else QuadResult(total, error)
-            for total, error, subs, out in zip(*columns)]
-
-
-def _budget_error(total, error, subdivisions) -> QuadratureError:
-    total, error = np.complex128(total), np.float64(error)
-    return QuadratureError(
-        f"integral not converged after {subdivisions} subdivisions "
-        f"(estimate {total!r}, error bound {error:.3e})",
-        best_estimate=total,
-        error_bound=error,
-    )
-
-
-def _lockstep(f: Callable, a, b, cfg: QuadratureConfig, breakpoints) -> tuple:
-    """integrate_lockstep as arrays: the totals, errors, subdivisions and
-    out-of-budget flags of the integrals."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all(a < b):
         raise DomainError("integration requires a < b")
     n = len(a)
+    if not n:
+        return []
     lo, hi = _seed_panels(a, b, breakpoints)
     seed = lo < hi
     owner = np.nonzero(seed)[0]
     val, err = _gk15(f, owner, lo[seed], hi[seed])
-    seed_val, seed_err = np.zeros(lo.shape, dtype=complex), np.full(lo.shape, -np.inf)
-    seed_val[seed], seed_err[seed] = val, err
-    panels = _PanelRows(lo, hi, seed_val, seed_err)
     # totals and errors add up panel by panel, as in the scalar rule
-    totals, errors = np.zeros(n, dtype=complex), np.zeros(n)
-    np.add.at(totals, owner, val)
-    np.add.at(errors, owner, err)
+    totals, errors = np.zeros((2, n)), np.zeros((2, n))
+    np.add.at(totals, (slice(None), owner), val)
+    np.add.at(errors, (slice(None), owner), err)
+    seed_val, seed_err = np.zeros((2,) + lo.shape), np.zeros((2,) + lo.shape)
+    seed_key = np.full(lo.shape, -np.inf)
+    seed_val[:, seed], seed_err[:, seed] = val, err
+    tol = np.maximum(cfg.rel_tol * np.abs(totals), cfg.abs_tol)
+    seed_key[seed] = _keys(err, tol[:, owner])
+    panels = _PanelRows(lo, hi, seed_val, seed_err, seed_key)
     subdivisions = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=bool)
 
@@ -261,18 +257,21 @@ def _lockstep(f: Callable, a, b, cfg: QuadratureConfig, breakpoints) -> tuple:
     def retire(done, out_of_budget):
         nonlocal live, tot, tot_err, subs
         ids, keep = live[done], ~done
-        totals[ids], errors[ids], subdivisions[ids] = tot[done], tot_err[done], subs[done]
+        totals[:, ids], errors[:, ids], subdivisions[ids] = tot[:, done], tot_err[:, done], \
+            subs[done]
         failed[ids] = out_of_budget
-        live, tot, tot_err, subs = live[keep], tot[keep], tot_err[keep], subs[keep]
+        live, tot, tot_err, subs = live[keep], tot[:, keep], tot_err[:, keep], subs[keep]
         panels.keep(keep)
 
     while True:
-        need = tot_err > np.maximum(cfg.rel_tol * np.hypot(tot.real, tot.imag), cfg.abs_tol)
+        tol = np.maximum(cfg.rel_tol * np.abs(tot), cfg.abs_tol)
+        need = (tot_err[0] > tol[0]) | (tot_err[1] > tol[1])
         go = need & (subs < cfg.max_subdivisions)
         if np.count_nonzero(go) < go.size:
             retire(~go, need[~go])
             if not live.size:
                 break
+            tol = tol[:, go]
         pos, at = panels.worst()
         subs += 1
         p_lo, p_hi = panels.lo.take(at), panels.hi.take(at)
@@ -287,6 +286,7 @@ def _lockstep(f: Callable, a, b, cfg: QuadratureConfig, breakpoints) -> tuple:
                 retire(spent, True)
                 if not live.size:
                     break
+                tol = tol[:, ~spent]
             pos, at = panels.worst()
             p_lo, p_hi = panels.lo.take(at), panels.hi.take(at)
             mid = 0.5 * (p_lo + p_hi)
@@ -294,22 +294,35 @@ def _lockstep(f: Callable, a, b, cfg: QuadratureConfig, breakpoints) -> tuple:
         c_lo, c_hi = np.empty((m, 2)), np.empty((m, 2))
         c_lo[:, 0], c_lo[:, 1], c_hi[:, 0], c_hi[:, 1] = p_lo, mid, mid, p_hi
         val, err = _gk15(f, live.repeat(2), c_lo.ravel(), c_hi.ravel())
-        val, err = val.reshape(m, 2), err.reshape(m, 2)
-        tot += val[:, 0] + val[:, 1] - panels.val.take(at)
-        tot_err += err[:, 0] + err[:, 1] - panels.err.take(at)
+        val, err = val.reshape(2, m, 2), err.reshape(2, m, 2)
+        key = _keys(err, tol[:, :, None])
+        tot += val[:, :, 0] + val[:, :, 1] - panels.val.reshape(2, -1)[:, at]
+        tot_err += err[:, :, 0] + err[:, :, 1] - panels.err.reshape(2, -1)[:, at]
         # the parent leaves; its children take the next two columns
-        panels.err.put(at, -np.inf)
+        panels.key.put(at, -np.inf)
         panels.reserve(2)
         new = slice(panels.used, panels.used + 2)
-        panels.lo[:, new], panels.hi[:, new], panels.val[:, new], panels.err[:, new] = \
-            c_lo, c_hi, val, err
+        panels.lo[:, new], panels.hi[:, new], panels.key[:, new] = c_lo, c_hi, key
+        panels.val[:, :, new], panels.err[:, :, new] = val, err
         panels.used += 2
-    return totals, errors, subdivisions, failed
+    values = [complex(re, im) for re, im in zip(*totals.tolist())]
+    outcomes = []
+    for value, bound, subs, out in zip(values, np.hypot(errors[0], errors[1]).tolist(),
+                                       subdivisions.tolist(), failed.tolist()):
+        if out:
+            value, bound = np.complex128(value), np.float64(bound)
+            outcomes.append(QuadratureError(
+                f"integral not converged after {subs} subdivisions "
+                f"(estimate {value!r}, error bound {bound:.3e})",
+                best_estimate=value, error_bound=bound))
+        else:
+            outcomes.append(QuadResult(value, bound))
+    return outcomes
 
 
 def _resolve_stuck(panels: _PanelRows, r: int, pos: int, subdivisions: int, budget):
     """The resolution-limit rule for row r, whose picked panel pos cannot
-    be halved: the panel goes back with error 0 as the row's newest and
+    be halved: the panel goes back with key 0 as the row's newest and
     the row picks again while its budget lasts. Returns the subdivision
     count and whether the budget ran out; if not, the argmax of the row
     is the panel to split.
@@ -318,13 +331,13 @@ def _resolve_stuck(panels: _PanelRows, r: int, pos: int, subdivisions: int, budg
         panels.reserve(1)
         new = panels.used
         panels.used += 1
-        for name in ("lo", "hi", "val"):
+        for name in ("lo", "hi", "val", "err"):
             column = getattr(panels, name)
-            column[r, new] = column[r, pos]
-        panels.err[r, pos], panels.err[r, new] = -np.inf, 0.0
+            column[..., r, new] = column[..., r, pos]
+        panels.key[r, pos], panels.key[r, new] = -np.inf, 0.0
         if subdivisions >= budget:
             return subdivisions, True
-        pos = int(panels.err[r, :panels.used].argmax())
+        pos = int(panels.key[r, :panels.used].argmax())
         subdivisions += 1
         lo, hi = panels.lo[r, pos], panels.hi[r, pos]
         mid = 0.5 * (lo + hi)
@@ -358,59 +371,3 @@ def integrate_power_tails(
     u_breaks = [[(t - a) / (t - a + s) for t in cuts if t > a]
                 for s, cuts in zip(scales, breakpoints)]
     return integrate_lockstep(mapped, [0.0] * n, [1.0] * n, cfg, u_breaks)
-
-
-def integrate_exp_tails(
-    f: Callable,
-    a: float,
-    scales: Sequence[float],
-    breakpoints: Sequence[Sequence[float]],
-    cfg: QuadratureConfig | None = None,
-) -> list:
-    """Outcomes of a batched f over [a, infinity), |f| = O(exp(-t/s)).
-
-    Integral i, s = scales[i], runs windows of width 10 s from a, its
-    seed breakpoints[i] in the first, until window n >= 1 adds at most
-    max(tail_cut |total|, abs_tol); the geometric continuation then
-    bounds the discarded tail well below tail_cut * |result|. Window n
-    of every open integral is one integrate_lockstep batch. Outcome i is
-    a QuadResult, or the QuadratureError of a window out of budget or of
-    a tail still open after 100 windows.
-    """
-    cfg = cfg or QuadratureConfig()
-    if not all(s > 0 for s in scales):
-        raise DomainError("scales must be > 0")
-    max_windows = 100
-    n = len(scales)
-    widths = 10.0 * np.asarray(scales, dtype=float)
-    lo, totals, errors = np.full(n, float(a)), np.zeros(n, dtype=complex), np.zeros(n)
-    outcomes = [None] * n
-    active = np.arange(n)
-    for w in range(max_windows):
-        if not active.size:
-            return outcomes
-        hi = lo[active] + widths[active]
-        val, err, subs, failed = _lockstep(
-            lambda x, owner: f(x, active[owner]), lo[active], hi, cfg,
-            [breakpoints[i] for i in active.tolist()] if w == 0 else None)
-        for k in np.flatnonzero(failed).tolist():
-            outcomes[active[k]] = _budget_error(val[k], err[k], int(subs[k]))
-        ok = ~failed
-        ids = active[ok]
-        totals[ids] += val[ok]
-        errors[ids] += err[ok]
-        closed = np.zeros(active.size, dtype=bool)
-        if w >= 1:
-            thresh = np.maximum(cfg.tail_cut * np.hypot(totals[ids].real, totals[ids].imag),
-                                cfg.abs_tol)
-            closed[ok] = np.hypot(val[ok].real, val[ok].imag) <= thresh
-        for i in active[closed].tolist():
-            outcomes[i] = QuadResult(complex(totals[i]), float(errors[i]))
-        still_open = ~(closed | failed)
-        lo[active[still_open]] = hi[still_open]
-        active = active[still_open]
-    for i in active.tolist():
-        outcomes[i] = QuadratureError(f"exponential tail not closed after {max_windows} windows",
-                                      best_estimate=complex(totals[i]),
-                                      error_bound=float(errors[i]))
-    return outcomes

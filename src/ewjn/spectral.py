@@ -22,11 +22,15 @@ each point the bits and the error that the point gets alone: the Drude
 constants of each distinct omega are computed once, on Python scalars,
 and indexed per point. A local-retarded point is one integral over a
 log-mapped axis that joins the propagating and evanescent parts, with
-the Fresnel coefficients taken from the vacuum normal wavevector q.
+the Fresnel coefficients taken from the vacuum normal wavevector q; a
+nonlocal point is one log-mapped integral per channel. Both are cut
+where tail_cut of the integral is left, and add a bound on the cut tail
+to error_estimate.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -37,7 +41,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .fresnel import local_reflection_q, nonlocal_reflection_quasistatic
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, skin_depth
-from .quadrature import QuadratureConfig, integrate_exp_tails, integrate_lockstep
+from .quadrature import QuadratureConfig, integrate_lockstep
 
 
 class Model(str, enum.Enum):
@@ -92,6 +96,17 @@ def _check_z_omega(z, omega):
         raise DomainError("omega must be > 0")
     if omega == math.inf:
         raise DomainError("omega must be finite")
+
+
+def _drude_scales_error(material, omega):
+    """The DomainError of an omega at which the integral models' Drude
+    permittivity or grazing wavevector (omega/c)/sqrt|eps| is not a
+    finite, nonzero float, else None."""
+    eps = drude_epsilon(material, omega)
+    if cmath.isfinite(eps) and omega / C_LIGHT / math.sqrt(abs(eps)) != 0:
+        return None
+    return DomainError(f"omega = {omega:.6g} rad/s is too small for {material.name}: its Drude "
+                       f"permittivity or (omega/c)/sqrt|eps| leaves the float range")
 
 
 def regime_select(material: Material, z: float, omega: float) -> RegimeChoice:
@@ -157,6 +172,16 @@ def _local_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     return out
 
 
+def _tail_cut(cfg: QuadratureConfig) -> tuple:
+    """(x, ratio) of the cut of an integrand bounded by u^3 exp(-2 u z):
+    beyond U = x/(2z) it leaves exp(-x) (1 + x + x^2/2 + x^3/6) =
+    tail_cut of its integral, and |f(U)| ratio/(2z) bounds that tail."""
+    x = -math.log(cfg.tail_cut)
+    for _ in range(4):
+        x = -math.log(cfg.tail_cut) + math.log1p(x + x * x / 2.0 + x**3 / 6.0)
+    return x, 1 + 3 / x + 6 / x**2 + 6 / x**3
+
+
 def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     """The nonlocal quasistatic integrals at every point, as one batch.
 
@@ -169,24 +194,29 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     decomposition["rp_part"] and decomposition["rs_part"] (signed,
     T^2 s); the r_s channel equals chi_zz/2 term by term.
 
-    Every (z, channel) pair is one outer integral of one exp-tail
-    batch: E has the r_p channel, B the r_s channel, then the r_p one.
+    Every (z, channel) pair is one outer integral of one lockstep run
+    (E: r_p; B: r_s, then r_p) over p = k_nu expm1(t), where each decade
+    of p above the collision wavevector k_nu costs about one unit of t,
+    seeded at k_nu, k_star, 0.25/z and 1/z, where Im r has structure.
+    The integrand grows no faster than p^3 e^{-2pz}, so it is cut at
+    x/(2z) (_tail_cut), and error_estimate adds the bound on the tail.
+
     The batched integrand calls the kernel once per refinement round and
-    polarization, with the nodes and the omega of every point not yet
-    failed; for B the r_s call runs first. A point's inner error is the
-    first failing p among its own rows, in row order: its rows are zero
-    in that round, it is left out of that round's r_p call, and its
-    channels integrate zeros from then on. A point whose inner integral
-    failed gets that QuadratureError; else it gets its r_s outer error,
-    else its r_p one, as a point-by-point run raises them.
+    polarization (r_s first), with the nodes and the omega of every
+    point not yet failed; the integrand at the cuts is one such call
+    before the first round. A point's inner error is the first failing p
+    among its own rows: its rows are zero in that round, it is left out
+    of that round's r_p call, and its channels integrate zeros from then
+    on. A point gets its inner QuadratureError, else its r_s outer
+    error, else its r_p one, as a point-by-point run raises them.
     """
     cfg = cfg or QuadratureConfig()
     cfg_inner = cfg.inner()
     # integral n k + c is channel c of point k; channel 0 carries p^2
     channels = ("p",) if field_kind == "E" else ("s", "p")
     n = len(channels)
-    z_of = np.asarray(zs, dtype=float)
-    w_of = np.asarray(omegas, dtype=float)
+    z_of, w_of = np.asarray(zs, dtype=float), np.asarray(omegas, dtype=float)
+    k_nu = material.k_nu
     inner_error = [None] * len(zs)
     failed = np.zeros(len(zs), dtype=bool)
 
@@ -214,13 +244,15 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
             out[rows] = (nodes * nodes if c == 0 else 1.0) * np.exp(-2.0 * nodes * z) * im
         return out
 
-    # structure of Im r sits at the collision and screening wavevectors;
-    # seed them when they fall inside the exponential window
-    results = integrate_exp_tails(
-        integrand, 0.0,
-        [0.5 / z for z in zs for _ in channels],
-        [[material.k_nu, material.k_star, 0.25 / z, 1.0 / z] for z in zs for _ in channels],
-        cfg)
+    x, ratio = _tail_cut(cfg)
+    cuts = np.repeat(x / (2.0 * z_of), n)
+    tails = (np.abs(integrand(cuts[:, None], np.arange(cuts.size))[:, 0])
+             * ratio / np.repeat(2.0 * z_of, n)).tolist()
+    results = integrate_lockstep(
+        lambda t, owner: integrand(k_nu * np.expm1(t), owner) * (k_nu * np.exp(t)),
+        [0.0] * cuts.size, np.log1p(cuts / k_nu), cfg,
+        [[math.log1p(p / k_nu) for p in (k_nu, material.k_star, 0.25 / z, 1.0 / z)]
+         for z in zs for _ in channels])
     out = []
     for k, omega in enumerate(omegas):
         outcomes = results[k * n:(k + 1) * n]
@@ -230,15 +262,16 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
         elif field_kind == "E":
             [(value, err)] = outcomes
             chi_zz = HBAR / EPS0 * value.real
-            out.append((0.5 * chi_zz, chi_zz, HBAR / EPS0 * err, {}))
+            out.append((0.5 * chi_zz, chi_zz, HBAR / EPS0 * (err + tails[k]), {}))
         else:
             (val_s, err_s), (val_p, err_p) = outcomes
+            tail_s, tail_p = tails[2 * k:2 * k + 2]
             scale = HBAR / (EPS0 * C_LIGHT**2)
             chi_zz = scale * val_s.real
             rs_part = 0.5 * chi_zz
             rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * val_p.real
             out.append((rs_part + rp_part, chi_zz,
-                        scale * (err_s + 0.5 * (omega / C_LIGHT) ** 2 * err_p),
+                        scale * (err_s + tail_s + 0.5 * (omega / C_LIGHT) ** 2 * (err_p + tail_p)),
                         {"rs_part": rs_part, "rp_part": rp_part}))
     return out
 
@@ -259,14 +292,11 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     the grazing-incidence turn of r_p, so every decade of |s| from g up
     to the skin-depth knee u ~ sqrt|eps| omega/c costs about one unit of
     t; t = 0 (the light line, where the integrand jumps) and the knee
-    are seeded. The evanescent part is cut at U = x/(2z), where
-    exp(-x) (1 + x + x^2/2 + x^3/6), the share of a u^3 exp(-2 u z)
-    integrand beyond U, is tail_cut: the zz integrand grows like u^2 in
-    the quasistatic range and like u^3 below the knee for B, where
-    Im r_s ~ u. Each point is then one integral over [t(-omega/c), t(U)],
-    all points in one lockstep run, and its error_estimate adds the bound
-    on the discarded tail: the integrand at U times
-    Integral_U^inf u^3 e^{-2uz} du / (U^3 e^{-2Uz}).
+    are seeded. The zz integrand grows like u^2 in the quasistatic range
+    and like u^3 below the knee for B, where Im r_s ~ u, so the
+    evanescent part is cut at U = x/(2z) (_tail_cut). Each point is one
+    integral over [t(-omega/c), t(U)], all points in one lockstep run,
+    and its error_estimate adds the bound on the discarded tail.
     """
     cfg = cfg or QuadratureConfig()
 
@@ -282,9 +312,7 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     # one row per point
     eps, k2_metal, w_c2, g = (np.array(c)[:, None] for c in (eps, k2_metal, w_c2, g))
     z_rows = np.asarray(zs, dtype=float)[:, None]
-    x = -math.log(cfg.tail_cut)
-    for _ in range(4):
-        x = -math.log(cfg.tail_cut) + math.log1p(x + x * x / 2.0 + x**3 / 6.0)
+    x, ratio = _tail_cut(cfg)
 
     def integrand(s, z, eps, k2_metal, w_c2):
         evanescent = s >= 0.0
@@ -305,8 +333,7 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     cuts = x / (2.0 * z_rows)
     results = integrate_lockstep(mapped, list(lo), np.log1p(cuts[:, 0] / g[:, 0]), cfg,
                                  [[0.0, k] for k in knee])
-    tails = (np.abs(integrand(cuts, z_rows, eps, k2_metal, w_c2))
-             * (1 + 3 / x + 6 / x**2 + 6 / x**3) / (2 * z_rows))
+    tails = np.abs(integrand(cuts, z_rows, eps, k2_metal, w_c2)) * ratio / (2 * z_rows)
     scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
     return [res if isinstance(res, QuadratureError) else
             (scale * res.value.real, scale * res.value.imag, scale * (res.error + tail), {})
@@ -336,7 +363,8 @@ def evaluate_batch(
     model="auto" resolves per point; the points of each model then run
     as one batch, with the outcomes a point-by-point run would give. A
     point whose chi_xx, chi_zz or error_estimate is not finite (its
-    inputs leave the float range) gets a DomainError.
+    inputs leave the float range) gets a DomainError, and so does a
+    point of the integral models whose omega fails _drude_scales_error.
     """
     if field_kind not in ("E", "B"):
         raise DomainError("field_kind must be 'E' or 'B'")
@@ -346,7 +374,7 @@ def evaluate_batch(
         omegas *= len(zs)
     if len(omegas) != len(zs):
         raise DomainError("omega must be one value or one per z")
-    limits = {}
+    limits, unrepresentable = {}, {}
     out = [None] * len(zs)
     by_model = {}
     for i, (z, w) in enumerate(zip(zs, omegas)):
@@ -355,6 +383,12 @@ def evaluate_batch(
         except DomainError as exc:
             out[i] = exc
             continue
+        if model is not Model.LOCAL_QUASISTATIC:
+            if w not in unrepresentable:
+                unrepresentable[w] = _drude_scales_error(material, w)
+            if unrepresentable[w]:
+                out[i] = unrepresentable[w]
+                continue
         m = model
         if m is Model.AUTO:
             if w not in limits:

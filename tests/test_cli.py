@@ -365,18 +365,27 @@ _FAILED = ["domain-error"] * 4
     (["spectral", "--z", "1e-300", *_LQ], None),
     (_Z_SWEEP + ["--moment", "1e300"], _FAILED),
     (_Z_SWEEP[:-1] + ["local-quasistatic", "--omega", "1e-310"], _FAILED[:2]),
-    (["sweep", "--axis", "temperature", "--min", "0", "--max", "1", "--count", "2",
-      "--spacing", "linear", "--z", "1e-8", "--omega", "1e-300",
+    (["sweep", "--axis", "temperature", "--min", "0", "--max", "1e300", "--count", "2",
+      "--spacing", "linear", "--z", "1e-8", "--omega", "1e-13",
       "--models", "nonlocal-quasistatic", "--rel-tol", "1e-6"], ["ok", "domain-error"]),
     (["sweep", "--axis", "z", "--min", "1e-300", "--max", "1e-8", "--count", "3",
       "--models", "local-quasistatic"], ["domain-error", "domain-error", "ok"]),
+    # the Drude permittivity overflows: each integral-model point fails alone
+    (["spectral", "--z", "1e-8", "--model", "local-retarded", "--omega", "1e-300"], None),
+    (["spectral", "--z", "1e-8", "--model", "nonlocal-quasistatic", "--omega", "1e-300"],
+     None),
+    (["spectral", "--field", "B", "--z", "1e-8", "--model", "nonlocal-quasistatic",
+      "--omega", "1e-300"], None),
+    (_Z_SWEEP + ["--omega", "1e-300"], _FAILED),
 ], ids=["t1-temp-nan", "t1-temp-inf", "t1-moment-inf", "spectral-omega-inf",
         "spectral-auto-omega-inf", "material-omega-p-inf", "bulk-omega-inf",
         "temperature-sweep-max-inf", "sweep-temp-nan", "sweep-temp-inf", "sweep-moment-inf",
         "sweep-omega-inf", "t1-rate-overflow", "t1-moment-squared-overflow",
         "t1-thermal-underflow", "spectral-chi-nan", "spectral-z-cubed-underflow",
         "sweep-rate-overflow", "sweep-chi-nan", "temperature-sweep-thermal-underflow",
-        "sweep-z-cubed-underflow"])
+        "sweep-z-cubed-underflow", "spectral-retarded-omega-tiny",
+        "spectral-nonlocal-omega-tiny", "spectral-nonlocal-B-omega-tiny",
+        "sweep-auto-omega-tiny"])
 def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
     metal = tmp_path / "inf.cfg"
     metal.write_text("name = inf\nomega_p_rad_s = inf\nnu_rad_s = 1e13\nfermi_energy_ev = 5\n")

@@ -17,7 +17,7 @@ from ewjn.fresnel import (
     local_reflection_q,
     nonlocal_reflection_quasistatic,
 )
-from ewjn.materials import C_LIGHT, drude_epsilon, epsilon_l, epsilon_t
+from ewjn.materials import C_LIGHT, M_ELECTRON, drude_epsilon, epsilon_l, epsilon_t
 from ewjn.quadrature import integrate_power_tails
 
 
@@ -176,12 +176,14 @@ def _reference_r(material, p, omega, cfg, transverse):
     def integrand(kappa, owner):
         k2 = p * p + kappa * kappa
         eps = eps_fn(material, np.sqrt(k2), omega)
-        return eps / (k2 * k2) if transverse else 1.0 / (k2 * eps)
+        # J_p's real part is carried as Re - Im, I_p's parts as they are
+        return eps / (k2 * k2) - (eps / (k2 * k2)).imag if transverse else 1.0 / (k2 * eps)
 
     k_nu, k_star = material.k_nu, material.k_star
     breaks = [x for x in (0.3 * p, p, 3.0 * p, k_nu, k_star, 3.0 * k_star) if x > 0]
     [(value, _)] = integrate_power_tails(integrand, 0.0, [max(p, k_star)], [breaks], cfg)
     if transverse:
+        value = complex(value.real + value.imag, value.imag)
         j_p = (4.0 * p**3 / math.pi) * value
         return omega**2 / (4.0 * p**2 * C_LIGHT**2) * (j_p - 1.0)
     i_p = (2.0 * p / math.pi) * value
@@ -205,10 +207,13 @@ def test_nonlocal_batch_matches_scalar_bitwise(copper, omega0, cfg):
                 assert r_s[i] == _reference_r(copper, p, omega0, cfg, True)
 
 
-@pytest.mark.parametrize("polarization,pattern", [("p", "xx......"), ("s", "xxxx....")])
-def test_nonlocal_batch_failure_stays_in_its_slot(copper, omega0, polarization, pattern):
-    # at 4 subdivisions the kappa-integrals of the smallest p run out
-    cfg = QuadratureConfig(max_subdivisions=4)
+@pytest.mark.parametrize("polarization,max_subdivisions,pattern",
+                         [("p", 8, "xx......"), ("s", 4, "xxxx....")],
+                         ids=["p-xx......", "s-xxxx...."])
+def test_nonlocal_batch_failure_stays_in_its_slot(copper, omega0, polarization,
+                                                  max_subdivisions, pattern):
+    # on these budgets the kappa-integrals of the smallest p run out
+    cfg = QuadratureConfig(max_subdivisions=max_subdivisions)
     ps = np.geomspace(1e5, 1e12, 8)
     r = nonlocal_reflection_quasistatic(copper, ps, omega0, polarization, cfg)
     assert "".join("x" if isinstance(o, QuadratureError) else "." for o in r) == pattern
@@ -260,3 +265,57 @@ def test_surface_integrals_match_scipy_quad(copper, omega0, cfg):
                 total += (0.5 * math.pi - math.atan(big / p)) / p
                 i_p = (1.0 - r_p_or_s) / (1.0 + r_p_or_s)
                 assert rel(i_p, 2.0 * p / math.pi * total) <= 1e-7
+
+
+def _mp_imaginary_surface_integrals(mp, material, p, omega):
+    """Im I_p and Im J_p at 30 digits: epsilon_l and epsilon_t from their
+    defining formulas and mpmath's tanh-sinh rule on each imaginary part,
+    cut at p, the screening wavevector and decades beyond."""
+    with mp.workdps(30):
+        wp, nu = mp.mpf(material.plasma_frequency), mp.mpf(material.collision_rate)
+        vf = mp.sqrt(2 * mp.mpf(material.fermi_energy) / mp.mpf(M_ELECTRON))
+        w, p = mp.mpf(omega), mp.mpf(p)
+        wn = w + 1j * nu
+
+        def k2_eps(kappa):
+            k2 = p**2 + kappa**2
+            x = wn / (mp.sqrt(k2) * vf)
+            dlog = mp.log(x + 1) - mp.log(x - 1)
+            f_l = 1 - x / 2 * dlog
+            f_t = mp.mpf(3) / 2 * x**2 - mp.mpf(3) / 4 * x * (x**2 - 1) * dlog
+            eps_l = 1 + 3 * wp**2 / (k2 * vf**2) * wn * f_l / (w + 1j * nu * f_l)
+            return k2, eps_l, 1 - wp**2 * f_t / (w * wn)
+
+        k_star = mp.sqrt(3) * wp / vf
+        cuts = sorted({mp.mpf(0), p / 3, p, 3 * p}
+                      | {mp.sqrt(k**2 - p**2) for k in (k_star / 3, k_star, 3 * k_star) if k > p}
+                      | {max(p, k_star) * 10**j for j in range(1, 4)}) + [mp.inf]
+
+        def im_i(kappa):
+            k2, eps_l, _ = k2_eps(kappa)
+            return mp.im(1 / (k2 * eps_l))
+
+        def im_j(kappa):
+            k2, _, eps_t = k2_eps(kappa)
+            return mp.im(eps_t) / k2**2
+
+        return 2 * p / mp.pi * mp.quad(im_i, cuts), 4 * p**3 / mp.pi * mp.quad(im_j, cuts)
+
+
+@pytest.mark.parametrize("omega", [1e7, 1e9])
+def test_imaginary_surface_integrals_match_mpmath(copper, omega):
+    # Im I_p is 1e-9..1e-5 of |I_p| here: the kernel must resolve it to
+    # its own rel_tol, not to rel_tol of |I_p|
+    mp = pytest.importorskip("mpmath")
+    ps = [2.0 * copper.k_nu, math.sqrt(copper.k_nu * copper.k_star), 0.5 * copper.k_star]
+    cfg = QuadratureConfig(rel_tol=1e-11)
+    r_p = nonlocal_reflection_quasistatic(copper, ps, omega, "p", cfg)
+    r_s = nonlocal_reflection_quasistatic(copper, ps, omega, "s", cfg)
+    for p, rp, rs in zip(ps, r_p, r_s):
+        im_i, im_j = _mp_imaginary_surface_integrals(mp, copper, p, omega)
+        with mp.workdps(30):
+            # I_p and J_p back from r_p and r_s, exactly
+            got_i = mp.im((1 - mp.mpc(rp)) / (1 + mp.mpc(rp)))
+            got_j = mp.mpf(rs.imag) * 4 * (mp.mpf(p) * C_LIGHT / mp.mpf(omega)) ** 2
+            assert abs(got_i / im_i - 1) < 1e-10
+            assert abs(got_j / im_j - 1) < 1e-10

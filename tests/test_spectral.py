@@ -6,6 +6,7 @@ plus one adaptive cross-check with a different integrator. Comments on
 individual tolerances say which reference is in play.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from ewjn import (
 )
 from ewjn.fresnel import nonlocal_reflection_quasistatic
 from ewjn.materials import C_LIGHT, EPS0, HBAR, drude_epsilon, skin_depth
-from ewjn.quadrature import integrate_exp_tails
+from ewjn.quadrature import integrate_lockstep
+from ewjn.spectral import _tail_cut
 
 
 def rel(a, b):
@@ -137,12 +139,23 @@ def test_chi_B_nonlocal_reference(b_nl_10):
     assert rel(parts["rp_part"], 1.160240532637131e-39) < 1e-4
 
 
+def _give_inner_integrals_a_budget(monkeypatch, budget):
+    """Let QuadratureConfig.inner() set max_subdivisions to budget, if any."""
+    if budget:
+        inner = QuadratureConfig.inner
+        monkeypatch.setattr(QuadratureConfig, "inner", lambda self: dataclasses.replace(
+            inner(self), max_subdivisions=budget))
+
+
 def _chi_B_two_passes(material, z, omega, cfg):
-    """Nonlocal chi^B with the r_s and r_p channels in separate passes."""
-    inner = cfg.inner()
+    """Nonlocal chi^B with the r_s and r_p channels in separate passes
+    over p = k_nu expm1(t), each cut at x/(2z) with its tail bound."""
+    inner, k_nu = cfg.inner(), material.k_nu
+    x, ratio = _tail_cut(cfg)
+    cut = x / (2.0 * z)
 
     def channel(polarization, weight):
-        def f(p, owner):
+        def f(p):
             r = nonlocal_reflection_quasistatic(material, p.ravel(), omega, polarization,
                                                 inner)
             # the first failing p raises, as in a pass of this channel alone
@@ -150,11 +163,15 @@ def _chi_B_two_passes(material, z, omega, cfg):
                 if isinstance(outcome, QuadratureError):
                     raise outcome
             return weight(p) * np.exp(-2.0 * p * z) * np.imag(np.reshape(r, p.shape))
-        [res] = integrate_exp_tails(
-            f, 0.0, [0.5 / z], [[material.k_nu, material.k_star, 0.25 / z, 1.0 / z]], cfg)
+
+        tail = abs(f(np.array([[cut]]))[0, 0]) * ratio / (2.0 * z)
+        [res] = integrate_lockstep(
+            lambda t, owner: f(k_nu * np.expm1(t)) * (k_nu * np.exp(t)),
+            [0.0], [math.log1p(cut / k_nu)], cfg,
+            [[math.log1p(p / k_nu) for p in (k_nu, material.k_star, 0.25 / z, 1.0 / z)]])
         if isinstance(res, QuadratureError):
             raise res
-        return res
+        return res.value, res.error + tail
 
     val_s, err_s = channel("s", lambda p: p * p)
     val_p, err_p = channel("p", lambda p: 1.0)
@@ -174,12 +191,15 @@ def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, cfg_fast, z_o
         == _chi_B_two_passes(copper, z, omega0, cfg_fast)
 
 
-@pytest.mark.parametrize("rel_tol,max_subdivisions", [
-    (1e-6, 2),    # an inner r_s integral runs out of budget first
-    (1e-8, 16),   # the outer r_p channel runs out, the r_s one converges
-])
+@pytest.mark.parametrize("rel_tol,max_subdivisions,inner_budget", [
+    (1e-6, 2, None),    # an inner r_s integral runs out of budget first
+    # with inner integrals on a budget of their own, the outer r_p
+    # channel runs out and the r_s one converges
+    (1e-10, 2, 2000),
+], ids=["1e-06-2", "1e-10-2-inner-2000"])
 def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, rel_tol,
-                                                  max_subdivisions):
+                                                  max_subdivisions, inner_budget, monkeypatch):
+    _give_inner_integrals_a_budget(monkeypatch, inner_budget)
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     with pytest.raises(QuadratureError) as one_pass:
         evaluate(copper, "B", 30.0 * lam_f, omega0, "nonlocal-quasistatic", cfg)
@@ -347,10 +367,10 @@ def test_retarded_batch_matches_scalar_bitwise(material, omega, field_kind):
 
 
 def _recording(parts, name, fn):
-    """fn, storing the result of its first call in parts[name]."""
+    """fn, collecting the outcomes of all its calls in parts[name]."""
     def wrapper(*args, **kwargs):
         result = fn(*args, **kwargs)
-        parts.setdefault(name, result)
+        parts.setdefault(name, []).extend(result)
         return result
     return wrapper
 
@@ -372,7 +392,7 @@ def _assert_same_outcome(outcome, material, field_kind, z, omega, model, cfg):
 
 @pytest.mark.parametrize("max_subdivisions,rel_tol,pattern", [
     (12, 1e-9, ".............xxxxxxx"),
-    (16, 1e-12, ".xxxxx.xxxxxxx.xxxxx"),
+    (16, 1e-12, "xxxxxx.xxxxxxx.xxxxx"),
 ], ids=["12", "16"])
 def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions, rel_tol,
                                               pattern, monkeypatch):
@@ -467,37 +487,44 @@ def test_retarded_matches_p_space_oracle(material, omega, field_kind, z_over_del
 # one omega per z, from 1e7 to 1e11 rad/s: auto then resolves to the
 # nonlocal model at the six lowest points and to the retarded one above
 _OMEGA_PER_Z = np.geomspace(1e7, 1e11, 9).tolist()
+# An outer nonlocal integral needs far fewer subdivisions than its inner
+# ones, so a shared budget fails the inner integrals first; the cases
+# with outer failures give the inner integrals a budget of their own
+# (the last entry).
 _Z_BATCH_CASES = [
-    ("local-quasistatic", "E", 1e-8, 2000, ".........", None),
-    ("local-quasistatic", "B", 1e-8, 2000, ".........", None),
-    ("nonlocal-quasistatic", "E", 1e-8, 2000, ".........", None),
-    ("nonlocal-quasistatic", "B", 1e-8, 2000, ".........", None),
+    ("local-quasistatic", "E", 1e-8, 2000, ".........", None, None),
+    ("local-quasistatic", "B", 1e-8, 2000, ".........", None, None),
+    ("nonlocal-quasistatic", "E", 1e-8, 2000, ".........", None, None),
+    ("nonlocal-quasistatic", "B", 1e-8, 2000, ".........", None, None),
     # budgets tight enough that outer and inner integrals run out
-    ("nonlocal-quasistatic", "E", 1e-6, 10, "....oiiii", None),
-    ("nonlocal-quasistatic", "B", 1e-6, 12, "..ooooiii", None),
-    # inner r_p integrals fail at one point, inner r_s ones at the next
-    ("nonlocal-quasistatic", "B", 1e-6, 11, "..ooooiss", None),
-    ("local-quasistatic", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z),
-    ("local-retarded", "E", 1e-8, 2000, ".........", _OMEGA_PER_Z),
-    ("auto", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z),
-    ("auto", "E", 1e-8, 16, "...oo....", _OMEGA_PER_Z),
-    ("nonlocal-quasistatic", "E", 1e-6, 14, ".....o.ii", _OMEGA_PER_Z),
-    ("nonlocal-quasistatic", "B", 1e-8, 16, ".oooo..ii", _OMEGA_PER_Z),
-    ("nonlocal-quasistatic", "B", 1e-6, 11, "....iiiss", _OMEGA_PER_Z),
+    ("nonlocal-quasistatic", "E", 1e-8, 2, ".oooiiiii", None, 15),
+    ("nonlocal-quasistatic", "B", 1e-8, 1, "o...iiiii", None, 15),
+    # inner r_p integrals fail at some points, inner r_s ones at the next
+    ("nonlocal-quasistatic", "B", 1e-4, 8, "iiiisssss", None, None),
+    ("local-quasistatic", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
+    ("local-retarded", "E", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
+    ("auto", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
+    # outer failures at nonlocal points (0-5) and at retarded ones (6-8)
+    ("auto", "E", 1e-8, 2, ".ooo.oooo", _OMEGA_PER_Z, 2000),
+    ("nonlocal-quasistatic", "E", 1e-8, 2, ".ooo.oiii", _OMEGA_PER_Z, 17),
+    ("nonlocal-quasistatic", "B", 1e-8, 1, "o.....iii", _OMEGA_PER_Z, 17),
+    ("nonlocal-quasistatic", "B", 1e-4, 9, "iiiiiiiss", _OMEGA_PER_Z, None),
 ]
 
 
-@pytest.mark.parametrize("model,field_kind,rel_tol,max_subdivisions,pattern,omegas",
+@pytest.mark.parametrize("model,field_kind,rel_tol,max_subdivisions,pattern,omegas,inner_budget",
                          _Z_BATCH_CASES,
                          ids=["-".join(map(str, case[:5])) + ("-omega-per-z" if case[5] else "")
+                              + (f"-inner-{case[6]}" if case[6] else "")
                               for case in _Z_BATCH_CASES])
 def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind, rel_tol,
-                                        max_subdivisions, pattern, omegas, monkeypatch):
+                                        max_subdivisions, pattern, omegas, inner_budget,
+                                        monkeypatch):
     import ewjn.spectral as spectral
 
     parts, inner_s = {}, []
-    monkeypatch.setattr(spectral, "integrate_exp_tails",
-                        _recording(parts, "outer", spectral.integrate_exp_tails))
+    monkeypatch.setattr(spectral, "integrate_lockstep",
+                        _recording(parts, "outer", spectral.integrate_lockstep))
     kernel = spectral.nonlocal_reflection_quasistatic
 
     def recorded_kernel(material, p, omega, polarization, cfg):
@@ -507,6 +534,7 @@ def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind
         return r
 
     monkeypatch.setattr(spectral, "nonlocal_reflection_quasistatic", recorded_kernel)
+    _give_inner_integrals_a_budget(monkeypatch, inner_budget)
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     zs = [float(z) for z in np.geomspace(lam_f, 3000.0 * lam_f, 9)]
     batch = evaluate_batch(copper, field_kind, zs, omegas or omega0, model, cfg)
@@ -518,6 +546,40 @@ def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind
                    "s" if any(o is r for r in inner_s) else "i" for o in batch) == pattern
     for z, omega, outcome in zip(zs, omegas or [omega0] * len(zs), batch):
         _assert_same_outcome(outcome, copper, field_kind, z, omega, model, cfg)
+
+
+# three decades of z and of omega, from the collision-limited low
+# frequencies where Im I_p is 1e-9 of |I_p| up to 1e11 rad/s
+_TIGHT_POINTS = [(z, omega) for z in (1e-9, 1e-8, 1e-7) for omega in (1e7, 1.9e9, 1e11)]
+
+
+@pytest.mark.parametrize("model", ["nonlocal-quasistatic", "local-retarded"])
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_error_estimate_covers_the_shift_to_rel_tol_over_1000(copper, model, field_kind):
+    zs, omegas = zip(*_TIGHT_POINTS)
+    loose, tight = (evaluate_batch(copper, field_kind, list(zs), list(omegas), model,
+                                   QuadratureConfig(rel_tol=rel_tol))
+                    for rel_tol in (1e-8, 1e-11))
+    for a, b in zip(loose, tight):
+        # rel_tol 1e-11 converges, and the 1e-8 run's error_estimate
+        # bounds its distance to it
+        assert not isinstance(b, QuadratureError), b
+        assert abs(a.chi_xx - b.chi_xx) <= a.error_estimate
+        assert abs(a.chi_zz - b.chi_zz) <= a.error_estimate
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_omega_too_small_is_a_domain_error_of_its_point(copper, omega0, field_kind):
+    # the Drude permittivity overflows at 1e-300 rad/s and its grazing
+    # wavevector (omega/c)/sqrt|eps| underflows at 1e-250 rad/s
+    cfg = QuadratureConfig(rel_tol=1e-6)
+    for model in ("nonlocal-quasistatic", "local-retarded", "auto"):
+        tensor, *tiny = evaluate_batch(copper, field_kind, [1e-7] * 3,
+                                       [omega0, 1e-250, 1e-300], model, cfg)
+        assert tensor == evaluate(copper, field_kind, 1e-7, omega0, model, cfg)
+        for outcome, omega in zip(tiny, ("1e-250", "1e-300")):
+            assert isinstance(outcome, DomainError)
+            assert f"omega = {omega} rad/s is too small" in str(outcome)
 
 
 def test_evaluate_batch_resolves_auto_per_point(copper, omega0, lam_f):

@@ -74,6 +74,13 @@ EDGES = [
     _Z_SWEEP + ["--moment", "1e300"],
     _LQ_SWEEP + ["--omega", "1e-310", "--format", "json"],
     _LQ_SWEEP + ["--omega", "1e-300", "--temp", "1"],
+    # omega at which the Drude permittivity overflows
+    ["spectral", "--z", "1e-8", "--model", "local-retarded", "--omega", "1e-300"],
+    ["spectral", "--field", "B", "--z", "1e-8", "--model", "local-retarded", "--omega", "1e-310"],
+    ["spectral", "--z", "1e-8", "--model", "nonlocal-quasistatic", "--omega", "1e-300"],
+    ["spectral", "--field", "B", "--z", "1e-8", "--model", "nonlocal-quasistatic",
+     "--omega", "1e-300"],
+    _Z_SWEEP + ["--omega", "1e-300"],
 ]
 
 
