@@ -14,10 +14,11 @@ nonlocal_reflection_quasistatic, the one nonlocal kernel, runs the
 kappa-integrals of an array of p as one quadrature batch: its integrand
 gets an (m, 15) block of kappa plus the owning p of each row, so
 epsilon_l/epsilon_t see an (m, 15) array of k per refinement round. It
-returns one outcome per p, r or the QuadratureError of that p's own
-kappa-integral, so a caller that batches the p of many outer integrals
-(the nonlocal spectral model calls it once per outer refinement round
-and polarization) can tell whose inner integral failed.
+returns one outcome per p, r with its error bounds or the
+QuadratureError of that p's own kappa-integral, so a caller that
+batches the p of many outer integrals (the nonlocal spectral model
+calls it once per outer refinement round and polarization) can tell
+whose inner integral failed.
 
 Branch policy: the vacuum normal wavevector q is real >= 0 for
 propagating waves and +i|q| for evanescent ones; the metal-side root
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .materials import C_LIGHT, Material, epsilon_l, epsilon_t
-from .quadrature import QuadratureConfig, integrate_power_tails
+from .quadrature import QuadratureConfig, QuadResult, integrate_power_tails
 
 
 class ReflectionPair(NamedTuple):
@@ -86,9 +87,11 @@ def nonlocal_reflection_quasistatic(
     omega is one value or one per p. eps_fn(k, omega) overrides
     epsilon_l ("p") or epsilon_t ("s"), as in the constant-epsilon limit
     checks; it must broadcast over arrays k and omega. Each
-    kappa-integral has its own tail scale max(p, k_star). Outcome i is r
-    at p[i] as a Python complex, or the QuadratureError of that
-    kappa-integral; a p gets the same outcome in any batch.
+    kappa-integral has its own tail scale max(p, k_star). Outcome i is a
+    QuadResult, r at p[i] as a Python complex with bounds on its error
+    and on the errors of its real and imaginary parts, carried over from
+    the kappa-integral's, or the QuadratureError of that kappa-integral;
+    a p gets the same outcome in any batch.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if not np.all(p > 0):
@@ -125,11 +128,24 @@ def nonlocal_reflection_quasistatic(
     for q, w, res in zip(p_list, omega.tolist(), outcomes):
         if isinstance(res, QuadratureError):
             r.append(res)
-        elif transverse:
+            continue
+        e_re, e_im = res.part_errors
+        if transverse:
+            # Re J_p was integrated as Re - Im, so its error adds Im's
             value = complex(res.value.real + res.value.imag, res.value.imag)
-            j_p = (4.0 * q**3 / math.pi) * value
-            r.append(w**2 / (4.0 * q**2 * C_LIGHT**2) * (j_p - 1.0))
+            a = 4.0 * q**3 / math.pi
+            prefactor = w**2 / (4.0 * q**2 * C_LIGHT**2)
+            r_value = prefactor * (a * value - 1.0)
+            parts = (prefactor * a * (e_re + e_im), prefactor * a * e_im)
         else:
-            i_p = (2.0 * q / math.pi) * res.value
-            r.append((1.0 - i_p) / (1.0 + i_p))
+            a = 2.0 * q / math.pi
+            i_p, d_i = a * res.value, a * res.error
+            r_value = (1.0 - i_p) / (1.0 + i_p)
+            # r_p = 2u - 1 with u = 1/(1 + I_p), Im u = -Im I_p |u|^2: for any
+            # |delta I_p| <= d_i, du bounds |delta u| and im the change of Im r_p
+            one = abs(1.0 + i_p)
+            du = d_i / (one * (one - d_i)) if d_i < one else math.inf
+            im = 2.0 * (a * e_im * (1.0 / one + du) ** 2 + abs(i_p.imag) * (2.0 / one + du) * du)
+            parts = (2.0 * du, im)
+        r.append(QuadResult(r_value, math.hypot(*parts), parts))
     return r

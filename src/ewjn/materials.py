@@ -32,10 +32,12 @@ K_BOLTZMANN = 1.380649e-23  # J/K
 BOHR_RADIUS = 5.29177210903e-11  # m
 BOHR_MAGNETON = 9.2740100783e-24  # J/T
 
-# |x| at and above which f_l, f_t switch to Laurent series. The direct
-# log formula cancels catastrophically for large |x| (it computes an O(1)
-# quantity that nearly equals 1), losing all significance around
-# |x| ~ 1e8; the series is machine-exact for |x| >= 8 with 20 terms.
+# |x| at and above which f_l, f_t switch to Laurent series. The closed
+# forms subtract x artanh(1/x) = 1 + 1/(3x^2) + ... from O(1) terms to
+# leave an O(1/x^2) remainder, so they lose about 2 log10|x| digits and
+# all significance around |x| ~ 1e8; they also overflow in x^3 long
+# before |x| leaves the float range. The series is machine-exact for
+# |x| >= 8 with 20 terms.
 _SERIES_SWITCH = 8.0
 _SERIES_TERMS = 20
 
@@ -133,16 +135,27 @@ def _lindhard(x, transverse: bool):
     big = np.abs(x) >= _SERIES_SWITCH
     if np.any(big):
         out[big] = _lindhard_series(x[big], transverse)
+    # the closed forms run on the |x| < 8 nodes only (see _SERIES_SWITCH)
     small = ~big
     if np.any(small):
         xs = x[small]
-        # principal logs; for Im x > 0 both arguments stay in the upper
-        # half-plane, so the difference never crosses a cut
-        dlog = np.log(xs + 1.0) - np.log(xs - 1.0)
+        # ln((x+1)/(x-1)) = 2 artanh(1/x): both sides are analytic on
+        # C \ [-1, 1] and agree for real x > 1, so they agree wherever
+        # the kernel accepts x, Im x < 0 and x < -1 included (Kahan,
+        # "Branch cuts for complex elementary functions", 1987). Two logs
+        # cost ~4x one artanh here: on the integration nodes x ~ i nu/(k
+        # v_F) has a small real part, which puts x - 1 near the unit
+        # circle, where numpy's complex log takes its slow exact path.
+        # np.multiply, not *: numpy may reuse a large temporary right
+        # operand of * and run it as temporary * x, and complex products
+        # round differently in the two orders, so a node's bits would
+        # depend on the size of its batch.
+        xa = np.multiply(xs, np.arctanh(1.0 / xs))
         if transverse:
-            out[small] = 1.5 * xs * xs - 0.75 * xs * (xs * xs - 1.0) * dlog
+            x2 = xs * xs
+            out[small] = 1.5 * (x2 - (x2 - 1.0) * xa)
         else:
-            out[small] = 1.0 - 0.5 * xs * dlog
+            out[small] = 1.0 - xa
     return out[0] if scalar else out
 
 

@@ -108,11 +108,12 @@ class QuadratureConfig:
 
 
 class QuadResult(NamedTuple):
-    """An integral's value and a bound on |value - exact|, the hypot of
-    the bounds on its real and imaginary parts."""
+    """An integral's value, a bound on |value - exact| and the bounds
+    (re, im) on its real and imaginary parts, whose hypot it is."""
 
     value: complex
     error: float
+    part_errors: tuple
 
 
 def _gk15(f: Callable, owner, lo, hi):
@@ -307,8 +308,9 @@ def integrate_lockstep(
         panels.used += 2
     values = [complex(re, im) for re, im in zip(*totals.tolist())]
     outcomes = []
-    for value, bound, subs, out in zip(values, np.hypot(errors[0], errors[1]).tolist(),
-                                       subdivisions.tolist(), failed.tolist()):
+    for value, bound, parts, subs, out in zip(values, np.hypot(errors[0], errors[1]).tolist(),
+                                              zip(*errors.tolist()), subdivisions.tolist(),
+                                              failed.tolist()):
         if out:
             value, bound = np.complex128(value), np.float64(bound)
             outcomes.append(QuadratureError(
@@ -316,7 +318,7 @@ def integrate_lockstep(
                 f"(estimate {value!r}, error bound {bound:.3e})",
                 best_estimate=value, error_bound=bound))
         else:
-            outcomes.append(QuadResult(value, bound))
+            outcomes.append(QuadResult(value, bound, parts))
     return outcomes
 
 

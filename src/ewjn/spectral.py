@@ -200,6 +200,9 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     seeded at k_nu, k_star, 0.25/z and 1/z, where Im r has structure.
     The integrand grows no faster than p^3 e^{-2pz}, so it is cut at
     x/(2z) (_tail_cut), and error_estimate adds the bound on the tail.
+    It also adds the inner integrals' error: Im r >= 0 by passivity and
+    the weights are >= 0, so max(err Im r / Im r) over the nodes times
+    the channel bounds Integral w err Im r.
 
     The batched integrand calls the kernel once per refinement round and
     polarization (r_s first), with the nodes and the omega of every
@@ -219,6 +222,8 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     k_nu = material.k_nu
     inner_error = [None] * len(zs)
     failed = np.zeros(len(zs), dtype=bool)
+    # max over the nodes of err(Im r)/Im r, per integral
+    worst = np.zeros(len(zs) * n)
 
     def integrand(p, owner):
         out = np.zeros(p.shape)
@@ -231,17 +236,21 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
             r = nonlocal_reflection_quasistatic(material, nodes.ravel(),
                                                 np.repeat(w_of[at], nodes.shape[1]),
                                                 polarization, cfg_inner)
+            im = np.zeros((2, len(r)))
             for i, o in enumerate(r):
                 if isinstance(o, QuadratureError):
                     k = at[i // nodes.shape[1]]
                     if not failed[k]:
                         failed[k], inner_error[k] = True, o
-                    r[i] = 0.0
+                else:
+                    im[:, i] = o.value.imag, o.part_errors[1]
             keep = ~failed[at]
             rows, nodes = rows[keep], nodes[keep]
-            im = np.imag(np.array(r, dtype=complex).reshape(keep.size, -1)[keep])
+            im, im_err = im.reshape(2, keep.size, -1)[:, keep]
             z = z_of[at[keep]][:, None]
             out[rows] = (nodes * nodes if c == 0 else 1.0) * np.exp(-2.0 * nodes * z) * im
+            ratio = np.divide(im_err, im, out=np.where(im_err > 0, np.inf, 0.0), where=im > 0)
+            np.maximum.at(worst, owner[rows], ratio.max(axis=1))
         return out
 
     x, ratio = _tail_cut(cfg)
@@ -259,21 +268,35 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
         errors = [o for o in (inner_error[k], *outcomes) if isinstance(o, QuadratureError)]
         if errors:
             out.append(errors[0])
-        elif field_kind == "E":
-            [(value, err)] = outcomes
-            chi_zz = HBAR / EPS0 * value.real
-            out.append((0.5 * chi_zz, chi_zz, HBAR / EPS0 * (err + tails[k]), {}))
+            continue
+        # a channel's error: outer rule, cut tail and inner integrals
+        err = [res.error + tails[j] + worst[j] * abs(res.value.real)
+               for j, res in enumerate(outcomes, k * n)]
+        if field_kind == "E":
+            chi_zz = HBAR / EPS0 * outcomes[0].value.real
+            out.append((0.5 * chi_zz, chi_zz, HBAR / EPS0 * err[0], {}))
         else:
-            (val_s, err_s), (val_p, err_p) = outcomes
-            tail_s, tail_p = tails[2 * k:2 * k + 2]
             scale = HBAR / (EPS0 * C_LIGHT**2)
-            chi_zz = scale * val_s.real
+            chi_zz = scale * outcomes[0].value.real
             rs_part = 0.5 * chi_zz
-            rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * val_p.real
+            rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * outcomes[1].value.real
             out.append((rs_part + rp_part, chi_zz,
-                        scale * (err_s + tail_s + 0.5 * (omega / C_LIGHT) ** 2 * (err_p + tail_p)),
+                        scale * (err[0] + 0.5 * (omega / C_LIGHT) ** 2 * err[1]),
                         {"rs_part": rs_part, "rp_part": rp_part}))
     return out
+
+
+def _retarded_range_error(z, omega, eps, g, cut):
+    """The DomainError of a local-retarded point whose integrand leaves
+    the float range, else None. Its axis runs from omega/c to the cut U
+    in steps of the grazing scale g, where the integrand grows like
+    |eps| M and like M^3 for M = max(U, omega/c): g must be a normal
+    float and U/g, |eps| M and M^3 finite."""
+    m = max(cut, omega / C_LIGHT)
+    if g >= np.finfo(float).tiny and all(map(math.isfinite, (cut / g, abs(eps) * m, m * m * m))):
+        return None
+    return DomainError(f"z = {z:.6g} m, omega = {omega:.6g} rad/s: the local-retarded "
+                       f"integrand leaves the float range")
 
 
 def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
@@ -296,7 +319,9 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     and like u^3 below the knee for B, where Im r_s ~ u, so the
     evanescent part is cut at U = x/(2z) (_tail_cut). Each point is one
     integral over [t(-omega/c), t(U)], all points in one lockstep run,
-    and its error_estimate adds the bound on the discarded tail.
+    and its error_estimate adds the bound on the discarded tail. A point
+    whose integrand would leave the float range gets a DomainError
+    (_retarded_range_error) and does not run.
     """
     cfg = cfg or QuadratureConfig()
 
@@ -308,11 +333,16 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
                 math.log1p(abs(eps)))
 
     per_omega = {w: constants(w) for w in set(omegas)}
-    eps, k2_metal, w_c2, g, lo, knee = zip(*(per_omega[w] for w in omegas))
-    # one row per point
-    eps, k2_metal, w_c2, g = (np.array(c)[:, None] for c in (eps, k2_metal, w_c2, g))
-    z_rows = np.asarray(zs, dtype=float)[:, None]
     x, ratio = _tail_cut(cfg)
+    out = [_retarded_range_error(z, w, per_omega[w][0], per_omega[w][3], x / (2.0 * z))
+           for z, w in zip(zs, omegas)]
+    run = [i for i, o in enumerate(out) if o is None]
+    if not run:
+        return out
+    eps, k2_metal, w_c2, g, lo, knee = zip(*(per_omega[omegas[i]] for i in run))
+    # one row per point that runs
+    eps, k2_metal, w_c2, g = (np.array(c)[:, None] for c in (eps, k2_metal, w_c2, g))
+    z_rows = np.array([zs[i] for i in run], dtype=float)[:, None]
 
     def integrand(s, z, eps, k2_metal, w_c2):
         evanescent = s >= 0.0
@@ -335,9 +365,10 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
                                  [[0.0, k] for k in knee])
     tails = np.abs(integrand(cuts, z_rows, eps, k2_metal, w_c2)) * ratio / (2 * z_rows)
     scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
-    return [res if isinstance(res, QuadratureError) else
+    for i, res, tail in zip(run, results, tails[:, 0].tolist()):
+        out[i] = res if isinstance(res, QuadratureError) else \
             (scale * res.value.real, scale * res.value.imag, scale * (res.error + tail), {})
-            for res, tail in zip(results, tails[:, 0].tolist())]
+    return out
 
 
 _BATCH = {
@@ -364,7 +395,9 @@ def evaluate_batch(
     as one batch, with the outcomes a point-by-point run would give. A
     point whose chi_xx, chi_zz or error_estimate is not finite (its
     inputs leave the float range) gets a DomainError, and so does a
-    point of the integral models whose omega fails _drude_scales_error.
+    point of the integral models whose omega fails _drude_scales_error
+    or whose chi_xx or chi_zz underflows to 0 where the metal responds
+    (its Drude permittivity is not 1).
     """
     if field_kind not in ("E", "B"):
         raise DomainError("field_kind must be 'E' or 'B'")
@@ -403,6 +436,10 @@ def evaluate_batch(
                 out[i] = outcome
             elif not all(map(math.isfinite, outcome[:3])):
                 out[i] = DomainError(f"chi is not finite at z = {zs[i]:.6g} m, omega = "
+                                     f"{omegas[i]:.6g} rad/s; the inputs leave the float range")
+            elif (m is not Model.LOCAL_QUASISTATIC and 0.0 in outcome[:2]
+                  and drude_epsilon(material, omegas[i]) != 1.0):
+                out[i] = DomainError(f"chi underflows to 0 at z = {zs[i]:.6g} m, omega = "
                                      f"{omegas[i]:.6g} rad/s; the inputs leave the float range")
             else:
                 chi_xx, chi_zz, err, parts = outcome

@@ -206,10 +206,10 @@ def test_criterion_07_thermal_scaling(copper, lam_f):
 def test_criterion_08_limiting_forms(copper, omega0, lam_f, cfg):
     p = 1.0 / (2.0 * lam_f)
     eps = drude_epsilon(copper, omega0)
-    [rp] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg,
-                                           eps_fn=lambda k, w: eps)
-    [rs] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg,
-                                           eps_fn=lambda k, w: eps)
+    [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg,
+                                                 eps_fn=lambda k, w: eps)
+    [(rs, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg,
+                                                 eps_fn=lambda k, w: eps)
     rp_dev = abs(rp / ((eps - 1.0) / (eps + 1.0)) - 1.0)
     rs_dev = abs(rs / ((eps - 1.0) * omega0**2
                        / (4.0 * p**2 * C_LIGHT**2)) - 1.0)

@@ -377,6 +377,11 @@ _FAILED = ["domain-error"] * 4
     (["spectral", "--field", "B", "--z", "1e-8", "--model", "nonlocal-quasistatic",
       "--omega", "1e-300"], None),
     (_Z_SWEEP + ["--omega", "1e-300"], _FAILED),
+    # chi underflows to 0, or the retarded integrand would overflow
+    (["spectral", "--field", "B", "--z", "1e-8", "--model", "nonlocal-quasistatic",
+      "--omega", "1e-200"], None),
+    (["spectral", "--z", "1e-8", "--model", "local-retarded", "--omega", "1e-200"], None),
+    (["spectral", "--z", "1e-300", "--model", "local-retarded"], None),
 ], ids=["t1-temp-nan", "t1-temp-inf", "t1-moment-inf", "spectral-omega-inf",
         "spectral-auto-omega-inf", "material-omega-p-inf", "bulk-omega-inf",
         "temperature-sweep-max-inf", "sweep-temp-nan", "sweep-temp-inf", "sweep-moment-inf",
@@ -385,7 +390,9 @@ _FAILED = ["domain-error"] * 4
         "sweep-rate-overflow", "sweep-chi-nan", "temperature-sweep-thermal-underflow",
         "sweep-z-cubed-underflow", "spectral-retarded-omega-tiny",
         "spectral-nonlocal-omega-tiny", "spectral-nonlocal-B-omega-tiny",
-        "sweep-auto-omega-tiny"])
+        "sweep-auto-omega-tiny", "spectral-nonlocal-B-chi-underflow",
+        "spectral-retarded-g-subnormal", "spectral-retarded-z-tiny"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
     metal = tmp_path / "inf.cfg"
     metal.write_text("name = inf\nomega_p_rad_s = inf\nnu_rad_s = 1e13\nfermi_energy_ev = 5\n")

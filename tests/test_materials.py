@@ -124,6 +124,37 @@ def test_lindhard_matches_mpmath_on_both_sides_of_the_switch(modulus):
             assert abs(f_t - ref_t) <= tol * abs(ref_t)
 
 
+def test_lindhard_log_form_holds_below_the_real_axis_and_left_of_the_cut():
+    # the kernel evaluates ln((x+1)/(x-1)) as 2 artanh(1/x); the two are
+    # one analytic function off [-1, 1], so the log form's values must
+    # come back for Im x < 0 and for real x < -1 as well
+    mp = pytest.importorskip("mpmath")
+    below = [m * np.exp(-1j * a) for m in (0.5, 2.0, 7.99, 50.0)
+             for a in (1e-3, 0.8, 0.5 * math.pi, 2.2, math.pi - 1e-3)]
+    left = [-1.5, -2.0, -7.99, -8.01, -50.0]
+    xs = np.array(below + left, dtype=complex)
+    with mp.workdps(40):
+        for x, f_l, f_t in zip(xs, lindhard_f_l(xs), lindhard_f_t(xs)):
+            X = mp.mpc(complex(x))
+            dlog = mp.log(X + 1) - mp.log(X - 1)
+            ref_l = complex(1 - X / 2 * dlog)
+            ref_t = complex(mp.mpf(3) / 2 * X**2 - mp.mpf(3) / 4 * X * (X**2 - 1) * dlog)
+            assert abs(f_l - ref_l) <= 1e-12 * abs(ref_l), x
+            assert abs(f_t - ref_t) <= 1e-12 * abs(ref_t), x
+
+
+def test_lindhard_bits_do_not_depend_on_the_batch(copper, omega0):
+    # a node's f_l, f_t are the same in a block of 20,000 (where numpy
+    # may reuse temporaries) as in a row of 15 or alone
+    k = np.geomspace(1e5, 1e12, 20_010).reshape(-1, 15)
+    x = (omega0 + 1j * copper.collision_rate) / (k * copper.fermi_velocity)
+    for fn in (lindhard_f_l, lindhard_f_t):
+        block = fn(x)
+        for r in range(0, x.shape[0], 97):
+            assert np.array_equal(fn(x[r]), block[r])
+            assert fn(complex(x[r, 7])) == block[r, 7]
+
+
 def test_lindhard_far_asymptote():
     x = 1e6 * (1.0 + 1.0j)
     assert rel(lindhard_f_l(x), -1.0 / (3.0 * x**2)) < 1e-6
@@ -162,6 +193,32 @@ def test_epsilon_reference_values_at_kF(copper, omega0):
                2.6976051471927067 + 2.3651297434862826e-07j) < 1e-12
     assert rel(epsilon_t(copper, k_f, omega0),
                -0.6952433080001168 + 15027880.49025245j) < 1e-12
+
+
+def test_epsilon_imaginary_parts_match_mpmath(copper):
+    # 40-digit oracle of the defining formulas on the float inputs the
+    # kernel sees: Im eps_l and Im eps_t, each to a bound relative to
+    # itself, from k = 1e5 (series branch) to 1e12 1/m (|x| ~ 1e-5)
+    mp = pytest.importorskip("mpmath")
+    ks = np.geomspace(1e5, 1e12, 60)
+    with mp.workdps(40):
+        wp, nu, vf = (mp.mpf(v) for v in (copper.plasma_frequency, copper.collision_rate,
+                                           copper.fermi_velocity))
+        for omega in (1e7, 1.9e9, 1e11, 1e13, 1e14):
+            w = mp.mpf(omega)
+            wn = mp.mpc(w, nu)
+            got_l, got_t = epsilon_l(copper, ks, omega), epsilon_t(copper, ks, omega)
+            for k, e_l, e_t in zip(ks.tolist(), got_l, got_t):
+                K = mp.mpf(k)
+                X = wn / (K * vf)
+                dlog = mp.log(X + 1) - mp.log(X - 1)
+                f_l = 1 - X / 2 * dlog
+                f_t = mp.mpf(3) / 2 * X**2 - mp.mpf(3) / 4 * X * (X**2 - 1) * dlog
+                ref_l = float(mp.im(1 + 3 * wp**2 / (K * vf) ** 2 * wn * f_l
+                                    / (w + 1j * nu * f_l)))
+                ref_t = float(mp.im(1 - wp**2 * f_t / (w * wn)))
+                assert abs(e_l.imag - ref_l) <= 3e-11 * abs(ref_l), (omega, k)
+                assert abs(e_t.imag - ref_t) <= 1e-13 * abs(ref_t), (omega, k)
 
 
 def test_epsilon_drude_collapse_small_k(copper):

@@ -149,12 +149,16 @@ def _give_inner_integrals_a_budget(monkeypatch, budget):
 
 def _chi_B_two_passes(material, z, omega, cfg):
     """Nonlocal chi^B with the r_s and r_p channels in separate passes
-    over p = k_nu expm1(t), each cut at x/(2z) with its tail bound."""
+    over p = k_nu expm1(t), each cut at x/(2z) with its tail bound and
+    its inner integrals' error bound."""
     inner, k_nu = cfg.inner(), material.k_nu
     x, ratio = _tail_cut(cfg)
     cut = x / (2.0 * z)
 
     def channel(polarization, weight):
+        # the largest err(Im r)/Im r of the channel's nodes, cut included
+        worst = [0.0]
+
         def f(p):
             r = nonlocal_reflection_quasistatic(material, p.ravel(), omega, polarization,
                                                 inner)
@@ -162,7 +166,10 @@ def _chi_B_two_passes(material, z, omega, cfg):
             for outcome in r:
                 if isinstance(outcome, QuadratureError):
                     raise outcome
-            return weight(p) * np.exp(-2.0 * p * z) * np.imag(np.reshape(r, p.shape))
+                im, err = outcome.value.imag, outcome.part_errors[1]
+                worst[0] = max(worst[0], err / im if im > 0 else math.inf if err > 0 else 0.0)
+            im = np.reshape([outcome.value.imag for outcome in r], p.shape)
+            return weight(p) * np.exp(-2.0 * p * z) * im
 
         tail = abs(f(np.array([[cut]]))[0, 0]) * ratio / (2.0 * z)
         [res] = integrate_lockstep(
@@ -171,7 +178,7 @@ def _chi_B_two_passes(material, z, omega, cfg):
             [[math.log1p(p / k_nu) for p in (k_nu, material.k_star, 0.25 / z, 1.0 / z)]])
         if isinstance(res, QuadratureError):
             raise res
-        return res.value, res.error + tail
+        return res.value, res.error + tail + worst[0] * abs(res.value.real)
 
     val_s, err_s = channel("s", lambda p: p * p)
     val_p, err_p = channel("p", lambda p: 1.0)
@@ -549,8 +556,12 @@ def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind
 
 
 # three decades of z and of omega, from the collision-limited low
-# frequencies where Im I_p is 1e-9 of |I_p| up to 1e11 rad/s
-_TIGHT_POINTS = [(z, omega) for z in (1e-9, 1e-8, 1e-7) for omega in (1e7, 1.9e9, 1e11)]
+# frequencies where Im I_p is 1e-9 of |I_p| up to 1e11 rad/s, and the
+# fig1/fig3 heights at omega = 6 pi 1e8 rad/s, where the inner
+# integrals' error is most of the nonlocal B error
+_TIGHT_POINTS = ([(z, omega) for z in (1e-9, 1e-8, 1e-7) for omega in (1e7, 1.9e9, 1e11)]
+                 + [(z, 6e8 * math.pi) for z in
+                    np.geomspace(1.0, 3000.0, 5) * COPPER.fermi_wavelength])
 
 
 @pytest.mark.parametrize("model", ["nonlocal-quasistatic", "local-retarded"])
@@ -566,6 +577,9 @@ def test_error_estimate_covers_the_shift_to_rel_tol_over_1000(copper, model, fie
         assert not isinstance(b, QuadratureError), b
         assert abs(a.chi_xx - b.chi_xx) <= a.error_estimate
         assert abs(a.chi_zz - b.chi_zz) <= a.error_estimate
+        assert a.decomposition.keys() == b.decomposition.keys()
+        for part, value in a.decomposition.items():
+            assert abs(value - b.decomposition[part]) <= a.error_estimate
 
 
 @pytest.mark.parametrize("field_kind", ["E", "B"])

@@ -81,6 +81,11 @@ EDGES = [
     ["spectral", "--field", "B", "--z", "1e-8", "--model", "nonlocal-quasistatic",
      "--omega", "1e-300"],
     _Z_SWEEP + ["--omega", "1e-300"],
+    # chi underflows to 0, or the retarded integrand would overflow
+    ["spectral", "--field", "B", "--z", "1e-8", "--model", "nonlocal-quasistatic",
+     "--omega", "1e-200"],
+    ["spectral", "--z", "1e-8", "--model", "local-retarded", "--omega", "1e-200"],
+    ["spectral", "--z", "1e-300", "--model", "local-retarded"],
 ]
 
 

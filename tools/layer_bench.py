@@ -1,10 +1,15 @@
-"""Micro-benchmark of the nonlocal spectral layer.
+"""Micro-benchmark of the nonlocal spectral layer and its kernel.
 
     python3 tools/layer_bench.py [--out FILE] [--repeat N]
 
-Run from the repository root; the package is imported from ./src. Two
-nonlocal-quasistatic batches of copper at the default rel_tol, each for
-the electric and the magnetic field:
+Run from the repository root; the package is imported from ./src.
+
+The kernel row (L0) times epsilon_l and epsilon_t of copper on a fixed
+(200, 15) block of k, geometric from 1e6 to 1e11 1/m, at omega = 6 pi
+1e8 rad/s and at 1e11 rad/s: ns per node, best of N runs of 20 calls.
+
+Two nonlocal-quasistatic batches of copper at the default rel_tol, each
+for the electric and the magnetic field:
 
   z-batch      15 heights from lambda_F to 3000 lambda_F at
                omega = 6 pi 1e8 rad/s (the fig1/fig3 grid)
@@ -32,8 +37,26 @@ import numpy as np  # noqa: E402
 
 import ewjn.spectral as spectral  # noqa: E402
 from ewjn import COPPER, evaluate_batch  # noqa: E402
+from ewjn.materials import epsilon_l, epsilon_t  # noqa: E402
 
 OMEGA_0 = 6e8 * math.pi
+KERNEL_CALLS = 20
+
+
+def measure_kernel(repeat: int) -> dict:
+    k = np.geomspace(1e6, 1e11, 200 * 15).reshape(200, 15)
+    out = {}
+    for omega in (OMEGA_0, 1e11):
+        row = out[f"omega={omega:.4g}"] = {}
+        for fn in (epsilon_l, epsilon_t):
+            best = math.inf
+            for _ in range(repeat):
+                t0 = time.perf_counter()
+                for _ in range(KERNEL_CALLS):
+                    fn(COPPER, k, omega)
+                best = min(best, (time.perf_counter() - t0) / KERNEL_CALLS)
+            row[f"{fn.__name__}_ns_per_node"] = round(best / k.size * 1e9, 1)
+    return out
 
 
 def _batches():
@@ -80,6 +103,7 @@ def main() -> int:
     result = {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                    f"{platform.python_version()}, numpy {np.__version__}",
+        "kernel": measure_kernel(max(1, args.repeat)),
         "batches": measure(max(1, args.repeat)),
     }
     text = json.dumps(result, indent=2)
