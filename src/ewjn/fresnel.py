@@ -6,7 +6,11 @@ forms driven by the wavevector-resolved epsilon_l, epsilon_t: r_p
 through the surface impedance integral I_p, r_s to leading order in
 (omega/c p)^2 through J_p. The kappa-integrals decay as kappa^-2 (r_p)
 and kappa^-4 (r_s) and are evaluated with the power-law tail map, never
-a hard cutoff. Im I_p and Im J_p, which carry the dissipation, sit
+a hard cutoff. Each is seeded at 0.3p, p, 3p, k_nu, k_star, 3 k_star
+and at the octaves k_star/2, k_star/4, ... above 3p: the rule would
+bisect its way down to those octave panels anyway, one round per panel,
+so seeded there nearly every kappa-integral converges in its first
+round. Im I_p and Im J_p, which carry the dissipation, sit
 1e-10..1e-5 below |I_p| and |J_p| at low omega; the engine's per-part
 test resolves them to rel_tol of themselves.
 
@@ -17,8 +21,8 @@ epsilon_l/epsilon_t see an (m, 15) array of k per refinement round. It
 returns one outcome per p, r with its error bounds or the
 QuadratureError of that p's own kappa-integral, so a caller that
 batches the p of many outer integrals (the nonlocal spectral model
-calls it once per outer refinement round and polarization) can tell
-whose inner integral failed.
+passes it the new p of each outer refinement round and polarization)
+can tell whose inner integral failed.
 
 Branch policy: the vacuum normal wavevector q is real >= 0 for
 propagating waves and +i|q| for evanescent ones; the metal-side root
@@ -120,7 +124,7 @@ def nonlocal_reflection_quasistatic(
     k_nu, k_star = material.k_nu, material.k_star
     p_list = p.tolist()
     breaks = [[x for x in (0.3 * q, q, 3.0 * q, k_nu, k_star, 3.0 * k_star) if x > 0]
-              for q in p_list]
+              + _octaves_below(k_star, 3.0 * q) for q in p_list]
     outcomes = integrate_power_tails(integrand, 0.0, [max(q, k_star) for q in p_list],
                                      breaks, cfg or QuadratureConfig())
     # combined on Python scalars: numpy complex division rounds differently
@@ -149,3 +153,12 @@ def nonlocal_reflection_quasistatic(
             parts = (2.0 * du, im)
         r.append(QuadResult(r_value, math.hypot(*parts), parts))
     return r
+
+
+def _octaves_below(top: float, floor: float) -> list:
+    """top/2, top/4, ... down to the last one above floor."""
+    out, x = [], 0.5 * top
+    while x > floor:
+        out.append(x)
+        x *= 0.5
+    return out

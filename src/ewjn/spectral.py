@@ -25,7 +25,11 @@ log-mapped axis that joins the propagating and evanescent parts, with
 the Fresnel coefficients taken from the vacuum normal wavevector q; a
 nonlocal point is one log-mapped integral per channel. Both are cut
 where tail_cut of the integral is left, and add a bound on the cut tail
-to error_estimate.
+to error_estimate. The nonlocal integrals are seeded on one unit grid
+of t = log1p(p/k_nu) that does not depend on z, and their cut is
+rounded up to that grid, so the points of one omega bisect the same
+panels and need the same p; a batch runs each (p, omega) kappa-integral
+of the kernel once, in blocks of at most _KERNEL_BLOCK p.
 """
 
 from __future__ import annotations
@@ -99,9 +103,12 @@ def _check_z_omega(z, omega):
 
 
 def _drude_scales_error(material, omega):
-    """The DomainError of an omega at which the integral models' Drude
-    permittivity or grazing wavevector (omega/c)/sqrt|eps| is not a
-    finite, nonzero float, else None."""
+    """The DomainError of an omega at which the integral models' omega^2
+    is not finite, or their Drude permittivity or grazing wavevector
+    (omega/c)/sqrt|eps| is not a finite, nonzero float, else None."""
+    if not math.isfinite(omega * omega):
+        return DomainError(f"omega = {omega:.6g} rad/s is too large for {material.name}: "
+                           f"omega^2 leaves the float range")
     eps = drude_epsilon(material, omega)
     if cmath.isfinite(eps) and omega / C_LIGHT / math.sqrt(abs(eps)) != 0:
         return None
@@ -182,6 +189,15 @@ def _tail_cut(cfg: QuadratureConfig) -> tuple:
     return x, 1 + 3 / x + 6 / x**2 + 6 / x**3
 
 
+# The nonlocal kernel gets at most this many p per call: a call's arrays
+# grow with its p, and a batch of many points would otherwise hand it
+# every new node of a refinement round at once.
+_KERNEL_BLOCK = 128
+# The kappa-integrals of the kernel reach kappa ~ 1e3 p and form k^4, so
+# the nonlocal model takes p up to this
+_NONLOCAL_P_MAX = np.finfo(float).max ** 0.25 / 1e3
+
+
 def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     """The nonlocal quasistatic integrals at every point, as one batch.
 
@@ -195,47 +211,72 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     T^2 s); the r_s channel equals chi_zz/2 term by term.
 
     Every (z, channel) pair is one outer integral of one lockstep run
-    (E: r_p; B: r_s, then r_p) over p = k_nu expm1(t), where each decade
-    of p above the collision wavevector k_nu costs about one unit of t,
-    seeded at k_nu, k_star, 0.25/z and 1/z, where Im r has structure.
-    The integrand grows no faster than p^3 e^{-2pz}, so it is cut at
-    x/(2z) (_tail_cut), and error_estimate adds the bound on the tail.
-    It also adds the inner integrals' error: Im r >= 0 by passivity and
-    the weights are >= 0, so max(err Im r / Im r) over the nodes times
-    the channel bounds Integral w err Im r.
+    (E: r_p; B: r_s, then r_p) over t = log1p(p/k_nu), where each decade
+    of p above the collision wavevector k_nu costs about one unit of t.
+    The integrand grows no faster than p^3 e^{-2pz}, so it may be cut
+    at x/(2z) (_tail_cut); that cut is rounded up to the unit grid of t,
+    the integral runs over [0, T] seeded at t = 1, ..., T - 1, and
+    error_estimate adds the bound on the tail beyond p_U = k_nu
+    expm1(T), |f(p_U)| times the tail ratio at x, which holds at p_U >=
+    x/(2z) too. Seeds and cuts lie on one grid whatever z, so the points
+    of one omega bisect the same panels and ask for the same p, to the
+    bit. A point whose p_U is too large for the kernel gets a DomainError
+    (_nonlocal_cut) and does not run. error_estimate also adds
+    the inner integrals' error: Im r >= 0 by passivity and the weights
+    are >= 0, so max(err Im r / Im r) over the nodes times the channel
+    bounds Integral w err Im r.
 
-    The batched integrand calls the kernel once per refinement round and
-    polarization (r_s first), with the nodes and the omega of every
-    point not yet failed; the integrand at the cuts is one such call
-    before the first round. A point's inner error is the first failing p
-    among its own rows: its rows are zero in that round, it is left out
-    of that round's r_p call, and its channels integrate zeros from then
-    on. A point gets its inner QuadratureError, else its r_s outer
-    error, else its r_p one, as a point-by-point run raises them.
+    The batched integrand serves each refinement round and polarization
+    (r_s first) from one dict per polarization from (p, omega) to the
+    kernel's outcome, and passes the kernel only the pairs the batch has
+    not seen, in blocks of at most _KERNEL_BLOCK p; the integrand at the
+    cuts is one such round before the first. A p gets the same outcome
+    in any batch, so a point gets the bits and the failure it gets
+    alone. A point's inner error is the first failing p among its own
+    rows: its rows are zero in that round, it is left out of that
+    round's r_p lookup, and its channels integrate zeros from then on.
+    A point gets its inner QuadratureError, else its r_s outer error,
+    else its r_p one, as a point-by-point run raises them.
     """
     cfg = cfg or QuadratureConfig()
     cfg_inner = cfg.inner()
+    k_nu = material.k_nu
+    x, ratio = _tail_cut(cfg)
+    ends, out = map(list, zip(*(_nonlocal_cut(z, k_nu, x) for z in zs)))
+    run = [k for k, o in enumerate(out) if o is None]
+    zs, omegas, ends = ([v[k] for k in run] for v in (zs, omegas, ends))
     # integral n k + c is channel c of point k; channel 0 carries p^2
     channels = ("p",) if field_kind == "E" else ("s", "p")
     n = len(channels)
     z_of, w_of = np.asarray(zs, dtype=float), np.asarray(omegas, dtype=float)
-    k_nu = material.k_nu
     inner_error = [None] * len(zs)
     failed = np.zeros(len(zs), dtype=bool)
     # max over the nodes of err(Im r)/Im r, per integral
     worst = np.zeros(len(zs) * n)
+    seen = [{} for _ in channels]
+
+    def reflection(c, nodes, w):
+        """The kernel's outcome at every (p, omega) of nodes and w."""
+        memo = seen[c]
+        pairs = list(zip(nodes, w))
+        new = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
+        for i in range(0, len(new), _KERNEL_BLOCK):
+            block = new[i:i + _KERNEL_BLOCK]
+            p, w_block = zip(*block)
+            memo.update(zip(block, nonlocal_reflection_quasistatic(
+                material, p, w_block, channels[c], cfg_inner)))
+        return [memo[pair] for pair in pairs]
 
     def integrand(p, owner):
         out = np.zeros(p.shape)
         point, channel = np.divmod(owner, n)
-        for c, polarization in enumerate(channels):
+        for c in range(n):
             rows = np.flatnonzero((channel == c) & ~failed[point])
             if not rows.size:
                 continue
             nodes, at = p[rows], point[rows]
-            r = nonlocal_reflection_quasistatic(material, nodes.ravel(),
-                                                np.repeat(w_of[at], nodes.shape[1]),
-                                                polarization, cfg_inner)
+            r = reflection(c, nodes.ravel().tolist(),
+                           np.repeat(w_of[at], nodes.shape[1]).tolist())
             im = np.zeros((2, len(r)))
             for i, o in enumerate(r):
                 if isinstance(o, QuadratureError):
@@ -253,37 +294,50 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
             np.maximum.at(worst, owner[rows], ratio.max(axis=1))
         return out
 
-    x, ratio = _tail_cut(cfg)
-    cuts = np.repeat(x / (2.0 * z_of), n)
-    tails = (np.abs(integrand(cuts[:, None], np.arange(cuts.size))[:, 0])
+    t_end = np.repeat(np.asarray(ends, dtype=float), n)
+    tails = (np.abs(integrand(k_nu * np.expm1(t_end)[:, None], np.arange(t_end.size))[:, 0])
              * ratio / np.repeat(2.0 * z_of, n)).tolist()
     results = integrate_lockstep(
         lambda t, owner: integrand(k_nu * np.expm1(t), owner) * (k_nu * np.exp(t)),
-        [0.0] * cuts.size, np.log1p(cuts / k_nu), cfg,
-        [[math.log1p(p / k_nu) for p in (k_nu, material.k_star, 0.25 / z, 1.0 / z)]
-         for z in zs for _ in channels])
-    out = []
+        [0.0] * t_end.size, t_end, cfg,
+        [[float(t) for t in range(1, end)] for end in ends for _ in channels])
     for k, omega in enumerate(omegas):
         outcomes = results[k * n:(k + 1) * n]
         errors = [o for o in (inner_error[k], *outcomes) if isinstance(o, QuadratureError)]
         if errors:
-            out.append(errors[0])
+            out[run[k]] = errors[0]
             continue
         # a channel's error: outer rule, cut tail and inner integrals
         err = [res.error + tails[j] + worst[j] * abs(res.value.real)
                for j, res in enumerate(outcomes, k * n)]
         if field_kind == "E":
             chi_zz = HBAR / EPS0 * outcomes[0].value.real
-            out.append((0.5 * chi_zz, chi_zz, HBAR / EPS0 * err[0], {}))
+            out[run[k]] = (0.5 * chi_zz, chi_zz, HBAR / EPS0 * err[0], {})
         else:
             scale = HBAR / (EPS0 * C_LIGHT**2)
             chi_zz = scale * outcomes[0].value.real
             rs_part = 0.5 * chi_zz
             rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * outcomes[1].value.real
-            out.append((rs_part + rp_part, chi_zz,
-                        scale * (err[0] + 0.5 * (omega / C_LIGHT) ** 2 * err[1]),
-                        {"rs_part": rs_part, "rp_part": rp_part}))
+            out[run[k]] = (rs_part + rp_part, chi_zz,
+                           scale * (err[0] + 0.5 * (omega / C_LIGHT) ** 2 * err[1]),
+                           {"rs_part": rs_part, "rp_part": rp_part})
     return out
+
+
+def _nonlocal_cut(z, k_nu, x):
+    """(T, None) for a nonlocal point whose cut x/(2z), rounded up to
+    p_U = k_nu expm1(T) with T = ceil(log1p(x/(2z)/k_nu)), the kernel can
+    take (p_U <= _NONLOCAL_P_MAX), else (None, its DomainError)."""
+    try:
+        end = math.ceil(math.log1p(x / (2.0 * z) / k_nu))
+        if k_nu * math.expm1(end) <= _NONLOCAL_P_MAX:
+            return end, None
+    except OverflowError:  # ceil(inf), or e^T beyond the float range
+        pass
+    return None, DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
+                             f"wavevector, rounded up to the grid of t, exceeds "
+                             f"{_NONLOCAL_P_MAX:.3g} 1/m, where the kappa-integrals leave "
+                             f"the float range")
 
 
 def _retarded_range_error(z, omega, eps, g, cut):

@@ -382,6 +382,11 @@ _FAILED = ["domain-error"] * 4
       "--omega", "1e-200"], None),
     (["spectral", "--z", "1e-8", "--model", "local-retarded", "--omega", "1e-200"], None),
     (["spectral", "--z", "1e-300", "--model", "local-retarded"], None),
+    # the nonlocal cut wavevector, or omega^2, leaves the float range
+    (["spectral", "--z", "1e-300", "--model", "nonlocal-quasistatic"], None),
+    (["spectral", "--field", "B", "--z", "1e-300", "--model", "nonlocal-quasistatic"], None),
+    (["spectral", "--z", "1e-6", "--omega", "1e200", "--model", "local-retarded"], None),
+    (["spectral", "--z", "1e-6", "--omega", "1e300", "--model", "local-retarded"], None),
 ], ids=["t1-temp-nan", "t1-temp-inf", "t1-moment-inf", "spectral-omega-inf",
         "spectral-auto-omega-inf", "material-omega-p-inf", "bulk-omega-inf",
         "temperature-sweep-max-inf", "sweep-temp-nan", "sweep-temp-inf", "sweep-moment-inf",
@@ -391,7 +396,9 @@ _FAILED = ["domain-error"] * 4
         "sweep-z-cubed-underflow", "spectral-retarded-omega-tiny",
         "spectral-nonlocal-omega-tiny", "spectral-nonlocal-B-omega-tiny",
         "sweep-auto-omega-tiny", "spectral-nonlocal-B-chi-underflow",
-        "spectral-retarded-g-subnormal", "spectral-retarded-z-tiny"])
+        "spectral-retarded-g-subnormal", "spectral-retarded-z-tiny", "spectral-nonlocal-z-tiny",
+        "spectral-nonlocal-B-z-tiny", "spectral-retarded-omega-squared-overflow",
+        "spectral-retarded-omega-huge"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
     metal = tmp_path / "inf.cfg"

@@ -149,11 +149,13 @@ def _give_inner_integrals_a_budget(monkeypatch, budget):
 
 def _chi_B_two_passes(material, z, omega, cfg):
     """Nonlocal chi^B with the r_s and r_p channels in separate passes
-    over p = k_nu expm1(t), each cut at x/(2z) with its tail bound and
-    its inner integrals' error bound."""
+    over p = k_nu expm1(t), each seeded at t = 1, 2, ... and cut where
+    that grid first passes x/(2z), with the tail bound at the cut and its
+    inner integrals' error bound."""
     inner, k_nu = cfg.inner(), material.k_nu
     x, ratio = _tail_cut(cfg)
-    cut = x / (2.0 * z)
+    end = math.ceil(math.log1p(x / (2.0 * z) / k_nu))
+    cut = k_nu * np.expm1(float(end))
 
     def channel(polarization, weight):
         # the largest err(Im r)/Im r of the channel's nodes, cut included
@@ -174,8 +176,7 @@ def _chi_B_two_passes(material, z, omega, cfg):
         tail = abs(f(np.array([[cut]]))[0, 0]) * ratio / (2.0 * z)
         [res] = integrate_lockstep(
             lambda t, owner: f(k_nu * np.expm1(t)) * (k_nu * np.exp(t)),
-            [0.0], [math.log1p(cut / k_nu)], cfg,
-            [[math.log1p(p / k_nu) for p in (k_nu, material.k_star, 0.25 / z, 1.0 / z)]])
+            [0.0], [float(end)], cfg, [[float(t) for t in range(1, end)]])
         if isinstance(res, QuadratureError):
             raise res
         return res.value, res.error + tail + worst[0] * abs(res.value.real)
@@ -198,20 +199,21 @@ def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, cfg_fast, z_o
         == _chi_B_two_passes(copper, z, omega0, cfg_fast)
 
 
-@pytest.mark.parametrize("rel_tol,max_subdivisions,inner_budget", [
-    (1e-6, 2, None),    # an inner r_s integral runs out of budget first
+@pytest.mark.parametrize("z_over_lam_f,rel_tol,max_subdivisions,inner_budget", [
+    (30.0, 1e-10, 1, None),    # an inner r_s integral runs out of budget first
     # with inner integrals on a budget of their own, the outer r_p
     # channel runs out and the r_s one converges
-    (1e-10, 2, 2000),
-], ids=["1e-06-2", "1e-10-2-inner-2000"])
-def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, rel_tol,
+    (300.0, 1e-10, 1, 2000),
+], ids=["1e-10-1", "1e-10-1-inner-2000"])
+def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, z_over_lam_f, rel_tol,
                                                   max_subdivisions, inner_budget, monkeypatch):
     _give_inner_integrals_a_budget(monkeypatch, inner_budget)
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
+    z = z_over_lam_f * lam_f
     with pytest.raises(QuadratureError) as one_pass:
-        evaluate(copper, "B", 30.0 * lam_f, omega0, "nonlocal-quasistatic", cfg)
+        evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
     with pytest.raises(QuadratureError) as two_passes:
-        _chi_B_two_passes(copper, 30.0 * lam_f, omega0, cfg)
+        _chi_B_two_passes(copper, z, omega0, cfg)
     assert str(one_pass.value) == str(two_passes.value)
     assert one_pass.value.best_estimate == two_passes.value.best_estimate
     assert one_pass.value.error_bound == two_passes.value.error_bound
@@ -494,28 +496,28 @@ def test_retarded_matches_p_space_oracle(material, omega, field_kind, z_over_del
 # one omega per z, from 1e7 to 1e11 rad/s: auto then resolves to the
 # nonlocal model at the six lowest points and to the retarded one above
 _OMEGA_PER_Z = np.geomspace(1e7, 1e11, 9).tolist()
-# An outer nonlocal integral needs far fewer subdivisions than its inner
-# ones, so a shared budget fails the inner integrals first; the cases
-# with outer failures give the inner integrals a budget of their own
-# (the last entry).
+# The inner kappa-integrals converge on their seed panels at the default
+# rel_tol, so inner failures need rel_tol near 1e-12 and a small budget;
+# the cases with outer failures give the inner integrals a budget of
+# their own (the last entry).
 _Z_BATCH_CASES = [
     ("local-quasistatic", "E", 1e-8, 2000, ".........", None, None),
     ("local-quasistatic", "B", 1e-8, 2000, ".........", None, None),
     ("nonlocal-quasistatic", "E", 1e-8, 2000, ".........", None, None),
     ("nonlocal-quasistatic", "B", 1e-8, 2000, ".........", None, None),
     # budgets tight enough that outer and inner integrals run out
-    ("nonlocal-quasistatic", "E", 1e-8, 2, ".oooiiiii", None, 15),
-    ("nonlocal-quasistatic", "B", 1e-8, 1, "o...iiiii", None, 15),
-    # inner r_p integrals fail at some points, inner r_s ones at the next
-    ("nonlocal-quasistatic", "B", 1e-4, 8, "iiiisssss", None, None),
+    ("nonlocal-quasistatic", "E", 1e-12, 2, ".oooooiii", None, 6),
+    ("nonlocal-quasistatic", "B", 5e-12, 1, ".o...oooo", None, 6),
+    # inner r_s integrals fail at some points, an inner r_p one at the last
+    ("nonlocal-quasistatic", "B", 5e-12, 4, "ssssssssi", None, None),
     ("local-quasistatic", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
     ("local-retarded", "E", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
     ("auto", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
     # outer failures at nonlocal points (0-5) and at retarded ones (6-8)
-    ("auto", "E", 1e-8, 2, ".ooo.oooo", _OMEGA_PER_Z, 2000),
-    ("nonlocal-quasistatic", "E", 1e-8, 2, ".ooo.oiii", _OMEGA_PER_Z, 17),
-    ("nonlocal-quasistatic", "B", 1e-8, 1, "o.....iii", _OMEGA_PER_Z, 17),
-    ("nonlocal-quasistatic", "B", 1e-4, 9, "iiiiiiiss", _OMEGA_PER_Z, None),
+    ("auto", "E", 1e-11, 2, "...oo.ooo", _OMEGA_PER_Z, 4),
+    ("nonlocal-quasistatic", "E", 1e-12, 3, ".ooooiiii", _OMEGA_PER_Z, 6),
+    ("nonlocal-quasistatic", "B", 3e-13, 3, "....oo.oo", _OMEGA_PER_Z, 8),
+    ("nonlocal-quasistatic", "B", 3e-13, 4, "........i", _OMEGA_PER_Z, 8),
 ]
 
 
@@ -553,6 +555,52 @@ def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind
                    "s" if any(o is r for r in inner_s) else "i" for o in batch) == pattern
     for z, omega, outcome in zip(zs, omegas or [omega0] * len(zs), batch):
         _assert_same_outcome(outcome, copper, field_kind, z, omega, model, cfg)
+
+
+def _kernel_requests(monkeypatch):
+    """Each call of the nonlocal kernel from spectral, as its list of (p,
+    omega, polarization)."""
+    import ewjn.spectral as spectral
+
+    calls = []
+    kernel = spectral.nonlocal_reflection_quasistatic
+
+    def logged(material, p, omega, polarization, cfg):
+        calls.append([(q, w, polarization) for q, w in
+                      zip(np.asarray(p).tolist(), np.broadcast_to(omega, len(p)).tolist())])
+        return kernel(material, p, omega, polarization, cfg)
+
+    monkeypatch.setattr(spectral, "nonlocal_reflection_quasistatic", logged)
+    return calls
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_nonlocal_batch_asks_the_kernel_for_each_p_once(copper, omega0, lam_f, field_kind,
+                                                      monkeypatch):
+    # the fig1/fig3 heights at each of two frequencies; at omega0 some E
+    # points bisect a panel rounds after others did, and reuse its p
+    calls = _kernel_requests(monkeypatch)
+    zs = np.geomspace(lam_f, 3000.0 * lam_f, 15).tolist() * 2
+    evaluate_batch(copper, field_kind, zs, [omega0] * 15 + [1e9] * 15, "nonlocal-quasistatic")
+    asked = [pair for call in calls for pair in call]
+    assert len(set(asked)) == len(asked)
+    assert max(map(len, calls)) <= 128
+
+
+def test_z_batch_asks_the_kernel_for_fewer_p_than_its_points_alone(copper, omega0, lam_f,
+                                                                   monkeypatch):
+    calls = _kernel_requests(monkeypatch)
+    zs = np.geomspace(lam_f, 3000.0 * lam_f, 5).tolist()
+    evaluate_batch(copper, "E", zs, omega0, "nonlocal-quasistatic")
+    batch = [pair for call in calls for pair in call]
+    alone = []
+    for z in zs:
+        calls.clear()
+        evaluate(copper, "E", z, omega0, "nonlocal-quasistatic")
+        alone.append({pair for call in calls for pair in call})
+    # the batch asks for exactly the p its points ask for alone, once each
+    assert set(batch) == set().union(*alone)
+    assert len(batch) < sum(map(len, alone))
 
 
 # three decades of z and of omega, from the collision-limited low
@@ -594,6 +642,40 @@ def test_omega_too_small_is_a_domain_error_of_its_point(copper, omega0, field_ki
         for outcome, omega in zip(tiny, ("1e-250", "1e-300")):
             assert isinstance(outcome, DomainError)
             assert f"omega = {omega} rad/s is too small" in str(outcome)
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_omega_too_large_is_a_domain_error_of_its_point(copper, omega0, field_kind):
+    # omega^2 overflows from about 1.3e154 rad/s
+    cfg = QuadratureConfig(rel_tol=1e-6)
+    for model in ("nonlocal-quasistatic", "local-retarded", "auto"):
+        tensor, *huge = evaluate_batch(copper, field_kind, [1e-7] * 3,
+                                       [omega0, 1e200, 1e300], model, cfg)
+        assert tensor == evaluate(copper, field_kind, 1e-7, omega0, model, cfg)
+        for outcome, omega in zip(huge, ("1e+200", "1e+300")):
+            assert isinstance(outcome, DomainError)
+            assert f"omega = {omega} rad/s is too large for copper: omega^2 leaves" \
+                in str(outcome)
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_nonlocal_z_below_the_cut_bound_is_a_domain_error(copper, omega0, field_kind):
+    import ewjn.spectral as spectral
+
+    # the smallest z whose cut, rounded up to the grid of t, is the last
+    # grid point below the bound: it runs without leaving the float range
+    x, _ = _tail_cut(QuadratureConfig())
+    k_nu = copper.k_nu
+    top = k_nu * math.expm1(math.floor(math.log1p(spectral._NONLOCAL_P_MAX / k_nu)))
+    z_min = x / (2.0 * top)
+    cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
+    edge, below, tiny = evaluate_batch(copper, field_kind, [z_min, z_min / 3.0, 1e-300],
+                                       omega0, "nonlocal-quasistatic", cfg)
+    assert not isinstance(edge, DomainError)
+    for outcome in (below, tiny):
+        assert isinstance(outcome, DomainError)
+        assert "too small for the nonlocal model" in str(outcome)
+        assert f"exceeds {spectral._NONLOCAL_P_MAX:.3g} 1/m" in str(outcome)
 
 
 def test_evaluate_batch_resolves_auto_per_point(copper, omega0, lam_f):

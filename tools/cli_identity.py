@@ -86,6 +86,11 @@ EDGES = [
      "--omega", "1e-200"],
     ["spectral", "--z", "1e-8", "--model", "local-retarded", "--omega", "1e-200"],
     ["spectral", "--z", "1e-300", "--model", "local-retarded"],
+    # the nonlocal cut wavevector, or omega^2, leaves the float range
+    ["spectral", "--z", "1e-300", "--model", "nonlocal-quasistatic"],
+    ["spectral", "--field", "B", "--z", "1e-300", "--model", "nonlocal-quasistatic"],
+    ["spectral", "--z", "1e-6", "--omega", "1e200", "--model", "local-retarded"],
+    ["spectral", "--z", "1e-6", "--omega", "1e300", "--model", "local-retarded"],
 ]
 
 

@@ -8,19 +8,22 @@ The kernel row (L0) times epsilon_l and epsilon_t of copper on a fixed
 (200, 15) block of k, geometric from 1e6 to 1e11 1/m, at omega = 6 pi
 1e8 rad/s and at 1e11 rad/s: ns per node, best of N runs of 20 calls.
 
-Two nonlocal-quasistatic batches of copper at the default rel_tol, each
-for the electric and the magnetic field:
+Three nonlocal-quasistatic batches of copper at the default rel_tol,
+each for the electric and the magnetic field:
 
+  point        one point at 10 lambda_F and omega = 6 pi 1e8 rad/s (what
+               spectral, t1 and a temperature sweep run)
   z-batch      15 heights from lambda_F to 3000 lambda_F at
                omega = 6 pi 1e8 rad/s (the fig1/fig3 grid)
   omega-batch  17 frequencies from 1e7 to 1e11 rad/s at 10 lambda_F
                (the fig2/fig4 grid)
 
 Each batch is one evaluate_batch call, timed best of N (default 3), with
-the kernel calls (nonlocal_reflection_quasistatic, one per refinement
-round and polarization) and inner kappa-integrals (p values passed to
-it) of one run. The results print as one JSON object, and --out also
-writes them to FILE.
+the kernel calls (nonlocal_reflection_quasistatic), the inner
+kappa-integrals (p values passed to it) and the inner rounds (integrand
+calls of the kernel's lockstep runs, the seed round included) of one
+run. The results print as one JSON object, and --out also writes them
+to FILE.
 """
 
 import argparse
@@ -35,6 +38,7 @@ sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
 import numpy as np  # noqa: E402
 
+import ewjn.fresnel as fresnel  # noqa: E402
 import ewjn.spectral as spectral  # noqa: E402
 from ewjn import COPPER, evaluate_batch  # noqa: E402
 from ewjn.materials import epsilon_l, epsilon_t  # noqa: E402
@@ -64,31 +68,40 @@ def _batches():
     zs = np.geomspace(lam, 3000.0 * lam, 15).tolist()
     omegas = np.geomspace(1e7, 1e11, 17).tolist()
     for field_kind in ("E", "B"):
+        yield f"point-{field_kind}", field_kind, [10.0 * lam], OMEGA_0
         yield f"z-batch-{field_kind}", field_kind, zs, OMEGA_0
         yield f"omega-batch-{field_kind}", field_kind, [10.0 * lam] * len(omegas), omegas
 
 
 def measure(repeat: int) -> dict:
-    counts = {"kernel_calls": 0, "inner_integrals": 0}
-    kernel = spectral.nonlocal_reflection_quasistatic
+    counts = {}
+    kernel, power_tails = spectral.nonlocal_reflection_quasistatic, fresnel.integrate_power_tails
 
     def counted(material, p, omega, polarization, cfg):
         counts["kernel_calls"] += 1
         counts["inner_integrals"] += len(p)
         return kernel(material, p, omega, polarization, cfg)
 
+    def rounds_counted(f, *args):
+        def g(x, owner):
+            counts["inner_rounds"] += 1
+            return f(x, owner)
+        return power_tails(g, *args)
+
     out = {}
     for name, field_kind, zs, omega in _batches():
         walls = []
         for _ in range(repeat):
-            counts.update(kernel_calls=0, inner_integrals=0)
+            counts.update(kernel_calls=0, inner_integrals=0, inner_rounds=0)
             spectral.nonlocal_reflection_quasistatic = counted
+            fresnel.integrate_power_tails = rounds_counted
             try:
                 t0 = time.perf_counter()
                 outcomes = evaluate_batch(COPPER, field_kind, zs, omega, "nonlocal-quasistatic")
                 walls.append(time.perf_counter() - t0)
             finally:
                 spectral.nonlocal_reflection_quasistatic = kernel
+                fresnel.integrate_power_tails = power_tails
         failed = sum(isinstance(o, Exception) for o in outcomes)
         out[name] = {"points": len(zs), "wall_s": round(min(walls), 4), "failed": failed,
                      **counts}
