@@ -25,11 +25,12 @@ log-mapped axis that joins the propagating and evanescent parts, with
 the Fresnel coefficients taken from the vacuum normal wavevector q; a
 nonlocal point is one log-mapped integral per channel. Both are cut
 where tail_cut of the integral is left, and add a bound on the cut tail
-to error_estimate. The nonlocal integrals are seeded on one unit grid
-of t = log1p(p/k_nu) that does not depend on z, and their cut is
-rounded up to that grid, so the points of one omega bisect the same
-panels and need the same p; a batch runs each (p, omega) kappa-integral
-of the kernel once, in blocks of at most _KERNEL_BLOCK p.
+to error_estimate. The nonlocal integrals are seeded on one grid of
+t = log1p(p/k_nu), the unit grid above 1 and the powers of 1/2 below,
+that does not depend on z, and their cut is rounded up to that grid, so
+the points of one omega bisect the same panels and need the same p; a
+batch runs each (p, omega) kappa-integral of the kernel once, in blocks
+of at most _KERNEL_BLOCK p.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -214,37 +216,42 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     (E: r_p; B: r_s, then r_p) over t = log1p(p/k_nu), where each decade
     of p above the collision wavevector k_nu costs about one unit of t.
     The integrand grows no faster than p^3 e^{-2pz}, so it may be cut
-    at x/(2z) (_tail_cut); that cut is rounded up to the unit grid of t,
-    the integral runs over [0, T] seeded at t = 1, ..., T - 1, and
-    error_estimate adds the bound on the tail beyond p_U = k_nu
-    expm1(T), |f(p_U)| times the tail ratio at x, which holds at p_U >=
-    x/(2z) too. Seeds and cuts lie on one grid whatever z, so the points
-    of one omega bisect the same panels and ask for the same p, to the
-    bit. A point whose p_U is too large for the kernel gets a DomainError
-    (_nonlocal_cut) and does not run. error_estimate also adds
-    the inner integrals' error: Im r >= 0 by passivity and the weights
-    are >= 0, so max(err Im r / Im r) over the nodes times the channel
-    bounds Integral w err Im r.
+    at x/(2z) (_tail_cut). That cut is rounded up to T on the grid
+    ..., 1/4, 1/2, 1, 2, 3, ... of t, and the integral runs over [0, T]
+    seeded at the grid points below T, down to the last one at or below
+    t(1/z), near which the integrand peaks, but at least down to 1
+    (_nonlocal_grid). error_estimate adds the bound on the tail beyond
+    p_U = k_nu expm1(T), |f(p_U)| times the tail ratio at x, which holds
+    at p_U >= x/(2z) too. Seeds and cuts lie on one grid whatever z, so
+    the points of one omega bisect the same panels and ask for the same
+    p, to the bit. A point whose p_U is too large for the kernel gets a
+    DomainError and does not run. error_estimate also adds the inner
+    integrals' error: Im r >= 0 by passivity and the weights are >= 0,
+    so max(err Im r / Im r) over the nodes times the channel bounds
+    Integral w err Im r.
 
     The batched integrand serves each refinement round and polarization
     (r_s first) from one dict per polarization from (p, omega) to the
     kernel's outcome, and passes the kernel only the pairs the batch has
     not seen, in blocks of at most _KERNEL_BLOCK p; the integrand at the
-    cuts is one such round before the first. A p gets the same outcome
-    in any batch, so a point gets the bits and the failure it gets
-    alone. A point's inner error is the first failing p among its own
-    rows: its rows are zero in that round, it is left out of that
-    round's r_p lookup, and its channels integrate zeros from then on.
-    A point gets its inner QuadratureError, else its r_s outer error,
-    else its r_p one, as a point-by-point run raises them.
+    cuts is one such round before the first. Only the omegas of two or
+    more points are kept in the dicts: the p of a point with an omega of
+    its own are not asked for again. A p gets the same outcome in any
+    batch, so a point gets the bits and the failure it gets alone. A
+    point's inner error is the first failing p among its own rows: its
+    rows are zero in that round, it is left out of that round's r_p
+    lookup, and its channels integrate zeros from then on. A point gets
+    its inner QuadratureError, else its r_s outer error, else its r_p
+    one, as a point-by-point run raises them.
     """
     cfg = cfg or QuadratureConfig()
     cfg_inner = cfg.inner()
     k_nu = material.k_nu
     x, ratio = _tail_cut(cfg)
-    ends, out = map(list, zip(*(_nonlocal_cut(z, k_nu, x) for z in zs)))
+    grids = [_nonlocal_grid(z, k_nu, x) for z in zs]
+    out = [g if isinstance(g, DomainError) else None for g in grids]
     run = [k for k, o in enumerate(out) if o is None]
-    zs, omegas, ends = ([v[k] for k in run] for v in (zs, omegas, ends))
+    zs, omegas, grids = ([v[k] for k in run] for v in (zs, omegas, grids))
     # integral n k + c is channel c of point k; channel 0 carries p^2
     channels = ("p",) if field_kind == "E" else ("s", "p")
     n = len(channels)
@@ -254,18 +261,21 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     # max over the nodes of err(Im r)/Im r, per integral
     worst = np.zeros(len(zs) * n)
     seen = [{} for _ in channels]
+    shared = {w for w, count in Counter(omegas).items() if count > 1}
 
     def reflection(c, nodes, w):
         """The kernel's outcome at every (p, omega) of nodes and w."""
         memo = seen[c]
         pairs = list(zip(nodes, w))
-        new = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
-        for i in range(0, len(new), _KERNEL_BLOCK):
-            block = new[i:i + _KERNEL_BLOCK]
+        new = {pair: None for pair in pairs if pair not in memo}
+        keys = list(new)
+        for i in range(0, len(keys), _KERNEL_BLOCK):
+            block = keys[i:i + _KERNEL_BLOCK]
             p, w_block = zip(*block)
-            memo.update(zip(block, nonlocal_reflection_quasistatic(
+            new.update(zip(block, nonlocal_reflection_quasistatic(
                 material, p, w_block, channels[c], cfg_inner)))
-        return [memo[pair] for pair in pairs]
+        memo.update((pair, o) for pair, o in new.items() if pair[1] in shared)
+        return [new[pair] if pair in new else memo[pair] for pair in pairs]
 
     def integrand(p, owner):
         out = np.zeros(p.shape)
@@ -294,13 +304,14 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
             np.maximum.at(worst, owner[rows], ratio.max(axis=1))
         return out
 
+    ends, seeds = zip(*grids) if grids else ((), ())
     t_end = np.repeat(np.asarray(ends, dtype=float), n)
     tails = (np.abs(integrand(k_nu * np.expm1(t_end)[:, None], np.arange(t_end.size))[:, 0])
              * ratio / np.repeat(2.0 * z_of, n)).tolist()
     results = integrate_lockstep(
         lambda t, owner: integrand(k_nu * np.expm1(t), owner) * (k_nu * np.exp(t)),
         [0.0] * t_end.size, t_end, cfg,
-        [[float(t) for t in range(1, end)] for end in ends for _ in channels])
+        [list(grid) for grid in seeds for _ in channels])
     for k, omega in enumerate(omegas):
         outcomes = results[k * n:(k + 1) * n]
         errors = [o for o in (inner_error[k], *outcomes) if isinstance(o, QuadratureError)]
@@ -324,20 +335,34 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     return out
 
 
-def _nonlocal_cut(z, k_nu, x):
-    """(T, None) for a nonlocal point whose cut x/(2z), rounded up to
-    p_U = k_nu expm1(T) with T = ceil(log1p(x/(2z)/k_nu)), the kernel can
-    take (p_U <= _NONLOCAL_P_MAX), else (None, its DomainError)."""
+def _nonlocal_grid(z, k_nu, x):
+    """(T, seeds) of a nonlocal point on the grid ..., 1/4, 1/2, 1, 2,
+    3, ... of t = log1p(p/k_nu): T is the first grid point at or above
+    the cut x/(2z), and seeds are the grid points below T, down to the
+    last one at or below t(1/z) but at least down to 1. Its DomainError
+    if p_U = k_nu expm1(T) exceeds what the kernel takes, _NONLOCAL_P_MAX."""
     try:
-        end = math.ceil(math.log1p(x / (2.0 * z) / k_nu))
+        t_cut = math.log1p(x / 2.0 / z / k_nu)
+        if t_cut > 1.0:
+            end = float(math.ceil(t_cut))
+        else:
+            # t = m 2^e with m in [0.5, 1): 2^e, or t itself if m = 0.5
+            mantissa, exponent = math.frexp(t_cut)
+            end = math.ldexp(1.0, exponent - (mantissa == 0.5))
         if k_nu * math.expm1(end) <= _NONLOCAL_P_MAX:
-            return end, None
+            # far out the integrand peaks near p = 1/z, deep below t = 1
+            seed = min(1.0, math.ldexp(1.0, math.frexp(math.log1p(1.0 / z / k_nu))[1] - 1))
+            seeds = []
+            while seed < min(end, 1.0):
+                seeds.append(seed)
+                seed *= 2.0
+            return end, seeds + [float(t) for t in range(1, math.ceil(end))]
     except OverflowError:  # ceil(inf), or e^T beyond the float range
         pass
-    return None, DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
-                             f"wavevector, rounded up to the grid of t, exceeds "
-                             f"{_NONLOCAL_P_MAX:.3g} 1/m, where the kappa-integrals leave "
-                             f"the float range")
+    return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
+                       f"wavevector, rounded up to the grid of t, exceeds "
+                       f"{_NONLOCAL_P_MAX:.3g} 1/m, where the kappa-integrals leave "
+                       f"the float range")
 
 
 def _retarded_range_error(z, omega, eps, g, cut):

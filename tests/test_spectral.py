@@ -149,13 +149,15 @@ def _give_inner_integrals_a_budget(monkeypatch, budget):
 
 def _chi_B_two_passes(material, z, omega, cfg):
     """Nonlocal chi^B with the r_s and r_p channels in separate passes
-    over p = k_nu expm1(t), each seeded at t = 1, 2, ... and cut where
-    that grid first passes x/(2z), with the tail bound at the cut and its
-    inner integrals' error bound."""
+    over p = k_nu expm1(t), each on the seeds and rounded cut of
+    _nonlocal_grid, with the tail bound at the cut and its inner
+    integrals' error bound."""
+    import ewjn.spectral as spectral
+
     inner, k_nu = cfg.inner(), material.k_nu
     x, ratio = _tail_cut(cfg)
-    end = math.ceil(math.log1p(x / (2.0 * z) / k_nu))
-    cut = k_nu * np.expm1(float(end))
+    end, seeds = spectral._nonlocal_grid(z, k_nu, x)
+    cut = k_nu * np.expm1(end)
 
     def channel(polarization, weight):
         # the largest err(Im r)/Im r of the channel's nodes, cut included
@@ -176,7 +178,7 @@ def _chi_B_two_passes(material, z, omega, cfg):
         tail = abs(f(np.array([[cut]]))[0, 0]) * ratio / (2.0 * z)
         [res] = integrate_lockstep(
             lambda t, owner: f(k_nu * np.expm1(t)) * (k_nu * np.exp(t)),
-            [0.0], [float(end)], cfg, [[float(t) for t in range(1, end)]])
+            [0.0], [end], cfg, [seeds])
         if isinstance(res, QuadratureError):
             raise res
         return res.value, res.error + tail + worst[0] * abs(res.value.real)
@@ -203,8 +205,8 @@ def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, cfg_fast, z_o
     (30.0, 1e-10, 1, None),    # an inner r_s integral runs out of budget first
     # with inner integrals on a budget of their own, the outer r_p
     # channel runs out and the r_s one converges
-    (300.0, 1e-10, 1, 2000),
-], ids=["1e-10-1", "1e-10-1-inner-2000"])
+    (300.0, 1e-11, 1, 2000),
+], ids=["1e-10-1", "1e-11-1-inner-2000"])
 def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, z_over_lam_f, rel_tol,
                                                   max_subdivisions, inner_budget, monkeypatch):
     _give_inner_integrals_a_budget(monkeypatch, inner_budget)
@@ -506,18 +508,19 @@ _Z_BATCH_CASES = [
     ("nonlocal-quasistatic", "E", 1e-8, 2000, ".........", None, None),
     ("nonlocal-quasistatic", "B", 1e-8, 2000, ".........", None, None),
     # budgets tight enough that outer and inner integrals run out
-    ("nonlocal-quasistatic", "E", 1e-12, 2, ".oooooiii", None, 6),
-    ("nonlocal-quasistatic", "B", 5e-12, 1, ".o...oooo", None, 6),
-    # inner r_s integrals fail at some points, an inner r_p one at the last
-    ("nonlocal-quasistatic", "B", 5e-12, 4, "ssssssssi", None, None),
+    ("nonlocal-quasistatic", "E", 1e-12, 2, ".ooooiiii", None, 6),
+    ("nonlocal-quasistatic", "B", 3e-12, 1, ".o....iis", None, 5),
+    # on a large outer budget, inner r_p integrals fail at two points
+    # and an inner r_s one at the last
+    ("nonlocal-quasistatic", "B", 3e-12, 2000, "......iis", None, 5),
     ("local-quasistatic", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
     ("local-retarded", "E", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
     ("auto", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
     # outer failures at nonlocal points (0-5) and at retarded ones (6-8)
     ("auto", "E", 1e-11, 2, "...oo.ooo", _OMEGA_PER_Z, 4),
     ("nonlocal-quasistatic", "E", 1e-12, 3, ".ooooiiii", _OMEGA_PER_Z, 6),
-    ("nonlocal-quasistatic", "B", 3e-13, 3, "....oo.oo", _OMEGA_PER_Z, 8),
-    ("nonlocal-quasistatic", "B", 3e-13, 4, "........i", _OMEGA_PER_Z, 8),
+    ("nonlocal-quasistatic", "B", 3e-13, 3, "....o..ii", _OMEGA_PER_Z, 8),
+    ("nonlocal-quasistatic", "B", 3e-13, 4, ".......ii", _OMEGA_PER_Z, 8),
 ]
 
 
@@ -580,11 +583,15 @@ def test_nonlocal_batch_asks_the_kernel_for_each_p_once(copper, omega0, lam_f, f
     # the fig1/fig3 heights at each of two frequencies; at omega0 some E
     # points bisect a panel rounds after others did, and reuse its p
     calls = _kernel_requests(monkeypatch)
-    zs = np.geomspace(lam_f, 3000.0 * lam_f, 15).tolist() * 2
-    evaluate_batch(copper, field_kind, zs, [omega0] * 15 + [1e9] * 15, "nonlocal-quasistatic")
-    asked = [pair for call in calls for pair in call]
-    assert len(set(asked)) == len(asked)
-    assert max(map(len, calls)) <= 128
+    heights = np.geomspace(lam_f, 3000.0 * lam_f, 15).tolist() * 2
+    # and an omega sweep, whose points share no omega and are not memoized
+    for zs, omegas in ((heights, [omega0] * 15 + [1e9] * 15),
+                       ([10.0 * lam_f] * 9, np.geomspace(1e7, 1e11, 9))):
+        calls.clear()
+        evaluate_batch(copper, field_kind, zs, omegas, "nonlocal-quasistatic")
+        asked = [pair for call in calls for pair in call]
+        assert len(set(asked)) == len(asked)
+        assert max(map(len, calls)) <= 128
 
 
 def test_z_batch_asks_the_kernel_for_fewer_p_than_its_points_alone(copper, omega0, lam_f,
@@ -676,6 +683,31 @@ def test_nonlocal_z_below_the_cut_bound_is_a_domain_error(copper, omega0, field_
         assert isinstance(outcome, DomainError)
         assert "too small for the nonlocal model" in str(outcome)
         assert f"exceeds {spectral._NONLOCAL_P_MAX:.3g} 1/m" in str(outcome)
+
+
+@pytest.mark.parametrize("field_kind,power", [("E", 1), ("B", 2)])
+def test_nonlocal_meets_local_far_from_the_surface(copper, omega0, field_kind, power):
+    # the nonlocal correction falls off as 1/(z k_nu) for E and as its
+    # square for B; at these heights the cut lies far below t = 1 and
+    # the integrand peaks near t = 1/(z k_nu) ~ 1e-5..1e-3
+    zs = [1e-4, 1e-3, 1e-2]
+    nonlocal_, local = (evaluate_batch(copper, field_kind, zs, omega0, model)
+                        for model in ("nonlocal-quasistatic", "local-quasistatic"))
+    for z, a, b in zip(zs, nonlocal_, local):
+        assert not isinstance(a, Exception), a
+        assert abs(a.chi_zz - b.chi_zz) \
+            <= 10.0 * b.chi_zz / (z * copper.k_nu) ** power + a.error_estimate
+
+
+@pytest.mark.parametrize("field_kind,power", [("E", 1), ("B", 2)])
+def test_auto_runs_the_nonlocal_model_at_a_millimetre_at_low_omega(copper, field_kind, power):
+    # a tenth of the skin depth is about 1.2 mm at 100 rad/s
+    z, omega = 1e-3, 100.0
+    tensor = evaluate(copper, field_kind, z, omega, "auto")
+    local = evaluate(copper, field_kind, z, omega, "local-quasistatic")
+    assert tensor.model is Model.NONLOCAL_QUASISTATIC
+    assert abs(tensor.chi_zz - local.chi_zz) \
+        <= 10.0 * local.chi_zz / (z * copper.k_nu) ** power + tensor.error_estimate
 
 
 def test_evaluate_batch_resolves_auto_per_point(copper, omega0, lam_f):
