@@ -12,7 +12,9 @@ screened response (the integrand decays like 1/k between the collision
 and screening wavevectors), so it is evaluated on an explicit cutoff
 ladder k_max in {3, 10, 30, 100} k_F and reported together with the
 ladder; failure to settle to 1% between rungs is an explicit error
-carrying the full series rather than a silently truncated number.
+carrying the full series rather than a silently truncated number. Each
+rung is one integral: its real part is the zz reduction and its
+imaginary part the xx one, each held to rel_tol of itself.
 """
 
 from __future__ import annotations
@@ -81,29 +83,22 @@ def bulk_green_k(material: Material, k, omega: float):
     return 4.0 * math.pi * HBAR / denom * bracket
 
 
-def _radial_common(material, k, omega):
+def _radial_integrand(material, k, omega):
+    """The zz reduction (real part), via the transverse/longitudinal
+    split, and the xx one (imaginary part), via the printed combined
+    bracket, of the angle-averaged radial integrand."""
     eps_l = epsilon_l(material, k, omega)
     eps_t = epsilon_t(material, k, omega)
     denom = omega**2 * eps_t / C_LIGHT**2 - k * k
-    return eps_l, eps_t, denom
-
-
-def _radial_integrand_xx(material, k, omega):
-    """xx reduction via the printed combined bracket, angle-averaged."""
-    eps_l, eps_t, denom = _radial_common(material, k, omega)
+    parts = (2.0 / 3.0) / denom + C_LIGHT**2 / (3.0 * omega**2 * eps_l)
+    zz = -(k * k) * np.imag(4.0 * math.pi * HBAR * parts) / (2.0 * math.pi**2)
     bracket = (
         1.0
         - C_LIGHT**2 * k * k / (3.0 * omega**2 * eps_l)
         + (eps_t - eps_l) / (3.0 * eps_l)
     )
-    return -(k * k) * np.imag(4.0 * math.pi * HBAR / denom * bracket) / (2.0 * math.pi**2)
-
-
-def _radial_integrand_zz(material, k, omega):
-    """zz reduction via the transverse/longitudinal split."""
-    eps_l, _, denom = _radial_common(material, k, omega)
-    parts = (2.0 / 3.0) / denom + C_LIGHT**2 / (3.0 * omega**2 * eps_l)
-    return -(k * k) * np.imag(4.0 * math.pi * HBAR * parts) / (2.0 * math.pi**2)
+    xx = -(k * k) * np.imag(4.0 * math.pi * HBAR / denom * bracket) / (2.0 * math.pi**2)
+    return zz + 1j * xx
 
 
 def _radial_breakpoints(material, omega, k_lo, k_hi):
@@ -131,35 +126,20 @@ def bulk_imD_coincident(
     cfg = cfg or QuadratureConfig()
     k_f = material.fermi_wavevector
 
-    def integrand(k, owner):
-        # integral 0 of a rung is zz, integral 1 xx
-        out = np.empty(k.shape)
-        zz = owner == 0
-        out[zz] = _radial_integrand_zz(material, k[zz], omega)
-        out[~zz] = _radial_integrand_xx(material, k[~zz], omega)
-        return out
-
-    series = []
-    total_zz = 0.0
-    total_xx = 0.0
-    k_lo = 0.0
-    converged_at = None
+    series, total_zz, total_xx, k_lo, converged_at = [], 0.0, 0.0, 0.0, None
     for mult in _LADDER:
         k_hi = mult * k_f
         breaks = _radial_breakpoints(material, omega, k_lo, k_hi)
-        res_zz, res_xx = integrate_lockstep(integrand, [k_lo] * 2, [k_hi] * 2, cfg,
-                                            [breaks] * 2)
-        for res in (res_zz, res_xx):
-            if isinstance(res, QuadratureError):
-                raise res
-        total_zz += res_zz.value.real
-        total_xx += res_xx.value.real
+        [res] = integrate_lockstep(lambda k, owner: _radial_integrand(material, k, omega),
+                                   [k_lo], [k_hi], cfg, [breaks])
+        if isinstance(res, QuadratureError):
+            raise res
+        total_zz += res.value.real
+        total_xx += res.value.imag
         series.append((k_hi, total_zz))
-        if len(series) >= 2:
-            prev = series[-2][1]
-            if abs(total_zz - prev) <= _LADDER_REL * abs(total_zz):
-                converged_at = k_hi
-                break
+        if len(series) >= 2 and abs(total_zz - series[-2][1]) <= _LADDER_REL * abs(total_zz):
+            converged_at = k_hi
+            break
         k_lo = k_hi
 
     if converged_at is None:

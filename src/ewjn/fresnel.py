@@ -36,7 +36,7 @@ place of omega; the retarded model integrates over q and passes it.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import math
 
@@ -74,7 +74,6 @@ def nonlocal_reflection_quasistatic(
     omega,
     polarization: str,
     cfg: QuadratureConfig | None = None,
-    eps_fn: Callable | None = None,
 ) -> list:
     """Nonlocal r_p ("p") or r_s ("s") at every p of an array, as outcomes.
 
@@ -88,14 +87,12 @@ def nonlocal_reflection_quasistatic(
     the local quasistatic expansion (eps - 1) omega^2/(4 p^2 c^2); with
     constant eps_l, I_p = 1/eps.
 
-    omega is one value or one per p. eps_fn(k, omega) overrides
-    epsilon_l ("p") or epsilon_t ("s"), as in the constant-epsilon limit
-    checks; it must broadcast over arrays k and omega. Each
-    kappa-integral has its own tail scale max(p, k_star). Outcome i is a
-    QuadResult, r at p[i] as a Python complex with bounds on its error
-    and on the errors of its real and imaginary parts, carried over from
-    the kappa-integral's, or the QuadratureError of that kappa-integral;
-    a p gets the same outcome in any batch.
+    omega is one value or one per p. Each kappa-integral has its own
+    tail scale max(p, k_star). Outcome i is a QuadResult, r at p[i] as a
+    Python complex with bounds on its error and on the errors of its real
+    and imaginary parts, carried over from the kappa-integral's, or the
+    QuadratureError of that kappa-integral; a p gets the same outcome in
+    any batch.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if not np.all(p > 0):
@@ -106,14 +103,12 @@ def nonlocal_reflection_quasistatic(
     if polarization not in ("p", "s"):
         raise DomainError("polarization must be 'p' or 's'")
     transverse = polarization == "s"
-    if eps_fn is None:
-        eps_of = epsilon_t if transverse else epsilon_l
-        eps_fn = lambda k, w: eps_of(material, k, w)
+    eps_of = epsilon_t if transverse else epsilon_l
     p2_rows, w_rows = (p * p)[:, None], omega[:, None]
 
     def integrand(kappa, owner):
         k2 = p2_rows[owner] + kappa * kappa
-        eps = eps_fn(np.sqrt(k2), w_rows[owner])
+        eps = eps_of(material, np.sqrt(k2), w_rows[owner])
         if not transverse:
             return 1.0 / (k2 * eps)
         # Re J_p rides as Re - Im, met to rel_tol of |Im J_p| only: Re eps_t
@@ -125,8 +120,8 @@ def nonlocal_reflection_quasistatic(
     p_list = p.tolist()
     breaks = [[x for x in (0.3 * q, q, 3.0 * q, k_nu, k_star, 3.0 * k_star) if x > 0]
               + _octaves_below(k_star, 3.0 * q) for q in p_list]
-    outcomes = integrate_power_tails(integrand, 0.0, [max(q, k_star) for q in p_list],
-                                     breaks, cfg or QuadratureConfig())
+    outcomes = integrate_power_tails(integrand, [max(q, k_star) for q in p_list], breaks,
+                                     cfg or QuadratureConfig())
     # combined on Python scalars: numpy complex division rounds differently
     r = []
     for q, w, res in zip(p_list, omega.tolist(), outcomes):

@@ -7,8 +7,8 @@ bits the integral gets when run alone. Callers decide what a failure
 means; no integrator raises one.
 
   integrate_lockstep     N finite intervals [a[i], b[i]]
-  integrate_power_tails  [a, infinity), |f| = O(t^-2), mapped onto
-                         [0, 1) by t = a + s u/(1 - u)
+  integrate_power_tails  [0, infinity), |f| = O(t^-2), mapped onto
+                         [0, 1) by t = s u/(1 - u)
 
 The rule is a globally adaptive Gauss-Kronrod 15(7) with deterministic
 panel subdivision (worst panel first, ties by insertion order). The N
@@ -21,10 +21,14 @@ The real and the imaginary part of an integral have their own sums and
 error estimates, the vector-integrand test of DCUHRE (Berntsen, Espelid
 & Genz, ACM TOMS 17, 437, 1991): an integral has converged when the
 error of each part j is at most max(rel_tol |I_j|, abs_tol), so a part
-many orders below the other is still resolved to rel_tol of itself;
-callers choose what goes into the two parts. A panel's pick key,
-max_j err_j / tol_j against its integral's tolerances in the round it
-is made, is fixed then, so the worst panel is one argmax.
+many orders below the other is still resolved to rel_tol of itself.
+Every caller has at most two components, so the two parts are the
+vector interface: a local-retarded point carries xx and zz, a nonlocal
+point its r_p channel (E) or its r_s and r_p channels (B), a bulk ladder
+rung zz and xx, and a kappa-integral the complex I_p, or J_p with its
+real part as Re - Im. A panel's pick key, max_j err_j / tol_j against
+its integral's tolerances in the round it is made, is fixed then, so
+the worst panel is one argmax.
 
 The state lives in arrays, a row of panels per unconverged integral, so
 a round costs a fixed number of numpy calls however many integrals are
@@ -349,14 +353,13 @@ def _resolve_stuck(panels: _PanelRows, r: int, pos: int, subdivisions: int, budg
 
 def integrate_power_tails(
     f: Callable,
-    a: float,
     scales: Sequence[float],
     breakpoints: Sequence[Sequence[float]],
     cfg: QuadratureConfig | None = None,
 ) -> list:
-    """Outcomes of a batched f over [a, infinity) for |f| = O(t^-2).
+    """Outcomes of a batched f over [0, infinity) for |f| = O(t^-2).
 
-    Integral i maps t = a + s u/(1 - u), s = scales[i], onto u in [0, 1),
+    Integral i maps t = s u/(1 - u), s = scales[i], onto u in [0, 1),
     its seed breakpoints[i] (values of t) with it, and runs as integral
     i of one integrate_lockstep batch.
     """
@@ -367,9 +370,9 @@ def integrate_power_tails(
     def mapped(u, owner):
         one_minus = 1.0 - u
         s = s_rows[owner]
-        return f(a + s * u / one_minus, owner) * (s / (one_minus * one_minus))
+        return f(s * u / one_minus, owner) * (s / (one_minus * one_minus))
 
     n = len(scales)
-    u_breaks = [[(t - a) / (t - a + s) for t in cuts if t > a]
+    u_breaks = [[t / (t + s) for t in cuts if t > 0]
                 for s, cuts in zip(scales, breakpoints)]
     return integrate_lockstep(mapped, [0.0] * n, [1.0] * n, cfg, u_breaks)

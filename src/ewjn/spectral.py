@@ -23,9 +23,10 @@ constants of each distinct omega are computed once, on Python scalars,
 and indexed per point. A local-retarded point is one integral over a
 log-mapped axis that joins the propagating and evanescent parts, with
 the Fresnel coefficients taken from the vacuum normal wavevector q; a
-nonlocal point is one log-mapped integral per channel. Both are cut
-where tail_cut of the integral is left, and add a bound on the cut tail
-to error_estimate. The nonlocal integrals are seeded on one grid of
+nonlocal point is one log-mapped integral too, whose real and imaginary
+parts carry its two channels (E: r_p alone; B: r_s and r_p). Both are
+cut where tail_cut of the integral is left, and add a bound on the cut
+tail to error_estimate. The nonlocal integrals are seeded on one grid of
 t = log1p(p/k_nu), the unit grid above 1 and the powers of 1/2 below,
 that does not depend on z, and their cut is rounded up to that grid, so
 the points of one omega bisect the same panels and need the same p; a
@@ -162,21 +163,29 @@ def _local_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     The magnetic form holds well below the skin depth; its 1/z growth
     saturates near delta in the retarded treatment. Each point runs on
     Python floats, since numpy's power rounds differently from **. An
-    electric point whose 8 eps0 z^3 underflows to 0 gets a DomainError.
+    electric point whose z^3 overflows or whose 8 eps0 z^3 underflows to
+    0, and a magnetic point whose omega^2 overflows, gets a DomainError.
     """
     eps_of = {w: drude_epsilon(material, w) for w in set(omegas)}
     out = []
     for z, omega in zip(zs, omegas):
         eps = eps_of[omega]
+        try:
+            power = z**3 if field_kind == "E" else omega**2
+        except OverflowError:
+            out.append(DomainError(f"z = {z:.6g} m is too large: z^3 overflows"
+                                   if field_kind == "E" else
+                                   f"omega = {omega:.6g} rad/s is too large: omega^2 overflows"))
+            continue
         if field_kind == "E":
-            cube = 8.0 * EPS0 * z**3
+            cube = 8.0 * EPS0 * power
             if cube == 0:
                 out.append(DomainError(f"z = {z:.6g} m is too small: 8 eps0 z^3 underflows to 0"))
                 continue
             chi_xx = HBAR / cube * ((eps - 1.0) / (eps + 1.0)).imag
             out.append((chi_xx, 2.0 * chi_xx, 0.0, {}))
         else:
-            chi_zz = HBAR * omega**2 / (8.0 * EPS0 * C_LIGHT**4 * z) * eps.imag
+            chi_zz = HBAR * power / (8.0 * EPS0 * C_LIGHT**4 * z) * eps.imag
             out.append((0.5 * chi_zz, chi_zz, 0.0, {}))
     return out
 
@@ -198,6 +207,9 @@ _KERNEL_BLOCK = 128
 # The kappa-integrals of the kernel reach kappa ~ 1e3 p and form k^4, so
 # the nonlocal model takes p up to this
 _NONLOCAL_P_MAX = np.finfo(float).max ** 0.25 / 1e3
+# and they form k^4 >= p^4 at outer nodes that reach 1e-3 of a point's
+# lowest grid point, whose p must be at least this
+_NONLOCAL_P_MIN = np.finfo(float).tiny ** 0.25 * 1e3
 
 
 def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
@@ -212,20 +224,23 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     decomposition["rp_part"] and decomposition["rs_part"] (signed,
     T^2 s); the r_s channel equals chi_zz/2 term by term.
 
-    Every (z, channel) pair is one outer integral of one lockstep run
-    (E: r_p; B: r_s, then r_p) over t = log1p(p/k_nu), where each decade
-    of p above the collision wavevector k_nu costs about one unit of t.
+    Every point is one outer integral of one lockstep run over
+    t = log1p(p/k_nu), where each decade of p above the collision
+    wavevector k_nu costs about one unit of t. Its real part is the p^2
+    channel (E: r_p; B: r_s) and, for B, its imaginary part the r_p
+    channel with weight 1: the engine's per-part test resolves each
+    channel to rel_tol of itself, and max_subdivisions bounds the point.
     The integrand grows no faster than p^3 e^{-2pz}, so it may be cut
     at x/(2z) (_tail_cut). That cut is rounded up to T on the grid
     ..., 1/4, 1/2, 1, 2, 3, ... of t, and the integral runs over [0, T]
     seeded at the grid points below T, down to the last one at or below
     t(1/z), near which the integrand peaks, but at least down to 1
-    (_nonlocal_grid). error_estimate adds the bound on the tail beyond
-    p_U = k_nu expm1(T), |f(p_U)| times the tail ratio at x, which holds
-    at p_U >= x/(2z) too. Seeds and cuts lie on one grid whatever z, so
-    the points of one omega bisect the same panels and ask for the same
-    p, to the bit. A point whose p_U is too large for the kernel gets a
-    DomainError and does not run. error_estimate also adds the inner
+    (_nonlocal_grid); a point whose grid leaves the p the kernel takes
+    gets a DomainError and does not run. Seeds and cuts lie on one grid
+    whatever z, so the points of one omega bisect the same panels and
+    ask for the same p, to the bit. Each channel's error adds the bound
+    on the tail beyond p_U = k_nu expm1(T), |f_c(p_U)| times the tail
+    ratio at x, which holds at p_U >= x/(2z) too, and the inner
     integrals' error: Im r >= 0 by passivity and the weights are >= 0,
     so max(err Im r / Im r) over the nodes times the channel bounds
     Integral w err Im r.
@@ -235,14 +250,12 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     kernel's outcome, and passes the kernel only the pairs the batch has
     not seen, in blocks of at most _KERNEL_BLOCK p; the integrand at the
     cuts is one such round before the first. Only the omegas of two or
-    more points are kept in the dicts: the p of a point with an omega of
-    its own are not asked for again. A p gets the same outcome in any
+    more points are kept in the dicts. A p gets the same outcome in any
     batch, so a point gets the bits and the failure it gets alone. A
     point's inner error is the first failing p among its own rows: its
     rows are zero in that round, it is left out of that round's r_p
-    lookup, and its channels integrate zeros from then on. A point gets
-    its inner QuadratureError, else its r_s outer error, else its r_p
-    one, as a point-by-point run raises them.
+    lookup, and it integrates zeros from then on. A point gets its
+    inner QuadratureError, else its outer one.
     """
     cfg = cfg or QuadratureConfig()
     cfg_inner = cfg.inner()
@@ -252,15 +265,14 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     out = [g if isinstance(g, DomainError) else None for g in grids]
     run = [k for k, o in enumerate(out) if o is None]
     zs, omegas, grids = ([v[k] for k in run] for v in (zs, omegas, grids))
-    # integral n k + c is channel c of point k; channel 0 carries p^2
-    channels = ("p",) if field_kind == "E" else ("s", "p")
-    n = len(channels)
+    # polarization c fills part c of every point; part 0 carries p^2
+    polarizations = ("p",) if field_kind == "E" else ("s", "p")
     z_of, w_of = np.asarray(zs, dtype=float), np.asarray(omegas, dtype=float)
     inner_error = [None] * len(zs)
     failed = np.zeros(len(zs), dtype=bool)
-    # max over the nodes of err(Im r)/Im r, per integral
-    worst = np.zeros(len(zs) * n)
-    seen = [{} for _ in channels]
+    # max over the nodes of err(Im r)/Im r, per point and part
+    worst = np.zeros((len(zs), 2))
+    seen = [{} for _ in polarizations]
     shared = {w for w, count in Counter(omegas).items() if count > 1}
 
     def reflection(c, nodes, w):
@@ -273,18 +285,17 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
             block = keys[i:i + _KERNEL_BLOCK]
             p, w_block = zip(*block)
             new.update(zip(block, nonlocal_reflection_quasistatic(
-                material, p, w_block, channels[c], cfg_inner)))
+                material, p, w_block, polarizations[c], cfg_inner)))
         memo.update((pair, o) for pair, o in new.items() if pair[1] in shared)
         return [new[pair] if pair in new else memo[pair] for pair in pairs]
 
     def integrand(p, owner):
-        out = np.zeros(p.shape)
-        point, channel = np.divmod(owner, n)
-        for c in range(n):
-            rows = np.flatnonzero((channel == c) & ~failed[point])
+        out = np.zeros(p.shape, dtype=complex)
+        for c, part in enumerate((out.real, out.imag)[:len(polarizations)]):
+            rows = np.flatnonzero(~failed[owner])
             if not rows.size:
-                continue
-            nodes, at = p[rows], point[rows]
+                break
+            nodes, at = p[rows], owner[rows]
             r = reflection(c, nodes.ravel().tolist(),
                            np.repeat(w_of[at], nodes.shape[1]).tolist())
             im = np.zeros((2, len(r)))
@@ -296,39 +307,37 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
                 else:
                     im[:, i] = o.value.imag, o.part_errors[1]
             keep = ~failed[at]
-            rows, nodes = rows[keep], nodes[keep]
+            rows, nodes, at = rows[keep], nodes[keep], at[keep]
             im, im_err = im.reshape(2, keep.size, -1)[:, keep]
-            z = z_of[at[keep]][:, None]
-            out[rows] = (nodes * nodes if c == 0 else 1.0) * np.exp(-2.0 * nodes * z) * im
-            ratio = np.divide(im_err, im, out=np.where(im_err > 0, np.inf, 0.0), where=im > 0)
-            np.maximum.at(worst, owner[rows], ratio.max(axis=1))
+            z = z_of[at][:, None]
+            part[rows] = (nodes * nodes if c == 0 else 1.0) * np.exp(-2.0 * nodes * z) * im
+            ratio_c = np.divide(im_err, im, out=np.where(im_err > 0, np.inf, 0.0), where=im > 0)
+            np.maximum.at(worst[:, c], at, ratio_c.max(axis=1))
         return out
 
     ends, seeds = zip(*grids) if grids else ((), ())
-    t_end = np.repeat(np.asarray(ends, dtype=float), n)
-    tails = (np.abs(integrand(k_nu * np.expm1(t_end)[:, None], np.arange(t_end.size))[:, 0])
-             * ratio / np.repeat(2.0 * z_of, n)).tolist()
+    t_end = np.asarray(ends, dtype=float)
+    at_cut = integrand(k_nu * np.expm1(t_end)[:, None], np.arange(t_end.size))[:, 0]
+    tails = (np.stack([np.abs(at_cut.real), np.abs(at_cut.imag)], axis=1) * ratio
+             / (2.0 * z_of)[:, None]).tolist()
     results = integrate_lockstep(
         lambda t, owner: integrand(k_nu * np.expm1(t), owner) * (k_nu * np.exp(t)),
-        [0.0] * t_end.size, t_end, cfg,
-        [list(grid) for grid in seeds for _ in channels])
-    for k, omega in enumerate(omegas):
-        outcomes = results[k * n:(k + 1) * n]
-        errors = [o for o in (inner_error[k], *outcomes) if isinstance(o, QuadratureError)]
-        if errors:
-            out[run[k]] = errors[0]
+        [0.0] * t_end.size, t_end, cfg, [list(grid) for grid in seeds])
+    for k, (omega, res) in enumerate(zip(omegas, results)):
+        if inner_error[k] or isinstance(res, QuadratureError):
+            out[run[k]] = inner_error[k] or res
             continue
         # a channel's error: outer rule, cut tail and inner integrals
-        err = [res.error + tails[j] + worst[j] * abs(res.value.real)
-               for j, res in enumerate(outcomes, k * n)]
+        value = (res.value.real, res.value.imag)
+        err = [res.part_errors[c] + tails[k][c] + worst[k, c] * abs(value[c]) for c in (0, 1)]
         if field_kind == "E":
-            chi_zz = HBAR / EPS0 * outcomes[0].value.real
+            chi_zz = HBAR / EPS0 * value[0]
             out[run[k]] = (0.5 * chi_zz, chi_zz, HBAR / EPS0 * err[0], {})
         else:
             scale = HBAR / (EPS0 * C_LIGHT**2)
-            chi_zz = scale * outcomes[0].value.real
+            chi_zz = scale * value[0]
             rs_part = 0.5 * chi_zz
-            rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * outcomes[1].value.real
+            rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * value[1]
             out[run[k]] = (rs_part + rp_part, chi_zz,
                            scale * (err[0] + 0.5 * (omega / C_LIGHT) ** 2 * err[1]),
                            {"rs_part": rs_part, "rp_part": rp_part})
@@ -340,7 +349,8 @@ def _nonlocal_grid(z, k_nu, x):
     3, ... of t = log1p(p/k_nu): T is the first grid point at or above
     the cut x/(2z), and seeds are the grid points below T, down to the
     last one at or below t(1/z) but at least down to 1. Its DomainError
-    if p_U = k_nu expm1(T) exceeds what the kernel takes, _NONLOCAL_P_MAX."""
+    if p_U = k_nu expm1(T) exceeds what the kernel takes, _NONLOCAL_P_MAX,
+    or the p of its lowest grid point lies below _NONLOCAL_P_MIN."""
     try:
         t_cut = math.log1p(x / 2.0 / z / k_nu)
         if t_cut > 1.0:
@@ -356,7 +366,13 @@ def _nonlocal_grid(z, k_nu, x):
             while seed < min(end, 1.0):
                 seeds.append(seed)
                 seed *= 2.0
-            return end, seeds + [float(t) for t in range(1, math.ceil(end))]
+            seeds += [float(t) for t in range(1, math.ceil(end))]
+            if t_cut > 0 and k_nu * math.expm1((seeds or [end])[0]) >= _NONLOCAL_P_MIN:
+                return end, seeds
+            return DomainError(f"z = {z:.6g} m is too large for the nonlocal model: the "
+                               f"wavevector of its lowest grid point of t lies below "
+                               f"{_NONLOCAL_P_MIN:.3g} 1/m, where the kappa-integrals' "
+                               f"k^4 underflows")
     except OverflowError:  # ceil(inf), or e^T beyond the float range
         pass
     return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "

@@ -203,13 +203,14 @@ def test_criterion_07_thermal_scaling(copper, lam_f):
     assert _report(7, worst < 1e-6, detail)
 
 
-def test_criterion_08_limiting_forms(copper, omega0, lam_f, cfg):
+def test_criterion_08_limiting_forms(copper, omega0, lam_f, cfg, monkeypatch):
     p = 1.0 / (2.0 * lam_f)
     eps = drude_epsilon(copper, omega0)
-    [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg,
-                                                 eps_fn=lambda k, w: eps)
-    [(rs, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg,
-                                                 eps_fn=lambda k, w: eps)
+    with monkeypatch.context() as frozen:
+        for name in ("epsilon_l", "epsilon_t"):
+            frozen.setattr(f"ewjn.fresnel.{name}", lambda material, k, w: eps)
+        [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg)
+        [(rs, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg)
     rp_dev = abs(rp / ((eps - 1.0) / (eps + 1.0)) - 1.0)
     rs_dev = abs(rs / ((eps - 1.0) * omega0**2
                        / (4.0 * p**2 * C_LIGHT**2)) - 1.0)

@@ -14,8 +14,7 @@ import pytest
 from ewjn import DomainError, QuadratureError, bulk_imD_coincident, surface_limit_imD
 from ewjn.bulk import (
     _radial_breakpoints,
-    _radial_integrand_xx,
-    _radial_integrand_zz,
+    _radial_integrand,
     bulk_green_k,
 )
 from ewjn.materials import C_LIGHT, HBAR, epsilon_l, epsilon_t
@@ -85,8 +84,8 @@ def test_radial_reductions_agree_and_are_positive(copper, omega0):
     # function on paper and must stay pointwise equal numerically
     ks = np.geomspace(1e-3, 1e2, 40) * copper.fermi_wavevector
     for k in ks:
-        xx = _radial_integrand_xx(copper, float(k), omega0)
-        zz = _radial_integrand_zz(copper, float(k), omega0)
+        both = _radial_integrand(copper, float(k), omega0)
+        zz, xx = both.real, both.imag
         assert xx > 0.0
         assert zz > 0.0
         assert abs(xx / zz - 1.0) < 1e-9
@@ -150,9 +149,9 @@ def _ladder_separate(material, omega, cfg):
     for mult in (3.0, 10.0, 30.0, 100.0):
         k_hi = mult * material.fermi_wavevector
         breaks = _radial_breakpoints(material, omega, k_lo, k_hi)
-        zz += integrate_lockstep(lambda k, owner: _radial_integrand_zz(material, k, omega),
+        zz += integrate_lockstep(lambda k, owner: _radial_integrand(material, k, omega).real,
                                  [k_lo], [k_hi], cfg, [breaks])[0].value.real
-        xx += integrate_lockstep(lambda k, owner: _radial_integrand_xx(material, k, omega),
+        xx += integrate_lockstep(lambda k, owner: _radial_integrand(material, k, omega).imag,
                                  [k_lo], [k_hi], cfg, [breaks])[0].value.real
         series.append((k_hi, zz, xx))
         k_lo = k_hi
@@ -160,7 +159,7 @@ def _ladder_separate(material, omega, cfg):
 
 
 def test_ladder_rungs_equal_separate_integrals(copper, omega0, cfg, monkeypatch):
-    # each rung integrates zz and xx as one batch of two
+    # each rung integrates zz and xx as the two parts of one integral
     separate = _ladder_separate(copper, omega0, cfg)
     with pytest.raises(QuadratureError) as excinfo:
         bulk_imD_coincident(copper, omega0, cfg)

@@ -387,6 +387,13 @@ _FAILED = ["domain-error"] * 4
     (["spectral", "--field", "B", "--z", "1e-300", "--model", "nonlocal-quasistatic"], None),
     (["spectral", "--z", "1e-6", "--omega", "1e200", "--model", "local-retarded"], None),
     (["spectral", "--z", "1e-6", "--omega", "1e300", "--model", "local-retarded"], None),
+    # the closed forms' omega^2 or z^3 overflows
+    (["spectral", "--field", "B", "--z", "1e-6", "--omega", "1e200", *_LQ], None),
+    (["spectral", "--z", "1e120", *_LQ], None),
+    # the nonlocal model's lowest grid wavevector underflows
+    (["spectral", "--z", "1e300", "--omega", "1e9", "--model", "nonlocal-quasistatic"], None),
+    (["spectral", "--field", "B", "--z", "1e300", "--omega", "1e9", "--model",
+      "nonlocal-quasistatic"], None),
 ], ids=["t1-temp-nan", "t1-temp-inf", "t1-moment-inf", "spectral-omega-inf",
         "spectral-auto-omega-inf", "material-omega-p-inf", "bulk-omega-inf",
         "temperature-sweep-max-inf", "sweep-temp-nan", "sweep-temp-inf", "sweep-moment-inf",
@@ -398,7 +405,9 @@ _FAILED = ["domain-error"] * 4
         "sweep-auto-omega-tiny", "spectral-nonlocal-B-chi-underflow",
         "spectral-retarded-g-subnormal", "spectral-retarded-z-tiny", "spectral-nonlocal-z-tiny",
         "spectral-nonlocal-B-z-tiny", "spectral-retarded-omega-squared-overflow",
-        "spectral-retarded-omega-huge"])
+        "spectral-retarded-omega-huge", "spectral-local-B-omega-squared-overflow",
+        "spectral-local-z-cubed-overflow", "spectral-nonlocal-z-huge",
+        "spectral-nonlocal-B-z-huge"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
     metal = tmp_path / "inf.cfg"

@@ -104,29 +104,28 @@ def test_nonlocal_rs_golden(copper, omega0, lam_f):
     assert rel(rs, -1.6810285479893236e-15 + 1.3462629501361742e-09j) < 1e-6
 
 
-def test_nonlocal_constant_eps_stubs(copper, omega0, lam_f, cfg):
+def test_nonlocal_constant_eps_stubs(copper, omega0, lam_f, cfg, monkeypatch):
     # frozen permittivity turns both kappa-integrals analytic:
     # I_p = 1/eps and J_p = eps
     eps = drude_epsilon(copper, omega0)
     p = 1.0 / (2.0 * lam_f)
-    [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg,
-                                                 eps_fn=lambda k, w: eps)
-    [(rs, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg,
-                                                 eps_fn=lambda k, w: eps)
+    for name in ("epsilon_l", "epsilon_t"):
+        monkeypatch.setattr(f"ewjn.fresnel.{name}", lambda material, k, w: eps)
+    [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg)
+    [(rs, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg)
     assert rel(rp, (eps - 1.0) / (eps + 1.0)) < 10.0 * cfg.rel_tol
     assert rel(rs, (eps - 1.0) * omega0**2 / (4.0 * p**2 * C_LIGHT**2)) \
         < 10.0 * cfg.rel_tol
 
 
-def test_nonlocal_rs_frozen_eps_omega_scaling(copper, omega0, lam_f, cfg):
+def test_nonlocal_rs_frozen_eps_omega_scaling(copper, omega0, lam_f, cfg, monkeypatch):
     # with eps_t frozen the J_p integral cannot depend on omega, so the
     # only omega left is the explicit prefactor: exactly quadratic
     eps = -5.0 + 3.0j
     p = 1.0 / (2.0 * lam_f)
-    stub = lambda k, w: eps
-    [(r1, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg, eps_fn=stub)
-    [(r2, *_)] = nonlocal_reflection_quasistatic(copper, [p], 2.0 * omega0, "s", cfg,
-                                                 eps_fn=stub)
+    monkeypatch.setattr("ewjn.fresnel.epsilon_t", lambda material, k, w: eps)
+    [(r1, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg)
+    [(r2, *_)] = nonlocal_reflection_quasistatic(copper, [p], 2.0 * omega0, "s", cfg)
     assert rel(r2, 4.0 * r1) < 1e-12
 
 
@@ -187,7 +186,7 @@ def _reference_r(material, p, omega, cfg, transverse):
     while octave > 3.0 * p:
         breaks.append(octave)
         octave *= 0.5
-    [(value, *_)] = integrate_power_tails(integrand, 0.0, [max(p, k_star)], [breaks], cfg)
+    [(value, *_)] = integrate_power_tails(integrand, [max(p, k_star)], [breaks], cfg)
     if transverse:
         value = complex(value.real + value.imag, value.imag)
         j_p = (4.0 * p**3 / math.pi) * value
@@ -196,19 +195,19 @@ def _reference_r(material, p, omega, cfg, transverse):
     return (1.0 - i_p) / (1.0 + i_p)
 
 
-def test_nonlocal_batch_matches_scalar_bitwise(copper, omega0, cfg):
+def test_nonlocal_batch_matches_scalar_bitwise(copper, omega0, cfg, monkeypatch):
     ps = np.geomspace(1e5, 1e12, 40)
     eps = drude_epsilon(copper, omega0)
-    stub = lambda k, w: eps
-    for override in (None, stub):
-        r_p = nonlocal_reflection_quasistatic(copper, ps, omega0, "p", cfg, override)
-        r_s = nonlocal_reflection_quasistatic(copper, ps, omega0, "s", cfg, override)
+    for frozen in (False, True):
+        if frozen:
+            for name in ("epsilon_l", "epsilon_t"):
+                monkeypatch.setattr(f"ewjn.fresnel.{name}", lambda material, k, w: eps)
+        r_p = nonlocal_reflection_quasistatic(copper, ps, omega0, "p", cfg)
+        r_s = nonlocal_reflection_quasistatic(copper, ps, omega0, "s", cfg)
         for i, p in enumerate(ps.tolist()):
-            assert [r_p[i]] == nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg,
-                                                               override)
-            assert [r_s[i]] == nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg,
-                                                               override)
-            if override is None and i % 4 == 0:
+            assert [r_p[i]] == nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg)
+            assert [r_s[i]] == nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg)
+            if not frozen and i % 4 == 0:
                 assert r_p[i].value == _reference_r(copper, p, omega0, cfg, False)
                 assert r_s[i].value == _reference_r(copper, p, omega0, cfg, True)
 

@@ -201,15 +201,11 @@ def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, cfg_fast, z_o
         == _chi_B_two_passes(copper, z, omega0, cfg_fast)
 
 
-@pytest.mark.parametrize("z_over_lam_f,rel_tol,max_subdivisions,inner_budget", [
-    (30.0, 1e-10, 1, None),    # an inner r_s integral runs out of budget first
-    # with inner integrals on a budget of their own, the outer r_p
-    # channel runs out and the r_s one converges
-    (300.0, 1e-11, 1, 2000),
-], ids=["1e-10-1", "1e-11-1-inner-2000"])
+@pytest.mark.parametrize("z_over_lam_f,rel_tol,max_subdivisions", [
+    (30.0, 1e-10, 1),    # an inner r_s integral runs out of budget first
+], ids=["1e-10-1"])
 def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, z_over_lam_f, rel_tol,
-                                                  max_subdivisions, inner_budget, monkeypatch):
-    _give_inner_integrals_a_budget(monkeypatch, inner_budget)
+                                                  max_subdivisions):
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     z = z_over_lam_f * lam_f
     with pytest.raises(QuadratureError) as one_pass:
@@ -219,6 +215,47 @@ def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, z_over_
     assert str(one_pass.value) == str(two_passes.value)
     assert one_pass.value.best_estimate == two_passes.value.best_estimate
     assert one_pass.value.error_bound == two_passes.value.error_bound
+
+
+def test_chi_B_nonlocal_outer_failure_equals_its_run_alone(copper, omega0, lam_f, monkeypatch):
+    # with inner integrals on a budget of their own, the one outer
+    # integral of the point at 300 lambda_F runs out, its two channels
+    # together, while its neighbours converge
+    import ewjn.spectral as spectral
+
+    parts = {}
+    monkeypatch.setattr(spectral, "integrate_lockstep",
+                        _recording(parts, "outer", spectral.integrate_lockstep))
+    _give_inner_integrals_a_budget(monkeypatch, 2000)
+    cfg = QuadratureConfig(rel_tol=1e-11, max_subdivisions=1)
+    zs = [10.0 * lam_f, 300.0 * lam_f, 1000.0 * lam_f]
+    batch = evaluate_batch(copper, "B", zs, omega0, "nonlocal-quasistatic", cfg)
+    failure = batch[1]
+    assert any(failure is r for r in parts["outer"])
+    # the r_s channel in the real part, the r_p channel in the imaginary
+    assert failure.best_estimate.real > 0.0 and failure.best_estimate.imag > 0.0
+    assert not any(isinstance(o, QuadratureError) for o in batch[::2])
+    for z, outcome in zip(zs, batch):
+        _assert_same_outcome(outcome, copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
+
+
+def test_nonlocal_B_point_is_one_outer_integral(copper, omega0, lam_f, monkeypatch):
+    # its r_s and r_p channels are the two parts of one integral
+    import ewjn.spectral as spectral
+
+    sizes = []
+    lockstep = spectral.integrate_lockstep
+
+    def counted(f, a, b, cfg, breakpoints):
+        sizes.append(len(a))
+        return lockstep(f, a, b, cfg, breakpoints)
+
+    monkeypatch.setattr(spectral, "integrate_lockstep", counted)
+    zs = np.geomspace(lam_f, 3000.0 * lam_f, 7).tolist()
+    batch = evaluate_batch(copper, "B", zs, omega0, "nonlocal-quasistatic",
+                           QuadratureConfig(rel_tol=1e-6))
+    assert not any(isinstance(o, Exception) for o in batch)
+    assert sizes == [len(zs)]
 
 
 def test_nonlocal_to_local_ratios(copper, omega0, lam_f, e_nl_10, b_nl_10):
@@ -509,7 +546,7 @@ _Z_BATCH_CASES = [
     ("nonlocal-quasistatic", "B", 1e-8, 2000, ".........", None, None),
     # budgets tight enough that outer and inner integrals run out
     ("nonlocal-quasistatic", "E", 1e-12, 2, ".ooooiiii", None, 6),
-    ("nonlocal-quasistatic", "B", 3e-12, 1, ".o....iis", None, 5),
+    ("nonlocal-quasistatic", "B", 3e-12, 1, ".o.oo.iis", None, 5),
     # on a large outer budget, inner r_p integrals fail at two points
     # and an inner r_s one at the last
     ("nonlocal-quasistatic", "B", 3e-12, 2000, "......iis", None, 5),
@@ -683,6 +720,19 @@ def test_nonlocal_z_below_the_cut_bound_is_a_domain_error(copper, omega0, field_
         assert isinstance(outcome, DomainError)
         assert "too small for the nonlocal model" in str(outcome)
         assert f"exceeds {spectral._NONLOCAL_P_MAX:.3g} 1/m" in str(outcome)
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nonlocal_z_above_the_low_p_bound_is_a_domain_error(copper, field_kind):
+    import ewjn.spectral as spectral
+
+    # at 1e300 m the kernel's k^2 = p^2 + kappa^2 would underflow to 0
+    near, far = evaluate_batch(copper, field_kind, [1e-8, 1e300], 1e9, "nonlocal-quasistatic")
+    assert near == evaluate(copper, field_kind, 1e-8, 1e9, "nonlocal-quasistatic")
+    assert isinstance(far, DomainError)
+    assert "too large for the nonlocal model" in str(far)
+    assert f"below {spectral._NONLOCAL_P_MIN:.3g} 1/m" in str(far)
 
 
 @pytest.mark.parametrize("field_kind,power", [("E", 1), ("B", 2)])

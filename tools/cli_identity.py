@@ -91,6 +91,13 @@ EDGES = [
     ["spectral", "--field", "B", "--z", "1e-300", "--model", "nonlocal-quasistatic"],
     ["spectral", "--z", "1e-6", "--omega", "1e200", "--model", "local-retarded"],
     ["spectral", "--z", "1e-6", "--omega", "1e300", "--model", "local-retarded"],
+    # the closed forms' omega^2 or z^3 overflows
+    ["spectral", "--field", "B", "--z", "1e-6", "--omega", "1e200", *_LQ],
+    ["spectral", "--z", "1e120", *_LQ],
+    # the nonlocal model's lowest grid wavevector underflows
+    ["spectral", "--z", "1e300", "--omega", "1e9", "--model", "nonlocal-quasistatic"],
+    ["spectral", "--field", "B", "--z", "1e300", "--omega", "1e9", "--model",
+     "nonlocal-quasistatic"],
 ]
 
 
