@@ -23,10 +23,9 @@ error estimates, the vector-integrand test of DCUHRE (Berntsen, Espelid
 error of each part j is at most max(rel_tol |I_j|, abs_tol), so a part
 many orders below the other is still resolved to rel_tol of itself.
 Every caller has at most two components, so the two parts are the
-vector interface: a local-retarded point carries xx and zz, a nonlocal
-point its r_p channel (E) or its r_s and r_p channels (B), a bulk ladder
-rung zz and xx, and a kappa-integral the complex I_p, or J_p with its
-real part as Re - Im. A panel's pick key, max_j err_j / tol_j against
+vector interface: a local-retarded point carries xx and zz, a bulk
+ladder rung zz and xx, and a kappa-integral of the nonlocal r_p the
+complex I_p. A panel's pick key, max_j err_j / tol_j against
 its integral's tolerances in the round it is made, is fixed then, so
 the worst panel is one argmax.
 

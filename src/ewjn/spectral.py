@@ -23,15 +23,8 @@ constants of each distinct omega are computed once, on Python scalars,
 and indexed per point. A local-retarded point is one integral over a
 log-mapped axis that joins the propagating and evanescent parts, with
 the Fresnel coefficients taken from the vacuum normal wavevector q; a
-nonlocal point is one log-mapped integral too, whose real and imaginary
-parts carry its two channels (E: r_p alone; B: r_s and r_p). Both are
-cut where tail_cut of the integral is left, and add a bound on the cut
-tail to error_estimate. The nonlocal integrals are seeded on one grid of
-t = log1p(p/k_nu), the unit grid above 1 and the powers of 1/2 below,
-that does not depend on z, and their cut is rounded up to that grid, so
-the points of one omega bisect the same panels and need the same p; a
-batch runs each (p, omega) kappa-integral of the kernel once, in blocks
-of at most _KERNEL_BLOCK p.
+nonlocal point is one log-mapped integral over p of its r_p channel
+and, for B, one k-integral of its r_s channel (_swapped_zz).
 """
 
 from __future__ import annotations
@@ -39,6 +32,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -47,8 +41,9 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .fresnel import local_reflection_q, nonlocal_reflection_quasistatic
-from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, skin_depth
-from .quadrature import QuadratureConfig, integrate_lockstep
+from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_t, skin_depth
+from .quadrature import (_NODES, _WEIGHTS_K, QuadratureConfig, integrate_lockstep,
+                         integrate_power_tails)
 
 
 class Model(str, enum.Enum):
@@ -204,181 +199,218 @@ def _tail_cut(cfg: QuadratureConfig) -> tuple:
 # grow with its p, and a batch of many points would otherwise hand it
 # every new node of a refinement round at once.
 _KERNEL_BLOCK = 128
-# The kappa-integrals of the kernel reach kappa ~ 1e3 p and form k^4, so
-# the nonlocal model takes p up to this
-_NONLOCAL_P_MAX = np.finfo(float).max ** 0.25 / 1e3
-# and they form k^4 >= p^4 at outer nodes that reach 1e-3 of a point's
-# lowest grid point, whose p must be at least this
-_NONLOCAL_P_MIN = np.finfo(float).tiny ** 0.25 * 1e3
+_SQRT_MAX, _SQRT_TINY = math.sqrt(sys.float_info.max), math.sqrt(sys.float_info.min)
+
+
+def _nonlocal_range(material, omega) -> tuple:
+    """(lo, hi) of a nonlocal point at omega: it runs if 0.1/z >= lo and
+    its cut p_U <= hi. Its integrals reach k from about 1e-3 of 0.1/z to
+    1e3 p_U, and there k^2 must be normal and k^2 v_F^2, x^2 = ((omega +
+    i nu)/(k v_F))^2 and (k_star/k)^2 |omega + i nu| finite (epsilon_l,
+    epsilon_t and their Lindhard series form them)."""
+    vf, wn = material.fermi_velocity, abs(complex(omega, material.collision_rate))
+    k_lo = max(_SQRT_TINY, max(wn / vf, material.k_star * math.sqrt(max(1.0, wn))) / _SQRT_MAX)
+    return 1e3 * k_lo, _SQRT_MAX / max(1.0, vf) / 1e3
+
+
+# G's rule: sin u and w sin^3 u at the Kronrod 15-point nodes u of 8
+# panels cut at (pi/2) 0.6^j, graded toward u = 0 where e^{-a sin u} turns
+_G_EDGES = np.array([0.0] + [0.5 * math.pi * 0.6**j for j in range(7, -1, -1)])
+_G_HALF = 0.5 * np.diff(_G_EDGES)[:, None]
+_G_SIN = np.sin((0.5 * (_G_EDGES[:-1] + _G_EDGES[1:])[:, None] + _G_HALF * _NODES).ravel())
+_G_WEIGHT = (_G_HALF * _WEIGHTS_K).ravel() * _G_SIN**3
+# From this a on, G is its asymptotic series, whose neglected e^{-a} part
+# is 1e-20 of G; below it the rule is good to a few ulps.
+_G_SWITCH = 60.0
+# the series' coefficients C(2n, n)/4^n (2n + 3)! of a^-(2n + 4), n = 19..0
+_G_SERIES = [math.comb(2 * n, n) / 4**n * math.factorial(2 * n + 3) for n in range(19, -1, -1)]
+
+
+def _polar_g(a):
+    """G(a) = Integral_0^{pi/2} cos^3 theta e^{-a cos theta} dtheta at
+    every a >= 0 of an array: G(0) = 2/3 and Integral_0^inf G da = pi/4.
+    The rule in u = pi/2 - theta below _G_SWITCH, the series from it,
+    which underflows quietly to 0 for a huge a."""
+    g = np.empty(a.shape)
+    near = a < _G_SWITCH
+    g[near] = (_G_WEIGHT * np.exp(-a[near][:, None] * _G_SIN)).sum(axis=1)
+    b2 = (1.0 / a[~near]) ** 2
+    g[~near] = np.polyval(_G_SERIES, b2) * b2 * b2
+    return g
+
+
+def _swapped_zz(material, zs, omegas, cfg) -> list:
+    """K = Integral_0^inf da Im eps_t(a/(2z), omega) G(a) at every point,
+    as the outcomes of one integrate_power_tails batch in a = 2kz with
+    scale 2, seeded at 2z k_nu, 2z k_star and a = 0.1, 0.3, 1, ..., 100, 1000;
+    in a the integrand is at most about |eps(omega)|, whatever z. Im r_s =
+    (omega^2/(4 p^2 c^2)) (4 p^3/pi) Integral dkappa Im eps_t(k)/k^4 is
+    linear in eps_t, so p = k cos theta, kappa = k sin theta swap the p-
+    and kappa-integrals of chi^B_zz: chi^B_zz = hbar omega^2/(2 pi eps0
+    c^4 z) K, and a constant eps_t gives the local closed form.
+    """
+    z2_rows = 2.0 * np.asarray(zs, dtype=float)[:, None]
+    w_rows = np.asarray(omegas, dtype=float)[:, None]
+
+    def integrand(a, owner):
+        return (epsilon_t(material, a / z2_rows[owner], w_rows[owner]).imag
+                * _polar_g(a.ravel()).reshape(a.shape))
+
+    k_nu, k_star = material.k_nu, material.k_star
+    seeds = [0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1000.0]
+    return integrate_power_tails(integrand, [2.0] * len(zs),
+                                 [[2.0 * z * k_nu, 2.0 * z * k_star, *seeds] for z in zs], cfg)
 
 
 def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     """The nonlocal quasistatic integrals at every point, as one batch.
 
-    E: chi_zz = (hbar/eps0) Integral_0^inf dp p^2 e^{-2 p z} Im r_p(p),
-       chi_xx = chi_zz / 2.
-    B: chi_zz = (hbar/(eps0 c^2)) Integral dp p^2 e^{-2 p z} Im r_s(p)
-       chi_xx = (hbar/(2 eps0 c^2)) Integral dp e^{-2 p z}
-                Im[(omega^2/c^2) r_p(p) + p^2 r_s(p)]
-    The two magnetic xx channels are kept separately in
-    decomposition["rp_part"] and decomposition["rs_part"] (signed,
-    T^2 s); the r_s channel equals chi_zz/2 term by term.
+    E: chi_zz = (hbar/eps0) Integral_0^inf dp p^2 e^{-2pz} Im r_p(p),
+       chi_xx = chi_zz/2.
+    B: chi_zz = (hbar/(eps0 c^2)) Integral dp p^2 e^{-2pz} Im r_s(p), one
+       k-integral per point (_swapped_zz); chi_xx = rs_part + rp_part,
+       rs_part = chi_zz/2, rp_part = (hbar omega^2/(2 eps0 c^4))
+       Integral dp e^{-2pz} Im r_p(p), both kept in decomposition.
 
-    Every point is one outer integral of one lockstep run over
-    t = log1p(p/k_nu), where each decade of p above the collision
-    wavevector k_nu costs about one unit of t. Its real part is the p^2
-    channel (E: r_p; B: r_s) and, for B, its imaginary part the r_p
-    channel with weight 1: the engine's per-part test resolves each
-    channel to rel_tol of itself, and max_subdivisions bounds the point.
-    The integrand grows no faster than p^3 e^{-2pz}, so it may be cut
-    at x/(2z) (_tail_cut). That cut is rounded up to T on the grid
-    ..., 1/4, 1/2, 1, 2, 3, ... of t, and the integral runs over [0, T]
-    seeded at the grid points below T, down to the last one at or below
-    t(1/z), near which the integrand peaks, but at least down to 1
-    (_nonlocal_grid); a point whose grid leaves the p the kernel takes
-    gets a DomainError and does not run. Seeds and cuts lie on one grid
-    whatever z, so the points of one omega bisect the same panels and
-    ask for the same p, to the bit. Each channel's error adds the bound
-    on the tail beyond p_U = k_nu expm1(T), |f_c(p_U)| times the tail
-    ratio at x, which holds at p_U >= x/(2z) too, and the inner
-    integrals' error: Im r >= 0 by passivity and the weights are >= 0,
-    so max(err Im r / Im r) over the nodes times the channel bounds
-    Integral w err Im r.
+    The r_p channel of every point (E: weight p^2; B: weight 1) is one
+    integral of one lockstep run over t = log1p(p/k_nu), about one unit
+    of t per decade of p above k_nu. Its integrand grows no faster than
+    p^3 e^{-2pz}, so it is cut at x/(2z) (_tail_cut), rounded up to T on
+    the z-independent grid of _nonlocal_grid, which also seeds it: the
+    points of one omega bisect the same panels and ask for the same p.
+    Its error adds the bound on the tail beyond p_U = k_nu expm1(T),
+    |f(p_U)| times the tail ratio at x, and the inner integrals': Im r_p
+    >= 0 by passivity, so max(err Im r_p/Im r_p) over the nodes times the
+    channel bounds Integral w err Im r_p.
 
-    The batched integrand serves each refinement round and polarization
-    (r_s first) from one dict per polarization from (p, omega) to the
-    kernel's outcome, and passes the kernel only the pairs the batch has
-    not seen, in blocks of at most _KERNEL_BLOCK p; the integrand at the
-    cuts is one such round before the first. Only the omegas of two or
-    more points are kept in the dicts. A p gets the same outcome in any
-    batch, so a point gets the bits and the failure it gets alone. A
-    point's inner error is the first failing p among its own rows: its
-    rows are zero in that round, it is left out of that round's r_p
-    lookup, and it integrates zeros from then on. A point gets its
-    inner QuadratureError, else its outer one.
+    The integrand serves each round from one dict from (p, omega) to the
+    kernel's outcome, which keeps the omegas of two or more points, and
+    passes the kernel the new pairs in blocks of at most _KERNEL_BLOCK p;
+    the integrand at the cuts is one such round before the first. A p
+    gets the same outcome in any batch, so a point gets the bits and the
+    failure it gets alone. A point's inner error is the first failing p
+    among its rows, after which it integrates zeros. A point gets its
+    k-integral's QuadratureError, else its inner one, else its outer one;
+    a point outside _nonlocal_range gets a DomainError and does not run.
     """
     cfg = cfg or QuadratureConfig()
     cfg_inner = cfg.inner()
     k_nu = material.k_nu
     x, ratio = _tail_cut(cfg)
-    grids = [_nonlocal_grid(z, k_nu, x) for z in zs]
+    ranges = {w: _nonlocal_range(material, w) for w in set(omegas)}
+    grids = [_nonlocal_grid(z, k_nu, x, ranges[w]) for z, w in zip(zs, omegas)]
     out = [g if isinstance(g, DomainError) else None for g in grids]
     run = [k for k, o in enumerate(out) if o is None]
     zs, omegas, grids = ([v[k] for k in run] for v in (zs, omegas, grids))
-    # polarization c fills part c of every point; part 0 carries p^2
-    polarizations = ("p",) if field_kind == "E" else ("s", "p")
     z_of, w_of = np.asarray(zs, dtype=float), np.asarray(omegas, dtype=float)
     inner_error = [None] * len(zs)
     failed = np.zeros(len(zs), dtype=bool)
-    # max over the nodes of err(Im r)/Im r, per point and part
-    worst = np.zeros((len(zs), 2))
-    seen = [{} for _ in polarizations]
+    # max over the nodes of err(Im r_p)/Im r_p, per point
+    worst = np.zeros(len(zs))
+    memo = {}
     shared = {w for w, count in Counter(omegas).items() if count > 1}
 
-    def reflection(c, nodes, w):
+    def reflection(nodes, w):
         """The kernel's outcome at every (p, omega) of nodes and w."""
-        memo = seen[c]
         pairs = list(zip(nodes, w))
         new = {pair: None for pair in pairs if pair not in memo}
         keys = list(new)
         for i in range(0, len(keys), _KERNEL_BLOCK):
             block = keys[i:i + _KERNEL_BLOCK]
             p, w_block = zip(*block)
-            new.update(zip(block, nonlocal_reflection_quasistatic(
-                material, p, w_block, polarizations[c], cfg_inner)))
+            new.update(zip(block, nonlocal_reflection_quasistatic(material, p, w_block,
+                                                                  cfg_inner)))
         memo.update((pair, o) for pair, o in new.items() if pair[1] in shared)
         return [new[pair] if pair in new else memo[pair] for pair in pairs]
 
     def integrand(p, owner):
         out = np.zeros(p.shape, dtype=complex)
-        for c, part in enumerate((out.real, out.imag)[:len(polarizations)]):
-            rows = np.flatnonzero(~failed[owner])
-            if not rows.size:
-                break
-            nodes, at = p[rows], owner[rows]
-            r = reflection(c, nodes.ravel().tolist(),
-                           np.repeat(w_of[at], nodes.shape[1]).tolist())
-            im = np.zeros((2, len(r)))
-            for i, o in enumerate(r):
-                if isinstance(o, QuadratureError):
-                    k = at[i // nodes.shape[1]]
-                    if not failed[k]:
-                        failed[k], inner_error[k] = True, o
-                else:
-                    im[:, i] = o.value.imag, o.part_errors[1]
-            keep = ~failed[at]
-            rows, nodes, at = rows[keep], nodes[keep], at[keep]
-            im, im_err = im.reshape(2, keep.size, -1)[:, keep]
-            z = z_of[at][:, None]
-            part[rows] = (nodes * nodes if c == 0 else 1.0) * np.exp(-2.0 * nodes * z) * im
-            ratio_c = np.divide(im_err, im, out=np.where(im_err > 0, np.inf, 0.0), where=im > 0)
-            np.maximum.at(worst[:, c], at, ratio_c.max(axis=1))
+        rows = np.flatnonzero(~failed[owner])
+        if not rows.size:
+            return out
+        nodes, at = p[rows], owner[rows]
+        r = reflection(nodes.ravel().tolist(), np.repeat(w_of[at], nodes.shape[1]).tolist())
+        im = np.zeros((2, len(r)))
+        for i, o in enumerate(r):
+            if isinstance(o, QuadratureError):
+                k = at[i // nodes.shape[1]]
+                if not failed[k]:
+                    failed[k], inner_error[k] = True, o
+            else:
+                im[:, i] = o.value.imag, o.part_errors[1]
+        keep = ~failed[at]
+        rows, nodes, at = rows[keep], nodes[keep], at[keep]
+        im, im_err = im.reshape(2, keep.size, -1)[:, keep]
+        decay = np.exp(-2.0 * nodes * z_of[at][:, None])
+        out.real[rows] = (nodes * nodes * decay if field_kind == "E" else decay) * im
+        ratio_p = np.divide(im_err, im, out=np.where(im_err > 0, np.inf, 0.0), where=im > 0)
+        np.maximum.at(worst, at, ratio_p.max(axis=1))
         return out
 
     ends, seeds = zip(*grids) if grids else ((), ())
     t_end = np.asarray(ends, dtype=float)
-    at_cut = integrand(k_nu * np.expm1(t_end)[:, None], np.arange(t_end.size))[:, 0]
-    tails = (np.stack([np.abs(at_cut.real), np.abs(at_cut.imag)], axis=1) * ratio
-             / (2.0 * z_of)[:, None]).tolist()
+    tails = (np.abs(integrand(k_nu * np.expm1(t_end)[:, None],
+                              np.arange(t_end.size))[:, 0].real)
+             * ratio / (2.0 * z_of)).tolist()
     results = integrate_lockstep(
         lambda t, owner: integrand(k_nu * np.expm1(t), owner) * (k_nu * np.exp(t)),
         [0.0] * t_end.size, t_end, cfg, [list(grid) for grid in seeds])
-    for k, (omega, res) in enumerate(zip(omegas, results)):
-        if inner_error[k] or isinstance(res, QuadratureError):
-            out[run[k]] = inner_error[k] or res
+    swapped = _swapped_zz(material, zs, omegas, cfg) if field_kind == "B" else [None] * len(zs)
+    # Python floats: inf * 0 in err is a NaN and a DomainError, not a warning
+    worst = worst.tolist()
+    for k, (omega, res, zz) in enumerate(zip(omegas, results, swapped)):
+        failure = next((e for e in (zz, inner_error[k], res) if isinstance(e, QuadratureError)),
+                       None)
+        if failure:
+            out[run[k]] = failure
             continue
-        # a channel's error: outer rule, cut tail and inner integrals
-        value = (res.value.real, res.value.imag)
-        err = [res.part_errors[c] + tails[k][c] + worst[k, c] * abs(value[c]) for c in (0, 1)]
+        # the r_p channel's error: outer rule, cut tail and inner integrals
+        value = res.value.real
+        err = res.part_errors[0] + tails[k] + worst[k] * abs(value)
         if field_kind == "E":
-            chi_zz = HBAR / EPS0 * value[0]
-            out[run[k]] = (0.5 * chi_zz, chi_zz, HBAR / EPS0 * err[0], {})
+            chi_zz = HBAR / EPS0 * value
+            out[run[k]] = (0.5 * chi_zz, chi_zz, HBAR / EPS0 * err, {})
         else:
-            scale = HBAR / (EPS0 * C_LIGHT**2)
-            chi_zz = scale * value[0]
-            rs_part = 0.5 * chi_zz
-            rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * value[1]
-            out[run[k]] = (rs_part + rp_part, chi_zz,
-                           scale * (err[0] + 0.5 * (omega / C_LIGHT) ** 2 * err[1]),
-                           {"rs_part": rs_part, "rp_part": rp_part})
+            scale_zz = HBAR * omega**2 / (2.0 * math.pi * EPS0 * C_LIGHT**4 * zs[k])
+            rp_scale = 0.5 * HBAR / (EPS0 * C_LIGHT**2) * (omega / C_LIGHT) ** 2
+            chi_zz, rp_part = scale_zz * zz.value.real, rp_scale * value
+            out[run[k]] = (0.5 * chi_zz + rp_part, chi_zz, scale_zz * zz.error + rp_scale * err,
+                           {"rs_part": 0.5 * chi_zz, "rp_part": rp_part})
     return out
 
 
-def _nonlocal_grid(z, k_nu, x):
+def _nonlocal_grid(z, k_nu, x, limits):
     """(T, seeds) of a nonlocal point on the grid ..., 1/4, 1/2, 1, 2,
     3, ... of t = log1p(p/k_nu): T is the first grid point at or above
     the cut x/(2z), and seeds are the grid points below T, down to the
     last one at or below t(1/z) but at least down to 1. Its DomainError
-    if p_U = k_nu expm1(T) exceeds what the kernel takes, _NONLOCAL_P_MAX,
-    or the p of its lowest grid point lies below _NONLOCAL_P_MIN."""
+    if p_U = k_nu expm1(T) exceeds hi or 0.1/z lies below lo, where
+    (lo, hi) = limits is its omega's _nonlocal_range."""
+    lo, hi = limits
+    t_cut = math.log1p(x / 2.0 / z / k_nu)
+    if not (t_cut > 0 and 0.1 / z >= lo):
+        return DomainError(f"z = {z:.6g} m is too large for the nonlocal model: 0.1/z lies "
+                           f"below {lo:.3g} 1/m, where the kernel leaves the float range")
     try:
-        t_cut = math.log1p(x / 2.0 / z / k_nu)
         if t_cut > 1.0:
             end = float(math.ceil(t_cut))
         else:
             # t = m 2^e with m in [0.5, 1): 2^e, or t itself if m = 0.5
             mantissa, exponent = math.frexp(t_cut)
             end = math.ldexp(1.0, exponent - (mantissa == 0.5))
-        if k_nu * math.expm1(end) <= _NONLOCAL_P_MAX:
+        if k_nu * math.expm1(end) <= hi:
             # far out the integrand peaks near p = 1/z, deep below t = 1
             seed = min(1.0, math.ldexp(1.0, math.frexp(math.log1p(1.0 / z / k_nu))[1] - 1))
             seeds = []
             while seed < min(end, 1.0):
                 seeds.append(seed)
                 seed *= 2.0
-            seeds += [float(t) for t in range(1, math.ceil(end))]
-            if t_cut > 0 and k_nu * math.expm1((seeds or [end])[0]) >= _NONLOCAL_P_MIN:
-                return end, seeds
-            return DomainError(f"z = {z:.6g} m is too large for the nonlocal model: the "
-                               f"wavevector of its lowest grid point of t lies below "
-                               f"{_NONLOCAL_P_MIN:.3g} 1/m, where the kappa-integrals' "
-                               f"k^4 underflows")
+            return end, seeds + [float(t) for t in range(1, math.ceil(end))]
     except OverflowError:  # ceil(inf), or e^T beyond the float range
         pass
     return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
-                       f"wavevector, rounded up to the grid of t, exceeds "
-                       f"{_NONLOCAL_P_MAX:.3g} 1/m, where the kappa-integrals leave "
-                       f"the float range")
+                       f"wavevector, rounded up to the grid of t, exceeds {hi:.3g} 1/m, "
+                       f"where the kernel leaves the float range")
 
 
 def _retarded_range_error(z, omega, eps, g, cut):

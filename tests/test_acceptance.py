@@ -30,7 +30,6 @@ from ewjn.fresnel import nonlocal_reflection_quasistatic
 from ewjn.materials import (
     BOHR_MAGNETON,
     BOHR_RADIUS,
-    C_LIGHT,
     E_CHARGE,
     HBAR,
     K_BOLTZMANN,
@@ -204,16 +203,17 @@ def test_criterion_07_thermal_scaling(copper, lam_f):
 
 
 def test_criterion_08_limiting_forms(copper, omega0, lam_f, cfg, monkeypatch):
-    p = 1.0 / (2.0 * lam_f)
+    # the r_s channel is one k-integral of eps_t per point (spectral):
+    # with eps_t constant, chi^B_zz is the local closed form
+    p, z = 1.0 / (2.0 * lam_f), 10.0 * lam_f
     eps = drude_epsilon(copper, omega0)
     with monkeypatch.context() as frozen:
-        for name in ("epsilon_l", "epsilon_t"):
-            frozen.setattr(f"ewjn.fresnel.{name}", lambda material, k, w: eps)
-        [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg)
-        [(rs, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg)
+        frozen.setattr("ewjn.fresnel.epsilon_l", lambda material, k, w: eps)
+        frozen.setattr("ewjn.spectral.epsilon_t", lambda material, k, w: eps)
+        [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, cfg)
+        zz = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg).chi_zz
     rp_dev = abs(rp / ((eps - 1.0) / (eps + 1.0)) - 1.0)
-    rs_dev = abs(rs / ((eps - 1.0) * omega0**2
-                       / (4.0 * p**2 * C_LIGHT**2)) - 1.0)
+    rs_dev = abs(zz / evaluate(copper, "B", z, omega0, "local-quasistatic").chi_zz - 1.0)
     stub_ok = rp_dev < 10.0 * cfg.rel_tol and rs_dev < 10.0 * cfg.rel_tol
     # collision-free collapse needs nu << omega, so probe well above nu
     w = 1e14

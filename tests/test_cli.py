@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from ewjn import QuadratureConfig, QubitSpec, load_material, t1
+from ewjn import QuadratureConfig, QubitSpec, evaluate, load_material, t1
 from ewjn.materials import BOHR_MAGNETON, BOHR_RADIUS, E_CHARGE, HBAR, K_BOLTZMANN
 from ewjn.cli import main
 
@@ -429,6 +429,25 @@ def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
     else:
         assert out == ""
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--z", "1e72", "--omega", "1e9", "--model", "nonlocal-quasistatic"],
+    # auto keeps the nonlocal model up to a tenth of the skin depth, ~7e47 m
+    ["--z", "1e44", "--omega", "1e-100"],
+], ids=["nonlocal-z-1e72", "auto-z-1e44-omega-1e-100"])
+def test_magnetic_nonlocal_far_out_is_finite_with_warnings_as_errors(argv):
+    # the r_s channel's k-integral stays in the float range here and meets
+    # the local closed form; a fresh interpreter runs with -W error
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ewjn.cli", "spectral",
+                           "--field", "B", *argv], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    doc = loads(proc.stdout)
+    assert doc["model_used"] == "nonlocal-quasistatic"
+    assert all(map(math.isfinite, (doc["chi_xx"], doc["chi_zz"], doc["error_estimate"])))
+    local = evaluate(load_material("copper"), "B", float(argv[1]), float(argv[3]),
+                     "local-quasistatic")
+    assert abs(doc["chi_zz"] / local.chi_zz - 1.0) < 1e-12
 
 
 def test_help_exits_zero(capsys):

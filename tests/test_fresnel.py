@@ -3,7 +3,10 @@
 The golden r_p, r_s values at p = 1/(2 lambda_F) were frozen from runs
 at rel_tol 1e-10 cross-checked against a fixed-grid trapezoid
 evaluation of the same kappa-integrals; tolerances reflect which of the
-two references is being compared against.
+two references is being compared against. The package computes the
+magnetic r_s channel as one k-integral per point (spectral); r_s itself
+comes from the nested oracle nested_r_s (conftest), whose checks here
+pin that oracle, and the r_s checks of the package run at the chi level.
 """
 
 import math
@@ -19,6 +22,7 @@ from ewjn.fresnel import (
 )
 from ewjn.materials import C_LIGHT, M_ELECTRON, drude_epsilon, epsilon_l, epsilon_t
 from ewjn.quadrature import integrate_power_tails
+from ewjn.spectral import _swapped_zz, evaluate
 
 
 def rel(a, b):
@@ -91,50 +95,49 @@ def test_local_reflection_q_matches_mpmath_near_grazing_turn(copper, omega0):
 
 def test_nonlocal_rp_golden(copper, omega0, lam_f):
     p = 1.0 / (2.0 * lam_f)
-    [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p")
+    [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0)
     assert rel(rp, 0.8850806463958903 + 2.2095472224834032e-08j) < 1e-6
     # fixed-grid trapezoid reference truncates the kappa tail at a hard
     # cutoff, which biases it by ~5e-5; agreement is checked at 3e-4
     assert rel(rp, 0.8851256440850838 + 2.2096527094353618e-08j) < 3e-4
 
 
-def test_nonlocal_rs_golden(copper, omega0, lam_f):
+def test_nonlocal_rs_golden(copper, omega0, lam_f, nested_r_s):
     p = 1.0 / (2.0 * lam_f)
-    [(rs, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s")
+    [(rs, *_)] = nested_r_s(copper, [p], omega0)
     assert rel(rs, -1.6810285479893236e-15 + 1.3462629501361742e-09j) < 1e-6
 
 
 def test_nonlocal_constant_eps_stubs(copper, omega0, lam_f, cfg, monkeypatch):
-    # frozen permittivity turns both kappa-integrals analytic:
-    # I_p = 1/eps and J_p = eps
+    # frozen permittivity turns the kappa-integral analytic: I_p = 1/eps;
+    # the r_s half, J_p = eps, is the chi-level check
+    # test_swapped_zz_of_a_constant_eps_t_is_the_local_form
     eps = drude_epsilon(copper, omega0)
     p = 1.0 / (2.0 * lam_f)
-    for name in ("epsilon_l", "epsilon_t"):
-        monkeypatch.setattr(f"ewjn.fresnel.{name}", lambda material, k, w: eps)
-    [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg)
-    [(rs, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg)
+    monkeypatch.setattr("ewjn.fresnel.epsilon_l", lambda material, k, w: eps)
+    [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, cfg)
     assert rel(rp, (eps - 1.0) / (eps + 1.0)) < 10.0 * cfg.rel_tol
-    assert rel(rs, (eps - 1.0) * omega0**2 / (4.0 * p**2 * C_LIGHT**2)) \
-        < 10.0 * cfg.rel_tol
 
 
 def test_nonlocal_rs_frozen_eps_omega_scaling(copper, omega0, lam_f, cfg, monkeypatch):
-    # with eps_t frozen the J_p integral cannot depend on omega, so the
-    # only omega left is the explicit prefactor: exactly quadratic
+    # with eps_t frozen the swapped k-integral of the r_s channel cannot
+    # depend on omega, so the only omega left in chi^B_zz is the explicit
+    # prefactor: exactly quadratic
     eps = -5.0 + 3.0j
-    p = 1.0 / (2.0 * lam_f)
-    monkeypatch.setattr("ewjn.fresnel.epsilon_t", lambda material, k, w: eps)
-    [(r1, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg)
-    [(r2, *_)] = nonlocal_reflection_quasistatic(copper, [p], 2.0 * omega0, "s", cfg)
-    assert rel(r2, 4.0 * r1) < 1e-12
+    monkeypatch.setattr("ewjn.spectral.epsilon_t", lambda material, k, w: eps)
+    chi1, chi2 = (evaluate(copper, "B", 10.0 * lam_f, w, "nonlocal-quasistatic", cfg).chi_zz
+                  for w in (omega0, 2.0 * omega0))
+    assert rel(chi2, 4.0 * chi1) < 1e-12
 
 
-def test_nonlocal_vacuum_limit(vacuumish, omega0, lam_f):
-    # I_p and J_p both evaluate to 1 up to quadrature noise, so the
-    # residual reflection is bounded by the relative tolerance
+def test_nonlocal_vacuum_limit(vacuumish, omega0, lam_f, cfg):
+    # I_p evaluates to 1 up to quadrature noise, so the residual
+    # reflection is bounded by the relative tolerance; eps_t is exactly
+    # 1, so the r_s channel's k-integral is exactly 0
     p = 1.0 / (2.0 * lam_f)
-    assert abs(nonlocal_reflection_quasistatic(vacuumish, [p], omega0, "p")[0].value) < 1e-7
-    assert abs(nonlocal_reflection_quasistatic(vacuumish, [p], omega0, "s")[0].value) < 1e-15
+    assert abs(nonlocal_reflection_quasistatic(vacuumish, [p], omega0)[0].value) < 1e-7
+    [k_integral] = _swapped_zz(vacuumish, [10.0 * lam_f], [omega0], cfg)
+    assert k_integral.value == 0.0
 
 
 def test_nonlocal_recovers_local_for_slow_fermi_sea(copper, omega0):
@@ -144,40 +147,34 @@ def test_nonlocal_recovers_local_for_slow_fermi_sea(copper, omega0):
                     collision_rate=copper.collision_rate,
                     fermi_energy=copper.fermi_energy / 1e6)
     eps = drude_epsilon(copper, omega0)
-    [(rp, *_)] = nonlocal_reflection_quasistatic(slow, [1e7], omega0, "p")
+    [(rp, *_)] = nonlocal_reflection_quasistatic(slow, [1e7], omega0)
     assert rel(rp, (eps - 1.0) / (eps + 1.0)) < 1e-4
 
 
 def test_nonlocal_dissipative_sign(copper, omega0, lam_f, cfg_fast):
     for p in (1e6, 1e8, 1.0 / (2.0 * lam_f)):
-        for polarization in ("p", "s"):
-            [(r, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, polarization,
-                                                        cfg_fast)
-            assert r.imag > 0.0
-    assert nonlocal_reflection_quasistatic(copper, [1e8], 1e10, "p", cfg_fast)[0].value.imag > 0.0
+        [(r, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, cfg_fast)
+        assert r.imag > 0.0
+    assert nonlocal_reflection_quasistatic(copper, [1e8], 1e10, cfg_fast)[0].value.imag > 0.0
 
 
 def test_nonlocal_domain(copper, omega0):
     with pytest.raises(DomainError):
-        nonlocal_reflection_quasistatic(copper, [0.0], omega0, "p")
+        nonlocal_reflection_quasistatic(copper, [0.0], omega0)
     with pytest.raises(DomainError):
-        nonlocal_reflection_quasistatic(copper, [-1.0], omega0, "s")
+        nonlocal_reflection_quasistatic(copper, [-1.0], omega0)
     with pytest.raises(DomainError):
-        nonlocal_reflection_quasistatic(copper, [1e8], 0.0, "p")
+        nonlocal_reflection_quasistatic(copper, [1e8], 0.0)
 
 
 # ----------------------------------------------------------- batched kernel
 
-def _reference_r(material, p, omega, cfg, transverse):
-    """One kappa-integral as a power-tail batch of one, combined on Python
-    scalars."""
-    eps_fn = epsilon_t if transverse else epsilon_l
-
+def _reference_r(material, p, omega, cfg):
+    """One kappa-integral of r_p as a power-tail batch of one, combined on
+    Python scalars."""
     def integrand(kappa, owner):
         k2 = p * p + kappa * kappa
-        eps = eps_fn(material, np.sqrt(k2), omega)
-        # J_p's real part is carried as Re - Im, I_p's parts as they are
-        return eps / (k2 * k2) - (eps / (k2 * k2)).imag if transverse else 1.0 / (k2 * eps)
+        return 1.0 / (k2 * epsilon_l(material, np.sqrt(k2), omega))
 
     k_nu, k_star = material.k_nu, material.k_star
     breaks = [x for x in (0.3 * p, p, 3.0 * p, k_nu, k_star, 3.0 * k_star) if x > 0]
@@ -187,10 +184,6 @@ def _reference_r(material, p, omega, cfg, transverse):
         breaks.append(octave)
         octave *= 0.5
     [(value, *_)] = integrate_power_tails(integrand, [max(p, k_star)], [breaks], cfg)
-    if transverse:
-        value = complex(value.real + value.imag, value.imag)
-        j_p = (4.0 * p**3 / math.pi) * value
-        return omega**2 / (4.0 * p**2 * C_LIGHT**2) * (j_p - 1.0)
     i_p = (2.0 * p / math.pi) * value
     return (1.0 - i_p) / (1.0 + i_p)
 
@@ -200,31 +193,26 @@ def test_nonlocal_batch_matches_scalar_bitwise(copper, omega0, cfg, monkeypatch)
     eps = drude_epsilon(copper, omega0)
     for frozen in (False, True):
         if frozen:
-            for name in ("epsilon_l", "epsilon_t"):
-                monkeypatch.setattr(f"ewjn.fresnel.{name}", lambda material, k, w: eps)
-        r_p = nonlocal_reflection_quasistatic(copper, ps, omega0, "p", cfg)
-        r_s = nonlocal_reflection_quasistatic(copper, ps, omega0, "s", cfg)
+            monkeypatch.setattr("ewjn.fresnel.epsilon_l", lambda material, k, w: eps)
+        r_p = nonlocal_reflection_quasistatic(copper, ps, omega0, cfg)
         for i, p in enumerate(ps.tolist()):
-            assert [r_p[i]] == nonlocal_reflection_quasistatic(copper, [p], omega0, "p", cfg)
-            assert [r_s[i]] == nonlocal_reflection_quasistatic(copper, [p], omega0, "s", cfg)
+            assert [r_p[i]] == nonlocal_reflection_quasistatic(copper, [p], omega0, cfg)
             if not frozen and i % 4 == 0:
-                assert r_p[i].value == _reference_r(copper, p, omega0, cfg, False)
-                assert r_s[i].value == _reference_r(copper, p, omega0, cfg, True)
+                assert r_p[i].value == _reference_r(copper, p, omega0, cfg)
 
 
-@pytest.mark.parametrize("polarization,max_subdivisions,pattern",
-                         [("p", 1, "xx......"), ("s", 2, "xxxx....")],
-                         ids=["p-xx......", "s-xxxx...."])
-def test_nonlocal_batch_failure_stays_in_its_slot(copper, omega0, polarization,
-                                                  max_subdivisions, pattern):
-    # at rel_tol 1e-12 and these budgets the kappa-integrals of the
+# the r_s channel's failures are the chi-level "s" kind of
+# test_spectral.py's z-batch cases
+@pytest.mark.parametrize("max_subdivisions,pattern", [(1, "xx......")], ids=["p-xx......"])
+def test_nonlocal_batch_failure_stays_in_its_slot(copper, omega0, max_subdivisions, pattern):
+    # at rel_tol 1e-12 and this budget the kappa-integrals of the
     # smallest p run out
     cfg = QuadratureConfig(rel_tol=1e-12, max_subdivisions=max_subdivisions)
     ps = np.geomspace(1e5, 1e12, 8)
-    r = nonlocal_reflection_quasistatic(copper, ps, omega0, polarization, cfg)
+    r = nonlocal_reflection_quasistatic(copper, ps, omega0, cfg)
     assert "".join("x" if isinstance(o, QuadratureError) else "." for o in r) == pattern
     for p, got in zip(ps.tolist(), r):
-        [alone] = nonlocal_reflection_quasistatic(copper, [p], omega0, polarization, cfg)
+        [alone] = nonlocal_reflection_quasistatic(copper, [p], omega0, cfg)
         if isinstance(alone, QuadratureError):
             assert (str(got), got.best_estimate, got.error_bound) \
                 == (str(alone), alone.best_estimate, alone.error_bound)
@@ -234,13 +222,13 @@ def test_nonlocal_batch_failure_stays_in_its_slot(copper, omega0, polarization,
 
 def test_nonlocal_batch_domain(copper, omega0):
     with pytest.raises(DomainError):
-        nonlocal_reflection_quasistatic(copper, [1e8, 0.0], omega0, "p")
+        nonlocal_reflection_quasistatic(copper, [1e8, 0.0], omega0)
     with pytest.raises(DomainError):
-        nonlocal_reflection_quasistatic(copper, [1e8], omega0, "x")
+        nonlocal_reflection_quasistatic(copper, [1e8, 1e9], [omega0, -omega0])
 
 
 @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
-def test_surface_integrals_match_scipy_quad(copper, omega0, cfg):
+def test_surface_integrals_match_scipy_quad(copper, omega0, cfg, nested_r_s):
     # independent oracle: QUADPACK on the same kappa-integrands. Its
     # half-line rule misjudges these tails, so the range is cut into
     # decades up to K = 1e6 max(p, k_star) and closed analytically with
@@ -248,7 +236,8 @@ def test_surface_integrals_match_scipy_quad(copper, omega0, cfg):
     integrate = pytest.importorskip("scipy.integrate")
     ps = np.array([1e6, 1e7, 1e8, 1e9, 1e10])
     for transverse, eps_fn in ((False, epsilon_l), (True, epsilon_t)):
-        r = nonlocal_reflection_quasistatic(copper, ps, omega0, "ps"[transverse], cfg)
+        r = (nested_r_s if transverse else nonlocal_reflection_quasistatic)(copper, ps, omega0,
+                                                                            cfg)
         for p, r_p_or_s in zip(ps.tolist(), (o.value for o in r)):
             def f(kappa):
                 k2 = p * p + kappa * kappa
@@ -309,14 +298,14 @@ def _mp_imaginary_surface_integrals(mp, material, p, omega):
 
 
 @pytest.mark.parametrize("omega", [1e7, 1e9])
-def test_imaginary_surface_integrals_match_mpmath(copper, omega):
+def test_imaginary_surface_integrals_match_mpmath(copper, omega, nested_r_s):
     # Im I_p is 1e-9..1e-5 of |I_p| here: the kernel must resolve it to
     # its own rel_tol, not to rel_tol of |I_p|
     mp = pytest.importorskip("mpmath")
     ps = [2.0 * copper.k_nu, math.sqrt(copper.k_nu * copper.k_star), 0.5 * copper.k_star]
     cfg = QuadratureConfig(rel_tol=1e-11)
-    r_p = nonlocal_reflection_quasistatic(copper, ps, omega, "p", cfg)
-    r_s = nonlocal_reflection_quasistatic(copper, ps, omega, "s", cfg)
+    r_p = nonlocal_reflection_quasistatic(copper, ps, omega, cfg)
+    r_s = nested_r_s(copper, ps, omega, cfg)
     for p, rp, rs in zip(ps, r_p, r_s):
         im_i, im_j = _mp_imaginary_surface_integrals(mp, copper, p, omega)
         with mp.workdps(30):

@@ -25,7 +25,7 @@ from ewjn import (
 )
 from ewjn.fresnel import nonlocal_reflection_quasistatic
 from ewjn.materials import C_LIGHT, EPS0, HBAR, drude_epsilon, skin_depth
-from ewjn.quadrature import integrate_lockstep
+from ewjn.quadrature import integrate_lockstep, integrate_power_tails
 from ewjn.spectral import _tail_cut
 
 
@@ -147,50 +147,86 @@ def _give_inner_integrals_a_budget(monkeypatch, budget):
             inner(self), max_subdivisions=budget))
 
 
-def _chi_B_two_passes(material, z, omega, cfg):
-    """Nonlocal chi^B with the r_s and r_p channels in separate passes
-    over p = k_nu expm1(t), each on the seeds and rounded cut of
-    _nonlocal_grid, with the tail bound at the cut and its inner
-    integrals' error bound."""
+def _give_the_k_integrals_a_budget(monkeypatch, budget):
+    """Let the swapped r_s channel's k-integrals run on max_subdivisions
+    budget, whatever the cfg of their batch."""
+    import ewjn.spectral as spectral
+
+    swapped = spectral._swapped_zz
+    monkeypatch.setattr(spectral, "_swapped_zz", lambda material, zs, omegas, cfg: swapped(
+        material, zs, omegas, dataclasses.replace(cfg, max_subdivisions=budget)))
+
+
+def _rp_channel(material, z, omega, cfg, weight):
+    """The integral of weight(p) e^{-2pz} Im r_p over p = k_nu expm1(t)
+    alone, on the seeds and rounded cut of _nonlocal_grid, and its error
+    with the tail bound at the cut and its inner integrals' error bound;
+    the first failing inner integral raises."""
     import ewjn.spectral as spectral
 
     inner, k_nu = cfg.inner(), material.k_nu
     x, ratio = _tail_cut(cfg)
-    end, seeds = spectral._nonlocal_grid(z, k_nu, x)
+    end, seeds = spectral._nonlocal_grid(z, k_nu, x, spectral._nonlocal_range(material, omega))
     cut = k_nu * np.expm1(end)
+    # the largest err(Im r)/Im r of the channel's nodes, cut included
+    worst = [0.0]
 
-    def channel(polarization, weight):
-        # the largest err(Im r)/Im r of the channel's nodes, cut included
-        worst = [0.0]
+    def f(p):
+        r = nonlocal_reflection_quasistatic(material, p.ravel(), omega, inner)
+        for outcome in r:
+            if isinstance(outcome, QuadratureError):
+                raise outcome
+            im, err = outcome.value.imag, outcome.part_errors[1]
+            worst[0] = max(worst[0], err / im if im > 0 else math.inf if err > 0 else 0.0)
+        im = np.reshape([outcome.value.imag for outcome in r], p.shape)
+        return weight(p) * np.exp(-2.0 * p * z) * im
 
-        def f(p):
-            r = nonlocal_reflection_quasistatic(material, p.ravel(), omega, polarization,
-                                                inner)
-            # the first failing p raises, as in a pass of this channel alone
-            for outcome in r:
-                if isinstance(outcome, QuadratureError):
-                    raise outcome
-                im, err = outcome.value.imag, outcome.part_errors[1]
-                worst[0] = max(worst[0], err / im if im > 0 else math.inf if err > 0 else 0.0)
-            im = np.reshape([outcome.value.imag for outcome in r], p.shape)
-            return weight(p) * np.exp(-2.0 * p * z) * im
+    tail = abs(f(np.array([[cut]]))[0, 0]) * ratio / (2.0 * z)
+    [res] = integrate_lockstep(
+        lambda t, owner: f(k_nu * np.expm1(t)) * (k_nu * np.exp(t)),
+        [0.0], [end], cfg, [seeds])
+    if isinstance(res, QuadratureError):
+        raise res
+    return res.value.real, res.error + tail + worst[0] * abs(res.value.real)
 
-        tail = abs(f(np.array([[cut]]))[0, 0]) * ratio / (2.0 * z)
-        [res] = integrate_lockstep(
-            lambda t, owner: f(k_nu * np.expm1(t)) * (k_nu * np.exp(t)),
-            [0.0], [end], cfg, [seeds])
-        if isinstance(res, QuadratureError):
-            raise res
-        return res.value, res.error + tail + worst[0] * abs(res.value.real)
 
-    val_s, err_s = channel("s", lambda p: p * p)
-    val_p, err_p = channel("p", lambda p: 1.0)
-    scale = HBAR / (EPS0 * C_LIGHT**2)
-    rs_part = 0.5 * (scale * val_s.real)
-    rp_part = 0.5 * scale * (omega / C_LIGHT) ** 2 * val_p.real
-    return (rs_part + rp_part, scale * val_s.real,
-            scale * (err_s + 0.5 * (omega / C_LIGHT) ** 2 * err_p),
+def _chi_B_two_passes(material, z, omega, cfg):
+    """Nonlocal chi^B from its two channels run alone: the swapped r_s
+    channel's k-integral as a batch of one, then the r_p channel's pass
+    over p; the first failure raises."""
+    import ewjn.spectral as spectral
+
+    [zz] = spectral._swapped_zz(material, [z], [omega], cfg)
+    if isinstance(zz, QuadratureError):
+        raise zz
+    val_p, err_p = _rp_channel(material, z, omega, cfg, lambda p: 1.0)
+    scale_zz = HBAR * omega**2 / (2.0 * math.pi * EPS0 * C_LIGHT**4 * z)
+    rs_part = 0.5 * (scale_zz * zz.value.real)
+    rp_scale = 0.5 * HBAR / (EPS0 * C_LIGHT**2) * (omega / C_LIGHT) ** 2
+    rp_part = rp_scale * val_p
+    return (rs_part + rp_part, scale_zz * zz.value.real, scale_zz * zz.error + rp_scale * err_p,
             {"rs_part": rs_part, "rp_part": rp_part})
+
+
+def _chi_zz_nested(material, z, omega, cfg, nested_r_s):
+    """chi^B_zz in the other integration order: (hbar/(eps0 c^2)) times
+    the integral of p^2 e^{-2pz} Im r_s over p = k_nu expm1(t), on the
+    seeds and rounded cut of _nonlocal_grid, with r_s from the nested
+    kappa-integrals of nested_r_s."""
+    import ewjn.spectral as spectral
+
+    k_nu = material.k_nu
+    end, seeds = spectral._nonlocal_grid(z, k_nu, _tail_cut(cfg)[0],
+                                         spectral._nonlocal_range(material, omega))
+
+    def f(t, owner):
+        p = k_nu * np.expm1(t)
+        r = nested_r_s(material, p.ravel(), omega, cfg.inner())
+        im = np.reshape([outcome.value.imag for outcome in r], p.shape)
+        return p * p * np.exp(-2.0 * p * z) * im * (k_nu * np.exp(t))
+
+    [res] = integrate_lockstep(f, [0.0], [end], cfg, [seeds])
+    return HBAR / (EPS0 * C_LIGHT**2) * res.value.real
 
 
 @pytest.mark.parametrize("z_over_lam_f", [1.0, 30.0, 3000.0])
@@ -202,7 +238,7 @@ def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, cfg_fast, z_o
 
 
 @pytest.mark.parametrize("z_over_lam_f,rel_tol,max_subdivisions", [
-    (30.0, 1e-10, 1),    # an inner r_s integral runs out of budget first
+    (1.0, 1e-10, 1),    # the r_s channel's k-integral runs out of budget first
 ], ids=["1e-10-1"])
 def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, z_over_lam_f, rel_tol,
                                                   max_subdivisions):
@@ -218,44 +254,109 @@ def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, z_over_
 
 
 def test_chi_B_nonlocal_outer_failure_equals_its_run_alone(copper, omega0, lam_f, monkeypatch):
-    # with inner integrals on a budget of their own, the one outer
-    # integral of the point at 300 lambda_F runs out, its two channels
-    # together, while its neighbours converge
+    # with inner integrals and the r_s channel's k-integrals on budgets
+    # of their own, the outer r_p integral of the point at 300 lambda_F
+    # runs out while its neighbours converge
     import ewjn.spectral as spectral
 
     parts = {}
     monkeypatch.setattr(spectral, "integrate_lockstep",
                         _recording(parts, "outer", spectral.integrate_lockstep))
     _give_inner_integrals_a_budget(monkeypatch, 2000)
+    _give_the_k_integrals_a_budget(monkeypatch, 2000)
     cfg = QuadratureConfig(rel_tol=1e-11, max_subdivisions=1)
     zs = [10.0 * lam_f, 300.0 * lam_f, 1000.0 * lam_f]
     batch = evaluate_batch(copper, "B", zs, omega0, "nonlocal-quasistatic", cfg)
     failure = batch[1]
     assert any(failure is r for r in parts["outer"])
-    # the r_s channel in the real part, the r_p channel in the imaginary
-    assert failure.best_estimate.real > 0.0 and failure.best_estimate.imag > 0.0
+    # the r_p channel in the real part
+    assert failure.best_estimate.real > 0.0 and failure.best_estimate.imag == 0.0
     assert not any(isinstance(o, QuadratureError) for o in batch[::2])
     for z, outcome in zip(zs, batch):
         _assert_same_outcome(outcome, copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
 
 
 def test_nonlocal_B_point_is_one_outer_integral(copper, omega0, lam_f, monkeypatch):
-    # its r_s and r_p channels are the two parts of one integral
+    # its r_p channel is one outer integral and its r_s channel one
+    # k-integral, and each runs as one batch of all points
     import ewjn.spectral as spectral
 
-    sizes = []
-    lockstep = spectral.integrate_lockstep
+    sizes, k_sizes = [], []
+    lockstep, power_tails = spectral.integrate_lockstep, spectral.integrate_power_tails
 
     def counted(f, a, b, cfg, breakpoints):
         sizes.append(len(a))
         return lockstep(f, a, b, cfg, breakpoints)
 
+    def k_counted(f, scales, breakpoints, cfg):
+        k_sizes.append(len(scales))
+        return power_tails(f, scales, breakpoints, cfg)
+
     monkeypatch.setattr(spectral, "integrate_lockstep", counted)
+    monkeypatch.setattr(spectral, "integrate_power_tails", k_counted)
     zs = np.geomspace(lam_f, 3000.0 * lam_f, 7).tolist()
     batch = evaluate_batch(copper, "B", zs, omega0, "nonlocal-quasistatic",
                            QuadratureConfig(rel_tol=1e-6))
     assert not any(isinstance(o, Exception) for o in batch)
-    assert sizes == [len(zs)]
+    assert sizes == k_sizes == [len(zs)]
+
+
+# the fifteen (z, omega) points from lambda_F to 3000 lambda_F and 1e7 to
+# 1e11 rad/s, and the heights of test_nonlocal_meets_local_far_from_the_surface
+_ORDER_POINTS = ([(f * COPPER.fermi_wavelength, w) for f in (1.0, 10.0, 30.0, 300.0, 3000.0)
+                  for w in (1e7, 6e8 * math.pi, 1e11)]
+                 + [(z, 6e8 * math.pi) for z in (1e-4, 1e-3, 1e-2)])
+
+
+def test_chi_B_zz_two_integration_orders_agree(copper, nested_r_s):
+    # chi^B_zz as one k-integral per point against the p-integral of the
+    # nested r_s (p outer, kappa inner), both at rel_tol 1e-12; and the
+    # run at the default rel_tol lies within its error_estimate of it
+    tight = QuadratureConfig(rel_tol=1e-12)
+    zs, omegas = (list(v) for v in zip(*_ORDER_POINTS))
+    swapped, default = (evaluate_batch(copper, "B", zs, omegas, "nonlocal-quasistatic", cfg)
+                        for cfg in (tight, None))
+    for z, omega, a, b in zip(zs, omegas, swapped, default):
+        nested = _chi_zz_nested(copper, z, omega, tight, nested_r_s)
+        assert rel(a.chi_zz, nested) <= 1e-12
+        assert abs(b.chi_zz - nested) <= b.error_estimate
+
+
+def test_swapped_zz_of_a_constant_eps_t_is_the_local_form(copper, omega0, lam_f, cfg,
+                                                        monkeypatch):
+    # J_p = eps for a constant eps_t, and so the swapped k-integral gives
+    # hbar omega^2 Im eps/(8 eps0 c^4 z) (the r_s half of criterion 08)
+    eps = drude_epsilon(copper, omega0)
+    monkeypatch.setattr("ewjn.spectral.epsilon_t", lambda material, k, w: eps)
+    for z in (lam_f, 10.0 * lam_f, 1e-4):
+        nonlocal_ = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
+        local = evaluate(copper, "B", z, omega0, "local-quasistatic")
+        assert rel(nonlocal_.chi_zz, local.chi_zz) < 10.0 * cfg.rel_tol
+
+
+def _mp_polar_g(mp, a):
+    """G(a) = Integral_0^{pi/2} sin^3 u e^{-a sin u} du at the working
+    precision, cut where e^{-a sin u} turns."""
+    a = mp.mpf(a)
+    cuts = [c / (a + 1) for c in (1, 10, 100) if c / (a + 1) < mp.pi / 2]
+    return mp.quad(lambda u: mp.sin(u) ** 3 * mp.exp(-a * mp.sin(u)), [0] + cuts + [mp.pi / 2])
+
+
+def test_polar_weight_matches_mpmath_across_the_switch():
+    mp = pytest.importorskip("mpmath")
+    from ewjn.spectral import _G_SWITCH, _polar_g
+
+    a = np.array([0.0, 1e-3, 0.3, 1.0, 4.0, 17.0, 35.0, math.nextafter(_G_SWITCH, 0.0),
+                  _G_SWITCH, 75.0, 200.0, 1e3, 1e5])
+    with mp.workdps(30):
+        for x, got in zip(a.tolist(), _polar_g(a).tolist()):
+            assert abs(got / _mp_polar_g(mp, x) - 1) <= 1e-15
+    # G(0) = Integral sin^3 = 2/3, and Integral_0^inf G da = Integral cos^2 = pi/4
+    assert abs(_polar_g(np.zeros(1))[0] - 2.0 / 3.0) <= 2.0**-53
+    [total] = integrate_power_tails(lambda x, owner: _polar_g(x.ravel()).reshape(x.shape),
+                                    [2.0], [[0.2, 2.0, 20.0, _G_SWITCH]],
+                                    QuadratureConfig(rel_tol=1e-13))
+    assert rel(total.value, math.pi / 4.0) <= 1e-13
 
 
 def test_nonlocal_to_local_ratios(copper, omega0, lam_f, e_nl_10, b_nl_10):
@@ -546,17 +647,18 @@ _Z_BATCH_CASES = [
     ("nonlocal-quasistatic", "B", 1e-8, 2000, ".........", None, None),
     # budgets tight enough that outer and inner integrals run out
     ("nonlocal-quasistatic", "E", 1e-12, 2, ".ooooiiii", None, 6),
-    ("nonlocal-quasistatic", "B", 3e-12, 1, ".o.oo.iis", None, 5),
-    # on a large outer budget, inner r_p integrals fail at two points
-    # and an inner r_s one at the last
-    ("nonlocal-quasistatic", "B", 3e-12, 2000, "......iis", None, 5),
+    # the r_s channel's k-integrals run on the outer budget, and a
+    # point's k-integral error comes before its r_p channel's
+    ("nonlocal-quasistatic", "B", 3e-12, 1, "ss....iii", None, 5),
+    # on a large outer budget, inner r_p integrals fail at three points
+    ("nonlocal-quasistatic", "B", 3e-12, 2000, "......iii", None, 5),
     ("local-quasistatic", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
     ("local-retarded", "E", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
     ("auto", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
     # outer failures at nonlocal points (0-5) and at retarded ones (6-8)
     ("auto", "E", 1e-11, 2, "...oo.ooo", _OMEGA_PER_Z, 4),
     ("nonlocal-quasistatic", "E", 1e-12, 3, ".ooooiiii", _OMEGA_PER_Z, 6),
-    ("nonlocal-quasistatic", "B", 3e-13, 3, "....o..ii", _OMEGA_PER_Z, 8),
+    ("nonlocal-quasistatic", "B", 3e-13, 3, "s...o..ii", _OMEGA_PER_Z, 8),
     ("nonlocal-quasistatic", "B", 3e-13, 4, ".......ii", _OMEGA_PER_Z, 8),
 ]
 
@@ -571,44 +673,37 @@ def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind
                                         monkeypatch):
     import ewjn.spectral as spectral
 
-    parts, inner_s = {}, []
+    parts = {}
     monkeypatch.setattr(spectral, "integrate_lockstep",
                         _recording(parts, "outer", spectral.integrate_lockstep))
-    kernel = spectral.nonlocal_reflection_quasistatic
-
-    def recorded_kernel(material, p, omega, polarization, cfg):
-        r = kernel(material, p, omega, polarization, cfg)
-        if polarization == "s":
-            inner_s.extend(o for o in r if isinstance(o, QuadratureError))
-        return r
-
-    monkeypatch.setattr(spectral, "nonlocal_reflection_quasistatic", recorded_kernel)
+    monkeypatch.setattr(spectral, "integrate_power_tails",
+                        _recording(parts, "swapped", spectral.integrate_power_tails))
     _give_inner_integrals_a_budget(monkeypatch, inner_budget)
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     zs = [float(z) for z in np.geomspace(lam_f, 3000.0 * lam_f, 9)]
     batch = evaluate_batch(copper, field_kind, zs, omegas or omega0, model, cfg)
     # "." a tensor, "o" an outer integral's error, "i" an inner r_p
-    # integral's, "s" an inner r_s integral's
-    outer = parts.get("outer", [])
+    # integral's, "s" the r_s channel's k-integral's
+    outer, swapped = parts.get("outer", []), parts.get("swapped", [])
     assert "".join("." if not isinstance(o, QuadratureError) else
                    "o" if any(o is r for r in outer) else
-                   "s" if any(o is r for r in inner_s) else "i" for o in batch) == pattern
+                   "s" if any(o is r for r in swapped) else "i" for o in batch) == pattern
     for z, omega, outcome in zip(zs, omegas or [omega0] * len(zs), batch):
         _assert_same_outcome(outcome, copper, field_kind, z, omega, model, cfg)
 
 
 def _kernel_requests(monkeypatch):
     """Each call of the nonlocal kernel from spectral, as its list of (p,
-    omega, polarization)."""
+    omega)."""
     import ewjn.spectral as spectral
 
     calls = []
     kernel = spectral.nonlocal_reflection_quasistatic
 
-    def logged(material, p, omega, polarization, cfg):
-        calls.append([(q, w, polarization) for q, w in
-                      zip(np.asarray(p).tolist(), np.broadcast_to(omega, len(p)).tolist())])
-        return kernel(material, p, omega, polarization, cfg)
+    def logged(material, p, omega, cfg):
+        calls.append(list(zip(np.asarray(p).tolist(),
+                              np.broadcast_to(omega, len(p)).tolist())))
+        return kernel(material, p, omega, cfg)
 
     monkeypatch.setattr(spectral, "nonlocal_reflection_quasistatic", logged)
     return calls
@@ -707,19 +802,22 @@ def test_nonlocal_z_below_the_cut_bound_is_a_domain_error(copper, omega0, field_
     import ewjn.spectral as spectral
 
     # the smallest z whose cut, rounded up to the grid of t, is the last
-    # grid point below the bound: it runs without leaving the float range
+    # grid point below the bound: it passes the range check
     x, _ = _tail_cut(QuadratureConfig())
-    k_nu = copper.k_nu
-    top = k_nu * math.expm1(math.floor(math.log1p(spectral._NONLOCAL_P_MAX / k_nu)))
+    k_nu, p_max = copper.k_nu, spectral._nonlocal_range(copper, omega0)[1]
+    top = k_nu * math.expm1(math.floor(math.log1p(p_max / k_nu)))
     z_min = x / (2.0 * top)
     cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
     edge, below, tiny = evaluate_batch(copper, field_kind, [z_min, z_min / 3.0, 1e-300],
                                        omega0, "nonlocal-quasistatic", cfg)
-    assert not isinstance(edge, DomainError)
+    # there, some 1e139 above k_star, Im r_p is not resolved and the B
+    # point's inner error bound is infinite, which is a DomainError of
+    # its own ("chi is not finite")
+    assert not (isinstance(edge, DomainError) and "too small" in str(edge))
     for outcome in (below, tiny):
         assert isinstance(outcome, DomainError)
         assert "too small for the nonlocal model" in str(outcome)
-        assert f"exceeds {spectral._NONLOCAL_P_MAX:.3g} 1/m" in str(outcome)
+        assert f"exceeds {p_max:.3g} 1/m" in str(outcome)
 
 
 @pytest.mark.parametrize("field_kind", ["E", "B"])
@@ -732,7 +830,7 @@ def test_nonlocal_z_above_the_low_p_bound_is_a_domain_error(copper, field_kind):
     assert near == evaluate(copper, field_kind, 1e-8, 1e9, "nonlocal-quasistatic")
     assert isinstance(far, DomainError)
     assert "too large for the nonlocal model" in str(far)
-    assert f"below {spectral._NONLOCAL_P_MIN:.3g} 1/m" in str(far)
+    assert f"below {spectral._nonlocal_range(copper, 1e9)[0]:.3g} 1/m" in str(far)
 
 
 @pytest.mark.parametrize("field_kind,power", [("E", 1), ("B", 2)])

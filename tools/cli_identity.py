@@ -98,6 +98,12 @@ EDGES = [
     ["spectral", "--z", "1e300", "--omega", "1e9", "--model", "nonlocal-quasistatic"],
     ["spectral", "--field", "B", "--z", "1e300", "--omega", "1e9", "--model",
      "nonlocal-quasistatic"],
+    # far out, the magnetic k-integral stays in the float range
+    ["spectral", "--field", "B", "--z", "1e72", "--omega", "1e9", "--model",
+     "nonlocal-quasistatic"],
+    ["spectral", "--field", "B", "--z", "1e44", "--omega", "1e-100"],
+    # x^2 = ((omega + i nu)/(k v_F))^2 of the Lindhard series would overflow
+    ["spectral", "--z", "1e60", "--omega", "1e100", "--model", "nonlocal-quasistatic"],
 ]
 
 

@@ -1,6 +1,6 @@
 """Micro-benchmark of the nonlocal spectral layer and its kernel.
 
-    python3 tools/layer_bench.py [--out FILE] [--repeat N]
+    python3 tools/layer_bench.py [--out FILE] [--repeat N] [--kernel-block P]
 
 Run from the repository root; the package is imported from ./src.
 
@@ -19,11 +19,14 @@ each for the electric and the magnetic field:
                (the fig2/fig4 grid)
 
 Each batch is one evaluate_batch call, timed best of N (default 3), with
-the kernel calls (nonlocal_reflection_quasistatic), the inner
-kappa-integrals (p values passed to it) and the inner rounds (integrand
-calls of the kernel's lockstep runs, the seed round included) of one
-run. The results print as one JSON object, and --out also writes them
-to FILE.
+the counts of one run: the r_p kernel calls
+(nonlocal_reflection_quasistatic), its kappa-integrals (p values passed
+to it) and inner rounds (integrand calls of its lockstep runs, the seed
+round included), the epsilon_l and epsilon_t nodes, and the
+k-integrals of the magnetic r_s channel (one per B point) and their
+rounds. --kernel-block sets how many p the batch passes the kernel per
+call (spectral._KERNEL_BLOCK). The results print as one JSON object,
+and --out also writes them to FILE.
 """
 
 import argparse
@@ -75,33 +78,55 @@ def _batches():
 
 def measure(repeat: int) -> dict:
     counts = {}
-    kernel, power_tails = spectral.nonlocal_reflection_quasistatic, fresnel.integrate_power_tails
+    kernel = spectral.nonlocal_reflection_quasistatic
 
-    def counted(material, p, omega, polarization, cfg):
+    def counted(material, p, omega, cfg):
         counts["kernel_calls"] += 1
         counts["inner_integrals"] += len(p)
-        return kernel(material, p, omega, polarization, cfg)
+        return kernel(material, p, omega, cfg)
 
-    def rounds_counted(f, *args):
-        def g(x, owner):
-            counts["inner_rounds"] += 1
-            return f(x, owner)
-        return power_tails(g, *args)
+    def power_tails_counted(rounds, integrals, power_tails):
+        def run(f, scales, *args):
+            def g(x, owner):
+                counts[rounds] += 1
+                return f(x, owner)
+            if integrals:
+                counts[integrals] += len(scales)
+            return power_tails(g, scales, *args)
+        return run
 
+    def nodes_counted(key, eps):
+        def run(material, k, omega):
+            counts[key] += np.size(k)
+            return eps(material, k, omega)
+        return run
+
+    patches = [
+        (spectral, "nonlocal_reflection_quasistatic", counted),
+        (fresnel, "integrate_power_tails",
+         power_tails_counted("inner_rounds", None, fresnel.integrate_power_tails)),
+        (spectral, "integrate_power_tails",
+         power_tails_counted("k_rounds", "k_integrals", spectral.integrate_power_tails)),
+        (fresnel, "epsilon_l", nodes_counted("eps_l_nodes", fresnel.epsilon_l)),
+        (spectral, "epsilon_t", nodes_counted("eps_t_nodes", spectral.epsilon_t)),
+    ]
     out = {}
     for name, field_kind, zs, omega in _batches():
         walls = []
         for _ in range(repeat):
-            counts.update(kernel_calls=0, inner_integrals=0, inner_rounds=0)
-            spectral.nonlocal_reflection_quasistatic = counted
-            fresnel.integrate_power_tails = rounds_counted
+            counts.update(dict.fromkeys(("kernel_calls", "inner_integrals", "inner_rounds",
+                                         "eps_l_nodes", "eps_t_nodes", "k_integrals",
+                                         "k_rounds"), 0))
+            saved = [(module, attr, getattr(module, attr)) for module, attr, _ in patches]
+            for module, attr, fn in patches:
+                setattr(module, attr, fn)
             try:
                 t0 = time.perf_counter()
                 outcomes = evaluate_batch(COPPER, field_kind, zs, omega, "nonlocal-quasistatic")
                 walls.append(time.perf_counter() - t0)
             finally:
-                spectral.nonlocal_reflection_quasistatic = kernel
-                fresnel.integrate_power_tails = power_tails
+                for module, attr, fn in saved:
+                    setattr(module, attr, fn)
         failed = sum(isinstance(o, Exception) for o in outcomes)
         out[name] = {"points": len(zs), "wall_s": round(min(walls), 4), "failed": failed,
                      **counts}
@@ -112,10 +137,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="also write the JSON result to this file")
     parser.add_argument("--repeat", type=int, default=3, help="timed runs per batch")
+    parser.add_argument("--kernel-block", type=int, default=spectral._KERNEL_BLOCK,
+                        help="p per kernel call (default %(default)s)")
     args = parser.parse_args()
+    spectral._KERNEL_BLOCK = max(1, args.kernel_block)
     result = {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                    f"{platform.python_version()}, numpy {np.__version__}",
+        "kernel_block": spectral._KERNEL_BLOCK,
         "kernel": measure_kernel(max(1, args.repeat)),
         "batches": measure(max(1, args.repeat)),
     }
