@@ -50,39 +50,6 @@ class SurfaceLimit(NamedTuple):
     im_D_zz: float
 
 
-def bulk_green_k(material: Material, k, omega: float):
-    """Green's tensor D_ij(k, omega) of the uniform metal, J s m^3.
-
-    k may be a scalar magnitude (taken along z) or a 3-vector. The
-    tensor is assembled exactly as
-      4 pi hbar/(omega^2 eps_t/c^2 - k^2)
-        (delta_ij - c^2 k_i k_j/(omega^2 eps_l)
-         + k_i k_j (eps_t - eps_l)/(k^2 eps_l))
-    whose k_i k_j structure leaves axis-aligned k with a diagonal
-    tensor, and whose last term vanishes when eps_l = eps_t.
-    """
-    kvec = np.asarray(k, dtype=float)
-    if kvec.ndim == 0:
-        kvec = np.array([0.0, 0.0, float(k)])
-    if kvec.shape != (3,):
-        raise DomainError("k must be a scalar or a 3-vector")
-    k_mag = float(np.linalg.norm(kvec))
-    if not (k_mag > 0):
-        raise DomainError("k must be nonzero")
-    if not (omega > 0):
-        raise DomainError("omega must be > 0")
-    eps_l = epsilon_l(material, k_mag, omega)
-    eps_t = epsilon_t(material, k_mag, omega)
-    denom = omega**2 * eps_t / C_LIGHT**2 - k_mag**2
-    outer = np.outer(kvec, kvec)
-    bracket = (
-        np.eye(3)
-        - C_LIGHT**2 * outer / (omega**2 * eps_l)
-        + outer * (eps_t - eps_l) / (k_mag**2 * eps_l)
-    )
-    return 4.0 * math.pi * HBAR / denom * bracket
-
-
 def _radial_integrand(material, k, omega):
     """The zz reduction (real part), via the transverse/longitudinal
     split, and the xx one (imaginary part), via the printed combined

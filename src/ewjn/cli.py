@@ -37,7 +37,7 @@ from .materials import (
     load_material,
 )
 from .quadrature import QuadratureConfig
-from .relaxation import QubitSpec, relax, relaxation_rate, t1 as compute_t1
+from .relaxation import _CHI_UNITS, QubitSpec, relax, relaxation_rate, t1 as compute_t1
 from .spectral import Model, evaluate, evaluate_batch, regime_select
 
 _EXIT_OK = 0
@@ -49,7 +49,6 @@ _OMEGA_DEFAULT = 6e8 * math.pi
 # per qubit: dipole kind, field kind, default moment, moment units
 _QUBITS = {"charge": ("electric-dipole", "E", E_CHARGE * BOHR_RADIUS, "C*m"),
            "spin": ("magnetic-dipole", "B", BOHR_MAGNETON, "J/T")}
-_CHI_UNITS = {"E": "(V/m)^2*s", "B": "T^2*s"}
 _AXIS_UNITS = {"z": "m", "omega": "rad/s", "temperature": "K"}
 _CELL_JSON_KEYS = ("chi_xx", "chi_zz", "rate_per_s", "t1_s", "chi_err")
 
@@ -436,8 +435,8 @@ def _cmd_figure(args) -> int:
     if bulk_reference:
         comments += _bulk_reference_comments(material, _OMEGA_DEFAULT, cfg, moment)
     if "auto" in models:
-        choice = regime_select(material, zs[0], _OMEGA_DEFAULT)
-        comments.append(f"model auto resolves to {choice.model} at the fixed point")
+        auto = regime_select(material, zs[0], _OMEGA_DEFAULT)
+        comments.append(f"model auto resolves to {auto} at the fixed point")
     labels = [model if len(temps) == 1 else f"{model}:T={temp:g}K"
               for model in models for temp in temps]
     parts = [{} if tensor is None else tensor.decomposition for _, tensor in points]

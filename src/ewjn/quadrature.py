@@ -15,7 +15,10 @@ panel subdivision (worst panel first, ties by insertion order). The N
 integrals refine in lockstep, one integrand call per round: f(x, owner)
 gets an (m, 15) block of nodes plus the (m,) indices of the integrals
 owning its rows and returns values shaped like x; a node's value may
-not depend on the others.
+not depend on the others. In every round each unconverged integral picks
+its worst panel once and spends one subdivision on it; a picked panel at
+floating-point resolution, which cannot be halved, goes back unsplit
+with key 0 as the integral's newest panel and leaves its sums as they are.
 
 The real and the imaginary part of an integral have their own sums and
 error estimates, the vector-integrand test of DCUHRE (Berntsen, Espelid
@@ -192,10 +195,10 @@ class _PanelRows:
             setattr(self, name, getattr(self, name)[..., rows, :])
 
     def worst(self):
-        """Column and flat index of the worst panel of every row."""
+        """Flat index of the worst panel of every row."""
         pos = self.key[:, :self.used].argmax(axis=1)
         cap = self.lo.shape[1]
-        return pos, np.arange(0, len(pos) * cap, cap) + pos
+        return np.arange(0, len(pos) * cap, cap) + pos
 
 
 def _seed_panels(a, b, breakpoints):
@@ -257,51 +260,45 @@ def integrate_lockstep(
 
     # per-row state of the integrals still refining
     live, tot, tot_err, subs = np.arange(n), totals.copy(), errors.copy(), subdivisions.copy()
-
-    def retire(done, out_of_budget):
-        nonlocal live, tot, tot_err, subs
-        ids, keep = live[done], ~done
-        totals[:, ids], errors[:, ids], subdivisions[ids] = tot[:, done], tot_err[:, done], \
-            subs[done]
-        failed[ids] = out_of_budget
-        live, tot, tot_err, subs = live[keep], tot[:, keep], tot_err[:, keep], subs[keep]
-        panels.keep(keep)
-
     while True:
         tol = np.maximum(cfg.rel_tol * np.abs(tot), cfg.abs_tol)
         need = (tot_err[0] > tol[0]) | (tot_err[1] > tol[1])
         go = need & (subs < cfg.max_subdivisions)
         if np.count_nonzero(go) < go.size:
-            retire(~go, need[~go])
+            done = ~go
+            ids = live[done]
+            totals[:, ids], errors[:, ids] = tot[:, done], tot_err[:, done]
+            subdivisions[ids], failed[ids] = subs[done], need[done]
+            live, subs, tot, tot_err, tol = live[go], subs[go], tot[:, go], tot_err[:, go], \
+                tol[:, go]
+            panels.keep(go)
             if not live.size:
                 break
-            tol = tol[:, go]
-        pos, at = panels.worst()
+        at = panels.worst()
         subs += 1
         p_lo, p_hi = panels.lo.take(at), panels.hi.take(at)
         mid = 0.5 * (p_lo + p_hi)
-        stuck = (mid <= p_lo) | (mid >= p_hi)
-        if np.count_nonzero(stuck):
-            spent = np.zeros(live.size, dtype=bool)
-            for r in np.flatnonzero(stuck).tolist():
-                subs[r], spent[r] = _resolve_stuck(panels, r, int(pos[r]), int(subs[r]),
-                                                   cfg.max_subdivisions)
-            if spent.any():
-                retire(spent, True)
-                if not live.size:
-                    break
-                tol = tol[:, ~spent]
-            pos, at = panels.worst()
-            p_lo, p_hi = panels.lo.take(at), panels.hi.take(at)
-            mid = 0.5 * (p_lo + p_hi)
         m = live.size
         c_lo, c_hi = np.empty((m, 2)), np.empty((m, 2))
         c_lo[:, 0], c_lo[:, 1], c_hi[:, 0], c_hi[:, 1] = p_lo, mid, mid, p_hi
+        # a panel at floating-point resolution cannot be halved: both its
+        # children are itself, so f sees no node outside the panel
+        stuck = (mid <= p_lo) | (mid >= p_hi)
+        n_stuck = np.count_nonzero(stuck)
+        if n_stuck:
+            c_lo[stuck], c_hi[stuck] = p_lo[stuck, None], p_hi[stuck, None]
         val, err = _gk15(f, live.repeat(2), c_lo.ravel(), c_hi.ravel())
         val, err = val.reshape(2, m, 2), err.reshape(2, m, 2)
         key = _keys(err, tol[:, :, None])
+        if n_stuck:
+            # the first goes back with key 0 as its row's newest panel, the
+            # second never counts, and the row's totals stay as they are
+            key[stuck] = 0.0, -np.inf
+            kept = tot[:, stuck], tot_err[:, stuck]
         tot += val[:, :, 0] + val[:, :, 1] - panels.val.reshape(2, -1)[:, at]
         tot_err += err[:, :, 0] + err[:, :, 1] - panels.err.reshape(2, -1)[:, at]
+        if n_stuck:
+            tot[:, stuck], tot_err[:, stuck] = kept
         # the parent leaves; its children take the next two columns
         panels.key.put(at, -np.inf)
         panels.reserve(2)
@@ -323,31 +320,6 @@ def integrate_lockstep(
         else:
             outcomes.append(QuadResult(value, bound, parts))
     return outcomes
-
-
-def _resolve_stuck(panels: _PanelRows, r: int, pos: int, subdivisions: int, budget):
-    """The resolution-limit rule for row r, whose picked panel pos cannot
-    be halved: the panel goes back with key 0 as the row's newest and
-    the row picks again while its budget lasts. Returns the subdivision
-    count and whether the budget ran out; if not, the argmax of the row
-    is the panel to split.
-    """
-    while True:
-        panels.reserve(1)
-        new = panels.used
-        panels.used += 1
-        for name in ("lo", "hi", "val", "err"):
-            column = getattr(panels, name)
-            column[..., r, new] = column[..., r, pos]
-        panels.key[r, pos], panels.key[r, new] = -np.inf, 0.0
-        if subdivisions >= budget:
-            return subdivisions, True
-        pos = int(panels.key[r, :panels.used].argmax())
-        subdivisions += 1
-        lo, hi = panels.lo[r, pos], panels.hi[r, pos]
-        mid = 0.5 * (lo + hi)
-        if not (mid <= lo or mid >= hi):
-            return subdivisions, False
 
 
 def integrate_power_tails(

@@ -25,7 +25,8 @@ from .spectral import Model, SpectralDensityTensor, evaluate
 _KINDS = ("electric-dipole", "magnetic-dipole")
 _ORIENTATIONS = ("x", "y", "z")
 
-_CHI_UNITS = {"E": "(V/m)^2 s", "B": "T^2 s"}
+# the units of chi by field, as every output prints them
+_CHI_UNITS = {"E": "(V/m)^2*s", "B": "T^2*s"}
 
 
 @dataclass(frozen=True)

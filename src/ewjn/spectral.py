@@ -35,7 +35,6 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,11 +61,6 @@ _NONLOCAL_Z_LIMIT = 30.0
 # z above this fraction of the skin depth: quasistatic forms drift at
 # the percent level and the retarded integrals take over
 _RETARDED_Z_FRACTION = 0.1
-
-
-class RegimeChoice(NamedTuple):
-    model: Model
-    enhancement: bool
 
 
 @dataclass(frozen=True)
@@ -114,15 +108,15 @@ def _drude_scales_error(material, omega):
                        f"permittivity or (omega/c)/sqrt|eps| leaves the float range")
 
 
-def regime_select(material: Material, z: float, omega: float) -> RegimeChoice:
+def regime_select(material: Material, z: float, omega: float) -> Model:
     """Pick the cheapest model that is honest at (z, omega).
 
     Inside 30 Fermi wavelengths the nonlocal quasistatic model is
     required. Between that and a tenth of the skin depth the local
     model is formally adequate for magnetic noise but still understates
-    electric noise, so the nonlocal model is kept and flagged. Beyond a
-    tenth of the skin depth retardation matters and the local retarded
-    model takes over.
+    electric noise, so the nonlocal model is kept. Beyond a tenth of the
+    skin depth retardation matters and the local retarded model takes
+    over.
     """
     _check_z_omega(z, omega)
     return _regime(z, _regime_limits(material, omega))
@@ -135,13 +129,11 @@ def _regime_limits(material: Material, omega: float) -> tuple:
             _RETARDED_Z_FRACTION * skin_depth(material, omega))
 
 
-def _regime(z: float, limits: tuple) -> RegimeChoice:
+def _regime(z: float, limits: tuple) -> Model:
     nonlocal_below, retarded_from = limits
-    if z < nonlocal_below:
-        return RegimeChoice(Model.NONLOCAL_QUASISTATIC, False)
-    if z < retarded_from:
-        return RegimeChoice(Model.NONLOCAL_QUASISTATIC, True)
-    return RegimeChoice(Model.LOCAL_RETARDED, False)
+    if z < nonlocal_below or z < retarded_from:
+        return Model.NONLOCAL_QUASISTATIC
+    return Model.LOCAL_RETARDED
 
 
 # A model's batch function maps (material, field_kind, zs, omegas, cfg),
@@ -524,7 +516,7 @@ def evaluate_batch(
     inputs leave the float range) gets a DomainError, and so does a
     point of the integral models whose omega fails _drude_scales_error
     or whose chi_xx or chi_zz underflows to 0 where the metal responds
-    (its Drude permittivity is not 1).
+    (its omega_p^2 is not 0).
     """
     if field_kind not in ("E", "B"):
         raise DomainError("field_kind must be 'E' or 'B'")
@@ -553,7 +545,7 @@ def evaluate_batch(
         if m is Model.AUTO:
             if w not in limits:
                 limits[w] = _regime_limits(material, w)
-            m = _regime(z, limits[w]).model
+            m = _regime(z, limits[w])
         by_model.setdefault(m, []).append(i)
     for m, idx in by_model.items():
         outcomes = _BATCH[m](material, field_kind, [zs[i] for i in idx],
@@ -565,7 +557,7 @@ def evaluate_batch(
                 out[i] = DomainError(f"chi is not finite at z = {zs[i]:.6g} m, omega = "
                                      f"{omegas[i]:.6g} rad/s; the inputs leave the float range")
             elif (m is not Model.LOCAL_QUASISTATIC and 0.0 in outcome[:2]
-                  and drude_epsilon(material, omegas[i]) != 1.0):
+                  and material.plasma_frequency**2 != 0):
                 out[i] = DomainError(f"chi underflows to 0 at z = {zs[i]:.6g} m, omega = "
                                      f"{omegas[i]:.6g} rad/s; the inputs leave the float range")
             else:

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from ewjn import DomainError, QuadratureError, bulk_imD_coincident, surface_limit_imD
-from ewjn.bulk import (
-    _radial_breakpoints,
-    _radial_integrand,
-    bulk_green_k,
-)
-from ewjn.materials import C_LIGHT, HBAR, epsilon_l, epsilon_t
+from ewjn.bulk import _radial_breakpoints, _radial_integrand
 from ewjn.quadrature import integrate_lockstep
 
 LADDER_VALUES = [
@@ -30,51 +25,6 @@ LADDER_VALUES = [
 
 def rel(a, b):
     return abs(a - b) / abs(b)
-
-
-# ------------------------------------------------------------ single-k form
-
-def test_bulk_green_scalar_k_reference(copper, omega0):
-    d = bulk_green_k(copper, copper.fermi_wavevector, omega0)
-    assert d.shape == (3, 3)
-    # independent evaluation at k = k_F z_hat
-    assert rel(d[0, 0], -7.212916782149408e-54 - 2.332353590061511e-65j) < 1e-6
-    assert rel(d[2, 2], 1.242644217406391e-35 - 1.089490358593523e-42j) < 1e-9
-    assert d[1, 1] == d[0, 0]
-    off = d - np.diag(np.diag(d))
-    assert np.all(off == 0.0)
-
-
-def test_bulk_green_projector_identities(copper, omega0):
-    # axis-aligned k splits the tensor exactly into the transverse pole
-    # and the longitudinal 1/eps_l piece
-    k = copper.fermi_wavevector
-    d = bulk_green_k(copper, k, omega0)
-    eps_t = epsilon_t(copper, k, omega0)
-    eps_l = epsilon_l(copper, k, omega0)
-    denom = omega0**2 * eps_t / C_LIGHT**2 - k**2
-    assert rel(d[0, 0], 4.0 * math.pi * HBAR / denom) < 1e-14
-    assert rel(d[2, 2], 4.0 * math.pi * HBAR * C_LIGHT**2 / (omega0**2 * eps_l)) < 1e-12
-
-
-def test_bulk_green_axis_equivalence(copper, omega0):
-    k = copper.fermi_wavevector
-    dz = bulk_green_k(copper, k, omega0)
-    dx = bulk_green_k(copper, np.array([k, 0.0, 0.0]), omega0)
-    assert dx[0, 0] == dz[2, 2]
-    assert dx[1, 1] == dz[0, 0]
-    assert dx[2, 2] == dz[1, 1]
-
-
-def test_bulk_green_validation(copper, omega0):
-    with pytest.raises(DomainError):
-        bulk_green_k(copper, 0.0, omega0)
-    with pytest.raises(DomainError):
-        bulk_green_k(copper, np.zeros(3), omega0)
-    with pytest.raises(DomainError):
-        bulk_green_k(copper, np.array([1.0, 2.0]), omega0)
-    with pytest.raises(DomainError):
-        bulk_green_k(copper, 1e9, 0.0)
 
 
 # ---------------------------------------------------------- radial reduction

@@ -394,6 +394,8 @@ _FAILED = ["domain-error"] * 4
     (["spectral", "--z", "1e300", "--omega", "1e9", "--model", "nonlocal-quasistatic"], None),
     (["spectral", "--field", "B", "--z", "1e300", "--omega", "1e9", "--model",
       "nonlocal-quasistatic"], None),
+    # the Drude permittivity rounds to 1, yet the metal responds
+    (["spectral", "--z", "1e-8", "--omega", "1e150", "--model", "nonlocal-quasistatic"], None),
 ], ids=["t1-temp-nan", "t1-temp-inf", "t1-moment-inf", "spectral-omega-inf",
         "spectral-auto-omega-inf", "material-omega-p-inf", "bulk-omega-inf",
         "temperature-sweep-max-inf", "sweep-temp-nan", "sweep-temp-inf", "sweep-moment-inf",
@@ -407,7 +409,7 @@ _FAILED = ["domain-error"] * 4
         "spectral-nonlocal-B-z-tiny", "spectral-retarded-omega-squared-overflow",
         "spectral-retarded-omega-huge", "spectral-local-B-omega-squared-overflow",
         "spectral-local-z-cubed-overflow", "spectral-nonlocal-z-huge",
-        "spectral-nonlocal-B-z-huge"])
+        "spectral-nonlocal-B-z-huge", "spectral-nonlocal-omega-huge-chi-underflow"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
     metal = tmp_path / "inf.cfg"

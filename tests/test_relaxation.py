@@ -101,7 +101,7 @@ def test_t1_charge_local_reference(copper, omega0, lam_f):
     assert 0.1 < res.t1 < 10.0
     assert res.t1 == 1.0 / res.rate
     assert res.chi_component == "xx"
-    assert res.chi_units == "(V/m)^2 s"
+    assert res.chi_units == "(V/m)^2*s"
     assert res.thermal_factor == 1.0
     assert res.model is Model.LOCAL_QUASISTATIC
     assert res.error_estimate == 0.0
@@ -122,7 +122,7 @@ def test_t1_spin_local_reference(copper, omega0, lam_f):
     assert rel(res.t1, 0.12703252183843433) < 1e-6
     assert 0.1 < res.t1 < 0.3
     assert res.chi_component == "zz"
-    assert res.chi_units == "T^2 s"
+    assert res.chi_units == "T^2*s"
 
 
 def test_t1_moment_squared(copper, omega0, lam_f):

@@ -6,6 +6,7 @@ plus one adaptive cross-check with a different integrator. Comments on
 individual tolerances say which reference is in play.
 """
 
+import cmath
 import dataclasses
 import math
 
@@ -46,17 +47,9 @@ def b_nl_10(copper, omega0, lam_f):
 # ----------------------------------------------------------- regime choice
 
 def test_regime_select_windows(copper, omega0, lam_f, delta):
-    near = regime_select(copper, 10.0 * lam_f, omega0)
-    assert near.model is Model.NONLOCAL_QUASISTATIC
-    assert near.enhancement is False
-
-    mid = regime_select(copper, 30.0 * lam_f, omega0)
-    assert mid.model is Model.NONLOCAL_QUASISTATIC
-    assert mid.enhancement is True
-
-    far = regime_select(copper, delta, omega0)
-    assert far.model is Model.LOCAL_RETARDED
-    assert far.enhancement is False
+    assert regime_select(copper, 10.0 * lam_f, omega0) is Model.NONLOCAL_QUASISTATIC
+    assert regime_select(copper, 30.0 * lam_f, omega0) is Model.NONLOCAL_QUASISTATIC
+    assert regime_select(copper, delta, omega0) is Model.LOCAL_RETARDED
 
     with pytest.raises(DomainError):
         regime_select(copper, 0.0, omega0)
@@ -631,6 +624,65 @@ def test_retarded_matches_p_space_oracle(material, omega, field_kind, z_over_del
                  QuadratureConfig(rel_tol=1e-10))
     assert rel(t.chi_xx, chi_xx) < 1e-8
     assert rel(t.chi_zz, chi_zz) < 1e-8
+
+
+def _quad_vec(f, cuts):
+    """scipy's adaptive GK21 of the real vector f over [cuts[0],
+    cuts[-1]], cut at the rest: (value, bound on each component)."""
+    integrate = pytest.importorskip("scipy.integrate")
+    return integrate.quad_vec(f, cuts[0], cuts[-1], epsabs=0.0, epsrel=1e-11, norm="max",
+                              points=cuts[1:-1], limit=2000)
+
+
+def _retarded_quad_vec_oracle(material, field_kind, z, omega):
+    """(chi_xx, chi_zz, bound) of the local-retarded model from scipy's
+    quad_vec in q on the propagating part ((p/q) dp = -dq, q from k to 0)
+    and in u = |q| on the evanescent one ((p/q) dp = -i du), cut at
+    u = 40/z, with Fresnel coefficients written out here."""
+    eps, k = drude_epsilon(material, omega), omega / C_LIGHT
+
+    def channels(q, p2, weight):
+        qm = cmath.sqrt((eps - 1.0) * k * k + q * q)
+        qm = -qm if qm.imag < 0 else qm
+        r_s, r_p = (q - qm) / (q + qm), (eps * q - qm) / (eps * q + qm)
+        r_a, r_b = (r_p, r_s) if field_kind == "B" else (r_s, r_p)
+        w = weight * cmath.exp(2j * q * z)
+        return np.array([(0.5 * w * (k * k * r_a - q * q * r_b)).real, (w * p2 * r_b).real])
+
+    top = 40.0 / z
+    g = k / math.sqrt(abs(eps))
+    decades = [g * 10.0**j for j in range(-1, 40) if g * 10.0**j < top]
+    prop = _quad_vec(lambda q: channels(q, (k - q) * (k + q), 1.0),
+                     [0.0] + [q for q in decades if q < k] + [k])
+    evan = _quad_vec(lambda u: channels(1j * u, k * k + u * u, -1j), [0.0] + decades + [top])
+    scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
+    (xx, zz), bound = prop[0] + evan[0], prop[1] + evan[1]
+    return scale * xx, scale * zz, scale * bound
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_retarded_matches_quad_vec_near_the_skin_depth(copper, omega0, delta, field_kind):
+    chi_xx, chi_zz, bound = _retarded_quad_vec_oracle(copper, field_kind, delta, omega0)
+    t = evaluate(copper, field_kind, delta, omega0, "local-retarded")
+    assert abs(t.chi_xx - chi_xx) <= t.error_estimate + bound
+    assert abs(t.chi_zz - chi_zz) <= t.error_estimate + bound
+
+
+def test_nonlocal_matches_quad_vec_at_ten_fermi_wavelengths(copper, omega0, lam_f, e_nl_10):
+    # scipy's quad_vec runs the outer p-integral on the p axis itself,
+    # cut at 40/z; r_p comes from the kernel at rel_tol 1e-12, which
+    # test_fresnel holds to QUADPACK
+    z, tight = 10.0 * lam_f, QuadratureConfig(rel_tol=1e-12)
+
+    def f(p):
+        [r] = nonlocal_reflection_quasistatic(copper, [p], omega0, tight)
+        return np.array([p * p * math.exp(-2.0 * p * z) * r.value.imag])
+
+    cuts = [0.0, copper.k_nu, 0.1 / z, 0.3 / z, 1.0 / z, 3.0 / z, 10.0 / z, 40.0 / z]
+    (value,), bound = _quad_vec(f, sorted(cuts))
+    chi_zz, bound = HBAR / EPS0 * value, HBAR / EPS0 * bound
+    assert abs(e_nl_10.chi_zz - chi_zz) <= e_nl_10.error_estimate + bound
+    assert abs(e_nl_10.chi_xx - 0.5 * chi_zz) <= e_nl_10.error_estimate + 0.5 * bound
 
 
 # one omega per z, from 1e7 to 1e11 rad/s: auto then resolves to the

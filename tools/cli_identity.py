@@ -104,6 +104,8 @@ EDGES = [
     ["spectral", "--field", "B", "--z", "1e44", "--omega", "1e-100"],
     # x^2 = ((omega + i nu)/(k v_F))^2 of the Lindhard series would overflow
     ["spectral", "--z", "1e60", "--omega", "1e100", "--model", "nonlocal-quasistatic"],
+    # the Drude permittivity rounds to 1, yet chi underflows to 0
+    ["spectral", "--z", "1e-8", "--omega", "1e150", "--model", "nonlocal-quasistatic"],
 ]
 
 
