@@ -4,7 +4,7 @@ Only the imaginary part is computed: the real part carries the
 divergent free-space self-field and nothing downstream consumes it.
 Sign convention: with the one-sided (omega > 0) spectra used
 throughout, the physical dissipation enters through -Im of the printed
-tensor, so the radial integrands below return that non-negative
+tensor, so the radial integrand below returns that non-negative
 quantity and Im D is reported positive.
 
 The radial integral inherits the slow longitudinal falloff of the
@@ -13,8 +13,9 @@ and screening wavevectors), so it is evaluated on an explicit cutoff
 ladder k_max in {3, 10, 30, 100} k_F and reported together with the
 ladder; failure to settle to 1% between rungs is an explicit error
 carrying the full series rather than a silently truncated number. Each
-rung is one integral: its real part is the zz reduction and its
-imaginary part the xx one, each held to rel_tol of itself.
+rung is one real integral of the zz reduction, held to rel_tol; the
+isotropic medium makes the xx reduction the same integrand, so one
+running total is reported as both.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import QuadratureError, require_positive_finite
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_l, epsilon_t
 from .quadrature import QuadratureConfig, integrate_lockstep
 from .spectral import Model, evaluate
@@ -51,29 +52,21 @@ class SurfaceLimit(NamedTuple):
 
 
 def _radial_integrand(material, k, omega):
-    """The zz reduction (real part), via the transverse/longitudinal
-    split, and the xx one (imaginary part), via the printed combined
-    bracket, of the angle-averaged radial integrand."""
+    """The angle-averaged radial integrand of the zz reduction, via the
+    transverse/longitudinal split, as a real array."""
     eps_l = epsilon_l(material, k, omega)
     eps_t = epsilon_t(material, k, omega)
-    denom = omega**2 * eps_t / C_LIGHT**2 - k * k
-    parts = (2.0 / 3.0) / denom + C_LIGHT**2 / (3.0 * omega**2 * eps_l)
-    zz = -(k * k) * np.imag(4.0 * math.pi * HBAR * parts) / (2.0 * math.pi**2)
-    bracket = (
-        1.0
-        - C_LIGHT**2 * k * k / (3.0 * omega**2 * eps_l)
-        + (eps_t - eps_l) / (3.0 * eps_l)
-    )
-    xx = -(k * k) * np.imag(4.0 * math.pi * HBAR / denom * bracket) / (2.0 * math.pi**2)
-    return zz + 1j * xx
+    parts = ((2.0 / 3.0) / (omega**2 * eps_t / C_LIGHT**2 - k * k)
+             + C_LIGHT**2 / (3.0 * omega**2 * eps_l))
+    return -(k * k) * np.imag(4.0 * math.pi * HBAR * parts) / (2.0 * math.pi**2)
 
 
-def _radial_breakpoints(material, omega, k_lo, k_hi):
+def _radial_breakpoints(material, omega):
+    """The seeds of every rung: 0.3, 1 and 3 times the skin wavevector,
+    k_nu and k_star; the engine keeps those inside the rung."""
     eps = drude_epsilon(material, omega)
     k_delta = abs(math.sqrt(abs(eps)) * omega / C_LIGHT)
-    return [x for x in (0.3 * k_delta, k_delta, 3.0 * k_delta,
-                        material.k_nu, material.k_star)
-            if k_lo < x < k_hi]
+    return [0.3 * k_delta, k_delta, 3.0 * k_delta, material.k_nu, material.k_star]
 
 
 def bulk_imD_coincident(
@@ -86,46 +79,33 @@ def bulk_imD_coincident(
     rungs agree to 1%. A ladder that never settles raises
     QuadratureError with the convergence_series attached.
     """
-    if not (omega > 0):
-        raise DomainError("omega must be > 0")
-    if omega == math.inf:
-        raise DomainError("omega must be finite")
+    require_positive_finite("omega", omega)
     cfg = cfg or QuadratureConfig()
     k_f = material.fermi_wavevector
+    breaks = _radial_breakpoints(material, omega)
 
-    series, total_zz, total_xx, k_lo, converged_at = [], 0.0, 0.0, 0.0, None
+    series, total, k_lo = [], 0.0, 0.0
     for mult in _LADDER:
         k_hi = mult * k_f
-        breaks = _radial_breakpoints(material, omega, k_lo, k_hi)
         [res] = integrate_lockstep(lambda k, owner: _radial_integrand(material, k, omega),
                                    [k_lo], [k_hi], cfg, [breaks])
         if isinstance(res, QuadratureError):
             raise res
-        total_zz += res.value.real
-        total_xx += res.value.imag
-        series.append((k_hi, total_zz))
-        if len(series) >= 2 and abs(total_zz - series[-2][1]) <= _LADDER_REL * abs(total_zz):
-            converged_at = k_hi
-            break
+        total += res.value.real
+        series.append((k_hi, total))
+        if len(series) >= 2 and abs(total - series[-2][1]) <= _LADDER_REL * abs(total):
+            return BulkGreenResult(im_D_xx=total, im_D_zz=total, omega=omega, k_max_used=k_hi,
+                                   convergence_series=series)
         k_lo = k_hi
 
-    if converged_at is None:
-        exc = QuadratureError(
-            "bulk radial integral not settled to 1% across the cutoff ladder "
-            + ", ".join(f"(k_max={k:.4e}, value={v:.6e})" for k, v in series),
-            best_estimate=total_zz,
-            error_bound=abs(total_zz - series[-2][1]),
-        )
-        exc.convergence_series = series
-        raise exc
-
-    return BulkGreenResult(
-        im_D_xx=total_xx,
-        im_D_zz=total_zz,
-        omega=omega,
-        k_max_used=converged_at,
-        convergence_series=series,
+    exc = QuadratureError(
+        "bulk radial integral not settled to 1% across the cutoff ladder "
+        + ", ".join(f"(k_max={k:.4e}, value={v:.6e})" for k, v in series),
+        best_estimate=total,
+        error_bound=abs(total - series[-2][1]),
     )
+    exc.convergence_series = series
+    raise exc
 
 
 def surface_limit_imD(

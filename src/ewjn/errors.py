@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types, and the one check of a positive, finite input.
 
 The CLI maps these onto distinct exit codes, so every physics module
 raises through this vocabulary rather than bare ValueError/RuntimeError.
 """
+
+import math
 
 
 class DomainError(ValueError):
@@ -20,3 +22,12 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_bound = error_bound
+
+
+def require_positive_finite(name: str, value) -> None:
+    """DomainError "{name} must be > 0" unless value > 0 (NaN included),
+    then "{name} must be finite" if value is +inf."""
+    if not (value > 0):
+        raise DomainError(f"{name} must be > 0")
+    if value == math.inf:
+        raise DomainError(f"{name} must be finite")

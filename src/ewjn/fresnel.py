@@ -94,8 +94,8 @@ def nonlocal_reflection_quasistatic(
 
     k_nu, k_star = material.k_nu, material.k_star
     p_list = p.tolist()
-    breaks = [[x for x in (0.3 * q, q, 3.0 * q, k_nu, k_star, 3.0 * k_star) if x > 0]
-              + _octaves_below(k_star, 3.0 * q) for q in p_list]
+    breaks = [[0.3 * q, q, 3.0 * q, k_nu, k_star, 3.0 * k_star, *_octaves_below(k_star, 3.0 * q)]
+              for q in p_list]
     outcomes = integrate_power_tails(integrand, [max(q, k_star) for q in p_list], breaks,
                                      cfg or QuadratureConfig())
     # combined on Python scalars: numpy complex division rounds differently

@@ -14,11 +14,11 @@ energy in eV and it is converted on load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive_finite
 
 # CODATA 2018 values, SI. h, e, k_B are exact by definition since the
 # 2019 redefinition; the rest are the recommended measured values.
@@ -58,11 +58,7 @@ class Material:
 
     def __post_init__(self):
         for name in ("plasma_frequency", "collision_rate", "fermi_energy"):
-            value = getattr(self, name)
-            if not (value > 0):
-                raise DomainError(f"{name} must be > 0")
-            if value == math.inf:
-                raise DomainError(f"{name} must be finite")
+            require_positive_finite(name, getattr(self, name))
 
     @property
     def fermi_velocity(self) -> float:

@@ -26,11 +26,10 @@ error estimates, the vector-integrand test of DCUHRE (Berntsen, Espelid
 error of each part j is at most max(rel_tol |I_j|, abs_tol), so a part
 many orders below the other is still resolved to rel_tol of itself.
 Every caller has at most two components, so the two parts are the
-vector interface: a local-retarded point carries xx and zz, a bulk
-ladder rung zz and xx, and a kappa-integral of the nonlocal r_p the
-complex I_p. A panel's pick key, max_j err_j / tol_j against
-its integral's tolerances in the round it is made, is fixed then, so
-the worst panel is one argmax.
+vector interface: a local-retarded point carries xx and zz, and a
+kappa-integral of the nonlocal r_p the complex I_p. A panel's pick key,
+max_j err_j / tol_j against its integral's tolerances in the round it
+is made, is fixed then, so the worst panel is one argmax.
 
 The state lives in arrays, a row of panels per unconverged integral, so
 a round costs a fixed number of numpy calls however many integrals are
@@ -86,7 +85,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-30
     max_subdivisions: int = 2000
-    tail_cut: float = 1e-12
 
     def __post_init__(self):
         if not (self.rel_tol > 0):
@@ -95,8 +93,6 @@ class QuadratureConfig:
             raise DomainError("abs_tol must be >= 0")
         if not (self.max_subdivisions >= 1):
             raise DomainError("max_subdivisions must be >= 1")
-        if not (0 < self.tail_cut < 1):
-            raise DomainError("tail_cut must be in (0, 1)")
 
     def inner(self) -> "QuadratureConfig":
         """Budget for an integral nested inside another one.
@@ -109,7 +105,6 @@ class QuadratureConfig:
             rel_tol=max(self.rel_tol / 10.0, 100.0 * _EPS),
             abs_tol=self.abs_tol / 10.0,
             max_subdivisions=self.max_subdivisions,
-            tail_cut=self.tail_cut,
         )
 
 

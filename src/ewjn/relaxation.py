@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_positive_finite
 from .materials import HBAR, K_BOLTZMANN, Material
 from .quadrature import QuadratureConfig
 from .spectral import Model, SpectralDensityTensor, evaluate
@@ -44,11 +44,7 @@ class QubitSpec:
         if self.orientation not in _ORIENTATIONS:
             raise DomainError(f"orientation must be one of {_ORIENTATIONS}")
         for name in ("moment", "level_splitting"):
-            value = getattr(self, name)
-            if not (value > 0):
-                raise DomainError(f"{name} must be > 0")
-            if value == math.inf:
-                raise DomainError(f"{name} must be finite")
+            require_positive_finite(name, getattr(self, name))
 
     @property
     def field_kind(self) -> str:

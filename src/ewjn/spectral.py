@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, require_positive_finite
 from .fresnel import local_reflection_q, nonlocal_reflection_quasistatic
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_t, skin_depth
 from .quadrature import (_NODES, _WEIGHTS_K, QuadratureConfig, integrate_lockstep,
@@ -83,15 +83,8 @@ class SpectralDensityTensor:
 
 
 def _check_z_omega(z, omega):
-    if not (z > 0):
-        raise DomainError("z must be > 0")
-    if z == math.inf:
-        # the integrals' decay scale 1/z would vanish for the whole batch
-        raise DomainError("z must be finite")
-    if not (omega > 0):
-        raise DomainError("omega must be > 0")
-    if omega == math.inf:
-        raise DomainError("omega must be finite")
+    require_positive_finite("z", z)
+    require_positive_finite("omega", omega)
 
 
 def _drude_scales_error(material, omega):
@@ -177,14 +170,18 @@ def _local_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     return out
 
 
-def _tail_cut(cfg: QuadratureConfig) -> tuple:
+def _tail_cut(share: float) -> tuple:
     """(x, ratio) of the cut of an integrand bounded by u^3 exp(-2 u z):
-    beyond U = x/(2z) it leaves exp(-x) (1 + x + x^2/2 + x^3/6) =
-    tail_cut of its integral, and |f(U)| ratio/(2z) bounds that tail."""
-    x = -math.log(cfg.tail_cut)
+    beyond U = x/(2z) it leaves exp(-x) (1 + x + x^2/2 + x^3/6) = share
+    of its integral, and |f(U)| ratio/(2z) bounds that tail."""
+    x = -math.log(share)
     for _ in range(4):
-        x = -math.log(cfg.tail_cut) + math.log1p(x + x * x / 2.0 + x**3 / 6.0)
+        x = -math.log(share) + math.log1p(x + x * x / 2.0 + x**3 / 6.0)
     return x, 1 + 3 / x + 6 / x**2 + 6 / x**3
+
+
+# the cut of every integral model leaves 1e-12 of the integral beyond it
+_TAIL_CUT = _tail_cut(1e-12)
 
 
 # The nonlocal kernel gets at most this many p per call: a call's arrays
@@ -195,14 +192,19 @@ _SQRT_MAX, _SQRT_TINY = math.sqrt(sys.float_info.max), math.sqrt(sys.float_info.
 
 
 def _nonlocal_range(material, omega) -> tuple:
-    """(lo, hi) of a nonlocal point at omega: it runs if 0.1/z >= lo and
-    its cut p_U <= hi. Its integrals reach k from about 1e-3 of 0.1/z to
-    1e3 p_U, and there k^2 must be normal and k^2 v_F^2, x^2 = ((omega +
-    i nu)/(k v_F))^2 and (k_star/k)^2 |omega + i nu| finite (epsilon_l,
-    epsilon_t and their Lindhard series form them)."""
+    """(lo, hi, top) of a nonlocal point at omega: it runs if 0.1/z >= lo
+    and its cut p_U <= hi and <= top. Its integrals reach k from about
+    1e-3 of 0.1/z to 1e3 p_U, and there k^2 must be normal and k^2 v_F^2,
+    x^2 = ((omega + i nu)/(k v_F))^2 and (k_star/k)^2 |omega + i nu|
+    finite (epsilon_l, epsilon_t and their Lindhard series form them).
+    Above top = 1e11 |omega + i nu|/v_F, 1/|x| = 1e11 at kappa = 0, the
+    kernel loses Im r_p to rounding in its Lindhard closed form: in six
+    metals (nu from 1e11 to 1.2e14 rad/s) at 1e7..1e15 rad/s its bound on
+    Im r_p is at most 6e-5 of Im r_p up to 1/|x| = 1e11, 3e-3 at 1e12 and
+    6e-2 at 1e13."""
     vf, wn = material.fermi_velocity, abs(complex(omega, material.collision_rate))
     k_lo = max(_SQRT_TINY, max(wn / vf, material.k_star * math.sqrt(max(1.0, wn))) / _SQRT_MAX)
-    return 1e3 * k_lo, _SQRT_MAX / max(1.0, vf) / 1e3
+    return 1e3 * k_lo, _SQRT_MAX / max(1.0, vf) / 1e3, 1e11 * wn / vf
 
 
 # G's rule: sin u and w sin^3 u at the Kronrod 15-point nodes u of 8
@@ -288,7 +290,7 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     cfg = cfg or QuadratureConfig()
     cfg_inner = cfg.inner()
     k_nu = material.k_nu
-    x, ratio = _tail_cut(cfg)
+    x, ratio = _TAIL_CUT
     ranges = {w: _nonlocal_range(material, w) for w in set(omegas)}
     grids = [_nonlocal_grid(z, k_nu, x, ranges[w]) for z, w in zip(zs, omegas)]
     out = [g if isinstance(g, DomainError) else None for g in grids]
@@ -376,9 +378,9 @@ def _nonlocal_grid(z, k_nu, x, limits):
     3, ... of t = log1p(p/k_nu): T is the first grid point at or above
     the cut x/(2z), and seeds are the grid points below T, down to the
     last one at or below t(1/z) but at least down to 1. Its DomainError
-    if p_U = k_nu expm1(T) exceeds hi or 0.1/z lies below lo, where
-    (lo, hi) = limits is its omega's _nonlocal_range."""
-    lo, hi = limits
+    if 0.1/z lies below lo or p_U = k_nu expm1(T) exceeds hi or top,
+    where (lo, hi, top) = limits is its omega's _nonlocal_range."""
+    lo, hi, top = limits
     t_cut = math.log1p(x / 2.0 / z / k_nu)
     if not (t_cut > 0 and 0.1 / z >= lo):
         return DomainError(f"z = {z:.6g} m is too large for the nonlocal model: 0.1/z lies "
@@ -390,19 +392,24 @@ def _nonlocal_grid(z, k_nu, x, limits):
             # t = m 2^e with m in [0.5, 1): 2^e, or t itself if m = 0.5
             mantissa, exponent = math.frexp(t_cut)
             end = math.ldexp(1.0, exponent - (mantissa == 0.5))
-        if k_nu * math.expm1(end) <= hi:
-            # far out the integrand peaks near p = 1/z, deep below t = 1
-            seed = min(1.0, math.ldexp(1.0, math.frexp(math.log1p(1.0 / z / k_nu))[1] - 1))
-            seeds = []
-            while seed < min(end, 1.0):
-                seeds.append(seed)
-                seed *= 2.0
-            return end, seeds + [float(t) for t in range(1, math.ceil(end))]
+        p_cut = k_nu * math.expm1(end)
     except OverflowError:  # ceil(inf), or e^T beyond the float range
-        pass
-    return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
-                       f"wavevector, rounded up to the grid of t, exceeds {hi:.3g} 1/m, "
-                       f"where the kernel leaves the float range")
+        p_cut = math.inf
+    if p_cut > hi:
+        return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
+                           f"wavevector, rounded up to the grid of t, exceeds {hi:.3g} 1/m, "
+                           f"where the kernel leaves the float range")
+    if p_cut > top:
+        return DomainError(f"z = {z:.6g} m is below the nonlocal kernel's resolution: its cut "
+                           f"wavevector, rounded up to the grid of t, exceeds {top:.3g} 1/m, "
+                           f"where the kernel no longer resolves Im r_p")
+    # far out the integrand peaks near p = 1/z, deep below t = 1
+    seed = min(1.0, math.ldexp(1.0, math.frexp(math.log1p(1.0 / z / k_nu))[1] - 1))
+    seeds = []
+    while seed < min(end, 1.0):
+        seeds.append(seed)
+        seed *= 2.0
+    return end, seeds + [float(t) for t in range(1, math.ceil(end))]
 
 
 def _retarded_range_error(z, omega, eps, g, cut):
@@ -412,7 +419,7 @@ def _retarded_range_error(z, omega, eps, g, cut):
     |eps| M and like M^3 for M = max(U, omega/c): g must be a normal
     float and U/g, |eps| M and M^3 finite."""
     m = max(cut, omega / C_LIGHT)
-    if g >= np.finfo(float).tiny and all(map(math.isfinite, (cut / g, abs(eps) * m, m * m * m))):
+    if g >= sys.float_info.min and all(map(math.isfinite, (cut / g, abs(eps) * m, m * m * m))):
         return None
     return DomainError(f"z = {z:.6g} m, omega = {omega:.6g} rad/s: the local-retarded "
                        f"integrand leaves the float range")
@@ -452,7 +459,7 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
                 math.log1p(abs(eps)))
 
     per_omega = {w: constants(w) for w in set(omegas)}
-    x, ratio = _tail_cut(cfg)
+    x, ratio = _TAIL_CUT
     out = [_retarded_range_error(z, w, per_omega[w][0], per_omega[w][3], x / (2.0 * z))
            for z, w in zip(zs, omegas)]
     run = [i for i, o in enumerate(out) if o is None]

@@ -13,6 +13,7 @@ import pytest
 
 from ewjn import DomainError, QuadratureError, bulk_imD_coincident, surface_limit_imD
 from ewjn.bulk import _radial_breakpoints, _radial_integrand
+from ewjn.materials import C_LIGHT, HBAR, epsilon_l, epsilon_t
 from ewjn.quadrature import integrate_lockstep
 
 LADDER_VALUES = [
@@ -29,16 +30,31 @@ def rel(a, b):
 
 # ---------------------------------------------------------- radial reduction
 
+def _bracket_integrand(material, k, omega):
+    """The xx reduction of the angle-averaged radial integrand, via the
+    printed combined bracket: the second coding of the one the package
+    integrates (the zz reduction, via the transverse/longitudinal split)."""
+    eps_l = epsilon_l(material, k, omega)
+    eps_t = epsilon_t(material, k, omega)
+    denom = omega**2 * eps_t / C_LIGHT**2 - k * k
+    bracket = (
+        1.0
+        - C_LIGHT**2 * k * k / (3.0 * omega**2 * eps_l)
+        + (eps_t - eps_l) / (3.0 * eps_l)
+    )
+    return -(k * k) * np.imag(4.0 * math.pi * HBAR / denom * bracket) / (2.0 * math.pi**2)
+
+
 def test_radial_reductions_agree_and_are_positive(copper, omega0):
     # two independent codings of the angle average; they are the same
     # function on paper and must stay pointwise equal numerically
     ks = np.geomspace(1e-3, 1e2, 40) * copper.fermi_wavevector
-    for k in ks:
-        both = _radial_integrand(copper, float(k), omega0)
-        zz, xx = both.real, both.imag
-        assert xx > 0.0
-        assert zz > 0.0
-        assert abs(xx / zz - 1.0) < 1e-9
+    zz = _radial_integrand(copper, ks, omega0)
+    xx = _bracket_integrand(copper, ks, omega0)
+    assert np.isrealobj(zz)
+    assert np.all(xx > 0.0)
+    assert np.all(zz > 0.0)
+    assert np.all(np.abs(xx / zz - 1.0) < 1e-9)
 
 
 # ------------------------------------------------------------ cutoff ladder
@@ -93,31 +109,22 @@ def test_ladder_vacuum_converges_to_silence(vacuumish, omega0):
                                            rel=1e-12)
 
 
-def _ladder_separate(material, omega, cfg):
-    """(k_max, zz total, xx total) per rung, zz and xx integrated apart."""
-    series, zz, xx, k_lo = [], 0.0, 0.0, 0.0
-    for mult in (3.0, 10.0, 30.0, 100.0):
-        k_hi = mult * material.fermi_wavevector
-        breaks = _radial_breakpoints(material, omega, k_lo, k_hi)
-        zz += integrate_lockstep(lambda k, owner: _radial_integrand(material, k, omega).real,
-                                 [k_lo], [k_hi], cfg, [breaks])[0].value.real
-        xx += integrate_lockstep(lambda k, owner: _radial_integrand(material, k, omega).imag,
-                                 [k_lo], [k_hi], cfg, [breaks])[0].value.real
-        series.append((k_hi, zz, xx))
-        k_lo = k_hi
-    return series
-
-
-def test_ladder_rungs_equal_separate_integrals(copper, omega0, cfg, monkeypatch):
-    # each rung integrates zz and xx as the two parts of one integral
-    separate = _ladder_separate(copper, omega0, cfg)
+def test_ladder_rungs_match_the_bracket_integrals(copper, omega0, cfg, monkeypatch):
+    # every rung of the zz ladder against the bracket integrated over it
     with pytest.raises(QuadratureError) as excinfo:
         bulk_imD_coincident(copper, omega0, cfg)
-    assert excinfo.value.convergence_series == [(k, zz) for k, zz, _ in separate]
-    # a loose settling rule stops at the second rung, where xx shows too
+    series = excinfo.value.convergence_series
+    k_lo, below = 0.0, 0.0
+    for k_hi, total in series:
+        [res] = integrate_lockstep(lambda k, owner: _bracket_integrand(copper, k, omega0),
+                                   [k_lo], [k_hi], cfg, [_radial_breakpoints(copper, omega0)])
+        assert abs((total - below) - res.value.real) <= cfg.rel_tol * res.value.real
+        k_lo, below = k_hi, total
+    # a loose settling rule stops at the second rung and reports it as xx and zz
     monkeypatch.setattr("ewjn.bulk._LADDER_REL", 1.0)
     res = bulk_imD_coincident(copper, omega0, cfg)
-    assert (res.k_max_used, res.im_D_zz, res.im_D_xx) == separate[1]
+    assert (res.k_max_used, res.im_D_zz, res.im_D_xx) == (series[1][0], series[1][1],
+                                                           series[1][1])
 
 
 def test_ladder_domain(copper):
@@ -125,6 +132,16 @@ def test_ladder_domain(copper):
         bulk_imD_coincident(copper, 0.0)
     with pytest.raises(DomainError):
         bulk_imD_coincident(copper, math.inf)
+
+
+@pytest.mark.parametrize("omega,message", [
+    (0.0, "omega must be > 0"), (-1.0, "omega must be > 0"), (math.nan, "omega must be > 0"),
+    (math.inf, "omega must be finite"),
+], ids=["0", "-1", "nan", "inf"])
+def test_ladder_validation_text(copper, omega, message):
+    with pytest.raises(DomainError) as excinfo:
+        bulk_imD_coincident(copper, omega)
+    assert str(excinfo.value) == message
 
 
 # ------------------------------------------------------------- surface limit

@@ -434,6 +434,16 @@ def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--z", "1e-20"], ["--z", "1e-60"], ["--field", "B", "--z", "1e-30"],
+    ["--field", "B", "--z", "1e-60"],
+], ids=["E-1e-20", "E-1e-60", "B-1e-30", "B-1e-60"])
+def test_nonlocal_z_below_the_kernel_resolution_exits_2(capsys, argv):
+    code, out, err = run_cli(["spectral", *argv, "--model", "nonlocal-quasistatic"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "the kernel no longer resolves Im r_p" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["--z", "1e72", "--omega", "1e9", "--model", "nonlocal-quasistatic"],
     # auto keeps the nonlocal model up to a tenth of the skin depth, ~7e47 m
     ["--z", "1e44", "--omega", "1e-100"],

@@ -59,6 +59,19 @@ def test_material_validation():
             Material("m", plasma_frequency=1e16, collision_rate=1.0, fermi_energy=bad)
 
 
+@pytest.mark.parametrize("bad,message", [
+    (0.0, "{} must be > 0"), (-1.0, "{} must be > 0"), (math.nan, "{} must be > 0"),
+    (math.inf, "{} must be finite"),
+], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("name", ["plasma_frequency", "collision_rate", "fermi_energy"])
+def test_material_validation_text(name, bad, message):
+    fields = dict(plasma_frequency=1e16, collision_rate=1.0, fermi_energy=1e-19)
+    fields[name] = bad
+    with pytest.raises(DomainError) as excinfo:
+        Material("m", **fields)
+    assert str(excinfo.value) == message.format(name)
+
+
 # ------------------------------------------------------------------- drude
 
 def test_drude_copper_reference(copper, omega0):

@@ -30,8 +30,6 @@ def test_config_validation():
         QuadratureConfig(abs_tol=-1e-30)
     with pytest.raises(DomainError):
         QuadratureConfig(max_subdivisions=0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(tail_cut=1.0)
 
 
 def test_config_inner_scaling():

@@ -86,6 +86,19 @@ def test_qubit_spec_validation(omega0):
                   level_splitting=math.inf)
 
 
+@pytest.mark.parametrize("bad,message", [
+    (0.0, "{} must be > 0"), (-1.0, "{} must be > 0"), (math.nan, "{} must be > 0"),
+    (math.inf, "{} must be finite"),
+], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("name", ["moment", "level_splitting"])
+def test_qubit_spec_validation_text(omega0, name, bad, message):
+    fields = dict(moment=1e-30, level_splitting=omega0)
+    fields[name] = bad
+    with pytest.raises(DomainError) as excinfo:
+        QubitSpec(kind="electric-dipole", orientation="x", **fields)
+    assert str(excinfo.value) == message.format(name)
+
+
 def test_qubit_field_kind(omega0):
     assert charge_qubit(omega0).field_kind == "E"
     assert spin_qubit(omega0).field_kind == "B"

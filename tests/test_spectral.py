@@ -9,6 +9,7 @@ individual tolerances say which reference is in play.
 import cmath
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from ewjn import (
 from ewjn.fresnel import nonlocal_reflection_quasistatic
 from ewjn.materials import C_LIGHT, EPS0, HBAR, drude_epsilon, skin_depth
 from ewjn.quadrature import integrate_lockstep, integrate_power_tails
-from ewjn.spectral import _tail_cut
+from ewjn.spectral import _TAIL_CUT, _tail_cut
 
 
 def rel(a, b):
@@ -158,7 +159,7 @@ def _rp_channel(material, z, omega, cfg, weight):
     import ewjn.spectral as spectral
 
     inner, k_nu = cfg.inner(), material.k_nu
-    x, ratio = _tail_cut(cfg)
+    x, ratio = _TAIL_CUT
     end, seeds = spectral._nonlocal_grid(z, k_nu, x, spectral._nonlocal_range(material, omega))
     cut = k_nu * np.expm1(end)
     # the largest err(Im r)/Im r of the channel's nodes, cut included
@@ -209,7 +210,7 @@ def _chi_zz_nested(material, z, omega, cfg, nested_r_s):
     import ewjn.spectral as spectral
 
     k_nu = material.k_nu
-    end, seeds = spectral._nonlocal_grid(z, k_nu, _tail_cut(cfg)[0],
+    end, seeds = spectral._nonlocal_grid(z, k_nu, _TAIL_CUT[0],
                                          spectral._nonlocal_range(material, omega))
 
     def f(t, owner):
@@ -555,29 +556,40 @@ def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions, 
 
 
 @pytest.mark.parametrize("field_kind", ["E", "B"])
-def test_retarded_converges_at_tight_tolerance(copper, omega0, lam_f, delta, field_kind):
+def test_retarded_converges_at_tight_tolerance(copper, omega0, lam_f, delta, field_kind,
+                                               monkeypatch):
+    import ewjn.spectral as spectral
+
     zs = [float(z) for z in np.geomspace(1e-3 * lam_f, 3.0 * delta, 12)]
-    cfg = QuadratureConfig(rel_tol=1e-11)
+    cfg, tail_share = QuadratureConfig(rel_tol=1e-11), 1e-12
+    monkeypatch.setattr(spectral, "_TAIL_CUT", _tail_cut(tail_share))
     for outcome in evaluate_batch(copper, field_kind, zs, omega0, "local-retarded", cfg):
         assert not isinstance(outcome, QuadratureError), outcome
         # the converged integral's error plus the bound on the cut tail
-        assert outcome.error_estimate <= (cfg.rel_tol + cfg.tail_cut) * math.hypot(
+        assert outcome.error_estimate <= (cfg.rel_tol + tail_share) * math.hypot(
             outcome.chi_xx, outcome.chi_zz)
 
 
-@pytest.mark.parametrize("loose", [
-    QuadratureConfig(rel_tol=1e-8),
+@pytest.mark.parametrize("rel_tol,tail_share", [
+    (1e-8, 1e-12),
     # the cut tail then dominates the error
-    QuadratureConfig(rel_tol=1e-10, tail_cut=1e-4),
+    (1e-10, 1e-4),
 ], ids=["rel_tol", "tail_cut"])
 @pytest.mark.parametrize("material,omega", _FARFIELD, ids=lambda v: getattr(v, "name", ""))
 @pytest.mark.parametrize("field_kind", ["E", "B"])
 def test_retarded_error_estimate_covers_the_shift_to_a_tight_run(material, omega, field_kind,
-                                                                 loose):
+                                                                 rel_tol, tail_share,
+                                                                 monkeypatch):
+    import ewjn.spectral as spectral
+
     zs = _farfield_grid(material, omega)
-    runs = (evaluate_batch(material, field_kind, zs, omega, "local-retarded", cfg)
-            for cfg in (loose, QuadratureConfig(rel_tol=1e-10)))
-    for a, b in zip(*runs):
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_TAIL_CUT", _tail_cut(tail_share))
+        loose = evaluate_batch(material, field_kind, zs, omega, "local-retarded",
+                               QuadratureConfig(rel_tol=rel_tol))
+    tight = evaluate_batch(material, field_kind, zs, omega, "local-retarded",
+                           QuadratureConfig(rel_tol=1e-10))
+    for a, b in zip(loose, tight):
         assert abs(a.chi_xx - b.chi_xx) <= a.error_estimate
         assert abs(a.chi_zz - b.chi_zz) <= a.error_estimate
 
@@ -854,22 +866,46 @@ def test_nonlocal_z_below_the_cut_bound_is_a_domain_error(copper, omega0, field_
     import ewjn.spectral as spectral
 
     # the smallest z whose cut, rounded up to the grid of t, is the last
-    # grid point below the bound: it passes the range check
-    x, _ = _tail_cut(QuadratureConfig())
+    # grid point below the bound: it passes the float-range check
+    x, _ = _TAIL_CUT
     k_nu, p_max = copper.k_nu, spectral._nonlocal_range(copper, omega0)[1]
     top = k_nu * math.expm1(math.floor(math.log1p(p_max / k_nu)))
     z_min = x / (2.0 * top)
     cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
     edge, below, tiny = evaluate_batch(copper, field_kind, [z_min, z_min / 3.0, 1e-300],
                                        omega0, "nonlocal-quasistatic", cfg)
-    # there, some 1e139 above k_star, Im r_p is not resolved and the B
-    # point's inner error bound is infinite, which is a DomainError of
-    # its own ("chi is not finite")
-    assert not (isinstance(edge, DomainError) and "too small" in str(edge))
+    # there, some 1e139 above k_star, the kernel does not resolve Im r_p,
+    # which is a DomainError of its own
+    assert isinstance(edge, DomainError) and "no longer resolves Im r_p" in str(edge)
     for outcome in (below, tiny):
         assert isinstance(outcome, DomainError)
         assert "too small for the nonlocal model" in str(outcome)
         assert f"exceeds {p_max:.3g} 1/m" in str(outcome)
+
+
+@pytest.mark.parametrize("field_kind,zs", [("E", [1e-20, 1e-60]), ("B", [1e-30, 1e-60])],
+                         ids=["E", "B"])
+def test_nonlocal_z_below_the_kernel_resolution_is_a_domain_error(copper, omega0, field_kind,
+                                                                  zs):
+    import ewjn.spectral as spectral
+
+    # the cut wavevector lies above 1e11 |omega + i nu|/v_F, where the
+    # kernel's bound on Im r_p passes 6e-5 of Im r_p (3e-3 at 1e12): each
+    # point fails at once with a DomainError that says so
+    top = spectral._nonlocal_range(copper, omega0)[2]
+    for z in zs:
+        start = time.perf_counter()
+        [outcome] = evaluate_batch(copper, field_kind, [z], omega0, "nonlocal-quasistatic")
+        assert time.perf_counter() - start < 0.1
+        assert isinstance(outcome, DomainError)
+        assert str(outcome) == (
+            f"z = {z:.6g} m is below the nonlocal kernel's resolution: its cut wavevector, "
+            f"rounded up to the grid of t, exceeds {top:.3g} 1/m, where the kernel no longer "
+            f"resolves Im r_p")
+    # the surface limit, 1e-3 lambda_F, and heights down to 1e-14 m still run
+    for z in (1e-3 * copper.fermi_wavelength, 1e-14):
+        assert not isinstance(evaluate_batch(copper, field_kind, [z], omega0,
+                                             "nonlocal-quasistatic")[0], Exception)
 
 
 @pytest.mark.parametrize("field_kind", ["E", "B"])
@@ -955,6 +991,20 @@ def test_evaluate_validation(copper, omega0):
                                             [omega0, omega0, 1e-310], "local-quasistatic")
     assert isinstance(underflow, DomainError) and isinstance(nan, DomainError)
     assert tensor == evaluate(copper, "E", 1e-8, omega0, "local-quasistatic")
+
+
+@pytest.mark.parametrize("bad,message", [
+    (0.0, "{} must be > 0"), (-1.0, "{} must be > 0"), (math.nan, "{} must be > 0"),
+    (math.inf, "{} must be finite"),
+], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("name", ["z", "omega"])
+def test_z_and_omega_validation_text(copper, omega0, name, bad, message):
+    z, omega = (bad, omega0) if name == "z" else (1e-8, bad)
+    checks = (lambda: evaluate(copper, "E", z, omega), lambda: regime_select(copper, z, omega))
+    for check in checks:
+        with pytest.raises(DomainError) as excinfo:
+            check()
+        assert str(excinfo.value) == message.format(name)
 
 
 @pytest.mark.parametrize("model", ["local-quasistatic", "nonlocal-quasistatic",

@@ -106,14 +106,18 @@ EDGES = [
     ["spectral", "--z", "1e60", "--omega", "1e100", "--model", "nonlocal-quasistatic"],
     # the Drude permittivity rounds to 1, yet chi underflows to 0
     ["spectral", "--z", "1e-8", "--omega", "1e150", "--model", "nonlocal-quasistatic"],
+    # the nonlocal cut wavevector lies beyond the kernel's resolution
+    ["spectral", "--z", "1e-20", "--model", "nonlocal-quasistatic"],
+    ["spectral", "--z", "1e-60", "--model", "nonlocal-quasistatic"],
+    ["spectral", "--field", "B", "--z", "1e-30", "--model", "nonlocal-quasistatic"],
+    ["spectral", "--field", "B", "--z", "1e-60", "--model", "nonlocal-quasistatic"],
 ]
 
 
 def run(src, argv, material) -> dict:
     """Exit code, stdout, stderr and the text of each file left by one
     command, by name; material is (file name, text) or None."""
-    env = {k: v for k, v in os.environ.items() if k != "EWJN_THREADS"}
-    env["PYTHONPATH"] = src
+    env = dict(os.environ, PYTHONPATH=src)
     with tempfile.TemporaryDirectory() as work:
         if material is not None:
             with open(os.path.join(work, material[0]), "w") as fh:
