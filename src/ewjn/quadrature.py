@@ -31,11 +31,12 @@ kappa-integral of the nonlocal r_p the complex I_p. A panel's pick key,
 max_j err_j / tol_j against its integral's tolerances in the round it
 is made, is fixed then, so the worst panel is one argmax.
 
-The state lives in arrays, a row of panels per unconverged integral, so
-a round costs a fixed number of numpy calls however many integrals are
-open. Row argmaxes pick as the serial heap does, the 15-node sums run
-along a last, contiguous axis and np.float_power gives the bits of
-Python's **: each integral gets its one-integral result, bit for bit.
+The state lives in plain arrays, a panel table with a row per
+unconverged integral that doubles its columns when full, so a round
+costs a fixed number of numpy calls however many integrals are open.
+Row argmaxes pick as the serial heap does, the 15-node sums run along a
+last, contiguous axis and np.float_power gives the bits of Python's **:
+each integral gets its one-integral result, bit for bit.
 
 Endpoint algebraic singularities are never handled here; callers remove
 them by substitution first (see the spectral module), which is what
@@ -154,48 +155,6 @@ def _keys(err, tol):
     return np.maximum(ratio[0], ratio[1])
 
 
-class _PanelRows:
-    """The panels of the integrals still refining, one row per integral.
-
-    Row r holds lo, hi, the part values and errors (leading axis of val
-    and err) and the pick key of every panel its integral has made, in
-    the order they were made, in the first `used` columns (a row may
-    skip a column, whose key stays -inf). A panel that was split has key
-    -inf and one at floating-point resolution key 0, so the argmax of a
-    row is its worst panel, ties going to the earliest, which is the
-    heap order of the serial rule.
-    """
-
-    _COLUMNS = ("lo", "hi", "val", "err", "key")
-
-    def __init__(self, lo, hi, val, err, key):
-        self.lo, self.hi, self.val, self.err, self.key = lo, hi, val, err, key
-        self.used = lo.shape[1]
-        self._widen(self.used + 8)
-
-    def reserve(self, extra: int):
-        """Room for extra more columns."""
-        if self.used + extra > self.lo.shape[1]:
-            self._widen(max(2 * self.lo.shape[1], self.used + extra))
-
-    def _widen(self, cap: int):
-        for name in self._COLUMNS:
-            old = getattr(self, name)
-            grown = np.full(old.shape[:-1] + (cap,), -np.inf if name == "key" else 0.0)
-            grown[..., :old.shape[-1]] = old
-            setattr(self, name, grown)
-
-    def keep(self, rows):
-        for name in self._COLUMNS:
-            setattr(self, name, getattr(self, name)[..., rows, :])
-
-    def worst(self):
-        """Flat index of the worst panel of every row."""
-        pos = self.key[:, :self.used].argmax(axis=1)
-        cap = self.lo.shape[1]
-        return np.arange(0, len(pos) * cap, cap) + pos
-
-
 def _seed_panels(a, b, breakpoints):
     """(lo, hi) of [a[i], b[i]] cut at the distinct breakpoints[i]
     strictly inside, one row per integral, padded with empty panels."""
@@ -244,12 +203,17 @@ def integrate_lockstep(
     totals, errors = np.zeros((2, n)), np.zeros((2, n))
     np.add.at(totals, (slice(None), owner), val)
     np.add.at(errors, (slice(None), owner), err)
-    seed_val, seed_err = np.zeros((2,) + lo.shape), np.zeros((2,) + lo.shape)
-    seed_key = np.full(lo.shape, -np.inf)
-    seed_val[:, seed], seed_err[:, seed] = val, err
+    # The panel table: row r holds lo, hi, part values and errors (leading
+    # axis of vals and errs) and pick keys of the panels of integral live[r]
+    # in the order they were made, in its first `used` columns (a seed row
+    # may skip one, key -inf). A split panel has key -inf and one at
+    # floating-point resolution key 0, so a row's argmax is its worst panel,
+    # ties going to the earliest: the pick of the serial heap.
+    vals, errs = np.zeros((2,) + lo.shape), np.zeros((2,) + lo.shape)
+    vals[:, seed], errs[:, seed] = val, err
     tol = np.maximum(cfg.rel_tol * np.abs(totals), cfg.abs_tol)
-    seed_key[seed] = _keys(err, tol[:, owner])
-    panels = _PanelRows(lo, hi, seed_val, seed_err, seed_key)
+    keys = np.where(seed, _keys(errs, tol[:, :, None]), -np.inf)
+    used = lo.shape[1]
     subdivisions = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=bool)
 
@@ -264,18 +228,15 @@ def integrate_lockstep(
             ids = live[done]
             totals[:, ids], errors[:, ids] = tot[:, done], tot_err[:, done]
             subdivisions[ids], failed[ids] = subs[done], need[done]
-            live, subs, tot, tot_err, tol = live[go], subs[go], tot[:, go], tot_err[:, go], \
-                tol[:, go]
-            panels.keep(go)
+            live, subs, lo, hi, keys = (x[go] for x in (live, subs, lo, hi, keys))
+            tot, tot_err, tol, vals, errs = (x[:, go] for x in (tot, tot_err, tol, vals, errs))
             if not live.size:
                 break
-        at = panels.worst()
+        at = np.arange(0, keys.size, keys.shape[1]) + keys[:, :used].argmax(axis=1)
         subs += 1
-        p_lo, p_hi = panels.lo.take(at), panels.hi.take(at)
+        p_lo, p_hi = lo.take(at), hi.take(at)
         mid = 0.5 * (p_lo + p_hi)
-        m = live.size
-        c_lo, c_hi = np.empty((m, 2)), np.empty((m, 2))
-        c_lo[:, 0], c_lo[:, 1], c_hi[:, 0], c_hi[:, 1] = p_lo, mid, mid, p_hi
+        c_lo, c_hi = np.stack([p_lo, mid], axis=1), np.stack([mid, p_hi], axis=1)
         # a panel at floating-point resolution cannot be halved: both its
         # children are itself, so f sees no node outside the panel
         stuck = (mid <= p_lo) | (mid >= p_hi)
@@ -283,24 +244,27 @@ def integrate_lockstep(
         if n_stuck:
             c_lo[stuck], c_hi[stuck] = p_lo[stuck, None], p_hi[stuck, None]
         val, err = _gk15(f, live.repeat(2), c_lo.ravel(), c_hi.ravel())
-        val, err = val.reshape(2, m, 2), err.reshape(2, m, 2)
+        val, err = val.reshape(2, -1, 2), err.reshape(2, -1, 2)
         key = _keys(err, tol[:, :, None])
         if n_stuck:
             # the first goes back with key 0 as its row's newest panel, the
             # second never counts, and the row's totals stay as they are
             key[stuck] = 0.0, -np.inf
             kept = tot[:, stuck], tot_err[:, stuck]
-        tot += val[:, :, 0] + val[:, :, 1] - panels.val.reshape(2, -1)[:, at]
-        tot_err += err[:, :, 0] + err[:, :, 1] - panels.err.reshape(2, -1)[:, at]
+        tot += val[:, :, 0] + val[:, :, 1] - vals.reshape(2, -1)[:, at]
+        tot_err += err[:, :, 0] + err[:, :, 1] - errs.reshape(2, -1)[:, at]
         if n_stuck:
             tot[:, stuck], tot_err[:, stuck] = kept
         # the parent leaves; its children take the next two columns
-        panels.key.put(at, -np.inf)
-        panels.reserve(2)
-        new = slice(panels.used, panels.used + 2)
-        panels.lo[:, new], panels.hi[:, new], panels.key[:, new] = c_lo, c_hi, key
-        panels.val[:, :, new], panels.err[:, :, new] = val, err
-        panels.used += 2
+        keys.put(at, -np.inf)
+        # the table doubles when full; no column from `used` on is read
+        while used + 2 > keys.shape[1]:
+            lo, hi, vals, errs, keys = (np.concatenate([x, np.zeros_like(x)], axis=-1)
+                                        for x in (lo, hi, vals, errs, keys))
+        new = slice(used, used + 2)
+        lo[:, new], hi[:, new], keys[:, new] = c_lo, c_hi, key
+        vals[:, :, new], errs[:, :, new] = val, err
+        used += 2
     values = [complex(re, im) for re, im in zip(*totals.tolist())]
     outcomes = []
     for value, bound, parts, subs, out in zip(values, np.hypot(errors[0], errors[1]).tolist(),
@@ -327,7 +291,9 @@ def integrate_power_tails(
 
     Integral i maps t = s u/(1 - u), s = scales[i], onto u in [0, 1),
     its seed breakpoints[i] (values of t) with it, and runs as integral
-    i of one integrate_lockstep batch.
+    i of one integrate_lockstep batch. Only seeds 0 < t < 1e12 s are
+    kept: a larger t maps within 1e-12 of u = 1, where the nodes of the
+    panel [u, 1] would round onto the pole of the map.
     """
     if not all(s > 0 for s in scales):
         raise DomainError("scales must be > 0")
@@ -339,6 +305,6 @@ def integrate_power_tails(
         return f(s * u / one_minus, owner) * (s / (one_minus * one_minus))
 
     n = len(scales)
-    u_breaks = [[t / (t + s) for t in cuts if t > 0]
+    u_breaks = [[t / (t + s) for t in cuts if 0 < t < 1e12 * s]
                 for s, cuts in zip(scales, breakpoints)]
     return integrate_lockstep(mapped, [0.0] * n, [1.0] * n, cfg, u_breaks)

@@ -416,10 +416,12 @@ def _retarded_range_error(z, omega, eps, g, cut):
     """The DomainError of a local-retarded point whose integrand leaves
     the float range, else None. Its axis runs from omega/c to the cut U
     in steps of the grazing scale g, where the integrand grows like
-    |eps| M and like M^3 for M = max(U, omega/c): g must be a normal
-    float and U/g, |eps| M and M^3 finite."""
+    |eps| M and like M^3 for M = max(U, omega/c) and carries the phase
+    2 q z, q <= omega/c: g must be a normal float and U/g, |eps| M, M^3
+    and 2 z omega/c finite."""
     m = max(cut, omega / C_LIGHT)
-    if g >= sys.float_info.min and all(map(math.isfinite, (cut / g, abs(eps) * m, m * m * m))):
+    bounds = (cut / g, abs(eps) * m, m * m * m, 2.0 * z * (omega / C_LIGHT))
+    if g >= sys.float_info.min and all(map(math.isfinite, bounds)):
         return None
     return DomainError(f"z = {z:.6g} m, omega = {omega:.6g} rad/s: the local-retarded "
                        f"integrand leaves the float range")

@@ -447,7 +447,8 @@ def test_nonlocal_z_below_the_kernel_resolution_exits_2(capsys, argv):
     ["--z", "1e72", "--omega", "1e9", "--model", "nonlocal-quasistatic"],
     # auto keeps the nonlocal model up to a tenth of the skin depth, ~7e47 m
     ["--z", "1e44", "--omega", "1e-100"],
-], ids=["nonlocal-z-1e72", "auto-z-1e44-omega-1e-100"])
+    ["--z", "3e4", "--omega", "1.8849555921538758e9", "--model", "nonlocal-quasistatic"],
+], ids=["nonlocal-z-1e72", "auto-z-1e44-omega-1e-100", "nonlocal-z-3e4"])
 def test_magnetic_nonlocal_far_out_is_finite_with_warnings_as_errors(argv):
     # the r_s channel's k-integral stays in the float range here and meets
     # the local closed form; a fresh interpreter runs with -W error
@@ -460,6 +461,17 @@ def test_magnetic_nonlocal_far_out_is_finite_with_warnings_as_errors(argv):
     local = evaluate(load_material("copper"), "B", float(argv[1]), float(argv[3]),
                      "local-quasistatic")
     assert abs(doc["chi_zz"] / local.chi_zz - 1.0) < 1e-12
+
+
+def test_nonlocal_spin_sweep_up_to_100_km_is_all_ok(capsys):
+    # from about 3 km up the magnetic k-integral drops its seeds that map
+    # onto u = 1; no point there aborts the batch of the others
+    code, out, _ = run_cli(["sweep", "--axis", "z", "--min", "1e-9", "--max", "1e5", "--count", "8",
+                            "--models", "nonlocal-quasistatic", "--qubit", "spin"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    status = header.index("nonlocal-quasistatic:status")
+    assert [row[status] for row in rows] == ["ok"] * 8
 
 
 def test_help_exits_zero(capsys):

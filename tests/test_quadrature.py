@@ -149,6 +149,13 @@ def test_power_tail_breakpoints_mapped():
     assert abs(res.value - exact) <= 1e-8 * exact
 
 
+def test_power_tail_seed_at_the_pole_of_the_map_is_dropped():
+    # t = 1e15 maps within 1e-15 of u = 1, where the nodes of [u, 1] round
+    # onto the pole of the map
+    f = lambda t, owner: 1.0 / (1.0 + t) ** 2
+    assert integrate_power_tails(f, [1.0], [[1e15]]) == integrate_power_tails(f, [1.0], [[]])
+
+
 def test_domain_validation():
     cfg = QuadratureConfig()
     with pytest.raises(DomainError):

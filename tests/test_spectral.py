@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ewjn import (
     COPPER,
@@ -26,7 +27,7 @@ from ewjn import (
     regime_select,
 )
 from ewjn.fresnel import nonlocal_reflection_quasistatic
-from ewjn.materials import C_LIGHT, EPS0, HBAR, drude_epsilon, skin_depth
+from ewjn.materials import C_LIGHT, E_CHARGE, EPS0, HBAR, drude_epsilon, skin_depth
 from ewjn.quadrature import integrate_lockstep, integrate_power_tails
 from ewjn.spectral import _TAIL_CUT, _tail_cut
 
@@ -925,8 +926,10 @@ def test_nonlocal_z_above_the_low_p_bound_is_a_domain_error(copper, field_kind):
 def test_nonlocal_meets_local_far_from_the_surface(copper, omega0, field_kind, power):
     # the nonlocal correction falls off as 1/(z k_nu) for E and as its
     # square for B; at these heights the cut lies far below t = 1 and
-    # the integrand peaks near t = 1/(z k_nu) ~ 1e-5..1e-3
-    zs = [1e-4, 1e-3, 1e-2]
+    # the integrand peaks near t = 1/(z k_nu) ~ 1e-5..1e-3. From about
+    # 3 km up the B k-integral's seeds 2z k_nu and 2z k_star map within
+    # 1e-14 of u = 1 and are dropped
+    zs = [1e-4, 1e-3, 1e-2, 3e4, 1e5, 1e8]
     nonlocal_, local = (evaluate_batch(copper, field_kind, zs, omega0, model)
                         for model in ("nonlocal-quasistatic", "local-quasistatic"))
     for z, a, b in zip(zs, nonlocal_, local):
@@ -954,6 +957,15 @@ def test_evaluate_batch_resolves_auto_per_point(copper, omega0, lam_f):
         Model.NONLOCAL_QUASISTATIC, Model.LOCAL_RETARDED, Model.LOCAL_RETARDED]
     for z, tensor in zip(zs[1:], batch[1:]):
         assert tensor == evaluate(copper, "E", z, omega0, "auto", QuadratureConfig(rel_tol=1e-6))
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_retarded_phase_beyond_the_float_range_is_a_domain_error(copper, field_kind):
+    # auto runs the local-retarded model here, and 2 z omega/c overflows
+    [outcome] = evaluate_batch(copper, field_kind, [1e300], 1e17, "auto")
+    assert isinstance(outcome, DomainError)
+    assert str(outcome) == ("z = 1e+300 m, omega = 1e+17 rad/s: the local-retarded "
+                            "integrand leaves the float range")
 
 
 # ---------------------------------------------------------------- dispatch
@@ -1023,3 +1035,41 @@ def test_domain_checks_everywhere(copper, omega0):
                 evaluate(copper, field_kind, -1e-9, omega0, model)
             with pytest.raises(DomainError):
                 evaluate(copper, field_kind, 1e-8, 0.0, model)
+
+
+# -------------------------------------------------- float-range property
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# the metals of the retarded-farfield benchmark workload: omega_p, nu and E_F
+_METALS = st.builds(lambda omega_p, nu, fermi_ev: Material("m", omega_p, nu, fermi_ev * E_CHARGE),
+                    _log_uniform(1e15, 2e16), _log_uniform(3e12, 1e14), _log_uniform(2.0, 12.0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(material=_METALS, z=_log_uniform(1e-300, 1e300), omega=_log_uniform(1e-300, 1e300),
+       model=st.sampled_from(["auto", "local-quasistatic", "nonlocal-quasistatic",
+                              "local-retarded"]),
+       field_kind=st.sampled_from(["E", "B"]))
+@example(material=COPPER, z=3e4, omega=6e8 * math.pi, model="nonlocal-quasistatic",
+         field_kind="B")
+@example(material=COPPER, z=1e300, omega=1e17, model="auto", field_kind="E")
+@example(material=COPPER, z=1e300, omega=1e17, model="local-retarded", field_kind="B")
+def test_a_realistic_metal_gives_a_signed_finite_tensor_or_a_typed_error(material, z, omega,
+                                                                       model, field_kind):
+    cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
+    [outcome] = evaluate_batch(material, field_kind, [z], omega, model, cfg)
+    if isinstance(outcome, (DomainError, QuadratureError)):
+        return
+    chi = (outcome.chi_xx, outcome.chi_zz)
+    assert all(map(math.isfinite, (*chi, outcome.error_estimate))), outcome
+    if outcome.model is Model.NONLOCAL_QUASISTATIC:
+        assert min(chi) > 0.0, outcome
+    elif outcome.model is Model.LOCAL_QUASISTATIC:
+        # the closed form is exactly 0 where Im eps rounds to 0
+        assert min(chi) >= 0.0, outcome
+    else:
+        # the reflected far-field chi may be negative
+        assert 0.0 not in chi, outcome

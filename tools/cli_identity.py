@@ -111,6 +111,13 @@ EDGES = [
     ["spectral", "--z", "1e-60", "--model", "nonlocal-quasistatic"],
     ["spectral", "--field", "B", "--z", "1e-30", "--model", "nonlocal-quasistatic"],
     ["spectral", "--field", "B", "--z", "1e-60", "--model", "nonlocal-quasistatic"],
+    # seeds of the magnetic k-integral that map onto u = 1 are dropped
+    ["spectral", "--field", "B", "--z", "3e4", "--model", "nonlocal-quasistatic"],
+    ["sweep", "--axis", "z", "--min", "1e-9", "--max", "1e5", "--count", "8",
+     "--models", "nonlocal-quasistatic", "--qubit", "spin"],
+    # the retarded phase 2 z omega/c overflows
+    ["spectral", "--z", "1e300", "--omega", "1e17"],
+    ["spectral", "--field", "B", "--z", "1e300", "--omega", "1e17"],
 ]
 
 

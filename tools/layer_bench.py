@@ -1,6 +1,6 @@
 """Micro-benchmark of the nonlocal spectral layer and its kernel.
 
-    python3 tools/layer_bench.py [--out FILE] [--repeat N] [--kernel-block P]
+    python3 tools/layer_bench.py [--out FILE] [--repeat N]
 
 Run from the repository root; the package is imported from ./src.
 
@@ -24,9 +24,8 @@ the counts of one run: the r_p kernel calls
 to it) and inner rounds (integrand calls of its lockstep runs, the seed
 round included), the epsilon_l and epsilon_t nodes, and the
 k-integrals of the magnetic r_s channel (one per B point) and their
-rounds. --kernel-block sets how many p the batch passes the kernel per
-call (spectral._KERNEL_BLOCK). The results print as one JSON object,
-and --out also writes them to FILE.
+rounds. The results print as one JSON object, and --out also writes
+them to FILE.
 """
 
 import argparse
@@ -137,10 +136,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="also write the JSON result to this file")
     parser.add_argument("--repeat", type=int, default=3, help="timed runs per batch")
-    parser.add_argument("--kernel-block", type=int, default=spectral._KERNEL_BLOCK,
-                        help="p per kernel call (default %(default)s)")
     args = parser.parse_args()
-    spectral._KERNEL_BLOCK = max(1, args.kernel_block)
     result = {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                    f"{platform.python_version()}, numpy {np.__version__}",
