@@ -10,10 +10,11 @@ A sweep evaluates chi with one spectral.evaluate_batch call per model
 over the (z, omega) points of its grid, on every axis; the spectral
 layer groups the points, and rows are assembled in grid order.
 Temperature is never a point coordinate: a temperature sweep is one
-point with one cell per temperature. Every cell is relaxation.relax on
-its point's tensor, and a figure is such a sweep over one row of a fixed
-spec table, written by the same table builder. A result that is not
-finite is a domain error, so JSON output never holds NaN or Infinity.
+point with one cell per temperature. The cells of a model at a
+temperature are one relaxation.relax call on its points' tensors, and a
+figure is such a sweep over one row of a fixed spec table, written by
+the same table builder. A result that is not finite is a domain error,
+so JSON output never holds NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -112,46 +113,57 @@ def _add_qubit_flags(sub):
     sub.add_argument("--temp", type=float, default=0.0, help="temperature, K")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ewjn",
+def _add_omega_flag(sub):
+    sub.add_argument("--omega", type=float, default=_OMEGA_DEFAULT)
+
+
+def _add_sweep_flags(sub):
+    sub.add_argument("--axis", required=True, choices=sorted(_AXIS_UNITS))
+    sub.add_argument("--min", type=float, required=True)
+    sub.add_argument("--max", type=float, required=True)
+    sub.add_argument("--count", type=int, required=True)
+    sub.add_argument("--spacing", default="log", choices=["log", "linear"])
+    sub.add_argument("--models", default="auto", help="comma-separated model list")
+    sub.add_argument("--format", default="csv", choices=["csv", "json"])
+    sub.add_argument("--z", type=float, default=None)
+    _add_omega_flag(sub)
+
+
+def _add_figure_flags(sub):
+    sub.add_argument("name", choices=sorted(_FIGURES))
+    sub.add_argument("--out-dir", default=".")
+    sub.add_argument("--material", default="copper")
+    sub.add_argument("--rel-tol", type=float, default=1e-8)
+
+
+# per subcommand: its help line and the functions that add its flags
+_COMMANDS = {
+    "spectral": ("noise spectral densities at one point", (
+        _add_common_flags, _add_point_flags,
+        lambda sub: sub.add_argument("--field", default="E", choices=["E", "B"]))),
+    "t1": ("qubit relaxation time at one point",
+           (_add_common_flags, _add_point_flags, _add_qubit_flags)),
+    "sweep": ("sweep one axis, CSV or JSON out",
+              (_add_common_flags, _add_sweep_flags, _add_qubit_flags)),
+    "bulk": ("bulk and surface-limit Im D", (_add_common_flags, _add_omega_flag)),
+    "figure": ("regenerate figure data files", (_add_figure_flags,)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of subcommand command alone, or of all of them when
+    command is None or names none. Its usage line, which an error of the
+    top-level parser prints (an unknown flag after a subcommand), lists
+    every subcommand either way."""
+    parser = _Parser(prog="ewjn", usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
                      description="Evanescent-wave Johnson noise and qubit T1 "
                                  "above a metallic half-space")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("spectral", help="noise spectral densities at one point")
-    _add_common_flags(sp)
-    _add_point_flags(sp)
-    sp.add_argument("--field", default="E", choices=["E", "B"])
-
-    tp = subs.add_parser("t1", help="qubit relaxation time at one point")
-    _add_common_flags(tp)
-    _add_point_flags(tp)
-    _add_qubit_flags(tp)
-
-    sw = subs.add_parser("sweep", help="sweep one axis, CSV or JSON out")
-    _add_common_flags(sw)
-    sw.add_argument("--axis", required=True, choices=sorted(_AXIS_UNITS))
-    sw.add_argument("--min", type=float, required=True)
-    sw.add_argument("--max", type=float, required=True)
-    sw.add_argument("--count", type=int, required=True)
-    sw.add_argument("--spacing", default="log", choices=["log", "linear"])
-    sw.add_argument("--models", default="auto",
-                    help="comma-separated model list")
-    sw.add_argument("--format", default="csv", choices=["csv", "json"])
-    sw.add_argument("--z", type=float, default=None)
-    sw.add_argument("--omega", type=float, default=_OMEGA_DEFAULT)
-    _add_qubit_flags(sw)
-
-    bp = subs.add_parser("bulk", help="bulk and surface-limit Im D")
-    _add_common_flags(bp)
-    bp.add_argument("--omega", type=float, default=_OMEGA_DEFAULT)
-
-    fp = subs.add_parser("figure", help="regenerate figure data files")
-    fp.add_argument("name", choices=sorted(_FIGURES))
-    fp.add_argument("--out-dir", default=".")
-    fp.add_argument("--material", default="copper")
-    fp.add_argument("--rel-tol", type=float, default=1e-8)
-
+    subs = parser.add_subparsers(dest="command", required=True, prog="ewjn")
+    for name, (help_line, adders) in _COMMANDS.items():
+        if command not in _COMMANDS or name == command:
+            sub = subs.add_parser(name, help=help_line)
+            for add_flags in adders:
+                add_flags(sub)
     return parser
 
 
@@ -241,37 +253,34 @@ def _sweep_grid(args) -> list:
     return np.linspace(args.min, args.max, args.count).tolist()
 
 
-def _cells(outcome, model, orientation, moment, temps) -> list:
-    """(chi_xx, chi_zz, rate, t1, chi_err, status) per temperature from
-    chi's outcome at a point: a tensor, or the DomainError or
-    QuadratureError. A temperature at which relax raises DomainError
-    (a negative temperature, a negative or non-finite rate) makes a
-    domain-error cell."""
-    if isinstance(outcome, Exception):
-        failed = ("quadrature-error" if isinstance(outcome, QuadratureError)
-                  else "domain-error")
-        return [(math.nan,) * 5 + (failed,) for _ in temps]
-    status = "ok" if model != Model.AUTO.value else f"ok:{outcome.model}"
-    cells = []
-    for temp in temps:
-        try:
-            res = relax(outcome, moment, orientation, temp)
-        except DomainError:
-            cells.append((math.nan,) * 5 + ("domain-error",))
-            continue
-        cells.append((float(outcome.chi_xx), float(outcome.chi_zz), float(res.rate),
-                      float(res.t1), float(outcome.error_estimate), status))
-    return cells
+def _cells(outcomes, model, orientation, moment, temp) -> tuple:
+    """The cells of one model at one temperature from chi's outcome at
+    each point (a tensor, or the DomainError or QuadratureError): an
+    (n, 5) array of chi_xx, chi_zz, rate, t1 and chi_err, and the n
+    statuses. A failed outcome, or a DomainError of relax at the cell (a
+    negative temperature, a negative or non-finite rate), makes a cell
+    of NaNs."""
+    values = np.full((len(outcomes), 5), math.nan)
+    ok_status = {m: "ok" if model != "auto" else f"ok:{m}" for m in Model}
+    statuses = ["quadrature-error" if isinstance(o, QuadratureError) else "domain-error"
+                if isinstance(o, Exception) else ok_status[o.model] for o in outcomes]
+    ok = [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
+    tensors = [outcomes[i] for i in ok]
+    rate, t1s, _, _, errors = relax(tensors, moment, orientation, temp)
+    chi = np.array([(t.chi_xx, t.chi_zz, t.error_estimate) for t in tensors]).reshape(-1, 3)
+    values[ok] = np.column_stack([chi[:, :2], rate, t1s, chi[:, 2]])
+    for i, exc in zip(ok, errors):
+        if exc:
+            values[i], statuses[i] = math.nan, "domain-error"
+    return values, statuses
 
 
-def _sweep_rows(material, cfg, zs, omegas, temps, qubit, orientation, moment, models):
-    """Evaluate a sweep: per (z, omega) point, (cells, tensor of the last
-    model, or None where it failed). zs and omegas broadcast.
-
-    A point's cells run over models and, per model, over temps; chi is
-    evaluated once per (point, model), in one evaluate_batch call per
-    model. A qubit that fails its checks makes every cell a domain error.
-    """
+def _sweep_cells(material, cfg, zs, omegas, temps, qubit, orientation, moment, models):
+    """Evaluate a sweep: the cells (_cells) of each model at each of
+    temps, model-major, over the (z, omega) points, which broadcast, and
+    the tensor of the last model at each point, or None where it failed.
+    chi is one evaluate_batch call per model. A qubit that fails its
+    checks makes every cell a domain error."""
     zs, omegas = (a.tolist() for a in np.broadcast_arrays(zs, omegas))
     kind, field_kind = _QUBITS[qubit][:2]
     try:
@@ -280,36 +289,38 @@ def _sweep_rows(material, cfg, zs, omegas, temps, qubit, orientation, moment, mo
                    for model in models]
     except DomainError as exc:
         batches = [[exc] * len(zs)] * len(models)
-    cells = [[] for _ in zs]
-    for model, outcomes in zip(models, batches):
-        for point, outcome in zip(cells, outcomes):
-            point += _cells(outcome, model, orientation, moment, temps)
-    tensors = [None if isinstance(o, Exception) else o for o in batches[-1]]
-    return list(zip(cells, tensors))
+    cells = [_cells(outcomes, model, orientation, moment, temp)
+             for model, outcomes in zip(models, batches) for temp in temps]
+    return cells, [None if isinstance(o, Exception) else o for o in batches[-1]]
 
 
-def _table(axis, grid, labels, units, rows, extra) -> list:
+# the fields of a cell in a CSV line
+_CELL_FMT = f",{_FMT},{_FMT},{_FMT},{_FMT},{_FMT},%s"
+
+
+def _table(axis, grid, labels, units, cells, extra) -> list:
     """CSV lines of a sweep or figure: the header, then one line per grid
     value. Each label (a model, or a model at a temperature) heads the
-    six columns of its cells in rows[i]; extra maps the name of each
-    further chi column to its value per grid value."""
+    six columns of its cells, (values, statuses) of _cells over the grid;
+    extra maps the name of each further chi column to its value per grid
+    value."""
     header = [f"{axis}[{_AXIS_UNITS[axis]}]"]
     for label in labels:
         header += [f"{label}:chi_xx[{units}]", f"{label}:chi_zz[{units}]",
                    f"{label}:rate[1/s]", f"{label}:t1[s]", f"{label}:chi_err[{units}]",
                    f"{label}:status"]
     header += [f"{name}[{units}]" for name in extra]
+    columns = [(values.tolist(), statuses) for values, statuses in cells]
     lines = [",".join(header)]
-    for i, (axis_value, cells) in enumerate(zip(grid, rows)):
-        fields = [_fmt(axis_value)]
-        for cell in cells:
-            fields += [_fmt(v) for v in cell[:5]] + [cell[5]]
-        lines.append(",".join(fields + [_fmt(column[i]) for column in extra.values()]))
+    for i, axis_value in enumerate(grid):
+        line = _fmt(axis_value) + "".join(_CELL_FMT % (*values[i], statuses[i])
+                                          for values, statuses in columns)
+        lines.append(",".join([line] + [_fmt(column[i]) for column in extra.values()]))
     return lines
 
 
-def _worst_exit(cells_iter) -> int:
-    statuses = {cell[5] for cell in cells_iter}
+def _worst_exit(cells) -> int:
+    statuses = {status for _, column in cells for status in column}
     if "domain-error" in statuses:
         return _EXIT_DOMAIN
     if "quadrature-error" in statuses:
@@ -330,34 +341,35 @@ def _cmd_sweep(args) -> int:
     axis, grid = args.axis, _sweep_grid(args)
     if axis != "z" and args.z is None:
         raise DomainError("--z is required when it is not the sweep axis")
-    points = _sweep_rows(material, cfg, grid if axis == "z" else [args.z],
-                         grid if axis == "omega" else [args.omega],
-                         grid if axis == "temperature" else [args.temp],
-                         args.qubit, args.orientation, _moment(args), models)
+    cells, _ = _sweep_cells(material, cfg, grid if axis == "z" else [args.z],
+                            grid if axis == "omega" else [args.omega],
+                            grid if axis == "temperature" else [args.temp],
+                            args.qubit, args.orientation, _moment(args), models)
     if axis == "temperature":
-        [(cells, _)] = points
-        rows = [cells[i::len(grid)] for i in range(len(grid))]
-    else:
-        rows = [cells for cells, _ in points]
+        # one point: a model's cells over the temperatures are its column
+        cells = [(np.vstack([values for values, _ in cells[i:i + len(grid)]]),
+                  [column[0] for _, column in cells[i:i + len(grid)]])
+                 for i in range(0, len(cells), len(grid))]
     units = _CHI_UNITS[_QUBITS[args.qubit][1]]
 
     if args.format == "csv":
-        text = "\n".join(_table(axis, grid, models, units, rows, {})) + "\n"
+        text = "\n".join(_table(axis, grid, models, units, cells, {})) + "\n"
     else:
+        columns = [(values.tolist(), statuses) for values, statuses in cells]
         doc = {
             "axis": axis,
             "axis_units": _AXIS_UNITS[axis],
             "chi_units": units,
             "rows": [{"axis_value": axis_value, "model": model,
-                      **{k: _json_number(v) for k, v in zip(_CELL_JSON_KEYS, cell)},
-                      "status": cell[5]}
-                     for axis_value, row in zip(grid, rows)
-                     for model, cell in zip(models, row)],
+                      **{k: _json_number(v) for k, v in zip(_CELL_JSON_KEYS, values[i])},
+                      "status": statuses[i]}
+                     for i, axis_value in enumerate(grid)
+                     for model, (values, statuses) in zip(models, columns)],
         }
         text = json.dumps(doc, indent=2) + "\n"
 
     _write_text(args.out, text)
-    return _worst_exit(cell for row in rows for cell in row)
+    return _worst_exit(cells)
 
 
 def _bulk_ladder(material, omega, cfg):
@@ -428,7 +440,8 @@ def _cmd_figure(args) -> int:
     else:
         grid = np.geomspace(1e7, 1e11, 17).tolist()
         zs, omegas, fixed = [10 * lam_f], grid, f"z[m] = {_fmt(10 * lam_f)}"
-    points = _sweep_rows(material, cfg, zs, omegas, temps, qubit, orientation, moment, models)
+    cells, tensors = _sweep_cells(material, cfg, zs, omegas, temps, qubit, orientation, moment,
+                                  models)
 
     comments = [f"{args.name}: {qubit} qubit, orientation {orientation},"
                 f" material {material.name}", fixed]
@@ -439,11 +452,11 @@ def _cmd_figure(args) -> int:
         comments.append(f"model auto resolves to {auto} at the fixed point")
     labels = [model if len(temps) == 1 else f"{model}:T={temp:g}K"
               for model in models for temp in temps]
-    parts = [{} if tensor is None else tensor.decomposition for _, tensor in points]
+    parts = [{} if tensor is None else tensor.decomposition for tensor in tensors]
     extra = {f"chi_xx_{k}": [p.get(k, math.nan) for p in parts]
              for k in ("rs_part", "rp_part") if decomposition}
     lines = [f"# {c}" for c in comments] + _table(
-        axis, grid, labels, _CHI_UNITS[field_kind], [cells for cells, _ in points], extra)
+        axis, grid, labels, _CHI_UNITS[field_kind], cells, extra)
 
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"{args.name}.csv")
@@ -452,12 +465,12 @@ def _cmd_figure(args) -> int:
     print(f"wrote {path} ({len(grid)} rows)")
     for c in comments:
         print(f"  {c}")
-    return _worst_exit(cell for cells, _ in points for cell in cells)
+    return _worst_exit(cells)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     handlers = {
         "spectral": _cmd_spectral,
         "t1": _cmd_t1,

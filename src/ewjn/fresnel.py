@@ -92,15 +92,11 @@ def nonlocal_reflection_quasistatic(
         k2 = p2_rows[owner] + kappa * kappa
         return 1.0 / (k2 * epsilon_l(material, np.sqrt(k2), w_rows[owner]))
 
-    k_nu, k_star = material.k_nu, material.k_star
-    p_list = p.tolist()
-    breaks = [[0.3 * q, q, 3.0 * q, k_nu, k_star, 3.0 * k_star, *_octaves_below(k_star, 3.0 * q)]
-              for q in p_list]
-    outcomes = integrate_power_tails(integrand, [max(q, k_star) for q in p_list], breaks,
-                                     cfg or QuadratureConfig())
+    outcomes = integrate_power_tails(integrand, np.maximum(p, material.k_star),
+                                     _kappa_seeds(material, p), cfg or QuadratureConfig())
     # combined on Python scalars: numpy complex division rounds differently
     r = []
-    for q, res in zip(p_list, outcomes):
+    for q, res in zip(p.tolist(), outcomes):
         if isinstance(res, QuadratureError):
             r.append(res)
             continue
@@ -118,10 +114,14 @@ def nonlocal_reflection_quasistatic(
     return r
 
 
-def _octaves_below(top: float, floor: float) -> list:
-    """top/2, top/4, ... down to the last one above floor."""
-    out, x = [], 0.5 * top
-    while x > floor:
-        out.append(x)
-        x *= 0.5
-    return out
+def _kappa_seeds(material: Material, p) -> np.ndarray:
+    """The kappa seeds of every p of an array, as inf-padded rows: 0.3p,
+    p, 3p, k_nu, k_star, 3 k_star and the octaves k_star/2, k_star/4, ...
+    above 3p, exact halvings of k_star."""
+    k_star, floor = material.k_star, 3.0 * p[:, None]
+    halvings = np.arange(1, math.frexp(k_star)[1] - math.frexp(floor.min())[1] + 2)
+    octaves = np.ldexp(k_star, -halvings)
+    octaves = octaves[octaves > floor.min()]
+    return np.hstack([0.3 * p[:, None], p[:, None], floor,
+                      np.broadcast_to([material.k_nu, k_star, 3.0 * k_star], (p.size, 3)),
+                      np.where(octaves > floor, octaves, np.inf)])

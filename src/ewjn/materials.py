@@ -127,31 +127,32 @@ def _lindhard(x, transverse: bool):
     on_cut = (x.imag == 0) & (np.abs(x.real) <= 1.0)
     if np.any(on_cut):
         raise DomainError("x on the branch cut [-1, 1] of the Lindhard logarithm")
-    out = np.empty_like(x)
     big = np.abs(x) >= _SERIES_SWITCH
-    if np.any(big):
-        out[big] = _lindhard_series(x[big], transverse)
-    # the closed forms run on the |x| < 8 nodes only (see _SERIES_SWITCH)
-    small = ~big
-    if np.any(small):
-        xs = x[small]
-        # ln((x+1)/(x-1)) = 2 artanh(1/x): both sides are analytic on
-        # C \ [-1, 1] and agree for real x > 1, so they agree wherever
-        # the kernel accepts x, Im x < 0 and x < -1 included (Kahan,
-        # "Branch cuts for complex elementary functions", 1987). Two logs
-        # cost ~4x one artanh here: on the integration nodes x ~ i nu/(k
-        # v_F) has a small real part, which puts x - 1 near the unit
-        # circle, where numpy's complex log takes its slow exact path.
-        # np.multiply, not *: numpy may reuse a large temporary right
-        # operand of * and run it as temporary * x, and complex products
-        # round differently in the two orders, so a node's bits would
-        # depend on the size of its batch.
-        xa = np.multiply(xs, np.arctanh(1.0 / xs))
-        if transverse:
-            x2 = xs * xs
-            out[small] = 1.5 * (x2 - (x2 - 1.0) * xa)
-        else:
-            out[small] = 1.0 - xa
+    # the closed forms run on the |x| < 8 nodes only (see _SERIES_SWITCH),
+    # on x itself, with no mask and scatter, when there are no others
+    xs = x[~big] if big.any() else x
+    # ln((x+1)/(x-1)) = 2 artanh(1/x): both sides are analytic on
+    # C \ [-1, 1] and agree for real x > 1, so they agree wherever
+    # the kernel accepts x, Im x < 0 and x < -1 included (Kahan,
+    # "Branch cuts for complex elementary functions", 1987). Two logs
+    # cost ~4x one artanh here: on the integration nodes x ~ i nu/(k
+    # v_F) has a small real part, which puts x - 1 near the unit
+    # circle, where numpy's complex log takes its slow exact path.
+    # np.multiply, not *: numpy may reuse a large temporary right
+    # operand of * and run it as temporary * x, and complex products
+    # round differently in the two orders, so a node's bits would
+    # depend on the size of its batch.
+    xa = np.multiply(xs, np.arctanh(1.0 / xs))
+    if transverse:
+        x2 = xs * xs
+        closed = 1.5 * (x2 - (x2 - 1.0) * xa)
+    else:
+        closed = 1.0 - xa
+    if xs is x:
+        out = closed
+    else:
+        out = np.empty_like(x)
+        out[~big], out[big] = closed, _lindhard_series(x[big], transverse)
     return out[0] if scalar else out
 
 

@@ -157,13 +157,11 @@ def _keys(err, tol):
 
 def _seed_panels(a, b, breakpoints):
     """(lo, hi) of [a[i], b[i]] cut at the distinct breakpoints[i]
-    strictly inside, one row per integral, padded with empty panels."""
-    width = max(map(len, breakpoints), default=0) if breakpoints is not None else 0
-    if not width:
+    strictly inside, one row per integral, padded with empty panels;
+    breakpoints is an inf-padded (n, width) array, or None."""
+    if breakpoints is None or not np.size(breakpoints):
         return a[:, None], b[:, None]
-    cuts = np.full((len(a), width), np.inf)
-    for i, row in enumerate(breakpoints):
-        cuts[i, :len(row)] = row
+    cuts = np.array(breakpoints, dtype=float)
     cuts[~((cuts > a[:, None]) & (cuts < b[:, None]))] = np.inf
     cuts.sort(axis=1)
     cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf
@@ -178,11 +176,12 @@ def integrate_lockstep(
     a: Sequence[float],
     b: Sequence[float],
     cfg: QuadratureConfig | None = None,
-    breakpoints: Sequence[Sequence[float]] | None = None,
+    breakpoints: np.ndarray | None = None,
 ) -> list:
     """Outcomes of a batched f over [a[i], b[i]], refined in lockstep.
 
-    Integral i, seeded at breakpoints[i], keeps its own panels,
+    Integral i, seeded at the finite values of row i of the inf-padded
+    (n, width) array breakpoints, keeps its own panels,
     tolerance test and budget, taking exactly the steps it would take
     alone; each round evaluates the children of all unconverged ones in
     one call. Outcome i is a QuadResult, or the QuadratureError of
@@ -284,20 +283,20 @@ def integrate_lockstep(
 def integrate_power_tails(
     f: Callable,
     scales: Sequence[float],
-    breakpoints: Sequence[Sequence[float]],
+    breakpoints: np.ndarray,
     cfg: QuadratureConfig | None = None,
 ) -> list:
     """Outcomes of a batched f over [0, infinity) for |f| = O(t^-2).
 
     Integral i maps t = s u/(1 - u), s = scales[i], onto u in [0, 1),
-    its seed breakpoints[i] (values of t) with it, and runs as integral
-    i of one integrate_lockstep batch. Only seeds 0 < t < 1e12 s are
+    its seeds, row i of the inf-padded array breakpoints (values of t),
+    with it, and runs as integral i of one integrate_lockstep batch. Only seeds 0 < t < 1e12 s are
     kept: a larger t maps within 1e-12 of u = 1, where the nodes of the
     panel [u, 1] would round onto the pole of the map.
     """
-    if not all(s > 0 for s in scales):
-        raise DomainError("scales must be > 0")
     s_rows = np.asarray(scales, dtype=float)[:, None]
+    if not np.all(s_rows > 0):
+        raise DomainError("scales must be > 0")
 
     def mapped(u, owner):
         one_minus = 1.0 - u
@@ -305,6 +304,7 @@ def integrate_power_tails(
         return f(s * u / one_minus, owner) * (s / (one_minus * one_minus))
 
     n = len(scales)
-    u_breaks = [[t / (t + s) for t in cuts if 0 < t < 1e12 * s]
-                for s, cuts in zip(scales, breakpoints)]
+    t = np.asarray(breakpoints, dtype=float)
+    keep = (t > 0) & (t < 1e12 * s_rows)
+    u_breaks = np.divide(t, t + s_rows, out=np.full(keep.shape, np.inf), where=keep)
     return integrate_lockstep(mapped, [0.0] * n, [1.0] * n, cfg, u_breaks)

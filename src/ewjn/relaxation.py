@@ -7,15 +7,19 @@ magnetic one (moment in J/T). The qubit is a point dipole; only the
 component along its orientation contributes, and the in-plane symmetry
 of the half-space makes x and y identical.
 
-relax is the one place that turns a noise tensor, a moment, an
-orientation and a temperature into a rate and a T1; t1 and every CLI
-sweep cell call it. A negative or non-finite rate is a DomainError.
+relax is the one place that turns noise tensors, a moment, an
+orientation and a temperature into rates and T1s, a batch of points at
+a time; t1 is a batch of one, and each CLI sweep relaxes a model's
+tensors at a temperature in one call. A negative or non-finite rate is
+a DomainError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, require_positive_finite
 from .materials import HBAR, K_BOLTZMANN, Material
@@ -27,6 +31,8 @@ _ORIENTATIONS = ("x", "y", "z")
 
 # the units of chi by field, as every output prints them
 _CHI_UNITS = {"E": "(V/m)^2*s", "B": "T^2*s"}
+# the chi component that relaxes a dipole, by its orientation
+_COMPONENT = {"x": "xx", "y": "xx", "z": "zz"}
 
 
 @dataclass(frozen=True)
@@ -85,51 +91,50 @@ def thermal_factor(omega: float, temperature: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-def relaxation_rate(moment: float, chi: float, factor: float = 1.0) -> float:
-    """(moment/hbar)^2 chi factor, 1/s; factor is the thermal coth."""
+def relaxation_rate(moment: float, chi, factor=1.0):
+    """(moment/hbar)^2 chi factor, 1/s, at scalars or arrays; factor is
+    the thermal coth."""
     try:
         return (moment / HBAR) ** 2 * chi * factor
     except OverflowError:
         raise DomainError("(moment/hbar)^2 overflows") from None
 
 
-def relaxation_time(rate: float, component: str) -> float:
-    """t1 = 1/rate, and inf at rate 0, where the medium does not relax.
-
-    chi, and so the rate, holds the field reflected by the medium alone:
-    the free-space term is not included, and the reflected chi can be
-    negative in the far field. A negative rate raises DomainError, which
-    names the chi component ("xx" or "zz") the rate came from, and so
-    does a rate that is not finite.
+def relax(tensors, moment: float, orientation: str, temperature: float) -> tuple:
+    """Rates, T1s, rate errors and thermal factors (arrays), and each
+    cell's DomainError or None, of a dipole along orientation (as QubitSpec
+    checks them) at temperature, from the noise tensors of a batch of
+    points; the factor is computed once per distinct omega. A cell gets
+    its omega's thermal_factor error, else that of a (moment/hbar)^2 that
+    overflows, else one naming the chi component of a rate that is not
+    finite or negative: chi holds the field reflected by the medium
+    alone, without the free-space term, and can be negative in the far
+    field. t1 = 1/rate, and inf at rate 0, where the medium does not relax.
     """
-    if not math.isfinite(rate):
-        raise DomainError(f"rate from chi_{component} is not finite ({rate} 1/s); "
-                          "the inputs leave the float range")
-    if rate < 0:
-        raise DomainError(f"reflected chi_{component} is negative (rate {rate:.3e} 1/s); "
-                          "the free-space term is not included, so no T1 follows")
-    return 1.0 / rate if rate > 0 else math.inf
-
-
-def relax(tensor: SpectralDensityTensor, moment: float, orientation: str,
-          temperature: float) -> RelaxationResult:
-    """Rate, T1 and rate error of a dipole along orientation (as QubitSpec
-    checks them) at temperature, from the noise tensor at its point.
-    Raises DomainError on a negative or non-finite rate."""
-    component = "zz" if orientation == "z" else "xx"
-    chi = tensor.chi_zz if component == "zz" else tensor.chi_xx
-    factor = thermal_factor(tensor.omega, temperature)
-    rate = relaxation_rate(moment, chi, factor)
-    return RelaxationResult(
-        rate=rate,
-        t1=relaxation_time(rate, component),
-        chi_component=component,
-        chi_value=chi,
-        chi_units=_CHI_UNITS[tensor.field_kind],
-        thermal_factor=factor,
-        model=tensor.model,
-        error_estimate=relaxation_rate(moment, tensor.error_estimate, factor),
-    )
+    component = _COMPONENT[orientation]
+    factor_of, errors = {}, [None] * len(tensors)
+    for w in {t.omega for t in tensors}:
+        try:
+            factor_of[w] = thermal_factor(w, temperature)
+        except DomainError as exc:
+            factor_of[w] = math.nan
+            errors = [exc if t.omega == w else e for t, e in zip(tensors, errors)]
+    chi, err, factor = np.array([(getattr(t, "chi_" + component), t.error_estimate,
+                                  factor_of[t.omega]) for t in tensors]).reshape(-1, 3).T
+    with np.errstate(all="ignore"):
+        try:
+            rate, error = [relaxation_rate(moment, v, factor) for v in (chi, err)]
+        except DomainError as exc:
+            rate = error = np.full(len(tensors), math.nan)
+            errors = [e or exc for e in errors]
+        t1s = np.divide(1.0, rate, out=np.full(rate.shape, math.inf), where=rate > 0)
+    for i in np.flatnonzero(~(rate >= 0) | (rate == math.inf)).tolist():
+        r = rate[i].item()
+        errors[i] = errors[i] or DomainError(
+            f"rate from chi_{component} is not finite ({r} 1/s); the inputs leave the float "
+            "range" if not math.isfinite(r) else f"reflected chi_{component} is negative (rate "
+            f"{r:.3e} 1/s); the free-space term is not included, so no T1 follows")
+    return rate, t1s, error, factor, errors
 
 
 def t1(
@@ -141,7 +146,13 @@ def t1(
     cfg: QuadratureConfig | None = None,
 ) -> RelaxationResult:
     """Relaxation time of the qubit at height z above the half-space:
-    evaluate, then relax, which raises DomainError on a negative or
-    non-finite rate."""
+    evaluate, then relax as a batch of one; its DomainError raises."""
     tensor = evaluate(material, qubit.field_kind, z, qubit.level_splitting, model, cfg)
-    return relax(tensor, qubit.moment, qubit.orientation, temperature)
+    rate, t1s, error, factor, [exc] = relax([tensor], qubit.moment, qubit.orientation,
+                                            temperature)
+    if exc:
+        raise exc
+    component = _COMPONENT[qubit.orientation]
+    return RelaxationResult(rate.item(), t1s.item(), component,
+                            getattr(tensor, "chi_" + component), _CHI_UNITS[tensor.field_kind],
+                            factor.item(), tensor.model, error.item())

@@ -87,13 +87,20 @@ def _check_z_omega(z, omega):
     require_positive_finite("omega", omega)
 
 
-def _drude_scales_error(material, omega):
-    """The DomainError of an omega at which the integral models' omega^2
-    is not finite, or their Drude permittivity or grazing wavevector
-    (omega/c)/sqrt|eps| is not a finite, nonzero float, else None."""
-    if not math.isfinite(omega * omega):
+def _drude_scales_error(material, omega, integral):
+    """The DomainError of an omega at which the Drude permittivity's
+    omega (omega + i nu) underflows to 0, or, for the integral models
+    (integral), their omega^2 is not finite or their Drude permittivity
+    or grazing wavevector (omega/c)/sqrt|eps| is not a finite, nonzero
+    float, else None."""
+    if integral and not math.isfinite(omega * omega):
         return DomainError(f"omega = {omega:.6g} rad/s is too large for {material.name}: "
                            f"omega^2 leaves the float range")
+    if omega * complex(omega, material.collision_rate) == 0:
+        return DomainError(f"omega = {omega:.6g} rad/s is too small for {material.name}: "
+                           f"omega (omega + i nu) underflows to 0")
+    if not integral:
+        return None
     eps = drude_epsilon(material, omega)
     if cmath.isfinite(eps) and omega / C_LIGHT / math.sqrt(abs(eps)) != 0:
         return None
@@ -112,21 +119,16 @@ def regime_select(material: Material, z: float, omega: float) -> Model:
     over.
     """
     _check_z_omega(z, omega)
-    return _regime(z, _regime_limits(material, omega))
-
-
-def _regime_limits(material: Material, omega: float) -> tuple:
-    """z below which the nonlocal model is required, and z from which
-    the retarded one takes over, at one omega."""
-    return (_NONLOCAL_Z_LIMIT * material.fermi_wavelength,
-            _RETARDED_Z_FRACTION * skin_depth(material, omega))
-
-
-def _regime(z: float, limits: tuple) -> Model:
-    nonlocal_below, retarded_from = limits
-    if z < nonlocal_below or z < retarded_from:
+    if z < _nonlocal_below(material, omega):
         return Model.NONLOCAL_QUASISTATIC
     return Model.LOCAL_RETARDED
+
+
+def _nonlocal_below(material: Material, omega: float) -> float:
+    """z below which the nonlocal model is kept at omega, from which the
+    retarded one takes over."""
+    return max(_NONLOCAL_Z_LIMIT * material.fermi_wavelength,
+               _RETARDED_Z_FRACTION * skin_depth(material, omega))
 
 
 # A model's batch function maps (material, field_kind, zs, omegas, cfg),
@@ -192,11 +194,12 @@ _SQRT_MAX, _SQRT_TINY = math.sqrt(sys.float_info.max), math.sqrt(sys.float_info.
 
 
 def _nonlocal_range(material, omega) -> tuple:
-    """(lo, hi, top) of a nonlocal point at omega: it runs if 0.1/z >= lo
-    and its cut p_U <= hi and <= top. Its integrals reach k from about
-    1e-3 of 0.1/z to 1e3 p_U, and there k^2 must be normal and k^2 v_F^2,
-    x^2 = ((omega + i nu)/(k v_F))^2 and (k_star/k)^2 |omega + i nu|
-    finite (epsilon_l, epsilon_t and their Lindhard series form them).
+    """(lo, hi, top) of a nonlocal point at omega: it runs if 0.1/z and
+    0.1 k_nu are >= lo and its cut p_U <= hi and <= top. Its integrals
+    reach k from about 1e-3 of 0.1 min(1/z, k_nu) to 1e3 p_U, and there
+    k^2 must be normal and k^2 v_F^2, x^2 = ((omega + i nu)/(k v_F))^2
+    and (k_star/k)^2 |omega + i nu| finite (epsilon_l, epsilon_t and
+    their Lindhard series form them).
     Above top = 1e11 |omega + i nu|/v_F, 1/|x| = 1e11 at kappa = 0, the
     kernel loses Im r_p to rounding in its Lindhard closed form: in six
     metals (nu from 1e11 to 1.2e14 rad/s) at 1e7..1e15 rad/s its bound on
@@ -250,10 +253,9 @@ def _swapped_zz(material, zs, omegas, cfg) -> list:
         return (epsilon_t(material, a / z2_rows[owner], w_rows[owner]).imag
                 * _polar_g(a.ravel()).reshape(a.shape))
 
-    k_nu, k_star = material.k_nu, material.k_star
     seeds = [0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1000.0]
-    return integrate_power_tails(integrand, [2.0] * len(zs),
-                                 [[2.0 * z * k_nu, 2.0 * z * k_star, *seeds] for z in zs], cfg)
+    return integrate_power_tails(integrand, np.full(len(zs), 2.0), np.hstack(
+        [z2_rows * [material.k_nu, material.k_star], np.broadcast_to(seeds, (len(zs), 8))]), cfg)
 
 
 def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
@@ -343,12 +345,15 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
 
     ends, seeds = zip(*grids) if grids else ((), ())
     t_end = np.asarray(ends, dtype=float)
+    breaks = np.full((len(seeds), max(map(len, seeds), default=0)), np.inf)
+    for row, grid in zip(breaks, seeds):
+        row[:len(grid)] = grid
     tails = (np.abs(integrand(k_nu * np.expm1(t_end)[:, None],
                               np.arange(t_end.size))[:, 0].real)
              * ratio / (2.0 * z_of)).tolist()
     results = integrate_lockstep(
         lambda t, owner: integrand(k_nu * np.expm1(t), owner) * (k_nu * np.exp(t)),
-        [0.0] * t_end.size, t_end, cfg, [list(grid) for grid in seeds])
+        [0.0] * t_end.size, t_end, cfg, breaks)
     swapped = _swapped_zz(material, zs, omegas, cfg) if field_kind == "B" else [None] * len(zs)
     # Python floats: inf * 0 in err is a NaN and a DomainError, not a warning
     worst = worst.tolist()
@@ -378,13 +383,17 @@ def _nonlocal_grid(z, k_nu, x, limits):
     3, ... of t = log1p(p/k_nu): T is the first grid point at or above
     the cut x/(2z), and seeds are the grid points below T, down to the
     last one at or below t(1/z) but at least down to 1. Its DomainError
-    if 0.1/z lies below lo or p_U = k_nu expm1(T) exceeds hi or top,
-    where (lo, hi, top) = limits is its omega's _nonlocal_range."""
+    if 0.1/z or 0.1 k_nu lies below lo or p_U = k_nu expm1(T) exceeds hi
+    or top, where (lo, hi, top) = limits is its omega's _nonlocal_range."""
     lo, hi, top = limits
     t_cut = math.log1p(x / 2.0 / z / k_nu)
     if not (t_cut > 0 and 0.1 / z >= lo):
         return DomainError(f"z = {z:.6g} m is too large for the nonlocal model: 0.1/z lies "
                            f"below {lo:.3g} 1/m, where the kernel leaves the float range")
+    if not (0.1 * k_nu >= lo):
+        return DomainError(f"nu/v_F = {k_nu:.3g} 1/m is too small for the nonlocal model: "
+                           f"0.1 nu/v_F lies below {lo:.3g} 1/m, where the kernel leaves the "
+                           f"float range")
     try:
         if t_cut > 1.0:
             end = float(math.ceil(t_cut))
@@ -412,21 +421,6 @@ def _nonlocal_grid(z, k_nu, x, limits):
     return end, seeds + [float(t) for t in range(1, math.ceil(end))]
 
 
-def _retarded_range_error(z, omega, eps, g, cut):
-    """The DomainError of a local-retarded point whose integrand leaves
-    the float range, else None. Its axis runs from omega/c to the cut U
-    in steps of the grazing scale g, where the integrand grows like
-    |eps| M and like M^3 for M = max(U, omega/c) and carries the phase
-    2 q z, q <= omega/c: g must be a normal float and U/g, |eps| M, M^3
-    and 2 z omega/c finite."""
-    m = max(cut, omega / C_LIGHT)
-    bounds = (cut / g, abs(eps) * m, m * m * m, 2.0 * z * (omega / C_LIGHT))
-    if g >= sys.float_info.min and all(map(math.isfinite, bounds)):
-        return None
-    return DomainError(f"z = {z:.6g} m, omega = {omega:.6g} rad/s: the local-retarded "
-                       f"integrand leaves the float range")
-
-
 def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     """The local retarded integrals at every point, as one batch.
 
@@ -448,8 +442,8 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     evanescent part is cut at U = x/(2z) (_tail_cut). Each point is one
     integral over [t(-omega/c), t(U)], all points in one lockstep run,
     and its error_estimate adds the bound on the discarded tail. A point
-    whose integrand would leave the float range gets a DomainError
-    (_retarded_range_error) and does not run.
+    whose integrand would leave the float range gets a DomainError and
+    does not run.
     """
     cfg = cfg or QuadratureConfig()
 
@@ -458,19 +452,33 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
         w_c = omega / C_LIGHT
         g = w_c / math.sqrt(abs(eps))
         return (eps, (eps - 1.0) * w_c**2, w_c**2, g, -math.log1p(w_c / g),
-                math.log1p(abs(eps)))
+                math.log1p(abs(eps)), abs(eps), w_c)
 
-    per_omega = {w: constants(w) for w in set(omegas)}
+    distinct, at = np.unique(omegas, return_inverse=True)
+    table = np.array([constants(w) for w in distinct.tolist()])[at].T
+    eps, k2_metal = table[:2]
+    w_c2, g, lo, knee, eps_abs, w_c = table[2:].real
     x, ratio = _TAIL_CUT
-    out = [_retarded_range_error(z, w, per_omega[w][0], per_omega[w][3], x / (2.0 * z))
-           for z, w in zip(zs, omegas)]
-    run = [i for i, o in enumerate(out) if o is None]
+    z_rows = np.asarray(zs, dtype=float)
+    # the axis runs from omega/c to the cut U in steps of the grazing
+    # scale g, where the integrand grows like |eps| M and like M^3 for
+    # M = max(U, omega/c) and carries the phase 2 q z, q <= omega/c: g
+    # must be a normal float and U/g, |eps| M, M^3 and 2 z omega/c finite
+    with np.errstate(all="ignore"):
+        cuts = x / (2.0 * z_rows)
+        m = np.maximum(cuts, w_c)
+        bounds = np.array([cuts / g, eps_abs * m, m * m * m, 2.0 * z_rows * w_c])
+    fits = (g >= sys.float_info.min) & np.isfinite(bounds).all(axis=0)
+    out = [None] * len(zs)
+    for i in np.flatnonzero(~fits).tolist():
+        out[i] = DomainError(f"z = {zs[i]:.6g} m, omega = {omegas[i]:.6g} rad/s: the "
+                             f"local-retarded integrand leaves the float range")
+    run = np.flatnonzero(fits).tolist()
     if not run:
         return out
-    eps, k2_metal, w_c2, g, lo, knee = zip(*(per_omega[omegas[i]] for i in run))
     # one row per point that runs
-    eps, k2_metal, w_c2, g = (np.array(c)[:, None] for c in (eps, k2_metal, w_c2, g))
-    z_rows = np.array([zs[i] for i in run], dtype=float)[:, None]
+    eps, k2_metal, w_c2, g, z_rows, cuts = (c[run][:, None] for c in (eps, k2_metal, w_c2, g,
+                                                                      z_rows, cuts))
 
     def integrand(s, z, eps, k2_metal, w_c2):
         evanescent = s >= 0.0
@@ -488,9 +496,8 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
         return (integrand(s, z_rows[owner], eps[owner], k2_metal[owner], w_c2[owner])
                 * (np.abs(s) + g_rows))
 
-    cuts = x / (2.0 * z_rows)
-    results = integrate_lockstep(mapped, list(lo), np.log1p(cuts[:, 0] / g[:, 0]), cfg,
-                                 [[0.0, k] for k in knee])
+    results = integrate_lockstep(mapped, lo[run], np.log1p(cuts[:, 0] / g[:, 0]), cfg,
+                                 np.stack([np.zeros(len(run)), knee[run]], axis=1))
     tails = np.abs(integrand(cuts, z_rows, eps, k2_metal, w_c2)) * ratio / (2 * z_rows)
     scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
     for i, res, tail in zip(run, results, tails[:, 0].tolist()):
@@ -523,9 +530,9 @@ def evaluate_batch(
     as one batch, with the outcomes a point-by-point run would give. A
     point whose chi_xx, chi_zz or error_estimate is not finite (its
     inputs leave the float range) gets a DomainError, and so does a
-    point of the integral models whose omega fails _drude_scales_error
-    or whose chi_xx or chi_zz underflows to 0 where the metal responds
-    (its omega_p^2 is not 0).
+    point whose omega fails _drude_scales_error and a point of the
+    integral models whose chi_xx or chi_zz underflows to 0 where the
+    metal responds (its omega_p^2 is not 0).
     """
     if field_kind not in ("E", "B"):
         raise DomainError("field_kind must be 'E' or 'B'")
@@ -535,28 +542,34 @@ def evaluate_batch(
         omegas *= len(zs)
     if len(omegas) != len(zs):
         raise DomainError("omega must be one value or one per z")
-    limits, unrepresentable = {}, {}
     out = [None] * len(zs)
-    by_model = {}
-    for i, (z, w) in enumerate(zip(zs, omegas)):
+    z_of, w_of = np.asarray(zs, dtype=float), np.asarray(omegas)
+    run = (z_of > 0) & (z_of < math.inf) & (w_of > 0) & (w_of < math.inf)
+    for i in np.flatnonzero(~run).tolist():
         try:
-            _check_z_omega(z, w)
+            _check_z_omega(zs[i], omegas[i])
         except DomainError as exc:
             out[i] = exc
-            continue
-        if model is not Model.LOCAL_QUASISTATIC:
-            if w not in unrepresentable:
-                unrepresentable[w] = _drude_scales_error(material, w)
-            if unrepresentable[w]:
-                out[i] = unrepresentable[w]
-                continue
-        m = model
-        if m is Model.AUTO:
-            if w not in limits:
-                limits[w] = _regime_limits(material, w)
-            m = _regime(z, limits[w])
-        by_model.setdefault(m, []).append(i)
+    run = np.flatnonzero(run)
+    # per distinct omega: its DomainError, or None
+    distinct, at = np.unique(w_of[run], return_inverse=True)
+    distinct = distinct.tolist()
+    errors = [_drude_scales_error(material, w, model is not Model.LOCAL_QUASISTATIC)
+              for w in distinct]
+    failed = np.array([e is not None for e in errors], dtype=bool)[at]
+    for i, k in zip(run[failed].tolist(), at[failed].tolist()):
+        out[i] = errors[k]
+    run, at = run[~failed], at[~failed]
+    by_model = {model: run}
+    if model is Model.AUTO:
+        below = np.array([math.nan if e else _nonlocal_below(material, w)
+                          for w, e in zip(distinct, errors)])
+        near = z_of[run] < below[at]
+        by_model = {Model.NONLOCAL_QUASISTATIC: run[near], Model.LOCAL_RETARDED: run[~near]}
     for m, idx in by_model.items():
+        idx, closed_form = idx.tolist(), m is Model.LOCAL_QUASISTATIC
+        if not idx:
+            continue
         outcomes = _BATCH[m](material, field_kind, [zs[i] for i in idx],
                              [omegas[i] for i in idx], cfg)
         for i, outcome in zip(idx, outcomes):
@@ -565,7 +578,7 @@ def evaluate_batch(
             elif not all(map(math.isfinite, outcome[:3])):
                 out[i] = DomainError(f"chi is not finite at z = {zs[i]:.6g} m, omega = "
                                      f"{omegas[i]:.6g} rad/s; the inputs leave the float range")
-            elif (m is not Model.LOCAL_QUASISTATIC and 0.0 in outcome[:2]
+            elif (not closed_form and 0.0 in outcome[:2]
                   and material.plasma_frequency**2 != 0):
                 out[i] = DomainError(f"chi underflows to 0 at z = {zs[i]:.6g} m, omega = "
                                      f"{omegas[i]:.6g} rad/s; the inputs leave the float range")

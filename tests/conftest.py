@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ewjn import COPPER, Material, QuadratureConfig, QuadratureError
-from ewjn.fresnel import _octaves_below
+from ewjn.fresnel import _kappa_seeds
 from ewjn.materials import C_LIGHT, epsilon_t, skin_depth
 from ewjn.quadrature import QuadResult, integrate_power_tails
 
@@ -80,12 +80,9 @@ def _nested_r_s(material, p, omega, cfg=None):
         f = epsilon_t(material, np.sqrt(k2), omega) / (k2 * k2)
         return f - f.imag
 
-    k_nu, k_star = material.k_nu, material.k_star
     p_list = p.tolist()
-    breaks = [[x for x in (0.3 * q, q, 3.0 * q, k_nu, k_star, 3.0 * k_star) if x > 0]
-              + _octaves_below(k_star, 3.0 * q) for q in p_list]
-    outcomes = integrate_power_tails(integrand, [max(q, k_star) for q in p_list], breaks,
-                                     cfg or QuadratureConfig())
+    outcomes = integrate_power_tails(integrand, np.maximum(p, material.k_star),
+                                     _kappa_seeds(material, p), cfg or QuadratureConfig())
     r = []
     for q, res in zip(p_list, outcomes):
         if isinstance(res, QuadratureError):

@@ -12,9 +12,9 @@ import sys
 
 import pytest
 
-from ewjn import QuadratureConfig, QubitSpec, evaluate, load_material, t1
+from ewjn import DomainError, QuadratureConfig, QubitSpec, evaluate, load_material, t1
 from ewjn.materials import BOHR_MAGNETON, BOHR_RADIUS, E_CHARGE, HBAR, K_BOLTZMANN
-from ewjn.cli import main
+from ewjn.cli import _COMMANDS, build_parser, main
 
 LAM_F = 4.635454439837973e-10  # copper Fermi wavelength, m
 
@@ -246,7 +246,7 @@ def test_sweep_json_format(capsys):
     assert doc["rows"][0]["model"] == "local-quasistatic"
 
 
-def test_sweep_cells_equal_t1_bitwise(capsys):
+def test_sweep_cells_equal_t1_bitwise(capsys, tmp_path):
     # each cell is relax on its point's tensor, as relaxation.t1 is
     copper, cfg = load_material("copper"), QuadratureConfig(rel_tol=1e-6)
     omega = 6e8 * math.pi
@@ -266,6 +266,36 @@ def test_sweep_cells_equal_t1_bitwise(capsys):
                 for row in loads(out)["rows"]:
                     res = t1(copper, spec, row["axis_value"], temp, row["model"], cfg)
                     assert (row["rate_per_s"], row["t1_s"]) == (res.rate, res.t1)
+    # an omega sweep of a dilute metal 20 um out, along z: the local closed
+    # form rounds to 0 at 1e134 rad/s (rate 0, t1 inf), the retarded chi_zz
+    # is negative at 1e14 rad/s, and the retarded integrand leaves the
+    # float range from 1e114 rad/s on
+    mat = tmp_path / "farfield.cfg"
+    mat.write_text("name = farfield\nomega_p_rad_s = 4.628e15\nnu_rad_s = 8.427e13\n"
+                   "fermi_energy_ev = 3.44\n")
+    farfield, z = load_material(str(mat)), 1.985e-5
+    for temp in (0.0, 2.0):
+        code, out, _ = run_cli([
+            "sweep", "--axis", "omega", "--min", "1e14", "--max", "1e134", "--count", "7",
+            "--z", repr(z), "--material", str(mat), "--models", "local-quasistatic,local-retarded",
+            "--orientation", "z", "--temp", repr(temp), "--rel-tol", "1e-6", "--format", "json",
+        ], capsys)
+        assert code == 2
+        seen = set()
+        for row in loads(out)["rows"]:
+            spec = QubitSpec("electric-dipole", E_CHARGE * BOHR_RADIUS, "z", row["axis_value"])
+            try:
+                res = t1(farfield, spec, z, temp, row["model"], cfg)
+            except DomainError as exc:
+                assert (row["status"], row["rate_per_s"], row["t1_s"]) == \
+                    ("domain-error", None, None)
+                seen.add("negative" if "is negative" in str(exc) else "domain-error")
+                continue
+            assert row["status"] == "ok"
+            assert (row["rate_per_s"], row["t1_s"]) == \
+                (res.rate, "inf" if res.t1 == math.inf else res.t1)
+            seen.add("inf" if res.t1 == math.inf else "ok")
+        assert seen == {"ok", "inf", "negative", "domain-error"}
 
 
 def test_sweep_per_point_quadrature_failure_is_cell_status(capsys):
@@ -479,6 +509,47 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert excinfo.value.code == 0
     capsys.readouterr()
+
+
+# the least each subcommand parses
+_MINIMAL = {"spectral": ["--z", "1e-8"], "t1": ["--z", "1e-8"], "bulk": [], "figure": ["fig1"],
+            "sweep": ["--axis", "z", "--min", "1e-8", "--max", "1e-7", "--count", "2"]}
+_PARSER_CASES = [
+    ["--help"], *([name, "--help"] for name in _COMMANDS),
+    # an unknown flag after a subcommand is the top-level parser's error
+    *([name, *_MINIMAL[name], "--bogus"] for name in _COMMANDS),
+    ["spectral"], ["sweep", "--axis", "z", "--min", "1e-8", "--max", "1e-7"],
+    ["spectral", "--z", "1e-8", "--model", "semilocal"], ["figure", "fig9"],
+    ["warp"], [],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_lean_parser_prints_what_the_full_one_prints(capsys, argv):
+    # main builds only the invoked subcommand's parser; help, usage and
+    # errors must stay byte for byte those of the parser of all five
+    printed = []
+    for parser in (build_parser(), build_parser(argv[0] if argv else None)):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv)
+        printed.append((excinfo.value.code, *capsys.readouterr()))
+    assert printed[0] == printed[1]
+    assert printed[0][1] or printed[0][2]
+
+
+def test_full_parser_usage_is_the_one_argparse_writes(capsys):
+    parser = build_parser()
+    usage = parser.format_usage()
+    parser.usage = None
+    assert parser.format_usage() == usage
+    assert usage == "usage: ewjn [-h] {spectral,t1,sweep,bulk,figure} ...\n"
+    # a subcommand's usage names it after the program, and a lean parser
+    # knows its own subcommand only
+    with pytest.raises(SystemExit):
+        build_parser("sweep").parse_args(["sweep", "--help"])
+    assert capsys.readouterr().out.startswith("usage: ewjn sweep [-h] ")
+    with pytest.raises(SystemExit):
+        build_parser("sweep").parse_args(["t1", "--z", "1e-8"])
 
 
 # --------------------------------------------------------------------- bulk

@@ -16,6 +16,14 @@ def _one(f):
     return lambda x, owner: f(x)
 
 
+def _padded(rows):
+    """Breakpoint rows as the engine takes them: one inf-padded 2-D array."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), np.inf)
+    for row, cuts in zip(out, rows):
+        row[:len(cuts)] = cuts
+    return out
+
+
 def _finite(f, a, b, cfg=None, breakpoints=()):
     """The outcome of one integral of f over [a, b], a lockstep batch of one."""
     return integrate_lockstep(_one(f), [a], [b], cfg, [breakpoints])[0]
@@ -301,7 +309,7 @@ def test_batch_matches_separate_integrals_bitwise():
     cfg = QuadratureConfig(rel_tol=1e-10)
     fs, a, b, breaks = zip(*BATCH_CASES)
     batch_calls = []
-    results = integrate_lockstep(_batched(fs, batch_calls), a, b, cfg, breaks)
+    results = integrate_lockstep(_batched(fs, batch_calls), a, b, cfg, _padded(breaks))
     single_calls = []
     for (f, lo, hi, bp), res in zip(BATCH_CASES, results):
         calls = []
@@ -434,7 +442,7 @@ def test_panel_at_resolution_limit(max_subdivisions):
     ]
     cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=max_subdivisions)
     fs, a, b, breaks = zip(*cases)
-    outcomes = integrate_lockstep(_batched(fs, []), a, b, cfg, breaks)
+    outcomes = integrate_lockstep(_batched(fs, []), a, b, cfg, _padded(breaks))
     for (f, lo, hi, bp), got in zip(cases, outcomes):
         splits = []
         want = _serial_reference(f, lo, hi, cfg, bp, splits)
@@ -464,7 +472,7 @@ def test_mixed_batch_matches_serial_reference():
     ]
     cfg = QuadratureConfig(rel_tol=1e-12, max_subdivisions=60)
     fs, a, b, breaks = zip(*cases)
-    outcomes = integrate_lockstep(_batched(fs, []), a, b, cfg, breaks)
+    outcomes = integrate_lockstep(_batched(fs, []), a, b, cfg, _padded(breaks))
     wants = [_serial_reference(f, lo, hi, cfg, bp) for f, lo, hi, bp in cases]
     kinds = [type(w).__name__ for w in wants]
     assert kinds == ["tuple", "QuadratureError", "QuadratureError", "tuple", "tuple", "tuple"]
@@ -496,6 +504,6 @@ def test_lockstep_equals_serial_reference_property(data, n, max_subdivisions, re
     breaks = [data.draw(st.lists(st.floats(-1.0, 3.0), max_size=4)) for _ in range(n)]
     fs = [lambda x, k=k, p=p: _FAMILIES[k](x, p) for k, p in zip(fams, pars)]
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
-    outcomes = integrate_lockstep(_batched(fs, []), a, b, cfg, breaks)
+    outcomes = integrate_lockstep(_batched(fs, []), a, b, cfg, _padded(breaks))
     for f, lo, hi, bp, got in zip(fs, a, b, breaks, outcomes):
         _same_as_reference(got, _serial_reference(f, lo, hi, cfg, bp))

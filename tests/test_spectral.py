@@ -968,6 +968,44 @@ def test_retarded_phase_beyond_the_float_range_is_a_domain_error(copper, field_k
                             "integrand leaves the float range")
 
 
+@pytest.mark.parametrize("model", ["auto", "local-quasistatic", "nonlocal-quasistatic",
+                                   "local-retarded"])
+@pytest.mark.filterwarnings("error")
+def test_drude_denominator_underflow_is_a_domain_error_of_its_point(model):
+    # omega (omega + i nu) underflows to 0, so the Drude permittivity would
+    # divide by zero; the point gets a DomainError that names the bound
+    material = Material("m", 8.394974948008668e132, 1.808559337741882e-163,
+                        1.4535076851165435e267)
+    [outcome] = evaluate_batch(material, "E", [7.185790757925412e240], 2.25938280964016e-282,
+                               model)
+    assert isinstance(outcome, DomainError)
+    assert str(outcome) == ("omega = 2.25938e-282 rad/s is too small for m: "
+                            "omega (omega + i nu) underflows to 0")
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+@pytest.mark.filterwarnings("error")
+def test_nonlocal_collision_wavevector_below_the_float_range_is_a_domain_error(
+        copper, omega0, lam_f, field_kind):
+    # nu/v_F = 5.6e-215 1/m: near p = 0 the outer integral asks for p^2,
+    # and so k^2 of the kappa-integrand, below the float range
+    material = Material("m", 1.8618528317108813e-47, 2.657495543604398e-283,
+                        1.0351416037462507e-167)
+    outcomes = evaluate_batch(material, field_kind, [5.402020032243722e-38, 10.0 * lam_f],
+                              [0.0030714597545080714, omega0], "nonlocal-quasistatic")
+    for outcome in outcomes:
+        assert isinstance(outcome, DomainError)
+        assert str(outcome).startswith("nu/v_F = 5.57e-215 1/m is too small for the nonlocal "
+                                       "model: 0.1 nu/v_F lies below ")
+    # k_nu is the material's: beside a failing copper point, a copper
+    # point keeps its bits
+    cfg = QuadratureConfig(rel_tol=1e-6)
+    alone = evaluate(copper, field_kind, 10.0 * lam_f, omega0, "nonlocal-quasistatic", cfg)
+    beside, failed = evaluate_batch(copper, field_kind, [10.0 * lam_f, 1e-60], omega0,
+                                    "nonlocal-quasistatic", cfg)
+    assert beside == alone and isinstance(failed, DomainError)
+
+
 # ---------------------------------------------------------------- dispatch
 
 def test_evaluate_dispatch(copper, omega0, lam_f, e_nl_10):

@@ -4,7 +4,7 @@
 
 Run from the repository root. The commands are those of seeds 501, 612
 and 777 of every perfbench workload (perfbench/workloads.py) plus the
-fixed EDGES list below. Each command runs in a fresh interpreter, once
+fixed EDGES and MATERIAL_EDGES lists below. Each command runs in a fresh interpreter, once
 with PARENT_DIR/src and once with ./src on PYTHONPATH, each time in a
 new empty working directory that holds only the command's material
 file. The exit code, stdout, stderr and every file the command leaves
@@ -120,6 +120,21 @@ EDGES = [
     ["spectral", "--field", "B", "--z", "1e300", "--omega", "1e17"],
 ]
 
+# edges that need a material file: (argv, (file name, text))
+_UNDERFLOW = ("underflow.cfg", "name = underflow\nomega_p_rad_s = 8.394974948008668e132\n"
+              "nu_rad_s = 1.808559337741882e-163\nfermi_energy_ev = 9.07e285\n")
+_SLOW = ("slow.cfg", "name = slow\nomega_p_rad_s = 1.8618528317108813e-47\n"
+         "nu_rad_s = 2.657495543604398e-283\nfermi_energy_ev = 6.46e-149\n")
+MATERIAL_EDGES = [
+    # omega (omega + i nu) of the Drude permittivity underflows to 0
+    *((["spectral", "--material", _UNDERFLOW[0], "--z", "7.185790757925412e240",
+        "--omega", "2.25938280964016e-282", "--model", model], _UNDERFLOW)
+      for model in ("auto", "local-quasistatic", "nonlocal-quasistatic", "local-retarded")),
+    # nu/v_F lies below the nonlocal kernel's float range
+    (["spectral", "--material", _SLOW[0], "--z", "5.402020032243722e-38",
+      "--omega", "0.0030714597545080714", "--model", "nonlocal-quasistatic"], _SLOW),
+]
+
 
 def run(src, argv, material) -> dict:
     """Exit code, stdout, stderr and the text of each file left by one
@@ -159,7 +174,7 @@ def main(argv) -> int:
     cases = [(c.argv, (c.flags["material"], c.material_file) if c.material_file else None)
              for name in workloads.WORKLOADS for seed in SEEDS
              for c in workloads.generate(name, seed).commands]
-    cases += [(edge, None) for edge in EDGES]
+    cases += [(edge, None) for edge in EDGES] + MATERIAL_EDGES
     differing = 0
     for command, material in cases:
         parent, change = (run(src, command, material) for src in sources)

@@ -24,15 +24,27 @@ the counts of one run: the r_p kernel calls
 to it) and inner rounds (integrand calls of its lockstep runs, the seed
 round included), the epsilon_l and epsilon_t nodes, and the
 k-integrals of the magnetic r_s channel (one per B point) and their
-rounds. The results print as one JSON object, and --out also writes
-them to FILE.
+rounds.
+
+The CLI row times `ewjn sweep` through cli.main on local-quasistatic
+sweeps of copper, whose closed forms cost next to nothing, so what it
+measures is the command's own Python: parsing, the per-point checks,
+relaxation and the table. cold_main_ms is main() for a 2-point sweep in
+a fresh interpreter, timed after `import ewjn.cli`, best of N (default
+3) interpreters; cell_us is one warm main() for a 100-point sweep of the
+two model columns local-quasistatic,local-quasistatic (200 cells) per
+cell, best of N. The results print as one JSON object, and --out also
+writes them to FILE.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import time
 
@@ -43,6 +55,7 @@ import numpy as np  # noqa: E402
 import ewjn.fresnel as fresnel  # noqa: E402
 import ewjn.spectral as spectral  # noqa: E402
 from ewjn import COPPER, evaluate_batch  # noqa: E402
+from ewjn.cli import main as cli_main  # noqa: E402
 from ewjn.materials import epsilon_l, epsilon_t  # noqa: E402
 
 OMEGA_0 = 6e8 * math.pi
@@ -132,6 +145,37 @@ def measure(repeat: int) -> dict:
     return out
 
 
+def _sweep_argv(count: int) -> list:
+    return ["sweep", "--axis", "z", "--min", "1e-9", "--max", "1e-6", "--count", str(count),
+            "--models", "local-quasistatic,local-quasistatic"]
+
+
+# cli.main in a fresh interpreter, timed after the import
+_COLD = """import contextlib, io, sys, time
+import ewjn.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    t0 = time.perf_counter()
+    ewjn.cli.main(sys.argv[1:])
+    wall = time.perf_counter() - t0
+print(wall)
+"""
+
+
+def measure_cli(repeat: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.getcwd(), "src"))
+    cold = min(float(subprocess.run([sys.executable, "-c", _COLD, *_sweep_argv(2)], env=env,
+                                    capture_output=True, text=True, check=True).stdout)
+               for _ in range(repeat))
+    warm = math.inf
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli_main(_sweep_argv(100))
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            cli_main(_sweep_argv(100))
+            warm = min(warm, time.perf_counter() - t0)
+    return {"cold_main_ms": round(cold * 1e3, 2), "cell_us": round(warm / 200 * 1e6, 2)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="also write the JSON result to this file")
@@ -143,6 +187,7 @@ def main() -> int:
         "kernel_block": spectral._KERNEL_BLOCK,
         "kernel": measure_kernel(max(1, args.repeat)),
         "batches": measure(max(1, args.repeat)),
+        "cli": measure_cli(max(1, args.repeat)),
     }
     text = json.dumps(result, indent=2)
     print(text)
