@@ -113,14 +113,17 @@ def _lindhard_series(x, transverse: bool):
         # f_t = 1 + 3 sum_{n>=1} y^n / ((2n+1)(2n+3))
         for n in range(_SERIES_TERMS, 0, -1):
             acc = y * (1.0 / ((2 * n + 1) * (2 * n + 3)) + acc)
-        return 1.0 + 3.0 * acc
-    # f_l = -sum_{n>=1} y^n / (2n+1)
-    for n in range(_SERIES_TERMS, 0, -1):
+        return 1.0 + 3.0 * acc, 0.0
+    # f_l = -sum_{n>=1} y^n / (2n+1) = y g, returned with g = -inner
+    for n in range(_SERIES_TERMS, 1, -1):
         acc = y * (1.0 / (2 * n + 1) + acc)
-    return -acc
+    inner = 1.0 / 3.0 + acc
+    return -(y * inner), -inner
 
 
 def _lindhard(x, transverse: bool):
+    """(f_t or f_l, g) at every x: g = x artanh(1/x) = 1 - f_l where the
+    closed forms run, f_l x^2 (0 for f_t) where the series does."""
     x = np.asarray(x, dtype=complex)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -149,21 +152,22 @@ def _lindhard(x, transverse: bool):
     else:
         closed = 1.0 - xa
     if xs is x:
-        out = closed
+        out, g = closed, xa
     else:
-        out = np.empty_like(x)
-        out[~big], out[big] = closed, _lindhard_series(x[big], transverse)
-    return out[0] if scalar else out
+        out, g = np.empty_like(x), np.empty_like(x)
+        out[~big], g[~big] = closed, xa
+        out[big], g[big] = _lindhard_series(x[big], transverse)
+    return (out[0], g[0]) if scalar else (out, g)
 
 
 def lindhard_f_l(x):
     """Longitudinal Lindhard function 1 - (x/2) ln((x+1)/(x-1))."""
-    return _lindhard(x, transverse=False)
+    return _lindhard(x, transverse=False)[0]
 
 
 def lindhard_f_t(x):
     """Transverse Lindhard function (3/2)x^2 - (3/4)x(x^2-1) ln((x+1)/(x-1))."""
-    return _lindhard(x, transverse=True)
+    return _lindhard(x, transverse=True)[0]
 
 
 def _check_k_omega(k, omega):
@@ -179,8 +183,11 @@ def epsilon_l(material: Material, k, omega):
                     / (omega + i nu f_l(x)),   x = (omega + i nu)/(k v_F)
 
     The denominator structure keeps the k -> 0 limit equal to the Drude
-    form at every omega. k and omega are scalars or arrays that
-    broadcast together.
+    form at every omega. Below |x| = 1, where f_l -> 1 and Im of the
+    quotient would cancel to rounding, it is 1 - omega g/(omega + i nu
+    f_l), g = 1 - f_l; from |x| = 8 the y = 1/x^2 of f_l = y g goes into
+    the screening factor, so Im eps_l does not underflow with Im f_l. k
+    and omega are scalars or arrays that broadcast together.
     """
     _check_k_omega(k, omega)
     k = np.asarray(k, dtype=float)
@@ -189,8 +196,11 @@ def epsilon_l(material: Material, k, omega):
     vf = material.fermi_velocity
     wn = omega + 1j * nu
     x = wn / (k * vf)
-    fl = lindhard_f_l(x)
-    return 1.0 + (3.0 * wp * wp / (k * k * vf * vf)) * wn * fl / (omega + 1j * nu * fl)
+    fl, g = _lindhard(x, transverse=False)
+    den, screening = omega + 1j * nu * fl, 3.0 * wp * wp / (k * k * vf * vf)
+    return 1.0 + np.where(np.abs(x) < 1.0, screening * (1.0 - omega * g / den),
+                          np.where(np.abs(x) < _SERIES_SWITCH, screening * wn * fl / den,
+                                   3.0 * wp * wp * g / (wn * den)))
 
 
 def epsilon_t(material: Material, k, omega):

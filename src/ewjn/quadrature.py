@@ -1,14 +1,11 @@
 """Adaptive one-dimensional quadrature for complex integrands.
 
-Two integrators serve every integral in the package, and both share one
-contract: they take a batch of N integrals and return one outcome per
-integral, a QuadResult or that integral's own QuadratureError, with the
-bits the integral gets when run alone. Callers decide what a failure
-means; no integrator raises one.
-
-  integrate_lockstep     N finite intervals [a[i], b[i]]
-  integrate_power_tails  [0, infinity), |f| = O(t^-2), mapped onto
-                         [0, 1) by t = s u/(1 - u)
+integrate_lockstep serves the package's adaptive integrals (the
+local-retarded model and the bulk ladder; the nonlocal model runs on a
+lattice of its own). It takes a batch of N integrals over finite
+intervals [a[i], b[i]] and returns one outcome per integral, a QuadResult
+or that integral's own QuadratureError, with the bits the integral gets
+when run alone. Callers decide what a failure means; it raises none.
 
 The rule is a globally adaptive Gauss-Kronrod 15(7) with deterministic
 panel subdivision (worst panel first, ties by insertion order). The N
@@ -26,10 +23,9 @@ error estimates, the vector-integrand test of DCUHRE (Berntsen, Espelid
 error of each part j is at most max(rel_tol |I_j|, abs_tol), so a part
 many orders below the other is still resolved to rel_tol of itself.
 Every caller has at most two components, so the two parts are the
-vector interface: a local-retarded point carries xx and zz, and a
-kappa-integral of the nonlocal r_p the complex I_p. A panel's pick key,
-max_j err_j / tol_j against its integral's tolerances in the round it
-is made, is fixed then, so the worst panel is one argmax.
+vector interface: a local-retarded point carries xx and zz. A panel's
+pick key, max_j err_j / tol_j against its integral's tolerances in the
+round it is made, is fixed then, so the worst panel is one argmax.
 
 The state lives in plain arrays, a panel table with a row per
 unconverged integral that doubles its columns when full, so a round
@@ -81,7 +77,8 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets shared by every integral."""
+    """Tolerances and budgets shared by every integral; for the nonlocal
+    lattice max_subdivisions also caps the halvings of its step."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-30
@@ -94,19 +91,6 @@ class QuadratureConfig:
             raise DomainError("abs_tol must be >= 0")
         if not (self.max_subdivisions >= 1):
             raise DomainError("max_subdivisions must be >= 1")
-
-    def inner(self) -> "QuadratureConfig":
-        """Budget for an integral nested inside another one.
-
-        Inner integrals run a factor 10 tighter so the outer rule's
-        error model stays valid, but never below 100 ulps, a precision
-        double arithmetic still holds.
-        """
-        return QuadratureConfig(
-            rel_tol=max(self.rel_tol / 10.0, 100.0 * _EPS),
-            abs_tol=self.abs_tol / 10.0,
-            max_subdivisions=self.max_subdivisions,
-        )
 
 
 class QuadResult(NamedTuple):
@@ -278,33 +262,3 @@ def integrate_lockstep(
         else:
             outcomes.append(QuadResult(value, bound, parts))
     return outcomes
-
-
-def integrate_power_tails(
-    f: Callable,
-    scales: Sequence[float],
-    breakpoints: np.ndarray,
-    cfg: QuadratureConfig | None = None,
-) -> list:
-    """Outcomes of a batched f over [0, infinity) for |f| = O(t^-2).
-
-    Integral i maps t = s u/(1 - u), s = scales[i], onto u in [0, 1),
-    its seeds, row i of the inf-padded array breakpoints (values of t),
-    with it, and runs as integral i of one integrate_lockstep batch. Only seeds 0 < t < 1e12 s are
-    kept: a larger t maps within 1e-12 of u = 1, where the nodes of the
-    panel [u, 1] would round onto the pole of the map.
-    """
-    s_rows = np.asarray(scales, dtype=float)[:, None]
-    if not np.all(s_rows > 0):
-        raise DomainError("scales must be > 0")
-
-    def mapped(u, owner):
-        one_minus = 1.0 - u
-        s = s_rows[owner]
-        return f(s * u / one_minus, owner) * (s / (one_minus * one_minus))
-
-    n = len(scales)
-    t = np.asarray(breakpoints, dtype=float)
-    keep = (t > 0) & (t < 1e12 * s_rows)
-    u_breaks = np.divide(t, t + s_rows, out=np.full(keep.shape, np.inf), where=keep)
-    return integrate_lockstep(mapped, [0.0] * n, [1.0] * n, cfg, u_breaks)

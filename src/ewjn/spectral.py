@@ -23,8 +23,9 @@ constants of each distinct omega are computed once, on Python scalars,
 and indexed per point. A local-retarded point is one integral over a
 log-mapped axis that joins the propagating and evanescent parts, with
 the Fresnel coefficients taken from the vacuum normal wavevector q; a
-nonlocal point is one log-mapped integral over p of its r_p channel
-and, for B, one k-integral of its r_s channel (_swapped_zz).
+nonlocal point is a trapezoid sum in ln p of its r_p channel and, for
+B, one in ln k of its r_s channel, on a log lattice in k that all the
+points of one omega share (_nonlocal_quasistatic).
 """
 
 from __future__ import annotations
@@ -33,16 +34,14 @@ import cmath
 import enum
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError, require_positive_finite
-from .fresnel import local_reflection_q, nonlocal_reflection_quasistatic
+from .fresnel import M, lattice_reflection, local_reflection_q, surface_response
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_t, skin_depth
-from .quadrature import (_NODES, _WEIGHTS_K, QuadratureConfig, integrate_lockstep,
-                         integrate_power_tails)
+from .quadrature import _NODES, _WEIGHTS_K, QuadratureConfig, integrate_lockstep
 
 
 class Model(str, enum.Enum):
@@ -184,27 +183,21 @@ def _tail_cut(share: float) -> tuple:
 
 # the cut of every integral model leaves 1e-12 of the integral beyond it
 _TAIL_CUT = _tail_cut(1e-12)
+# the nonlocal lattice's r_p sums are cut where they leave 1e-16
+_LATTICE_CUT = _tail_cut(1e-16)
 
 
-# The nonlocal kernel gets at most this many p per call: a call's arrays
-# grow with its p, and a batch of many points would otherwise hand it
-# every new node of a refinement round at once.
-_KERNEL_BLOCK = 128
 _SQRT_MAX, _SQRT_TINY = math.sqrt(sys.float_info.max), math.sqrt(sys.float_info.min)
 
 
 def _nonlocal_range(material, omega) -> tuple:
     """(lo, hi, top) of a nonlocal point at omega: it runs if 0.1/z and
-    0.1 k_nu are >= lo and its cut p_U <= hi and <= top. Its integrals
-    reach k from about 1e-3 of 0.1 min(1/z, k_nu) to 1e3 p_U, and there
-    k^2 must be normal and k^2 v_F^2, x^2 = ((omega + i nu)/(k v_F))^2
-    and (k_star/k)^2 |omega + i nu| finite (epsilon_l, epsilon_t and
-    their Lindhard series form them).
-    Above top = 1e11 |omega + i nu|/v_F, 1/|x| = 1e11 at kappa = 0, the
-    kernel loses Im r_p to rounding in its Lindhard closed form: in six
-    metals (nu from 1e11 to 1.2e14 rad/s) at 1e7..1e15 rad/s its bound on
-    Im r_p is at most 6e-5 of Im r_p up to 1/|x| = 1e11, 3e-3 at 1e12 and
-    6e-2 at 1e13."""
+    0.1 k_nu are >= lo and its cut p_U <= hi and <= top. Its lattice
+    runs from k = lo/1e3, where k^2 must be normal and k^2 v_F^2, x^2 =
+    ((omega + i nu)/(k v_F))^2 and (k_star/k)^2 |omega + i nu| finite
+    (epsilon_l, epsilon_t and their Lindhard series form them), to at
+    most 1e3 hi. Above top = 1e11 |omega + i nu|/v_F the adaptive kernel
+    the lattice replaced lost Im r_p to rounding."""
     vf, wn = material.fermi_velocity, abs(complex(omega, material.collision_rate))
     k_lo = max(_SQRT_TINY, max(wn / vf, material.k_star * math.sqrt(max(1.0, wn))) / _SQRT_MAX)
     return 1e3 * k_lo, _SQRT_MAX / max(1.0, vf) / 1e3, 1e11 * wn / vf
@@ -221,173 +214,52 @@ _G_WEIGHT = (_G_HALF * _WEIGHTS_K).ravel() * _G_SIN**3
 _G_SWITCH = 60.0
 # the series' coefficients C(2n, n)/4^n (2n + 3)! of a^-(2n + 4), n = 19..0
 _G_SERIES = [math.comb(2 * n, n) / 4**n * math.factorial(2 * n + 3) for n in range(19, -1, -1)]
+# Below _G_TAYLOR, G is its Taylor series Sum_n (-a)^n I_{n+3}/n!, I_m =
+# Integral_0^{pi/2} cos^m = I_{m-2} (m - 1)/m, whose terms fall from the
+# first and stop at 1e-19 of G by n = 20; the coefficients, highest first.
+_G_TAYLOR, _G_TAYLOR_COEFFS = 1.0, [2.0 / 3.0, -3.0 * math.pi / 16.0]
+for _n in range(2, 20):
+    _G_TAYLOR_COEFFS.append(_G_TAYLOR_COEFFS[-2] * (_n + 2) / ((_n + 3) * _n * (_n - 1)))
+_G_TAYLOR_COEFFS.reverse()
 
 
 def _polar_g(a):
     """G(a) = Integral_0^{pi/2} cos^3 theta e^{-a cos theta} dtheta at
     every a >= 0 of an array: G(0) = 2/3 and Integral_0^inf G da = pi/4.
-    The rule in u = pi/2 - theta below _G_SWITCH, the series from it,
-    which underflows quietly to 0 for a huge a."""
+    The Taylor series below _G_TAYLOR, the rule in u = pi/2 - theta below
+    _G_SWITCH, the asymptotic series from it, which underflows quietly
+    to 0 for a huge a."""
     g = np.empty(a.shape)
-    near = a < _G_SWITCH
+    small, far = a < _G_TAYLOR, a >= _G_SWITCH
+    near = ~(small | far)
+    g[small] = np.polyval(_G_TAYLOR_COEFFS, a[small])
     g[near] = (_G_WEIGHT * np.exp(-a[near][:, None] * _G_SIN)).sum(axis=1)
-    b2 = (1.0 / a[~near]) ** 2
-    g[~near] = np.polyval(_G_SERIES, b2) * b2 * b2
+    b2 = (1.0 / a[far]) ** 2
+    g[far] = np.polyval(_G_SERIES, b2) * b2 * b2
     return g
 
 
-def _swapped_zz(material, zs, omegas, cfg) -> list:
-    """K = Integral_0^inf da Im eps_t(a/(2z), omega) G(a) at every point,
-    as the outcomes of one integrate_power_tails batch in a = 2kz with
-    scale 2, seeded at 2z k_nu, 2z k_star and a = 0.1, 0.3, 1, ..., 100, 1000;
-    in a the integrand is at most about |eps(omega)|, whatever z. Im r_s =
-    (omega^2/(4 p^2 c^2)) (4 p^3/pi) Integral dkappa Im eps_t(k)/k^4 is
-    linear in eps_t, so p = k cos theta, kappa = k sin theta swap the p-
-    and kappa-integrals of chi^B_zz: chi^B_zz = hbar omega^2/(2 pi eps0
-    c^4 z) K, and a constant eps_t gives the local closed form.
-    """
-    z2_rows = 2.0 * np.asarray(zs, dtype=float)[:, None]
-    w_rows = np.asarray(omegas, dtype=float)[:, None]
-
-    def integrand(a, owner):
-        return (epsilon_t(material, a / z2_rows[owner], w_rows[owner]).imag
-                * _polar_g(a.ravel()).reshape(a.shape))
-
-    seeds = [0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1000.0]
-    return integrate_power_tails(integrand, np.full(len(zs), 2.0), np.hstack(
-        [z2_rows * [material.k_nu, material.k_star], np.broadcast_to(seeds, (len(zs), 8))]), cfg)
+# The nonlocal lattice: k_n = e^{nh} 1/m, t = ln(k 1 m) = nh, from h =
+# _H0 to _H0/2^_MAX_HALVINGS. A point's ranges are whole steps of _H0:
+# its r_p sum runs from p = _P_LOW/z, below which its summand falls like
+# p^3 (E) or p (B), to the cut of _LATTICE_CUT; B's k-sum over a = 2kz
+# from _A_LOW 2z min(k_nu, 1/(2z)) to _A_HIGH, beyond which it falls like
+# a^-3. Every I_p window ends at k_top, the last grid point at or below
+# _TOP_FACTOR max(k_star, top) and 1e3 hi (_nonlocal_range).
+_H0, _MAX_HALVINGS, _TOP_FACTOR = 0.25, 4, 1e6
+_P_LOW, _A_LOW, _A_HIGH = {"E": 1e-6, "B": 1e-16}, 1e-16, 1e6
+# the rounding of a sum's summands, relative to the sum of their moduli
+_ROUNDING = 50.0 * sys.float_info.epsilon
 
 
-def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
-    """The nonlocal quasistatic integrals at every point, as one batch.
-
-    E: chi_zz = (hbar/eps0) Integral_0^inf dp p^2 e^{-2pz} Im r_p(p),
-       chi_xx = chi_zz/2.
-    B: chi_zz = (hbar/(eps0 c^2)) Integral dp p^2 e^{-2pz} Im r_s(p), one
-       k-integral per point (_swapped_zz); chi_xx = rs_part + rp_part,
-       rs_part = chi_zz/2, rp_part = (hbar omega^2/(2 eps0 c^4))
-       Integral dp e^{-2pz} Im r_p(p), both kept in decomposition.
-
-    The r_p channel of every point (E: weight p^2; B: weight 1) is one
-    integral of one lockstep run over t = log1p(p/k_nu), about one unit
-    of t per decade of p above k_nu. Its integrand grows no faster than
-    p^3 e^{-2pz}, so it is cut at x/(2z) (_tail_cut), rounded up to T on
-    the z-independent grid of _nonlocal_grid, which also seeds it: the
-    points of one omega bisect the same panels and ask for the same p.
-    Its error adds the bound on the tail beyond p_U = k_nu expm1(T),
-    |f(p_U)| times the tail ratio at x, and the inner integrals': Im r_p
-    >= 0 by passivity, so max(err Im r_p/Im r_p) over the nodes times the
-    channel bounds Integral w err Im r_p.
-
-    The integrand serves each round from one dict from (p, omega) to the
-    kernel's outcome, which keeps the omegas of two or more points, and
-    passes the kernel the new pairs in blocks of at most _KERNEL_BLOCK p;
-    the integrand at the cuts is one such round before the first. A p
-    gets the same outcome in any batch, so a point gets the bits and the
-    failure it gets alone. A point's inner error is the first failing p
-    among its rows, after which it integrates zeros. A point gets its
-    k-integral's QuadratureError, else its inner one, else its outer one;
-    a point outside _nonlocal_range gets a DomainError and does not run.
-    """
-    cfg = cfg or QuadratureConfig()
-    cfg_inner = cfg.inner()
-    k_nu = material.k_nu
-    x, ratio = _TAIL_CUT
-    ranges = {w: _nonlocal_range(material, w) for w in set(omegas)}
-    grids = [_nonlocal_grid(z, k_nu, x, ranges[w]) for z, w in zip(zs, omegas)]
-    out = [g if isinstance(g, DomainError) else None for g in grids]
-    run = [k for k, o in enumerate(out) if o is None]
-    zs, omegas, grids = ([v[k] for k in run] for v in (zs, omegas, grids))
-    z_of, w_of = np.asarray(zs, dtype=float), np.asarray(omegas, dtype=float)
-    inner_error = [None] * len(zs)
-    failed = np.zeros(len(zs), dtype=bool)
-    # max over the nodes of err(Im r_p)/Im r_p, per point
-    worst = np.zeros(len(zs))
-    memo = {}
-    shared = {w for w, count in Counter(omegas).items() if count > 1}
-
-    def reflection(nodes, w):
-        """The kernel's outcome at every (p, omega) of nodes and w."""
-        pairs = list(zip(nodes, w))
-        new = {pair: None for pair in pairs if pair not in memo}
-        keys = list(new)
-        for i in range(0, len(keys), _KERNEL_BLOCK):
-            block = keys[i:i + _KERNEL_BLOCK]
-            p, w_block = zip(*block)
-            new.update(zip(block, nonlocal_reflection_quasistatic(material, p, w_block,
-                                                                  cfg_inner)))
-        memo.update((pair, o) for pair, o in new.items() if pair[1] in shared)
-        return [new[pair] if pair in new else memo[pair] for pair in pairs]
-
-    def integrand(p, owner):
-        out = np.zeros(p.shape, dtype=complex)
-        rows = np.flatnonzero(~failed[owner])
-        if not rows.size:
-            return out
-        nodes, at = p[rows], owner[rows]
-        r = reflection(nodes.ravel().tolist(), np.repeat(w_of[at], nodes.shape[1]).tolist())
-        im = np.zeros((2, len(r)))
-        for i, o in enumerate(r):
-            if isinstance(o, QuadratureError):
-                k = at[i // nodes.shape[1]]
-                if not failed[k]:
-                    failed[k], inner_error[k] = True, o
-            else:
-                im[:, i] = o.value.imag, o.part_errors[1]
-        keep = ~failed[at]
-        rows, nodes, at = rows[keep], nodes[keep], at[keep]
-        im, im_err = im.reshape(2, keep.size, -1)[:, keep]
-        decay = np.exp(-2.0 * nodes * z_of[at][:, None])
-        out.real[rows] = (nodes * nodes * decay if field_kind == "E" else decay) * im
-        ratio_p = np.divide(im_err, im, out=np.where(im_err > 0, np.inf, 0.0), where=im > 0)
-        np.maximum.at(worst, at, ratio_p.max(axis=1))
-        return out
-
-    ends, seeds = zip(*grids) if grids else ((), ())
-    t_end = np.asarray(ends, dtype=float)
-    breaks = np.full((len(seeds), max(map(len, seeds), default=0)), np.inf)
-    for row, grid in zip(breaks, seeds):
-        row[:len(grid)] = grid
-    tails = (np.abs(integrand(k_nu * np.expm1(t_end)[:, None],
-                              np.arange(t_end.size))[:, 0].real)
-             * ratio / (2.0 * z_of)).tolist()
-    results = integrate_lockstep(
-        lambda t, owner: integrand(k_nu * np.expm1(t), owner) * (k_nu * np.exp(t)),
-        [0.0] * t_end.size, t_end, cfg, breaks)
-    swapped = _swapped_zz(material, zs, omegas, cfg) if field_kind == "B" else [None] * len(zs)
-    # Python floats: inf * 0 in err is a NaN and a DomainError, not a warning
-    worst = worst.tolist()
-    for k, (omega, res, zz) in enumerate(zip(omegas, results, swapped)):
-        failure = next((e for e in (zz, inner_error[k], res) if isinstance(e, QuadratureError)),
-                       None)
-        if failure:
-            out[run[k]] = failure
-            continue
-        # the r_p channel's error: outer rule, cut tail and inner integrals
-        value = res.value.real
-        err = res.part_errors[0] + tails[k] + worst[k] * abs(value)
-        if field_kind == "E":
-            chi_zz = HBAR / EPS0 * value
-            out[run[k]] = (0.5 * chi_zz, chi_zz, HBAR / EPS0 * err, {})
-        else:
-            scale_zz = HBAR * omega**2 / (2.0 * math.pi * EPS0 * C_LIGHT**4 * zs[k])
-            rp_scale = 0.5 * HBAR / (EPS0 * C_LIGHT**2) * (omega / C_LIGHT) ** 2
-            chi_zz, rp_part = scale_zz * zz.value.real, rp_scale * value
-            out[run[k]] = (0.5 * chi_zz + rp_part, chi_zz, scale_zz * zz.error + rp_scale * err,
-                           {"rs_part": 0.5 * chi_zz, "rp_part": rp_part})
-    return out
-
-
-def _nonlocal_grid(z, k_nu, x, limits):
-    """(T, seeds) of a nonlocal point on the grid ..., 1/4, 1/2, 1, 2,
-    3, ... of t = log1p(p/k_nu): T is the first grid point at or above
-    the cut x/(2z), and seeds are the grid points below T, down to the
-    last one at or below t(1/z) but at least down to 1. Its DomainError
-    if 0.1/z or 0.1 k_nu lies below lo or p_U = k_nu expm1(T) exceeds hi
-    or top, where (lo, hi, top) = limits is its omega's _nonlocal_range."""
-    lo, hi, top = limits
-    t_cut = math.log1p(x / 2.0 / z / k_nu)
-    if not (t_cut > 0 and 0.1 / z >= lo):
+def _nonlocal_cuts(material, field_kind, z, limits):
+    """(i_lo, i_hi, j_lo, j_hi) of a nonlocal point: its r_p sum runs over
+    p = e^{i H0} from the last grid point at or below _P_LOW/z to the
+    first at or above the cut x/(2z), its k-sum over k = e^{j H0}, both
+    from lo/1e3 up. Its DomainError if 0.1/z or 0.1 k_nu lies below lo or
+    the cut exceeds hi or top, (lo, hi, top) = limits (_nonlocal_range)."""
+    (lo, hi, top), k_nu = limits, material.k_nu
+    if not (0.1 / z >= lo):
         return DomainError(f"z = {z:.6g} m is too large for the nonlocal model: 0.1/z lies "
                            f"below {lo:.3g} 1/m, where the kernel leaves the float range")
     if not (0.1 * k_nu >= lo):
@@ -395,14 +267,9 @@ def _nonlocal_grid(z, k_nu, x, limits):
                            f"0.1 nu/v_F lies below {lo:.3g} 1/m, where the kernel leaves the "
                            f"float range")
     try:
-        if t_cut > 1.0:
-            end = float(math.ceil(t_cut))
-        else:
-            # t = m 2^e with m in [0.5, 1): 2^e, or t itself if m = 0.5
-            mantissa, exponent = math.frexp(t_cut)
-            end = math.ldexp(1.0, exponent - (mantissa == 0.5))
-        p_cut = k_nu * math.expm1(end)
-    except OverflowError:  # ceil(inf), or e^T beyond the float range
+        i_hi = math.ceil(math.log(_LATTICE_CUT[0] / 2.0 / z) / _H0)
+        p_cut = math.exp(i_hi * _H0)
+    except OverflowError:  # ceil(inf), or e^t beyond the float range
         p_cut = math.inf
     if p_cut > hi:
         return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
@@ -412,13 +279,171 @@ def _nonlocal_grid(z, k_nu, x, limits):
         return DomainError(f"z = {z:.6g} m is below the nonlocal kernel's resolution: its cut "
                            f"wavevector, rounded up to the grid of t, exceeds {top:.3g} 1/m, "
                            f"where the kernel no longer resolves Im r_p")
-    # far out the integrand peaks near p = 1/z, deep below t = 1
-    seed = min(1.0, math.ldexp(1.0, math.frexp(math.log1p(1.0 / z / k_nu))[1] - 1))
-    seeds = []
-    while seed < min(end, 1.0):
-        seeds.append(seed)
-        seed *= 2.0
-    return end, seeds + [float(t) for t in range(1, math.ceil(end))]
+    floor = math.ceil(math.log(lo / 1e3) / _H0)
+    return (max(math.floor(math.log(_P_LOW[field_kind] / z) / _H0), floor + M), i_hi,
+            max(math.floor(math.log(_A_LOW * min(k_nu, 0.5 / z)) / _H0), floor),
+            min(math.ceil(math.log(_A_HIGH / 2.0 / z) / _H0), math.floor(math.log(1e3 * hi) / _H0)))
+
+
+def _refine(old, old_lo, lo, top, h, kernel):
+    """(values, first) of kernel(k, rows) at k = e^{nh}, n = lo[r] ..
+    top[r] in row r, 0 elsewhere, columns from n = first = min(lo): even
+    n from old, the lattice at 2h from column old_lo, odd n (all n if old
+    is None) from kernel."""
+    n = np.arange(lo.min(), top.max() + 1)
+    valid = (n >= lo[:, None]) & (n <= top[:, None])
+    fresh = valid if old is None else valid & (n % 2 == 1)
+    rows, cols = np.nonzero(fresh)
+    values = np.broadcast_to(kernel(np.exp(n[cols] * h), rows), rows.shape)
+    new = np.zeros(valid.shape, dtype=values.dtype)
+    new[fresh] = values
+    if old is not None:
+        rows, cols = np.nonzero(valid & ~fresh)
+        new[rows, cols] = old[rows, n[cols] // 2 - old_lo]
+    return new, int(n[0])
+
+
+def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
+    """The nonlocal quasistatic integrals at every point, as one batch.
+
+    E: chi_zz = (hbar/eps0) Integral_0^inf dp p^2 e^{-2pz} Im r_p(p),
+       chi_xx = chi_zz/2.
+    B: chi_zz = (hbar/(eps0 c^2)) Integral dp p^2 e^{-2pz} Im r_s(p) and
+       chi_xx = rs_part + rp_part, rs_part = chi_zz/2, rp_part = (hbar
+       omega^2/(2 eps0 c^4)) Integral dp e^{-2pz} Im r_p(p), both kept
+       in decomposition. Im r_s is linear in eps_t, so p = k cos theta,
+       kappa = k sin theta swap its p- and kappa-integrals: chi^B_zz =
+       hbar omega^2/(2 pi eps0 c^4 z) Integral_0^inf da Im eps_t(a/(2z),
+       omega) G(a), and a constant eps_t gives the local closed form.
+
+    Each integral is a trapezoid sum in ln p (ln k) on the lattice of its
+    omega, shared by all its points: h Sum p^3 e^{-2pz} Im r_p (E; p for
+    B's rp_part) with r_p from one correlation of phi = 1/eps_l - 1
+    (fresnel.lattice_reflection), and h Sum a Im eps_t(k) G(a), a = 2kz.
+    The summands are analytic in a strip and decay at both ends, so the
+    sums converge geometrically in 1/h. A point runs at h = _H0 and _H0/2,
+    then halves h until each sum S meets max(rel_tol |S|, abs_tol) with
+    its error: the difference from the sum at 2h plus bounds on its tails
+    beyond its ends, on its summands' rounding and, for r_p, on each
+    window above k_top. After min(_MAX_HALVINGS, max_subdivisions)
+    halvings it gets a QuadratureError. The lattice at h/2 asks the
+    kernels for its odd nodes only. A node's values depend on (material,
+    omega, h, n) alone and each sum adds an array of its own summands, so
+    a point gets the bits and the outcome it gets alone. A point outside
+    _nonlocal_range gets a DomainError and does not run.
+    """
+    cfg = cfg or QuadratureConfig()
+    ranges = {w: _nonlocal_range(material, w) for w in set(omegas)}
+    out = [_nonlocal_cuts(material, field_kind, z, ranges[w]) for z, w in zip(zs, omegas)]
+    running = [k for k, cuts in enumerate(out) if not isinstance(cuts, DomainError)]
+    # one lattice per omega: a row of the arrays below while any of its points runs
+    distinct, row = np.unique(omegas, return_inverse=True)
+    n_top = np.array([math.floor(min(math.log(_TOP_FACTOR * max(material.k_star, ranges[w][2])),
+                                     math.log(1e3 * ranges[w][1])) / _H0)
+                      for w in distinct.tolist()])
+    im_local = [((e - 1.0) / (e + 1.0)).imag
+                for e in (drude_epsilon(material, w) for w in distinct.tolist())]
+    cuts = np.array([(0,) * 4 if isinstance(c, DomainError) else c for c in out])
+    power, halvings = 3 if field_kind == "E" else 1, min(_MAX_HALVINGS, cfg.max_subdivisions)
+    previous, rows, phi, phi_lo, im_t, t_lo = [None] * len(zs), None, None, None, None, None
+    for level in range(halvings + 1):
+        if not running:
+            break
+        scale, h = 2**level, _H0 / 2**level
+        live = np.flatnonzero(np.bincount(row[running]))
+        if rows is not None and live.size < rows.size:
+            keep = np.searchsorted(rows, live)
+            phi, im_t = phi[keep], im_t if im_t is None else im_t[keep]
+        rows, at, top = live, np.searchsorted(live, row), n_top[live] * scale
+        w_rows, first = distinct[rows], cuts[running] * scale
+
+        def edge(column, reduce, start):
+            """reduce of a column of the running points' cuts, per row."""
+            ends = np.full(rows.size, start)
+            reduce.at(ends, at[running], first[:, column])
+            return ends
+
+        phi, phi_lo = _refine(phi, phi_lo, edge(0, np.minimum, top.max()) - M, top, h,
+                              lambda k, r: surface_response(material, k, w_rows[r]))
+        last = int(first[:, 1].max())
+        r_p = lattice_reflection(phi, h, last - phi_lo - M + 1)
+        p = np.exp(np.arange(phi_lo + M, last + 1) * h)
+        # The window above k_top, where Re phi and Im phi fall as k^-2 or
+        # faster, moves each part of I_p by at most (2/pi) |its phi(k_top)|
+        # asin(p/k_top), and so Im r_p, r_p = -d/s, d = I_p - 1, s = 2 + d,
+        # by 2 |Im(delta d conj(s^2))|/|s|^4 to first order.
+        at_top = phi[np.arange(rows.size), top - phi_lo][:, None]
+        reach = 2.0 / math.pi * np.arcsin(p * np.exp(-n_top[rows] * _H0)[:, None])
+        s2 = (2.0 / (1.0 + r_p)) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_r = 2.0 * reach * (np.abs(s2.real) * np.abs(at_top.imag)
+                                 + np.abs(s2.imag) * np.abs(at_top.real)) / np.abs(s2)**2
+        if field_kind == "B":
+            im_t, t_lo = _refine(im_t, t_lo, edge(2, np.minimum, top.max()),
+                                 edge(3, np.maximum, -1), h,
+                                 lambda k, r: epsilon_t(material, k, w_rows[r]).imag)
+            # every k-sum's terms, with one _polar_g call for all of them
+            nodes = [np.arange(j_lo, j_hi + 1) for j_lo, j_hi in first[:, 2:].tolist()]
+            a = [2.0 * np.exp(j * h) * zs[k] for j, k in zip(nodes, running)]
+            g = np.split(_polar_g(np.concatenate(a)), np.cumsum([x.size for x in a])[:-1])
+            zz_terms = {k: a_k * im_t[at[k], j - t_lo] * g_k
+                        for k, j, a_k, g_k in zip(running, nodes, a, g)}
+        for k in list(running):
+            r, z = at[k], zs[k]
+            run = slice(*(c * scale - phi_lo - M + end for c, end in zip(cuts[k][:2], (0, 1))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                weight = p[run] ** power * np.exp(-2.0 * p[run] * z)
+                terms = weight * r_p[r, run].imag
+            # below p[0] Im r_p stays under the larger of its value there and
+            # its local limit; above p[-1] it grows at most like p
+            p_lo, x = float(p[run][0]), 2.0 * float(p[run][-1]) * z
+            tails = [p_lo**power / power * max(float(r_p[r, run][0].imag), im_local[row[k]])
+                     + float(terms[-1]) * sum(math.perm(power, n) / x**n
+                                              for n in range(power + 1)) / x
+                     + h * float((weight * d_r[r, run]).sum())]
+            sums = [terms]
+            if field_kind == "B":
+                # below a_lo Im eps_t is flat at its value there and G <= 2/3;
+                # above the last node Im eps_t does not grow and G ~ a^-4
+                sums.append(zz_terms[k])
+                tails.append(2.0 * z * math.exp(cuts[k][2] * _H0)
+                             * im_t[r, cuts[k][2] * scale - t_lo] * 2.0 / 3.0
+                             + float(zz_terms[k][-1]) / 3.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = [h * float(t.sum()) for t in sums]
+                errs = [tail + _ROUNDING * h * float(np.abs(t).sum())
+                        for t, tail in zip(sums, tails)]
+            if not all(map(math.isfinite, values)):
+                # the summands leave the float range: a DomainError of evaluate_batch
+                out[k] = (math.inf, math.inf, math.inf, {})
+                running.remove(k)
+            elif level:
+                errs = [e + abs(v - v_prev) for e, v, v_prev in zip(errs, values, previous[k])]
+                done = all(e <= max(cfg.rel_tol * abs(v), cfg.abs_tol)
+                           for e, v in zip(errs, values))
+                if done or level == halvings:
+                    out[k] = _nonlocal_outcome(field_kind, omegas[k], z, values, errs, done,
+                                               halvings)
+                    running.remove(k)
+            previous[k] = values
+    return out
+
+
+def _nonlocal_outcome(field_kind, omega, z, values, errs, done, halvings):
+    """A point's outcome from its sums (E: r_p; B: r_p, k-sum) and errors."""
+    if field_kind == "E":
+        chi_zz, err = HBAR / EPS0 * values[0], HBAR / EPS0 * errs[0]
+        outcome = (0.5 * chi_zz, chi_zz, err, {})
+    else:
+        scale_zz = HBAR * omega**2 / (2.0 * math.pi * EPS0 * C_LIGHT**4 * z)
+        rp_scale = 0.5 * HBAR / (EPS0 * C_LIGHT**2) * (omega / C_LIGHT) ** 2
+        chi_zz, rp_part = scale_zz * values[1], rp_scale * values[0]
+        err = scale_zz * errs[1] + rp_scale * errs[0]
+        outcome = (0.5 * chi_zz + rp_part, chi_zz, err,
+                   {"rs_part": 0.5 * chi_zz, "rp_part": rp_part})
+    return outcome if done else QuadratureError(
+        f"nonlocal lattice sums not converged after {halvings} halvings of h (estimate "
+        f"{chi_zz!r}, error bound {err:.3e})", best_estimate=chi_zz, error_bound=err)
 
 
 def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:

@@ -26,7 +26,6 @@ from ewjn import (
     surface_limit_imD,
     t1,
 )
-from ewjn.fresnel import nonlocal_reflection_quasistatic
 from ewjn.materials import (
     BOHR_MAGNETON,
     BOHR_RADIUS,
@@ -203,16 +202,18 @@ def test_criterion_07_thermal_scaling(copper, lam_f):
 
 
 def test_criterion_08_limiting_forms(copper, omega0, lam_f, cfg, monkeypatch):
-    # the r_s channel is one k-integral of eps_t per point (spectral):
-    # with eps_t constant, chi^B_zz is the local closed form
-    p, z = 1.0 / (2.0 * lam_f), 10.0 * lam_f
+    # r_p is one lattice of eps_l and the r_s channel one k-sum of eps_t
+    # per point (spectral): with eps_l constant, r_p is the image factor
+    # and chi^E_zz the local closed form, and with eps_t constant so is
+    # chi^B_zz
+    z = 10.0 * lam_f
     eps = drude_epsilon(copper, omega0)
     with monkeypatch.context() as frozen:
         frozen.setattr("ewjn.fresnel.epsilon_l", lambda material, k, w: eps)
         frozen.setattr("ewjn.spectral.epsilon_t", lambda material, k, w: eps)
-        [(rp, *_)] = nonlocal_reflection_quasistatic(copper, [p], omega0, cfg)
+        e_zz = evaluate(copper, "E", z, omega0, "nonlocal-quasistatic", cfg).chi_zz
         zz = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg).chi_zz
-    rp_dev = abs(rp / ((eps - 1.0) / (eps + 1.0)) - 1.0)
+    rp_dev = abs(e_zz / evaluate(copper, "E", z, omega0, "local-quasistatic").chi_zz - 1.0)
     rs_dev = abs(zz / evaluate(copper, "B", z, omega0, "local-quasistatic").chi_zz - 1.0)
     stub_ok = rp_dev < 10.0 * cfg.rel_tol and rs_dev < 10.0 * cfg.rel_tol
     # collision-free collapse needs nu << omega, so probe well above nu

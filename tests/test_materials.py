@@ -234,6 +234,46 @@ def test_epsilon_imaginary_parts_match_mpmath(copper):
                 assert abs(e_t.imag - ref_t) <= 1e-13 * abs(ref_t), (omega, k)
 
 
+@pytest.mark.parametrize("inverse", [1e2, 1e8, 1e11])
+def test_lindhard_imaginary_parts_hold_at_small_x(inverse):
+    # 40-digit oracle of Im f_l and Im f_t at 1/|x| = 1e2, 1e8, 1e11 in
+    # both half-planes, on rays near the imaginary axis where x = (omega
+    # + i nu)/(k v_F) lies when nu >> omega, and the parts carrying Im
+    # are O(Re x) against O(1) ones
+    mp = pytest.importorskip("mpmath")
+    angles = [0.3, 0.5 * math.pi - 1e-4, 0.5 * math.pi - 5e-7, 0.5 * math.pi + 1e-6, 2.5]
+    xs = np.array([s * np.exp(1j * s * a) / inverse for s in (1, -1) for a in angles])
+    with mp.workdps(40):
+        for x, f_l, f_t in zip(xs, lindhard_f_l(xs), lindhard_f_t(xs)):
+            X = mp.mpc(complex(x))
+            dlog = mp.log(X + 1) - mp.log(X - 1)
+            ref_l = mp.im(1 - X / 2 * dlog)
+            ref_t = mp.im(mp.mpf(3) / 2 * X**2 - mp.mpf(3) / 4 * X * (X**2 - 1) * dlog)
+            assert abs(f_l.imag - float(ref_l)) <= 1e-15 * abs(float(ref_l)), x
+            assert abs(f_t.imag - float(ref_t)) <= 1e-15 * abs(float(ref_t)), x
+
+
+@pytest.mark.parametrize("omega", [1e7, 1e11, 1e116])
+def test_epsilon_l_imaginary_part_holds_on_both_sides_of_its_switches(copper, omega):
+    # Im eps_l, 1e-9..1e-4 of its real part at small |x|, against an mpmath
+    # oracle from 1/|x| = 1e-105 (series, whose Im f_l underflows there at
+    # 1e116 rad/s) across |x| = 8 and |x| = 1 to 1/|x| = 1e12; the oracle's
+    # log form cancels 210 digits in f_l there, and Im f_l is 1e-103 of it
+    mp = pytest.importorskip("mpmath")
+    wn = complex(omega, copper.collision_rate)
+    inverses = [1e-105, 1e-6, 1e-2, 0.12, 0.13, 0.9, 1.1, 1e2, 1e8, 1e11, 1e12]
+    ks = [v * abs(wn) / copper.fermi_velocity for v in inverses]
+    with mp.workdps(450):
+        wp, nu, vf = (mp.mpf(v) for v in (copper.plasma_frequency, copper.collision_rate,
+                                           copper.fermi_velocity))
+        for k, got in zip(ks, epsilon_l(copper, np.array(ks), omega)):
+            X = mp.mpc(complex(wn / (k * copper.fermi_velocity)))
+            f_l = 1 - X / 2 * (mp.log(X + 1) - mp.log(X - 1))
+            W, K = mp.mpf(omega), mp.mpf(k)
+            ref = mp.im(1 + 3 * wp**2 / (K * vf) ** 2 * mp.mpc(W, nu) * f_l / (W + 1j * nu * f_l))
+            assert abs(got.imag - float(ref)) <= 1e-13 * abs(float(ref)), k
+
+
 def test_epsilon_drude_collapse_small_k(copper):
     # The wavevector correction to epsilon_l carries a nu/omega
     # prefactor, so at GHz frequencies (nu/omega ~ 1e4) even

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ewjn import DomainError, QuadratureConfig, QuadratureError
-from ewjn.quadrature import QuadResult, integrate_lockstep, integrate_power_tails
+from ewjn.quadrature import QuadResult, integrate_lockstep
+
+from conftest import inner, integrate_power_tails
 
 
 def _one(f):
@@ -42,12 +44,13 @@ def test_config_validation():
 
 def test_config_inner_scaling():
     cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-20)
-    inner = cfg.inner()
-    assert inner.rel_tol == 1e-7
-    assert inner.abs_tol == 1e-21
-    assert inner.max_subdivisions == cfg.max_subdivisions
+    # the nested budget of the kappa-integral oracle (conftest)
+    inner_cfg = inner(cfg)
+    assert inner_cfg.rel_tol == 1e-7
+    assert inner_cfg.abs_tol == 1e-21
+    assert inner_cfg.max_subdivisions == cfg.max_subdivisions
     # an inner tolerance stops at 100 ulps, which double precision holds
-    assert QuadratureConfig(rel_tol=1e-13).inner().rel_tol == 100.0 * np.finfo(float).eps
+    assert inner(QuadratureConfig(rel_tol=1e-13)).rel_tol == 100.0 * np.finfo(float).eps
 
 
 # ------------------------------------------------------- error bound suite

@@ -3,7 +3,9 @@
 Golden numbers were frozen from independent evaluations: closed forms
 in 40-digit arithmetic, the nonlocal integrals on fixed trapezoid grids
 plus one adaptive cross-check with a different integrator. Comments on
-individual tolerances say which reference is in play.
+individual tolerances say which reference is in play. The nonlocal
+model runs on a log lattice in k per omega; the adaptive kappa path it
+replaced is its oracle here (kappa_chi, kappa_r_p in conftest).
 """
 
 import cmath
@@ -26,10 +28,11 @@ from ewjn import (
     evaluate_batch,
     regime_select,
 )
-from ewjn.fresnel import nonlocal_reflection_quasistatic
 from ewjn.materials import C_LIGHT, E_CHARGE, EPS0, HBAR, drude_epsilon, skin_depth
-from ewjn.quadrature import integrate_lockstep, integrate_power_tails
+from ewjn.quadrature import integrate_lockstep
 from ewjn.spectral import _TAIL_CUT, _tail_cut
+
+from conftest import inner, integrate_power_tails, kappa_chi, kappa_r_p, t_grid
 
 
 def rel(a, b):
@@ -134,166 +137,22 @@ def test_chi_B_nonlocal_reference(b_nl_10):
     assert rel(parts["rp_part"], 1.160240532637131e-39) < 1e-4
 
 
-def _give_inner_integrals_a_budget(monkeypatch, budget):
-    """Let QuadratureConfig.inner() set max_subdivisions to budget, if any."""
-    if budget:
-        inner = QuadratureConfig.inner
-        monkeypatch.setattr(QuadratureConfig, "inner", lambda self: dataclasses.replace(
-            inner(self), max_subdivisions=budget))
-
-
-def _give_the_k_integrals_a_budget(monkeypatch, budget):
-    """Let the swapped r_s channel's k-integrals run on max_subdivisions
-    budget, whatever the cfg of their batch."""
-    import ewjn.spectral as spectral
-
-    swapped = spectral._swapped_zz
-    monkeypatch.setattr(spectral, "_swapped_zz", lambda material, zs, omegas, cfg: swapped(
-        material, zs, omegas, dataclasses.replace(cfg, max_subdivisions=budget)))
-
-
-def _rp_channel(material, z, omega, cfg, weight):
-    """The integral of weight(p) e^{-2pz} Im r_p over p = k_nu expm1(t)
-    alone, on the seeds and rounded cut of _nonlocal_grid, and its error
-    with the tail bound at the cut and its inner integrals' error bound;
-    the first failing inner integral raises."""
-    import ewjn.spectral as spectral
-
-    inner, k_nu = cfg.inner(), material.k_nu
-    x, ratio = _TAIL_CUT
-    end, seeds = spectral._nonlocal_grid(z, k_nu, x, spectral._nonlocal_range(material, omega))
-    cut = k_nu * np.expm1(end)
-    # the largest err(Im r)/Im r of the channel's nodes, cut included
-    worst = [0.0]
-
-    def f(p):
-        r = nonlocal_reflection_quasistatic(material, p.ravel(), omega, inner)
-        for outcome in r:
-            if isinstance(outcome, QuadratureError):
-                raise outcome
-            im, err = outcome.value.imag, outcome.part_errors[1]
-            worst[0] = max(worst[0], err / im if im > 0 else math.inf if err > 0 else 0.0)
-        im = np.reshape([outcome.value.imag for outcome in r], p.shape)
-        return weight(p) * np.exp(-2.0 * p * z) * im
-
-    tail = abs(f(np.array([[cut]]))[0, 0]) * ratio / (2.0 * z)
-    [res] = integrate_lockstep(
-        lambda t, owner: f(k_nu * np.expm1(t)) * (k_nu * np.exp(t)),
-        [0.0], [end], cfg, [seeds])
-    if isinstance(res, QuadratureError):
-        raise res
-    return res.value.real, res.error + tail + worst[0] * abs(res.value.real)
-
-
-def _chi_B_two_passes(material, z, omega, cfg):
-    """Nonlocal chi^B from its two channels run alone: the swapped r_s
-    channel's k-integral as a batch of one, then the r_p channel's pass
-    over p; the first failure raises."""
-    import ewjn.spectral as spectral
-
-    [zz] = spectral._swapped_zz(material, [z], [omega], cfg)
-    if isinstance(zz, QuadratureError):
-        raise zz
-    val_p, err_p = _rp_channel(material, z, omega, cfg, lambda p: 1.0)
-    scale_zz = HBAR * omega**2 / (2.0 * math.pi * EPS0 * C_LIGHT**4 * z)
-    rs_part = 0.5 * (scale_zz * zz.value.real)
-    rp_scale = 0.5 * HBAR / (EPS0 * C_LIGHT**2) * (omega / C_LIGHT) ** 2
-    rp_part = rp_scale * val_p
-    return (rs_part + rp_part, scale_zz * zz.value.real, scale_zz * zz.error + rp_scale * err_p,
-            {"rs_part": rs_part, "rp_part": rp_part})
-
-
 def _chi_zz_nested(material, z, omega, cfg, nested_r_s):
     """chi^B_zz in the other integration order: (hbar/(eps0 c^2)) times
     the integral of p^2 e^{-2pz} Im r_s over p = k_nu expm1(t), on the
-    seeds and rounded cut of _nonlocal_grid, with r_s from the nested
-    kappa-integrals of nested_r_s."""
-    import ewjn.spectral as spectral
-
+    seeds and cut of t_grid, with r_s from the nested kappa-integrals of
+    nested_r_s."""
     k_nu = material.k_nu
-    end, seeds = spectral._nonlocal_grid(z, k_nu, _TAIL_CUT[0],
-                                         spectral._nonlocal_range(material, omega))
+    end, seeds = t_grid(z, k_nu)
 
     def f(t, owner):
         p = k_nu * np.expm1(t)
-        r = nested_r_s(material, p.ravel(), omega, cfg.inner())
+        r = nested_r_s(material, p.ravel(), omega, inner(cfg))
         im = np.reshape([outcome.value.imag for outcome in r], p.shape)
         return p * p * np.exp(-2.0 * p * z) * im * (k_nu * np.exp(t))
 
     [res] = integrate_lockstep(f, [0.0], [end], cfg, [seeds])
     return HBAR / (EPS0 * C_LIGHT**2) * res.value.real
-
-
-@pytest.mark.parametrize("z_over_lam_f", [1.0, 30.0, 3000.0])
-def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, cfg_fast, z_over_lam_f):
-    z = z_over_lam_f * lam_f
-    tensor = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg_fast)
-    assert (tensor.chi_xx, tensor.chi_zz, tensor.error_estimate, tensor.decomposition) \
-        == _chi_B_two_passes(copper, z, omega0, cfg_fast)
-
-
-@pytest.mark.parametrize("z_over_lam_f,rel_tol,max_subdivisions", [
-    (1.0, 1e-10, 1),    # the r_s channel's k-integral runs out of budget first
-], ids=["1e-10-1"])
-def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, z_over_lam_f, rel_tol,
-                                                  max_subdivisions):
-    cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
-    z = z_over_lam_f * lam_f
-    with pytest.raises(QuadratureError) as one_pass:
-        evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
-    with pytest.raises(QuadratureError) as two_passes:
-        _chi_B_two_passes(copper, z, omega0, cfg)
-    assert str(one_pass.value) == str(two_passes.value)
-    assert one_pass.value.best_estimate == two_passes.value.best_estimate
-    assert one_pass.value.error_bound == two_passes.value.error_bound
-
-
-def test_chi_B_nonlocal_outer_failure_equals_its_run_alone(copper, omega0, lam_f, monkeypatch):
-    # with inner integrals and the r_s channel's k-integrals on budgets
-    # of their own, the outer r_p integral of the point at 300 lambda_F
-    # runs out while its neighbours converge
-    import ewjn.spectral as spectral
-
-    parts = {}
-    monkeypatch.setattr(spectral, "integrate_lockstep",
-                        _recording(parts, "outer", spectral.integrate_lockstep))
-    _give_inner_integrals_a_budget(monkeypatch, 2000)
-    _give_the_k_integrals_a_budget(monkeypatch, 2000)
-    cfg = QuadratureConfig(rel_tol=1e-11, max_subdivisions=1)
-    zs = [10.0 * lam_f, 300.0 * lam_f, 1000.0 * lam_f]
-    batch = evaluate_batch(copper, "B", zs, omega0, "nonlocal-quasistatic", cfg)
-    failure = batch[1]
-    assert any(failure is r for r in parts["outer"])
-    # the r_p channel in the real part
-    assert failure.best_estimate.real > 0.0 and failure.best_estimate.imag == 0.0
-    assert not any(isinstance(o, QuadratureError) for o in batch[::2])
-    for z, outcome in zip(zs, batch):
-        _assert_same_outcome(outcome, copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
-
-
-def test_nonlocal_B_point_is_one_outer_integral(copper, omega0, lam_f, monkeypatch):
-    # its r_p channel is one outer integral and its r_s channel one
-    # k-integral, and each runs as one batch of all points
-    import ewjn.spectral as spectral
-
-    sizes, k_sizes = [], []
-    lockstep, power_tails = spectral.integrate_lockstep, spectral.integrate_power_tails
-
-    def counted(f, a, b, cfg, breakpoints):
-        sizes.append(len(a))
-        return lockstep(f, a, b, cfg, breakpoints)
-
-    def k_counted(f, scales, breakpoints, cfg):
-        k_sizes.append(len(scales))
-        return power_tails(f, scales, breakpoints, cfg)
-
-    monkeypatch.setattr(spectral, "integrate_lockstep", counted)
-    monkeypatch.setattr(spectral, "integrate_power_tails", k_counted)
-    zs = np.geomspace(lam_f, 3000.0 * lam_f, 7).tolist()
-    batch = evaluate_batch(copper, "B", zs, omega0, "nonlocal-quasistatic",
-                           QuadratureConfig(rel_tol=1e-6))
-    assert not any(isinstance(o, Exception) for o in batch)
-    assert sizes == k_sizes == [len(zs)]
 
 
 # the fifteen (z, omega) points from lambda_F to 3000 lambda_F and 1e7 to
@@ -304,7 +163,7 @@ _ORDER_POINTS = ([(f * COPPER.fermi_wavelength, w) for f in (1.0, 10.0, 30.0, 30
 
 
 def test_chi_B_zz_two_integration_orders_agree(copper, nested_r_s):
-    # chi^B_zz as one k-integral per point against the p-integral of the
+    # chi^B_zz as one k-sum per point against the p-integral of the
     # nested r_s (p outer, kappa inner), both at rel_tol 1e-12; and the
     # run at the default rel_tol lies within its error_estimate of it
     tight = QuadratureConfig(rel_tol=1e-12)
@@ -319,7 +178,7 @@ def test_chi_B_zz_two_integration_orders_agree(copper, nested_r_s):
 
 def test_swapped_zz_of_a_constant_eps_t_is_the_local_form(copper, omega0, lam_f, cfg,
                                                         monkeypatch):
-    # J_p = eps for a constant eps_t, and so the swapped k-integral gives
+    # J_p = eps for a constant eps_t, and so the swapped k-sum gives
     # hbar omega^2 Im eps/(8 eps0 c^4 z) (the r_s half of criterion 08)
     eps = drude_epsilon(copper, omega0)
     monkeypatch.setattr("ewjn.spectral.epsilon_t", lambda material, k, w: eps)
@@ -683,12 +542,12 @@ def test_retarded_matches_quad_vec_near_the_skin_depth(copper, omega0, delta, fi
 
 def test_nonlocal_matches_quad_vec_at_ten_fermi_wavelengths(copper, omega0, lam_f, e_nl_10):
     # scipy's quad_vec runs the outer p-integral on the p axis itself,
-    # cut at 40/z; r_p comes from the kernel at rel_tol 1e-12, which
-    # test_fresnel holds to QUADPACK
+    # cut at 40/z; r_p comes from the kappa-integral oracle at rel_tol
+    # 1e-12, which test_fresnel holds to QUADPACK
     z, tight = 10.0 * lam_f, QuadratureConfig(rel_tol=1e-12)
 
     def f(p):
-        [r] = nonlocal_reflection_quasistatic(copper, [p], omega0, tight)
+        [r] = kappa_r_p(copper, [p], omega0, tight)
         return np.array([p * p * math.exp(-2.0 * p * z) * r.value.imag])
 
     cuts = [0.0, copper.k_nu, 0.1 / z, 0.3 / z, 1.0 / z, 3.0 / z, 10.0 / z, 40.0 / z]
@@ -698,97 +557,125 @@ def test_nonlocal_matches_quad_vec_at_ten_fermi_wavelengths(copper, omega0, lam_
     assert abs(e_nl_10.chi_xx - 0.5 * chi_zz) <= e_nl_10.error_estimate + 0.5 * bound
 
 
+# the grid of the lattice's oracle checks: heights from the contact
+# limit to 3000 lambda_F at three decades of omega, for copper and the
+# two far-field metals of _FARFIELD
+_ORACLE_GRID = [(material, omega) for material in (COPPER, _FARFIELD[1][0], _FARFIELD[2][0])
+                for omega in (1e7, 6e8 * math.pi, 1e11)]
+_ORACLE_HEIGHTS = (1e-3, 1.0, 10.0, 30.0, 3000.0)
+
+
+@pytest.fixture(scope="module")
+def kappa_oracle():
+    """(material, field_kind, omega) -> kappa_chi at rel_tol 1e-12 at the
+    _ORACLE_HEIGHTS, in Fermi wavelengths of the material."""
+    tight = QuadratureConfig(rel_tol=1e-12)
+    return {(m.name, fk, w): kappa_chi(m, fk, [f * m.fermi_wavelength for f in _ORACLE_HEIGHTS],
+                                       w, tight)
+            for m, w in _ORACLE_GRID for fk in ("E", "B")}
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+@pytest.mark.parametrize("material,omega", _ORACLE_GRID,
+                         ids=[f"{m.name}-{w:.3g}" for m, w in _ORACLE_GRID])
+def test_lattice_matches_the_kappa_oracle(material, omega, field_kind, kappa_oracle):
+    # at rel_tol 1e-12 chi_zz, and for B rp_part, within 1e-11 of the
+    # adaptive kappa path; at the default rel_tol the error_estimate
+    # covers the distance to it
+    zs = [f * material.fermi_wavelength for f in _ORACLE_HEIGHTS]
+    oracle = kappa_oracle[material.name, field_kind, omega]
+    tight, default = (evaluate_batch(material, field_kind, zs, omega, "nonlocal-quasistatic", cfg)
+                      for cfg in (QuadratureConfig(rel_tol=1e-12), None))
+    for a, b, (chi_zz, rp_part, _) in zip(tight, default, oracle):
+        got = [(a.chi_zz, chi_zz), (b.chi_zz, chi_zz)]
+        if field_kind == "B":
+            assert rel(a.decomposition["rp_part"], rp_part) <= 1e-11
+            got.append((b.decomposition["rp_part"], rp_part))
+        assert rel(a.chi_zz, chi_zz) <= 1e-11
+        for value, want in got[1:]:
+            assert abs(value - want) <= b.error_estimate
+
+
 # one omega per z, from 1e7 to 1e11 rad/s: auto then resolves to the
 # nonlocal model at the six lowest points and to the retarded one above
 _OMEGA_PER_Z = np.geomspace(1e7, 1e11, 9).tolist()
-# The inner kappa-integrals converge on their seed panels at the default
-# rel_tol, so inner failures need rel_tol near 1e-12 and a small budget;
-# the cases with outer failures give the inner integrals a budget of
-# their own (the last entry).
+# On the lattice a nonlocal point fails when its sums miss rel_tol after
+# max_subdivisions halvings of h: at rel_tol 1e-10 one halving, h from
+# 1/4 to 1/8, falls short at the lowest heights.
 _Z_BATCH_CASES = [
-    ("local-quasistatic", "E", 1e-8, 2000, ".........", None, None),
-    ("local-quasistatic", "B", 1e-8, 2000, ".........", None, None),
-    ("nonlocal-quasistatic", "E", 1e-8, 2000, ".........", None, None),
-    ("nonlocal-quasistatic", "B", 1e-8, 2000, ".........", None, None),
-    # budgets tight enough that outer and inner integrals run out
-    ("nonlocal-quasistatic", "E", 1e-12, 2, ".ooooiiii", None, 6),
-    # the r_s channel's k-integrals run on the outer budget, and a
-    # point's k-integral error comes before its r_p channel's
-    ("nonlocal-quasistatic", "B", 3e-12, 1, "ss....iii", None, 5),
-    # on a large outer budget, inner r_p integrals fail at three points
-    ("nonlocal-quasistatic", "B", 3e-12, 2000, "......iii", None, 5),
-    ("local-quasistatic", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
-    ("local-retarded", "E", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
-    ("auto", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z, None),
-    # outer failures at nonlocal points (0-5) and at retarded ones (6-8)
-    ("auto", "E", 1e-11, 2, "...oo.ooo", _OMEGA_PER_Z, 4),
-    ("nonlocal-quasistatic", "E", 1e-12, 3, ".ooooiiii", _OMEGA_PER_Z, 6),
-    ("nonlocal-quasistatic", "B", 3e-13, 3, "s...o..ii", _OMEGA_PER_Z, 8),
-    ("nonlocal-quasistatic", "B", 3e-13, 4, ".......ii", _OMEGA_PER_Z, 8),
+    ("local-quasistatic", "E", 1e-8, 2000, ".........", None),
+    ("local-quasistatic", "B", 1e-8, 2000, ".........", None),
+    ("nonlocal-quasistatic", "E", 1e-8, 2000, ".........", None),
+    ("nonlocal-quasistatic", "B", 1e-8, 2000, ".........", None),
+    ("nonlocal-quasistatic", "E", 1e-10, 1, "ll.......", None),
+    ("nonlocal-quasistatic", "B", 1e-10, 1, "l........", None),
+    ("local-quasistatic", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z),
+    ("local-retarded", "E", 1e-8, 2000, ".........", _OMEGA_PER_Z),
+    ("auto", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z),
+    ("nonlocal-quasistatic", "E", 1e-10, 1, "ll.......", _OMEGA_PER_Z),
+    # lattice failures at nonlocal points (0-5), outer ones at retarded ones (6-8)
+    ("auto", "E", 1e-10, 1, "ll....ooo", _OMEGA_PER_Z),
 ]
 
 
-@pytest.mark.parametrize("model,field_kind,rel_tol,max_subdivisions,pattern,omegas,inner_budget",
+@pytest.mark.parametrize("model,field_kind,rel_tol,max_subdivisions,pattern,omegas",
                          _Z_BATCH_CASES,
                          ids=["-".join(map(str, case[:5])) + ("-omega-per-z" if case[5] else "")
-                              + (f"-inner-{case[6]}" if case[6] else "")
                               for case in _Z_BATCH_CASES])
 def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind, rel_tol,
-                                        max_subdivisions, pattern, omegas, inner_budget,
-                                        monkeypatch):
+                                        max_subdivisions, pattern, omegas, monkeypatch):
     import ewjn.spectral as spectral
 
     parts = {}
     monkeypatch.setattr(spectral, "integrate_lockstep",
                         _recording(parts, "outer", spectral.integrate_lockstep))
-    monkeypatch.setattr(spectral, "integrate_power_tails",
-                        _recording(parts, "swapped", spectral.integrate_power_tails))
-    _give_inner_integrals_a_budget(monkeypatch, inner_budget)
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     zs = [float(z) for z in np.geomspace(lam_f, 3000.0 * lam_f, 9)]
     batch = evaluate_batch(copper, field_kind, zs, omegas or omega0, model, cfg)
-    # "." a tensor, "o" an outer integral's error, "i" an inner r_p
-    # integral's, "s" the r_s channel's k-integral's
-    outer, swapped = parts.get("outer", []), parts.get("swapped", [])
+    # "." a tensor, "o" an adaptive integral's error, "l" a lattice point's
+    outer = parts.get("outer", [])
     assert "".join("." if not isinstance(o, QuadratureError) else
-                   "o" if any(o is r for r in outer) else
-                   "s" if any(o is r for r in swapped) else "i" for o in batch) == pattern
+                   "o" if any(o is r for r in outer) else "l" for o in batch) == pattern
     for z, omega, outcome in zip(zs, omegas or [omega0] * len(zs), batch):
         _assert_same_outcome(outcome, copper, field_kind, z, omega, model, cfg)
 
 
 def _kernel_requests(monkeypatch):
-    """Each call of the nonlocal kernel from spectral, as its list of (p,
-    omega)."""
+    """Each call of the nonlocal kernels epsilon_l (from fresnel) and
+    epsilon_t (from spectral), as its list of (k, omega)."""
+    import ewjn.fresnel as fresnel
     import ewjn.spectral as spectral
 
     calls = []
-    kernel = spectral.nonlocal_reflection_quasistatic
 
-    def logged(material, p, omega, cfg):
-        calls.append(list(zip(np.asarray(p).tolist(),
-                              np.broadcast_to(omega, len(p)).tolist())))
-        return kernel(material, p, omega, cfg)
+    def logged(kernel):
+        def run(material, k, omega):
+            calls.append(list(zip(np.ravel(k).tolist(),
+                                  np.broadcast_to(omega, np.shape(k)).ravel().tolist(),
+                                  [kernel.__name__] * np.size(k))))
+            return kernel(material, k, omega)
+        return run
 
-    monkeypatch.setattr(spectral, "nonlocal_reflection_quasistatic", logged)
+    monkeypatch.setattr(fresnel, "epsilon_l", logged(fresnel.epsilon_l))
+    monkeypatch.setattr(spectral, "epsilon_t", logged(spectral.epsilon_t))
     return calls
 
 
 @pytest.mark.parametrize("field_kind", ["E", "B"])
 def test_nonlocal_batch_asks_the_kernel_for_each_p_once(copper, omega0, lam_f, field_kind,
                                                       monkeypatch):
-    # the fig1/fig3 heights at each of two frequencies; at omega0 some E
-    # points bisect a panel rounds after others did, and reuse its p
+    # the fig1/fig3 heights at each of two frequencies, and an omega
+    # sweep: every lattice node of an omega, from every halving of h,
+    # asks epsilon_l (and epsilon_t) once
     calls = _kernel_requests(monkeypatch)
     heights = np.geomspace(lam_f, 3000.0 * lam_f, 15).tolist() * 2
-    # and an omega sweep, whose points share no omega and are not memoized
     for zs, omegas in ((heights, [omega0] * 15 + [1e9] * 15),
                        ([10.0 * lam_f] * 9, np.geomspace(1e7, 1e11, 9))):
-        calls.clear()
-        evaluate_batch(copper, field_kind, zs, omegas, "nonlocal-quasistatic")
-        asked = [pair for call in calls for pair in call]
-        assert len(set(asked)) == len(asked)
-        assert max(map(len, calls)) <= 128
+        for cfg in (None, QuadratureConfig(rel_tol=1e-12)):
+            calls.clear()
+            evaluate_batch(copper, field_kind, zs, omegas, "nonlocal-quasistatic", cfg)
+            asked = [node for call in calls for node in call]
+            assert len(set(asked)) == len(asked)
 
 
 def test_z_batch_asks_the_kernel_for_fewer_p_than_its_points_alone(copper, omega0, lam_f,
@@ -796,15 +683,42 @@ def test_z_batch_asks_the_kernel_for_fewer_p_than_its_points_alone(copper, omega
     calls = _kernel_requests(monkeypatch)
     zs = np.geomspace(lam_f, 3000.0 * lam_f, 5).tolist()
     evaluate_batch(copper, "E", zs, omega0, "nonlocal-quasistatic")
-    batch = [pair for call in calls for pair in call]
+    batch = [node for call in calls for node in call]
     alone = []
     for z in zs:
         calls.clear()
         evaluate(copper, "E", z, omega0, "nonlocal-quasistatic")
-        alone.append({pair for call in calls for pair in call})
-    # the batch asks for exactly the p its points ask for alone, once each
+        alone.append({node for call in calls for node in call})
+    # the batch asks for exactly the nodes its points ask for alone, once each
     assert set(batch) == set().union(*alone)
     assert len(batch) < sum(map(len, alone))
+
+
+def test_omega_batch_asks_epsilon_l_for_few_nodes(copper, lam_f, monkeypatch):
+    # the fig2/fig4 omega sweep, 17 frequencies at 10 lambda_F: each
+    # omega's lattice holds a few hundred nodes, where the kappa-integrals
+    # of the adaptive path asked for 268,005
+    calls = _kernel_requests(monkeypatch)
+    evaluate_batch(copper, "E", [10.0 * lam_f] * 17, np.geomspace(1e7, 1e11, 17),
+                   "nonlocal-quasistatic")
+    assert sum(map(len, calls)) <= 26_800
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_a_point_alone_equals_it_in_a_z_batch_and_an_omega_batch(copper, omega0, lam_f,
+                                                                 field_kind):
+    zs = np.geomspace(1e-3 * lam_f, 3000.0 * lam_f, 11).tolist()
+    omegas = np.geomspace(1e7, 1e11, 7).tolist()
+    for cfg in (None, QuadratureConfig(rel_tol=1e-12)):
+        in_z = evaluate_batch(copper, field_kind, zs, omega0, "nonlocal-quasistatic", cfg)
+        in_omega = evaluate_batch(copper, field_kind, [zs[5]] * 7, omegas,
+                                  "nonlocal-quasistatic", cfg)
+        for z, outcome in zip(zs, in_z):
+            _assert_same_outcome(outcome, copper, field_kind, z, omega0, "nonlocal-quasistatic",
+                                 cfg)
+        for omega, outcome in zip(omegas, in_omega):
+            _assert_same_outcome(outcome, copper, field_kind, zs[5], omega,
+                                 "nonlocal-quasistatic", cfg)
 
 
 # three decades of z and of omega, from the collision-limited low
@@ -866,12 +780,13 @@ def test_omega_too_large_is_a_domain_error_of_its_point(copper, omega0, field_ki
 def test_nonlocal_z_below_the_cut_bound_is_a_domain_error(copper, omega0, field_kind):
     import ewjn.spectral as spectral
 
-    # the smallest z whose cut, rounded up to the grid of t, is the last
-    # grid point below the bound: it passes the float-range check
-    x, _ = _TAIL_CUT
-    k_nu, p_max = copper.k_nu, spectral._nonlocal_range(copper, omega0)[1]
-    top = k_nu * math.expm1(math.floor(math.log1p(p_max / k_nu)))
-    z_min = x / (2.0 * top)
+    # the smallest z whose cut, rounded up to the grid of t = ln(k 1 m)
+    # in steps of _H0, is the last grid point below the bound: it passes
+    # the float-range check
+    x, _ = spectral._LATTICE_CUT
+    p_max = spectral._nonlocal_range(copper, omega0)[1]
+    top = math.exp(math.floor(math.log(p_max) / spectral._H0) * spectral._H0)
+    z_min = x / (2.0 * top) * (1.0 + 1e-12)
     cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
     edge, below, tiny = evaluate_batch(copper, field_kind, [z_min, z_min / 3.0, 1e-300],
                                        omega0, "nonlocal-quasistatic", cfg)
@@ -914,7 +829,7 @@ def test_nonlocal_z_below_the_kernel_resolution_is_a_domain_error(copper, omega0
 def test_nonlocal_z_above_the_low_p_bound_is_a_domain_error(copper, field_kind):
     import ewjn.spectral as spectral
 
-    # at 1e300 m the kernel's k^2 = p^2 + kappa^2 would underflow to 0
+    # at 1e300 m the lattice's lowest k^2 would underflow to 0
     near, far = evaluate_batch(copper, field_kind, [1e-8, 1e300], 1e9, "nonlocal-quasistatic")
     assert near == evaluate(copper, field_kind, 1e-8, 1e9, "nonlocal-quasistatic")
     assert isinstance(far, DomainError)
@@ -925,10 +840,8 @@ def test_nonlocal_z_above_the_low_p_bound_is_a_domain_error(copper, field_kind):
 @pytest.mark.parametrize("field_kind,power", [("E", 1), ("B", 2)])
 def test_nonlocal_meets_local_far_from_the_surface(copper, omega0, field_kind, power):
     # the nonlocal correction falls off as 1/(z k_nu) for E and as its
-    # square for B; at these heights the cut lies far below t = 1 and
-    # the integrand peaks near t = 1/(z k_nu) ~ 1e-5..1e-3. From about
-    # 3 km up the B k-integral's seeds 2z k_nu and 2z k_star map within
-    # 1e-14 of u = 1 and are dropped
+    # square for B; at these heights the integrand peaks near p = 1/z,
+    # far below k_nu
     zs = [1e-4, 1e-3, 1e-2, 3e4, 1e5, 1e8]
     nonlocal_, local = (evaluate_batch(copper, field_kind, zs, omega0, model)
                         for model in ("nonlocal-quasistatic", "local-quasistatic"))

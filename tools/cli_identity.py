@@ -94,11 +94,11 @@ EDGES = [
     # the closed forms' omega^2 or z^3 overflows
     ["spectral", "--field", "B", "--z", "1e-6", "--omega", "1e200", *_LQ],
     ["spectral", "--z", "1e120", *_LQ],
-    # the nonlocal model's lowest grid wavevector underflows
+    # the nonlocal lattice's lowest wavevector underflows
     ["spectral", "--z", "1e300", "--omega", "1e9", "--model", "nonlocal-quasistatic"],
     ["spectral", "--field", "B", "--z", "1e300", "--omega", "1e9", "--model",
      "nonlocal-quasistatic"],
-    # far out, the magnetic k-integral stays in the float range
+    # far out, the magnetic k-sum stays in the float range
     ["spectral", "--field", "B", "--z", "1e72", "--omega", "1e9", "--model",
      "nonlocal-quasistatic"],
     ["spectral", "--field", "B", "--z", "1e44", "--omega", "1e-100"],
@@ -111,7 +111,7 @@ EDGES = [
     ["spectral", "--z", "1e-60", "--model", "nonlocal-quasistatic"],
     ["spectral", "--field", "B", "--z", "1e-30", "--model", "nonlocal-quasistatic"],
     ["spectral", "--field", "B", "--z", "1e-60", "--model", "nonlocal-quasistatic"],
-    # seeds of the magnetic k-integral that map onto u = 1 are dropped
+    # magnetic points kilometres to 100 km above the surface
     ["spectral", "--field", "B", "--z", "3e4", "--model", "nonlocal-quasistatic"],
     ["sweep", "--axis", "z", "--min", "1e-9", "--max", "1e5", "--count", "8",
      "--models", "nonlocal-quasistatic", "--qubit", "spin"],

@@ -19,12 +19,10 @@ each for the electric and the magnetic field:
                (the fig2/fig4 grid)
 
 Each batch is one evaluate_batch call, timed best of N (default 3), with
-the counts of one run: the r_p kernel calls
-(nonlocal_reflection_quasistatic), its kappa-integrals (p values passed
-to it) and inner rounds (integrand calls of its lockstep runs, the seed
-round included), the epsilon_l and epsilon_t nodes, and the
-k-integrals of the magnetic r_s channel (one per B point) and their
-rounds.
+the counts of one run: the epsilon_l and epsilon_t nodes, the lattices
+(one per omega and h: every point runs at h = 1/4 and 1/8, then halves h
+until its sums meet rel_tol), the lattices per omega, and the final h
+and the halvings from h = 1/4 that reached it.
 
 The CLI row times `ewjn sweep` through cli.main on local-quasistatic
 sweeps of copper, whose closed forms cost next to nothing, so what it
@@ -56,6 +54,7 @@ import ewjn.fresnel as fresnel  # noqa: E402
 import ewjn.spectral as spectral  # noqa: E402
 from ewjn import COPPER, evaluate_batch  # noqa: E402
 from ewjn.cli import main as cli_main  # noqa: E402
+from ewjn.fresnel import lattice_reflection  # noqa: E402
 from ewjn.materials import epsilon_l, epsilon_t  # noqa: E402
 
 OMEGA_0 = 6e8 * math.pi
@@ -90,22 +89,11 @@ def _batches():
 
 def measure(repeat: int) -> dict:
     counts = {}
-    kernel = spectral.nonlocal_reflection_quasistatic
 
-    def counted(material, p, omega, cfg):
-        counts["kernel_calls"] += 1
-        counts["inner_integrals"] += len(p)
-        return kernel(material, p, omega, cfg)
-
-    def power_tails_counted(rounds, integrals, power_tails):
-        def run(f, scales, *args):
-            def g(x, owner):
-                counts[rounds] += 1
-                return f(x, owner)
-            if integrals:
-                counts[integrals] += len(scales)
-            return power_tails(g, scales, *args)
-        return run
+    def lattices_counted(phi, h, count):
+        counts["lattices"] += phi.shape[0] if phi.ndim > 1 else 1
+        counts["h_min"] = min(counts["h_min"], h)
+        return lattice_reflection(phi, h, count)
 
     def nodes_counted(key, eps):
         def run(material, k, omega):
@@ -114,11 +102,7 @@ def measure(repeat: int) -> dict:
         return run
 
     patches = [
-        (spectral, "nonlocal_reflection_quasistatic", counted),
-        (fresnel, "integrate_power_tails",
-         power_tails_counted("inner_rounds", None, fresnel.integrate_power_tails)),
-        (spectral, "integrate_power_tails",
-         power_tails_counted("k_rounds", "k_integrals", spectral.integrate_power_tails)),
+        (spectral, "lattice_reflection", lattices_counted),
         (fresnel, "epsilon_l", nodes_counted("eps_l_nodes", fresnel.epsilon_l)),
         (spectral, "epsilon_t", nodes_counted("eps_t_nodes", spectral.epsilon_t)),
     ]
@@ -126,9 +110,7 @@ def measure(repeat: int) -> dict:
     for name, field_kind, zs, omega in _batches():
         walls = []
         for _ in range(repeat):
-            counts.update(dict.fromkeys(("kernel_calls", "inner_integrals", "inner_rounds",
-                                         "eps_l_nodes", "eps_t_nodes", "k_integrals",
-                                         "k_rounds"), 0))
+            counts.update(eps_l_nodes=0, eps_t_nodes=0, lattices=0, h_min=math.inf)
             saved = [(module, attr, getattr(module, attr)) for module, attr, _ in patches]
             for module, attr, fn in patches:
                 setattr(module, attr, fn)
@@ -140,8 +122,11 @@ def measure(repeat: int) -> dict:
                 for module, attr, fn in saved:
                     setattr(module, attr, fn)
         failed = sum(isinstance(o, Exception) for o in outcomes)
+        omegas = len(set(np.broadcast_to(omega, len(zs)).tolist()))
+        h_min = counts.pop("h_min")
         out[name] = {"points": len(zs), "wall_s": round(min(walls), 4), "failed": failed,
-                     **counts}
+                     **counts, "lattices_per_omega": round(counts["lattices"] / omegas, 2),
+                     "final_h": h_min, "halvings": round(math.log2(0.25 / h_min))}
     return out
 
 
@@ -184,7 +169,6 @@ def main() -> int:
     result = {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                    f"{platform.python_version()}, numpy {np.__version__}",
-        "kernel_block": spectral._KERNEL_BLOCK,
         "kernel": measure_kernel(max(1, args.repeat)),
         "batches": measure(max(1, args.repeat)),
         "cli": measure_cli(max(1, args.repeat)),
