@@ -137,6 +137,111 @@ def test_chi_B_nonlocal_reference(b_nl_10):
     assert rel(parts["rp_part"], 1.160240532637131e-39) < 1e-4
 
 
+def _one_pass_lattices(monkeypatch):
+    """Let every lattice of the nonlocal model be computed in one pass over
+    all its nodes, not from the nodes at 2h plus a second pass over the
+    odd ones."""
+    import ewjn.spectral as spectral
+
+    refine = spectral._refine
+    monkeypatch.setattr(spectral, "_refine", lambda old, old_lo, lo, top, h, kernel: refine(
+        None, None, lo, top, h, kernel))
+
+
+@pytest.mark.parametrize("z_over_lam_f", [1.0, 30.0, 3000.0])
+def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, cfg_fast, z_over_lam_f,
+                                            monkeypatch):
+    # k_n = e^{nh} at n = 2m on the lattice at h/2 is e^{mh} bit for bit,
+    # so a lattice built from the one at 2h gives both channels' bits
+    z = z_over_lam_f * lam_f
+    two = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg_fast)
+    _one_pass_lattices(monkeypatch)
+    one = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg_fast)
+    assert (one.chi_xx, one.chi_zz, one.error_estimate, one.decomposition) \
+        == (two.chi_xx, two.chi_zz, two.error_estimate, two.decomposition)
+
+
+@pytest.mark.parametrize("z_over_lam_f,rel_tol,max_subdivisions", [
+    (1.0, 1e-10, 1),    # the r_p sum misses rel_tol after one halving of h
+], ids=["1e-10-1"])
+def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, z_over_lam_f, rel_tol,
+                                                  max_subdivisions, monkeypatch):
+    cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
+    z = z_over_lam_f * lam_f
+    with pytest.raises(QuadratureError) as two_passes:
+        evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
+    _one_pass_lattices(monkeypatch)
+    with pytest.raises(QuadratureError) as one_pass:
+        evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
+    assert str(one_pass.value) == str(two_passes.value)
+    assert one_pass.value.best_estimate == two_passes.value.best_estimate
+    assert one_pass.value.error_bound == two_passes.value.error_bound
+
+
+def test_chi_B_nonlocal_outer_failure_equals_its_run_alone(copper, omega0, lam_f, monkeypatch):
+    # after one halving of h the r_p sum, the outer integral over p, of
+    # the point at lambda_F misses rel_tol while its r_s k-sum meets it
+    # and its neighbours converge
+    import ewjn.spectral as spectral
+
+    sums = {}
+    outcome = spectral._nonlocal_outcome
+
+    def recorded(field_kind, omega, z, values, errs, done, halvings):
+        sums[z] = (values, errs)
+        return outcome(field_kind, omega, z, values, errs, done, halvings)
+
+    monkeypatch.setattr(spectral, "_nonlocal_outcome", recorded)
+    cfg = QuadratureConfig(rel_tol=1e-10, max_subdivisions=1)
+    zs = [10.0 * lam_f, lam_f, 1000.0 * lam_f]
+    batch = evaluate_batch(copper, "B", zs, omega0, "nonlocal-quasistatic", cfg)
+    failure = batch[1]
+    assert isinstance(failure, QuadratureError)
+    (rp_sum, zz_sum), (rp_err, zz_err) = sums[lam_f]
+    assert rp_err > cfg.rel_tol * abs(rp_sum) and zz_err <= cfg.rel_tol * abs(zz_sum)
+    # its best estimate is chi_zz, the r_s channel
+    assert failure.best_estimate > 0.0
+    assert not any(isinstance(o, QuadratureError) for o in batch[::2])
+    for z, o in zip(zs, batch):
+        _assert_same_outcome(o, copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
+
+
+def test_nonlocal_B_point_is_one_outer_integral(copper, omega0, lam_f, monkeypatch):
+    # at each halving of h the r_p channel, the outer integral over p, is
+    # one correlation and the r_s channel one _polar_g call, each for all
+    # points of the batch
+    import ewjn.spectral as spectral
+
+    rows, a_sizes = [], []
+    reflection, polar_g = spectral.lattice_reflection, spectral._polar_g
+
+    def counted(phi, h, count):
+        rows.append(phi.shape[0])
+        return reflection(phi, h, count)
+
+    def g_counted(a):
+        a_sizes.append(a.size)
+        return polar_g(a)
+
+    monkeypatch.setattr(spectral, "lattice_reflection", counted)
+    monkeypatch.setattr(spectral, "_polar_g", g_counted)
+    cfg = QuadratureConfig(rel_tol=1e-6)
+    zs = np.geomspace(lam_f, 3000.0 * lam_f, 7).tolist()
+    first_alone = []
+    for z in zs:
+        a_sizes.clear()
+        evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
+        first_alone.append(a_sizes[0])
+    rows.clear()
+    a_sizes.clear()
+    batch = evaluate_batch(copper, "B", zs, omega0, "nonlocal-quasistatic", cfg)
+    assert not any(isinstance(o, Exception) for o in batch)
+    assert len(rows) == len(a_sizes) >= 2
+    assert rows == [1] * len(rows)
+    # the first call holds the k-sums of all seven points
+    assert a_sizes[0] == sum(first_alone)
+
+
 def _chi_zz_nested(material, z, omega, cfg, nested_r_s):
     """chi^B_zz in the other integration order: (hbar/(eps0 c^2)) times
     the integral of p^2 e^{-2pz} Im r_s over p = k_nu expm1(t), on the
