@@ -9,7 +9,7 @@ The package namespace is the public API: the inputs a caller builds
 path (evaluate_batch over (z, omega) points, evaluate at one), the
 relaxation time, the bulk and surface-limit Green function, and the two
 error types. Constants, dielectric functions, reflection kernels and
-the quadrature engine are reached through their modules.
+the quadrature rules are reached through their modules.
 """
 
 from .errors import DomainError, QuadratureError

@@ -56,8 +56,15 @@ def local_reflection_q(q, k2_metal, eps) -> ReflectionPair:
     q = np.asarray(q, dtype=complex)
     qm = np.sqrt(k2_metal + q * q)
     qm = np.where(qm.imag < 0, -qm, qm)
-    eq = eps * q
-    return ReflectionPair(r_s=(q - qm) / (q + qm), r_p=(eq - qm) / (eq + qm))
+    return ReflectionPair(r_s=_quotient(q, qm), r_p=_quotient(eps * q, qm))
+
+
+def _quotient(a, b):
+    """(a - b)/(a + b), its imaginary part as 2 Im(x conj y), x = a/(a + b),
+    y = b/(a + b), which keeps the digits of an Im r many orders below |r|
+    (r_p of a good conductor) that the plain quotient rounds away."""
+    x, y = a / (a + b), b / (a + b)
+    return (x - y).real + 2j * (x.imag * y.real - x.real * y.imag)
 
 
 # the end correction interpolates at u = -M h .. M h

@@ -20,12 +20,13 @@ evaluate_batch, the one evaluation path, groups the points by model and
 makes one call per model; evaluate is a batch of one. A batch gives
 each point the bits and the error that the point gets alone: the Drude
 constants of each distinct omega are computed once, on Python scalars,
-and indexed per point. A local-retarded point is one integral over a
-log-mapped axis that joins the propagating and evanescent parts, with
-the Fresnel coefficients taken from the vacuum normal wavevector q; a
-nonlocal point is a trapezoid sum in ln p of its r_p channel and, for
-B, one in ln k of its r_s channel, on a log lattice in k that all the
-points of one omega share (_nonlocal_quasistatic).
+and indexed per point. Both integral models are trapezoid sums on a log
+lattice that all the points of one omega share, on one schedule of
+halvings of its step (_halved). A nonlocal point is a sum in ln p of its
+r_p channel and, for B, one in ln k of its r_s channel
+(_nonlocal_quasistatic); a local-retarded point is one integral over a
+log-mapped axis, the vacuum normal wavevector q near the surface and the
+line q = omega/c + i t far from it (_local_retarded).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError, require_positive_finite
 from .fresnel import M, lattice_reflection, local_reflection_q, surface_response
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_t, skin_depth
-from .quadrature import _NODES, _WEIGHTS_K, QuadratureConfig, integrate_lockstep
+from .quadrature import _NODES, _WEIGHTS_K, QuadratureConfig
 
 
 class Model(str, enum.Enum):
@@ -181,8 +182,6 @@ def _tail_cut(share: float) -> tuple:
     return x, 1 + 3 / x + 6 / x**2 + 6 / x**3
 
 
-# the cut of every integral model leaves 1e-12 of the integral beyond it
-_TAIL_CUT = _tail_cut(1e-12)
 # the nonlocal lattice's r_p sums are cut where they leave 1e-16
 _LATTICE_CUT = _tail_cut(1e-16)
 
@@ -196,8 +195,10 @@ def _nonlocal_range(material, omega) -> tuple:
     runs from k = lo/1e3, where k^2 must be normal and k^2 v_F^2, x^2 =
     ((omega + i nu)/(k v_F))^2 and (k_star/k)^2 |omega + i nu| finite
     (epsilon_l, epsilon_t and their Lindhard series form them), to at
-    most 1e3 hi. Above top = 1e11 |omega + i nu|/v_F the adaptive kernel
-    the lattice replaced lost Im r_p to rounding."""
+    most 1e3 hi. top = 1e11 |omega + i nu|/v_F bounds the window top
+    k_top, about _TOP_FACTOR max(k_star, top), which every I_p window of
+    the omega runs to: a cut above top would need a window reaching
+    beyond it, so the point gets a DomainError."""
     vf, wn = material.fermi_velocity, abs(complex(omega, material.collision_rate))
     k_lo = max(_SQRT_TINY, max(wn / vf, material.k_star * math.sqrt(max(1.0, wn))) / _SQRT_MAX)
     return 1e3 * k_lo, _SQRT_MAX / max(1.0, vf) / 1e3, 1e11 * wn / vf
@@ -249,7 +250,8 @@ def _polar_g(a):
 _H0, _MAX_HALVINGS, _TOP_FACTOR = 0.25, 4, 1e6
 _P_LOW, _A_LOW, _A_HIGH = {"E": 1e-6, "B": 1e-16}, 1e-16, 1e6
 # the rounding of a sum's summands, relative to the sum of their moduli
-_ROUNDING = 50.0 * sys.float_info.epsilon
+_EPS = sys.float_info.epsilon
+_ROUNDING = 50.0 * _EPS
 
 
 def _nonlocal_cuts(material, field_kind, z, limits):
@@ -276,9 +278,9 @@ def _nonlocal_cuts(material, field_kind, z, limits):
                            f"wavevector, rounded up to the grid of t, exceeds {hi:.3g} 1/m, "
                            f"where the kernel leaves the float range")
     if p_cut > top:
-        return DomainError(f"z = {z:.6g} m is below the nonlocal kernel's resolution: its cut "
+        return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
                            f"wavevector, rounded up to the grid of t, exceeds {top:.3g} 1/m, "
-                           f"where the kernel no longer resolves Im r_p")
+                           f"which bounds the top of the lattice's I_p windows")
     floor = math.ceil(math.log(lo / 1e3) / _H0)
     return (max(math.floor(math.log(_P_LOW[field_kind] / z) / _H0), floor + M), i_hi,
             max(math.floor(math.log(_A_LOW * min(k_nu, 0.5 / z)) / _H0), floor),
@@ -289,13 +291,14 @@ def _refine(old, old_lo, lo, top, h, kernel):
     """(values, first) of kernel(k, rows) at k = e^{nh}, n = lo[r] ..
     top[r] in row r, 0 elsewhere, columns from n = first = min(lo): even
     n from old, the lattice at 2h from column old_lo, odd n (all n if old
-    is None) from kernel."""
+    is None) from kernel, whose values may carry trailing axes."""
     n = np.arange(lo.min(), top.max() + 1)
     valid = (n >= lo[:, None]) & (n <= top[:, None])
     fresh = valid if old is None else valid & (n % 2 == 1)
     rows, cols = np.nonzero(fresh)
-    values = np.broadcast_to(kernel(np.exp(n[cols] * h), rows), rows.shape)
-    new = np.zeros(valid.shape, dtype=values.dtype)
+    values = np.asarray(kernel(np.exp(n[cols] * h), rows))
+    values = np.broadcast_to(values, rows.shape + values.shape[1:])
+    new = np.zeros(valid.shape + values.shape[1:], dtype=values.dtype)
     new[fresh] = values
     if old is not None:
         rows, cols = np.nonzero(valid & ~fresh)
@@ -418,15 +421,31 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
                 out[k] = (math.inf, math.inf, math.inf, {})
                 running.remove(k)
             elif level:
-                errs = [e + abs(v - v_prev) for e, v, v_prev in zip(errs, values, previous[k])]
-                done = all(e <= max(cfg.rel_tol * abs(v), cfg.abs_tol)
-                           for e, v in zip(errs, values))
-                if done or level == halvings:
+                errs, done, final = _halved(level, halvings, values, errs, previous[k], cfg)
+                if final:
                     out[k] = _nonlocal_outcome(field_kind, omegas[k], z, values, errs, done,
                                                halvings)
                     running.remove(k)
             previous[k] = values
     return out
+
+
+def _halved(level, halvings, values, errs, previous, cfg):
+    """The lattice schedule's rule for a point at level >= 1 (h = _H0/2^level)
+    whose sums are values, with errors errs, and were previous at 2h:
+    (errs, done, final), errs with |values - previous| added, done if every
+    sum S meets max(rel_tol |S|, abs_tol) with its error, final if the
+    point stops: done, or at halvings."""
+    errs = [e + abs(v - v_prev) for e, v, v_prev in zip(errs, values, previous)]
+    done = all(e <= max(cfg.rel_tol * abs(v), cfg.abs_tol) for e, v in zip(errs, values))
+    return errs, done, done or level == halvings
+
+
+def _not_converged(model, halvings, chi_zz, err):
+    """The QuadratureError of a point whose sums missed rel_tol."""
+    return QuadratureError(
+        f"{model} lattice sums not converged after {halvings} halvings of h (estimate "
+        f"{chi_zz!r}, error bound {err:.3e})", best_estimate=chi_zz, error_bound=err)
 
 
 def _nonlocal_outcome(field_kind, omega, z, values, errs, done, halvings):
@@ -441,9 +460,42 @@ def _nonlocal_outcome(field_kind, omega, z, values, errs, done, halvings):
         err = scale_zz * errs[1] + rp_scale * errs[0]
         outcome = (0.5 * chi_zz + rp_part, chi_zz, err,
                    {"rs_part": 0.5 * chi_zz, "rp_part": rp_part})
-    return outcome if done else QuadratureError(
-        f"nonlocal lattice sums not converged after {halvings} halvings of h (estimate "
-        f"{chi_zz!r}, error bound {err:.3e})", best_estimate=chi_zz, error_bound=err)
+    return outcome if done else _not_converged("nonlocal", halvings, chi_zz, err)
+
+
+# The local-retarded lattice: s_n = nh, x_n = (omega/c) e^{s_n}. A sum starts
+# e^-_LOW_SPAN below its scale, omega/c (1/(2z) on the line), leaving e^-44 of
+# (omega/c)^3 or of the value (e^-60 on the evanescent sector, whose summand
+# falls like u^2). The evanescent sum and the line end at the last node with
+# 2 x z <= _DECAY_CUT, the propagating one, on q = (omega/c)/(1 + e^-s), at
+# s = _PROP_TOP, e^-40 short of q = omega/c.
+_CONTOUR_FROM, _DECAY_CUT, _PHASE_ORDER, _PROP_TOP = 1.0, 700.0, 20, 40
+_LOW_SPAN = {"prop": 44, "ev": 30, "line": 44}
+
+
+def _propagating(block, y, a):
+    """(value, size, edge) per point and column of block (its summand J
+    X(q) at q = y omega/c) of Re Sum_n e^{i a y_n} block_n, a = 2 z omega/c
+    < 1 per point: Horner's rule in a on the shared moments Sum_n y_n^m
+    block_n, the phase's Taylor series cut after a^20 (a^21/21! < 2e-20).
+    size bounds the rounding and the truncation, edge both tails."""
+    moments = np.vander(y, _PHASE_ORDER + 1, increasing=True).T @ block
+    a = a[:, None]
+    acc = np.broadcast_to(moments[-1], a.shape[:1] + moments[-1].shape)
+    for m in range(_PHASE_ORDER, 0, -1):
+        acc = moments[m - 1] + (1j / m * a) * acc
+    moduli = float(np.abs(block).sum())
+    size = moduli * (y.size * _EPS + a**(_PHASE_ORDER + 1) / math.factorial(_PHASE_ORDER + 1))
+    return acc.real, size, np.abs(block[0]) + np.abs(block[-1])
+
+
+def _phase(z, omega):
+    """e^{2 i z omega/c} from its phase as a double q plus the exact rest,
+    good to a few ulps however many turns 2 z omega/c makes."""
+    from fractions import Fraction  # only far points pay for the import
+
+    phase = Fraction(2.0 * z) * Fraction(omega) / Fraction(C_LIGHT)
+    return cmath.exp(1j * (q := float(phase))) * cmath.exp(1j * float(phase - Fraction(q)))
 
 
 def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
@@ -452,82 +504,137 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     chi = scale * (I_xx, I_zz), scale = hbar/eps0 (E) or hbar/(eps0 c^2) (B),
       I_xx = Re Integral dp (p/q) e^{2 i q z} (omega^2/c^2 r_a - q^2 r_b)/2
       I_zz = Re Integral dp (p^3/q) e^{2 i q z} r_b
-    with (r_a, r_b) = (r_s, r_p) for the electric field and swapped for
-    the magnetic one. One real axis s carries both parts: s = -q < 0 is
-    propagating (q real, (p/q) dp = ds) and s = u >= 0 evanescent
-    (q = i u, (p/q) dp = -i du), with p^2 = omega^2/c^2 - q^2 and the
-    Fresnel coefficients taken from q (local_reflection_q).
-
-    The axis is mapped by s = sign(t) g (e^|t| - 1), g = (omega/c)/sqrt|eps|,
-    the grazing-incidence turn of r_p, so every decade of |s| from g up
-    to the skin-depth knee u ~ sqrt|eps| omega/c costs about one unit of
-    t; t = 0 (the light line, where the integrand jumps) and the knee
-    are seeded. The zz integrand grows like u^2 in the quasistatic range
-    and like u^3 below the knee for B, where Im r_s ~ u, so the
-    evanescent part is cut at U = x/(2z) (_tail_cut). Each point is one
-    integral over [t(-omega/c), t(U)], all points in one lockstep run,
-    and its error_estimate adds the bound on the discarded tail. A point
-    whose integrand would leave the float range gets a DomainError and
-    does not run.
+    with (r_a, r_b) = (r_s, r_p) for E and swapped for B, from the vacuum
+    normal wavevector q (local_reflection_q). As (p/q) dp = -dq, that is
+    Re Integral dq e^{2iqz} X(q) along q = i u, u from infinity to 0, then
+    q from 0 to omega/c: near the surface Integral du e^{-2uz} Im X(iu), a
+    trapezoid sum in ln u whose terms cannot cancel, plus one in s, q =
+    (omega/c)/(1 + e^-s), which is ln q for q << omega/c and sends the end
+    q = omega/c to s = infinity, so the sum needs no end correction; from
+    _CONTOUR_FROM on, where the latter cancels, the path moved onto q =
+    omega/c + i t, a trapezoid sum in ln t of e^{-2tz} X(q) (the swept
+    quadrant holds neither r_p's pole nor q_m's branch point; K. A.
+    Michalski and J. R. Mosig, IEEE TAP 45, 508 (1997)).
+    The points of one omega share its lattice and the nonlocal model's
+    schedule (_halved); each sums its own nodes in a fixed order, so it
+    gets its bits and outcome alone. A point whose integrand would leave
+    the float range, or whose Drude permittivity rounds to 1, gets a
+    DomainError and does not run.
     """
-    cfg = cfg or QuadratureConfig()
-
-    def constants(omega):
-        eps = drude_epsilon(material, omega)
-        w_c = omega / C_LIGHT
-        g = w_c / math.sqrt(abs(eps))
-        return (eps, (eps - 1.0) * w_c**2, w_c**2, g, -math.log1p(w_c / g),
-                math.log1p(abs(eps)), abs(eps), w_c)
-
-    distinct, at = np.unique(omegas, return_inverse=True)
-    table = np.array([constants(w) for w in distinct.tolist()])[at].T
-    eps, k2_metal = table[:2]
-    w_c2, g, lo, knee, eps_abs, w_c = table[2:].real
-    x, ratio = _TAIL_CUT
-    z_rows = np.asarray(zs, dtype=float)
-    # the axis runs from omega/c to the cut U in steps of the grazing
-    # scale g, where the integrand grows like |eps| M and like M^3 for
-    # M = max(U, omega/c) and carries the phase 2 q z, q <= omega/c: g
-    # must be a normal float and U/g, |eps| M, M^3 and 2 z omega/c finite
+    cfg, out = cfg or QuadratureConfig(), [None] * len(zs)
+    distinct, row = np.unique(omegas, return_inverse=True)
+    eps = [drude_epsilon(material, w) for w in distinct.tolist()]
+    w_c = (distinct / C_LIGHT).tolist()
+    for i, (z, r) in enumerate(zip(zs, row.tolist())):
+        # from e^-44 min(omega/c, 1/(2z)) to M = max(_DECAY_CUT/(2z), omega/c): the
+        # first node and g = (omega/c)/sqrt|eps| normal, M/g, |eps| M, M^3 finite
+        m, g = max(_DECAY_CUT / (2.0 * z), w_c[r]), w_c[r] / math.sqrt(abs(eps[r]))
+        if not (g >= sys.float_info.min and min(w_c[r], 0.5 / z) * math.exp(-44)
+                >= sys.float_info.min and all(map(math.isfinite, (m / g, abs(eps[r]) * m,
+                                                                  m * m * m, z * w_c[r])))):
+            out[i] = DomainError(f"z = {z:.6g} m, omega = {omegas[i]:.6g} rad/s: the "
+                                 f"local-retarded integrand leaves the float range")
+        elif eps[r].real == 1.0 and material.plasma_frequency**2 != 0:
+            # eps - 1 has lost its real part, and r_s, r_p = (a - b)/(a + b) all digits
+            out[i] = DomainError(f"omega = {omegas[i]:.6g} rad/s is too large for "
+                                 f"{material.name}: its Drude permittivity rounds to 1 and "
+                                 f"the Fresnel coefficients keep no digit")
+    eps_r, w_c_of, z_of = np.array(eps), np.array(w_c), np.asarray(zs, dtype=float)
+    running = np.array([o is None for o in out])
     with np.errstate(all="ignore"):
-        cuts = x / (2.0 * z_rows)
-        m = np.maximum(cuts, w_c)
-        bounds = np.array([cuts / g, eps_abs * m, m * m * m, 2.0 * z_rows * w_c])
-    fits = (g >= sys.float_info.min) & np.isfinite(bounds).all(axis=0)
-    out = [None] * len(zs)
-    for i in np.flatnonzero(~fits).tolist():
-        out[i] = DomainError(f"z = {zs[i]:.6g} m, omega = {omegas[i]:.6g} rad/s: the "
-                             f"local-retarded integrand leaves the float range")
-    run = np.flatnonzero(fits).tolist()
-    if not run:
-        return out
-    # one row per point that runs
-    eps, k2_metal, w_c2, g, z_rows, cuts = (c[run][:, None] for c in (eps, k2_metal, w_c2, g,
-                                                                      z_rows, cuts))
+        # ln(1/(2 z omega/c)) in steps of _H0; per sector (points, first, last)
+        scale_n = np.where(running, np.log(0.5 / (z_of * w_c_of[row])) / _H0, 0.0)
+        far = 2.0 * z_of * w_c_of[row] >= _CONTOUR_FROM
+    low = {k: -round(v / _H0) for k, v in _LOW_SPAN.items()}
+    last = np.floor(scale_n + math.log(_DECAY_CUT) / _H0).astype(int)
+    zero = np.zeros_like(last)
+    spans = {"ev": (~far, zero + low["ev"], last),
+             "prop": (~far, zero + low["prop"], zero + round(_PROP_TOP / _H0)),
+             "line": (far, np.floor(scale_n).astype(int) + low["line"], last)}
 
-    def integrand(s, z, eps, k2_metal, w_c2):
-        evanescent = s >= 0.0
-        q = np.where(evanescent, 1j * s, -s)
-        pair = local_reflection_q(q, k2_metal, eps)
-        r_a, r_b = (pair.r_p, pair.r_s) if field_kind == "B" else (pair.r_s, pair.r_p)
-        w = np.where(evanescent, -1j, 1.0) * np.exp(2j * q * z)
-        q2 = q * q
-        return (0.5 * np.real(w * (w_c2 * r_a - q2 * r_b))
-                + 1j * np.real(w * (w_c2 - q2) * r_b))
+    def kernel(sector):  # dq/ds X(q) at the sector's nodes k = e^s: columns xx, zz
+        def run(k, rows):
+            # gap = omega/c - q, exact, so that p^2 = gap (omega/c + q) keeps its digits
+            w, x_n = w_c_of[rows], w_c_of[rows] * k
+            gap = {"ev": w - 1j * x_n, "prop": w / (1.0 + k) + 0j, "line": -1j * x_n}[sector]
+            q = x_n / (1.0 + k) + 0j if sector == "prop" else w - gap
+            jac = q.real * gap.real / w if sector == "prop" else x_n
+            pair = local_reflection_q(q, (eps_r[rows] - 1.0) * w * w, eps_r[rows])
+            r_a, r_b = (pair.r_p, pair.r_s) if field_kind == "B" else (pair.r_s, pair.r_p)
+            if sector == "ev":
+                # Re(-i X) = Im X from Im r alone: q^2 = -u^2 and p^2 are real
+                return np.stack([0.5 * x_n * (w * w * r_a.imag + x_n * x_n * r_b.imag),
+                                 x_n * (w * w + x_n * x_n) * r_b.imag], axis=-1)
+            return np.stack([0.5 * jac * (w * w * r_a - q * q * r_b),
+                             jac * gap * (w + q) * r_b], axis=-1)
+        return run
 
-    def mapped(t, owner):
-        g_rows = g[owner]
-        s = np.sign(t) * g_rows * np.expm1(np.abs(t))
-        return (integrand(s, z_rows[owner], eps[owner], k2_metal[owner], w_c2[owner])
-                * (np.abs(s) + g_rows))
-
-    results = integrate_lockstep(mapped, lo[run], np.log1p(cuts[:, 0] / g[:, 0]), cfg,
-                                 np.stack([np.zeros(len(run)), knee[run]], axis=1))
-    tails = np.abs(integrand(cuts, z_rows, eps, k2_metal, w_c2)) * ratio / (2 * z_rows)
     scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
-    for i, res, tail in zip(run, results, tails[:, 0].tolist()):
-        out[i] = res if isinstance(res, QuadratureError) else \
-            (scale * res.value.real, scale * res.value.imag, scale * (res.error + tail), {})
+    halvings, previous, lattices = min(_MAX_HALVINGS, cfg.max_subdivisions), None, {}
+    for level in range(halvings + 1):
+        if not running.any():
+            break
+        step, h = 2**level, _H0 / 2**level
+        values, errs = np.zeros((len(zs), 2)), np.zeros((len(zs), 2))
+        for sector, (member, lo, hi) in spans.items():
+            points = np.flatnonzero(running & member)
+            if not points.size:
+                continue
+            # each row's lattice covers its points' nodes, an empty row none
+            lo, hi = lo[points] * step, hi[points] * step
+            row_lo, top = np.full(len(distinct), hi.max()), np.full(len(distinct), lo.min() - 1)
+            np.minimum.at(row_lo, row[points], lo)
+            np.maximum.at(top, row[points], hi)
+            table, start = lattices[sector] = _refine(*lattices.get(sector, (None, None)),
+                                                      row_lo, top, h, kernel(sector))
+            for r in sorted(set(row[points].tolist())):
+                idx, a, b = (v[row[points] == r] for v in (points, lo, hi))
+                n = np.arange(a.min(), b.max() + 1)
+                block = table[r, n[0] - start:n[-1] - start + 1]
+                if sector == "prop":
+                    value, size, edge = _propagating(block, 1.0 / (1.0 + np.exp(-n * h)),
+                                                     2.0 * w_c[r] * z_of[idx])
+                    values[idx] += h * value
+                    errs[idx] += h * size + 2.0 * edge
+                    continue
+                # a point's terms are a row with a zero column appended, its
+                # segment summed in order by reduceat; past it the floor keeps
+                # exp out of the subnormals
+                x_n, z_n = w_c[r] * np.exp(n * h), z_of[idx, None]
+                terms = np.zeros((2, idx.size, n.size + 1), dtype=block.dtype)
+                terms[:, :, :-1] = (np.exp(np.maximum(-2.0 * z_n * x_n, -_DECAY_CUT))
+                                    * block.T[:, None])
+                a, b, ends = a - n[0], b - n[0], np.arange(idx.size)
+                cuts = (ends[:, None] * (n.size + 1) + np.stack([a, b + 1], axis=1)).ravel()
+                value, size = (h * np.stack([np.add.reduceat(f(t).ravel(), cuts)[::2]
+                                             for t in terms], axis=1) for f in (np.asarray, np.abs))
+                if sector == "line":
+                    value = (np.array([_phase(zs[i], omegas[i]) for i in idx.tolist()])[:, None]
+                             * value).imag
+                # the sums round by at most count eps of the moduli; the tail
+                # below the first node stays under twice its term, the one
+                # beyond the last, where X grows at most like x^3, under |X|
+                # e^{-2xz}/(2z) (1 + 3/y + 6/y^2 + 6/y^3), y = 2xz
+                y = 2.0 * x_n[b] * z_n[:, 0]
+                values[idx] += value
+                errs[idx] += (size * ((b - a + 1) * _EPS)[:, None]
+                              + 2.0 * np.abs(terms[:, ends, a].T) + np.abs(terms[:, ends, b].T)
+                              * ((1.0 + 3.0 / y + 6.0 / y**2 + 6.0 / y**3) / y)[:, None])
+        with np.errstate(invalid="ignore"):
+            # summands beyond the float range: a DomainError of evaluate_batch
+            lost = running & ~np.isfinite(values + errs).all(axis=1)
+        for i in np.flatnonzero(lost).tolist():
+            out[i] = (math.inf, math.inf, math.inf, {})
+        running &= ~lost
+        for i in np.flatnonzero(running).tolist() if level else ():
+            e, done, final = _halved(level, halvings, values[i].tolist(), errs[i].tolist(),
+                                     previous[i].tolist(), cfg)
+            if final:
+                xx, zz, err = scale * values[i, 0], scale * values[i, 1], scale * max(e)
+                out[i] = (float(xx), float(zz), err, {}) if done else \
+                    _not_converged("local-retarded", halvings, float(zz), err)
+                running[i] = False
+        previous = values
     return out
 
 
@@ -556,8 +663,9 @@ def evaluate_batch(
     point whose chi_xx, chi_zz or error_estimate is not finite (its
     inputs leave the float range) gets a DomainError, and so does a
     point whose omega fails _drude_scales_error and a point of the
-    integral models whose chi_xx or chi_zz underflows to 0 where the
-    metal responds (its omega_p^2 is not 0).
+    integral models whose |chi_xx| or |chi_zz| underflows below the
+    smallest normal float (a subnormal keeps a few bits, or none) where
+    the metal responds (its omega_p^2 is not 0).
     """
     if field_kind not in ("E", "B"):
         raise DomainError("field_kind must be 'E' or 'B'")
@@ -603,9 +711,9 @@ def evaluate_batch(
             elif not all(map(math.isfinite, outcome[:3])):
                 out[i] = DomainError(f"chi is not finite at z = {zs[i]:.6g} m, omega = "
                                      f"{omegas[i]:.6g} rad/s; the inputs leave the float range")
-            elif (not closed_form and 0.0 in outcome[:2]
+            elif (not closed_form and min(map(abs, outcome[:2])) < sys.float_info.min
                   and material.plasma_frequency**2 != 0):
-                out[i] = DomainError(f"chi underflows to 0 at z = {zs[i]:.6g} m, omega = "
+                out[i] = DomainError(f"chi underflows at z = {zs[i]:.6g} m, omega = "
                                      f"{omegas[i]:.6g} rad/s; the inputs leave the float range")
             else:
                 chi_xx, chi_zz, err, parts = outcome

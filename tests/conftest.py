@@ -16,7 +16,7 @@ import pytest
 from ewjn import COPPER, DomainError, Material, QuadratureConfig, QuadratureError
 from ewjn.fresnel import M, lattice_reflection, surface_response
 from ewjn.materials import C_LIGHT, EPS0, HBAR, epsilon_l, epsilon_t, skin_depth
-from ewjn.quadrature import QuadResult, integrate_lockstep
+from adaptive import QuadResult, integrate_lockstep
 from ewjn.spectral import _polar_g, _tail_cut
 
 OMEGA0 = 6e8 * math.pi

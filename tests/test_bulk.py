@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from ewjn import DomainError, QuadratureError, bulk_imD_coincident, surface_limit_imD
-from ewjn.bulk import _radial_breakpoints, _radial_integrand
-from ewjn.materials import C_LIGHT, HBAR, epsilon_l, epsilon_t
-from ewjn.quadrature import integrate_lockstep
+from ewjn import QuadratureConfig
+from ewjn.bulk import _radial_integrand
+from ewjn.materials import C_LIGHT, HBAR, drude_epsilon, epsilon_l, epsilon_t
+from adaptive import integrate_lockstep
 
 LADDER_VALUES = [
     (3.0, 1.665716584076565e-13),
@@ -43,6 +44,13 @@ def _bracket_integrand(material, k, omega):
         + (eps_t - eps_l) / (3.0 * eps_l)
     )
     return -(k * k) * np.imag(4.0 * math.pi * HBAR / denom * bracket) / (2.0 * math.pi**2)
+
+
+def _radial_breakpoints(material, omega):
+    """Seeds of the adaptive oracle on every rung: 0.3, 1 and 3 times the
+    skin wavevector, k_nu and k_star."""
+    k_delta = abs(math.sqrt(abs(drude_epsilon(material, omega))) * omega / C_LIGHT)
+    return [0.3 * k_delta, k_delta, 3.0 * k_delta, material.k_nu, material.k_star]
 
 
 def test_radial_reductions_agree_and_are_positive(copper, omega0):
@@ -125,6 +133,21 @@ def test_ladder_rungs_match_the_bracket_integrals(copper, omega0, cfg, monkeypat
     res = bulk_imD_coincident(copper, omega0, cfg)
     assert (res.k_max_used, res.im_D_zz, res.im_D_xx) == (series[1][0], series[1][1],
                                                            series[1][1])
+
+
+@pytest.mark.parametrize("omega", [1e7, 6e8 * math.pi, 1e11])
+def test_ladder_rungs_match_the_adaptive_engine_at_1e_12(copper, omega):
+    # each rung's log-lattice sum against the adaptive engine of tests/adaptive.py
+    # at rel_tol 1e-12 over the same rung, the first from k = 0
+    with pytest.raises(QuadratureError) as excinfo:
+        bulk_imD_coincident(copper, omega)
+    tight = QuadratureConfig(rel_tol=1e-12)
+    k_lo, below = 0.0, 0.0
+    for k_hi, total in excinfo.value.convergence_series:
+        [res] = integrate_lockstep(lambda k, owner: _radial_integrand(copper, k, omega),
+                                   [k_lo], [k_hi], tight, [_radial_breakpoints(copper, omega)])
+        assert abs((total - below) / res.value.real - 1.0) < 1e-8
+        k_lo, below = k_hi, total
 
 
 def test_ladder_domain(copper):

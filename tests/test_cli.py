@@ -470,7 +470,7 @@ def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
 def test_nonlocal_z_below_the_kernel_resolution_exits_2(capsys, argv):
     code, out, err = run_cli(["spectral", *argv, "--model", "nonlocal-quasistatic"], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "the kernel no longer resolves Im r_p" in err
+    assert err.startswith("error: ") and "which bounds the top of the lattice's I_p windows" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ewjn import DomainError, QuadratureConfig, QuadratureError
-from ewjn.quadrature import QuadResult, integrate_lockstep
+from adaptive import QuadResult, integrate_lockstep
 
 from conftest import inner, integrate_power_tails
 
@@ -51,6 +51,30 @@ def test_config_inner_scaling():
     assert inner_cfg.max_subdivisions == cfg.max_subdivisions
     # an inner tolerance stops at 100 ulps, which double precision holds
     assert inner(QuadratureConfig(rel_tol=1e-13)).rel_tol == 100.0 * np.finfo(float).eps
+
+
+def test_gregory_weights_are_the_exact_end_correction():
+    # Euler-Maclaurin: the trapezoid sum over j = 0, 1, ... misses
+    # Sum_k B_2k/(2k)! f^(2k-1)(0) at its end, so the correction c_j of
+    # the first 8 nodes solves Sum_j c_j j^m = B_(m+1)/(m+1) for odd m < 8
+    # and 0 for even m, exactly, with B_n Bernoulli's numbers
+    from fractions import Fraction
+
+    from ewjn.quadrature import GREGORY
+
+    bernoulli = [Fraction(1)]
+    for n in range(1, 9):
+        bernoulli.append(-sum(math.comb(n + 1, k) * bernoulli[k] for k in range(n)) / (n + 1))
+    rows = [[Fraction(j) ** m for j in range(8)] + [bernoulli[m + 1] / (m + 1) if m % 2 else 0]
+            for m in range(8)]
+    for i in range(8):
+        pivot = next(r for r in range(i, 8) if rows[r][i])
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for r in range(8):
+            if r != i:
+                rows[r] = [a - rows[r][i] * b for a, b in zip(rows[r], rows[i])]
+    assert GREGORY.tolist() == [float(r[8]) for r in rows]
 
 
 # ------------------------------------------------------- error bound suite
@@ -245,7 +269,7 @@ def _serial_reference(f, a, b, cfg, breakpoints=(), splits=None):
     error the hypot of the parts', or the QuadratureError of a spent
     budget; splits, if given, collects the (lo, hi) of every panel popped.
     """
-    from ewjn.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K
+    from adaptive import _NODES, _WEIGHTS_G, _WEIGHTS_K
 
     def gk15(lo, hi):
         center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -29,8 +29,7 @@ from ewjn import (
     regime_select,
 )
 from ewjn.materials import C_LIGHT, E_CHARGE, EPS0, HBAR, drude_epsilon, skin_depth
-from ewjn.quadrature import integrate_lockstep
-from ewjn.spectral import _TAIL_CUT, _tail_cut
+from adaptive import integrate_lockstep
 
 from conftest import inner, integrate_power_tails, kappa_chi, kappa_r_p, t_grid
 
@@ -474,15 +473,6 @@ def test_retarded_batch_matches_scalar_bitwise(material, omega, field_kind):
         assert (tensor.z, tensor.model) == (z, Model.LOCAL_RETARDED)
 
 
-def _recording(parts, name, fn):
-    """fn, collecting the outcomes of all its calls in parts[name]."""
-    def wrapper(*args, **kwargs):
-        result = fn(*args, **kwargs)
-        parts.setdefault(name, []).extend(result)
-        return result
-    return wrapper
-
-
 def _assert_same_outcome(outcome, material, field_kind, z, omega, model, cfg):
     """outcome is, bit for bit, what evaluate gives or raises at z alone."""
     try:
@@ -498,58 +488,61 @@ def _assert_same_outcome(outcome, material, field_kind, z, omega, model, cfg):
     assert (outcome.z, outcome.omega, outcome.model) == (z, omega, single.model)
 
 
+# max_subdivisions caps the halvings of h at min(4, max_subdivisions); below
+# 2e-13 the rounding bound of a point's sums, count eps of their moduli at
+# h = 1/64, keeps the nearer points from rel_tol
 @pytest.mark.parametrize("max_subdivisions,rel_tol,pattern", [
-    (12, 1e-9, ".............xxxxxxx"),
-    (16, 1e-12, "xxxxxx.xxxxxxx.xxxxx"),
+    (12, 1.5e-13, "xxxxxxxxxxxxxx......"),
+    (16, 1e-13, "xxxxxxxxxxxxxxx....."),
 ], ids=["12", "16"])
 def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions, rel_tol,
                                               pattern, monkeypatch):
     import ewjn.spectral as spectral
 
-    runs = []
-    lockstep = spectral.integrate_lockstep
-    monkeypatch.setattr(spectral, "integrate_lockstep",
-                        lambda *args: runs.append(args) or lockstep(*args))
+    calls = []
+    reflection = spectral.local_reflection_q
+    monkeypatch.setattr(spectral, "local_reflection_q",
+                        lambda q, *args: calls.append(np.size(q)) or reflection(q, *args))
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     zs = _farfield_grid(copper, omega0)
     batch = evaluate_batch(copper, "E", zs, omega0, "local-retarded", cfg)
-    # every z is one integral, and the grid is one lockstep run
-    assert len(runs) == 1 and len(runs[0][1]) == len(zs)
+    # the grid is one lattice: h = 1/4 and each halving ask the Fresnel kernel
+    # once for the evanescent and once for the propagating nodes of all points
+    assert len(calls) == 2 * (min(4, max_subdivisions) + 1)
     assert "".join("x" if isinstance(o, QuadratureError) else "." for o in batch) == pattern
     for z, outcome in zip(zs, batch):
         _assert_same_outcome(outcome, copper, "E", z, omega0, "local-retarded", cfg)
 
 
 @pytest.mark.parametrize("field_kind", ["E", "B"])
-def test_retarded_converges_at_tight_tolerance(copper, omega0, lam_f, delta, field_kind,
-                                               monkeypatch):
-    import ewjn.spectral as spectral
-
+def test_retarded_converges_at_tight_tolerance(copper, omega0, lam_f, delta, field_kind):
     zs = [float(z) for z in np.geomspace(1e-3 * lam_f, 3.0 * delta, 12)]
-    cfg, tail_share = QuadratureConfig(rel_tol=1e-11), 1e-12
-    monkeypatch.setattr(spectral, "_TAIL_CUT", _tail_cut(tail_share))
+    cfg = QuadratureConfig(rel_tol=1e-11)
     for outcome in evaluate_batch(copper, field_kind, zs, omega0, "local-retarded", cfg):
         assert not isinstance(outcome, QuadratureError), outcome
-        # the converged integral's error plus the bound on the cut tail
-        assert outcome.error_estimate <= (cfg.rel_tol + tail_share) * math.hypot(
-            outcome.chi_xx, outcome.chi_zz)
+        # every sum met rel_tol with its error, the bounds on its cut tails included
+        assert outcome.error_estimate <= cfg.rel_tol * math.hypot(outcome.chi_xx,
+                                                                  outcome.chi_zz)
 
 
-@pytest.mark.parametrize("rel_tol,tail_share", [
-    (1e-8, 1e-12),
-    # the cut tail then dominates the error
-    (1e-10, 1e-4),
+@pytest.mark.parametrize("rel_tol,low_span", [
+    (1e-8, None),
+    # every sum starts e^13 closer to its scale: the shift from what it drops
+    # below its first node, up to 1e-5 of (omega/c)^3 on the evanescent sector,
+    # is one of the tails its error bounds
+    (1e-10, {"prop": 31, "ev": 17, "line": 31}),
 ], ids=["rel_tol", "tail_cut"])
 @pytest.mark.parametrize("material,omega", _FARFIELD, ids=lambda v: getattr(v, "name", ""))
 @pytest.mark.parametrize("field_kind", ["E", "B"])
 def test_retarded_error_estimate_covers_the_shift_to_a_tight_run(material, omega, field_kind,
-                                                                 rel_tol, tail_share,
+                                                                 rel_tol, low_span,
                                                                  monkeypatch):
     import ewjn.spectral as spectral
 
     zs = _farfield_grid(material, omega)
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_TAIL_CUT", _tail_cut(tail_share))
+        if low_span:
+            patch.setattr(spectral, "_LOW_SPAN", low_span)
         loose = evaluate_batch(material, field_kind, zs, omega, "local-retarded",
                                QuadratureConfig(rel_tol=rel_tol))
     tight = evaluate_batch(material, field_kind, zs, omega, "local-retarded",
@@ -618,10 +611,16 @@ def _retarded_quad_vec_oracle(material, field_kind, z, omega):
     u = 40/z, with Fresnel coefficients written out here."""
     eps, k = drude_epsilon(material, omega), omega / C_LIGHT
 
+    def quotient(a, b):
+        # (a - b)/(a + b) with Im 2 Im(a conj b)/|a + b|^2: the plain quotient
+        # leaves the evanescent Im r_p of a good conductor, 1e-8 of |r_p|,
+        # only the rounding of its real part (1e-10 of itself, against mpmath)
+        return complex(((a - b) / (a + b)).real, 2.0 * (a * b.conjugate()).imag / abs(a + b)**2)
+
     def channels(q, p2, weight):
         qm = cmath.sqrt((eps - 1.0) * k * k + q * q)
         qm = -qm if qm.imag < 0 else qm
-        r_s, r_p = (q - qm) / (q + qm), (eps * q - qm) / (eps * q + qm)
+        r_s, r_p = quotient(q, qm), quotient(eps * q, qm)
         r_a, r_b = (r_p, r_s) if field_kind == "B" else (r_s, r_p)
         w = weight * cmath.exp(2j * q * z)
         return np.array([(0.5 * w * (k * k * r_a - q * q * r_b)).real, (w * p2 * r_b).real])
@@ -643,6 +642,90 @@ def test_retarded_matches_quad_vec_near_the_skin_depth(copper, omega0, delta, fi
     t = evaluate(copper, field_kind, delta, omega0, "local-retarded")
     assert abs(t.chi_xx - chi_xx) <= t.error_estimate + bound
     assert abs(t.chi_zz - chi_zz) <= t.error_estimate + bound
+
+
+# copper far out, 2 z omega/c from 67 to 6.7e5, where the phase e^{2iqz}
+# turns ten to 1e5 times across the propagating sector
+_FAR_POINTS = [(1e10, 1.0), (1e10, 100.0), (1e10, 1e4), (1e8, 100.0)]
+
+
+@pytest.mark.parametrize("omega,z", _FAR_POINTS, ids=["1e10-1m", "1e10-100m", "1e10-1e4m",
+                                                      "1e8-100m"])
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_retarded_far_field_converges_in_milliseconds(copper, omega, z, field_kind):
+    evaluate(copper, field_kind, z / 10.0, omega, "local-retarded")
+    start = time.perf_counter()
+    tensor = evaluate(copper, field_kind, z, omega, "local-retarded")
+    assert time.perf_counter() - start < 0.05
+    assert tensor.error_estimate <= 1e-8 * math.hypot(tensor.chi_xx, tensor.chi_zz)
+
+
+@pytest.mark.parametrize("omega,z", [(1e10, 1.0), (1e8, 100.0)], ids=["1e10-1m", "1e8-100m"])
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_retarded_far_field_matches_p_space_oracle(copper, omega, z, field_kind):
+    # 2 z omega/c = 67: ten turns of the phase on the propagating sector
+    chi_xx, chi_zz = _retarded_p_space_oracle(copper, field_kind, z, omega)
+    t = evaluate(copper, field_kind, z, omega, "local-retarded")
+    assert abs(t.chi_xx - chi_xx) <= t.error_estimate
+    assert abs(t.chi_zz - chi_zz) <= t.error_estimate
+
+
+def _watson(material, field_kind, z, omega):
+    """The first two terms of Watson's lemma for chi = scale Re(-i e^{2 i z
+    omega/c} Integral_0^inf dt e^{-2tz} X(omega/c + i t)) per component,
+    and twice the third, |X''| scale/(2z)^3, which bounds the rest at
+    large z omega/c; X and its derivatives at q = omega/c from 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        eps, k, z = mp.mpc(drude_epsilon(material, omega)), mp.mpf(omega) / C_LIGHT, mp.mpf(z)
+
+        def x_of(q, zz):
+            qm = mp.sqrt((eps - 1) * k**2 + q * q)
+            qm = -qm if mp.im(qm) < 0 else qm
+            r_s, r_p = (q - qm) / (q + qm), (eps * q - qm) / (eps * q + qm)
+            r_a, r_b = (r_p, r_s) if field_kind == "B" else (r_s, r_p)
+            return (k - q) * (k + q) * r_b if zz else (k**2 * r_a - q**2 * r_b) / 2
+
+        scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
+        out = []
+        for zz in (False, True):
+            x0, x1, x2 = (mp.diff(lambda q: x_of(q, zz), k, n) for n in (0, 1, 2))
+            two = -1j * mp.expj(2 * k * z) * (x0 / (2 * z) + 1j * x1 / (2 * z)**2)
+            out.append((scale * float(mp.re(two)), 2.0 * scale * float(abs(x2) / (2 * z)**3)))
+    return out
+
+
+@pytest.mark.parametrize("omega,z", [(1e10, 100.0), (1e10, 1e4)], ids=["6.7e3", "6.7e5"])
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_retarded_far_field_matches_watsons_lemma(copper, omega, z, field_kind):
+    # at 2 z omega/c >= 1e3 the line integral is its expansion at t = 0;
+    # chi_zz starts at the second term, since X_zz(omega/c) = 0
+    t = evaluate(copper, field_kind, z, omega, "local-retarded")
+    (xx, xx_rest), (zz, zz_rest) = _watson(copper, field_kind, z, omega)
+    assert abs(t.chi_xx - xx) <= xx_rest + t.error_estimate
+    assert abs(t.chi_zz - zz) <= zz_rest + t.error_estimate
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_retarded_permittivity_rounded_to_one_is_a_domain_error(field_kind):
+    # at 1e34 rad/s omega_p^2/omega^2 = 2e-37 is lost against 1 in eps, and
+    # the Fresnel quotients (a - b)/(a + b) keep no digit
+    metal = Material("farfield", 4.628e15, 8.427e13, 3.44 * E_CHARGE)
+    [outcome] = evaluate_batch(metal, field_kind, [1.985e-5], 1e34, "local-retarded")
+    assert isinstance(outcome, DomainError)
+    assert str(outcome) == ("omega = 1e+34 rad/s is too large for farfield: its Drude "
+                            "permittivity rounds to 1 and the Fresnel coefficients keep no digit")
+
+
+@pytest.mark.parametrize("omega", [1e112, 1e114])
+def test_subnormal_chi_is_a_domain_error(omega):
+    # the electric chi of this metal 1 m out falls to 1.5e-317 (1e112 rad/s)
+    # and 1.5e-323 (1e114): a subnormal keeps a few bits, so zz = 2 xx fails
+    metal = Material("m", 1e15, 1e13, 10.0 * E_CHARGE)
+    [outcome] = evaluate_batch(metal, "E", [1.0], omega, "nonlocal-quasistatic")
+    assert isinstance(outcome, DomainError)
+    assert str(outcome) == (f"chi underflows at z = 1 m, omega = {omega:.6g} rad/s; the inputs "
+                            f"leave the float range")
 
 
 def test_nonlocal_matches_quad_vec_at_ten_fermi_wavelengths(copper, omega0, lam_f, e_nl_10):
@@ -718,8 +801,8 @@ _Z_BATCH_CASES = [
     ("local-retarded", "E", 1e-8, 2000, ".........", _OMEGA_PER_Z),
     ("auto", "B", 1e-8, 2000, ".........", _OMEGA_PER_Z),
     ("nonlocal-quasistatic", "E", 1e-10, 1, "ll.......", _OMEGA_PER_Z),
-    # lattice failures at nonlocal points (0-5), outer ones at retarded ones (6-8)
-    ("auto", "E", 1e-10, 1, "ll....ooo", _OMEGA_PER_Z),
+    # failures at nonlocal points (0-5) and at local-retarded ones (6-8)
+    ("auto", "E", 1e-13, 1, "llllllooo", _OMEGA_PER_Z),
 ]
 
 
@@ -728,19 +811,13 @@ _Z_BATCH_CASES = [
                          ids=["-".join(map(str, case[:5])) + ("-omega-per-z" if case[5] else "")
                               for case in _Z_BATCH_CASES])
 def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind, rel_tol,
-                                        max_subdivisions, pattern, omegas, monkeypatch):
-    import ewjn.spectral as spectral
-
-    parts = {}
-    monkeypatch.setattr(spectral, "integrate_lockstep",
-                        _recording(parts, "outer", spectral.integrate_lockstep))
+                                        max_subdivisions, pattern, omegas):
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     zs = [float(z) for z in np.geomspace(lam_f, 3000.0 * lam_f, 9)]
     batch = evaluate_batch(copper, field_kind, zs, omegas or omega0, model, cfg)
-    # "." a tensor, "o" an adaptive integral's error, "l" a lattice point's
-    outer = parts.get("outer", [])
+    # "." a tensor, "l" a nonlocal point's error, "o" a local-retarded one's
     assert "".join("." if not isinstance(o, QuadratureError) else
-                   "o" if any(o is r for r in outer) else "l" for o in batch) == pattern
+                   "o" if "local-retarded" in str(o) else "l" for o in batch) == pattern
     for z, omega, outcome in zip(zs, omegas or [omega0] * len(zs), batch):
         _assert_same_outcome(outcome, copper, field_kind, z, omega, model, cfg)
 
@@ -895,9 +972,10 @@ def test_nonlocal_z_below_the_cut_bound_is_a_domain_error(copper, omega0, field_
     cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
     edge, below, tiny = evaluate_batch(copper, field_kind, [z_min, z_min / 3.0, 1e-300],
                                        omega0, "nonlocal-quasistatic", cfg)
-    # there, some 1e139 above k_star, the kernel does not resolve Im r_p,
-    # which is a DomainError of its own
-    assert isinstance(edge, DomainError) and "no longer resolves Im r_p" in str(edge)
+    # there, some 1e139 above k_star, the cut lies above the bound on the
+    # top of the I_p windows, which is a DomainError of its own
+    assert isinstance(edge, DomainError) and "bounds the top of the lattice's I_p windows" \
+        in str(edge)
     for outcome in (below, tiny):
         assert isinstance(outcome, DomainError)
         assert "too small for the nonlocal model" in str(outcome)
@@ -910,9 +988,9 @@ def test_nonlocal_z_below_the_kernel_resolution_is_a_domain_error(copper, omega0
                                                                   zs):
     import ewjn.spectral as spectral
 
-    # the cut wavevector lies above 1e11 |omega + i nu|/v_F, where the
-    # kernel's bound on Im r_p passes 6e-5 of Im r_p (3e-3 at 1e12): each
-    # point fails at once with a DomainError that says so
+    # the cut wavevector lies above 1e11 |omega + i nu|/v_F, which bounds
+    # the top k_top of the lattice's I_p windows: each point fails at once
+    # with a DomainError that says so
     top = spectral._nonlocal_range(copper, omega0)[2]
     for z in zs:
         start = time.perf_counter()
@@ -920,9 +998,9 @@ def test_nonlocal_z_below_the_kernel_resolution_is_a_domain_error(copper, omega0
         assert time.perf_counter() - start < 0.1
         assert isinstance(outcome, DomainError)
         assert str(outcome) == (
-            f"z = {z:.6g} m is below the nonlocal kernel's resolution: its cut wavevector, "
-            f"rounded up to the grid of t, exceeds {top:.3g} 1/m, where the kernel no longer "
-            f"resolves Im r_p")
+            f"z = {z:.6g} m is too small for the nonlocal model: its cut wavevector, rounded "
+            f"up to the grid of t, exceeds {top:.3g} 1/m, which bounds the top of the "
+            f"lattice's I_p windows")
     # the surface limit, 1e-3 lambda_F, and heights down to 1e-14 m still run
     for z in (1e-3 * copper.fermi_wavelength, 1e-14):
         assert not isinstance(evaluate_batch(copper, field_kind, [z], omega0,

@@ -118,11 +118,16 @@ EDGES = [
     # the retarded phase 2 z omega/c overflows
     ["spectral", "--z", "1e300", "--omega", "1e17"],
     ["spectral", "--field", "B", "--z", "1e300", "--omega", "1e17"],
+    # far-field retarded points, 2 z omega/c = 6.7e3 and 6.7e5
+    ["spectral", "--z", "100", "--omega", "1e10", "--model", "local-retarded"],
+    ["spectral", "--field", "B", "--z", "1e4", "--omega", "1e10", "--model", "local-retarded"],
 ]
 
 # edges that need a material file: (argv, (file name, text))
 _UNDERFLOW = ("underflow.cfg", "name = underflow\nomega_p_rad_s = 8.394974948008668e132\n"
               "nu_rad_s = 1.808559337741882e-163\nfermi_energy_ev = 9.07e285\n")
+_SUBNORMAL = ("subnormal.cfg", "name = subnormal\nomega_p_rad_s = 1e15\nnu_rad_s = 1e13\n"
+              "fermi_energy_ev = 10\n")
 _SLOW = ("slow.cfg", "name = slow\nomega_p_rad_s = 1.8618528317108813e-47\n"
          "nu_rad_s = 2.657495543604398e-283\nfermi_energy_ev = 6.46e-149\n")
 MATERIAL_EDGES = [
@@ -130,6 +135,9 @@ MATERIAL_EDGES = [
     *((["spectral", "--material", _UNDERFLOW[0], "--z", "7.185790757925412e240",
         "--omega", "2.25938280964016e-282", "--model", model], _UNDERFLOW)
       for model in ("auto", "local-quasistatic", "nonlocal-quasistatic", "local-retarded")),
+    # the electric chi falls into the subnormal range
+    *((["spectral", "--material", _SUBNORMAL[0], "--z", "1", "--omega", omega,
+        "--model", "nonlocal-quasistatic"], _SUBNORMAL) for omega in ("1e112", "1e114")),
     # nu/v_F lies below the nonlocal kernel's float range
     (["spectral", "--material", _SLOW[0], "--z", "5.402020032243722e-38",
       "--omega", "0.0030714597545080714", "--model", "nonlocal-quasistatic"], _SLOW),

@@ -1,4 +1,4 @@
-"""Micro-benchmark of the nonlocal spectral layer and its kernel.
+"""Micro-benchmark of the spectral layers, the bulk ladder and the kernel.
 
     python3 tools/layer_bench.py [--out FILE] [--repeat N]
 
@@ -23,6 +23,19 @@ the counts of one run: the epsilon_l and epsilon_t nodes, the lattices
 (one per omega and h: every point runs at h = 1/4 and 1/8, then halves h
 until its sums meet rel_tol), the lattices per omega, and the final h
 and the halvings from h = 1/4 that reached it.
+
+Four local-retarded sweeps, 100 heights from a tenth of the skin depth
+to 30 skin depths at one omega (copper at 6 pi 1e8 rad/s and the dense
+metal of the far-field tests, omega_p 1.5e16, nu 8e13 rad/s, 10 eV, at
+5e9 rad/s; E and B, default rel_tol), each one evaluate_batch call timed
+best of N, with the Fresnel nodes of one run (the q at which
+local_reflection_q is asked) and the final h of its lattice (None where
+the model has none).
+
+The bulk row times bulk_imD_coincident of copper at 6 pi 1e8 rad/s,
+best of N, with the epsilon_l nodes of one run per rung of its cutoff
+ladder (rung i runs up to 3, 10, 30 and 100 k_F; a node at a rung's
+end counts in the lower rung).
 
 The CLI row times `ewjn sweep` through cli.main on local-quasistatic
 sweeps of copper, whose closed forms cost next to nothing, so what it
@@ -50,12 +63,14 @@ sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
 import numpy as np  # noqa: E402
 
+import ewjn.bulk as bulk  # noqa: E402
 import ewjn.fresnel as fresnel  # noqa: E402
 import ewjn.spectral as spectral  # noqa: E402
-from ewjn import COPPER, evaluate_batch  # noqa: E402
+from ewjn import (  # noqa: E402
+    COPPER, Material, QuadratureError, bulk_imD_coincident, evaluate_batch)
 from ewjn.cli import main as cli_main  # noqa: E402
 from ewjn.fresnel import lattice_reflection  # noqa: E402
-from ewjn.materials import epsilon_l, epsilon_t  # noqa: E402
+from ewjn.materials import E_CHARGE, epsilon_l, epsilon_t, skin_depth  # noqa: E402
 
 OMEGA_0 = 6e8 * math.pi
 KERNEL_CALLS = 20
@@ -130,6 +145,83 @@ def measure(repeat: int) -> dict:
     return out
 
 
+def _timed(repeat, patches, run):
+    """(best wall time of repeat runs of run(), its last result), with
+    (module, attr, fn) patches in place during each run."""
+    walls, result = [], None
+    for _ in range(repeat):
+        saved = [(module, attr, getattr(module, attr)) for module, attr, _ in patches]
+        for module, attr, fn in patches:
+            setattr(module, attr, fn)
+        try:
+            t0 = time.perf_counter()
+            result = run()
+            walls.append(time.perf_counter() - t0)
+        finally:
+            for module, attr, fn in saved:
+                setattr(module, attr, fn)
+    return min(walls), result
+
+
+DENSE = Material("dense", 1.5e16, 8e13, 10.0 * E_CHARGE)
+
+
+def measure_retarded(repeat: int) -> dict:
+    counts = {}
+
+    def nodes_counted(q, *args):
+        counts["fresnel_nodes"] += np.size(q)
+        return reflection(q, *args)
+
+    def level_seen(level, *args):
+        counts["level"] = max(counts["level"], level)
+        return halved(level, *args)
+
+    reflection, halved = spectral.local_reflection_q, getattr(spectral, "_halved", None)
+    patches = [(spectral, "local_reflection_q", nodes_counted)]
+    if halved is not None:
+        patches.append((spectral, "_halved", level_seen))
+    out = {}
+    for metal, omega in ((COPPER, OMEGA_0), (DENSE, 5e9)):
+        delta = skin_depth(metal, omega)
+        zs = np.geomspace(delta / 10.0, 30.0 * delta, 100).tolist()
+        for field_kind in ("E", "B"):
+            def run():
+                counts.update(fresnel_nodes=0, level=-1)
+                return evaluate_batch(metal, field_kind, zs, omega, "local-retarded")
+            wall, outcomes = _timed(repeat, patches, run)
+            out[f"retarded-{metal.name}-{field_kind}"] = {
+                "points": len(zs), "wall_s": round(wall, 4),
+                "failed": sum(isinstance(o, Exception) for o in outcomes),
+                "fresnel_nodes": counts["fresnel_nodes"],
+                "final_h": 0.25 / 2**counts["level"] if counts["level"] >= 0 else None}
+    return out
+
+
+def measure_bulk(repeat: int) -> dict:
+    k_f, nodes = COPPER.fermi_wavevector, [0, 0, 0, 0]
+    ladder = [3.0 * k_f, 10.0 * k_f, 30.0 * k_f, 100.0 * k_f]
+
+    def counted(material, k, omega):
+        # a node counts in the rung its k falls in, a shared end in the lower
+        rungs = np.searchsorted(ladder, np.ravel(k) * (1.0 - 1e-12))
+        for rung, count in enumerate(np.bincount(rungs, minlength=4)[:4].tolist()):
+            nodes[rung] += count
+        return eps_l(material, k, omega)
+
+    def run():
+        nodes[:] = [0, 0, 0, 0]
+        try:
+            return bulk_imD_coincident(COPPER, OMEGA_0).convergence_series
+        except QuadratureError as exc:
+            return getattr(exc, "convergence_series", [])
+
+    eps_l = bulk.epsilon_l
+    wall, series = _timed(repeat, [(bulk, "epsilon_l", counted)], run)
+    return {"wall_s": round(wall, 4), "rungs": len(series),
+            "eps_l_nodes_per_rung": nodes[:len(series)]}
+
+
 def _sweep_argv(count: int) -> list:
     return ["sweep", "--axis", "z", "--min", "1e-9", "--max", "1e-6", "--count", str(count),
             "--models", "local-quasistatic,local-quasistatic"]
@@ -171,6 +263,8 @@ def main() -> int:
                    f"{platform.python_version()}, numpy {np.__version__}",
         "kernel": measure_kernel(max(1, args.repeat)),
         "batches": measure(max(1, args.repeat)),
+        "retarded": measure_retarded(max(1, args.repeat)),
+        "bulk": measure_bulk(max(1, args.repeat)),
         "cli": measure_cli(max(1, args.repeat)),
     }
     text = json.dumps(result, indent=2)
