@@ -490,10 +490,12 @@ def _assert_same_outcome(outcome, material, field_kind, z, omega, model, cfg):
 
 # max_subdivisions caps the halvings of h at min(4, max_subdivisions); below
 # 2e-13 the rounding bound of a point's sums, count eps of their moduli at
-# h = 1/64, keeps the nearer points from rel_tol
+# h = 1/64, keeps the nearer points from rel_tol (each point's error stays
+# 9% or more off its tolerance at every halving, so the patterns are not
+# decided by the last bits)
 @pytest.mark.parametrize("max_subdivisions,rel_tol,pattern", [
-    (12, 1.5e-13, "xxxxxxxxxxxxxx......"),
-    (16, 1e-13, "xxxxxxxxxxxxxxx....."),
+    (12, 1.4e-13, "xxxxxxxxxxxxxx......"),
+    (16, 1.1e-13, "xxxxxxxxxxxxxxx....."),
 ], ids=["12", "16"])
 def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions, rel_tol,
                                               pattern, monkeypatch):
