@@ -21,20 +21,6 @@ from .relaxation import QubitSpec, t1
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COPPER",
-    "DomainError",
-    "Material",
-    "Model",
-    "QuadratureConfig",
-    "QuadratureError",
-    "QubitSpec",
-    "bulk_imD_coincident",
-    "evaluate",
-    "evaluate_batch",
-    "load_material",
-    "parse_material_config",
-    "regime_select",
-    "surface_limit_imD",
-    "t1",
-]
+__all__ = ["COPPER", "DomainError", "Material", "Model", "QuadratureConfig", "QuadratureError",
+           "QubitSpec", "bulk_imD_coincident", "evaluate", "evaluate_batch", "load_material",
+           "parse_material_config", "regime_select", "surface_limit_imD", "t1"]

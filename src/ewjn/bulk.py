@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuadratureError, require_positive_finite
-from .materials import C_LIGHT, EPS0, HBAR, Material, epsilon_l, epsilon_t
+from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_l, epsilon_t
 from .quadrature import GREGORY, QuadratureConfig
 from .spectral import _H0, _MAX_HALVINGS, _ROUNDING, Model, _halved, _not_converged, evaluate
 
@@ -62,9 +62,10 @@ def _radial_integrand(material, k, omega):
     return -(k * k) * np.imag(4.0 * math.pi * HBAR * parts) / (2.0 * math.pi**2)
 
 
-# rung 1 starts _FIRST_SPAN below 3 k_F; every rung's lattice holds at
-# least _MIN_STEPS steps, so Gregory's corrections at its ends do not meet
-_FIRST_SPAN, _MIN_STEPS = 60.0, 16
+# rung 1 starts e^-_FIRST_SPAN below 3 k_F or the skin wavevector (omega/c)
+# sqrt|eps|, if lower, where the summand, ~k^3, is e^-36 of its value there;
+# every rung holds _MIN_STEPS steps, so Gregory's corrections do not meet
+_FIRST_SPAN, _MIN_STEPS = 12.0, 16
 
 
 def _rungs(material, omega, edges, cfg) -> list:
@@ -103,11 +104,11 @@ def _rungs(material, omega, edges, cfg) -> list:
             value = h[i] * float(terms.sum())
             err = float(_ROUNDING * h[i] * np.abs(terms).sum() + 2.0 * (i == 0) * abs(values[i][0]))
             if level:
-                [err], done, final = _halved(level, halvings, [value], [err], [previous[i]], cfg)
+                errs, done, final = _halved(level, halvings, [value], [err], [previous[i]], cfg)
                 if final:
                     out[i] = value if done else _not_converged(
                         f"bulk radial rung [{edges[i]:.4e}, {edges[i + 1]:.4e}] 1/m", halvings,
-                        value, err)
+                        value, errs.item())
             previous[i] = value
     return out
 
@@ -125,7 +126,8 @@ def bulk_imD_coincident(
     require_positive_finite("omega", omega)
     cfg = cfg or QuadratureConfig()
     k_f = material.fermi_wavevector
-    edges = np.array([_LADDER[0] * math.exp(-_FIRST_SPAN), *_LADDER]) * k_f
+    k_skin = omega / C_LIGHT * math.sqrt(abs(drude_epsilon(material, omega)))
+    edges = np.array([min(k_skin / k_f, _LADDER[0]) * math.exp(-_FIRST_SPAN), *_LADDER]) * k_f
     series, total = [], 0.0
     for k_hi, rung in zip(edges[1:].tolist(), _rungs(material, omega, edges, cfg)):
         if isinstance(rung, QuadratureError):

@@ -99,8 +99,7 @@ def _check_omega(omega):
 def drude_epsilon(material: Material, omega) -> complex:
     """Local Drude permittivity 1 - omega_p^2 / (omega (omega + i nu))."""
     _check_omega(omega)
-    wp = material.plasma_frequency
-    nu = material.collision_rate
+    wp, nu = material.plasma_frequency, material.collision_rate
     return 1.0 - wp * wp / (omega * (omega + 1j * nu))
 
 
@@ -191,9 +190,7 @@ def epsilon_l(material: Material, k, omega):
     """
     _check_k_omega(k, omega)
     k = np.asarray(k, dtype=float)
-    wp = material.plasma_frequency
-    nu = material.collision_rate
-    vf = material.fermi_velocity
+    wp, nu, vf = material.plasma_frequency, material.collision_rate, material.fermi_velocity
     wn = omega + 1j * nu
     x = wn / (k * vf)
     fl, g = _lindhard(x, transverse=False)
@@ -207,12 +204,9 @@ def epsilon_t(material: Material, k, omega):
     """Transverse nonlocal permittivity 1 - omega_p^2 f_t(x) / (omega (omega + i nu))."""
     _check_k_omega(k, omega)
     k = np.asarray(k, dtype=float)
-    wp = material.plasma_frequency
-    nu = material.collision_rate
-    vf = material.fermi_velocity
+    wp, nu, vf = material.plasma_frequency, material.collision_rate, material.fermi_velocity
     wn = omega + 1j * nu
-    x = wn / (k * vf)
-    return 1.0 - wp * wp * lindhard_f_t(x) / (omega * wn)
+    return 1.0 - wp * wp * lindhard_f_t(wn / (k * vf)) / (omega * wn)
 
 
 def skin_depth(material: Material, omega: float) -> float:

@@ -18,15 +18,15 @@ within a fraction of the skin depth of the far field.
 Every model is one batch function of an array of (z, omega) points, and
 evaluate_batch, the one evaluation path, groups the points by model and
 makes one call per model; evaluate is a batch of one. A batch gives
-each point the bits and the error that the point gets alone: the Drude
-constants of each distinct omega are computed once, on Python scalars,
-and indexed per point. Both integral models are trapezoid sums on a log
-lattice that all the points of one omega share, on one schedule of
-halvings of its step (_halved). A nonlocal point is a sum in ln p of its
-r_p channel and, for B, one in ln k of its r_s channel
-(_nonlocal_quasistatic); a local-retarded point is one integral over a
-log-mapped axis, the vacuum normal wavevector q near the surface and the
-line q = omega/c + i t far from it (_local_retarded).
+each point the bits and the error that the point gets alone. Both
+integral models are trapezoid sums on a log lattice that all the points
+of one omega share, on one schedule of halvings of its step (_halved).
+A nonlocal point is a sum in ln p of its r_p channel and, for B, one in
+ln k of its r_s channel (_nonlocal_quasistatic); a local-retarded point
+is one integral over a log-mapped axis, the vacuum normal wavevector q
+near the surface and the line q = omega/c + i t far from it, whose sums
+near the surface are series in z on moments of the lattice that all
+heights share (_local_retarded).
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ class SpectralDensityTensor:
     decomposition: dict = field(default_factory=dict)
 
 
-def _check_z_omega(z, omega):
-    require_positive_finite("z", z)
-    require_positive_finite("omega", omega)
-
-
 def _drude_scales_error(material, omega, integral):
     """The DomainError of an omega at which the Drude permittivity's
     omega (omega + i nu) underflows to 0, or, for the integral models
@@ -118,7 +113,8 @@ def regime_select(material: Material, z: float, omega: float) -> Model:
     skin depth retardation matters and the local retarded model takes
     over.
     """
-    _check_z_omega(z, omega)
+    require_positive_finite("z", z)
+    require_positive_finite("omega", omega)
     if z < _nonlocal_below(material, omega):
         return Model.NONLOCAL_QUASISTATIC
     return Model.LOCAL_RETARDED
@@ -423,22 +419,20 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
             elif level:
                 errs, done, final = _halved(level, halvings, values, errs, previous[k], cfg)
                 if final:
-                    out[k] = _nonlocal_outcome(field_kind, omegas[k], z, values, errs, done,
-                                               halvings)
+                    out[k] = _nonlocal_outcome(field_kind, omegas[k], z, values, errs.tolist(),
+                                               done, halvings)
                     running.remove(k)
             previous[k] = values
     return out
 
 
 def _halved(level, halvings, values, errs, previous, cfg):
-    """The lattice schedule's rule for a point at level >= 1 (h = _H0/2^level)
-    whose sums are values, with errors errs, and were previous at 2h:
-    (errs, done, final), errs with |values - previous| added, done if every
-    sum S meets max(rel_tol |S|, abs_tol) with its error, final if the
-    point stops: done, or at halvings."""
-    errs = [e + abs(v - v_prev) for e, v, v_prev in zip(errs, values, previous)]
-    done = all(e <= max(cfg.rel_tol * abs(v), cfg.abs_tol) for e, v in zip(errs, values))
-    return errs, done, done or level == halvings
+    """The lattice rule at level >= 1 for sums values, (points, sums) or (sums,),
+    with errors errs, previous at 2h: arrays (errs + |values - previous|, done
+    where each S meets max(rel_tol |S|, abs_tol), final: done or at halvings)."""
+    errs = np.add(errs, np.abs(np.subtract(values, previous)))
+    done = (errs <= np.maximum(cfg.rel_tol * np.abs(values), cfg.abs_tol)).all(axis=-1)
+    return errs, done, done | (level == halvings)
 
 
 def _not_converged(model, halvings, chi_zz, err):
@@ -468,25 +462,45 @@ def _nonlocal_outcome(field_kind, omega, z, values, errs, done, halvings):
 # (omega/c)^3 or of the value (e^-60 on the evanescent sector, whose summand
 # falls like u^2). The evanescent sum and the line end at the last node with
 # 2 x z <= _DECAY_CUT, the propagating one, on q = (omega/c)/(1 + e^-s), at
-# s = _PROP_TOP, e^-40 short of q = omega/c.
-_CONTOUR_FROM, _DECAY_CUT, _PHASE_ORDER, _PROP_TOP = 1.0, 700.0, 20, 40
+# s = _PROP_TOP, e^-40 short of q = omega/c. _ORDER cuts _moment_sum's series.
+_CONTOUR_FROM, _DECAY_CUT, _ORDER, _PROP_TOP = 1.0, 700.0, 20, 40
 _LOW_SPAN = {"prop": 44, "ev": 30, "line": 44}
 
 
-def _propagating(block, y, a):
-    """(value, size, edge) per point and column of block (its summand J
-    X(q) at q = y omega/c) of Re Sum_n e^{i a y_n} block_n, a = 2 z omega/c
-    < 1 per point: Horner's rule in a on the shared moments Sum_n y_n^m
-    block_n, the phase's Taylor series cut after a^20 (a^21/21! < 2e-20).
-    size bounds the rounding and the truncation, edge both tails."""
-    moments = np.vander(y, _PHASE_ORDER + 1, increasing=True).T @ block
-    a = a[:, None]
-    acc = np.broadcast_to(moments[-1], a.shape[:1] + moments[-1].shape)
-    for m in range(_PHASE_ORDER, 0, -1):
-        acc = moments[m - 1] + (1j / m * a) * acc
-    moduli = float(np.abs(block).sum())
-    size = moduli * (y.size * _EPS + a**(_PHASE_ORDER + 1) / math.factorial(_PHASE_ORDER + 1))
-    return acc.real, size, np.abs(block[0]) + np.abs(block[-1])
+def _moment_sum(moments, moduli, count, c, reach):
+    """(Sum_m c^m/m! moments[m], its error), (points, columns), by Horner's rule on
+    moments[m] = Sum_n y_n^m F_n (columns, points or 1) over count nodes, |c| y_n <= reach:
+    each and 4 _ORDER steps round by eps of e^reach moduli (Sum |F_n|), the cut by reach^21/21!."""
+    acc, steps = moments[-1] * np.ones_like(c), c / np.arange(1, _ORDER + 1)[:, None]
+    for m in range(_ORDER, 0, -1):
+        acc *= steps[m - 1]
+        acc += moments[m - 1]
+    bound = (np.exp(reach) * (count + 4 * _ORDER) * _EPS
+             + reach ** (_ORDER + 1) / math.factorial(_ORDER + 1))
+    return acc.T, (moduli * bound).T
+
+
+def _propagating(block, n, h, a, moments):
+    """(value, error, moments) per point of h Re Sum_n e^{i a y_n} block_n, y_n =
+    1/(1 + e^{-nh}), a = 2 z omega/c < 1: _moment_sum in i a on moments all points
+    share, at h/2 those at h plus the odd nodes'; each tail under twice its end term."""
+    y, new = 1.0 / (1.0 + np.exp(-n * h)), (n % 2 == 1) | (moments is None)
+    part = np.concatenate([(y[new] ** np.arange(_ORDER + 1)[:, None] @ block[new].view(float))
+                           .view(complex), np.abs(block[new]).sum(0, keepdims=True)])
+    moments = part if moments is None else moments + part
+    value, bound = _moment_sum(moments[:-1, :, None], moments[-1].real[:, None], y.size, 1j * a,
+                               a * y[-1])
+    return h * value.real, h * bound + 2.0 * (np.abs(block[0]) + np.abs(block[-1])), moments
+
+
+def _decayed(x, block, two_z, lo, hi):
+    """(sums, sums of moduli), (points, columns), of each point's terms e^{-2 z x_n}
+    block_n at nodes lo..hi of a row, two_z = 2z, in order by reduceat: its bits alone."""
+    counts = hi - lo + 1
+    starts = np.cumsum(counts) - counts
+    nodes = np.repeat(lo - starts, counts) + np.arange(counts.sum())
+    terms = np.exp(-np.repeat(two_z, counts) * x[nodes]) * np.take(block.T, nodes, axis=1)
+    return [np.add.reduceat(t, starts, axis=1).T for t in (terms, np.abs(terms))]
 
 
 def _phase(z, omega):
@@ -507,44 +521,45 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     with (r_a, r_b) = (r_s, r_p) for E and swapped for B, from the vacuum
     normal wavevector q (local_reflection_q). As (p/q) dp = -dq, that is
     Re Integral dq e^{2iqz} X(q) along q = i u, u from infinity to 0, then
-    q from 0 to omega/c: near the surface Integral du e^{-2uz} Im X(iu), a
-    trapezoid sum in ln u whose terms cannot cancel, plus one in s, q =
-    (omega/c)/(1 + e^-s), which is ln q for q << omega/c and sends the end
-    q = omega/c to s = infinity, so the sum needs no end correction; from
-    _CONTOUR_FROM on, where the latter cancels, the path moved onto q =
-    omega/c + i t, a trapezoid sum in ln t of e^{-2tz} X(q) (the swept
-    quadrant holds neither r_p's pole nor q_m's branch point; K. A.
-    Michalski and J. R. Mosig, IEEE TAP 45, 508 (1997)).
-    The points of one omega share its lattice and the nonlocal model's
-    schedule (_halved); each sums its own nodes in a fixed order, so it
-    gets its bits and outcome alone. A point whose integrand would leave
-    the float range, or whose Drude permittivity rounds to 1, gets a
-    DomainError and does not run.
+    q from 0 to omega/c: near the surface a trapezoid sum in ln u of
+    e^{-2uz} Im X(iu), whose terms cannot cancel, plus one in s, q =
+    (omega/c)/(1 + e^-s), which sends q = omega/c to s = infinity; from
+    _CONTOUR_FROM on, where that one cancels, one in ln t on q = omega/c +
+    i t (the swept quadrant holds neither r_p's pole nor q_m's branch
+    point; K. A. Michalski and J. R. Mosig, IEEE TAP 45, 508 (1997)). The
+    points of one omega share its lattice, _halved's schedule and moments:
+    the propagating sum is a series in 2 i z omega/c (_propagating), and
+    every evanescent sum starts at one node, so up to its switch node, the
+    last with 2 z x <= 1 whose prefix moments Sum e^{mnh} F_n (one cumsum
+    per omega and h) are finite, it is a series in -2 z omega/c on them;
+    its other terms and the line's are summed one by one (_decayed). A
+    point gets its bits and outcome alone, and a DomainError if its
+    integrand would leave the float range or its eps rounds to 1.
     """
     cfg, out = cfg or QuadratureConfig(), [None] * len(zs)
     distinct, row = np.unique(omegas, return_inverse=True)
-    eps = [drude_epsilon(material, w) for w in distinct.tolist()]
-    w_c = (distinct / C_LIGHT).tolist()
-    for i, (z, r) in enumerate(zip(zs, row.tolist())):
+    eps_r = np.array([drude_epsilon(material, w) for w in distinct.tolist()])
+    w_c_of, z_of = distinct / C_LIGHT, np.asarray(zs, dtype=float)
+    w_c, w, size = w_c_of.tolist(), w_c_of[row], np.abs(eps_r)[row]
+    with np.errstate(all="ignore"):
         # from e^-44 min(omega/c, 1/(2z)) to M = max(_DECAY_CUT/(2z), omega/c): the
         # first node and g = (omega/c)/sqrt|eps| normal, M/g, |eps| M, M^3 finite
-        m, g = max(_DECAY_CUT / (2.0 * z), w_c[r]), w_c[r] / math.sqrt(abs(eps[r]))
-        if not (g >= sys.float_info.min and min(w_c[r], 0.5 / z) * math.exp(-44)
-                >= sys.float_info.min and all(map(math.isfinite, (m / g, abs(eps[r]) * m,
-                                                                  m * m * m, z * w_c[r])))):
-            out[i] = DomainError(f"z = {z:.6g} m, omega = {omegas[i]:.6g} rad/s: the "
+        m, g = np.maximum(_DECAY_CUT / (2.0 * z_of), w), w / np.sqrt(size)
+        fits = ((np.minimum(g, np.minimum(w, 0.5 / z_of) * math.exp(-44)) >= sys.float_info.min)
+                & np.isfinite([m / g, size * m, m * m * m, z_of * w]).all(axis=0))
+        # ln(1/(2 z omega/c)) in steps of _H0; per sector (points, first, last)
+        scale_n = np.where(fits, np.log(0.5 / (z_of * w)) / _H0, 0.0)
+        far = 2.0 * z_of * w >= _CONTOUR_FROM
+    for i in np.flatnonzero(~fits | (eps_r.real == 1.0)[row]).tolist():
+        if not fits[i]:
+            out[i] = DomainError(f"z = {zs[i]:.6g} m, omega = {omegas[i]:.6g} rad/s: the "
                                  f"local-retarded integrand leaves the float range")
-        elif eps[r].real == 1.0 and material.plasma_frequency**2 != 0:
+        elif material.plasma_frequency**2 != 0:
             # eps - 1 has lost its real part, and r_s, r_p = (a - b)/(a + b) all digits
             out[i] = DomainError(f"omega = {omegas[i]:.6g} rad/s is too large for "
                                  f"{material.name}: its Drude permittivity rounds to 1 and "
                                  f"the Fresnel coefficients keep no digit")
-    eps_r, w_c_of, z_of = np.array(eps), np.array(w_c), np.asarray(zs, dtype=float)
     running = np.array([o is None for o in out])
-    with np.errstate(all="ignore"):
-        # ln(1/(2 z omega/c)) in steps of _H0; per sector (points, first, last)
-        scale_n = np.where(running, np.log(0.5 / (z_of * w_c_of[row])) / _H0, 0.0)
-        far = 2.0 * z_of * w_c_of[row] >= _CONTOUR_FROM
     low = {k: -round(v / _H0) for k, v in _LOW_SPAN.items()}
     last = np.floor(scale_n + math.log(_DECAY_CUT) / _H0).astype(int)
     zero = np.zeros_like(last)
@@ -570,12 +585,13 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
         return run
 
     scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
-    halvings, previous, lattices = min(_MAX_HALVINGS, cfg.max_subdivisions), None, {}
+    halvings, lattices, shared = min(_MAX_HALVINGS, cfg.max_subdivisions), {}, {}
+    values = np.zeros((len(zs), 2))
     for level in range(halvings + 1):
         if not running.any():
             break
         step, h = 2**level, _H0 / 2**level
-        values, errs = np.zeros((len(zs), 2)), np.zeros((len(zs), 2))
+        previous, values, errs = values, np.zeros((len(zs), 2)), np.zeros((len(zs), 2))
         for sector, (member, lo, hi) in spans.items():
             points = np.flatnonzero(running & member)
             if not points.size:
@@ -590,51 +606,52 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
             for r in sorted(set(row[points].tolist())):
                 idx, a, b = (v[row[points] == r] for v in (points, lo, hi))
                 n = np.arange(a.min(), b.max() + 1)
-                block = table[r, n[0] - start:n[-1] - start + 1]
+                block, two_z = table[r, n[0] - start:n[-1] - start + 1], 2.0 * z_of[idx]
                 if sector == "prop":
-                    value, size, edge = _propagating(block, 1.0 / (1.0 + np.exp(-n * h)),
-                                                     2.0 * w_c[r] * z_of[idx])
-                    values[idx] += h * value
-                    errs[idx] += h * size + 2.0 * edge
+                    value, err, shared[r] = _propagating(block, n, h, two_z * w_c[r], shared.get(r))
+                    values[idx] += value
+                    errs[idx] += err
                     continue
-                # a point's terms are a row with a zero column appended, its
-                # segment summed in order by reduceat; past it the floor keeps
-                # exp out of the subnormals
-                x_n, z_n = w_c[r] * np.exp(n * h), z_of[idx, None]
-                terms = np.zeros((2, idx.size, n.size + 1), dtype=block.dtype)
-                terms[:, :, :-1] = (np.exp(np.maximum(-2.0 * z_n * x_n, -_DECAY_CUT))
-                                    * block.T[:, None])
-                a, b, ends = a - n[0], b - n[0], np.arange(idx.size)
-                cuts = (ends[:, None] * (n.size + 1) + np.stack([a, b + 1], axis=1)).ravel()
-                value, size = (h * np.stack([np.add.reduceat(f(t).ravel(), cuts)[::2]
-                                             for t in terms], axis=1) for f in (np.asarray, np.abs))
+                e_n, a, b, head, err = np.exp(n * h), a - n[0], b - n[0], 0.0, 0.0
+                x = w_c[r] * e_n
+                # the tail below the first node stays under twice its term, the
+                # one beyond the last, where X grows at most like x^3, under |X|
+                # e^{-2xz}/(2z) (1 + 3/y + 6/y^2 + 6/y^3), y = 2xz
+                first, end = (np.abs(block[k] * np.exp(-two_z * x[k])[:, None]) for k in (a, b))
+                if sector == "ev":
+                    # up to each switch node s from the prefix moments, while finite
+                    s = np.floor(scale_n[idx] * step).astype(int) - n[0]
+                    y, f = e_n[:s.max() + 1], np.ascontiguousarray(block[:s.max() + 1].T)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        powers = y ** np.arange(_ORDER + 1)[:, None, None]
+                        moments = np.cumsum(np.concatenate([powers * f, np.abs(f)[None]]), 2)
+                    s = np.minimum(s, np.isfinite(moments).all((0, 1)).sum() - 1)
+                    moments = np.take(moments, s, axis=2)
+                    head, err = _moment_sum(moments[:-1], moments[-1], s + 1, -two_z * w_c[r],
+                                            two_z * x[s])
+                    a = s + 1
+                sums, moduli = _decayed(x, block, two_z, a, b)
+                value, y = h * (head + sums), two_z * x[b]
                 if sector == "line":
                     value = (np.array([_phase(zs[i], omegas[i]) for i in idx.tolist()])[:, None]
                              * value).imag
-                # the sums round by at most count eps of the moduli; the tail
-                # below the first node stays under twice its term, the one
-                # beyond the last, where X grows at most like x^3, under |X|
-                # e^{-2xz}/(2z) (1 + 3/y + 6/y^2 + 6/y^3), y = 2xz
-                y = 2.0 * x_n[b] * z_n[:, 0]
+                # the terms summed one by one round by count eps of their moduli
                 values[idx] += value
-                errs[idx] += (size * ((b - a + 1) * _EPS)[:, None]
-                              + 2.0 * np.abs(terms[:, ends, a].T) + np.abs(terms[:, ends, b].T)
-                              * ((1.0 + 3.0 / y + 6.0 / y**2 + 6.0 / y**3) / y)[:, None])
-        with np.errstate(invalid="ignore"):
-            # summands beyond the float range: a DomainError of evaluate_batch
-            lost = running & ~np.isfinite(values + errs).all(axis=1)
+                errs[idx] += (h * moduli * ((b - a + 1) * _EPS)[:, None] + 2.0 * first
+                              + end * ((1 + 3 / y + 6 / y**2 + 6 / y**3) / y)[:, None] + h * err)
+        # summands beyond the float range: a DomainError of evaluate_batch
+        lost = running & ~(np.isfinite(values) & np.isfinite(errs)).all(axis=1)
         for i in np.flatnonzero(lost).tolist():
             out[i] = (math.inf, math.inf, math.inf, {})
         running &= ~lost
-        for i in np.flatnonzero(running).tolist() if level else ():
-            e, done, final = _halved(level, halvings, values[i].tolist(), errs[i].tolist(),
-                                     previous[i].tolist(), cfg)
-            if final:
-                xx, zz, err = scale * values[i, 0], scale * values[i, 1], scale * max(e)
-                out[i] = (float(xx), float(zz), err, {}) if done else \
-                    _not_converged("local-retarded", halvings, float(zz), err)
-                running[i] = False
-        previous = values
+        live = np.flatnonzero(running) if level else np.arange(0)
+        e, done, final = _halved(level, halvings, values[live], errs[live], previous[live], cfg)
+        for i, ok, err in zip(live[final].tolist(), done[final].tolist(),
+                              (scale * e[final].max(axis=1)).tolist()):
+            xx, zz = float(scale * values[i, 0]), float(scale * values[i, 1])
+            out[i] = (xx, zz, err, {}) if ok else \
+                _not_converged("local-retarded", halvings, zz, err)
+        running[live[final]] = False
     return out
 
 
@@ -680,7 +697,8 @@ def evaluate_batch(
     run = (z_of > 0) & (z_of < math.inf) & (w_of > 0) & (w_of < math.inf)
     for i in np.flatnonzero(~run).tolist():
         try:
-            _check_z_omega(zs[i], omegas[i])
+            require_positive_finite("z", zs[i])
+            require_positive_finite("omega", omegas[i])
         except DomainError as exc:
             out[i] = exc
     run = np.flatnonzero(run)

@@ -11,6 +11,7 @@ replaced is its oracle here (kappa_chi, kappa_r_p in conftest).
 import cmath
 import dataclasses
 import math
+import sys
 import time
 
 import numpy as np
@@ -488,14 +489,14 @@ def _assert_same_outcome(outcome, material, field_kind, z, omega, model, cfg):
     assert (outcome.z, outcome.omega, outcome.model) == (z, omega, single.model)
 
 
-# max_subdivisions caps the halvings of h at min(4, max_subdivisions); below
-# 2e-13 the rounding bound of a point's sums, count eps of their moduli at
-# h = 1/64, keeps the nearer points from rel_tol (each point's error stays
-# 9% or more off its tolerance at every halving, so the patterns are not
-# decided by the last bits)
+# max_subdivisions caps the halvings of h at min(4, max_subdivisions); near
+# 2e-13 the rounding bounds of the middle points' sums at h = 1/64, most of
+# them on the moments of their evanescent prefix, keep those points from
+# rel_tol (each point's error stays 9% or more off its tolerance at every
+# halving, so the patterns are not decided by the last bits)
 @pytest.mark.parametrize("max_subdivisions,rel_tol,pattern", [
-    (12, 1.4e-13, "xxxxxxxxxxxxxx......"),
-    (16, 1.1e-13, "xxxxxxxxxxxxxxx....."),
+    (12, 1.95e-13, ".......xxxxxxx......"),
+    (16, 2e-13, ".......xxxxxxx......"),
 ], ids=["12", "16"])
 def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions, rel_tol,
                                               pattern, monkeypatch):
@@ -514,6 +515,72 @@ def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions, 
     assert "".join("x" if isinstance(o, QuadratureError) else "." for o in batch) == pattern
     for z, outcome in zip(zs, batch):
         _assert_same_outcome(outcome, copper, "E", z, omega0, "local-retarded", cfg)
+
+
+def _record_evanescent_sums(monkeypatch):
+    """Record, per evanescent row of _local_retarded, the moment sums of its
+    points' prefixes with their bounds and the direct sums beyond them:
+    (x, block, two_z, hi, head, bound, count, reach, sums, moduli, lo)."""
+    import ewjn.spectral as spectral
+
+    rows, moment_sum, decayed = [], spectral._moment_sum, spectral._decayed
+
+    def moments_seen(moments, moduli, count, c, reach):
+        head, bound = moment_sum(moments, moduli, count, c, reach)
+        if not np.iscomplexobj(c):  # the propagating sector's c is i a
+            rows.append([head, bound, np.asarray(count), np.asarray(reach)])
+        return head, bound
+
+    def decayed_seen(x, block, two_z, lo, hi):
+        sums, moduli = decayed(x, block, two_z, lo, hi)
+        if rows and len(rows[-1]) == 4:
+            rows[-1] = (x, block, two_z, hi, *rows[-1], sums, moduli, lo)
+        return sums, moduli
+
+    monkeypatch.setattr(spectral, "_moment_sum", moments_seen)
+    monkeypatch.setattr(spectral, "_decayed", decayed_seen)
+    return rows
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z,omega,capped", [
+    (0.1 * skin_depth(COPPER, 6e8 * math.pi), 6e8 * math.pi, False),
+    (1e-6, 6e8 * math.pi, False), (1e-5, 6e8 * math.pi, False),
+    (1e-15, 1e7, True), (1e-9, 1e3, False), (1e-13, 1e5, True),
+], ids=["copper-near", "copper-1um", "copper-10um", "1e-15m-1e7", "1e-9m-1e3", "1e-13m-1e5"])
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_evanescent_moment_sums_match_an_fsum_oracle(z, omega, capped, field_kind, monkeypatch):
+    # each evanescent sum, its prefix from the moments and the rest term by
+    # term, within its rounding floor of the exact sum of its terms e^{-2zx}F;
+    # at a capped point the prefix stops where its moments stop being finite,
+    # short of the last node with 2zx <= 1, and runs with no warning
+    rows = _record_evanescent_sums(monkeypatch)
+    evaluate(COPPER, field_kind, z, omega, "local-retarded")
+    assert len(rows) == 2  # h = 1/4 and 1/8
+    for h, (x, block, two_z, hi, head, bound, count, reach, sums, moduli, lo) in zip(
+            (0.25, 0.125), rows):
+        terms = np.exp(-two_z[0] * x[:hi[0] + 1])[:, None] * block[:hi[0] + 1]
+        oracle = [math.fsum(column) for column in terms.T]
+        floor = bound[0] + moduli[0] * (hi[0] - lo[0] + 1) * sys.float_info.epsilon
+        assert count[0] == lo[0] and (np.abs(head[0] + sums[0] - oracle) <= floor).all()
+        # the switch node is the last with 2 z x <= 1 unless the cap holds it lower
+        assert (reach[0] < math.exp(-h)) == capped
+
+
+def test_retarded_batch_matches_scalar_bitwise_across_the_moment_cap(copper, monkeypatch):
+    # at 1e7 rad/s the moments of the heights below about 3e-13 m stop being
+    # finite before their switch nodes; a batch on both sides of that gives
+    # every point the bits it gets alone
+    zs, omega = np.geomspace(1e-16, 1e-12, 12).tolist(), 1e7
+    with monkeypatch.context() as patch:
+        rows = _record_evanescent_sums(patch)
+        batch = evaluate_batch(copper, "E", zs, omega, "local-retarded")
+    reach, h = rows[0][7], 0.25  # every height at h = 1/4
+    assert (reach < math.exp(-h)).any() and (reach >= math.exp(-h)).any()
+    for z, tensor in zip(zs, batch):
+        single = evaluate(copper, "E", z, omega, "local-retarded")
+        assert (tensor.chi_xx, tensor.chi_zz, tensor.error_estimate) \
+            == (single.chi_xx, single.chi_zz, single.error_estimate)
 
 
 @pytest.mark.parametrize("field_kind", ["E", "B"])

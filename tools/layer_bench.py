@@ -29,8 +29,11 @@ to 30 skin depths at one omega (copper at 6 pi 1e8 rad/s and the dense
 metal of the far-field tests, omega_p 1.5e16, nu 8e13 rad/s, 10 eV, at
 5e9 rad/s; E and B, default rel_tol), each one evaluate_batch call timed
 best of N, with the Fresnel nodes of one run (the q at which
-local_reflection_q is asked) and the final h of its lattice (None where
-the model has none).
+local_reflection_q is asked), the final h of its lattice (None where
+the model has none) and the direct terms of one run: the (height, node)
+pairs whose e^{-2zx} F the sweep sums one by one (spectral._decayed;
+the other evanescent terms come from moments the heights share; None
+where the model has no such function).
 
 The bulk row times bulk_imD_coincident of copper at 6 pi 1e8 rad/s,
 best of N, with the epsilon_l nodes of one run per rung of its cutoff
@@ -177,24 +180,32 @@ def measure_retarded(repeat: int) -> dict:
         counts["level"] = max(counts["level"], level)
         return halved(level, *args)
 
+    def terms_counted(x, block, two_z, lo, hi):
+        counts["direct_terms"] += int(np.sum(hi - lo + 1))
+        return decayed(x, block, two_z, lo, hi)
+
     reflection, halved = spectral.local_reflection_q, getattr(spectral, "_halved", None)
+    decayed = getattr(spectral, "_decayed", None)
     patches = [(spectral, "local_reflection_q", nodes_counted)]
     if halved is not None:
         patches.append((spectral, "_halved", level_seen))
+    if decayed is not None:
+        patches.append((spectral, "_decayed", terms_counted))
     out = {}
     for metal, omega in ((COPPER, OMEGA_0), (DENSE, 5e9)):
         delta = skin_depth(metal, omega)
         zs = np.geomspace(delta / 10.0, 30.0 * delta, 100).tolist()
         for field_kind in ("E", "B"):
             def run():
-                counts.update(fresnel_nodes=0, level=-1)
+                counts.update(fresnel_nodes=0, level=-1, direct_terms=0)
                 return evaluate_batch(metal, field_kind, zs, omega, "local-retarded")
             wall, outcomes = _timed(repeat, patches, run)
             out[f"retarded-{metal.name}-{field_kind}"] = {
                 "points": len(zs), "wall_s": round(wall, 4),
                 "failed": sum(isinstance(o, Exception) for o in outcomes),
                 "fresnel_nodes": counts["fresnel_nodes"],
-                "final_h": 0.25 / 2**counts["level"] if counts["level"] >= 0 else None}
+                "final_h": 0.25 / 2**counts["level"] if counts["level"] >= 0 else None,
+                "direct_terms": counts["direct_terms"] if decayed is not None else None}
     return out
 
 
