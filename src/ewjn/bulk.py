@@ -14,8 +14,8 @@ ladder k_max in {3, 10, 30, 100} k_F and reported together with the
 ladder; failure to settle to 1% between rungs is an explicit error
 carrying the full series rather than a silently truncated number. Each
 rung is one real integral of the zz reduction, a trapezoid sum in ln k
-with Gregory's end corrections held to rel_tol on the spectral module's
-schedule of halvings (_rung); the isotropic medium makes the xx
+with Gregory's end corrections held to rel_tol by the lattice rule of
+quadrature.lattice_sums (_rungs); the isotropic medium makes the xx
 reduction the same integrand, so one running total is reported as both.
 """
 
@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import QuadratureError, require_positive_finite
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_l, epsilon_t
-from .quadrature import GREGORY, QuadratureConfig
-from .spectral import _H0, _MAX_HALVINGS, _ROUNDING, Model, _halved, _not_converged, evaluate
+from .quadrature import GREGORY, H0, ROUNDING, QuadratureConfig, lattice_sums, not_converged
+from .spectral import Model, evaluate
 
 _LADDER = (3.0, 10.0, 30.0, 100.0)
 _LADDER_REL = 0.01
@@ -72,45 +72,45 @@ def _rungs(material, omega, edges, cfg) -> list:
     """The radial integral over each rung [edges[i], edges[i + 1]], as its
     value or its QuadratureError: a trapezoid sum in ln k on N + 1 nodes
     from one end to the other with Gregory's corrections at both, N =
-    max(ceil(ln(k_hi/k_lo)/_H0), _MIN_STEPS) doubling on the spectral
-    module's schedule (_halved). The rungs refine together, one integrand
-    call per halving for the odd nodes of the open ones. A rung's error
-    is its difference from the sum at 2h, the rounding floor and, for the
+    max(ceil(ln(k_hi/k_lo)/H0), _MIN_STEPS) doubling at each halving of
+    quadrature.lattice_sums. The rungs refine together, one integrand
+    call per halving for the odd nodes of the live ones. A rung's error
+    is its difference from the sum at 2h, its rounding floor and, for the
     first, twice its first term, a bound on the part below edges[0]."""
-    spans, halvings = np.log(edges[1:] / edges[:-1]), min(_MAX_HALVINGS, cfg.max_subdivisions)
-    steps = np.maximum(np.ceil(spans / _H0), _MIN_STEPS).astype(int)
-    out, values, previous = [None] * spans.size, [None] * spans.size, [None] * spans.size
-    for level in range(halvings + 1):
-        nodes, h = {}, spans / steps / 2**level
-        for i in (i for i, o in enumerate(out) if o is None):
+    spans = np.log(edges[1:] / edges[:-1])
+    steps = np.maximum(np.ceil(spans / H0), _MIN_STEPS).astype(int)
+    samples = [None] * spans.size
+
+    def sums(level, _, live):
+        nodes, h = [], spans / steps / 2**level
+        for i in live.tolist():
             k = edges[i] * np.exp(np.arange(steps[i] * 2**level + 1) * h[i])
             k[-1] = edges[i + 1]
-            nodes[i] = k if level == 0 else k[1::2]
-        if not nodes:
-            break
-        k = np.concatenate(list(nodes.values()))
+            nodes.append(k if level == 0 else k[1::2])
+        k = np.concatenate(nodes)
         fresh = np.split(_radial_integrand(material, k, omega) * k,
-                         np.cumsum([x.size for x in nodes.values()])[:-1])
-        for i, new in zip(nodes, fresh):
+                         np.cumsum([x.size for x in nodes])[:-1])
+        values, errs = [], []
+        for i, new in zip(live.tolist(), fresh):
             if level:
-                values[i] = np.insert(new, np.arange(new.size + 1), values[i])
+                samples[i] = np.insert(new, np.arange(new.size + 1), samples[i])
             else:
-                values[i] = new
-            weights = np.ones(values[i].size)
+                samples[i] = new
+            weights = np.ones(samples[i].size)
             weights[[0, -1]] = 0.5
             weights[:8] += GREGORY
             weights[-8:] += GREGORY[::-1]
-            terms = weights * values[i]
-            value = h[i] * float(terms.sum())
-            err = float(_ROUNDING * h[i] * np.abs(terms).sum() + 2.0 * (i == 0) * abs(values[i][0]))
-            if level:
-                errs, done, final = _halved(level, halvings, [value], [err], [previous[i]], cfg)
-                if final:
-                    out[i] = value if done else _not_converged(
-                        f"bulk radial rung [{edges[i]:.4e}, {edges[i + 1]:.4e}] 1/m", halvings,
-                        value, errs.item())
-            previous[i] = value
-    return out
+            terms = weights * samples[i]
+            values.append(h[i] * float(terms.sum()))
+            errs.append(float(ROUNDING * h[i] * np.abs(terms).sum()
+                              + 2.0 * (i == 0) * abs(samples[i][0])))
+        return np.array(values)[:, None], np.array(errs)[:, None]
+
+    values, errs, missed = lattice_sums(spans.size, sums, cfg)
+    missed |= ~(np.isfinite(values) & np.isfinite(errs))[:, 0]  # leaving the float range misses
+    return [not_converged(f"bulk radial rung [{edges[i]:.4e}, {edges[i + 1]:.4e}] 1/m", cfg,
+                          values[i, 0], errs[i, 0].item()) if missed[i] else values[i, 0]
+            for i in range(spans.size)]
 
 
 def bulk_imD_coincident(

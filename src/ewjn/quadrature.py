@@ -1,11 +1,12 @@
 """The package's quadrature settings and the fixed rules its sums use.
 
 Every integral in the package is a trapezoid sum on a log lattice whose
-step h halves until the sum meets rel_tol (see the spectral and bulk
-modules). Two fixed rules ride along: the Gauss-Kronrod 15-point nodes
-and weights of the polar weight G (spectral._polar_g), and Gregory's
-end correction of a trapezoid sum cut at a point where its summand does
-not vanish.
+step h halves until the sum meets rel_tol, and that lattice rule lives
+here: lattice_sums owns the one loop over the halvings of h, and the
+spectral and bulk modules supply each level's sums. Two fixed rules
+ride along: the Gauss-Kronrod 15-point nodes and weights of the polar
+weight G (spectral._polar_g), and Gregory's end correction of a
+trapezoid sum cut at a point where its summand does not vanish.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]:
 # the published abscissae and weights, nodes ascending
@@ -52,3 +53,45 @@ class QuadratureConfig:
             raise DomainError("abs_tol must be >= 0")
         if not (self.max_subdivisions >= 1):
             raise DomainError("max_subdivisions must be >= 1")
+
+
+# Every lattice starts at step H0 and halves it at most MAX_HALVINGS times;
+# a sum's summands round by at most ROUNDING times the sum of their moduli
+H0, MAX_HALVINGS = 0.25, 4
+EPS = float(np.finfo(float).eps)
+ROUNDING = 50.0 * EPS
+
+
+def not_converged(model, cfg, chi_zz, err):
+    """The QuadratureError of a point whose sums missed rel_tol."""
+    return QuadratureError(
+        f"{model} lattice sums not converged after {min(MAX_HALVINGS, cfg.max_subdivisions)} "
+        f"halvings of h (estimate {chi_zz!r}, error bound {err:.3e})",
+        best_estimate=chi_zz, error_bound=err)
+
+
+def lattice_sums(count, sums, cfg):
+    """(values, errors, missed), (count, sums), (count, sums) and (count,), of
+    count points' lattice sums at their last level: sums(level, h, live)
+    gives (values, errors), (live.size, sums), of the live points at h =
+    H0/2^level. From level 1 each error adds |S_h - S_2h| and a point stops
+    once each of its sums S meets max(rel_tol |S|, abs_tol). A point whose
+    value or error is not finite stops at once; one still live after
+    min(MAX_HALVINGS, max_subdivisions) halvings is missed."""
+    live, missed = np.arange(count), np.zeros(count, dtype=bool)
+    values = errors = np.zeros((count, 0))
+    for level in range(min(MAX_HALVINGS, cfg.max_subdivisions) + 1):
+        if not live.size:
+            break
+        value, error = sums(level, H0 / 2**level, live)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if level:
+                error = error + np.abs(value - values[live])
+            else:
+                values, errors = np.zeros((2, count, value.shape[1]))
+            lost = ~(np.isfinite(value) & np.isfinite(error)).all(axis=1)
+            done = (error <= np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_tol)).all(axis=1)
+        values[live], errors[live] = value, error
+        live = live[~(lost | (done & (level > 0)))]
+    missed[live] = True
+    return values, errors, missed

@@ -20,7 +20,7 @@ evaluate_batch, the one evaluation path, groups the points by model and
 makes one call per model; evaluate is a batch of one. A batch gives
 each point the bits and the error that the point gets alone. Both
 integral models are trapezoid sums on a log lattice that all the points
-of one omega share, on one schedule of halvings of its step (_halved).
+of one omega share, whose step halves by quadrature.lattice_sums's rule.
 A nonlocal point is a sum in ln p of its r_p channel and, for B, one in
 ln k of its r_s channel (_nonlocal_quasistatic); a local-retarded point
 is one integral over a log-mapped axis, the vacuum normal wavevector q
@@ -42,7 +42,8 @@ import numpy as np
 from .errors import DomainError, QuadratureError, require_positive_finite
 from .fresnel import M, lattice_reflection, local_reflection_q, surface_response
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_t, skin_depth
-from .quadrature import _NODES, _WEIGHTS_K, QuadratureConfig
+from .quadrature import (_NODES, _WEIGHTS_K, EPS, H0, ROUNDING, QuadratureConfig, lattice_sums,
+                         not_converged)
 
 
 class Model(str, enum.Enum):
@@ -237,17 +238,14 @@ def _polar_g(a):
 
 
 # The nonlocal lattice: k_n = e^{nh} 1/m, t = ln(k 1 m) = nh, from h =
-# _H0 to _H0/2^_MAX_HALVINGS. A point's ranges are whole steps of _H0:
+# H0 on (quadrature.lattice_sums). A point's ranges are whole steps of H0:
 # its r_p sum runs from p = _P_LOW/z, below which its summand falls like
 # p^3 (E) or p (B), to the cut of _LATTICE_CUT; B's k-sum over a = 2kz
 # from _A_LOW 2z min(k_nu, 1/(2z)) to _A_HIGH, beyond which it falls like
 # a^-3. Every I_p window ends at k_top, the last grid point at or below
 # _TOP_FACTOR max(k_star, top) and 1e3 hi (_nonlocal_range).
-_H0, _MAX_HALVINGS, _TOP_FACTOR = 0.25, 4, 1e6
+_TOP_FACTOR = 1e6
 _P_LOW, _A_LOW, _A_HIGH = {"E": 1e-6, "B": 1e-16}, 1e-16, 1e6
-# the rounding of a sum's summands, relative to the sum of their moduli
-_EPS = sys.float_info.epsilon
-_ROUNDING = 50.0 * _EPS
 
 
 def _nonlocal_cuts(material, field_kind, z, limits):
@@ -265,8 +263,8 @@ def _nonlocal_cuts(material, field_kind, z, limits):
                            f"0.1 nu/v_F lies below {lo:.3g} 1/m, where the kernel leaves the "
                            f"float range")
     try:
-        i_hi = math.ceil(math.log(_LATTICE_CUT[0] / 2.0 / z) / _H0)
-        p_cut = math.exp(i_hi * _H0)
+        i_hi = math.ceil(math.log(_LATTICE_CUT[0] / 2.0 / z) / H0)
+        p_cut = math.exp(i_hi * H0)
     except OverflowError:  # ceil(inf), or e^t beyond the float range
         p_cut = math.inf
     if p_cut > hi:
@@ -277,19 +275,23 @@ def _nonlocal_cuts(material, field_kind, z, limits):
         return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
                            f"wavevector, rounded up to the grid of t, exceeds {top:.3g} 1/m, "
                            f"which bounds the top of the lattice's I_p windows")
-    floor = math.ceil(math.log(lo / 1e3) / _H0)
-    return (max(math.floor(math.log(_P_LOW[field_kind] / z) / _H0), floor + M), i_hi,
-            max(math.floor(math.log(_A_LOW * min(k_nu, 0.5 / z)) / _H0), floor),
-            min(math.ceil(math.log(_A_HIGH / 2.0 / z) / _H0), math.floor(math.log(1e3 * hi) / _H0)))
+    floor = math.ceil(math.log(lo / 1e3) / H0)
+    return (max(math.floor(math.log(_P_LOW[field_kind] / z) / H0), floor + M), i_hi,
+            max(math.floor(math.log(_A_LOW * min(k_nu, 0.5 / z)) / H0), floor),
+            min(math.ceil(math.log(_A_HIGH / 2.0 / z) / H0), math.floor(math.log(1e3 * hi) / H0)))
 
 
-def _refine(old, old_lo, lo, top, h, kernel):
-    """(values, first) of kernel(k, rows) at k = e^{nh}, n = lo[r] ..
-    top[r] in row r, 0 elsewhere, columns from n = first = min(lo): even
-    n from old, the lattice at 2h from column old_lo, odd n (all n if old
-    is None) from kernel, whose values may carry trailing axes."""
-    n = np.arange(lo.min(), top.max() + 1)
-    valid = (n >= lo[:, None]) & (n <= top[:, None])
+def _refine(old, old_lo, at, lo, hi, h, kernel):
+    """(values, first) of kernel(k, rows) at k = e^{nh} in each row r from
+    the least lo[i] to the greatest hi[i] with at[i] = r, 0 elsewhere,
+    columns from n = first = min(lo): even n from old, the lattice at 2h
+    from column old_lo, odd n (all n if old is None) from kernel, whose
+    values may carry trailing axes."""
+    row_lo, row_hi = np.full(at.max() + 1, hi.max()), np.full(at.max() + 1, lo.min() - 1)
+    np.minimum.at(row_lo, at, lo)
+    np.maximum.at(row_hi, at, hi)
+    n = np.arange(lo.min(), hi.max() + 1)
+    valid = (n >= row_lo[:, None]) & (n <= row_hi[:, None])
     fresh = valid if old is None else valid & (n % 2 == 1)
     rows, cols = np.nonzero(fresh)
     values = np.asarray(kernel(np.exp(n[cols] * h), rows))
@@ -320,49 +322,39 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     B's rp_part) with r_p from one correlation of phi = 1/eps_l - 1
     (fresnel.lattice_reflection), and h Sum a Im eps_t(k) G(a), a = 2kz.
     The summands are analytic in a strip and decay at both ends, so the
-    sums converge geometrically in 1/h. A point runs at h = _H0 and _H0/2,
-    then halves h until each sum S meets max(rel_tol |S|, abs_tol) with
-    its error: the difference from the sum at 2h plus bounds on its tails
-    beyond its ends, on its summands' rounding and, for r_p, on each
-    window above k_top. After min(_MAX_HALVINGS, max_subdivisions)
-    halvings it gets a QuadratureError. The lattice at h/2 asks the
-    kernels for its odd nodes only. A node's values depend on (material,
-    omega, h, n) alone and each sum adds an array of its own summands, so
-    a point gets the bits and the outcome it gets alone. A point outside
+    sums converge geometrically in 1/h, on the lattice rule of
+    quadrature.lattice_sums; a sum's error adds to its h/2h difference
+    bounds on its tails beyond its ends, on its summands' rounding and,
+    for r_p, on each window above k_top. A point that misses rel_tol
+    gets a QuadratureError. The lattice at h/2 asks the kernels for its
+    odd nodes only. A node's values depend on (material, omega, h, n)
+    alone and each sum adds an array of its own summands, so a point
+    gets the bits and the outcome it gets alone. A point outside
     _nonlocal_range gets a DomainError and does not run.
     """
     cfg = cfg or QuadratureConfig()
     ranges = {w: _nonlocal_range(material, w) for w in set(omegas)}
     out = [_nonlocal_cuts(material, field_kind, z, ranges[w]) for z, w in zip(zs, omegas)]
     running = [k for k, cuts in enumerate(out) if not isinstance(cuts, DomainError)]
-    # one lattice per omega: a row of the arrays below while any of its points runs
-    distinct, row = np.unique(omegas, return_inverse=True)
+    # one lattice per omega of the running points: a row below while it has live points
+    distinct, row = np.unique([omegas[k] for k in running], return_inverse=True)
     n_top = np.array([math.floor(min(math.log(_TOP_FACTOR * max(material.k_star, ranges[w][2])),
-                                     math.log(1e3 * ranges[w][1])) / _H0)
+                                     math.log(1e3 * ranges[w][1])) / H0)
                       for w in distinct.tolist()])
     im_local = [((e - 1.0) / (e + 1.0)).imag
                 for e in (drude_epsilon(material, w) for w in distinct.tolist())]
-    cuts = np.array([(0,) * 4 if isinstance(c, DomainError) else c for c in out])
-    power, halvings = 3 if field_kind == "E" else 1, min(_MAX_HALVINGS, cfg.max_subdivisions)
-    previous, rows, phi, phi_lo, im_t, t_lo = [None] * len(zs), None, None, None, None, None
-    for level in range(halvings + 1):
-        if not running:
-            break
-        scale, h = 2**level, _H0 / 2**level
-        live = np.flatnonzero(np.bincount(row[running]))
-        if rows is not None and live.size < rows.size:
-            keep = np.searchsorted(rows, live)
+    cuts, power = np.array([out[k] for k in running]), 3 if field_kind == "E" else 1
+    rows, phi, phi_lo, im_t, t_lo = np.arange(distinct.size), None, None, None, None
+
+    def sums(level, h, live):
+        nonlocal rows, phi, phi_lo, im_t, t_lo
+        scale, live_rows = 2**level, np.flatnonzero(np.bincount(row[live]))
+        if live_rows.size < rows.size:
+            keep = np.searchsorted(rows, live_rows)
             phi, im_t = phi[keep], im_t if im_t is None else im_t[keep]
-        rows, at, top = live, np.searchsorted(live, row), n_top[live] * scale
-        w_rows, first = distinct[rows], cuts[running] * scale
-
-        def edge(column, reduce, start):
-            """reduce of a column of the running points' cuts, per row."""
-            ends = np.full(rows.size, start)
-            reduce.at(ends, at[running], first[:, column])
-            return ends
-
-        phi, phi_lo = _refine(phi, phi_lo, edge(0, np.minimum, top.max()) - M, top, h,
+        rows, first = live_rows, cuts[live] * scale
+        at, top, w_rows = np.searchsorted(rows, row[live]), n_top[rows] * scale, distinct[rows]
+        phi, phi_lo = _refine(phi, phi_lo, at, first[:, 0] - M, top[at], h,
                               lambda k, r: surface_response(material, k, w_rows[r]))
         last = int(first[:, 1].max())
         r_p = lattice_reflection(phi, h, last - phi_lo - M + 1)
@@ -372,77 +364,53 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
         # asin(p/k_top), and so Im r_p, r_p = -d/s, d = I_p - 1, s = 2 + d,
         # by 2 |Im(delta d conj(s^2))|/|s|^4 to first order.
         at_top = phi[np.arange(rows.size), top - phi_lo][:, None]
-        reach = 2.0 / math.pi * np.arcsin(p * np.exp(-n_top[rows] * _H0)[:, None])
+        reach = 2.0 / math.pi * np.arcsin(p * np.exp(-n_top[rows] * H0)[:, None])
         s2 = (2.0 / (1.0 + r_p)) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             d_r = 2.0 * reach * (np.abs(s2.real) * np.abs(at_top.imag)
                                  + np.abs(s2.imag) * np.abs(at_top.real)) / np.abs(s2)**2
+        points = [running[i] for i in live.tolist()]
         if field_kind == "B":
-            im_t, t_lo = _refine(im_t, t_lo, edge(2, np.minimum, top.max()),
-                                 edge(3, np.maximum, -1), h,
+            im_t, t_lo = _refine(im_t, t_lo, at, first[:, 2], first[:, 3], h,
                                  lambda k, r: epsilon_t(material, k, w_rows[r]).imag)
             # every k-sum's terms, with one _polar_g call for all of them
             nodes = [np.arange(j_lo, j_hi + 1) for j_lo, j_hi in first[:, 2:].tolist()]
-            a = [2.0 * np.exp(j * h) * zs[k] for j, k in zip(nodes, running)]
+            a = [2.0 * np.exp(j * h) * zs[k] for j, k in zip(nodes, points)]
             g = np.split(_polar_g(np.concatenate(a)), np.cumsum([x.size for x in a])[:-1])
-            zz_terms = {k: a_k * im_t[at[k], j - t_lo] * g_k
-                        for k, j, a_k, g_k in zip(running, nodes, a, g)}
-        for k in list(running):
-            r, z = at[k], zs[k]
-            run = slice(*(c * scale - phi_lo - M + end for c, end in zip(cuts[k][:2], (0, 1))))
+            zz_terms = [a_k * im_t[r, j - t_lo] * g_k for r, j, a_k, g_k in zip(at, nodes, a, g)]
+        values, errs = [], []
+        for i, (k, r, (i_lo, i_hi, j_lo, _)) in enumerate(zip(points, at, first)):
+            z, run = zs[k], slice(i_lo - phi_lo - M, i_hi - phi_lo - M + 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 weight = p[run] ** power * np.exp(-2.0 * p[run] * z)
                 terms = weight * r_p[r, run].imag
-            # below p[0] Im r_p stays under the larger of its value there and
-            # its local limit; above p[-1] it grows at most like p
-            p_lo, x = float(p[run][0]), 2.0 * float(p[run][-1]) * z
-            tails = [p_lo**power / power * max(float(r_p[r, run][0].imag), im_local[row[k]])
-                     + float(terms[-1]) * sum(math.perm(power, n) / x**n
-                                              for n in range(power + 1)) / x
-                     + h * float((weight * d_r[r, run]).sum())]
-            sums = [terms]
-            if field_kind == "B":
-                # below a_lo Im eps_t is flat at its value there and G <= 2/3;
-                # above the last node Im eps_t does not grow and G ~ a^-4
-                sums.append(zz_terms[k])
-                tails.append(2.0 * z * math.exp(cuts[k][2] * _H0)
-                             * im_t[r, cuts[k][2] * scale - t_lo] * 2.0 / 3.0
-                             + float(zz_terms[k][-1]) / 3.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = [h * float(t.sum()) for t in sums]
-                errs = [tail + _ROUNDING * h * float(np.abs(t).sum())
-                        for t, tail in zip(sums, tails)]
-            if not all(map(math.isfinite, values)):
-                # the summands leave the float range: a DomainError of evaluate_batch
-                out[k] = (math.inf, math.inf, math.inf, {})
-                running.remove(k)
-            elif level:
-                errs, done, final = _halved(level, halvings, values, errs, previous[k], cfg)
-                if final:
-                    out[k] = _nonlocal_outcome(field_kind, omegas[k], z, values, errs.tolist(),
-                                               done, halvings)
-                    running.remove(k)
-            previous[k] = values
+                # below p[0] Im r_p stays under the larger of its value there and
+                # its local limit; above p[-1] it grows at most like p
+                lo_power, x = float(p[run][0] ** power), 2.0 * float(p[run][-1]) * z
+                tails = [lo_power / power * max(float(r_p[r, run][0].imag), im_local[rows[r]])
+                         + float(terms[-1]) * sum(math.perm(power, n) / x**n
+                                                  for n in range(power + 1)) / x
+                         + h * float((weight * d_r[r, run]).sum())]
+                parts = [terms]
+                if field_kind == "B":
+                    # below a_lo Im eps_t is flat at its value there and G <= 2/3;
+                    # above the last node Im eps_t does not grow and G ~ a^-4
+                    parts.append(zz_terms[i])
+                    tails.append(2.0 * z * math.exp(cuts[live[i], 2] * H0)
+                                 * im_t[r, j_lo - t_lo] * 2.0 / 3.0 + float(zz_terms[i][-1]) / 3.0)
+                values.append([h * float(t.sum()) for t in parts])
+                errs.append([tail + ROUNDING * h * float(np.abs(t).sum())
+                             for t, tail in zip(parts, tails)])
+        return np.array(values), np.array(errs)
+
+    # a point's non-finite sums become a DomainError of evaluate_batch
+    values, errs, missed = lattice_sums(len(running), sums, cfg)
+    for k, v, e, miss in zip(running, values.tolist(), errs.tolist(), missed.tolist()):
+        out[k] = _nonlocal_outcome(field_kind, omegas[k], zs[k], v, e, miss, cfg)
     return out
 
 
-def _halved(level, halvings, values, errs, previous, cfg):
-    """The lattice rule at level >= 1 for sums values, (points, sums) or (sums,),
-    with errors errs, previous at 2h: arrays (errs + |values - previous|, done
-    where each S meets max(rel_tol |S|, abs_tol), final: done or at halvings)."""
-    errs = np.add(errs, np.abs(np.subtract(values, previous)))
-    done = (errs <= np.maximum(cfg.rel_tol * np.abs(values), cfg.abs_tol)).all(axis=-1)
-    return errs, done, done | (level == halvings)
-
-
-def _not_converged(model, halvings, chi_zz, err):
-    """The QuadratureError of a point whose sums missed rel_tol."""
-    return QuadratureError(
-        f"{model} lattice sums not converged after {halvings} halvings of h (estimate "
-        f"{chi_zz!r}, error bound {err:.3e})", best_estimate=chi_zz, error_bound=err)
-
-
-def _nonlocal_outcome(field_kind, omega, z, values, errs, done, halvings):
+def _nonlocal_outcome(field_kind, omega, z, values, errs, missed, cfg):
     """A point's outcome from its sums (E: r_p; B: r_p, k-sum) and errors."""
     if field_kind == "E":
         chi_zz, err = HBAR / EPS0 * values[0], HBAR / EPS0 * errs[0]
@@ -454,7 +422,7 @@ def _nonlocal_outcome(field_kind, omega, z, values, errs, done, halvings):
         err = scale_zz * errs[1] + rp_scale * errs[0]
         outcome = (0.5 * chi_zz + rp_part, chi_zz, err,
                    {"rs_part": 0.5 * chi_zz, "rp_part": rp_part})
-    return outcome if done else _not_converged("nonlocal", halvings, chi_zz, err)
+    return not_converged("nonlocal", cfg, chi_zz, err) if missed else outcome
 
 
 # The local-retarded lattice: s_n = nh, x_n = (omega/c) e^{s_n}. A sum starts
@@ -475,7 +443,7 @@ def _moment_sum(moments, moduli, count, c, reach):
     for m in range(_ORDER, 0, -1):
         acc *= steps[m - 1]
         acc += moments[m - 1]
-    bound = (np.exp(reach) * (count + 4 * _ORDER) * _EPS
+    bound = (np.exp(reach) * (count + 4 * _ORDER) * EPS
              + reach ** (_ORDER + 1) / math.factorial(_ORDER + 1))
     return acc.T, (moduli * bound).T
 
@@ -527,14 +495,15 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     _CONTOUR_FROM on, where that one cancels, one in ln t on q = omega/c +
     i t (the swept quadrant holds neither r_p's pole nor q_m's branch
     point; K. A. Michalski and J. R. Mosig, IEEE TAP 45, 508 (1997)). The
-    points of one omega share its lattice, _halved's schedule and moments:
-    the propagating sum is a series in 2 i z omega/c (_propagating), and
-    every evanescent sum starts at one node, so up to its switch node, the
-    last with 2 z x <= 1 whose prefix moments Sum e^{mnh} F_n (one cumsum
-    per omega and h) are finite, it is a series in -2 z omega/c on them;
-    its other terms and the line's are summed one by one (_decayed). A
-    point gets its bits and outcome alone, and a DomainError if its
-    integrand would leave the float range or its eps rounds to 1.
+    points of one omega share its lattice, halved by lattice_sums, and
+    moments: the propagating sum is a series in 2 i z omega/c
+    (_propagating), and every evanescent sum starts at one node, so up to
+    its switch node, the last with 2 z x <= 1 whose prefix moments Sum
+    e^{mnh} F_n (one cumsum per omega and h) are finite, it is a series in
+    -2 z omega/c on them; its other terms and the line's are summed one by
+    one (_decayed). A point gets its bits and outcome alone, and a
+    DomainError if its integrand would leave the float range or its eps
+    rounds to 1.
     """
     cfg, out = cfg or QuadratureConfig(), [None] * len(zs)
     distinct, row = np.unique(omegas, return_inverse=True)
@@ -542,13 +511,13 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     w_c_of, z_of = distinct / C_LIGHT, np.asarray(zs, dtype=float)
     w_c, w, size = w_c_of.tolist(), w_c_of[row], np.abs(eps_r)[row]
     with np.errstate(all="ignore"):
-        # from e^-44 min(omega/c, 1/(2z)) to M = max(_DECAY_CUT/(2z), omega/c): the
-        # first node and g = (omega/c)/sqrt|eps| normal, M/g, |eps| M, M^3 finite
+        # from e^-44 min(omega/c, 1/(2z)) to M = max(_DECAY_CUT/(2z), omega/c): the first node
+        # and g = (omega/c)/sqrt|eps| normal, M/g, |eps| M, M^3 and the phase 2 z omega/c finite
         m, g = np.maximum(_DECAY_CUT / (2.0 * z_of), w), w / np.sqrt(size)
         fits = ((np.minimum(g, np.minimum(w, 0.5 / z_of) * math.exp(-44)) >= sys.float_info.min)
-                & np.isfinite([m / g, size * m, m * m * m, z_of * w]).all(axis=0))
-        # ln(1/(2 z omega/c)) in steps of _H0; per sector (points, first, last)
-        scale_n = np.where(fits, np.log(0.5 / (z_of * w)) / _H0, 0.0)
+                & np.isfinite([m / g, size * m, m * m * m, 2.0 * z_of * w]).all(axis=0))
+        # ln(1/(2 z omega/c)) in steps of H0; per sector (points, first, last)
+        scale_n = np.where(fits, np.log(0.5 / (z_of * w)) / H0, 0.0)
         far = 2.0 * z_of * w >= _CONTOUR_FROM
     for i in np.flatnonzero(~fits | (eps_r.real == 1.0)[row]).tolist():
         if not fits[i]:
@@ -559,12 +528,12 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
             out[i] = DomainError(f"omega = {omegas[i]:.6g} rad/s is too large for "
                                  f"{material.name}: its Drude permittivity rounds to 1 and "
                                  f"the Fresnel coefficients keep no digit")
-    running = np.array([o is None for o in out])
-    low = {k: -round(v / _H0) for k, v in _LOW_SPAN.items()}
-    last = np.floor(scale_n + math.log(_DECAY_CUT) / _H0).astype(int)
+    ok = np.flatnonzero([o is None for o in out])
+    low = {k: -round(v / H0) for k, v in _LOW_SPAN.items()}
+    last = np.floor(scale_n + math.log(_DECAY_CUT) / H0).astype(int)
     zero = np.zeros_like(last)
     spans = {"ev": (~far, zero + low["ev"], last),
-             "prop": (~far, zero + low["prop"], zero + round(_PROP_TOP / _H0)),
+             "prop": (~far, zero + low["prop"], zero + round(_PROP_TOP / H0)),
              "line": (far, np.floor(scale_n).astype(int) + low["line"], last)}
 
     def kernel(sector):  # dq/ds X(q) at the sector's nodes k = e^s: columns xx, zz
@@ -584,25 +553,18 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
                              jac * gap * (w + q) * r_b], axis=-1)
         return run
 
-    scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
-    halvings, lattices, shared = min(_MAX_HALVINGS, cfg.max_subdivisions), {}, {}
-    values = np.zeros((len(zs), 2))
-    for level in range(halvings + 1):
-        if not running.any():
-            break
-        step, h = 2**level, _H0 / 2**level
-        previous, values, errs = values, np.zeros((len(zs), 2)), np.zeros((len(zs), 2))
+    lattices, shared = {}, {}
+
+    def sums(level, h, live):
+        step, live = 2**level, ok[live]
+        values, errs = np.zeros((len(zs), 2)), np.zeros((len(zs), 2))
         for sector, (member, lo, hi) in spans.items():
-            points = np.flatnonzero(running & member)
+            points = live[member[live]]
             if not points.size:
                 continue
-            # each row's lattice covers its points' nodes, an empty row none
             lo, hi = lo[points] * step, hi[points] * step
-            row_lo, top = np.full(len(distinct), hi.max()), np.full(len(distinct), lo.min() - 1)
-            np.minimum.at(row_lo, row[points], lo)
-            np.maximum.at(top, row[points], hi)
             table, start = lattices[sector] = _refine(*lattices.get(sector, (None, None)),
-                                                      row_lo, top, h, kernel(sector))
+                                                      row[points], lo, hi, h, kernel(sector))
             for r in sorted(set(row[points].tolist())):
                 idx, a, b = (v[row[points] == r] for v in (points, lo, hi))
                 n = np.arange(a.min(), b.max() + 1)
@@ -630,28 +592,23 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
                     head, err = _moment_sum(moments[:-1], moments[-1], s + 1, -two_z * w_c[r],
                                             two_z * x[s])
                     a = s + 1
-                sums, moduli = _decayed(x, block, two_z, a, b)
-                value, y = h * (head + sums), two_z * x[b]
+                direct, moduli = _decayed(x, block, two_z, a, b)
+                value, y = h * (head + direct), two_z * x[b]
                 if sector == "line":
                     value = (np.array([_phase(zs[i], omegas[i]) for i in idx.tolist()])[:, None]
                              * value).imag
                 # the terms summed one by one round by count eps of their moduli
                 values[idx] += value
-                errs[idx] += (h * moduli * ((b - a + 1) * _EPS)[:, None] + 2.0 * first
+                errs[idx] += (h * moduli * ((b - a + 1) * EPS)[:, None] + 2.0 * first
                               + end * ((1 + 3 / y + 6 / y**2 + 6 / y**3) / y)[:, None] + h * err)
-        # summands beyond the float range: a DomainError of evaluate_batch
-        lost = running & ~(np.isfinite(values) & np.isfinite(errs)).all(axis=1)
-        for i in np.flatnonzero(lost).tolist():
-            out[i] = (math.inf, math.inf, math.inf, {})
-        running &= ~lost
-        live = np.flatnonzero(running) if level else np.arange(0)
-        e, done, final = _halved(level, halvings, values[live], errs[live], previous[live], cfg)
-        for i, ok, err in zip(live[final].tolist(), done[final].tolist(),
-                              (scale * e[final].max(axis=1)).tolist()):
-            xx, zz = float(scale * values[i, 0]), float(scale * values[i, 1])
-            out[i] = (xx, zz, err, {}) if ok else \
-                _not_converged("local-retarded", halvings, zz, err)
-        running[live[final]] = False
+        return values[live], errs[live]
+
+    # a point's non-finite sums become a DomainError of evaluate_batch
+    scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
+    values, errs, missed = lattice_sums(ok.size, sums, cfg)
+    chi, errs = (scale * values).tolist(), (scale * errs.max(axis=1, initial=0.0)).tolist()
+    for i, (xx, zz), err, miss in zip(ok.tolist(), chi, errs, missed.tolist()):
+        out[i] = not_converged("local-retarded", cfg, zz, err) if miss else (xx, zz, err, {})
     return out
 
 

@@ -67,6 +67,22 @@ def test_radial_reductions_agree_and_are_positive(copper, omega0):
 
 # ------------------------------------------------------------ cutoff ladder
 
+# the Lindhard kernel overflows at this metal's scales, and warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ladder_rung_beyond_the_float_range_misses_rel_tol():
+    # the first rung's sums are NaN: it stops at its first level and gets the
+    # QuadratureError of a rung that misses rel_tol, with the NaN as estimate
+    from ewjn import Material
+
+    material = Material("m", 1.0953639976560267e+173, 9.850413307543647e+154,
+                        1.2235399094281575e-183)
+    with pytest.raises(QuadratureError) as excinfo:
+        bulk_imD_coincident(material, 8.390971102363463e+143)
+    assert str(excinfo.value).startswith("bulk radial rung [8.2524e-78, 1.3431e-72] 1/m lattice "
+                                         "sums not converged after 4 halvings of h")
+    assert math.isnan(excinfo.value.best_estimate)
+
+
 def test_ladder_does_not_converge_and_reports_series(copper, omega0, cfg):
     with pytest.raises(QuadratureError) as excinfo:
         bulk_imD_coincident(copper, omega0, cfg)

@@ -77,6 +77,97 @@ def test_gregory_weights_are_the_exact_end_correction():
     assert GREGORY.tolist() == [float(r[8]) for r in rows]
 
 
+# -------------------------------------------------------------- lattice rule
+
+def _level_sums(table):
+    """A sums callback that returns table(level, point) -> (values, errors)
+    per live point and records each level's live points."""
+    seen = []
+
+    def sums(level, h, live):
+        assert h == 0.25 / 2**level
+        seen.append((level, live.tolist()))
+        rows = [table(level, p) for p in live.tolist()]
+        return (np.array([v for v, _ in rows], dtype=float),
+                np.array([e for _, e in rows], dtype=float))
+    return sums, seen
+
+
+def test_lattice_sums_stop_at_the_first_level_where_every_sum_meets_rel_tol():
+    from ewjn.quadrature import lattice_sums
+
+    # S_L = 1 + c 4^-L, so |S_L - S_2h| = 3 c 4^-L; point 0 already meets
+    # rel_tol at level 0, point 1 from level 1, point 2's second sum from
+    # level 3 while its first meets it from level 1
+    c = [(0.0, 0.0), (1e-3, 0.0), (1e-3, 3e-2)]
+    sums, seen = _level_sums(lambda level, p: ([1 + c[p][0] / 4**level, 2 + c[p][1] / 4**level],
+                                               [1e-6, 2e-6]))
+    values, errors, missed = lattice_sums(3, sums, QuadratureConfig(rel_tol=1e-3))
+    assert seen == [(0, [0, 1, 2]), (1, [0, 1, 2]), (2, [2]), (3, [2])]
+    assert not missed.any()
+    assert values.tolist() == [[1.0, 2.0], [1 + 1e-3 / 4, 2.0], [1 + 1e-3 / 64, 2 + 3e-2 / 64]]
+    # each error is the callback's plus the difference from the sums at 2h
+    assert errors.tolist() == [
+        [1e-6, 2e-6],
+        [1e-6 + abs(1 + 1e-3 / 4 - (1 + 1e-3)), 2e-6],
+        [1e-6 + abs(1 + 1e-3 / 64 - (1 + 1e-3 / 16)), 2e-6 + abs(2 + 3e-2 / 64 - (2 + 3e-2 / 16))]]
+
+
+@pytest.mark.parametrize("abs_tol,stops_at", [(1e-30, 1), (0.0, None)])
+def test_lattice_sums_abs_tol_floor(abs_tol, stops_at):
+    from ewjn.quadrature import lattice_sums
+
+    # a sum that is 0 at every h and whose error is 1e-31: only the abs_tol
+    # floor lets it meet its tolerance
+    sums, seen = _level_sums(lambda level, p: ([0.0], [1e-31]))
+    values, errors, missed = lattice_sums(1, sums, QuadratureConfig(abs_tol=abs_tol))
+    assert [level for level, _ in seen][-1] == (stops_at or 4)
+    assert missed.tolist() == [stops_at is None]
+    assert (values.tolist(), errors.tolist()) == ([[0.0]], [[1e-31]])
+
+
+@pytest.mark.parametrize("max_subdivisions,halvings", [(1, 1), (2000, 4)])
+def test_lattice_sums_miss_after_at_most_four_halvings(max_subdivisions, halvings):
+    from ewjn.quadrature import lattice_sums
+
+    # point 1 never settles; point 0 settles from level 1
+    sums, seen = _level_sums(lambda level, p: ([float(level * p)], [0.0]))
+    cfg = QuadratureConfig(max_subdivisions=max_subdivisions)
+    values, errors, missed = lattice_sums(2, sums, cfg)
+    assert seen == [(0, [0, 1]), (1, [0, 1])] + [(level, [1]) for level in range(2, halvings + 1)]
+    assert missed.tolist() == [False, True]
+    assert values[1, 0] == halvings and errors[1, 0] == 1.0
+
+
+def test_lattice_sums_stop_a_point_at_once_when_a_value_or_error_is_not_finite():
+    from ewjn.quadrature import lattice_sums
+
+    # point 0's value is nan at level 0, point 1's error inf at level 2 and
+    # point 2 never settles: the first two stop where they turn, not as missed
+    def table(level, p):
+        if (p, level) == (0, 0):
+            return [math.nan], [0.0]
+        if (p, level) == (1, 2):
+            return [float(level)], [math.inf]
+        return [float(level)], [0.0]
+
+    sums, seen = _level_sums(table)
+    with np.errstate(all="raise"):
+        values, errors, missed = lattice_sums(3, sums, QuadratureConfig())
+    assert seen == [(0, [0, 1, 2]), (1, [1, 2]), (2, [1, 2]), (3, [2]), (4, [2])]
+    assert missed.tolist() == [False, False, True]
+    assert math.isnan(values[0, 0]) and errors[1, 0] == math.inf
+    assert values[2, 0] == 4.0
+
+
+def test_lattice_sums_of_no_points_ask_for_none():
+    from ewjn.quadrature import lattice_sums
+
+    sums, seen = _level_sums(lambda level, p: ([0.0], [0.0]))
+    values, errors, missed = lattice_sums(0, sums, QuadratureConfig())
+    assert not seen and values.size == errors.size == missed.size == 0
+
+
 # ------------------------------------------------------- error bound suite
 
 FINITE_CASES = [

@@ -144,8 +144,8 @@ def _one_pass_lattices(monkeypatch):
     import ewjn.spectral as spectral
 
     refine = spectral._refine
-    monkeypatch.setattr(spectral, "_refine", lambda old, old_lo, lo, top, h, kernel: refine(
-        None, None, lo, top, h, kernel))
+    monkeypatch.setattr(spectral, "_refine", lambda old, old_lo, at, lo, hi, h, kernel: refine(
+        None, None, at, lo, hi, h, kernel))
 
 
 @pytest.mark.parametrize("z_over_lam_f", [1.0, 30.0, 3000.0])
@@ -1032,11 +1032,11 @@ def test_nonlocal_z_below_the_cut_bound_is_a_domain_error(copper, omega0, field_
     import ewjn.spectral as spectral
 
     # the smallest z whose cut, rounded up to the grid of t = ln(k 1 m)
-    # in steps of _H0, is the last grid point below the bound: it passes
+    # in steps of H0, is the last grid point below the bound: it passes
     # the float-range check
     x, _ = spectral._LATTICE_CUT
     p_max = spectral._nonlocal_range(copper, omega0)[1]
-    top = math.exp(math.floor(math.log(p_max) / spectral._H0) * spectral._H0)
+    top = math.exp(math.floor(math.log(p_max) / spectral.H0) * spectral.H0)
     z_min = x / (2.0 * top) * (1.0 + 1e-12)
     cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
     edge, below, tiny = evaluate_batch(copper, field_kind, [z_min, z_min / 3.0, 1e-300],
@@ -1169,6 +1169,52 @@ def test_nonlocal_collision_wavevector_below_the_float_range_is_a_domain_error(
     beside, failed = evaluate_batch(copper, field_kind, [10.0 * lam_f, 1e-60], omega0,
                                     "nonlocal-quasistatic", cfg)
     assert beside == alone and isinstance(failed, DomainError)
+
+
+@pytest.mark.parametrize("material,field_kind,z,omega", [
+    (Material("m", 4.239595127321693e-143, 8.399790211303438e+122, 4.1889096082190928e-165), "E",
+     3.9279509868819485e-108, 2.0049460104798446e-180),
+    # the Lindhard kernel overflows on the way (epsilon_l, epsilon_t), and warns
+    pytest.param(Material("m", 8.010602322526034e-228, 2.938159366307543e-147,
+                          1.315635575301041e-42), "B", 9.327376393218925e+138,
+                 6.462524590324989e-175, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+], ids=["E", "B"])
+def test_nonlocal_sums_beyond_the_float_range_are_a_domain_error(material, field_kind, z, omega):
+    # the point's lattice sums are not finite: it stops at once and its chi
+    # is not finite either
+    [outcome] = evaluate_batch(material, field_kind, [z], omega, "nonlocal-quasistatic")
+    assert isinstance(outcome, DomainError)
+    assert str(outcome) == (f"chi is not finite at z = {z:.6g} m, omega = {omega:.6g} rad/s; "
+                            f"the inputs leave the float range")
+
+
+@pytest.mark.parametrize("material,model,zs,omegas,message", [
+    # v_F overflows, so k_star = 0 and every nonlocal point fails its cuts
+    (Material("m", 1.5620234032609075e+72, 4814091898142.631, 5.49553733017377e+296),
+     "nonlocal-quasistatic", [2.89479306873844e-50, 2.89479306873844e-47],
+     [5.3072700389582395e-126, 5.3072700389582395e-116], "nu/v_F = 0 1/m is too small for the "
+     "nonlocal model: 0.1 nu/v_F lies below 1.49e-151 1/m, where the kernel leaves the float range"),
+    # the first node's p^3 of the r_p tail bound overflows
+    (Material("m", 4.556570087557962e-269, 2.699340708664515e+109, 4.5899067256479864e-94),
+     "nonlocal-quasistatic", [1.2472437089834538e-118, 1.2472437089834538e-88],
+     [3.3693703290966856e-41] * 2, "chi is not finite at z = 1.24724e-118 m, omega = "
+     "3.36937e-41 rad/s; the inputs leave the float range"),
+    # z omega/c is finite but the phase 2 z omega/c is not
+    (Material("m", 7.011051616299605e-253, 3.702119496426947e+89, 2.431282688750113e-298),
+     "local-retarded", [2.2582169308306845e+256, 2.2582169308306845e+253],
+     [1.5212173002175398e+60] * 2, "z = 2.25822e+256 m, omega = 1.52122e+60 rad/s: the "
+     "local-retarded integrand leaves the float range"),
+], ids=["k-star-zero", "tail-bound-overflow", "phase-overflow"])
+@pytest.mark.filterwarnings("error")
+def test_an_overflow_in_a_lattice_model_is_a_domain_error_of_its_point(material, model, zs,
+                                                                       omegas, message):
+    failed, other = evaluate_batch(material, "E", zs, omegas, model)
+    assert isinstance(failed, DomainError) and str(failed) == message
+    # the batch's other point keeps the outcome it gets alone
+    [alone] = evaluate_batch(material, "E", zs[1:], omegas[1:], model)
+    assert type(other) is type(alone) and str(other) == str(alone)
+    if not isinstance(alone, Exception):
+        assert other == alone
 
 
 # ---------------------------------------------------------------- dispatch

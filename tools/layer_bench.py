@@ -29,11 +29,11 @@ to 30 skin depths at one omega (copper at 6 pi 1e8 rad/s and the dense
 metal of the far-field tests, omega_p 1.5e16, nu 8e13 rad/s, 10 eV, at
 5e9 rad/s; E and B, default rel_tol), each one evaluate_batch call timed
 best of N, with the Fresnel nodes of one run (the q at which
-local_reflection_q is asked), the final h of its lattice (None where
-the model has none) and the direct terms of one run: the (height, node)
-pairs whose e^{-2zx} F the sweep sums one by one (spectral._decayed;
-the other evanescent terms come from moments the heights share; None
-where the model has no such function).
+local_reflection_q is asked), the final h of its lattice (the deepest
+level at which quadrature.lattice_sums asks for sums) and the direct
+terms of one run: the (height, node) pairs whose e^{-2zx} F the sweep
+sums one by one (spectral._decayed; the other evanescent terms come
+from moments the heights share).
 
 The bulk row times bulk_imD_coincident of copper at 6 pi 1e8 rad/s,
 best of N, with the epsilon_l nodes of one run per rung of its cutoff
@@ -49,6 +49,9 @@ a fresh interpreter, timed after `import ewjn.cli`, best of N (default
 two model columns local-quasistatic,local-quasistatic (200 cells) per
 cell, best of N. The results print as one JSON object, and --out also
 writes them to FILE.
+
+Every count comes from a function patched in place for the run; if one
+of them is missing (renamed or deleted), the bench exits 1 naming it.
 """
 
 import argparse
@@ -126,23 +129,14 @@ def measure(repeat: int) -> dict:
     ]
     out = {}
     for name, field_kind, zs, omega in _batches():
-        walls = []
-        for _ in range(repeat):
+        def run():
             counts.update(eps_l_nodes=0, eps_t_nodes=0, lattices=0, h_min=math.inf)
-            saved = [(module, attr, getattr(module, attr)) for module, attr, _ in patches]
-            for module, attr, fn in patches:
-                setattr(module, attr, fn)
-            try:
-                t0 = time.perf_counter()
-                outcomes = evaluate_batch(COPPER, field_kind, zs, omega, "nonlocal-quasistatic")
-                walls.append(time.perf_counter() - t0)
-            finally:
-                for module, attr, fn in saved:
-                    setattr(module, attr, fn)
+            return evaluate_batch(COPPER, field_kind, zs, omega, "nonlocal-quasistatic")
+        wall, outcomes = _timed(repeat, patches, run)
         failed = sum(isinstance(o, Exception) for o in outcomes)
         omegas = len(set(np.broadcast_to(omega, len(zs)).tolist()))
         h_min = counts.pop("h_min")
-        out[name] = {"points": len(zs), "wall_s": round(min(walls), 4), "failed": failed,
+        out[name] = {"points": len(zs), "wall_s": round(wall, 4), "failed": failed,
                      **counts, "lattices_per_omega": round(counts["lattices"] / omegas, 2),
                      "final_h": h_min, "halvings": round(math.log2(0.25 / h_min))}
     return out
@@ -150,7 +144,12 @@ def measure(repeat: int) -> dict:
 
 def _timed(repeat, patches, run):
     """(best wall time of repeat runs of run(), its last result), with
-    (module, attr, fn) patches in place during each run."""
+    (module, attr, fn) patches in place during each run; exit 1 if a
+    patched attribute does not exist."""
+    missing = [f"{module.__name__}.{attr}" for module, attr, _ in patches
+               if not hasattr(module, attr)]
+    if missing:
+        sys.exit(f"layer_bench: nothing to patch at {', '.join(missing)}")
     walls, result = [], None
     for _ in range(repeat):
         saved = [(module, attr, getattr(module, attr)) for module, attr, _ in patches]
@@ -176,21 +175,20 @@ def measure_retarded(repeat: int) -> dict:
         counts["fresnel_nodes"] += np.size(q)
         return reflection(q, *args)
 
-    def level_seen(level, *args):
-        counts["level"] = max(counts["level"], level)
-        return halved(level, *args)
+    def levels_seen(count, sums, cfg):
+        def seen(level, h, live):
+            counts["level"] = max(counts["level"], level)
+            return sums(level, h, live)
+        return lattice_sums(count, seen, cfg)
 
     def terms_counted(x, block, two_z, lo, hi):
         counts["direct_terms"] += int(np.sum(hi - lo + 1))
         return decayed(x, block, two_z, lo, hi)
 
-    reflection, halved = spectral.local_reflection_q, getattr(spectral, "_halved", None)
-    decayed = getattr(spectral, "_decayed", None)
-    patches = [(spectral, "local_reflection_q", nodes_counted)]
-    if halved is not None:
-        patches.append((spectral, "_halved", level_seen))
-    if decayed is not None:
-        patches.append((spectral, "_decayed", terms_counted))
+    reflection, lattice_sums, decayed = (spectral.local_reflection_q, spectral.lattice_sums,
+                                         spectral._decayed)
+    patches = [(spectral, "local_reflection_q", nodes_counted),
+               (spectral, "lattice_sums", levels_seen), (spectral, "_decayed", terms_counted)]
     out = {}
     for metal, omega in ((COPPER, OMEGA_0), (DENSE, 5e9)):
         delta = skin_depth(metal, omega)
@@ -205,7 +203,7 @@ def measure_retarded(repeat: int) -> dict:
                 "failed": sum(isinstance(o, Exception) for o in outcomes),
                 "fresnel_nodes": counts["fresnel_nodes"],
                 "final_h": 0.25 / 2**counts["level"] if counts["level"] >= 0 else None,
-                "direct_terms": counts["direct_terms"] if decayed is not None else None}
+                "direct_terms": counts["direct_terms"]}
     return out
 
 
