@@ -212,13 +212,12 @@ def epsilon_t(material: Material, k, omega):
 def skin_depth(material: Material, omega: float) -> float:
     """Field penetration depth c / (omega Im sqrt(eps_Drude)).
 
-    Returns +inf for a transparent medium (no decaying solution).
+    Returns +inf for a transparent medium (no decaying solution) and where
+    omega Im sqrt(eps) underflows to 0.
     """
     _check_omega(omega)
-    im_n = complex(np.sqrt(drude_epsilon(material, omega))).imag
-    if im_n <= 0.0:
-        return math.inf
-    return C_LIGHT / (omega * im_n)
+    decay = omega * complex(np.sqrt(drude_epsilon(material, omega))).imag
+    return C_LIGHT / decay if decay > 0.0 else math.inf
 
 
 _REQUIRED_KEYS = ("name", "omega_p_rad_s", "nu_rad_s", "fermi_energy_ev")

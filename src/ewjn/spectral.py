@@ -22,7 +22,10 @@ each point the bits and the error that the point gets alone. Both
 integral models are trapezoid sums on a log lattice that all the points
 of one omega share, whose step halves by quadrature.lattice_sums's rule.
 A nonlocal point is a sum in ln p of its r_p channel and, for B, one in
-ln k of its r_s channel (_nonlocal_quasistatic); a local-retarded point
+ln k of its r_s channel, on a lattice anchored at 2 k_F whose I_p
+windows end at a fixed k_c, above which 1/eps_l - 1 is its series in
+1/k and its part of I_p a sum in closed form (_nonlocal_quasistatic);
+a local-retarded point
 is one integral over a log-mapped axis, the vacuum normal wavevector q
 near the surface and the line q = omega/c + i t far from it, whose sums
 near the surface are series in z on moments of the lattice that all
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -42,8 +46,8 @@ import numpy as np
 from .errors import DomainError, QuadratureError, require_positive_finite
 from .fresnel import M, lattice_reflection, local_reflection_q, surface_response
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_t, skin_depth
-from .quadrature import (_NODES, _WEIGHTS_K, EPS, H0, ROUNDING, QuadratureConfig, lattice_sums,
-                         not_converged)
+from .quadrature import (_NODES, _WEIGHTS_K, EPS, H0, MAX_HALVINGS, ROUNDING, QuadratureConfig,
+                         lattice_sums, not_converged)
 
 
 class Model(str, enum.Enum):
@@ -187,18 +191,15 @@ _SQRT_MAX, _SQRT_TINY = math.sqrt(sys.float_info.max), math.sqrt(sys.float_info.
 
 
 def _nonlocal_range(material, omega) -> tuple:
-    """(lo, hi, top) of a nonlocal point at omega: it runs if 0.1/z and
-    0.1 k_nu are >= lo and its cut p_U <= hi and <= top. Its lattice
-    runs from k = lo/1e3, where k^2 must be normal and k^2 v_F^2, x^2 =
-    ((omega + i nu)/(k v_F))^2 and (k_star/k)^2 |omega + i nu| finite
-    (epsilon_l, epsilon_t and their Lindhard series form them), to at
-    most 1e3 hi. top = 1e11 |omega + i nu|/v_F bounds the window top
-    k_top, about _TOP_FACTOR max(k_star, top), which every I_p window of
-    the omega runs to: a cut above top would need a window reaching
-    beyond it, so the point gets a DomainError."""
+    """(lo, hi, edge) of the nonlocal points at omega: a point runs if
+    0.1/z and 0.1 k_nu are >= lo and its cut p_U <= hi. Its lattice runs
+    from k = lo/1e3, where k^2 must be normal and k^2 v_F^2, x^2 = ((omega
+    + i nu)/(k v_F))^2 and (k_star/k)^2 |omega + i nu| finite (epsilon_l,
+    epsilon_t and their Lindhard series form them), to at most 1e3 hi.
+    eps_l's structure lies below edge = max(k_star, |omega + i nu|/v_F)."""
     vf, wn = material.fermi_velocity, abs(complex(omega, material.collision_rate))
     k_lo = max(_SQRT_TINY, max(wn / vf, material.k_star * math.sqrt(max(1.0, wn))) / _SQRT_MAX)
-    return 1e3 * k_lo, _SQRT_MAX / max(1.0, vf) / 1e3, 1e11 * wn / vf
+    return 1e3 * k_lo, _SQRT_MAX / max(1.0, vf) / 1e3, max(material.k_star, wn / vf)
 
 
 # G's rule: sin u and w sin^3 u at the Kronrod 15-point nodes u of 8
@@ -237,24 +238,35 @@ def _polar_g(a):
     return g
 
 
-# The nonlocal lattice: k_n = e^{nh} 1/m, t = ln(k 1 m) = nh, from h =
-# H0 on (quadrature.lattice_sums). A point's ranges are whole steps of H0:
-# its r_p sum runs from p = _P_LOW/z, below which its summand falls like
-# p^3 (E) or p (B), to the cut of _LATTICE_CUT; B's k-sum over a = 2kz
-# from _A_LOW 2z min(k_nu, 1/(2z)) to _A_HIGH, beyond which it falls like
-# a^-3. Every I_p window ends at k_top, the last grid point at or below
-# _TOP_FACTOR max(k_star, top) and 1e3 hi (_nonlocal_range).
-_TOP_FACTOR = 1e6
+# The nonlocal lattice: k_n = 2 k_F e^{nh}, t = ln(k/(2 k_F)) = nh, from h =
+# H0 on (quadrature.lattice_sums), so 2 k_F is a node at every h. A point's
+# ranges are whole steps of H0: its r_p sum runs from p = _P_LOW min(1/z,
+# edge) (_nonlocal_range), below which its summand falls like p^3 (E) or p
+# (B), to the cut of _LATTICE_CUT; B's k-sum over a = 2kz from _A_LOW 2z
+# min(k_nu, 1/(2z)) to _A_HIGH, beyond which it falls like a^-3. Every I_p
+# window of an omega ends M nodes above n_c, the first grid point at or
+# above k_c = _WINDOW_END edge, where |x| <= 1e-4 and phi is its series
+# (_phi_series); the window's terms beyond its top, up to _SPAN in u, and
+# I_p above n_c are sums of that series (_beyond_window) over the powers
+# _POWERS: a constant, k^-2 .. k^-5, and k^-6 for the bound on the rest.
 _P_LOW, _A_LOW, _A_HIGH = {"E": 1e-6, "B": 1e-16}, 1e-16, 1e6
+_WINDOW_END, _SPAN = 1e4, 40.0
+_POWERS = np.array([0, 2, 3, 4, 5, 6])
+
+
+def _steps(material, k):
+    """t = ln(k/(2 k_F)) of wavevector k in steps of H0."""
+    return (math.log(k) - math.log(2.0 * material.fermi_wavevector)) / H0
 
 
 def _nonlocal_cuts(material, field_kind, z, limits):
     """(i_lo, i_hi, j_lo, j_hi) of a nonlocal point: its r_p sum runs over
-    p = e^{i H0} from the last grid point at or below _P_LOW/z to the
-    first at or above the cut x/(2z), its k-sum over k = e^{j H0}, both
-    from lo/1e3 up. Its DomainError if 0.1/z or 0.1 k_nu lies below lo or
-    the cut exceeds hi or top, (lo, hi, top) = limits (_nonlocal_range)."""
-    (lo, hi, top), k_nu = limits, material.k_nu
+    p = 2 k_F e^{i H0} from the last grid point at or below _P_LOW min(1/z,
+    edge) to the first at or above the cut x/(2z), its k-sum over k = 2 k_F
+    e^{j H0}, both from lo/1e3 up. Its DomainError if 0.1/z or 0.1 k_nu
+    lies below lo or the cut exceeds hi, (lo, hi, edge) = limits
+    (_nonlocal_range)."""
+    (lo, hi, edge), k_nu = limits, material.k_nu
     if not (0.1 / z >= lo):
         return DomainError(f"z = {z:.6g} m is too large for the nonlocal model: 0.1/z lies "
                            f"below {lo:.3g} 1/m, where the kernel leaves the float range")
@@ -263,22 +275,81 @@ def _nonlocal_cuts(material, field_kind, z, limits):
                            f"0.1 nu/v_F lies below {lo:.3g} 1/m, where the kernel leaves the "
                            f"float range")
     try:
-        i_hi = math.ceil(math.log(_LATTICE_CUT[0] / 2.0 / z) / H0)
-        p_cut = math.exp(i_hi * H0)
+        i_hi = math.ceil(_steps(material, _LATTICE_CUT[0] / 2.0 / z))
+        p_cut = 2.0 * material.fermi_wavevector * math.exp(i_hi * H0)
     except OverflowError:  # ceil(inf), or e^t beyond the float range
         p_cut = math.inf
     if p_cut > hi:
         return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
                            f"wavevector, rounded up to the grid of t, exceeds {hi:.3g} 1/m, "
                            f"where the kernel leaves the float range")
-    if p_cut > top:
-        return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
-                           f"wavevector, rounded up to the grid of t, exceeds {top:.3g} 1/m, "
-                           f"which bounds the top of the lattice's I_p windows")
-    floor = math.ceil(math.log(lo / 1e3) / H0)
-    return (max(math.floor(math.log(_P_LOW[field_kind] / z) / H0), floor + M), i_hi,
-            max(math.floor(math.log(_A_LOW * min(k_nu, 0.5 / z)) / H0), floor),
-            min(math.ceil(math.log(_A_HIGH / 2.0 / z) / H0), math.floor(math.log(1e3 * hi) / H0)))
+    floor = math.ceil(_steps(material, lo / 1e3))
+    return (max(math.floor(_steps(material, _P_LOW[field_kind] * min(1.0 / z, edge))),
+                floor + M), i_hi,
+            max(math.floor(_steps(material, _A_LOW * min(k_nu, 0.5 / z))), floor),
+            min(math.ceil(_steps(material, _A_HIGH / 2.0 / z)),
+                math.floor(_steps(material, 1e3 * hi))))
+
+
+def _phi_series(material, omega, k):
+    """a_m k^-m, m = 2 .. 5, of phi = 1/eps_l - 1 = Sum_m a_m k^-m at large
+    k, and bounds on the real and imaginary parts of the rest, as two
+    lists. f_l = 1 + i pi x/2 - x artanh x as x -> 0 (Im x > 0) makes
+    eps_l - 1 = eta Q, eta = (k_star/k)^2, Q = 1 + (omega/w) delta/(1 + g
+    delta), delta = f_l - 1, w = omega + i nu, g = i nu/w, and phi = -eta Q
+    + eta^2 Q^2 - ...: a_2 = -k_star^2, a_3 = -i (pi/2) k_star^2 omega/v_F.
+    The rest lies under twice the moduli of the k^-6 terms, its imaginary
+    part under twice those that carry x and the k^-7 term's, 3 eta^3
+    |q_1|; both are inf where eta exceeds 1e-4 or |x| 1e-2 (an n_c held
+    below k_c by the float range)."""
+    w, s = complex(omega, material.collision_rate), material.k_star / k
+    eta, x = s * s, w / material.fermi_velocity / k
+    r, g, a = omega / w, 1j * material.collision_rate / w, 0.5j * math.pi
+    q1, q2 = r * a * x, -r * (1.0 + g * a * a) * x * x
+    q3 = r * g * a * (2.0 + g * a * a) * x * x * x
+    q4 = -r * (1.0 / 3.0 + g + 3.0 * g * g * a * a + g * g * g * a**4) * (x * x) * (x * x)
+    rest = [math.inf, math.inf]
+    if eta <= 1e-4 and max(abs(x.real), abs(x.imag)) <= 1e-2:
+        m4, m6 = eta * abs(q4), eta * eta * abs(2.0 * q2 + q1 * q1)
+        rest = [2.0 * (m4 + m6 + eta**3), 2.0 * (m4 + m6 + 3.0 * eta**3 * abs(q1))]
+    return [-eta, -eta * q1, eta * (eta - q2), eta * (2.0 * eta * q1 - q3)], rest
+
+
+@functools.lru_cache(maxsize=MAX_HALVINGS + 1)
+def _beyond_table(h):
+    """(2/pi) B_m(e) of _beyond_window at e = 0 .. _SPAN/h, 0 at the last,
+    e^{-mMh} and (2/pi) Integral_0^{pi/2} sin^m, m = _POWERS: one table
+    per step h of the lattice. Beyond the table's last term, where
+    1/sqrt(e^{2u} - 1) is e^{-u} to 1e-34, the terms are one geometric sum."""
+    span, m = math.ceil(_SPAN / h), _POWERS[:, None]
+    j = np.arange(span + M, M, -1)
+    far = np.add.accumulate(np.hstack([
+        h * np.exp(-(m + 1.0) * (span + M + 1) * h) / -np.expm1(-(m + 1.0) * h),
+        h * np.exp(-m * j * h) / np.sqrt(np.expm1(2.0 * j * h))]), axis=1)[:, :0:-1]
+    table = np.zeros((m.size, span + 1))
+    table[:, :span] = 2.0 / math.pi * np.exp(m * np.arange(span) * h) * far
+    wallis = [math.gamma(k / 2.0 + 0.5) / math.gamma(k / 2.0 + 1.0) / math.sqrt(math.pi)
+              for k in _POWERS.tolist()]
+    return table, np.exp(-m * M * h), np.array(wallis)[:, None]
+
+
+def _beyond_window(coef, e, h):
+    """(d, b) at nodes e steps below their window end k_e = k at n_c: d,
+    the I_p - 1 a node gains from phi's series beyond its window's top,
+    n_c + M, Sum_m a_m k_e^-m (2/pi) B_m(e) over the series' constant and
+    k^-2 .. k^-5 (coef, one row per lattice row), and b = (2/pi) B_6(e).
+    For e >= 0, B_m is the window's trapezoid terms beyond its top, Sum_{j
+    > e + M} e^{m(e - j)h} h/sqrt(e^{2jh} - 1), summed from the far end,
+    and 0 from e = _SPAN/h on; for e < 0, a node with no window, e^{meh}
+    Integral_0^{pi/2} sin^m (Wallis)."""
+    table, _, wallis = _beyond_table(h)
+    per_row = sum(coef[:, m, None] * table[m] for m in range(5))
+    rows, at = np.arange(e.shape[0])[:, None], np.minimum(np.maximum(e, 0), table.shape[1] - 1)
+    d, b, above = per_row[rows, at], table[5][at], np.nonzero(e < 0)
+    if above[0].size:
+        terms = np.exp(_POWERS[:, None] * e[above] * h) * wallis
+        d[above], b[above] = (coef[above[0]] * terms[:5].T).sum(axis=1), terms[5]
+    return d, b
 
 
 def _refine(old, old_lo, at, lo, hi, h, kernel):
@@ -320,91 +391,106 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     Each integral is a trapezoid sum in ln p (ln k) on the lattice of its
     omega, shared by all its points: h Sum p^3 e^{-2pz} Im r_p (E; p for
     B's rp_part) with r_p from one correlation of phi = 1/eps_l - 1
-    (fresnel.lattice_reflection), and h Sum a Im eps_t(k) G(a), a = 2kz.
-    The summands are analytic in a strip and decay at both ends, so the
-    sums converge geometrically in 1/h, on the lattice rule of
-    quadrature.lattice_sums; a sum's error adds to its h/2h difference
-    bounds on its tails beyond its ends, on its summands' rounding and,
-    for r_p, on each window above k_top. A point that misses rel_tol
-    gets a QuadratureError. The lattice at h/2 asks the kernels for its
-    odd nodes only. A node's values depend on (material, omega, h, n)
-    alone and each sum adds an array of its own summands, so a point
-    gets the bits and the outcome it gets alone. A point outside
-    _nonlocal_range gets a DomainError and does not run.
+    (fresnel.lattice_reflection) up to n_c plus the window's terms beyond
+    its top on phi's series, r_p above n_c from the series alone, and h
+    Sum a Im eps_t(k) G(a), a = 2kz. The summands are analytic in a strip
+    and decay at both ends, so the sums converge geometrically in 1/h, on
+    the lattice rule of quadrature.lattice_sums; a sum's error adds to its
+    h/2h difference bounds on its tails beyond its ends, on its summands'
+    rounding and, for r_p, on the series' first neglected term. A point
+    that misses rel_tol gets a QuadratureError. The lattice at h/2 asks
+    the kernels for its odd nodes only. A node's values depend on
+    (material, omega, h, n) alone and each sum adds an array of its own
+    summands, so a point gets the bits and the outcome it gets alone. A
+    point outside _nonlocal_range gets a DomainError and does not run.
     """
     cfg = cfg or QuadratureConfig()
     ranges = {w: _nonlocal_range(material, w) for w in set(omegas)}
     out = [_nonlocal_cuts(material, field_kind, z, ranges[w]) for z, w in zip(zs, omegas)]
     running = [k for k, cuts in enumerate(out) if not isinstance(cuts, DomainError)]
-    # one lattice per omega of the running points: a row below while it has live points
+    # one lattice per omega of the running points; its window end n_c in steps
+    # of H0, held M steps below the lattice's top, 1e3 hi, and phi's series there
     distinct, row = np.unique([omegas[k] for k in running], return_inverse=True)
-    n_top = np.array([math.floor(min(math.log(_TOP_FACTOR * max(material.k_star, ranges[w][2])),
-                                     math.log(1e3 * ranges[w][1])) / H0)
-                      for w in distinct.tolist()])
+    two_kf, ends = 2.0 * material.fermi_wavevector, []
+    for _, hi, edge in (ranges[w] for w in distinct.tolist()):
+        top = math.floor(_steps(material, 1e3 * hi)) - M
+        ends.append(math.ceil(min(_steps(material, _WINDOW_END * edge), top)))
+    series = [_phi_series(material, w, two_kf * math.exp(n * H0))
+              for w, n in zip(distinct.tolist(), ends)]
+    coef = np.array([c for c, _ in series], dtype=complex).reshape(-1, 4)
+    rests = np.array([b for _, b in series]).reshape(-1, 2)
     im_local = [((e - 1.0) / (e + 1.0)).imag
                 for e in (drude_epsilon(material, w) for w in distinct.tolist())]
     cuts, power = np.array([out[k] for k in running]), 3 if field_kind == "E" else 1
-    rows, phi, phi_lo, im_t, t_lo = np.arange(distinct.size), None, None, None, None
+    phi, phi_lo, im_t, t_lo = None, None, None, None
 
     def sums(level, h, live):
-        nonlocal rows, phi, phi_lo, im_t, t_lo
-        scale, live_rows = 2**level, np.flatnonzero(np.bincount(row[live]))
-        if live_rows.size < rows.size:
-            keep = np.searchsorted(rows, live_rows)
-            phi, im_t = phi[keep], im_t if im_t is None else im_t[keep]
-        rows, first = live_rows, cuts[live] * scale
-        at, top, w_rows = np.searchsorted(rows, row[live]), n_top[rows] * scale, distinct[rows]
-        phi, phi_lo = _refine(phi, phi_lo, at, first[:, 0] - M, top[at], h,
-                              lambda k, r: surface_response(material, k, w_rows[r]))
+        nonlocal phi, phi_lo, im_t, t_lo
+        first, at = cuts[live] * 2**level, row[live]
+        end = np.array(ends[:at.max() + 1]) * 2**level
+        phi, phi_lo = _refine(phi, phi_lo, at, np.minimum(first[:, 0], end[at]) - M,
+                              end[at] + M, h,
+                              lambda k, r: surface_response(material, two_kf * k, distinct[r]))
         last = int(first[:, 1].max())
-        r_p = lattice_reflection(phi, h, last - phi_lo - M + 1)
-        p = np.exp(np.arange(phi_lo + M, last + 1) * h)
-        # The window above k_top, where Re phi and Im phi fall as k^-2 or
-        # faster, moves each part of I_p by at most (2/pi) |its phi(k_top)|
-        # asin(p/k_top), and so Im r_p, r_p = -d/s, d = I_p - 1, s = 2 + d,
-        # by 2 |Im(delta d conj(s^2))|/|s|^4 to first order.
-        at_top = phi[np.arange(rows.size), top - phi_lo][:, None]
-        reach = 2.0 / math.pi * np.arcsin(p * np.exp(-n_top[rows] * H0)[:, None])
-        s2 = (2.0 / (1.0 + r_p)) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_r = 2.0 * reach * (np.abs(s2.real) * np.abs(at_top.imag)
-                                 + np.abs(s2.imag) * np.abs(at_top.real)) / np.abs(s2)**2
+        n = np.arange(phi_lo + M, last + 1)
+        p, e = two_kf * np.exp(n * h), end[:, None] - n
+        # I_p - 1 up to n_c from the window and the series beyond its top, d =
+        # that tail, r_p = r - (1 + r)^2 d/(2 + (1 + r) d) of the window's r;
+        # above n_c from the series alone, with r = 0. The series' constant
+        # a_0 = phi(inf) is what the kernel keeps at the top beyond its
+        # rounding, 8 eps: 0 for a Lindhard eps_l, all of phi for a
+        # k-independent one. dr_p = -s2 dI_p/2, s2 = (1 + r_p)^2, so the rest
+        # moves Im r_p by at most (|Im s2| |its Re| + |Re s2| |its Im|)/2.
+        r_p = np.zeros(e.shape, dtype=complex)
+        count = min(last, int(end.max())) - phi_lo - M + 1
+        r_p[:, :count] = lattice_reflection(phi, h, count)
+        r_p[e < 0] = 0.0
+        series, bound = coef[:end.size], rests[:end.size]
+        a_0 = phi[np.arange(end.size), end + M - phi_lo] - (
+            series * _beyond_table(h)[1][1:5, 0]).sum(axis=1)
+        a_0[np.abs(a_0) <= 8.0 * EPS] = 0.0
+        d, b_6 = _beyond_window(np.column_stack([a_0, series]), e, h)
+        one = 1.0 + r_p
+        r_p -= one * one * d / (2.0 + one * d)
+        s2 = (1.0 + r_p)**2
+        rest = (np.abs(s2.imag) * bound[:, :1] + np.abs(s2.real) * bound[:, 1:]) * (0.5 * b_6)
         points = [running[i] for i in live.tolist()]
         if field_kind == "B":
             im_t, t_lo = _refine(im_t, t_lo, at, first[:, 2], first[:, 3], h,
-                                 lambda k, r: epsilon_t(material, k, w_rows[r]).imag)
+                                 lambda k, r: epsilon_t(material, two_kf * k, distinct[r]).imag)
             # every k-sum's terms, with one _polar_g call for all of them
             nodes = [np.arange(j_lo, j_hi + 1) for j_lo, j_hi in first[:, 2:].tolist()]
-            a = [2.0 * np.exp(j * h) * zs[k] for j, k in zip(nodes, points)]
+            a = [2.0 * two_kf * np.exp(j * h) * zs[k] for j, k in zip(nodes, points)]
             g = np.split(_polar_g(np.concatenate(a)), np.cumsum([x.size for x in a])[:-1])
             zz_terms = [a_k * im_t[r, j - t_lo] * g_k for r, j, a_k, g_k in zip(at, nodes, a, g)]
         values, errs = [], []
         for i, (k, r, (i_lo, i_hi, j_lo, _)) in enumerate(zip(points, at, first)):
             z, run = zs[k], slice(i_lo - phi_lo - M, i_hi - phi_lo - M + 1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                weight = p[run] ** power * np.exp(-2.0 * p[run] * z)
-                terms = weight * r_p[r, run].imag
-                # below p[0] Im r_p stays under the larger of its value there and
-                # its local limit; above p[-1] it grows at most like p
-                lo_power, x = float(p[run][0] ** power), 2.0 * float(p[run][-1]) * z
-                tails = [lo_power / power * max(float(r_p[r, run][0].imag), im_local[rows[r]])
-                         + float(terms[-1]) * sum(math.perm(power, n) / x**n
-                                                  for n in range(power + 1)) / x
-                         + h * float((weight * d_r[r, run]).sum())]
-                parts = [terms]
-                if field_kind == "B":
-                    # below a_lo Im eps_t is flat at its value there and G <= 2/3;
-                    # above the last node Im eps_t does not grow and G ~ a^-4
-                    parts.append(zz_terms[i])
-                    tails.append(2.0 * z * math.exp(cuts[live[i], 2] * H0)
-                                 * im_t[r, j_lo - t_lo] * 2.0 / 3.0 + float(zz_terms[i][-1]) / 3.0)
-                values.append([h * float(t.sum()) for t in parts])
-                errs.append([tail + ROUNDING * h * float(np.abs(t).sum())
-                             for t, tail in zip(parts, tails)])
+            weight = p[run] ** power * np.exp(-2.0 * p[run] * z)
+            terms = weight * r_p[r, run].imag
+            # below p[0] Im r_p stays under the larger of its value there and
+            # its local limit; above p[-1] it grows at most like p
+            lo_power, x = float(p[run][0] ** power), 2.0 * float(p[run][-1]) * z
+            tails = [lo_power / power * max(float(r_p[r, run][0].imag), im_local[r])
+                     + float(terms[-1]) * sum(math.perm(power, n) / x**n
+                                              for n in range(power + 1)) / x
+                     + h * float((weight * rest[r, run]).sum())]
+            parts = [terms]
+            if field_kind == "B":
+                # below a_lo Im eps_t is flat at its value there and G <= 2/3;
+                # above the last node Im eps_t does not grow and G ~ a^-4
+                parts.append(zz_terms[i])
+                tails.append(float(a[i][0] * im_t[r, j_lo - t_lo]) * 2.0 / 3.0
+                             + float(zz_terms[i][-1]) / 3.0)
+            values.append([h * float(t.sum()) for t in parts])
+            errs.append([tail + ROUNDING * h * float(np.abs(t).sum())
+                         for t, tail in zip(parts, tails)])
         return np.array(values), np.array(errs)
 
-    # a point's non-finite sums become a DomainError of evaluate_batch
-    values, errs, missed = lattice_sums(len(running), sums, cfg)
+    # a point's non-finite sums, kernel values included, become a DomainError
+    # of evaluate_batch, without warnings
+    with np.errstate(all="ignore"):
+        values, errs, missed = lattice_sums(len(running), sums, cfg)
     for k, v, e, miss in zip(running, values.tolist(), errs.tolist(), missed.tolist()):
         out[k] = _nonlocal_outcome(field_kind, omegas[k], zs[k], v, e, miss, cfg)
     return out

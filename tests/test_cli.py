@@ -468,9 +468,17 @@ def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
     ["--field", "B", "--z", "1e-60"],
 ], ids=["E-1e-20", "E-1e-60", "B-1e-30", "B-1e-60"])
 def test_nonlocal_z_below_the_kernel_resolution_exits_2(capsys, argv):
+    # these heights once exceeded a bound on the top of the I_p windows;
+    # the windows now end at a fixed k_c and the rest is the series of
+    # 1/eps_l - 1, so they run: a finite positive chi, the one the point
+    # gets alone through the API
     code, out, err = run_cli(["spectral", *argv, "--model", "nonlocal-quasistatic"], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "which bounds the top of the lattice's I_p windows" in err
+    assert (code, err) == (0, "")
+    doc = loads(out)
+    tensor = evaluate(load_material("copper"), doc["inputs"]["field"], doc["inputs"]["z_m"],
+                      doc["inputs"]["omega_rad_per_s"], "nonlocal-quasistatic")
+    assert 0.0 < doc["chi_xx"] < math.inf and 0.0 < doc["chi_zz"] < math.inf
+    assert (doc["chi_xx"], doc["chi_zz"]) == (tensor.chi_xx, tensor.chi_zz)
 
 
 @pytest.mark.parametrize("argv", [
@@ -566,6 +574,21 @@ def test_bulk_command_reports_nonconvergence(capsys):
     assert doc["surface"]["im_D_zz"] == pytest.approx(
         1.1409759941962372e-12, rel=5e-5)
     assert doc["surface"]["units"] == "J*s/m"
+
+
+def test_bulk_command_reports_a_settled_ladder(capsys, tmp_path):
+    # test_bulk's vacuumish metal: omega_p^2 underflows to 0, the ladder
+    # settles at its second rung and the command exits 0 with its k_max
+    metal = tmp_path / "vacuumish.cfg"
+    metal.write_text("name = vacuumish\nomega_p_rad_s = 1e-320\nnu_rad_s = 1e-100\n"
+                     "fermi_energy_ev = 7\n")
+    code, out, err = run_cli(["bulk", "--material", str(metal)], capsys)
+    assert (code, err) == (0, "")
+    doc = loads(out)
+    assert doc["bulk"]["status"] == "ok"
+    assert len(doc["bulk"]["convergence_series"]) == 2
+    assert doc["bulk"]["k_max_used_per_m"] == pytest.approx(
+        10.0 * load_material(str(metal)).fermi_wavevector, rel=1e-15)
 
 
 # ------------------------------------------------------------------ figures

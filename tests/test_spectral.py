@@ -853,6 +853,64 @@ def test_lattice_matches_the_kappa_oracle(material, omega, field_kind, kappa_ora
             assert abs(value - want) <= b.error_estimate
 
 
+@pytest.mark.parametrize("material,omega", _ORACLE_GRID,
+                         ids=[f"{m.name}-{w:.3g}" for m, w in _ORACLE_GRID])
+def test_phi_series_matches_mpmath_and_the_kernel_above_k_c(material, omega):
+    # phi = 1/eps_l - 1 of the defining formula at 50 digits, at k_c, 10 k_c
+    # and 100 k_c: the series through k^-5 meets it, part by part, within
+    # its bounds on the rest and 1e-14 of its own rounding; the kernel's Im phi
+    # meets the series to 1e-12 of it, its Re phi to its rounding
+    import ewjn.spectral as spectral
+    from ewjn.fresnel import surface_response
+
+    mp = pytest.importorskip("mpmath")
+    k_c = spectral._WINDOW_END * spectral._nonlocal_range(material, omega)[2]
+    coef, rest = spectral._phi_series(material, omega, k_c)
+    with mp.workdps(50):
+        wp, nu, vf = (mp.mpf(v) for v in (material.plasma_frequency, material.collision_rate,
+                                           material.fermi_velocity))
+        w = mp.mpf(omega)
+        for ratio in (1.0, 10.0, 100.0):
+            K = mp.mpf(k_c * ratio)
+            X = mp.mpc(w, nu) / (K * vf)
+            f_l = 1 - X / 2 * (mp.log(X + 1) - mp.log(X - 1))
+            ref = complex(1 / (1 + 3 * wp**2 / (K * vf) ** 2 * mp.mpc(w, nu) * f_l
+                               / (w + 1j * nu * f_l)) - 1)
+            series = sum(c * ratio ** -(m + 2) for m, c in enumerate(coef))
+            assert abs((ref - series).real) <= rest[0] * ratio**-6 + 1e-14 * abs(series.real)
+            assert abs((ref - series).imag) <= rest[1] * ratio**-6 + 1e-14 * abs(series.imag)
+            kernel = complex(surface_response(material, np.array([k_c * ratio]), omega)[0])
+            assert abs(kernel.imag - series.imag) <= 1e-12 * abs(series.imag)
+            assert abs(kernel.real - series.real) <= 4.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("h", [0.25, 0.0625])
+def test_beyond_window_sums_the_trapezoid_terms_past_the_top(h):
+    # B_m(e) per unit a_m k_e^-m, one m per lattice row: for e >= 0 the
+    # window's terms past its top, n_c + M, summed one by one, and 0 from
+    # e = 40/h, where they fall below e^-40; for e < 0, e^{meh} times the
+    # Wallis integral of sin^m; b is B_6 in every row
+    import ewjn.spectral as spectral
+    from ewjn.fresnel import M
+
+    span = math.ceil(spectral._SPAN / h)
+    e = np.tile([-7, -1, 0, 3, 17, span - 1, span, span + 9], (5, 1))
+    d, b = spectral._beyond_window(np.eye(5, dtype=complex), e, h)
+    for row, m in enumerate((0, 2, 3, 4, 5, 6)):
+        wallis = math.pi / 2.0 if m % 2 == 0 else 1.0
+        for k in range(m % 2 + 2, m + 1, 2):
+            wallis *= (k - 1) / k
+        for col, steps in enumerate(e[0].tolist()):
+            j = np.arange(steps + M + 1, steps + M + 1 + int(80.0 / h))
+            want = 2.0 / math.pi * (math.exp(m * steps * h) * wallis if steps < 0 else math.fsum(
+                (np.exp(m * (steps - j) * h) * h / np.sqrt(np.expm1(2.0 * j * h))).tolist()))
+            got = (d[row, col] if row < 5 else b[0, col]).real
+            if steps < span:
+                assert abs(got - want) <= 1e-14 * want, (m, steps)
+            else:
+                assert got == 0.0 and want < math.exp(-spectral._SPAN)
+
+
 # one omega per z, from 1e7 to 1e11 rad/s: auto then resolves to the
 # nonlocal model at the six lowest points and to the retarded one above
 _OMEGA_PER_Z = np.geomspace(1e7, 1e11, 9).tolist()
@@ -1031,49 +1089,57 @@ def test_omega_too_large_is_a_domain_error_of_its_point(copper, omega0, field_ki
 def test_nonlocal_z_below_the_cut_bound_is_a_domain_error(copper, omega0, field_kind):
     import ewjn.spectral as spectral
 
-    # the smallest z whose cut, rounded up to the grid of t = ln(k 1 m)
+    # the smallest z whose cut, rounded up to the grid of t = ln(k/(2 k_F))
     # in steps of H0, is the last grid point below the bound: it passes
     # the float-range check
     x, _ = spectral._LATTICE_CUT
     p_max = spectral._nonlocal_range(copper, omega0)[1]
-    top = math.exp(math.floor(math.log(p_max) / spectral.H0) * spectral.H0)
+    two_kf = 2.0 * copper.fermi_wavevector
+    top = two_kf * math.exp(math.floor(math.log(p_max / two_kf) / spectral.H0) * spectral.H0)
     z_min = x / (2.0 * top) * (1.0 + 1e-12)
     cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
     edge, below, tiny = evaluate_batch(copper, field_kind, [z_min, z_min / 3.0, 1e-300],
                                        omega0, "nonlocal-quasistatic", cfg)
-    # there, some 1e139 above k_star, the cut lies above the bound on the
-    # top of the I_p windows, which is a DomainError of its own
-    assert isinstance(edge, DomainError) and "bounds the top of the lattice's I_p windows" \
-        in str(edge)
+    # there, some 1e139 above k_star, every p takes I_p from the series of
+    # 1/eps_l - 1: the B point runs, with the chi it gets alone; the E
+    # point's p^3 leaves the float range from 5.6e102 1/m
+    if field_kind == "B":
+        assert 0.0 < edge.chi_xx < math.inf and 0.0 < edge.chi_zz < math.inf
+        assert edge == evaluate(copper, field_kind, z_min, omega0, "nonlocal-quasistatic", cfg)
+    else:
+        assert isinstance(edge, DomainError) and str(edge).startswith("chi is not finite")
     for outcome in (below, tiny):
         assert isinstance(outcome, DomainError)
         assert "too small for the nonlocal model" in str(outcome)
         assert f"exceeds {p_max:.3g} 1/m" in str(outcome)
 
 
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+@pytest.mark.filterwarnings("error")
+def test_nonlocal_cut_beyond_the_float_range_is_a_domain_error(copper, omega0, field_kind):
+    # x/(2z) overflows, so the cut's grid index would be ceil(inf): the
+    # OverflowError becomes the point's DomainError of the float range
+    [outcome] = evaluate_batch(copper, field_kind, [1e-310], omega0, "nonlocal-quasistatic")
+    assert isinstance(outcome, DomainError)
+    assert str(outcome) == ("z = 1e-310 m is too small for the nonlocal model: its cut "
+                            "wavevector, rounded up to the grid of t, exceeds 8.54e+144 1/m, "
+                            "where the kernel leaves the float range")
+
+
 @pytest.mark.parametrize("field_kind,zs", [("E", [1e-20, 1e-60]), ("B", [1e-30, 1e-60])],
                          ids=["E", "B"])
 def test_nonlocal_z_below_the_kernel_resolution_is_a_domain_error(copper, omega0, field_kind,
                                                                   zs):
-    import ewjn.spectral as spectral
-
-    # the cut wavevector lies above 1e11 |omega + i nu|/v_F, which bounds
-    # the top k_top of the lattice's I_p windows: each point fails at once
-    # with a DomainError that says so
-    top = spectral._nonlocal_range(copper, omega0)[2]
-    for z in zs:
-        start = time.perf_counter()
-        [outcome] = evaluate_batch(copper, field_kind, [z], omega0, "nonlocal-quasistatic")
-        assert time.perf_counter() - start < 0.1
-        assert isinstance(outcome, DomainError)
-        assert str(outcome) == (
-            f"z = {z:.6g} m is too small for the nonlocal model: its cut wavevector, rounded "
-            f"up to the grid of t, exceeds {top:.3g} 1/m, which bounds the top of the "
-            f"lattice's I_p windows")
-    # the surface limit, 1e-3 lambda_F, and heights down to 1e-14 m still run
-    for z in (1e-3 * copper.fermi_wavelength, 1e-14):
-        assert not isinstance(evaluate_batch(copper, field_kind, [z], omega0,
-                                             "nonlocal-quasistatic")[0], Exception)
+    # the cut wavevector lies above 1e11 |omega + i nu|/v_F, which once
+    # bounded the top of the lattice's I_p windows; they now end at a fixed
+    # k_c and the rest is the series of 1/eps_l - 1, so these heights run
+    # with a finite positive chi, the one each gets alone, as do the surface
+    # limit, 1e-3 lambda_F, and 1e-14 m
+    zs = [*zs, 1e-3 * copper.fermi_wavelength, 1e-14]
+    batch = evaluate_batch(copper, field_kind, zs, omega0, "nonlocal-quasistatic")
+    for z, tensor in zip(zs, batch):
+        assert 0.0 < tensor.chi_xx < math.inf and 0.0 < tensor.chi_zz < math.inf
+        assert tensor == evaluate(copper, field_kind, z, omega0, "nonlocal-quasistatic")
 
 
 @pytest.mark.parametrize("field_kind", ["E", "B"])
@@ -1166,7 +1232,7 @@ def test_nonlocal_collision_wavevector_below_the_float_range_is_a_domain_error(
     # point keeps its bits
     cfg = QuadratureConfig(rel_tol=1e-6)
     alone = evaluate(copper, field_kind, 10.0 * lam_f, omega0, "nonlocal-quasistatic", cfg)
-    beside, failed = evaluate_batch(copper, field_kind, [10.0 * lam_f, 1e-60], omega0,
+    beside, failed = evaluate_batch(copper, field_kind, [10.0 * lam_f, 1e-300], omega0,
                                     "nonlocal-quasistatic", cfg)
     assert beside == alone and isinstance(failed, DomainError)
 
@@ -1174,10 +1240,9 @@ def test_nonlocal_collision_wavevector_below_the_float_range_is_a_domain_error(
 @pytest.mark.parametrize("material,field_kind,z,omega", [
     (Material("m", 4.239595127321693e-143, 8.399790211303438e+122, 4.1889096082190928e-165), "E",
      3.9279509868819485e-108, 2.0049460104798446e-180),
-    # the Lindhard kernel overflows on the way (epsilon_l, epsilon_t), and warns
-    pytest.param(Material("m", 8.010602322526034e-228, 2.938159366307543e-147,
-                          1.315635575301041e-42), "B", 9.327376393218925e+138,
-                 6.462524590324989e-175, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # the Lindhard kernel overflows on the way (epsilon_l, epsilon_t), without warnings
+    (Material("m", 8.010602322526034e-228, 2.938159366307543e-147, 1.315635575301041e-42), "B",
+     9.327376393218925e+138, 6.462524590324989e-175),
 ], ids=["E", "B"])
 def test_nonlocal_sums_beyond_the_float_range_are_a_domain_error(material, field_kind, z, omega):
     # the point's lattice sums are not finite: it stops at once and its chi
@@ -1186,6 +1251,19 @@ def test_nonlocal_sums_beyond_the_float_range_are_a_domain_error(material, field
     assert isinstance(outcome, DomainError)
     assert str(outcome) == (f"chi is not finite at z = {z:.6g} m, omega = {omega:.6g} rad/s; "
                             f"the inputs leave the float range")
+
+
+@pytest.mark.filterwarnings("error")
+def test_auto_keeps_the_nonlocal_model_where_the_skin_depth_underflows():
+    # omega Im sqrt(eps) underflows to 0: the skin depth is inf, as for a
+    # transparent medium, and auto gets the nonlocal model's outcome
+    material = Material("m", 4.239595127321693e-143, 8.399790211303438e+122,
+                        4.1889096082190928e-165)
+    z, omega = 3.9279509868819485e-108, 2.0049460104798446e-180
+    assert skin_depth(material, omega) == math.inf
+    auto, nonlocal_ = (evaluate_batch(material, "E", [z], omega, model)[0]
+                       for model in ("auto", "nonlocal-quasistatic"))
+    assert isinstance(auto, DomainError) and str(auto) == str(nonlocal_)
 
 
 @pytest.mark.parametrize("material,model,zs,omegas,message", [

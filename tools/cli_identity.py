@@ -10,11 +10,15 @@ new empty working directory that holds only the command's material
 file. The exit code, stdout, stderr and every file the command leaves
 in its working directory are compared. Each command that differs is
 printed with its first differing line per stream ("-" the parent's,
-"+" this checkout's); the exit status is 1 if any command differs,
-else 0.
+"+" this checkout's) and, for a stream or file that is JSON or CSV, the
+largest relative shift |new - old|/|old| of each numeric JSON key (list
+items pooled under "[]") or CSV column that moved; the exit status is 1
+if any command differs, else 0.
 """
 
 import difflib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -170,6 +174,49 @@ def first_difference(a: str, b: str) -> list:
     return [next((ln for ln in lines if ln.startswith(sign)), None) for sign in "-+"]
 
 
+def numbers(text: str) -> dict:
+    """{JSON key path or CSV column: its numbers} of a command's JSON or
+    CSV output ('#' lines skipped), or {} for other text."""
+    out = {}
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+        for row in rows[1:]:
+            for name, cell in zip(rows[0], row):
+                try:
+                    out.setdefault(name, []).append(float(cell))
+                except ValueError:
+                    pass
+        return out
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else key)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value, path + "[]")
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            out.setdefault(path, []).append(float(node))
+    walk(doc, "")
+    return out
+
+
+def shifts(a: str, b: str) -> dict:
+    """{name: largest relative shift} of the numeric keys or columns of two
+    outputs that hold as many numbers on both sides and moved."""
+    old, new = numbers(a), numbers(b)
+    out = {}
+    for name in old.keys() & new.keys():
+        if len(old[name]) == len(new[name]):
+            moved = max((abs(v - u) / abs(u) if u else abs(v) for u, v in zip(old[name], new[name])
+                         if math.isfinite(u) and math.isfinite(v) and u != v), default=0.0)
+            if moved:
+                out[name] = moved
+    return out
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not os.path.isfile(os.path.join(argv[0], "src", "ewjn", "cli.py")):
         print("usage: python3 tools/cli_identity.py PARENT_DIR (a checkout with src/ewjn)",
@@ -194,6 +241,10 @@ def main(argv) -> int:
                 for line in first_difference(parent.get(k, ""), change.get(k, "")):
                     if line is not None:
                         print(f"  {k}: {line[:160]}")
+                moved = k != "exit" and shifts(parent.get(k, ""), change.get(k, ""))
+                if moved:
+                    print(f"  {k} max relative shift: "
+                          + ", ".join(f"{name} {s:.2e}" for name, s in sorted(moved.items())))
     print(f"{differing} of {len(cases)} commands differ")
     return 1 if differing else 0
 
