@@ -252,6 +252,9 @@ def _polar_g(a):
 _P_LOW, _A_LOW, _A_HIGH = {"E": 1e-6, "B": 1e-16}, 1e-16, 1e6
 _WINDOW_END, _SPAN = 1e4, 40.0
 _POWERS = np.array([0, 2, 3, 4, 5, 6])
+# (2/pi) Integral_0^{pi/2} sin^m for each of _POWERS (Wallis)
+_WALLIS = np.array([math.gamma(k / 2.0 + 0.5) / math.gamma(k / 2.0 + 1.0) / math.sqrt(math.pi)
+                    for k in _POWERS.tolist()])[:, None]
 
 
 def _steps(material, k):
@@ -317,20 +320,18 @@ def _phi_series(material, omega, k):
 
 @functools.lru_cache(maxsize=MAX_HALVINGS + 1)
 def _beyond_table(h):
-    """(2/pi) B_m(e) of _beyond_window at e = 0 .. _SPAN/h, 0 at the last,
-    e^{-mMh} and (2/pi) Integral_0^{pi/2} sin^m, m = _POWERS: one table
-    per step h of the lattice. Beyond the table's last term, where
-    1/sqrt(e^{2u} - 1) is e^{-u} to 1e-34, the terms are one geometric sum."""
+    """(2/pi) B_m(e) of _beyond_window at e = 0 .. _SPAN/h, 0 at the last, and
+    e^{-mMh}, m = _POWERS: one table per step h of the lattice. Beyond the
+    table's last term, where 1/sqrt(e^{2u} - 1) is e^{-u} to 1e-34, the
+    terms are one geometric sum."""
     span, m = math.ceil(_SPAN / h), _POWERS[:, None]
-    j = np.arange(span + M, M, -1)
-    far = np.add.accumulate(np.hstack([
-        h * np.exp(-(m + 1.0) * (span + M + 1) * h) / -np.expm1(-(m + 1.0) * h),
-        h * np.exp(-m * j * h) / np.sqrt(np.expm1(2.0 * j * h))]), axis=1)[:, :0:-1]
+    decay, j = np.exp(-m * np.arange(span + M + 1) * h), np.arange(span + M, M, -1)
+    far = np.add.accumulate(decay[:, :M:-1] * (h / np.sqrt(np.expm1(2.0 * j * h))), axis=1)
+    tail = [h * math.exp(-(k + 1) * (span + M + 1) * h) / -math.expm1(-(k + 1) * h)
+            for k in _POWERS.tolist()]
     table = np.zeros((m.size, span + 1))
-    table[:, :span] = 2.0 / math.pi * np.exp(m * np.arange(span) * h) * far
-    wallis = [math.gamma(k / 2.0 + 0.5) / math.gamma(k / 2.0 + 1.0) / math.sqrt(math.pi)
-              for k in _POWERS.tolist()]
-    return table, np.exp(-m * M * h), np.array(wallis)[:, None]
+    table[:, :span] = 2.0 / math.pi * (far[:, ::-1] + np.array(tail)[:, None]) / decay[:, :span]
+    return table, decay[:, M:M + 1]
 
 
 def _beyond_window(coef, e, h):
@@ -342,12 +343,12 @@ def _beyond_window(coef, e, h):
     > e + M} e^{m(e - j)h} h/sqrt(e^{2jh} - 1), summed from the far end,
     and 0 from e = _SPAN/h on; for e < 0, a node with no window, e^{meh}
     Integral_0^{pi/2} sin^m (Wallis)."""
-    table, _, wallis = _beyond_table(h)
+    table = _beyond_table(h)[0]
     per_row = sum(coef[:, m, None] * table[m] for m in range(5))
     rows, at = np.arange(e.shape[0])[:, None], np.minimum(np.maximum(e, 0), table.shape[1] - 1)
     d, b, above = per_row[rows, at], table[5][at], np.nonzero(e < 0)
     if above[0].size:
-        terms = np.exp(_POWERS[:, None] * e[above] * h) * wallis
+        terms = np.exp(_POWERS[:, None] * e[above] * h) * _WALLIS
         d[above], b[above] = (coef[above[0]] * terms[:5].T).sum(axis=1), terms[5]
     return d, b
 
@@ -449,7 +450,7 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
         a_0 = phi[np.arange(end.size), end + M - phi_lo] - (
             series * _beyond_table(h)[1][1:5, 0]).sum(axis=1)
         a_0[np.abs(a_0) <= 8.0 * EPS] = 0.0
-        d, b_6 = _beyond_window(np.column_stack([a_0, series]), e, h)
+        d, b_6 = _beyond_window(np.concatenate([a_0[:, None], series], axis=1), e, h)
         one = 1.0 + r_p
         r_p -= one * one * d / (2.0 + one * d)
         s2 = (1.0 + r_p)**2
