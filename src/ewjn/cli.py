@@ -6,20 +6,21 @@ every column header and one column group per requested model. Exit
 codes: 0 success, 1 validation, 2 physics-domain error, 3 quadrature
 non-convergence.
 
-A sweep evaluates chi with one spectral.evaluate_batch call per model
+A sweep evaluates chi with one spectral.evaluate_columns call per model
 over the (z, omega) points of its grid, on every axis; the spectral
-layer groups the points, and rows are assembled in grid order.
-Temperature is never a point coordinate: a temperature sweep is one
-point with one cell per temperature. The cells of a model at a
-temperature are one relaxation.relax call on its points' tensors, and a
-figure is such a sweep over one row of a fixed spec table, written by
-the same table builder. A result that is not finite is a domain error,
-so JSON output never holds NaN or Infinity.
+layer groups the points and returns columns in grid order. Temperature
+is never a point coordinate: a temperature sweep is one point with one
+cell per temperature. The cells of a model at a temperature are one
+relaxation.relax call on its columns, and a figure is such a sweep over
+one row of a fixed spec table, written by the same table builder, one %
+for all rows. A result that is not finite is a domain error, so JSON
+output never holds NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -39,7 +40,7 @@ from .materials import (
 )
 from .quadrature import QuadratureConfig
 from .relaxation import _CHI_UNITS, QubitSpec, relax, relaxation_rate, t1 as compute_t1
-from .spectral import Model, evaluate, evaluate_batch, regime_select
+from .spectral import Model, evaluate, evaluate_columns, regime_select
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -74,10 +75,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(_EXIT_VALIDATION)
-
-
-def _fmt(x) -> str:
-    return _FMT % x
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -253,74 +250,69 @@ def _sweep_grid(args) -> list:
     return np.linspace(args.min, args.max, args.count).tolist()
 
 
-def _cells(outcomes, model, orientation, moment, temp) -> tuple:
-    """The cells of one model at one temperature from chi's outcome at
-    each point (a tensor, or the DomainError or QuadratureError): an
-    (n, 5) array of chi_xx, chi_zz, rate, t1 and chi_err, and the n
-    statuses. A failed outcome, or a DomainError of relax at the cell (a
-    negative temperature, a negative or non-finite rate), makes a cell
+def _cells(batch, omegas, model, orientation, moment, temp) -> tuple:
+    """The cells of one model at one temperature from its evaluate_columns
+    batch at omegas: an (n, 5) array of chi_xx, chi_zz, rate, t1 and
+    chi_err, and the n statuses. A failed point, or a DomainError of relax
+    (a negative temperature, a negative or non-finite rate), makes a cell
     of NaNs."""
-    values = np.full((len(outcomes), 5), math.nan)
-    ok_status = {m: "ok" if model != "auto" else f"ok:{m}" for m in Model}
-    statuses = ["quadrature-error" if isinstance(o, QuadratureError) else "domain-error"
-                if isinstance(o, Exception) else ok_status[o.model] for o in outcomes]
-    ok = [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
-    tensors = [outcomes[i] for i in ok]
-    rate, t1s, _, _, errors = relax(tensors, moment, orientation, temp)
-    chi = np.array([(t.chi_xx, t.chi_zz, t.error_estimate) for t in tensors]).reshape(-1, 3)
-    values[ok] = np.column_stack([chi[:, :2], rate, t1s, chi[:, 2]])
-    for i, exc in zip(ok, errors):
-        if exc:
-            values[i], statuses[i] = math.nan, "domain-error"
-    return values, statuses
+    cols, used, failed = batch
+    rate, t1s, _, _, lost = relax(cols, omegas, moment, orientation, temp)
+    values = np.array([cols[:, 0], cols[:, 1], rate, t1s, cols[:, 2]]).T
+    statuses = np.full(len(cols), "domain-error", dtype=object)
+    for m, idx in used.items():
+        statuses[idx] = "ok" if model != "auto" else f"ok:{m}"
+    bad = list(failed) + list(lost)
+    values[bad], statuses[bad] = math.nan, "domain-error"
+    statuses[[i for i, e in failed.items() if isinstance(e, QuadratureError)]] = "quadrature-error"
+    return values, statuses.tolist()
 
 
 def _sweep_cells(material, cfg, zs, omegas, temps, qubit, orientation, moment, models):
     """Evaluate a sweep: the cells (_cells) of each model at each of
     temps, model-major, over the (z, omega) points, which broadcast, and
-    the tensor of the last model at each point, or None where it failed.
-    chi is one evaluate_batch call per model. A qubit that fails its
-    checks makes every cell a domain error."""
-    zs, omegas = (a.tolist() for a in np.broadcast_arrays(zs, omegas))
+    the rs_part and rp_part columns of the last model (NaN where it failed
+    or has none), from one evaluate_columns call per model. A qubit that
+    fails its checks makes every cell a domain error."""
+    zs, omegas = np.broadcast_arrays(np.asarray(zs, dtype=float), omegas)
     kind, field_kind = _QUBITS[qubit][:2]
     try:
-        QubitSpec(kind, moment, orientation, omegas[0])
-        batches = [evaluate_batch(material, field_kind, zs, omegas, model, cfg)
+        QubitSpec(kind, moment, orientation, omegas[0].item())
+        batches = [evaluate_columns(material, field_kind, zs, omegas, model, cfg)
                    for model in models]
     except DomainError as exc:
-        batches = [[exc] * len(zs)] * len(models)
-    cells = [_cells(outcomes, model, orientation, moment, temp)
-             for model, outcomes in zip(models, batches) for temp in temps]
-    return cells, [None if isinstance(o, Exception) else o for o in batches[-1]]
+        batches = [(np.full((zs.size, 5), math.nan), {}, dict.fromkeys(range(zs.size), exc))]
+        batches *= len(models)
+    cells = [_cells(batch, omegas, model, orientation, moment, temp)
+             for model, batch in zip(models, batches) for temp in temps]
+    return cells, batches[-1][0][:, 3:]
 
 
 # the fields of a cell in a CSV line
 _CELL_FMT = f",{_FMT},{_FMT},{_FMT},{_FMT},{_FMT},%s"
 
 
-def _table(axis, grid, labels, units, cells, extra) -> list:
-    """CSV lines of a sweep or figure: the header, then one line per grid
-    value. Each label (a model, or a model at a temperature) heads the
-    six columns of its cells, (values, statuses) of _cells over the grid;
-    extra maps the name of each further chi column to its value per grid
-    value."""
+def _table(axis, grid, labels, units, cells, extra) -> str:
+    """The CSV text of a sweep or figure, with one % for all its rows:
+    the header, then one line per grid value. Each label (a model, or a
+    model at a temperature) heads the six columns of its cells, (values,
+    statuses) of _cells over the grid; extra maps the name of each
+    further chi column to its value per grid value."""
     header = [f"{axis}[{_AXIS_UNITS[axis]}]"]
     for label in labels:
         header += [f"{label}:chi_xx[{units}]", f"{label}:chi_zz[{units}]",
                    f"{label}:rate[1/s]", f"{label}:t1[s]", f"{label}:chi_err[{units}]",
                    f"{label}:status"]
     header += [f"{name}[{units}]" for name in extra]
-    columns = [(values.tolist(), statuses) for values, statuses in cells]
-    lines = [",".join(header)]
-    for i, axis_value in enumerate(grid):
-        line = _fmt(axis_value) + "".join(_CELL_FMT % (*values[i], statuses[i])
-                                          for values, statuses in columns)
-        lines.append(",".join([line] + [_fmt(column[i]) for column in extra.values()]))
-    return lines
+    columns = [grid] + [column for values, statuses in cells
+                        for column in (*values.T.tolist(), statuses)] + list(extra.values())
+    line = _FMT + _CELL_FMT * len(cells) + f",{_FMT}" * len(extra)
+    rows = "\n".join([line] * len(grid)) % tuple(itertools.chain.from_iterable(zip(*columns)))
+    return ",".join(header) + "\n" + rows
 
 
 def _worst_exit(cells) -> int:
-    statuses = {status for _, column in cells for status in column}
+    statuses = set().union(*(column for _, column in cells))
     if "domain-error" in statuses:
         return _EXIT_DOMAIN
     if "quadrature-error" in statuses:
@@ -353,7 +345,7 @@ def _cmd_sweep(args) -> int:
     units = _CHI_UNITS[_QUBITS[args.qubit][1]]
 
     if args.format == "csv":
-        text = "\n".join(_table(axis, grid, models, units, cells, {})) + "\n"
+        text = _table(axis, grid, models, units, cells, {}) + "\n"
     else:
         columns = [(values.tolist(), statuses) for values, statuses in cells]
         doc = {
@@ -422,9 +414,9 @@ def _bulk_reference_comments(material, omega, cfg, moment) -> list:
     chi_bulk = omega**2 / (EPS0 * C_LIGHT**2) * im_d
     rate = relaxation_rate(moment, chi_bulk)
     return [
-        f"bulk_reference_im_D[J*s/m] = {_fmt(im_d)} ({status})",
-        "bulk_ladder " + " ".join(f"({k:.3e},{_fmt(v)})" for k, v in series),
-        f"bulk_reference_t1[s] = {_fmt(1.0 / rate)}",
+        f"bulk_reference_im_D[J*s/m] = {_FMT % im_d} ({status})",
+        "bulk_ladder " + " ".join(f"({k:.3e},{_FMT % v})" for k, v in series),
+        f"bulk_reference_t1[s] = {_FMT % (1.0 / rate)}",
     ]
 
 
@@ -436,12 +428,12 @@ def _cmd_figure(args) -> int:
     orientation, lam_f = "x", material.fermi_wavelength
     if axis == "z":
         grid = np.geomspace(lam_f, 3000 * lam_f, 15).tolist()
-        zs, omegas, fixed = grid, [_OMEGA_DEFAULT], f"omega[rad/s] = {_fmt(_OMEGA_DEFAULT)}"
+        zs, omegas, fixed = grid, [_OMEGA_DEFAULT], f"omega[rad/s] = {_FMT % _OMEGA_DEFAULT}"
     else:
         grid = np.geomspace(1e7, 1e11, 17).tolist()
-        zs, omegas, fixed = [10 * lam_f], grid, f"z[m] = {_fmt(10 * lam_f)}"
-    cells, tensors = _sweep_cells(material, cfg, zs, omegas, temps, qubit, orientation, moment,
-                                  models)
+        zs, omegas, fixed = [10 * lam_f], grid, f"z[m] = {_FMT % (10 * lam_f)}"
+    cells, parts = _sweep_cells(material, cfg, zs, omegas, temps, qubit, orientation, moment,
+                                models)
 
     comments = [f"{args.name}: {qubit} qubit, orientation {orientation},"
                 f" material {material.name}", fixed]
@@ -452,16 +444,13 @@ def _cmd_figure(args) -> int:
         comments.append(f"model auto resolves to {auto} at the fixed point")
     labels = [model if len(temps) == 1 else f"{model}:T={temp:g}K"
               for model in models for temp in temps]
-    parts = [{} if tensor is None else tensor.decomposition for tensor in tensors]
-    extra = {f"chi_xx_{k}": [p.get(k, math.nan) for p in parts]
-             for k in ("rs_part", "rp_part") if decomposition}
-    lines = [f"# {c}" for c in comments] + _table(
-        axis, grid, labels, _CHI_UNITS[field_kind], cells, extra)
+    names = ("chi_xx_rs_part", "chi_xx_rp_part") if decomposition else ()
+    extra = dict(zip(names, parts.T.tolist()))
+    text = _table(axis, grid, labels, _CHI_UNITS[field_kind], cells, extra)
 
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"{args.name}.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "".join(f"# {c}\n" for c in comments) + text + "\n")
     print(f"wrote {path} ({len(grid)} rows)")
     for c in comments:
         print(f"  {c}")

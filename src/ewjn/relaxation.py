@@ -7,10 +7,10 @@ magnetic one (moment in J/T). The qubit is a point dipole; only the
 component along its orientation contributes, and the in-plane symmetry
 of the half-space makes x and y identical.
 
-relax is the one place that turns noise tensors, a moment, an
+relax is the one place that turns chi and error columns, a moment, an
 orientation and a temperature into rates and T1s, a batch of points at
 a time; t1 is a batch of one, and each CLI sweep relaxes a model's
-tensors at a temperature in one call. A negative or non-finite rate is
+columns at a temperature in one call. A negative or non-finite rate is
 a DomainError.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, require_positive_finite
 from .materials import HBAR, K_BOLTZMANN, Material
 from .quadrature import QuadratureConfig
-from .spectral import Model, SpectralDensityTensor, evaluate
+from .spectral import Model, _distinct, evaluate
 
 _KINDS = ("electric-dipole", "magnetic-dipole")
 _ORIENTATIONS = ("x", "y", "z")
@@ -100,58 +100,54 @@ def relaxation_rate(moment: float, chi, factor=1.0):
         raise DomainError("(moment/hbar)^2 overflows") from None
 
 
-def relax(tensors, moment: float, orientation: str, temperature: float) -> tuple:
-    """Rates, T1s, rate errors and thermal factors (arrays), and each
-    cell's DomainError or None, of a dipole along orientation (as QubitSpec
-    checks them) at temperature, from the noise tensors of a batch of
-    points; the factor is computed once per distinct omega. A cell gets
-    its omega's thermal_factor error, else that of a (moment/hbar)^2 that
-    overflows, else one naming the chi component of a rate that is not
-    finite or negative: chi holds the field reflected by the medium
-    alone, without the free-space term, and can be negative in the far
-    field. t1 = 1/rate, and inf at rate 0, where the medium does not relax.
-    """
+def relax(columns, omegas, moment: float, orientation: str, temperature: float) -> tuple:
+    """Rates, T1s, rate errors and thermal factors (arrays), and {index:
+    DomainError} of the failed cells, of a dipole along orientation (as
+    QubitSpec checks them) at temperature, from columns chi_xx, chi_zz and
+    error of chi (spectral.evaluate_columns's first three) at omegas; the
+    factor is computed once per distinct omega. A cell gets its omega's
+    thermal_factor error, else that of a (moment/hbar)^2 that overflows,
+    else one naming the chi component of a rate that is not finite or
+    negative: chi holds the field reflected by the medium alone, without
+    the free-space term, and can be negative in the far field. t1 =
+    1/rate, and inf at rate 0, where the medium does not relax."""
     component = _COMPONENT[orientation]
-    factor_of, errors = {}, [None] * len(tensors)
-    for w in {t.omega for t in tensors}:
+    distinct, at = _distinct(omegas)
+    factors, lost = np.empty(distinct.size), {}
+    for k, w in enumerate(distinct.tolist()):
         try:
-            factor_of[w] = thermal_factor(w, temperature)
+            factors[k] = thermal_factor(w, temperature)
         except DomainError as exc:
-            factor_of[w] = math.nan
-            errors = [exc if t.omega == w else e for t, e in zip(tensors, errors)]
-    chi, err, factor = np.array([(getattr(t, "chi_" + component), t.error_estimate,
-                                  factor_of[t.omega]) for t in tensors]).reshape(-1, 3).T
+            factors[k], lost[k] = math.nan, exc
+    factor = factors[at]
+    failed = {i: lost[k] for i, k in enumerate(at.tolist()) if k in lost} if lost else {}
     with np.errstate(all="ignore"):
         try:
-            rate, error = [relaxation_rate(moment, v, factor) for v in (chi, err)]
+            rate, error = [relaxation_rate(moment, columns[:, c], factor)
+                           for c in (0 if component == "xx" else 1, 2)]
         except DomainError as exc:
-            rate = error = np.full(len(tensors), math.nan)
-            errors = [e or exc for e in errors]
+            rate = error = np.full(len(factor), math.nan)
+            failed = {i: failed.get(i, exc) for i in range(len(factor))}
         t1s = np.divide(1.0, rate, out=np.full(rate.shape, math.inf), where=rate > 0)
     for i in np.flatnonzero(~(rate >= 0) | (rate == math.inf)).tolist():
         r = rate[i].item()
-        errors[i] = errors[i] or DomainError(
+        failed.setdefault(i, DomainError(
             f"rate from chi_{component} is not finite ({r} 1/s); the inputs leave the float "
             "range" if not math.isfinite(r) else f"reflected chi_{component} is negative (rate "
-            f"{r:.3e} 1/s); the free-space term is not included, so no T1 follows")
-    return rate, t1s, error, factor, errors
+            f"{r:.3e} 1/s); the free-space term is not included, so no T1 follows"))
+    return rate, t1s, error, factor, failed
 
 
-def t1(
-    material: Material,
-    qubit: QubitSpec,
-    z: float,
-    temperature: float = 0.0,
-    model: Model | str = Model.AUTO,
-    cfg: QuadratureConfig | None = None,
-) -> RelaxationResult:
+def t1(material: Material, qubit: QubitSpec, z: float, temperature: float = 0.0,
+       model: Model | str = Model.AUTO, cfg: QuadratureConfig | None = None) -> RelaxationResult:
     """Relaxation time of the qubit at height z above the half-space:
     evaluate, then relax as a batch of one; its DomainError raises."""
     tensor = evaluate(material, qubit.field_kind, z, qubit.level_splitting, model, cfg)
-    rate, t1s, error, factor, [exc] = relax([tensor], qubit.moment, qubit.orientation,
-                                            temperature)
-    if exc:
-        raise exc
+    rate, t1s, error, factor, failed = relax(
+        np.array([[tensor.chi_xx, tensor.chi_zz, tensor.error_estimate]]),
+        np.array([tensor.omega]), qubit.moment, qubit.orientation, temperature)
+    if failed:
+        raise failed[0]
     component = _COMPONENT[qubit.orientation]
     return RelaxationResult(rate.item(), t1s.item(), component,
                             getattr(tensor, "chi_" + component), _CHI_UNITS[tensor.field_kind],

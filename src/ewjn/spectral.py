@@ -15,21 +15,21 @@ regime_select picks a model from the physical scales: nonlocal effects
 matter within tens of Fermi wavelengths of the surface, retardation
 within a fraction of the skin depth of the far field.
 
-Every model is one batch function of an array of (z, omega) points, and
-evaluate_batch, the one evaluation path, groups the points by model and
-makes one call per model; evaluate is a batch of one. A batch gives
-each point the bits and the error that the point gets alone. Both
+Every model is one batch function of (z, omega) points that returns
+columns, and evaluate_columns, the one evaluation path, groups the
+points by model, makes one call per model and checks the columns by
+masks; evaluate_batch adds tensors, and evaluate is a batch of one. A
+batch gives each point the bits and the error it gets alone. Both
 integral models are trapezoid sums on a log lattice that all the points
 of one omega share, whose step halves by quadrature.lattice_sums's rule.
 A nonlocal point is a sum in ln p of its r_p channel and, for B, one in
 ln k of its r_s channel, on a lattice anchored at 2 k_F whose I_p
-windows end at a fixed k_c, above which 1/eps_l - 1 is its series in
-1/k and its part of I_p a sum in closed form (_nonlocal_quasistatic);
-a local-retarded point
-is one integral over a log-mapped axis, the vacuum normal wavevector q
-near the surface and the line q = omega/c + i t far from it, whose sums
-near the surface are series in z on moments of the lattice that all
-heights share (_local_retarded).
+windows end at a fixed k_c, above which 1/eps_l - 1 is its series in 1/k
+and its part of I_p a sum in closed form (_nonlocal_quasistatic); a
+local-retarded point is one integral over a log-mapped axis, the vacuum
+normal wavevector q near the surface and the line q = omega/c + i t far
+from it, whose sums near the surface are series in z on moments of the
+lattice that all heights share (_local_retarded).
 """
 
 from __future__ import annotations
@@ -125,6 +125,14 @@ def regime_select(material: Material, z: float, omega: float) -> Model:
     return Model.LOCAL_RETARDED
 
 
+def _distinct(values):
+    """np.unique(values, return_inverse=True) of a float array, a NaN
+    mapped to the first NaN, at a fifth of its first call's cost."""
+    distinct = np.array(list(set(values.tolist())))
+    distinct.sort()
+    return distinct, distinct.searchsorted(values)
+
+
 def _nonlocal_below(material: Material, omega: float) -> float:
     """z below which the nonlocal model is kept at omega, from which the
     retarded one takes over."""
@@ -132,45 +140,52 @@ def _nonlocal_below(material: Material, omega: float) -> float:
                _RETARDED_Z_FRACTION * skin_depth(material, omega))
 
 
-# A model's batch function maps (material, field_kind, zs, omegas, cfg),
-# one omega per z, to one outcome per point: a QuadratureError or
-# DomainError, or the values (chi_xx, chi_zz, error_estimate,
-# decomposition) of the tensor.
+def _pow(x, n):
+    """x**n on Python floats (numpy's power rounds otherwise), inf on overflow."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
 
-def _local_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
-    """The closed forms at every point.
+
+# A model's batch function maps (material, field_kind, zs, omegas, cfg),
+# lists of Python floats with one omega per z, to (columns, failed): the
+# (n, 5) chi_xx, chi_zz, error_estimate, rs_part and rp_part (NaN where the
+# model has no decomposition; any values at a failed point) and {index:
+# QuadratureError or DomainError} of the failed points.
+
+def _local_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
+    """The closed forms at every point, as array products and quotients.
 
       E: chi_xx = hbar/(8 eps0 z^3) Im[(eps-1)/(eps+1)], chi_zz = 2 chi_xx
       B: chi_zz = hbar omega^2/(8 eps0 c^4 z) Im eps, chi_xx = chi_zz/2
 
     The magnetic form holds well below the skin depth; its 1/z growth
-    saturates near delta in the retarded treatment. Each point runs on
-    Python floats, since numpy's power rounds differently from **. An
-    electric point whose z^3 overflows or whose 8 eps0 z^3 underflows to
-    0, and a magnetic point whose omega^2 overflows, gets a DomainError.
+    saturates near delta in the retarded treatment. An electric point
+    whose z^3 (_pow) overflows or whose 8 eps0 z^3 underflows to 0, and a
+    magnetic point whose omega^2 overflows, gets a DomainError.
     """
-    eps_of = {w: drude_epsilon(material, w) for w in set(omegas)}
-    out = []
-    for z, omega in zip(zs, omegas):
-        eps = eps_of[omega]
-        try:
-            power = z**3 if field_kind == "E" else omega**2
-        except OverflowError:
-            out.append(DomainError(f"z = {z:.6g} m is too large: z^3 overflows"
-                                   if field_kind == "E" else
-                                   f"omega = {omega:.6g} rad/s is too large: omega^2 overflows"))
-            continue
-        if field_kind == "E":
+    electric, (distinct, at) = field_kind == "E", _distinct(np.array(omegas))
+    im = np.array([((e - 1.0) / (e + 1.0) if electric else e).imag
+                   for e in (drude_epsilon(material, w) for w in distinct.tolist())])[at]
+    power = np.array([_pow(x, 3 if electric else 2) for x in (zs if electric else omegas)])
+    cols = np.full((len(zs), 5), math.nan)
+    with np.errstate(all="ignore"):
+        if electric:
             cube = 8.0 * EPS0 * power
-            if cube == 0:
-                out.append(DomainError(f"z = {z:.6g} m is too small: 8 eps0 z^3 underflows to 0"))
-                continue
-            chi_xx = HBAR / cube * ((eps - 1.0) / (eps + 1.0)).imag
-            out.append((chi_xx, 2.0 * chi_xx, 0.0, {}))
+            cols[:, 0] = HBAR / cube * im
+            cols[:, 1] = 2.0 * cols[:, 0]
         else:
-            chi_zz = HBAR * power / (8.0 * EPS0 * C_LIGHT**4 * z) * eps.imag
-            out.append((0.5 * chi_zz, chi_zz, 0.0, {}))
-    return out
+            cols[:, 1] = HBAR * power / (8.0 * EPS0 * C_LIGHT**4 * np.array(zs)) * im
+            cols[:, 0] = 0.5 * cols[:, 1]
+    cols[:, 2] = 0.0
+    failed = {i: DomainError(f"z = {zs[i]:.6g} m is too large: z^3 overflows" if electric else
+                             f"omega = {omegas[i]:.6g} rad/s is too large: omega^2 overflows")
+              for i in np.flatnonzero(power == math.inf).tolist()}
+    if electric:
+        failed.update((i, DomainError(f"z = {zs[i]:.6g} m is too small: 8 eps0 z^3 underflows "
+                                      f"to 0")) for i in np.flatnonzero(cube == 0).tolist())
+    return cols, failed
 
 
 def _tail_cut(share: float) -> tuple:
@@ -376,7 +391,7 @@ def _refine(old, old_lo, at, lo, hi, h, kernel):
     return new, int(n[0])
 
 
-def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
+def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
     """The nonlocal quasistatic integrals at every point, as one batch.
 
     E: chi_zz = (hbar/eps0) Integral_0^inf dp p^2 e^{-2pz} Im r_p(p),
@@ -408,10 +423,11 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
     cfg = cfg or QuadratureConfig()
     ranges = {w: _nonlocal_range(material, w) for w in set(omegas)}
     out = [_nonlocal_cuts(material, field_kind, z, ranges[w]) for z, w in zip(zs, omegas)]
-    running = [k for k, cuts in enumerate(out) if not isinstance(cuts, DomainError)]
+    failed = {k: cuts for k, cuts in enumerate(out) if isinstance(cuts, DomainError)}
+    running = [k for k in range(len(zs)) if k not in failed]
     # one lattice per omega of the running points; its window end n_c in steps
     # of H0, held M steps below the lattice's top, 1e3 hi, and phi's series there
-    distinct, row = np.unique([omegas[k] for k in running], return_inverse=True)
+    distinct, row = _distinct(np.array([omegas[k] for k in running]))
     two_kf, ends = 2.0 * material.fermi_wavevector, []
     for _, hi, edge in (ranges[w] for w in distinct.tolist()):
         top = math.floor(_steps(material, 1e3 * hi)) - M
@@ -489,27 +505,28 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> list:
         return np.array(values), np.array(errs)
 
     # a point's non-finite sums, kernel values included, become a DomainError
-    # of evaluate_batch, without warnings
+    # of evaluate_columns, without warnings
     with np.errstate(all="ignore"):
         values, errs, missed = lattice_sums(len(running), sums, cfg)
+    cols = np.full((len(zs), 5), math.nan)
     for k, v, e, miss in zip(running, values.tolist(), errs.tolist(), missed.tolist()):
-        out[k] = _nonlocal_outcome(field_kind, omegas[k], zs[k], v, e, miss, cfg)
-    return out
+        cols[k], failed[k] = _nonlocal_outcome(field_kind, omegas[k], zs[k], v, e, miss, cfg)
+    return cols, {k: exc for k, exc in failed.items() if exc}
 
 
 def _nonlocal_outcome(field_kind, omega, z, values, errs, missed, cfg):
-    """A point's outcome from its sums (E: r_p; B: r_p, k-sum) and errors."""
+    """A point's columns from its sums (E: r_p; B: r_p, k-sum) and errors,
+    and its QuadratureError if it missed rel_tol, else None."""
     if field_kind == "E":
         chi_zz, err = HBAR / EPS0 * values[0], HBAR / EPS0 * errs[0]
-        outcome = (0.5 * chi_zz, chi_zz, err, {})
+        outcome = (0.5 * chi_zz, chi_zz, err, math.nan, math.nan)
     else:
         scale_zz = HBAR * omega**2 / (2.0 * math.pi * EPS0 * C_LIGHT**4 * z)
         rp_scale = 0.5 * HBAR / (EPS0 * C_LIGHT**2) * (omega / C_LIGHT) ** 2
         chi_zz, rp_part = scale_zz * values[1], rp_scale * values[0]
         err = scale_zz * errs[1] + rp_scale * errs[0]
-        outcome = (0.5 * chi_zz + rp_part, chi_zz, err,
-                   {"rs_part": 0.5 * chi_zz, "rp_part": rp_part})
-    return not_converged("nonlocal", cfg, chi_zz, err) if missed else outcome
+        outcome = (0.5 * chi_zz + rp_part, chi_zz, err, 0.5 * chi_zz, rp_part)
+    return outcome, not_converged("nonlocal", cfg, chi_zz, err) if missed else None
 
 
 # The local-retarded lattice: s_n = nh, x_n = (omega/c) e^{s_n}. A sum starts
@@ -567,7 +584,7 @@ def _phase(z, omega):
     return cmath.exp(1j * (q := float(phase))) * cmath.exp(1j * float(phase - Fraction(q)))
 
 
-def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
+def _local_retarded(material, field_kind, zs, omegas, cfg) -> tuple:
     """The local retarded integrals at every point, as one batch.
 
     chi = scale * (I_xx, I_zz), scale = hbar/eps0 (E) or hbar/(eps0 c^2) (B),
@@ -592,8 +609,8 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
     DomainError if its integrand would leave the float range or its eps
     rounds to 1.
     """
-    cfg, out = cfg or QuadratureConfig(), [None] * len(zs)
-    distinct, row = np.unique(omegas, return_inverse=True)
+    cfg, failed = cfg or QuadratureConfig(), {}
+    distinct, row = _distinct(np.array(omegas))
     eps_r = np.array([drude_epsilon(material, w) for w in distinct.tolist()])
     w_c_of, z_of = distinct / C_LIGHT, np.asarray(zs, dtype=float)
     w_c, w, size = w_c_of.tolist(), w_c_of[row], np.abs(eps_r)[row]
@@ -606,16 +623,15 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
         # ln(1/(2 z omega/c)) in steps of H0; per sector (points, first, last)
         scale_n = np.where(fits, np.log(0.5 / (z_of * w)) / H0, 0.0)
         far = 2.0 * z_of * w >= _CONTOUR_FROM
-    for i in np.flatnonzero(~fits | (eps_r.real == 1.0)[row]).tolist():
-        if not fits[i]:
-            out[i] = DomainError(f"z = {zs[i]:.6g} m, omega = {omegas[i]:.6g} rad/s: the "
-                                 f"local-retarded integrand leaves the float range")
-        elif material.plasma_frequency**2 != 0:
-            # eps - 1 has lost its real part, and r_s, r_p = (a - b)/(a + b) all digits
-            out[i] = DomainError(f"omega = {omegas[i]:.6g} rad/s is too large for "
-                                 f"{material.name}: its Drude permittivity rounds to 1 and "
-                                 f"the Fresnel coefficients keep no digit")
-    ok = np.flatnonzero([o is None for o in out])
+    # eps - 1 that lost its real part (omega_p^2 != 0) leaves r_s, r_p no digit
+    lost = ~fits | ((eps_r.real == 1.0)[row] & (material.plasma_frequency**2 != 0))
+    for i in np.flatnonzero(lost).tolist():
+        failed[i] = DomainError(
+            f"z = {zs[i]:.6g} m, omega = {omegas[i]:.6g} rad/s: the local-retarded integrand "
+            f"leaves the float range" if not fits[i] else f"omega = {omegas[i]:.6g} rad/s is "
+            f"too large for {material.name}: its Drude permittivity rounds to 1 and the "
+            f"Fresnel coefficients keep no digit")
+    ok = np.flatnonzero(~lost)
     low = {k: -round(v / H0) for k, v in _LOW_SPAN.items()}
     last = np.floor(scale_n + math.log(_DECAY_CUT) / H0).astype(int)
     zero = np.zeros_like(last)
@@ -690,13 +706,15 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> list:
                               + end * ((1 + 3 / y + 6 / y**2 + 6 / y**3) / y)[:, None] + h * err)
         return values[live], errs[live]
 
-    # a point's non-finite sums become a DomainError of evaluate_batch
+    # a point's non-finite sums become a DomainError of evaluate_columns
     scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)
     values, errs, missed = lattice_sums(ok.size, sums, cfg)
-    chi, errs = (scale * values).tolist(), (scale * errs.max(axis=1, initial=0.0)).tolist()
-    for i, (xx, zz), err, miss in zip(ok.tolist(), chi, errs, missed.tolist()):
-        out[i] = not_converged("local-retarded", cfg, zz, err) if miss else (xx, zz, err, {})
-    return out
+    cols = np.full((len(zs), 5), math.nan)
+    cols[ok, :2], cols[ok, 2] = scale * values.reshape(-1, 2), scale * errs.max(axis=1, initial=0.0)
+    missed = ok[missed]
+    for i, zz, err in zip(missed.tolist(), cols[missed, 1].tolist(), cols[missed, 2].tolist()):
+        failed[i] = not_converged("local-retarded", cfg, zz, err)
+    return cols, failed
 
 
 _BATCH = {
@@ -706,92 +724,88 @@ _BATCH = {
 }
 
 
-def evaluate_batch(
-    material: Material,
-    field_kind: str,
-    zs,
-    omega,
-    model: Model | str = Model.AUTO,
-    cfg: QuadratureConfig | None = None,
-) -> list:
-    """evaluate at every (z, omega) point, as outcomes.
-
-    omega is one frequency for every z of zs, or one per z; any other
-    length raises DomainError. Outcome i is the tensor at point i, or
-    the DomainError or QuadratureError that evaluate would raise there.
-    model="auto" resolves per point; the points of each model then run
-    as one batch, with the outcomes a point-by-point run would give. A
-    point whose chi_xx, chi_zz or error_estimate is not finite (its
-    inputs leave the float range) gets a DomainError, and so does a
+def evaluate_columns(material: Material, field_kind: str, zs, omega,
+                     model: Model | str = Model.AUTO, cfg: QuadratureConfig | None = None) -> tuple:
+    """evaluate_batch's points as (columns, used, failed): the models'
+    (n, 5) columns, {model: indices of its points} and {index: DomainError
+    or QuadratureError} of the failed points, whose rows are NaN. omega is
+    one frequency for every z of zs, or one per z; any other length raises
+    DomainError. model="auto" resolves per point; the points of each model
+    then run as one batch, with the outcomes a point-by-point run would
+    give. A point whose chi_xx, chi_zz or error_estimate is not finite
+    (its inputs leave the float range) gets a DomainError, and so does a
     point whose omega fails _drude_scales_error and a point of the
     integral models whose |chi_xx| or |chi_zz| underflows below the
     smallest normal float (a subnormal keeps a few bits, or none) where
-    the metal responds (its omega_p^2 is not 0).
-    """
+    the metal responds (omega_p^2 != 0)."""
     if field_kind not in ("E", "B"):
         raise DomainError("field_kind must be 'E' or 'B'")
     model = Model(model)
-    omegas = np.ravel(np.asarray(omega, dtype=float)).tolist()
-    if len(omegas) == 1:
-        omegas *= len(zs)
-    if len(omegas) != len(zs):
+    z_of, w_of = np.asarray(zs, dtype=float), np.ravel(np.asarray(omega, dtype=float))
+    if w_of.size not in (1, z_of.size):
         raise DomainError("omega must be one value or one per z")
-    out = [None] * len(zs)
-    z_of, w_of = np.asarray(zs, dtype=float), np.asarray(omegas)
+    w_of = w_of.repeat(z_of.size if w_of.size == 1 else 1)
+    cols, failed = np.full((z_of.size, 5), math.nan), {}
     run = (z_of > 0) & (z_of < math.inf) & (w_of > 0) & (w_of < math.inf)
     for i in np.flatnonzero(~run).tolist():
         try:
-            require_positive_finite("z", zs[i])
-            require_positive_finite("omega", omegas[i])
+            require_positive_finite("z", z_of[i].item())
+            require_positive_finite("omega", w_of[i].item())
         except DomainError as exc:
-            out[i] = exc
+            failed[i] = exc
     run = np.flatnonzero(run)
     # per distinct omega: its DomainError, or None
-    distinct, at = np.unique(w_of[run], return_inverse=True)
-    distinct = distinct.tolist()
+    distinct, at = _distinct(w_of[run])
     errors = [_drude_scales_error(material, w, model is not Model.LOCAL_QUASISTATIC)
-              for w in distinct]
-    failed = np.array([e is not None for e in errors], dtype=bool)[at]
-    for i, k in zip(run[failed].tolist(), at[failed].tolist()):
-        out[i] = errors[k]
-    run, at = run[~failed], at[~failed]
-    by_model = {model: run}
+              for w in distinct.tolist()]
+    bad = np.array([e is not None for e in errors], dtype=bool)[at]
+    failed.update(zip(run[bad].tolist(), [errors[k] for k in at[bad].tolist()]))
+    run, at = run[~bad], at[~bad]
+    used = {model: run}
     if model is Model.AUTO:
         below = np.array([math.nan if e else _nonlocal_below(material, w)
-                          for w, e in zip(distinct, errors)])
+                          for w, e in zip(distinct.tolist(), errors)])
         near = z_of[run] < below[at]
-        by_model = {Model.NONLOCAL_QUASISTATIC: run[near], Model.LOCAL_RETARDED: run[~near]}
-    for m, idx in by_model.items():
-        idx, closed_form = idx.tolist(), m is Model.LOCAL_QUASISTATIC
-        if not idx:
+        used = {Model.NONLOCAL_QUASISTATIC: run[near], Model.LOCAL_RETARDED: run[~near]}
+    for m, idx in used.items():
+        if not idx.size:
             continue
-        outcomes = _BATCH[m](material, field_kind, [zs[i] for i in idx],
-                             [omegas[i] for i in idx], cfg)
-        for i, outcome in zip(idx, outcomes):
-            if isinstance(outcome, Exception):
-                out[i] = outcome
-            elif not all(map(math.isfinite, outcome[:3])):
-                out[i] = DomainError(f"chi is not finite at z = {zs[i]:.6g} m, omega = "
-                                     f"{omegas[i]:.6g} rad/s; the inputs leave the float range")
-            elif (not closed_form and min(map(abs, outcome[:2])) < sys.float_info.min
-                  and material.plasma_frequency**2 != 0):
-                out[i] = DomainError(f"chi underflows at z = {zs[i]:.6g} m, omega = "
-                                     f"{omegas[i]:.6g} rad/s; the inputs leave the float range")
-            else:
-                chi_xx, chi_zz, err, parts = outcome
+        cols[idx], lost = _BATCH[m](material, field_kind, z_of[idx].tolist(),
+                                    w_of[idx].tolist(), cfg)
+        chi = cols[idx, :3]
+        infinite = ~np.isfinite(chi).all(axis=1)
+        tiny = (~infinite & (np.minimum(abs(chi[:, 0]), abs(chi[:, 1])) < sys.float_info.min)
+                & (m is not Model.LOCAL_QUASISTATIC) & (material.plasma_frequency**2 != 0))
+        failed.update(zip(idx[list(lost)].tolist(), lost.values()))
+        for i, kind in zip(idx[infinite | tiny].tolist(), tiny[infinite | tiny].tolist()):
+            failed.setdefault(i, DomainError(
+                f"chi {'underflows' if kind else 'is not finite'} at z = {z_of[i]:.6g} m, "
+                f"omega = {w_of[i]:.6g} rad/s; the inputs leave the float range"))
+    cols[list(failed)] = math.nan
+    return cols, used, failed
+
+
+def evaluate_batch(material: Material, field_kind: str, zs, omega,
+                   model: Model | str = Model.AUTO, cfg: QuadratureConfig | None = None) -> list:
+    """evaluate at every (z, omega) point, as outcomes: outcome i is the
+    tensor at point i, or the DomainError or QuadratureError that
+    evaluate would raise there (evaluate_columns, whose columns the
+    tensors carry)."""
+    cols, used, failed = evaluate_columns(material, field_kind, zs, omega, model, cfg)
+    omegas = np.broadcast_to(np.ravel(np.asarray(omega, dtype=float)), len(cols)).tolist()
+    out = [failed.get(i) for i in range(len(cols))]
+    for m, idx in used.items():
+        for i, (chi_xx, chi_zz, err, rs_part, rp_part) in zip(idx.tolist(), cols[idx].tolist()):
+            if out[i] is None:
+                parts = {} if math.isnan(rs_part) else {"rs_part": rs_part, "rp_part": rp_part}
                 out[i] = SpectralDensityTensor(field_kind, chi_xx, chi_zz, zs[i], omegas[i], m,
                                                err, parts)
     return out
 
 
-def evaluate(
-    material: Material,
-    field_kind: str,
-    z: float,
-    omega: float,
-    model: Model | str = Model.AUTO,
-    cfg: QuadratureConfig | None = None,
-) -> SpectralDensityTensor:
+def evaluate(material: Material, field_kind: str, z: float, omega: float,
+             model: Model | str = Model.AUTO,
+             cfg: QuadratureConfig | None = None) -> SpectralDensityTensor:
     """Evaluate one noise tensor, resolving model="auto" by regime."""
     [outcome] = evaluate_batch(material, field_kind, [z], omega, model, cfg)
     if isinstance(outcome, Exception):

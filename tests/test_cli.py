@@ -181,10 +181,10 @@ def test_sweep_temperature_axis_evaluates_chi_once_per_model(capsys, monkeypatch
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return evaluate_batch(*args, **kwargs)
+        return evaluate_columns(*args, **kwargs)
 
-    evaluate_batch = ewjn.cli.evaluate_batch
-    monkeypatch.setattr(ewjn.cli, "evaluate_batch", counting)
+    evaluate_columns = ewjn.cli.evaluate_columns
+    monkeypatch.setattr(ewjn.cli, "evaluate_columns", counting)
     # chi at the one point of a temperature sweep, and at every point of
     # an omega sweep: one call per model either way
     for axis, lo, hi, points in (("temperature", "0", "3", 1), ("omega", "1e8", "1e10", 4)):
@@ -244,6 +244,28 @@ def test_sweep_json_format(capsys):
     assert len(doc["rows"]) == 3
     assert all(row["status"] == "ok" for row in doc["rows"])
     assert doc["rows"][0]["model"] == "local-quasistatic"
+
+
+def test_sweep_csv_fields_are_the_json_values(capsys):
+    # the CSV table is formatted in one %: each field is "%.8e" of the
+    # value that the JSON rows hold (null for nan, "inf" for inf), beside
+    # the same status, over failed and ok cells of two models
+    argv = ["sweep", "--axis", "z", "--min", "1e-300", "--max", "1e-8", "--count", "3",
+            "--models", "local-quasistatic,auto"]
+    code, out, _ = run_cli(argv, capsys)
+    json_code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == json_code == 2
+    header, lines = parse_csv(out)
+    rows = loads(json_out)["rows"]
+    assert len(header) == 13 and len(lines) == 3 and len(rows) == 6
+    number = {None: math.nan, "inf": math.inf}
+    for k, row in enumerate(rows):
+        line, m = lines[k // 2], k % 2
+        assert line[0] == "%.8e" % row["axis_value"]
+        assert line[1 + 6 * m:7 + 6 * m] == [
+            "%.8e" % number.get(row[key], row[key])
+            for key in ("chi_xx", "chi_zz", "rate_per_s", "t1_s", "chi_err")] + [row["status"]]
+    assert {row["status"] for row in rows} == {"domain-error", "ok", "ok:nonlocal-quasistatic"}
 
 
 def test_sweep_cells_equal_t1_bitwise(capsys, tmp_path):

@@ -30,6 +30,7 @@ from ewjn import (
     regime_select,
 )
 from ewjn.materials import C_LIGHT, E_CHARGE, EPS0, HBAR, drude_epsilon, skin_depth
+from ewjn.spectral import _local_quasistatic, evaluate_columns
 from adaptive import integrate_lockstep
 
 from conftest import inner, integrate_power_tails, kappa_chi, kappa_r_p, t_grid
@@ -1353,6 +1354,89 @@ def test_evaluate_batch_domain_error_stays_at_its_point(copper, omega0, lam_f, m
                                       QuadratureConfig(rel_tol=1e-6))
     assert tensor.model is Model(model)
     assert isinstance(infinite, DomainError)
+
+
+# (z, omega) points beside good ones at 1e-8 and 1e-6 m: every failure path
+# of the batch functions and of evaluate_columns's own checks
+_MIXED = [(1e-8, 6e8 * math.pi), (1e120, 6e8 * math.pi), (1e-300, 6e8 * math.pi),
+          (1e-8, 1e200), (1e-110, 6e8 * math.pi), (1e-8, 1e-200), (1e-6, 6e8 * math.pi),
+          (0.0, 6e8 * math.pi), (1e-8, -1.0), (math.inf, 6e8 * math.pi),
+          (math.nan, 6e8 * math.pi)]
+# the text of the failure at each of those points, by (model, field, rel_tol)
+_MIXED_FAILURES = {
+    ("local-quasistatic", "E", 1e-8): {1: "z^3 overflows", 2: "8 eps0 z^3 underflows to 0"},
+    ("local-quasistatic", "B", 1e-8): {3: "omega^2 overflows"},
+    ("nonlocal-quasistatic", "E", 1e-8): {2: "its cut wavevector", 4: "chi is not finite"},
+    ("nonlocal-quasistatic", "B", 1e-8): {5: "chi underflows"},
+    ("local-retarded", "E", 1e-8): {2: "integrand leaves the float range"},
+    ("local-retarded", "E", 1e-16): {0: "local-retarded lattice sums not converged"},
+}
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-16])
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+@pytest.mark.parametrize("model", ["local-quasistatic", "nonlocal-quasistatic",
+                                   "local-retarded", "auto"])
+def test_columns_carry_every_outcome_at_its_index(copper, model, field_kind, rel_tol):
+    # evaluate_batch's tensors carry evaluate_columns's rows bit for bit, a
+    # failed point keeps its exception, type and text, at its index with a
+    # NaN row, and every point is what evaluate gives or raises alone
+    cfg = QuadratureConfig(rel_tol=rel_tol)
+    zs, omegas = (list(v) for v in zip(*_MIXED))
+    cols, used, failed = evaluate_columns(copper, field_kind, zs, omegas, model, cfg)
+    batch = evaluate_batch(copper, field_kind, zs, omegas, model, cfg)
+    assert cols.shape == (len(zs), 5)
+    for i, text in _MIXED_FAILURES.get((model, field_kind, rel_tol), {}).items():
+        assert text in str(failed[i])
+    # at the default rel_tol the points at 1e-8 and 1e-6 m are good
+    assert rel_tol < 1e-8 or not isinstance(batch[0], Exception)
+    for i, (z, omega, outcome) in enumerate(zip(zs, omegas, batch)):
+        try:
+            alone = evaluate(copper, field_kind, z, omega, model, cfg)
+        except (DomainError, QuadratureError) as exc:
+            alone = exc
+        if isinstance(outcome, Exception):
+            assert type(outcome) is type(failed[i]) is type(alone)
+            assert str(outcome) == str(failed[i]) == str(alone)
+            assert _hex(cols[i]) == ["nan"] * 5
+            if isinstance(alone, QuadratureError):
+                assert (outcome.best_estimate, outcome.error_bound) \
+                    == (alone.best_estimate, alone.error_bound)
+            continue
+        assert i not in failed and i in used[outcome.model].tolist()
+        parts = outcome.decomposition
+        row = [outcome.chi_xx, outcome.chi_zz, outcome.error_estimate,
+               parts.get("rs_part", math.nan), parts.get("rp_part", math.nan)]
+        assert _hex(row) == _hex(cols[i])
+        assert _hex(row[:3]) == _hex([alone.chi_xx, alone.chi_zz, alone.error_estimate])
+        assert (parts, outcome.model, outcome.z, outcome.omega) \
+            == (alone.decomposition, alone.model, z, omega)
+
+
+def test_local_quasistatic_rounds_as_python_float_powers(copper):
+    # the vectorised closed forms equal, bit for bit, the forms on Python
+    # floats: numpy's power rounds about 5% of z^3 and 0.1% of omega^2
+    # otherwise, which 10,000 log-uniform draws catch
+    rng = np.random.default_rng(27)
+    zs = (10.0 ** rng.uniform(-12.0, 2.0, 10_000)).tolist()
+    omegas = (10.0 ** rng.uniform(6.0, 14.0, 10_000)).tolist()
+    for field_kind in ("E", "B"):
+        cols, failed = _local_quasistatic(copper, field_kind, zs, omegas, None)
+        assert not failed
+        reference = []
+        for z, omega in zip(zs, omegas):
+            eps = drude_epsilon(copper, omega)
+            if field_kind == "E":
+                chi_xx = HBAR / (8.0 * EPS0 * z**3) * ((eps - 1.0) / (eps + 1.0)).imag
+                reference.append([chi_xx, 2.0 * chi_xx, 0.0])
+            else:
+                chi_zz = HBAR * omega**2 / (8.0 * EPS0 * C_LIGHT**4 * z) * eps.imag
+                reference.append([0.5 * chi_zz, chi_zz, 0.0])
+        assert cols[:, :3].tolist() == reference
 
 
 def test_domain_checks_everywhere(copper, omega0):

@@ -40,15 +40,20 @@ best of N, with the epsilon_l nodes of one run per rung of its cutoff
 ladder (rung i runs up to 3, 10, 30 and 100 k_F; a node at a rung's
 end counts in the lower rung).
 
-The CLI row times `ewjn sweep` through cli.main on local-quasistatic
-sweeps of copper, whose closed forms cost next to nothing, so what it
-measures is the command's own Python: parsing, the per-point checks,
-relaxation and the table. cold_main_ms is main() for a 2-point sweep in
-a fresh interpreter, timed after `import ewjn.cli`, best of N (default
-3) interpreters; cell_us is one warm main() for a 100-point sweep of the
+The CLI row times `ewjn sweep` through cli.main, each main() in a fresh
+interpreter timed after `import ewjn.cli`, best of N (default 3)
+interpreters. On local-quasistatic sweeps of copper, whose closed forms
+cost next to nothing, it measures the command's own Python: parsing,
+the checks, relaxation and the table. cold_main_ms is main() for a
+2-point sweep; cell_us is one warm main() for a 100-point sweep of the
 two model columns local-quasistatic,local-quasistatic (200 cells) per
-cell, best of N. The results print as one JSON object, and --out also
-writes them to FILE.
+cell, best of N. cold_retarded_ms is main() for the retarded-farfield
+shape, a 100-height sweep of copper from a tenth of the skin depth to
+30 skin depths with --models auto,local-quasistatic, and
+cold_retarded_model_ms the time of that run inside the model batch
+functions (the values of spectral._BATCH, patched); the difference is
+the glue around the models. The results print as one JSON object, and
+--out also writes them to FILE.
 
 Every count comes from a function patched in place for the run; if one
 of them is missing (renamed or deleted), the bench exits 1 naming it.
@@ -236,22 +241,50 @@ def _sweep_argv(count: int) -> list:
             "--models", "local-quasistatic,local-quasistatic"]
 
 
-# cli.main in a fresh interpreter, timed after the import
+# cli.main in a fresh interpreter, timed after the import, and its time
+# inside the model batch functions; exits 1 if they cannot be patched
 _COLD = """import contextlib, io, sys, time
 import ewjn.cli
+import ewjn.spectral as spectral
+if not isinstance(getattr(spectral, "_BATCH", None), dict):
+    sys.exit("layer_bench: nothing to patch at ewjn.spectral._BATCH")
+inside = [0.0]
+def timed(fn):
+    def run(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            inside[0] += time.perf_counter() - t0
+    return run
+spectral._BATCH.update((model, timed(fn)) for model, fn in spectral._BATCH.items())
 with contextlib.redirect_stdout(io.StringIO()):
     t0 = time.perf_counter()
     ewjn.cli.main(sys.argv[1:])
     wall = time.perf_counter() - t0
-print(wall)
+print(wall, inside[0])
 """
 
 
-def measure_cli(repeat: int) -> dict:
+def _cold(argv, repeat):
+    """(main() seconds, seconds inside the models) of the fastest of
+    repeat fresh interpreters running argv; exit 1 if one fails."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.getcwd(), "src"))
-    cold = min(float(subprocess.run([sys.executable, "-c", _COLD, *_sweep_argv(2)], env=env,
-                                    capture_output=True, text=True, check=True).stdout)
-               for _ in range(repeat))
+    runs = []
+    for _ in range(repeat):
+        proc = subprocess.run([sys.executable, "-c", _COLD, *argv], env=env,
+                              capture_output=True, text=True)
+        if proc.returncode:
+            sys.exit(proc.stderr.strip())
+        runs.append(tuple(map(float, proc.stdout.split())))
+    return min(runs)
+
+
+def measure_cli(repeat: int) -> dict:
+    delta = skin_depth(COPPER, OMEGA_0)
+    retarded = ["sweep", "--axis", "z", "--min", repr(delta / 10.0), "--max",
+                repr(30.0 * delta), "--count", "100", "--models", "auto,local-quasistatic"]
+    cold, (cold_retarded, inside) = _cold(_sweep_argv(2), repeat)[0], _cold(retarded, repeat)
     warm = math.inf
     with contextlib.redirect_stdout(io.StringIO()):
         cli_main(_sweep_argv(100))
@@ -259,7 +292,9 @@ def measure_cli(repeat: int) -> dict:
             t0 = time.perf_counter()
             cli_main(_sweep_argv(100))
             warm = min(warm, time.perf_counter() - t0)
-    return {"cold_main_ms": round(cold * 1e3, 2), "cell_us": round(warm / 200 * 1e6, 2)}
+    return {"cold_main_ms": round(cold * 1e3, 2), "cell_us": round(warm / 200 * 1e6, 2),
+            "cold_retarded_ms": round(cold_retarded * 1e3, 2),
+            "cold_retarded_model_ms": round(inside * 1e3, 2)}
 
 
 def main() -> int:
