@@ -15,16 +15,23 @@ relaxation.relax call on its columns, and a figure is such a sweep over
 one row of a fixed spec table, written by the same table builder, one %
 for all rows. A result that is not finite is a domain error, so JSON
 output never holds NaN or Infinity.
+
+The flags of every subcommand are one table (_FLAGS, _COMMANDS). main
+parses a well-formed command line from it directly (_parse) and hands
+any other one (help, an abbreviation, a repeated flag, a value starting
+with -, an error) to the argparse parser that build_parser makes from
+the same table, so argparse alone writes help, usage and errors, and a
+well-formed command imports neither argparse nor locale.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,15 +75,6 @@ _FIGURES = {
 _FMT = "%.8e"
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad flags; the contract wants 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(_EXIT_VALIDATION)
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -85,83 +83,124 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--material", default="copper",
-                     help="preset name or key=value preset file")
-    sub.add_argument("--rel-tol", type=float, default=1e-8,
-                     help="relative quadrature tolerance")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
+# Every flag once: its type, its default and its choices (None: any
+# value), and its help line. "name" is figure's positional.
+_FLAGS = {
+    "--material": (str, "copper", None, "preset name or key=value preset file"),
+    "--rel-tol": (float, 1e-8, None, "relative quadrature tolerance"),
+    "--out": (str, None, None, "output path (default stdout)"),
+    "--z": (float, None, None, "height above surface, m"),
+    "--omega": (float, _OMEGA_DEFAULT, None, "angular frequency, rad/s"),
+    "--model": (str, "auto", tuple(m.value for m in Model), None),
+    "--field": (str, "E", ("E", "B"), None),
+    "--qubit": (str, "charge", tuple(sorted(_QUBITS)), None),
+    "--moment": (float, None, None, "dipole moment; C*m for charge, J/T for spin "
+                                    "(defaults: |e|a_B and mu_B)"),
+    "--orientation": (str, "x", ("x", "y", "z"), None),
+    "--temp": (float, 0.0, None, "temperature, K"),
+    "--axis": (str, None, tuple(sorted(_AXIS_UNITS)), None),
+    "--min": (float, None, None, None),
+    "--max": (float, None, None, None),
+    "--count": (int, None, None, None),
+    "--spacing": (str, "log", ("log", "linear"), None),
+    "--models": (str, "auto", None, "comma-separated model list"),
+    "--format": (str, "csv", ("csv", "json"), None),
+    "--out-dir": (str, ".", None, None),
+    "name": (str, None, tuple(sorted(_FIGURES)), None),
+}
 
-
-def _add_point_flags(sub):
-    sub.add_argument("--z", type=float, required=True, help="height above surface, m")
-    sub.add_argument("--omega", type=float, default=_OMEGA_DEFAULT,
-                     help="angular frequency, rad/s")
-    sub.add_argument("--model", default="auto",
-                     choices=[m.value for m in Model])
-
-
-def _add_qubit_flags(sub):
-    sub.add_argument("--qubit", default="charge", choices=sorted(_QUBITS))
-    sub.add_argument("--moment", type=float, default=None,
-                     help="dipole moment; C*m for charge, J/T for spin "
-                          "(defaults: |e|a_B and mu_B)")
-    sub.add_argument("--orientation", default="x", choices=["x", "y", "z"])
-    sub.add_argument("--temp", type=float, default=0.0, help="temperature, K")
-
-
-def _add_omega_flag(sub):
-    sub.add_argument("--omega", type=float, default=_OMEGA_DEFAULT)
-
-
-def _add_sweep_flags(sub):
-    sub.add_argument("--axis", required=True, choices=sorted(_AXIS_UNITS))
-    sub.add_argument("--min", type=float, required=True)
-    sub.add_argument("--max", type=float, required=True)
-    sub.add_argument("--count", type=int, required=True)
-    sub.add_argument("--spacing", default="log", choices=["log", "linear"])
-    sub.add_argument("--models", default="auto", help="comma-separated model list")
-    sub.add_argument("--format", default="csv", choices=["csv", "json"])
-    sub.add_argument("--z", type=float, default=None)
-    _add_omega_flag(sub)
-
-
-def _add_figure_flags(sub):
-    sub.add_argument("name", choices=sorted(_FIGURES))
-    sub.add_argument("--out-dir", default=".")
-    sub.add_argument("--material", default="copper")
-    sub.add_argument("--rel-tol", type=float, default=1e-8)
-
-
-# per subcommand: its help line and the functions that add its flags
+# per subcommand: its help line and its flags in help order; "!" after a
+# flag makes it required there, and "~" drops its help line there
 _COMMANDS = {
-    "spectral": ("noise spectral densities at one point", (
-        _add_common_flags, _add_point_flags,
-        lambda sub: sub.add_argument("--field", default="E", choices=["E", "B"]))),
+    "spectral": ("noise spectral densities at one point",
+                 "--material --rel-tol --out --z! --omega --model --field"),
     "t1": ("qubit relaxation time at one point",
-           (_add_common_flags, _add_point_flags, _add_qubit_flags)),
+           "--material --rel-tol --out --z! --omega --model"
+           " --qubit --moment --orientation --temp"),
     "sweep": ("sweep one axis, CSV or JSON out",
-              (_add_common_flags, _add_sweep_flags, _add_qubit_flags)),
-    "bulk": ("bulk and surface-limit Im D", (_add_common_flags, _add_omega_flag)),
-    "figure": ("regenerate figure data files", (_add_figure_flags,)),
+              "--material --rel-tol --out --axis! --min! --max! --count! --spacing --models"
+              " --format --z~ --omega~ --qubit --moment --orientation --temp"),
+    "bulk": ("bulk and surface-limit Im D", "--material --rel-tol --out --omega~"),
+    "figure": ("regenerate figure data files", "name --out-dir --material~ --rel-tol~"),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of subcommand command alone, or of all of them when
-    command is None or names none. Its usage line, which an error of the
-    top-level parser prints (an unknown flag after a subcommand), lists
-    every subcommand either way."""
+def _flags(command: str) -> dict:
+    """{flag: (type, default, choices, help, required)} of a subcommand,
+    in its help order. A positional is required."""
+    out = {}
+    for entry in _COMMANDS[command][1].split():
+        flag = entry.rstrip("!~")
+        kind, default, choices, help_line = _FLAGS[flag]
+        out[flag] = (kind, default, choices, None if entry.endswith("~") else help_line,
+                     entry.endswith("!") or not flag.startswith("-"))
+    return out
+
+
+def build_parser(command: str | None = None):
+    """The argparse parser of subcommand command alone, or of all of them
+    when command is None or names none. Its usage line, which an error of
+    the top-level parser prints (an unknown flag after a subcommand),
+    lists every subcommand either way."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with 2 on bad flags; the contract wants 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(_EXIT_VALIDATION)
+
     parser = _Parser(prog="ewjn", usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
                      description="Evanescent-wave Johnson noise and qubit T1 "
                                  "above a metallic half-space")
     subs = parser.add_subparsers(dest="command", required=True, prog="ewjn")
-    for name, (help_line, adders) in _COMMANDS.items():
+    for name, (help_line, _) in _COMMANDS.items():
         if command not in _COMMANDS or name == command:
             sub = subs.add_parser(name, help=help_line)
-            for add_flags in adders:
-                add_flags(sub)
+            for flag, (kind, default, choices, flag_help, required) in _flags(name).items():
+                optional = {"required": required} if flag.startswith("-") else {}
+                sub.add_argument(flag, type=kind, default=default, choices=choices,
+                                 help=flag_help, **optional)
     return parser
+
+
+def _parse(argv) -> SimpleNamespace | None:
+    """The arguments of a well-formed argv, as build_parser would parse
+    them, or None for any other argv, which build_parser then parses (and
+    prints its help, usage or error). Well formed is: the exact name of a
+    subcommand, then each of its flags at most once, every required one,
+    spelled --flag value (a value not starting with -) or --flag=value,
+    with a value of the flag's type and choices, and for figure its one
+    positional."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _flags(argv[0])
+    positional = next((flag for flag in flags if not flag.startswith("-")), None)
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not token.startswith("-"):
+            flag, value = positional, token
+        elif not eq:
+            value = next(tokens, "-")  # a missing value fails as one starting with -
+            if value.startswith("-"):
+                return None
+        if flag not in flags or flag in given:
+            return None
+        kind, _, choices, _, _ = flags[flag]
+        try:
+            given[flag] = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and given[flag] not in choices:
+            return None
+    if any(required and flag not in given for flag, (*_, required) in flags.items()):
+        return None
+    values = {flag.lstrip("-").replace("-", "_"): given.get(flag, default)
+              for flag, (_, default, *_) in flags.items()}
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _moment(args) -> float:
@@ -270,11 +309,13 @@ def _cells(batch, omegas, model, orientation, moment, temp) -> tuple:
 
 def _sweep_cells(material, cfg, zs, omegas, temps, qubit, orientation, moment, models):
     """Evaluate a sweep: the cells (_cells) of each model at each of
-    temps, model-major, over the (z, omega) points, which broadcast, and
-    the rs_part and rp_part columns of the last model (NaN where it failed
-    or has none), from one evaluate_columns call per model. A qubit that
-    fails its checks makes every cell a domain error."""
-    zs, omegas = np.broadcast_arrays(np.asarray(zs, dtype=float), omegas)
+    temps, model-major, over the (z, omega) points (zs or omegas has
+    length 1, and is repeated), and the rs_part and rp_part columns of the
+    last model (NaN where it failed or has none), from one
+    evaluate_columns call per model. A qubit that fails its checks makes
+    every cell a domain error."""
+    n = max(len(zs), len(omegas))
+    zs, omegas = (np.repeat(np.asarray(side, dtype=float), n // len(side)) for side in (zs, omegas))
     kind, field_kind = _QUBITS[qubit][:2]
     try:
         QubitSpec(kind, moment, orientation, omegas[0].item())
@@ -459,7 +500,9 @@ def _cmd_figure(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     handlers = {
         "spectral": _cmd_spectral,
         "t1": _cmd_t1,

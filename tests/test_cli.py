@@ -4,6 +4,9 @@ Values printed by the CLI carry 9 significant digits, so ratios checked
 from parsed output use 1e-7 tolerances; JSON floats round-trip exactly.
 """
 
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -11,10 +14,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import ewjn
 from ewjn import DomainError, QuadratureConfig, QubitSpec, evaluate, load_material, t1
 from ewjn.materials import BOHR_MAGNETON, BOHR_RADIUS, E_CHARGE, HBAR, K_BOLTZMANN
-from ewjn.cli import _COMMANDS, build_parser, main
+from ewjn.cli import _COMMANDS, _flags, _parse, build_parser, main
 
 LAM_F = 4.635454439837973e-10  # copper Fermi wavelength, m
 
@@ -580,6 +585,107 @@ def test_full_parser_usage_is_the_one_argparse_writes(capsys):
     assert capsys.readouterr().out.startswith("usage: ewjn sweep [-h] ")
     with pytest.raises(SystemExit):
         build_parser("sweep").parse_args(["t1", "--z", "1e-8"])
+
+
+# valid values by type, for a flag with no choices, and the values that a
+# fault puts in (invalid choices, odd floats, negatives, ints)
+_GOOD_VALUES = {float: ("1e-8", ".5", "nan", "inf", "3", "1e9"), int: ("2", "3", "40"),
+                str: ("copper", "x", "out", "local-quasistatic,auto")}
+_ODD_VALUES = ("1e-8", ".5", "nan", "inf", "-1", "-1e-8", "", "x", "warp", "fig9", "2", "7")
+# argv pieces that send a command to argparse, or make it fail there
+_PERTURBATIONS = (["--rel", "1e-6"], ["-h"], ["--help"], ["--"], ["stray"], ["--out", "-"])
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, its required flags and some others in random order,
+    each --flag value or --flag=value with a valid value, then up to two
+    faults: an odd value, a repeated or dropped flag, or a perturbation
+    (an abbreviation, a help flag, --, a stray positional, --out -)."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = _flags(command)
+
+    def spelled(flag, value):
+        if not flag.startswith("-"):
+            return [value]
+        return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+
+    groups = [(flag, spelled(flag, draw(st.sampled_from(choices or _GOOD_VALUES[kind]))))
+              for flag in draw(st.permutations(list(flags)))
+              for kind, _, choices, _, required in [flags[flag]]
+              if required or draw(st.booleans())]
+    for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2)))):
+        fault = draw(st.sampled_from(("value", "value", "value", "repeat", "drop", "drop",
+                                      *_PERTURBATIONS)))
+        flagged = [i for i, (flag, _) in enumerate(groups) if flag]
+        if isinstance(fault, list):
+            groups.insert(draw(st.integers(0, len(groups))), (None, fault))
+        elif flagged:
+            at = draw(st.sampled_from(flagged))
+            if fault == "value":
+                flag = groups[at][0]
+                groups[at] = (flag, spelled(flag, draw(st.sampled_from(_ODD_VALUES))))
+            elif fault == "repeat":
+                groups.insert(draw(st.integers(0, len(groups))), groups[at])
+            else:
+                groups.pop(at)
+    return [command, *(token for _, tokens in groups for token in tokens)]
+
+
+def _outcome(args) -> dict:
+    """{dest: repr of its value} of parsed arguments: nan equals nan, and
+    3 is not 3.0."""
+    return {dest: repr(value) for dest, value in vars(args).items()}
+
+
+@functools.cache
+def _parsers(command) -> tuple:
+    """The parser of all subcommands and the lean one of command."""
+    return build_parser(), build_parser(command)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_argvs())
+# argparse takes -1 for a value and -1e-8 for a flag, so --z -1e-8 exits
+@example(["spectral", "--z", "-1", "--model", "local-quasistatic"])
+@example(["spectral", "--z", "-1e-8"])
+@example(["t1", "--z", "1e-8", "--out", "-"])
+@example(["bulk", "--out"])
+@example(["spectral", "--z=-1e-8"])
+@example(["figure", "fig1", "fig2"])
+@example(["sweep", "--axis", "z", "--min", "1e-8", "--max", "1e-7", "--count", "1e-8"])
+def test_fast_parse_is_what_argparse_parses(argv):
+    # main parses a well-formed argv without argparse; where it does, the
+    # parser of all subcommands and the lean one parse it to the same
+    # arguments, and where argparse exits the fast path has declined
+    fast = _parse(argv)
+    for parser in _parsers(argv[0]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parsed = _outcome(parser.parse_args(argv))
+            except SystemExit as exc:
+                parsed = exc.code
+        assert fast is None or _outcome(fast) == parsed, argv
+
+
+def test_well_formed_commands_import_no_argparse(tmp_path):
+    # argparse, and the locale module its gettext imports, cost a fresh
+    # interpreter about 4 ms; a well-formed command needs neither
+    script = ("import contextlib, io, sys\n"
+              "from ewjn.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    try:\n"
+              "        main(sys.argv[1:])\n"
+              "    except SystemExit:\n"
+              "        pass\n"
+              "print(*sorted({'argparse', 'locale'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ewjn.__file__)))
+    cases = [([name, *_MINIMAL[name]], []) for name in _COMMANDS]
+    for argv, imported in cases + [(["sweep", "--help"], ["argparse", "locale"])]:
+        proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert (proc.returncode, proc.stdout.split()) == (0, imported), (argv, proc.stderr)
 
 
 # --------------------------------------------------------------------- bulk

@@ -66,6 +66,18 @@ EDGES = [
     ["bulk", "--omega", "1e12", "--rel-tol", "1e-6"],
     *(["figure", name, "--rel-tol", "1e-6", "--out-dir", "out"]
       for name in ("fig1", "fig2", "fig3", "fig4")),
+    # spellings that argparse parses, beside --flag=value: an abbreviation,
+    # a repeated flag (the last wins), -1 taken for a value and -1e-8 for a
+    # flag, a lone -, a positional last, help and usage
+    ["sweep", "--axis", "z", "--min", "1e-8", "--max", "1e-7", "--count=3",
+     "--models", "local-quasistatic", "--rel", "1e-6"],
+    ["spectral", "--z", "1e-8", "--z", "2e-8", *_LQ],
+    ["spectral", "--z", "-1", *_LQ],
+    ["spectral", "--z", "-1e-8"],
+    ["t1", "--z", "1e-8", *_LQ, "--out", "-"],
+    ["figure", "--rel-tol", "1e-6", "--out-dir", "out", "fig1"],
+    ["sweep", "--help"],
+    ["spectral"],
     # finite inputs at the edge of the float range
     ["t1", "--z", "1e-8", *_LQ, "--moment", "1e300"],
     ["t1", "--z", "1e-8", *_LQ, "--moment", "1e160"],

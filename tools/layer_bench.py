@@ -44,8 +44,10 @@ The CLI row times `ewjn sweep` through cli.main, each main() in a fresh
 interpreter timed after `import ewjn.cli`, best of N (default 3)
 interpreters. On local-quasistatic sweeps of copper, whose closed forms
 cost next to nothing, it measures the command's own Python: parsing,
-the checks, relaxation and the table. cold_main_ms is main() for a
-2-point sweep; cell_us is one warm main() for a 100-point sweep of the
+the checks, relaxation and the table. Every argv here is well formed,
+so main parses it from the flag table without building an argparse
+parser or importing argparse. cold_main_ms is main() for a 2-point
+sweep; cell_us is one warm main() for a 100-point sweep of the
 two model columns local-quasistatic,local-quasistatic (200 cells) per
 cell, best of N. cold_retarded_ms is main() for the retarded-farfield
 shape, a 100-height sweep of copper from a tenth of the skin depth to
