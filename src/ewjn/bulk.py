@@ -73,38 +73,50 @@ def _rungs(material, omega, edges, cfg) -> list:
     value or its QuadratureError: a trapezoid sum in ln k on N + 1 nodes
     from one end to the other with Gregory's corrections at both, N =
     max(ceil(ln(k_hi/k_lo)/H0), _MIN_STEPS) doubling at each halving of
-    quadrature.lattice_sums. The rungs refine together, one integrand
-    call per halving for the odd nodes of the live ones. A rung's error
-    is its difference from the sum at 2h, its rounding floor and, for the
+    quadrature.lattice_sums. The rungs refine together: one integrand call
+    for every node at H0/2, whose even nodes are the lattice at H0, then
+    one per halving for the odd nodes of the live ones. A rung's error is
+    its difference from the sum at 2h, its rounding floor and, for the
     first, twice its first term, a bound on the part below edges[0]."""
     spans = np.log(edges[1:] / edges[:-1])
     steps = np.maximum(np.ceil(spans / H0), _MIN_STEPS).astype(int)
     samples = [None] * spans.size
 
-    def sums(level, _, live):
-        nodes, h = [], spans / steps / 2**level
+    def sums(levels, live):
+        top = levels[-1]
+        nodes, h = [], [spans / steps / 2**level for level in levels]
         for i in live.tolist():
-            k = edges[i] * np.exp(np.arange(steps[i] * 2**level + 1) * h[i])
+            k = edges[i] * np.exp(np.arange(steps[i] * 2**top + 1) * h[-1][i])
             k[-1] = edges[i + 1]
-            nodes.append(k if level == 0 else k[1::2])
+            nodes.append(k if levels[0] == 0 else k[1::2])
         k = np.concatenate(nodes)
-        fresh = np.split(_radial_integrand(material, k, omega) * k,
-                         np.cumsum([x.size for x in nodes])[:-1])
-        values, errs = [], []
-        for i, new in zip(live.tolist(), fresh):
-            if level:
-                samples[i] = np.insert(new, np.arange(new.size + 1), samples[i])
-            else:
-                samples[i] = new
-            weights = np.ones(samples[i].size)
-            weights[[0, -1]] = 0.5
-            weights[:8] += GREGORY
-            weights[-8:] += GREGORY[::-1]
-            terms = weights * samples[i]
-            values.append(h[i] * float(terms.sum()))
-            errs.append(float(ROUNDING * h[i] * np.abs(terms).sum()
-                              + 2.0 * (i == 0) * abs(samples[i][0])))
-        return np.array(values)[:, None], np.array(errs)[:, None]
+        fresh, at = _radial_integrand(material, k, omega) * k, 0
+        for i, count in zip(live.tolist(), [x.size for x in nodes]):
+            new, at = fresh[at:at + count], at + count
+            if levels[0]:  # the samples at 2h on the even nodes, the new ones on the odd
+                merged = np.empty(2 * count + 1)
+                merged[::2], merged[1::2] = samples[i], new
+                new = merged
+            samples[i] = new
+        # every asked level's samples of every live rung end to end, each with
+        # the trapezoid weights and Gregory's corrections at both of its ends
+        parts = [samples[i][::2**(top - level)] for level in levels for i in live.tolist()]
+        sizes = np.array([part.size for part in parts])
+        ends = sizes.cumsum()
+        starts = ends - sizes
+        weights = np.ones(ends[-1])
+        weights[np.concatenate([starts, ends - 1])] = 0.5
+        weights[starts[:, None] + np.arange(8)] += GREGORY
+        weights[ends[:, None] - np.arange(8, 0, -1)] += GREGORY[::-1]
+        terms = weights * np.concatenate(parts)
+        moduli = np.abs(terms)
+        values, errs = np.zeros((2, len(levels) * live.size))
+        for k, (i, part, lo, hi) in enumerate(zip(live.tolist() * len(levels), parts,
+                                                  starts.tolist(), ends.tolist())):
+            step = h[k // live.size][i]
+            values[k] = step * float(terms[lo:hi].sum())
+            errs[k] = float(ROUNDING * step * moduli[lo:hi].sum() + 2.0 * (i == 0) * abs(part[0]))
+        return values.reshape(len(levels), -1, 1), errs.reshape(len(levels), -1, 1)
 
     values, errs, missed = lattice_sums(spans.size, sums, cfg)
     missed |= ~(np.isfinite(values) & np.isfinite(errs))[:, 0]  # leaving the float range misses

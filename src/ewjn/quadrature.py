@@ -3,14 +3,20 @@
 Every integral in the package is a trapezoid sum on a log lattice whose
 step h halves until the sum meets rel_tol, and that lattice rule lives
 here: lattice_sums owns the one loop over the halvings of h, and the
-spectral and bulk modules supply each level's sums. Two fixed rules
-ride along: the Gauss-Kronrod 15-point nodes and weights of the polar
-weight G (spectral._polar_g), and Gregory's end correction of a
-trapezoid sum cut at a point where its summand does not vanish.
+spectral and bulk modules supply each level's sums. Its first call asks
+for h = H0 and H0/2 together, so a lattice's kernel runs once for both,
+on the nodes at H0/2, whose even ones are the lattice at H0; each later
+call asks for one halving, whose new nodes are the odd ones; _refine,
+_within and _runs build the lattices and lay runs of their nodes end to
+end. Two fixed rules ride along: the polar weight G of the magnetic
+k-sum (_polar_g) on the Gauss-Kronrod 15-point rule, and Gregory's end
+correction of a trapezoid sum cut at a point where its summand does not
+vanish.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +33,42 @@ _WGK = np.array([0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
                  0.2044329400752989, 0.2094821410847278])
 _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
+
+# G's rule: sin u and w sin^3 u at the Kronrod 15-point nodes u of 8
+# panels cut at (pi/2) 0.6^j, graded toward u = 0 where e^{-a sin u} turns
+_G_EDGES = np.array([0.0] + [0.5 * math.pi * 0.6**j for j in range(7, -1, -1)])
+_G_HALF = 0.5 * np.diff(_G_EDGES)[:, None]
+_G_SIN = np.sin((0.5 * (_G_EDGES[:-1] + _G_EDGES[1:])[:, None] + _G_HALF * _NODES).ravel())
+_G_WEIGHT = (_G_HALF * _WEIGHTS_K).ravel() * _G_SIN**3
+# From this a on, G is its asymptotic series, whose neglected e^{-a} part
+# is 1e-20 of G; below it the rule is good to a few ulps.
+_G_SWITCH = 60.0
+# the series' coefficients C(2n, n)/4^n (2n + 3)! of a^-(2n + 4), n = 19..0
+_G_SERIES = [math.comb(2 * n, n) / 4**n * math.factorial(2 * n + 3) for n in range(19, -1, -1)]
+# Below _G_TAYLOR, G is its Taylor series Sum_n (-a)^n I_{n+3}/n!, I_m =
+# Integral_0^{pi/2} cos^m = I_{m-2} (m - 1)/m, whose terms fall from the
+# first and stop at 1e-19 of G by n = 20; the coefficients, highest first.
+_G_TAYLOR, _G_TAYLOR_COEFFS = 1.0, [2.0 / 3.0, -3.0 * math.pi / 16.0]
+for _n in range(2, 20):
+    _G_TAYLOR_COEFFS.append(_G_TAYLOR_COEFFS[-2] * (_n + 2) / ((_n + 3) * _n * (_n - 1)))
+_G_TAYLOR_COEFFS.reverse()
+
+
+def _polar_g(a):
+    """G(a) = Integral_0^{pi/2} cos^3 theta e^{-a cos theta} dtheta at
+    every a >= 0 of an array: G(0) = 2/3 and Integral_0^inf G da = pi/4.
+    The Taylor series below _G_TAYLOR, the rule in u = pi/2 - theta below
+    _G_SWITCH, the asymptotic series from it, which underflows quietly
+    to 0 for a huge a."""
+    g = np.empty(a.shape)
+    small, far = a < _G_TAYLOR, a >= _G_SWITCH
+    near = ~(small | far)
+    g[small] = np.polyval(_G_TAYLOR_COEFFS, a[small])
+    g[near] = (_G_WEIGHT * np.exp(-a[near][:, None] * _G_SIN)).sum(axis=1)
+    b2 = (1.0 / a[far]) ** 2
+    g[far] = np.polyval(_G_SERIES, b2) * b2 * b2
+    return g
+
 
 # Gregory's end correction with 8 weights, exact over 10!: the trapezoid sum
 # plus h Sum_j GREGORY[j] f_j, j counted from the end, is exact for every
@@ -72,26 +114,85 @@ def not_converged(model, cfg, chi_zz, err):
 
 def lattice_sums(count, sums, cfg):
     """(values, errors, missed), (count, sums), (count, sums) and (count,), of
-    count points' lattice sums at their last level: sums(level, h, live)
-    gives (values, errors), (live.size, sums), of the live points at h =
-    H0/2^level. From level 1 each error adds |S_h - S_2h| and a point stops
-    once each of its sums S meets max(rel_tol |S|, abs_tol). A point whose
-    value or error is not finite stops at once; one still live after
-    min(MAX_HALVINGS, max_subdivisions) halvings is missed."""
+    count points' lattice sums at their last level: sums(levels, live)
+    gives (values, errors), (len(levels), live.size, sums), of the live
+    points at h = H0/2^level for each level of the range levels. The first
+    call asks for levels 0 and 1 together, so each lattice's kernel runs
+    once for both steps and the coarse sum reads its nodes from the fine
+    one; each later call asks for one level. From level 1 each error adds
+    |S_h - S_2h| and a point stops once each of its sums S meets
+    max(rel_tol |S|, abs_tol). A point whose value or error is not finite
+    stops at once, its level-1 sums in the first call unread; one still
+    live after min(MAX_HALVINGS, max_subdivisions) halvings is missed."""
     live, missed = np.arange(count), np.zeros(count, dtype=bool)
     values = errors = np.zeros((count, 0))
-    for level in range(min(MAX_HALVINGS, cfg.max_subdivisions) + 1):
+    last = min(MAX_HALVINGS, cfg.max_subdivisions)
+    for levels in [range(2)] + [range(level, level + 1) for level in range(2, last + 1)]:
         if not live.size:
             break
-        value, error = sums(level, H0 / 2**level, live)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if level:
-                error = error + np.abs(value - values[live])
-            else:
-                values, errors = np.zeros((2, count, value.shape[1]))
-            lost = ~(np.isfinite(value) & np.isfinite(error)).all(axis=1)
-            done = (error <= np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_tol)).all(axis=1)
-        values[live], errors[live] = value, error
-        live = live[~(lost | (done & (level > 0)))]
+        # on: which of the asked points are still live at each level of the call
+        asked, on = sums(levels, live), np.ones(live.size, dtype=bool)
+        for level, value, error in zip(levels, *asked):
+            value, error = value[on], error[on]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if level:
+                    error = error + np.abs(value - values[live])
+                else:
+                    values, errors = np.zeros((2, count, value.shape[1]))
+                lost = ~(np.isfinite(value) & np.isfinite(error)).all(axis=1)
+                done = (error <= np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_tol)).all(axis=1)
+            values[live], errors[live] = value, error
+            stop = lost | (done & (level > 0))
+            on[on], live = ~stop, live[~stop]
     missed[live] = True
     return values, errors, missed
+
+
+def _span(at, lo, hi):
+    """(n, valid): n from the least lo to the greatest hi, and in each row r
+    the n from the least lo[i] to the greatest hi[i] with at[i] = r."""
+    row_lo, row_hi = np.full(at.max() + 1, hi.max()), np.full(at.max() + 1, lo.min() - 1)
+    np.minimum.at(row_lo, at, lo)
+    np.maximum.at(row_hi, at, hi)
+    n = np.arange(lo.min(), hi.max() + 1)
+    return n, (n >= row_lo[:, None]) & (n <= row_hi[:, None])
+
+
+def _refine(old, old_lo, at, lo, hi, h, kernel):
+    """(values, first) of kernel(k, rows) at k = e^{nh} over _span(at, lo,
+    hi), 0 elsewhere, columns from n = first = min(lo): even n from old, the
+    lattice at 2h from column old_lo, odd n (all n if old is None) from
+    kernel, whose values may carry trailing axes. The first call of
+    lattice_sums builds its lattice at H0/2 with old None and reads the
+    one at H0 from its even nodes; each later call refines the one
+    before."""
+    n, valid = _span(at, lo, hi)
+    fresh = valid if old is None else valid & (n % 2 == 1)
+    rows, cols = fresh.nonzero()
+    values = np.asarray(kernel(np.exp(n[cols] * h), rows))
+    if values.shape[:1] != rows.shape:
+        values = np.broadcast_to(values, rows.shape + values.shape[1:])
+    new = np.zeros(valid.shape + values.shape[1:], dtype=values.dtype)
+    new[fresh] = values
+    if old is not None:
+        rows, cols = (valid & ~fresh).nonzero()
+        new[rows, cols] = old[rows, n[cols] // 2 - old_lo]
+    return new, int(n[0])
+
+
+def _within(values, first, at, lo, hi):
+    """(values, first) of a lattice from column n = first cut to _span(at,
+    lo, hi), 0 elsewhere in it."""
+    n, valid = _span(at, lo, hi)
+    cut = values[:, n[0] - first:n[-1] - first + 1].copy()
+    cut[~valid] = 0.0
+    return cut, int(n[0])
+
+
+def _runs(lo, hi):
+    """(nodes, starts, counts) of the runs lo[i] .. hi[i] laid end to end:
+    every run's nodes in turn, where each run starts among them and its
+    length."""
+    counts = hi - lo + 1
+    starts = counts.cumsum() - counts
+    return (lo - starts).repeat(counts) + np.arange(counts.sum()), starts, counts

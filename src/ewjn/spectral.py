@@ -21,7 +21,9 @@ points by model, makes one call per model and checks the columns by
 masks; evaluate_batch adds tensors, and evaluate is a batch of one. A
 batch gives each point the bits and the error it gets alone. Both
 integral models are trapezoid sums on a log lattice that all the points
-of one omega share, whose step halves by quadrature.lattice_sums's rule.
+of one omega share, whose step halves by quadrature.lattice_sums's rule:
+each lattice's kernel runs once for h = H0 and H0/2, on the nodes at
+H0/2 (quadrature._refine), and the lattice at H0 is their even nodes.
 A nonlocal point is a sum in ln p of its r_p channel and, for B, one in
 ln k of its r_s channel, on a lattice anchored at 2 k_F whose I_p
 windows end at a fixed k_c, above which 1/eps_l - 1 is its series in 1/k
@@ -46,8 +48,8 @@ import numpy as np
 from .errors import DomainError, QuadratureError, require_positive_finite
 from .fresnel import M, lattice_reflection, local_reflection_q, surface_response
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_t, skin_depth
-from .quadrature import (_NODES, _WEIGHTS_K, EPS, H0, MAX_HALVINGS, ROUNDING, QuadratureConfig,
-                         lattice_sums, not_converged)
+from .quadrature import (EPS, H0, MAX_HALVINGS, ROUNDING, QuadratureConfig, _polar_g, _refine,
+                         _runs, _within, lattice_sums, not_converged)
 
 
 class Model(str, enum.Enum):
@@ -217,42 +219,6 @@ def _nonlocal_range(material, omega) -> tuple:
     return 1e3 * k_lo, _SQRT_MAX / max(1.0, vf) / 1e3, max(material.k_star, wn / vf)
 
 
-# G's rule: sin u and w sin^3 u at the Kronrod 15-point nodes u of 8
-# panels cut at (pi/2) 0.6^j, graded toward u = 0 where e^{-a sin u} turns
-_G_EDGES = np.array([0.0] + [0.5 * math.pi * 0.6**j for j in range(7, -1, -1)])
-_G_HALF = 0.5 * np.diff(_G_EDGES)[:, None]
-_G_SIN = np.sin((0.5 * (_G_EDGES[:-1] + _G_EDGES[1:])[:, None] + _G_HALF * _NODES).ravel())
-_G_WEIGHT = (_G_HALF * _WEIGHTS_K).ravel() * _G_SIN**3
-# From this a on, G is its asymptotic series, whose neglected e^{-a} part
-# is 1e-20 of G; below it the rule is good to a few ulps.
-_G_SWITCH = 60.0
-# the series' coefficients C(2n, n)/4^n (2n + 3)! of a^-(2n + 4), n = 19..0
-_G_SERIES = [math.comb(2 * n, n) / 4**n * math.factorial(2 * n + 3) for n in range(19, -1, -1)]
-# Below _G_TAYLOR, G is its Taylor series Sum_n (-a)^n I_{n+3}/n!, I_m =
-# Integral_0^{pi/2} cos^m = I_{m-2} (m - 1)/m, whose terms fall from the
-# first and stop at 1e-19 of G by n = 20; the coefficients, highest first.
-_G_TAYLOR, _G_TAYLOR_COEFFS = 1.0, [2.0 / 3.0, -3.0 * math.pi / 16.0]
-for _n in range(2, 20):
-    _G_TAYLOR_COEFFS.append(_G_TAYLOR_COEFFS[-2] * (_n + 2) / ((_n + 3) * _n * (_n - 1)))
-_G_TAYLOR_COEFFS.reverse()
-
-
-def _polar_g(a):
-    """G(a) = Integral_0^{pi/2} cos^3 theta e^{-a cos theta} dtheta at
-    every a >= 0 of an array: G(0) = 2/3 and Integral_0^inf G da = pi/4.
-    The Taylor series below _G_TAYLOR, the rule in u = pi/2 - theta below
-    _G_SWITCH, the asymptotic series from it, which underflows quietly
-    to 0 for a huge a."""
-    g = np.empty(a.shape)
-    small, far = a < _G_TAYLOR, a >= _G_SWITCH
-    near = ~(small | far)
-    g[small] = np.polyval(_G_TAYLOR_COEFFS, a[small])
-    g[near] = (_G_WEIGHT * np.exp(-a[near][:, None] * _G_SIN)).sum(axis=1)
-    b2 = (1.0 / a[far]) ** 2
-    g[far] = np.polyval(_G_SERIES, b2) * b2 * b2
-    return g
-
-
 # The nonlocal lattice: k_n = 2 k_F e^{nh}, t = ln(k/(2 k_F)) = nh, from h =
 # H0 on (quadrature.lattice_sums), so 2 k_F is a node at every h. A point's
 # ranges are whole steps of H0: its r_p sum runs from p = _P_LOW min(1/z,
@@ -368,29 +334,6 @@ def _beyond_window(coef, e, h):
     return d, b
 
 
-def _refine(old, old_lo, at, lo, hi, h, kernel):
-    """(values, first) of kernel(k, rows) at k = e^{nh} in each row r from
-    the least lo[i] to the greatest hi[i] with at[i] = r, 0 elsewhere,
-    columns from n = first = min(lo): even n from old, the lattice at 2h
-    from column old_lo, odd n (all n if old is None) from kernel, whose
-    values may carry trailing axes."""
-    row_lo, row_hi = np.full(at.max() + 1, hi.max()), np.full(at.max() + 1, lo.min() - 1)
-    np.minimum.at(row_lo, at, lo)
-    np.maximum.at(row_hi, at, hi)
-    n = np.arange(lo.min(), hi.max() + 1)
-    valid = (n >= row_lo[:, None]) & (n <= row_hi[:, None])
-    fresh = valid if old is None else valid & (n % 2 == 1)
-    rows, cols = np.nonzero(fresh)
-    values = np.asarray(kernel(np.exp(n[cols] * h), rows))
-    values = np.broadcast_to(values, rows.shape + values.shape[1:])
-    new = np.zeros(valid.shape + values.shape[1:], dtype=values.dtype)
-    new[fresh] = values
-    if old is not None:
-        rows, cols = np.nonzero(valid & ~fresh)
-        new[rows, cols] = old[rows, n[cols] // 2 - old_lo]
-    return new, int(n[0])
-
-
 def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
     """The nonlocal quasistatic integrals at every point, as one batch.
 
@@ -414,11 +357,14 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
     the lattice rule of quadrature.lattice_sums; a sum's error adds to its
     h/2h difference bounds on its tails beyond its ends, on its summands'
     rounding and, for r_p, on the series' first neglected term. A point
-    that misses rel_tol gets a QuadratureError. The lattice at h/2 asks
-    the kernels for its odd nodes only. A node's values depend on
-    (material, omega, h, n) alone and each sum adds an array of its own
-    summands, so a point gets the bits and the outcome it gets alone. A
-    point outside _nonlocal_range gets a DomainError and does not run.
+    that misses rel_tol gets a QuadratureError. The kernels run once for
+    h = 1/4 and 1/8, on the lattice at 1/8, and at each further halving
+    for the odd nodes only; the work after them carries the steps of one
+    call side by side, with one correlation per step. A node's values
+    depend on (material, omega, h, n) alone and each sum adds an array of
+    its own summands, so a point gets the bits and the outcome it gets
+    alone. A point outside _nonlocal_range gets a DomainError and does
+    not run.
     """
     cfg = cfg or QuadratureConfig()
     ranges = {w: _nonlocal_range(material, w) for w in set(omegas)}
@@ -438,71 +384,104 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
     rests = np.array([b for _, b in series]).reshape(-1, 2)
     im_local = [((e - 1.0) / (e + 1.0)).imag
                 for e in (drude_epsilon(material, w) for w in distinct.tolist())]
-    cuts, power = np.array([out[k] for k in running]), 3 if field_kind == "E" else 1
+    cuts, power = np.array([out[k] for k in running]).reshape(-1, 4), 3 if field_kind == "E" else 1
+    z_of = np.array([zs[k] for k in running])
     phi, phi_lo, im_t, t_lo = None, None, None, None
 
-    def sums(level, h, live):
+    def sums(levels, live):
         nonlocal phi, phi_lo, im_t, t_lo
-        first, at = cuts[live] * 2**level, row[live]
-        end = np.array(ends[:at.max() + 1]) * 2**level
-        phi, phi_lo = _refine(phi, phi_lo, at, np.minimum(first[:, 0], end[at]) - M,
-                              end[at] + M, h,
-                              lambda k, r: surface_response(material, two_kf * k, distinct[r]))
-        last = int(first[:, 1].max())
-        n = np.arange(phi_lo + M, last + 1)
-        p, e = two_kf * np.exp(n * h), end[:, None] - n
-        # I_p - 1 up to n_c from the window and the series beyond its top, d =
-        # that tail, r_p = r - (1 + r)^2 d/(2 + (1 + r) d) of the window's r;
-        # above n_c from the series alone, with r = 0. The series' constant
-        # a_0 = phi(inf) is what the kernel keeps at the top beyond its
-        # rounding, 8 eps: 0 for a Lindhard eps_l, all of phi for a
-        # k-independent one. dr_p = -s2 dI_p/2, s2 = (1 + r_p)^2, so the rest
-        # moves Im r_p by at most (|Im s2| |its Re| + |Re s2| |its Im|)/2.
-        r_p = np.zeros(e.shape, dtype=complex)
-        count = min(last, int(end.max())) - phi_lo - M + 1
-        r_p[:, :count] = lattice_reflection(phi, h, count)
-        r_p[e < 0] = 0.0
+        top, at, size, first_call = levels[-1], row[live], live.size, levels[0] == 0
+        z, end, cut, h = z_of[live], np.array(ends[:at.max() + 1]), cuts[live], H0 / 2**top
+        # each point's I_p window, less M nodes at either end: from the lower of
+        # its r_p sum's start and n_c up to n_c, in steps of h
+        low, high = np.minimum(cut[:, 0], end[at]) * 2**top, end[at] * 2**top
+        # the lattices at h = H0/2^top: on the first call every node from the
+        # kernel over level 0's windows, whose M nodes at 2h beyond either end
+        # are 2M at h, with the lattice at 2h its even nodes; the lattice at h
+        # ends at each I_p window's own top, zero above it (lattice_reflection)
+        reach = M * len(levels)
+        phi, phi_lo = _refine(None if first_call else phi, phi_lo, at, low - reach, high + reach,
+                              h, lambda k, r: surface_response(material, two_kf * k, distinct[r]))
+        lattices = [(phi[:, ::2], phi_lo // 2)] * first_call
+        if first_call:
+            phi, phi_lo = _within(phi, phi_lo, at, low - M, high + M)
+        lattices.append((phi, phi_lo))
+        # r_p at the nodes of each level, side by side: I_p - 1 up to
+        # n_c from the window and the series beyond its top, d = that tail, r_p
+        # = r - (1 + r)^2 d/(2 + (1 + r) d) of the window's r; above n_c from
+        # the series alone, with r = 0. The series' constant a_0 = phi(inf) is
+        # what the kernel keeps at the top beyond its rounding, 8 eps: 0 for a
+        # Lindhard eps_l, all of phi for a k-independent one. dr_p = -s2
+        # dI_p/2, s2 = (1 + r_p)^2, so the rest moves Im r_p by at most (|Im
+        # s2| |its Re| + |Re s2| |its Im|)/2.
         series, bound = coef[:end.size], rests[:end.size]
-        a_0 = phi[np.arange(end.size), end + M - phi_lo] - (
-            series * _beyond_table(h)[1][1:5, 0]).sum(axis=1)
-        a_0[np.abs(a_0) <= 8.0 * EPS] = 0.0
-        d, b_6 = _beyond_window(np.concatenate([a_0[:, None], series], axis=1), e, h)
+        blocks, offsets, width = [], [], 0
+        for level, (lattice, lo) in zip(levels, lattices):
+            step, last = H0 / 2**level, int(cut[:, 1].max()) * 2**level
+            n = np.arange(lo + M, last + 1)
+            e, r_p = end[:, None] * 2**level - n, np.zeros((end.size, n.size), dtype=complex)
+            count = min(last, int(end.max()) * 2**level) - lo - M + 1
+            r_p[:, :count] = lattice_reflection(lattice, step, count)
+            r_p[e < 0] = 0.0
+            a_0 = lattice[np.arange(end.size), end * 2**level + M - lo] - (
+                series * _beyond_table(step)[1][1:5, 0]).sum(axis=1)
+            a_0[np.abs(a_0) <= 8.0 * EPS] = 0.0
+            blocks.append((n * step, r_p, *_beyond_window(
+                np.concatenate([a_0[:, None], series], axis=1), e, step)))
+            offsets.append(width - lo - M)
+            width += n.size
+        exponent, r_p, d, b_6 = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+        p = two_kf * np.exp(exponent)
         one = 1.0 + r_p
         r_p -= one * one * d / (2.0 + one * d)
         s2 = (1.0 + r_p)**2
         rest = (np.abs(s2.imag) * bound[:, :1] + np.abs(s2.real) * bound[:, 1:]) * (0.5 * b_6)
-        points = [running[i] for i in live.tolist()]
+        # every point's sums at each level in turn, their terms end to end: h
+        # p^power e^{-2pz} Im r_p over its p, and for B h a Im eps_t(k) G(a)
+        # over its k, a = 2kz
+        by_level = np.concatenate([cut * 2**level + [[offset, offset, 0, 0]]
+                                   for level, offset in zip(levels, offsets)])
+        at_run, z_runs = np.concatenate([at] * len(levels)), np.concatenate([z] * len(levels))
+        cols, starts, counts = _runs(by_level[:, 0], by_level[:, 1])
+        p_run, row_run = p[cols], at_run.repeat(counts)
+        weight = p_run ** power * np.exp(-2.0 * p_run * z_runs.repeat(counts))
+        im_run = r_p[row_run, cols].imag
+        terms, rested = [weight * im_run], weight * rest[row_run, cols]
         if field_kind == "B":
-            im_t, t_lo = _refine(im_t, t_lo, at, first[:, 2], first[:, 3], h,
+            # one kernel call for the lattice of Im eps_t and one _polar_g call
+            # for every term
+            im_t, t_lo = _refine(None if first_call else im_t, t_lo, at, cut[:, 2] * 2**top,
+                                 cut[:, 3] * 2**top, h,
                                  lambda k, r: epsilon_t(material, two_kf * k, distinct[r]).imag)
-            # every k-sum's terms, with one _polar_g call for all of them
-            nodes = [np.arange(j_lo, j_hi + 1) for j_lo, j_hi in first[:, 2:].tolist()]
-            a = [2.0 * two_kf * np.exp(j * h) * zs[k] for j, k in zip(nodes, points)]
-            g = np.split(_polar_g(np.concatenate(a)), np.cumsum([x.size for x in a])[:-1])
-            zz_terms = [a_k * im_t[r, j - t_lo] * g_k for r, j, a_k, g_k in zip(at, nodes, a, g)]
-        values, errs = [], []
-        for i, (k, r, (i_lo, i_hi, j_lo, _)) in enumerate(zip(points, at, first)):
-            z, run = zs[k], slice(i_lo - phi_lo - M, i_hi - phi_lo - M + 1)
-            weight = p[run] ** power * np.exp(-2.0 * p[run] * z)
-            terms = weight * r_p[r, run].imag
-            # below p[0] Im r_p stays under the larger of its value there and
-            # its local limit; above p[-1] it grows at most like p
-            lo_power, x = float(p[run][0] ** power), 2.0 * float(p[run][-1]) * z
-            tails = [lo_power / power * max(float(r_p[r, run][0].imag), im_local[r])
-                     + float(terms[-1]) * sum(math.perm(power, n) / x**n
-                                              for n in range(power + 1)) / x
-                     + h * float((weight * rest[r, run]).sum())]
-            parts = [terms]
+            j, j_starts, j_counts = _runs(by_level[:, 2], by_level[:, 3])
+            h_j, scale = (np.array(v).repeat(size).repeat(j_counts) for v in (
+                [H0 / 2**level for level in levels], [2**(top - level) for level in levels]))
+            a = 2.0 * two_kf * np.exp(j * h_j) * z_runs.repeat(j_counts)
+            im_a = im_t[at_run.repeat(j_counts), j * scale - t_lo]
+            terms.append(a * im_a * _polar_g(a))
+        moduli = [np.abs(t) for t in terms]
+        values, errs = np.zeros((2, len(levels) * size, len(terms)))
+        for k, (r, z_k, lo, count) in enumerate(zip(at_run.tolist(), z_runs.tolist(),
+                                                   starts.tolist(), counts.tolist())):
+            step, hi = H0 / 2**levels[k // size], lo + count
+            # below p[0] Im r_p stays under the larger of its value there and its
+            # local limit; above p[-1] it grows at most like p
+            lo_power, x = float(p_run[lo] ** power), 2.0 * float(p_run[hi - 1]) * z_k
+            tails = [lo_power / power * max(float(im_run[lo]), im_local[r])
+                     + float(terms[0][hi - 1]) * sum(math.perm(power, n) / x**n
+                                                     for n in range(power + 1)) / x
+                     + step * float(rested[lo:hi].sum())]
+            runs = [(lo, hi)]
             if field_kind == "B":
                 # below a_lo Im eps_t is flat at its value there and G <= 2/3;
                 # above the last node Im eps_t does not grow and G ~ a^-4
-                parts.append(zz_terms[i])
-                tails.append(float(a[i][0] * im_t[r, j_lo - t_lo]) * 2.0 / 3.0
-                             + float(zz_terms[i][-1]) / 3.0)
-            values.append([h * float(t.sum()) for t in parts])
-            errs.append([tail + ROUNDING * h * float(np.abs(t).sum())
-                         for t, tail in zip(parts, tails)])
-        return np.array(values), np.array(errs)
+                lo, hi = int(j_starts[k]), int(j_starts[k] + j_counts[k])
+                tails.append(float(a[lo] * im_a[lo]) * 2.0 / 3.0 + float(terms[1][hi - 1]) / 3.0)
+                runs.append((lo, hi))
+            for c, (t, t_abs, (lo, hi), tail) in enumerate(zip(terms, moduli, runs, tails)):
+                values[k, c] = step * float(t[lo:hi].sum())
+                errs[k, c] = tail + ROUNDING * step * float(t_abs[lo:hi].sum())
+        return values.reshape(len(levels), size, -1), errs.reshape(len(levels), size, -1)
 
     # a point's non-finite sums, kernel values included, become a DomainError
     # of evaluate_columns, without warnings
@@ -568,9 +547,7 @@ def _propagating(block, n, h, a, moments):
 def _decayed(x, block, two_z, lo, hi):
     """(sums, sums of moduli), (points, columns), of each point's terms e^{-2 z x_n}
     block_n at nodes lo..hi of a row, two_z = 2z, in order by reduceat: its bits alone."""
-    counts = hi - lo + 1
-    starts = np.cumsum(counts) - counts
-    nodes = np.repeat(lo - starts, counts) + np.arange(counts.sum())
+    nodes, starts, counts = _runs(lo, hi)
     terms = np.exp(-np.repeat(two_z, counts) * x[nodes]) * np.take(block.T, nodes, axis=1)
     return [np.add.reduceat(t, starts, axis=1).T for t in (terms, np.abs(terms))]
 
@@ -643,9 +620,12 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> tuple:
         def run(k, rows):
             # gap = omega/c - q, exact, so that p^2 = gap (omega/c + q) keeps its digits
             w, x_n = w_c_of[rows], w_c_of[rows] * k
-            gap = {"ev": w - 1j * x_n, "prop": w / (1.0 + k) + 0j, "line": -1j * x_n}[sector]
-            q = x_n / (1.0 + k) + 0j if sector == "prop" else w - gap
-            jac = q.real * gap.real / w if sector == "prop" else x_n
+            if sector == "prop":
+                gap, q = w / (1.0 + k) + 0j, x_n / (1.0 + k) + 0j
+                jac = q.real * gap.real / w
+            else:
+                gap = w - 1j * x_n if sector == "ev" else -1j * x_n
+                q, jac = w - gap, x_n
             pair = local_reflection_q(q, (eps_r[rows] - 1.0) * w * w, eps_r[rows])
             r_a, r_b = (pair.r_p, pair.r_s) if field_kind == "B" else (pair.r_s, pair.r_p)
             if sector == "ev":
@@ -658,53 +638,72 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> tuple:
 
     lattices, shared = {}, {}
 
-    def sums(level, h, live):
-        step, live = 2**level, ok[live]
-        values, errs = np.zeros((len(zs), 2)), np.zeros((len(zs), 2))
-        for sector, (member, lo, hi) in spans.items():
-            points = live[member[live]]
-            if not points.size:
-                continue
-            lo, hi = lo[points] * step, hi[points] * step
-            table, start = lattices[sector] = _refine(*lattices.get(sector, (None, None)),
-                                                      row[points], lo, hi, h, kernel(sector))
-            for r in sorted(set(row[points].tolist())):
-                idx, a, b = (v[row[points] == r] for v in (points, lo, hi))
-                n = np.arange(a.min(), b.max() + 1)
-                block, two_z = table[r, n[0] - start:n[-1] - start + 1], 2.0 * z_of[idx]
-                if sector == "prop":
-                    value, err, shared[r] = _propagating(block, n, h, two_z * w_c[r], shared.get(r))
-                    values[idx] += value
-                    errs[idx] += err
-                    continue
-                e_n, a, b, head, err = np.exp(n * h), a - n[0], b - n[0], 0.0, 0.0
-                x = w_c[r] * e_n
-                # the tail below the first node stays under twice its term, the
-                # one beyond the last, where X grows at most like x^3, under |X|
-                # e^{-2xz}/(2z) (1 + 3/y + 6/y^2 + 6/y^3), y = 2xz
-                first, end = (np.abs(block[k] * np.exp(-two_z * x[k])[:, None]) for k in (a, b))
-                if sector == "ev":
-                    # up to each switch node s from the prefix moments, while finite
-                    s = np.floor(scale_n[idx] * step).astype(int) - n[0]
-                    y, f = e_n[:s.max() + 1], np.ascontiguousarray(block[:s.max() + 1].T)
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        powers = y ** np.arange(_ORDER + 1)[:, None, None]
-                        moments = np.cumsum(np.concatenate([powers * f, np.abs(f)[None]]), 2)
-                    s = np.minimum(s, np.isfinite(moments).all((0, 1)).sum() - 1)
-                    moments = np.take(moments, s, axis=2)
-                    head, err = _moment_sum(moments[:-1], moments[-1], s + 1, -two_z * w_c[r],
-                                            two_z * x[s])
-                    a = s + 1
-                direct, moduli = _decayed(x, block, two_z, a, b)
-                value, y = h * (head + direct), two_z * x[b]
-                if sector == "line":
-                    value = (np.array([_phase(zs[i], omegas[i]) for i in idx.tolist()])[:, None]
-                             * value).imag
-                # the terms summed one by one round by count eps of their moduli
+    def sector_sums(sector, table, start, points, level, values, errs):
+        """Add each point's sums of one sector at h = H0/2^level, from the
+        sector's lattice at that h (table, columns from n = start), to its
+        rows of values and errs."""
+        step, h, (_, lo, hi) = 2**level, H0 / 2**level, spans[sector]
+        lo, hi = lo[points] * step, hi[points] * step
+        for r in sorted(set(row[points].tolist())):
+            idx, a, b = (v[row[points] == r] for v in (points, lo, hi))
+            n = np.arange(a.min(), b.max() + 1)
+            block, two_z = table[r, n[0] - start:n[-1] - start + 1], 2.0 * z_of[idx]
+            if sector == "prop":
+                value, err, shared[r] = _propagating(block, n, h, two_z * w_c[r], shared.get(r))
                 values[idx] += value
-                errs[idx] += (h * moduli * ((b - a + 1) * EPS)[:, None] + 2.0 * first
-                              + end * ((1 + 3 / y + 6 / y**2 + 6 / y**3) / y)[:, None] + h * err)
-        return values[live], errs[live]
+                errs[idx] += err
+                continue
+            e_n, a, b, head, err = np.exp(n * h), a - n[0], b - n[0], 0.0, 0.0
+            x = w_c[r] * e_n
+            # the tail below the first node stays under twice its term, the
+            # one beyond the last, where X grows at most like x^3, under |X|
+            # e^{-2xz}/(2z) (1 + 3/y + 6/y^2 + 6/y^3), y = 2xz
+            first, end = (np.abs(block[k] * np.exp(-two_z * x[k])[:, None]) for k in (a, b))
+            if sector == "ev":
+                # up to each switch node s from the prefix moments, while finite
+                s = np.floor(scale_n[idx] * step).astype(int) - n[0]
+                y, f = e_n[:s.max() + 1], np.ascontiguousarray(block[:s.max() + 1].T)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    powers = y ** np.arange(_ORDER + 1)[:, None, None]
+                    moments = np.cumsum(np.concatenate([powers * f, np.abs(f)[None]]), 2)
+                s = np.minimum(s, np.isfinite(moments).all((0, 1)).sum() - 1)
+                moments = np.take(moments, s, axis=2)
+                head, err = _moment_sum(moments[:-1], moments[-1], s + 1, -two_z * w_c[r],
+                                        two_z * x[s])
+                a = s + 1
+            direct, moduli = _decayed(x, block, two_z, a, b)
+            value, y = h * (head + direct), two_z * x[b]
+            if sector == "line":
+                value = (np.array([_phase(zs[i], omegas[i]) for i in idx.tolist()])[:, None]
+                         * value).imag
+            # the terms summed one by one round by count eps of their moduli
+            values[idx] += value
+            errs[idx] += (h * moduli * ((b - a + 1) * EPS)[:, None] + 2.0 * first
+                          + end * ((1 + 3 / y + 6 / y**2 + 6 / y**3) / y)[:, None] + h * err)
+
+    def sums(levels, live):
+        top, asked = levels[-1], ok[live]
+        values, errs = np.zeros((2, len(levels), len(zs), 2))
+        for sector, (member, lo, hi) in spans.items():
+            points = asked[member[asked]]
+            if points.size:
+                # the lattice at h = H0/2^top: on the first call every node from
+                # the kernel, the lattice at 2h its even nodes
+                lattices[sector] = _refine(
+                    *(lattices[sector] if levels[0] else (None, None)), row[points],
+                    lo[points] * 2**top, hi[points] * 2**top, H0 / 2**top, kernel(sector))
+        live = asked
+        for m, level in enumerate(levels):
+            if m:  # as in lattice_sums, a point with a sum at 2h not finite is lost
+                live = live[np.isfinite(values[m - 1, live]).all(1)
+                            & np.isfinite(errs[m - 1, live]).all(1)]
+            for sector, (member, _, _) in spans.items():
+                points = live[member[live]]
+                if points.size:
+                    fine, first = lattices[sector]
+                    sector_sums(sector, fine[:, ::2**(top - level)], first // 2**(top - level),
+                                points, level, values[m], errs[m])
+        return values[:, asked], errs[:, asked]
 
     # a point's non-finite sums become a DomainError of evaluate_columns
     scale = HBAR / EPS0 if field_kind == "E" else HBAR / (EPS0 * C_LIGHT**2)

@@ -151,6 +151,36 @@ def test_ladder_rungs_match_the_bracket_integrals(copper, omega0, cfg, monkeypat
                                                            series[1][1])
 
 
+def _ladder_calls(material, omega, cfg, monkeypatch):
+    """(sizes, levels) of one ladder: the node count of each _radial_integrand
+    call and the levels of h each call of the lattice rule asks for."""
+    import ewjn.bulk as bulk
+
+    sizes, levels, integrand, lattice_sums = [], [], bulk._radial_integrand, bulk.lattice_sums
+
+    def rule(count, sums, cfg):
+        return lattice_sums(count, lambda asked, live: levels.append(list(asked))
+                            or sums(asked, live), cfg)
+
+    monkeypatch.setattr(bulk, "_radial_integrand",
+                        lambda m, k, w: sizes.append(k.size) or integrand(m, k, w))
+    monkeypatch.setattr(bulk, "lattice_sums", rule)
+    with pytest.raises(QuadratureError):  # the ladder does not settle at omega0
+        bulk_imD_coincident(material, omega, cfg)
+    return sizes, levels
+
+
+def test_ladder_asks_the_integrand_once_for_h_one_quarter_and_one_eighth(copper, omega0,
+                                                                         monkeypatch):
+    # the first call of the lattice rule takes every node of every rung at
+    # h = 1/8 from one integrand call and the lattice at 1/4 from its even
+    # nodes; each further halving asks once for the odd nodes of the live rungs
+    sizes, levels = _ladder_calls(copper, omega0, QuadratureConfig(rel_tol=1e-4), monkeypatch)
+    assert levels == [[0, 1]] and len(sizes) == 1
+    deeper, levels = _ladder_calls(copper, omega0, QuadratureConfig(), monkeypatch)
+    assert levels[0] == [0, 1] and len(deeper) == len(levels) > 1 and deeper[0] == sizes[0]
+
+
 @pytest.mark.parametrize("omega", [1e7, 6e8 * math.pi, 1e11])
 def test_ladder_rungs_match_the_adaptive_engine_at_1e_12(copper, omega):
     # each rung's log-lattice sum against the adaptive engine of tests/adaptive.py

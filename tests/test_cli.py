@@ -13,13 +13,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ewjn
 from ewjn import DomainError, QuadratureConfig, QubitSpec, evaluate, load_material, t1
 from ewjn.materials import BOHR_MAGNETON, BOHR_RADIUS, E_CHARGE, HBAR, K_BOLTZMANN
-from ewjn.cli import _COMMANDS, _flags, _parse, build_parser, main
+from ewjn.cli import _COMMANDS, _flags, _log_grid, _parse, build_parser, main
 
 LAM_F = 4.635454439837973e-10  # copper Fermi wavelength, m
 
@@ -361,6 +362,18 @@ def test_negative_reflected_chi_is_domain_error(capsys, tmp_path):
             assert row[header.index("local-retarded:status")] == status
             assert (row[header.index("local-retarded:t1[s]")] == "nan") == (status != "ok")
 
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lo=st.floats(1e-300, 1e300), ratio=st.floats(1.0, 1e50, exclude_min=True),
+       count=st.integers(2, 300))
+def test_log_grid_is_geomspace_bit_for_bit(lo, ratio, count):
+    # the log grids of sweeps and figures skip np.geomspace's wrappers but
+    # keep its every bit, ends included
+    hi = lo * ratio
+    if not (lo < hi < math.inf):
+        return
+    assert _log_grid(lo, hi, count) == np.geomspace(lo, hi, count).tolist()
 
 # --------------------------------------------------------------- exit codes
 

@@ -81,15 +81,15 @@ def test_gregory_weights_are_the_exact_end_correction():
 
 def _level_sums(table):
     """A sums callback that returns table(level, point) -> (values, errors)
-    per live point and records each level's live points."""
+    per asked level and live point and records each call's levels and live
+    points."""
     seen = []
 
-    def sums(level, h, live):
-        assert h == 0.25 / 2**level
-        seen.append((level, live.tolist()))
-        rows = [table(level, p) for p in live.tolist()]
-        return (np.array([v for v, _ in rows], dtype=float),
-                np.array([e for _, e in rows], dtype=float))
+    def sums(levels, live):
+        seen.append((list(levels), live.tolist()))
+        rows = [[table(level, p) for p in live.tolist()] for level in levels]
+        return (np.array([[v for v, _ in r] for r in rows], dtype=float),
+                np.array([[e for _, e in r] for r in rows], dtype=float))
     return sums, seen
 
 
@@ -103,7 +103,7 @@ def test_lattice_sums_stop_at_the_first_level_where_every_sum_meets_rel_tol():
     sums, seen = _level_sums(lambda level, p: ([1 + c[p][0] / 4**level, 2 + c[p][1] / 4**level],
                                                [1e-6, 2e-6]))
     values, errors, missed = lattice_sums(3, sums, QuadratureConfig(rel_tol=1e-3))
-    assert seen == [(0, [0, 1, 2]), (1, [0, 1, 2]), (2, [2]), (3, [2])]
+    assert seen == [([0, 1], [0, 1, 2]), ([2], [2]), ([3], [2])]
     assert not missed.any()
     assert values.tolist() == [[1.0, 2.0], [1 + 1e-3 / 4, 2.0], [1 + 1e-3 / 64, 2 + 3e-2 / 64]]
     # each error is the callback's plus the difference from the sums at 2h
@@ -121,7 +121,7 @@ def test_lattice_sums_abs_tol_floor(abs_tol, stops_at):
     # floor lets it meet its tolerance
     sums, seen = _level_sums(lambda level, p: ([0.0], [1e-31]))
     values, errors, missed = lattice_sums(1, sums, QuadratureConfig(abs_tol=abs_tol))
-    assert [level for level, _ in seen][-1] == (stops_at or 4)
+    assert seen[-1][0][-1] == (stops_at or 4)
     assert missed.tolist() == [stops_at is None]
     assert (values.tolist(), errors.tolist()) == ([[0.0]], [[1e-31]])
 
@@ -134,7 +134,7 @@ def test_lattice_sums_miss_after_at_most_four_halvings(max_subdivisions, halving
     sums, seen = _level_sums(lambda level, p: ([float(level * p)], [0.0]))
     cfg = QuadratureConfig(max_subdivisions=max_subdivisions)
     values, errors, missed = lattice_sums(2, sums, cfg)
-    assert seen == [(0, [0, 1]), (1, [0, 1])] + [(level, [1]) for level in range(2, halvings + 1)]
+    assert seen == [([0, 1], [0, 1])] + [([level], [1]) for level in range(2, halvings + 1)]
     assert missed.tolist() == [False, True]
     assert values[1, 0] == halvings and errors[1, 0] == 1.0
 
@@ -154,7 +154,8 @@ def test_lattice_sums_stop_a_point_at_once_when_a_value_or_error_is_not_finite()
     sums, seen = _level_sums(table)
     with np.errstate(all="raise"):
         values, errors, missed = lattice_sums(3, sums, QuadratureConfig())
-    assert seen == [(0, [0, 1, 2]), (1, [1, 2]), (2, [1, 2]), (3, [2]), (4, [2])]
+    # the first call asks for levels 0 and 1 of every point, point 0's too
+    assert seen == [([0, 1], [0, 1, 2]), ([2], [1, 2]), ([3], [2]), ([4], [2])]
     assert missed.tolist() == [False, False, True]
     assert math.isnan(values[0, 0]) and errors[1, 0] == math.inf
     assert values[2, 0] == 4.0

@@ -150,21 +150,24 @@ def _one_pass_lattices(monkeypatch):
 
 
 @pytest.mark.parametrize("z_over_lam_f", [1.0, 30.0, 3000.0])
-def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, cfg_fast, z_over_lam_f,
-                                            monkeypatch):
+def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, z_over_lam_f, monkeypatch):
     # k_n = e^{nh} at n = 2m on the lattice at h/2 is e^{mh} bit for bit,
-    # so a lattice built from the one at 2h gives both channels' bits
+    # so a lattice built from the one at 2h gives both channels' bits; at
+    # rel_tol 1e-11 every point reaches h = 1/16, refined from the first
+    # pass's lattice at 1/8
+    cfg = QuadratureConfig(rel_tol=1e-11)
     z = z_over_lam_f * lam_f
-    two = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg_fast)
+    two = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
     _one_pass_lattices(monkeypatch)
-    one = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg_fast)
+    one = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
     assert (one.chi_xx, one.chi_zz, one.error_estimate, one.decomposition) \
         == (two.chi_xx, two.chi_zz, two.error_estimate, two.decomposition)
 
 
 @pytest.mark.parametrize("z_over_lam_f,rel_tol,max_subdivisions", [
     (1.0, 1e-10, 1),    # the r_p sum misses rel_tol after one halving of h
-], ids=["1e-10-1"])
+    (1.0, 1e-14, 2),    # and after two, the second refined from the first pass
+], ids=["1e-10-1", "1e-14-2"])
 def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, z_over_lam_f, rel_tol,
                                                   max_subdivisions, monkeypatch):
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
@@ -208,9 +211,9 @@ def test_chi_B_nonlocal_outer_failure_equals_its_run_alone(copper, omega0, lam_f
 
 
 def test_nonlocal_B_point_is_one_outer_integral(copper, omega0, lam_f, monkeypatch):
-    # at each halving of h the r_p channel, the outer integral over p, is
-    # one correlation and the r_s channel one _polar_g call, each for all
-    # points of the batch
+    # at each step h the r_p channel, the outer integral over p, is one
+    # correlation for all points of the batch, and each call of the lattice
+    # rule, the first for h = 1/4 and 1/8, one _polar_g call
     import ewjn.spectral as spectral
 
     rows, a_sizes = [], []
@@ -237,11 +240,64 @@ def test_nonlocal_B_point_is_one_outer_integral(copper, omega0, lam_f, monkeypat
     a_sizes.clear()
     batch = evaluate_batch(copper, "B", zs, omega0, "nonlocal-quasistatic", cfg)
     assert not any(isinstance(o, Exception) for o in batch)
-    assert len(rows) == len(a_sizes) >= 2
+    assert len(rows) == len(a_sizes) + 1 >= 2
     assert rows == [1] * len(rows)
-    # the first call holds the k-sums of all seven points
+    # the first call holds the k-sums of all seven points at both steps
     assert a_sizes[0] == sum(first_alone)
 
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_nonlocal_batch_asks_each_kernel_once_for_h_one_quarter_and_one_eighth(
+        copper, omega0, lam_f, field_kind, monkeypatch):
+    # a batch that stops at h = 1/8 evaluates eps_l on its r_p lattice and,
+    # for B, eps_t on its k lattice in one kernel call each: the lattice at
+    # h = 1/4 is the even nodes of the one at 1/8
+    import ewjn.fresnel as fresnel
+    import ewjn.spectral as spectral
+
+    calls, levels, lattice_sums = {"epsilon_l": 0, "epsilon_t": 0}, [], spectral.lattice_sums
+
+    def counted(name, kernel):
+        def run(material, k, omega):
+            calls[name] += 1
+            return kernel(material, k, omega)
+        return run
+
+    def rule(count, sums, cfg):
+        return lattice_sums(count, lambda asked, live: levels.append(list(asked))
+                            or sums(asked, live), cfg)
+
+    monkeypatch.setattr(fresnel, "epsilon_l", counted("epsilon_l", fresnel.epsilon_l))
+    monkeypatch.setattr(spectral, "epsilon_t", counted("epsilon_t", spectral.epsilon_t))
+    monkeypatch.setattr(spectral, "lattice_sums", rule)
+    zs = np.geomspace(lam_f, 3000.0 * lam_f, 7).tolist()
+    batch = evaluate_batch(copper, field_kind, zs, omega0, "nonlocal-quasistatic",
+                           QuadratureConfig())
+    assert not any(isinstance(o, Exception) for o in batch)
+    assert levels == [[0, 1]]
+    assert calls == {"epsilon_l": 1, "epsilon_t": int(field_kind == "B")}
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_nonlocal_first_pass_sums_at_one_eighth_are_those_of_its_own_lattice(
+        copper, lam_f, field_kind, monkeypatch):
+    # the first pass evaluates the kernel on one lattice at h = 1/8 that also
+    # holds the lattice at 1/4; its sums at 1/8 are bit for bit those of the
+    # lattice at 1/8 built alone, which ends at its own window tops
+    import ewjn.spectral as spectral
+
+    seen, lattice_sums = [], spectral.lattice_sums
+
+    def rule(count, sums, cfg):
+        seen.extend([sums(range(1, 2), np.arange(count)), sums(range(2), np.arange(count))])
+        return lattice_sums(count, sums, cfg)
+
+    monkeypatch.setattr(spectral, "lattice_sums", rule)
+    zs = np.geomspace(1e-3 * lam_f, 3000.0 * lam_f, 9).tolist()
+    evaluate_batch(copper, field_kind, zs, np.geomspace(1e7, 1e11, 9).tolist(),
+                   "nonlocal-quasistatic", QuadratureConfig())
+    (alone, alone_err), (both, both_err) = seen
+    assert alone.shape == (1, len(zs), 1 + (field_kind == "B"))
+    assert alone[0].tolist() == both[1].tolist() and alone_err[0].tolist() == both_err[1].tolist()
 
 def _chi_zz_nested(material, z, omega, cfg, nested_r_s):
     """chi^B_zz in the other integration order: (hbar/(eps0 c^2)) times
@@ -304,7 +360,7 @@ def _mp_polar_g(mp, a):
 
 def test_polar_weight_matches_mpmath_across_the_switch():
     mp = pytest.importorskip("mpmath")
-    from ewjn.spectral import _G_SWITCH, _polar_g
+    from ewjn.quadrature import _G_SWITCH, _polar_g
 
     a = np.array([0.0, 1e-3, 0.3, 1.0, 4.0, 17.0, 35.0, math.nextafter(_G_SWITCH, 0.0),
                   _G_SWITCH, 75.0, 200.0, 1e3, 1e5])
@@ -510,9 +566,10 @@ def test_retarded_batch_failures_match_scalar(copper, omega0, max_subdivisions, 
     cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
     zs = _farfield_grid(copper, omega0)
     batch = evaluate_batch(copper, "E", zs, omega0, "local-retarded", cfg)
-    # the grid is one lattice: h = 1/4 and each halving ask the Fresnel kernel
-    # once for the evanescent and once for the propagating nodes of all points
-    assert len(calls) == 2 * (min(4, max_subdivisions) + 1)
+    # the grid is one lattice: h = 1/8, whose even nodes are the lattice at
+    # 1/4, and each further halving ask the Fresnel kernel once for the
+    # evanescent and once for the propagating nodes of all points
+    assert len(calls) == 2 * min(4, max_subdivisions)
     assert "".join("x" if isinstance(o, QuadratureError) else "." for o in batch) == pattern
     for z, outcome in zip(zs, batch):
         _assert_same_outcome(outcome, copper, "E", z, omega0, "local-retarded", cfg)

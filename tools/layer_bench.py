@@ -19,7 +19,9 @@ each for the electric and the magnetic field:
                (the fig2/fig4 grid)
 
 Each batch is one evaluate_batch call, timed best of N (default 3), with
-the counts of one run: the epsilon_l and epsilon_t nodes, the lattices
+the counts of one run: the epsilon_l and epsilon_t calls and nodes (one
+call per lattice for h = 1/4 and 1/8 together, whose coarse nodes are
+the even ones of the fine, then one per further halving), the lattices
 (one per omega and h: every point runs at h = 1/4 and 1/8, then halves h
 until its sums meet rel_tol), the lattices per omega, and the final h
 and the halvings from h = 1/4 that reached it.
@@ -28,17 +30,18 @@ Four local-retarded sweeps, 100 heights from a tenth of the skin depth
 to 30 skin depths at one omega (copper at 6 pi 1e8 rad/s and the dense
 metal of the far-field tests, omega_p 1.5e16, nu 8e13 rad/s, 10 eV, at
 5e9 rad/s; E and B, default rel_tol), each one evaluate_batch call timed
-best of N, with the Fresnel nodes of one run (the q at which
-local_reflection_q is asked), the final h of its lattice (the deepest
-level at which quadrature.lattice_sums asks for sums) and the direct
+best of N, with the Fresnel calls and nodes of one run (the q at which
+local_reflection_q is asked, one call per sector for h = 1/4 and 1/8
+together, then one per further halving), the final h of its lattice (the
+deepest level at which quadrature.lattice_sums asks for sums) and the direct
 terms of one run: the (height, node) pairs whose e^{-2zx} F the sweep
 sums one by one (spectral._decayed; the other evanescent terms come
 from moments the heights share).
 
 The bulk row times bulk_imD_coincident of copper at 6 pi 1e8 rad/s,
-best of N, with the epsilon_l nodes of one run per rung of its cutoff
-ladder (rung i runs up to 3, 10, 30 and 100 k_F; a node at a rung's
-end counts in the lower rung).
+best of N, with the epsilon_l calls of one run and its nodes per rung of
+its cutoff ladder (rung i runs up to 3, 10, 30 and 100 k_F; a node at a
+rung's end counts in the lower rung).
 
 The CLI row times `ewjn sweep` through cli.main, each main() in a fresh
 interpreter timed after `import ewjn.cli`, best of N (default 3)
@@ -125,19 +128,21 @@ def measure(repeat: int) -> dict:
 
     def nodes_counted(key, eps):
         def run(material, k, omega):
-            counts[key] += np.size(k)
+            counts[f"{key}_calls"] += 1
+            counts[f"{key}_nodes"] += np.size(k)
             return eps(material, k, omega)
         return run
 
     patches = [
         (spectral, "lattice_reflection", lattices_counted),
-        (fresnel, "epsilon_l", nodes_counted("eps_l_nodes", fresnel.epsilon_l)),
-        (spectral, "epsilon_t", nodes_counted("eps_t_nodes", spectral.epsilon_t)),
+        (fresnel, "epsilon_l", nodes_counted("eps_l", fresnel.epsilon_l)),
+        (spectral, "epsilon_t", nodes_counted("eps_t", spectral.epsilon_t)),
     ]
     out = {}
     for name, field_kind, zs, omega in _batches():
         def run():
-            counts.update(eps_l_nodes=0, eps_t_nodes=0, lattices=0, h_min=math.inf)
+            counts.update(eps_l_calls=0, eps_l_nodes=0, eps_t_calls=0, eps_t_nodes=0,
+                          lattices=0, h_min=math.inf)
             return evaluate_batch(COPPER, field_kind, zs, omega, "nonlocal-quasistatic")
         wall, outcomes = _timed(repeat, patches, run)
         failed = sum(isinstance(o, Exception) for o in outcomes)
@@ -179,13 +184,14 @@ def measure_retarded(repeat: int) -> dict:
     counts = {}
 
     def nodes_counted(q, *args):
+        counts["fresnel_calls"] += 1
         counts["fresnel_nodes"] += np.size(q)
         return reflection(q, *args)
 
     def levels_seen(count, sums, cfg):
-        def seen(level, h, live):
-            counts["level"] = max(counts["level"], level)
-            return sums(level, h, live)
+        def seen(levels, live):
+            counts["level"] = max(counts["level"], levels[-1])
+            return sums(levels, live)
         return lattice_sums(count, seen, cfg)
 
     def terms_counted(x, block, two_z, lo, hi):
@@ -202,23 +208,24 @@ def measure_retarded(repeat: int) -> dict:
         zs = np.geomspace(delta / 10.0, 30.0 * delta, 100).tolist()
         for field_kind in ("E", "B"):
             def run():
-                counts.update(fresnel_nodes=0, level=-1, direct_terms=0)
+                counts.update(fresnel_calls=0, fresnel_nodes=0, level=-1, direct_terms=0)
                 return evaluate_batch(metal, field_kind, zs, omega, "local-retarded")
             wall, outcomes = _timed(repeat, patches, run)
             out[f"retarded-{metal.name}-{field_kind}"] = {
                 "points": len(zs), "wall_s": round(wall, 4),
                 "failed": sum(isinstance(o, Exception) for o in outcomes),
-                "fresnel_nodes": counts["fresnel_nodes"],
+                "fresnel_calls": counts["fresnel_calls"], "fresnel_nodes": counts["fresnel_nodes"],
                 "final_h": 0.25 / 2**counts["level"] if counts["level"] >= 0 else None,
                 "direct_terms": counts["direct_terms"]}
     return out
 
 
 def measure_bulk(repeat: int) -> dict:
-    k_f, nodes = COPPER.fermi_wavevector, [0, 0, 0, 0]
+    k_f, nodes, calls = COPPER.fermi_wavevector, [0, 0, 0, 0], [0]
     ladder = [3.0 * k_f, 10.0 * k_f, 30.0 * k_f, 100.0 * k_f]
 
     def counted(material, k, omega):
+        calls[0] += 1
         # a node counts in the rung its k falls in, a shared end in the lower
         rungs = np.searchsorted(ladder, np.ravel(k) * (1.0 - 1e-12))
         for rung, count in enumerate(np.bincount(rungs, minlength=4)[:4].tolist()):
@@ -226,7 +233,7 @@ def measure_bulk(repeat: int) -> dict:
         return eps_l(material, k, omega)
 
     def run():
-        nodes[:] = [0, 0, 0, 0]
+        nodes[:], calls[0] = [0, 0, 0, 0], 0
         try:
             return bulk_imD_coincident(COPPER, OMEGA_0).convergence_series
         except QuadratureError as exc:
@@ -234,7 +241,7 @@ def measure_bulk(repeat: int) -> dict:
 
     eps_l = bulk.epsilon_l
     wall, series = _timed(repeat, [(bulk, "epsilon_l", counted)], run)
-    return {"wall_s": round(wall, 4), "rungs": len(series),
+    return {"wall_s": round(wall, 4), "rungs": len(series), "eps_l_calls": calls[0],
             "eps_l_nodes_per_rung": nodes[:len(series)]}
 
 
