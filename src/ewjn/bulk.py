@@ -30,7 +30,7 @@ import numpy as np
 from .errors import QuadratureError, require_positive_finite
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_l, epsilon_t
 from .quadrature import GREGORY, H0, ROUNDING, QuadratureConfig, lattice_sums, not_converged
-from .spectral import Model, evaluate
+from .spectral import Model, _drude_scales_error, evaluate
 
 _LADDER = (3.0, 10.0, 30.0, 100.0)
 _LADDER_REL = 0.01
@@ -133,9 +133,13 @@ def bulk_imD_coincident(
     The angular average is analytic (<k_i k_j> = delta_ij k^2/3); the
     radial integral runs over the cutoff ladder until two successive
     rungs agree to 1%. A ladder that never settles raises
-    QuadratureError with the convergence_series attached.
+    QuadratureError with the convergence_series attached; an omega whose
+    omega^2 overflows or whose omega (omega + i nu) underflows raises
+    DomainError.
     """
     require_positive_finite("omega", omega)
+    if error := _drude_scales_error(material, omega, squared=True, grazing=False):
+        raise error
     cfg = cfg or QuadratureConfig()
     k_f = material.fermi_wavevector
     k_skin = omega / C_LIGHT * math.sqrt(abs(drude_epsilon(material, omega)))

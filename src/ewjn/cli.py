@@ -37,14 +37,7 @@ import numpy as np
 
 from .bulk import bulk_imD_coincident, surface_limit_imD
 from .errors import DomainError, QuadratureError
-from .materials import (
-    BOHR_MAGNETON,
-    BOHR_RADIUS,
-    C_LIGHT,
-    E_CHARGE,
-    EPS0,
-    load_material,
-)
+from .materials import BOHR_MAGNETON, BOHR_RADIUS, C_LIGHT, E_CHARGE, EPS0, load_material
 from .quadrature import QuadratureConfig
 from .relaxation import _CHI_UNITS, QubitSpec, relax, relaxation_rate, t1 as compute_t1
 from .spectral import Model, evaluate, evaluate_columns, regime_select
@@ -212,9 +205,7 @@ def _json_number(x):
     return None if math.isnan(x) else "inf" if math.isinf(x) else x
 
 
-def _cmd_spectral(args) -> int:
-    material = load_material(args.material)
-    cfg = QuadratureConfig(rel_tol=args.rel_tol)
+def _cmd_spectral(args, material, cfg) -> int:
     tensor = evaluate(material, args.field, args.z, args.omega, args.model, cfg)
     doc = {
         "inputs": {
@@ -237,9 +228,7 @@ def _cmd_spectral(args) -> int:
     return _EXIT_OK
 
 
-def _cmd_t1(args) -> int:
-    material = load_material(args.material)
-    cfg = QuadratureConfig(rel_tol=args.rel_tol)
+def _cmd_t1(args, material, cfg) -> int:
     qubit = QubitSpec(_QUBITS[args.qubit][0], _moment(args), args.orientation, args.omega)
     res = compute_t1(material, qubit, args.z, args.temp, args.model, cfg)
     doc = {
@@ -374,9 +363,7 @@ def _worst_exit(cells) -> int:
     return _EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    material = load_material(args.material)
-    cfg = QuadratureConfig(rel_tol=args.rel_tol)
+def _cmd_sweep(args, material, cfg) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     if not models:
         raise ValueError("at least one model is required")
@@ -428,9 +415,7 @@ def _bulk_ladder(material, omega, cfg):
         return exc, getattr(exc, "convergence_series", [])
 
 
-def _cmd_bulk(args) -> int:
-    material = load_material(args.material)
-    cfg = QuadratureConfig(rel_tol=args.rel_tol)
+def _cmd_bulk(args, material, cfg) -> int:
     res, series = _bulk_ladder(material, args.omega, cfg)
     failed = isinstance(res, QuadratureError)
     if failed:
@@ -443,17 +428,10 @@ def _cmd_bulk(args) -> int:
     bulk_doc["status"] = "not-converged" if failed else "ok"
     surf = surface_limit_imD(material, args.omega, cfg)
     doc = {
-        "inputs": {
-            "material": material.name,
-            "omega_rad_per_s": args.omega,
-            "rel_tol": args.rel_tol,
-        },
+        "inputs": {"material": material.name, "omega_rad_per_s": args.omega,
+                   "rel_tol": args.rel_tol},
         "bulk": bulk_doc,
-        "surface": {
-            "im_D_xx": surf.im_D_xx,
-            "im_D_zz": surf.im_D_zz,
-            "units": "J*s/m",
-        },
+        "surface": {"im_D_xx": surf.im_D_xx, "im_D_zz": surf.im_D_zz, "units": "J*s/m"},
     }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return _EXIT_QUADRATURE if failed else _EXIT_OK
@@ -474,9 +452,7 @@ def _bulk_reference_comments(material, omega, cfg, moment) -> list:
     ]
 
 
-def _cmd_figure(args) -> int:
-    material = load_material(args.material)
-    cfg = QuadratureConfig(rel_tol=args.rel_tol)
+def _cmd_figure(args, material, cfg) -> int:
     axis, qubit, models, temps, bulk_reference, decomposition = _FIGURES[args.name]
     _, field_kind, moment, _ = _QUBITS[qubit]
     orientation, lam_f = "x", material.fermi_wavelength
@@ -516,15 +492,11 @@ def main(argv=None) -> int:
     args = _parse(argv)
     if args is None:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
-    handlers = {
-        "spectral": _cmd_spectral,
-        "t1": _cmd_t1,
-        "sweep": _cmd_sweep,
-        "bulk": _cmd_bulk,
-        "figure": _cmd_figure,
-    }
+    handlers = {"spectral": _cmd_spectral, "t1": _cmd_t1, "sweep": _cmd_sweep, "bulk": _cmd_bulk,
+                "figure": _cmd_figure}
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](args, load_material(args.material),
+                                      QuadratureConfig(rel_tol=args.rel_tol))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN

@@ -8,15 +8,14 @@ for h = H0 and H0/2 together, so a lattice's kernel runs once for both,
 on the nodes at H0/2, whose even ones are the lattice at H0; each later
 call asks for one halving, whose new nodes are the odd ones; _refine,
 _within and _runs build the lattices and lay runs of their nodes end to
-end. Two fixed rules ride along: the polar weight G of the magnetic
-k-sum (_polar_g) on the Gauss-Kronrod 15-point rule, and Gregory's end
-correction of a trapezoid sum cut at a point where its summand does not
-vanish.
+end, and _distinct groups points by omega. Two fixed sets ride along:
+the Gauss-Kronrod 15-point nodes, on which nonlocal_model builds G's
+rule, and Gregory's end correction of a trapezoid sum cut at a point
+where its summand does not vanish.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,42 +32,6 @@ _WGK = np.array([0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
                  0.2044329400752989, 0.2094821410847278])
 _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
-
-# G's rule: sin u and w sin^3 u at the Kronrod 15-point nodes u of 8
-# panels cut at (pi/2) 0.6^j, graded toward u = 0 where e^{-a sin u} turns
-_G_EDGES = np.array([0.0] + [0.5 * math.pi * 0.6**j for j in range(7, -1, -1)])
-_G_HALF = 0.5 * np.diff(_G_EDGES)[:, None]
-_G_SIN = np.sin((0.5 * (_G_EDGES[:-1] + _G_EDGES[1:])[:, None] + _G_HALF * _NODES).ravel())
-_G_WEIGHT = (_G_HALF * _WEIGHTS_K).ravel() * _G_SIN**3
-# From this a on, G is its asymptotic series, whose neglected e^{-a} part
-# is 1e-20 of G; below it the rule is good to a few ulps.
-_G_SWITCH = 60.0
-# the series' coefficients C(2n, n)/4^n (2n + 3)! of a^-(2n + 4), n = 19..0
-_G_SERIES = [math.comb(2 * n, n) / 4**n * math.factorial(2 * n + 3) for n in range(19, -1, -1)]
-# Below _G_TAYLOR, G is its Taylor series Sum_n (-a)^n I_{n+3}/n!, I_m =
-# Integral_0^{pi/2} cos^m = I_{m-2} (m - 1)/m, whose terms fall from the
-# first and stop at 1e-19 of G by n = 20; the coefficients, highest first.
-_G_TAYLOR, _G_TAYLOR_COEFFS = 1.0, [2.0 / 3.0, -3.0 * math.pi / 16.0]
-for _n in range(2, 20):
-    _G_TAYLOR_COEFFS.append(_G_TAYLOR_COEFFS[-2] * (_n + 2) / ((_n + 3) * _n * (_n - 1)))
-_G_TAYLOR_COEFFS.reverse()
-
-
-def _polar_g(a):
-    """G(a) = Integral_0^{pi/2} cos^3 theta e^{-a cos theta} dtheta at
-    every a >= 0 of an array: G(0) = 2/3 and Integral_0^inf G da = pi/4.
-    The Taylor series below _G_TAYLOR, the rule in u = pi/2 - theta below
-    _G_SWITCH, the asymptotic series from it, which underflows quietly
-    to 0 for a huge a."""
-    g = np.empty(a.shape)
-    small, far = a < _G_TAYLOR, a >= _G_SWITCH
-    near = ~(small | far)
-    g[small] = np.polyval(_G_TAYLOR_COEFFS, a[small])
-    g[near] = (_G_WEIGHT * np.exp(-a[near][:, None] * _G_SIN)).sum(axis=1)
-    b2 = (1.0 / a[far]) ** 2
-    g[far] = np.polyval(_G_SERIES, b2) * b2 * b2
-    return g
-
 
 # Gregory's end correction with 8 weights, exact over 10!: the trapezoid sum
 # plus h Sum_j GREGORY[j] f_j, j counted from the end, is exact for every
@@ -196,3 +159,11 @@ def _runs(lo, hi):
     counts = hi - lo + 1
     starts = counts.cumsum() - counts
     return (lo - starts).repeat(counts) + np.arange(counts.sum()), starts, counts
+
+
+def _distinct(values):
+    """np.unique(values, return_inverse=True) of a float array, a NaN
+    mapped to the first NaN, at a fifth of its first call's cost."""
+    distinct = np.array(list(set(values.tolist())))
+    distinct.sort()
+    return distinct, distinct.searchsorted(values)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, require_positive_finite
 from .materials import HBAR, K_BOLTZMANN, Material
-from .quadrature import QuadratureConfig
-from .spectral import Model, _distinct, evaluate
+from .quadrature import QuadratureConfig, _distinct
+from .spectral import Model, evaluate
 
 _KINDS = ("electric-dipole", "magnetic-dipole")
 _ORIENTATIONS = ("x", "y", "z")

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from ewjn import COPPER, DomainError, Material, QuadratureConfig, QuadratureError
-from ewjn.fresnel import M, lattice_reflection, surface_response
+from ewjn.fresnel import surface_response
 from ewjn.materials import C_LIGHT, EPS0, HBAR, epsilon_l, epsilon_t, skin_depth
 from adaptive import QuadResult, integrate_lockstep
-from ewjn.spectral import _polar_g, _tail_cut
+from ewjn.nonlocal_model import M, _polar_g, _tail_cut, lattice_reflection
 
 OMEGA0 = 6e8 * math.pi
 
@@ -208,8 +208,10 @@ def nested_r_s():
     return _nested_r_s
 
 
-# the oracle's outer integrals leave 1e-16 of their integrand beyond the cut
-_CUT = _tail_cut(1e-16)
+# the oracle's outer integrals are cut at x/(2z), where they leave 1e-16 of
+# their integrand, and |f(U)| ratio/(2z) bounds that tail (_tail_cut)
+_CUT_X = _tail_cut(1e-16)
+_CUT = (_CUT_X, 1 + 3 / _CUT_X + 6 / _CUT_X**2 + 6 / _CUT_X**3)
 
 
 def t_grid(z, k_nu):

@@ -210,7 +210,7 @@ def test_criterion_08_limiting_forms(copper, omega0, lam_f, cfg, monkeypatch):
     eps = drude_epsilon(copper, omega0)
     with monkeypatch.context() as frozen:
         frozen.setattr("ewjn.fresnel.epsilon_l", lambda material, k, w: eps)
-        frozen.setattr("ewjn.spectral.epsilon_t", lambda material, k, w: eps)
+        frozen.setattr("ewjn.nonlocal_model.epsilon_t", lambda material, k, w: eps)
         e_zz = evaluate(copper, "E", z, omega0, "nonlocal-quasistatic", cfg).chi_zz
         zz = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg).chi_zz
     rp_dev = abs(e_zz / evaluate(copper, "E", z, omega0, "local-quasistatic").chi_zz - 1.0)

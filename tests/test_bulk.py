@@ -6,15 +6,17 @@ weight, so every value here is positive where the raw tensor imaginary
 part is negative.
 """
 
+import collections
 import math
+import random
 
 import numpy as np
 import pytest
 
-from ewjn import DomainError, QuadratureError, bulk_imD_coincident, surface_limit_imD
+from ewjn import DomainError, Material, QuadratureError, bulk_imD_coincident, surface_limit_imD
 from ewjn import QuadratureConfig
 from ewjn.bulk import _radial_integrand
-from ewjn.materials import C_LIGHT, HBAR, drude_epsilon, epsilon_l, epsilon_t
+from ewjn.materials import C_LIGHT, E_CHARGE, HBAR, drude_epsilon, epsilon_l, epsilon_t
 from adaptive import integrate_lockstep
 
 LADDER_VALUES = [
@@ -240,3 +242,36 @@ def test_surface_limit_is_z_stable(copper, omega0, lam_f, cfg):
     at = evaluate(copper, "E", 1e-3 * lam_f, omega0, "nonlocal-quasistatic", cfg)
     halved = evaluate(copper, "E", 5e-4 * lam_f, omega0, "nonlocal-quasistatic", cfg)
     assert abs(halved.chi_zz / at.chi_zz - 1.0) < 0.02
+
+
+def test_bulk_over_the_full_float_box_gives_a_result_or_a_typed_error():
+    # 200 seeded draws of omega_p, nu, E_F (J) and omega, each log-uniform
+    # from 1e-300 to 1e300: every ladder returns a finite, non-negative Im D
+    # (exactly 0 where it underflows) or raises DomainError or
+    # QuadratureError, never the OverflowError of omega**2 or the
+    # ZeroDivisionError of an omega (omega + i nu) that underflows. The
+    # ladder's RuntimeWarnings are not checked here.
+    rng, seen = random.Random(3), collections.Counter()
+    for _ in range(200):
+        omega_p, nu, fermi, omega = (10.0 ** rng.uniform(-300, 300) for _ in range(4))
+        try:
+            with np.errstate(all="ignore"):
+                res = bulk_imD_coincident(Material("m", omega_p, nu, fermi), omega)
+        except (DomainError, QuadratureError) as exc:
+            seen[type(exc).__name__] += 1
+            continue
+        assert math.isfinite(res.im_D_xx) and res.im_D_xx >= 0.0 and res.im_D_zz == res.im_D_xx
+        seen["ok"] += 1
+    assert min(seen["ok"], seen["DomainError"], seen["QuadratureError"]) > 0, seen
+
+
+@pytest.mark.parametrize("nu,omega,message", [
+    (6e12 * math.pi, 1e200, "omega = 1e+200 rad/s is too large for m: omega^2 leaves the float "
+                            "range"),
+    (1e-200, 1e-200, "omega = 1e-200 rad/s is too small for m: omega (omega + i nu) "
+                     "underflows to 0"),
+])
+def test_bulk_omega_out_of_the_drude_scales_is_a_domain_error(nu, omega, message):
+    with pytest.raises(DomainError) as exc:
+        bulk_imD_coincident(Material("m", 1.6e16, nu, 7.0 * E_CHARGE), omega)
+    assert str(exc.value) == message

@@ -503,6 +503,29 @@ def test_non_finite_inputs_are_domain_errors(capsys, tmp_path, argv, cells):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+@pytest.mark.parametrize("model", ["local-quasistatic", "nonlocal-quasistatic",
+                                   "local-retarded", "auto"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_plasma_frequency_whose_square_overflows_exits_2(capsys, tmp_path, model, field_kind):
+    # omega_p^2 overflows: a chi that is not finite for the closed forms, a
+    # Drude permittivity out of the float range for the integral models
+    metal = tmp_path / "hot.cfg"
+    metal.write_text("name = hot\nomega_p_rad_s = 1e200\nnu_rad_s = 1e13\nfermi_energy_ev = 7\n")
+    code, out, err = run_cli(["spectral", "--z", "1e-8", "--model", model, "--field", field_kind,
+                              "--material", str(metal)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: chi is not finite" if model == "local-quasistatic" else
+                          "error: omega = 1.88496e+09 rad/s is too small for hot")
+
+
+def test_bulk_at_an_omega_whose_square_overflows_exits_2(capsys):
+    code, out, err = run_cli(["bulk", "--omega", "1e200"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: omega = 1e+200 rad/s is too large for copper: omega^2 leaves the "
+                   "float range\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--z", "1e-20"], ["--z", "1e-60"], ["--field", "B", "--z", "1e-30"],
     ["--field", "B", "--z", "1e-60"],

@@ -4,12 +4,12 @@ The golden r_p, r_s values at p = 1/(2 lambda_F) were frozen from runs
 of the kappa-integrals at rel_tol 1e-10 cross-checked against a
 fixed-grid trapezoid evaluation of the same integrals; tolerances
 reflect which of the two references is being compared against. The
-package computes r_p on a log lattice in k (fresnel.lattice_reflection,
-reached here through lattice_r_p) and the magnetic r_s channel as one
-k-sum per point (spectral); the kappa-integrals of r_p and r_s live on
-as the oracles kappa_r_p and nested_r_s (conftest), whose checks here
-pin those oracles, and the r_s checks of the package run at the chi
-level.
+package computes r_p on a log lattice in k
+(nonlocal_model.lattice_reflection, reached here through lattice_r_p)
+and the magnetic r_s channel as one k-sum per point (nonlocal_model);
+the kappa-integrals of r_p and r_s live on as the oracles kappa_r_p and
+nested_r_s (conftest), whose checks here pin those oracles, and the r_s
+checks of the package run at the chi level.
 """
 
 import math
@@ -18,16 +18,9 @@ import numpy as np
 import pytest
 
 from ewjn import COPPER, DomainError, Material, QuadratureConfig, QuadratureError
-from ewjn.fresnel import (
-    _NAVOT,
-    _ZETA,
-    M,
-    ReflectionPair,
-    lattice_reflection,
-    local_reflection_q,
-    surface_response,
-)
+from ewjn.fresnel import ReflectionPair, local_reflection_q, surface_response
 from ewjn.materials import C_LIGHT, M_ELECTRON, drude_epsilon, epsilon_l, epsilon_t
+from ewjn.nonlocal_model import _NAVOT, _ZETA, M, lattice_reflection
 from ewjn.spectral import evaluate
 
 from conftest import kappa_r_p, lattice_r_p
@@ -132,7 +125,7 @@ def test_nonlocal_rs_frozen_eps_omega_scaling(copper, omega0, lam_f, cfg, monkey
     # depend on omega, so the only omega left in chi^B_zz is the explicit
     # prefactor: exactly quadratic
     eps = -5.0 + 3.0j
-    monkeypatch.setattr("ewjn.spectral.epsilon_t", lambda material, k, w: eps)
+    monkeypatch.setattr("ewjn.nonlocal_model.epsilon_t", lambda material, k, w: eps)
     chi1, chi2 = (evaluate(copper, "B", 10.0 * lam_f, w, "nonlocal-quasistatic", cfg).chi_zz
                   for w in (omega0, 2.0 * omega0))
     assert rel(chi2, 4.0 * chi1) < 1e-12

@@ -141,12 +141,18 @@ def test_chi_B_nonlocal_reference(b_nl_10):
 def _one_pass_lattices(monkeypatch):
     """Let every lattice of the nonlocal model be computed in one pass over
     all its nodes, not from the nodes at 2h plus a second pass over the
-    odd ones."""
-    import ewjn.spectral as spectral
+    odd ones; returns the list of the calls that did, so a test can check
+    that the patch took effect."""
+    import ewjn.nonlocal_model as nonlocal_model
 
-    refine = spectral._refine
-    monkeypatch.setattr(spectral, "_refine", lambda old, old_lo, at, lo, hi, h, kernel: refine(
-        None, None, at, lo, hi, h, kernel))
+    refine, calls = nonlocal_model._refine, []
+
+    def one_pass(old, old_lo, at, lo, hi, h, kernel):
+        calls.append(h)
+        return refine(None, None, at, lo, hi, h, kernel)
+
+    monkeypatch.setattr(nonlocal_model, "_refine", one_pass)
+    return calls
 
 
 @pytest.mark.parametrize("z_over_lam_f", [1.0, 30.0, 3000.0])
@@ -158,8 +164,9 @@ def test_chi_B_nonlocal_one_pass_equals_two(copper, omega0, lam_f, z_over_lam_f,
     cfg = QuadratureConfig(rel_tol=1e-11)
     z = z_over_lam_f * lam_f
     two = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
-    _one_pass_lattices(monkeypatch)
+    calls = _one_pass_lattices(monkeypatch)
     one = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
+    assert len(calls) > 0
     assert (one.chi_xx, one.chi_zz, one.error_estimate, one.decomposition) \
         == (two.chi_xx, two.chi_zz, two.error_estimate, two.decomposition)
 
@@ -174,9 +181,10 @@ def test_chi_B_nonlocal_failures_equal_two_passes(copper, omega0, lam_f, z_over_
     z = z_over_lam_f * lam_f
     with pytest.raises(QuadratureError) as two_passes:
         evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
-    _one_pass_lattices(monkeypatch)
+    calls = _one_pass_lattices(monkeypatch)
     with pytest.raises(QuadratureError) as one_pass:
         evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
+    assert len(calls) > 0
     assert str(one_pass.value) == str(two_passes.value)
     assert one_pass.value.best_estimate == two_passes.value.best_estimate
     assert one_pass.value.error_bound == two_passes.value.error_bound
@@ -186,16 +194,16 @@ def test_chi_B_nonlocal_outer_failure_equals_its_run_alone(copper, omega0, lam_f
     # after one halving of h the r_p sum, the outer integral over p, of
     # the point at lambda_F misses rel_tol while its r_s k-sum meets it
     # and its neighbours converge
-    import ewjn.spectral as spectral
+    import ewjn.nonlocal_model as nonlocal_model
 
     sums = {}
-    outcome = spectral._nonlocal_outcome
+    outcome = nonlocal_model._nonlocal_outcome
 
     def recorded(field_kind, omega, z, values, errs, done, halvings):
         sums[z] = (values, errs)
         return outcome(field_kind, omega, z, values, errs, done, halvings)
 
-    monkeypatch.setattr(spectral, "_nonlocal_outcome", recorded)
+    monkeypatch.setattr(nonlocal_model, "_nonlocal_outcome", recorded)
     cfg = QuadratureConfig(rel_tol=1e-10, max_subdivisions=1)
     zs = [10.0 * lam_f, lam_f, 1000.0 * lam_f]
     batch = evaluate_batch(copper, "B", zs, omega0, "nonlocal-quasistatic", cfg)
@@ -214,10 +222,10 @@ def test_nonlocal_B_point_is_one_outer_integral(copper, omega0, lam_f, monkeypat
     # at each step h the r_p channel, the outer integral over p, is one
     # correlation for all points of the batch, and each call of the lattice
     # rule, the first for h = 1/4 and 1/8, one _polar_g call
-    import ewjn.spectral as spectral
+    import ewjn.nonlocal_model as nonlocal_model
 
     rows, a_sizes = [], []
-    reflection, polar_g = spectral.lattice_reflection, spectral._polar_g
+    reflection, polar_g = nonlocal_model.lattice_reflection, nonlocal_model._polar_g
 
     def counted(phi, h, count):
         rows.append(phi.shape[0])
@@ -227,8 +235,8 @@ def test_nonlocal_B_point_is_one_outer_integral(copper, omega0, lam_f, monkeypat
         a_sizes.append(a.size)
         return polar_g(a)
 
-    monkeypatch.setattr(spectral, "lattice_reflection", counted)
-    monkeypatch.setattr(spectral, "_polar_g", g_counted)
+    monkeypatch.setattr(nonlocal_model, "lattice_reflection", counted)
+    monkeypatch.setattr(nonlocal_model, "_polar_g", g_counted)
     cfg = QuadratureConfig(rel_tol=1e-6)
     zs = np.geomspace(lam_f, 3000.0 * lam_f, 7).tolist()
     first_alone = []
@@ -253,9 +261,10 @@ def test_nonlocal_batch_asks_each_kernel_once_for_h_one_quarter_and_one_eighth(
     # for B, eps_t on its k lattice in one kernel call each: the lattice at
     # h = 1/4 is the even nodes of the one at 1/8
     import ewjn.fresnel as fresnel
-    import ewjn.spectral as spectral
+    import ewjn.nonlocal_model as nonlocal_model
 
-    calls, levels, lattice_sums = {"epsilon_l": 0, "epsilon_t": 0}, [], spectral.lattice_sums
+    calls, levels = {"epsilon_l": 0, "epsilon_t": 0}, []
+    lattice_sums = nonlocal_model.lattice_sums
 
     def counted(name, kernel):
         def run(material, k, omega):
@@ -268,8 +277,9 @@ def test_nonlocal_batch_asks_each_kernel_once_for_h_one_quarter_and_one_eighth(
                             or sums(asked, live), cfg)
 
     monkeypatch.setattr(fresnel, "epsilon_l", counted("epsilon_l", fresnel.epsilon_l))
-    monkeypatch.setattr(spectral, "epsilon_t", counted("epsilon_t", spectral.epsilon_t))
-    monkeypatch.setattr(spectral, "lattice_sums", rule)
+    monkeypatch.setattr(nonlocal_model, "epsilon_t", counted("epsilon_t",
+                                                             nonlocal_model.epsilon_t))
+    monkeypatch.setattr(nonlocal_model, "lattice_sums", rule)
     zs = np.geomspace(lam_f, 3000.0 * lam_f, 7).tolist()
     batch = evaluate_batch(copper, field_kind, zs, omega0, "nonlocal-quasistatic",
                            QuadratureConfig())
@@ -283,15 +293,15 @@ def test_nonlocal_first_pass_sums_at_one_eighth_are_those_of_its_own_lattice(
     # the first pass evaluates the kernel on one lattice at h = 1/8 that also
     # holds the lattice at 1/4; its sums at 1/8 are bit for bit those of the
     # lattice at 1/8 built alone, which ends at its own window tops
-    import ewjn.spectral as spectral
+    import ewjn.nonlocal_model as nonlocal_model
 
-    seen, lattice_sums = [], spectral.lattice_sums
+    seen, lattice_sums = [], nonlocal_model.lattice_sums
 
     def rule(count, sums, cfg):
         seen.extend([sums(range(1, 2), np.arange(count)), sums(range(2), np.arange(count))])
         return lattice_sums(count, sums, cfg)
 
-    monkeypatch.setattr(spectral, "lattice_sums", rule)
+    monkeypatch.setattr(nonlocal_model, "lattice_sums", rule)
     zs = np.geomspace(1e-3 * lam_f, 3000.0 * lam_f, 9).tolist()
     evaluate_batch(copper, field_kind, zs, np.geomspace(1e7, 1e11, 9).tolist(),
                    "nonlocal-quasistatic", QuadratureConfig())
@@ -343,7 +353,7 @@ def test_swapped_zz_of_a_constant_eps_t_is_the_local_form(copper, omega0, lam_f,
     # J_p = eps for a constant eps_t, and so the swapped k-sum gives
     # hbar omega^2 Im eps/(8 eps0 c^4 z) (the r_s half of criterion 08)
     eps = drude_epsilon(copper, omega0)
-    monkeypatch.setattr("ewjn.spectral.epsilon_t", lambda material, k, w: eps)
+    monkeypatch.setattr("ewjn.nonlocal_model.epsilon_t", lambda material, k, w: eps)
     for z in (lam_f, 10.0 * lam_f, 1e-4):
         nonlocal_ = evaluate(copper, "B", z, omega0, "nonlocal-quasistatic", cfg)
         local = evaluate(copper, "B", z, omega0, "local-quasistatic")
@@ -360,7 +370,7 @@ def _mp_polar_g(mp, a):
 
 def test_polar_weight_matches_mpmath_across_the_switch():
     mp = pytest.importorskip("mpmath")
-    from ewjn.quadrature import _G_SWITCH, _polar_g
+    from ewjn.nonlocal_model import _G_SWITCH, _polar_g
 
     a = np.array([0.0, 1e-3, 0.3, 1.0, 4.0, 17.0, 35.0, math.nextafter(_G_SWITCH, 0.0),
                   _G_SWITCH, 75.0, 200.0, 1e3, 1e5])
@@ -918,12 +928,12 @@ def test_phi_series_matches_mpmath_and_the_kernel_above_k_c(material, omega):
     # and 100 k_c: the series through k^-5 meets it, part by part, within
     # its bounds on the rest and 1e-14 of its own rounding; the kernel's Im phi
     # meets the series to 1e-12 of it, its Re phi to its rounding
-    import ewjn.spectral as spectral
+    import ewjn.nonlocal_model as nonlocal_model
     from ewjn.fresnel import surface_response
 
     mp = pytest.importorskip("mpmath")
-    k_c = spectral._WINDOW_END * spectral._nonlocal_range(material, omega)[2]
-    coef, rest = spectral._phi_series(material, omega, k_c)
+    k_c = nonlocal_model._WINDOW_END * nonlocal_model._nonlocal_range(material, omega)[2]
+    coef, rest = nonlocal_model._phi_series(material, omega, k_c)
     with mp.workdps(50):
         wp, nu, vf = (mp.mpf(v) for v in (material.plasma_frequency, material.collision_rate,
                                            material.fermi_velocity))
@@ -948,12 +958,12 @@ def test_beyond_window_sums_the_trapezoid_terms_past_the_top(h):
     # window's terms past its top, n_c + M, summed one by one, and 0 from
     # e = 40/h, where they fall below e^-40; for e < 0, e^{meh} times the
     # Wallis integral of sin^m; b is B_6 in every row
-    import ewjn.spectral as spectral
-    from ewjn.fresnel import M
+    import ewjn.nonlocal_model as nonlocal_model
+    from ewjn.nonlocal_model import M
 
-    span = math.ceil(spectral._SPAN / h)
+    span = math.ceil(nonlocal_model._SPAN / h)
     e = np.tile([-7, -1, 0, 3, 17, span - 1, span, span + 9], (5, 1))
-    d, b = spectral._beyond_window(np.eye(5, dtype=complex), e, h)
+    d, b = nonlocal_model._beyond_window(np.eye(5, dtype=complex), e, h)
     for row, m in enumerate((0, 2, 3, 4, 5, 6)):
         wallis = math.pi / 2.0 if m % 2 == 0 else 1.0
         for k in range(m % 2 + 2, m + 1, 2):
@@ -966,7 +976,7 @@ def test_beyond_window_sums_the_trapezoid_terms_past_the_top(h):
             if steps < span:
                 assert abs(got - want) <= 1e-14 * want, (m, steps)
             else:
-                assert got == 0.0 and want < math.exp(-spectral._SPAN)
+                assert got == 0.0 and want < math.exp(-nonlocal_model._SPAN)
 
 
 # one omega per z, from 1e7 to 1e11 rad/s: auto then resolves to the
@@ -1009,9 +1019,9 @@ def test_z_batch_matches_scalar_bitwise(copper, omega0, lam_f, model, field_kind
 
 def _kernel_requests(monkeypatch):
     """Each call of the nonlocal kernels epsilon_l (from fresnel) and
-    epsilon_t (from spectral), as its list of (k, omega)."""
+    epsilon_t (from nonlocal_model), as its list of (k, omega)."""
     import ewjn.fresnel as fresnel
-    import ewjn.spectral as spectral
+    import ewjn.nonlocal_model as nonlocal_model
 
     calls = []
 
@@ -1024,7 +1034,7 @@ def _kernel_requests(monkeypatch):
         return run
 
     monkeypatch.setattr(fresnel, "epsilon_l", logged(fresnel.epsilon_l))
-    monkeypatch.setattr(spectral, "epsilon_t", logged(spectral.epsilon_t))
+    monkeypatch.setattr(nonlocal_model, "epsilon_t", logged(nonlocal_model.epsilon_t))
     return calls
 
 
@@ -1145,15 +1155,15 @@ def test_omega_too_large_is_a_domain_error_of_its_point(copper, omega0, field_ki
 
 @pytest.mark.parametrize("field_kind", ["E", "B"])
 def test_nonlocal_z_below_the_cut_bound_is_a_domain_error(copper, omega0, field_kind):
-    import ewjn.spectral as spectral
+    import ewjn.nonlocal_model as nonlocal_model
 
     # the smallest z whose cut, rounded up to the grid of t = ln(k/(2 k_F))
     # in steps of H0, is the last grid point below the bound: it passes
     # the float-range check
-    x, _ = spectral._LATTICE_CUT
-    p_max = spectral._nonlocal_range(copper, omega0)[1]
+    x = nonlocal_model._LATTICE_CUT
+    p_max, h0 = nonlocal_model._nonlocal_range(copper, omega0)[1], nonlocal_model.H0
     two_kf = 2.0 * copper.fermi_wavevector
-    top = two_kf * math.exp(math.floor(math.log(p_max / two_kf) / spectral.H0) * spectral.H0)
+    top = two_kf * math.exp(math.floor(math.log(p_max / two_kf) / h0) * h0)
     z_min = x / (2.0 * top) * (1.0 + 1e-12)
     cfg = QuadratureConfig(rel_tol=1e-6, max_subdivisions=50)
     edge, below, tiny = evaluate_batch(copper, field_kind, [z_min, z_min / 3.0, 1e-300],
@@ -1203,14 +1213,14 @@ def test_nonlocal_z_below_the_kernel_resolution_is_a_domain_error(copper, omega0
 @pytest.mark.parametrize("field_kind", ["E", "B"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonlocal_z_above_the_low_p_bound_is_a_domain_error(copper, field_kind):
-    import ewjn.spectral as spectral
+    import ewjn.nonlocal_model as nonlocal_model
 
     # at 1e300 m the lattice's lowest k^2 would underflow to 0
     near, far = evaluate_batch(copper, field_kind, [1e-8, 1e300], 1e9, "nonlocal-quasistatic")
     assert near == evaluate(copper, field_kind, 1e-8, 1e9, "nonlocal-quasistatic")
     assert isinstance(far, DomainError)
     assert "too large for the nonlocal model" in str(far)
-    assert f"below {spectral._nonlocal_range(copper, 1e9)[0]:.3g} 1/m" in str(far)
+    assert f"below {nonlocal_model._nonlocal_range(copper, 1e9)[0]:.3g} 1/m" in str(far)
 
 
 @pytest.mark.parametrize("field_kind,power", [("E", 1), ("B", 2)])
@@ -1503,6 +1513,38 @@ def test_domain_checks_everywhere(copper, omega0):
                 evaluate(copper, field_kind, -1e-9, omega0, model)
             with pytest.raises(DomainError):
                 evaluate(copper, field_kind, 1e-8, 0.0, model)
+
+
+# omega_p = 1e200: omega_p^2 overflows. The closed forms meet it as a chi that
+# is not finite, the integral models as a Drude permittivity out of the
+# float range; neither may raise the OverflowError of omega_p**2
+_HOT = Material("hot", 1e200, 1e13, 7.0 * E_CHARGE)
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+@pytest.mark.parametrize("model", ["local-quasistatic", "nonlocal-quasistatic",
+                                   "local-retarded", "auto"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_plasma_frequency_whose_square_overflows_is_a_domain_error(omega0, model,
+                                                                     field_kind):
+    [outcome] = evaluate_batch(_HOT, field_kind, [1e-8], omega0, model)
+    assert isinstance(outcome, DomainError)
+    assert str(outcome).startswith("chi is not finite" if model == "local-quasistatic" else
+                                   "omega = 1.88496e+09 rad/s is too small for hot")
+
+
+@pytest.mark.parametrize("field_kind", ["E", "B"])
+def test_the_retarded_batch_of_a_plasma_frequency_whose_square_overflows_fails_each_point(
+        omega0, field_kind):
+    # evaluate_columns refuses such a metal before the retarded batch runs;
+    # called directly, the batch fails each point on its own
+    from ewjn.spectral import _BATCH
+
+    with np.errstate(all="ignore"):
+        cols, failed = _BATCH[Model.LOCAL_RETARDED](_HOT, field_kind, [1e-8, 1e-6],
+                                                    [omega0] * 2, QuadratureConfig())
+    assert sorted(failed) == [0, 1]
+    assert all(isinstance(exc, DomainError) for exc in failed.values())
 
 
 # -------------------------------------------------- float-range property

@@ -38,6 +38,10 @@ terms of one run: the (height, node) pairs whose e^{-2zx} F the sweep
 sums one by one (spectral._decayed; the other evanescent terms come
 from moments the heights share).
 
+The modules row gives each module of src/ewjn: its tokens (tokenize,
+without COMMENT and NL tokens; each must stay under the parser's
+8,192-token step) and the ms of compile() of its source, best of 10 N.
+
 The bulk row times bulk_imD_coincident of copper at 6 pi 1e8 rad/s,
 best of N, with the epsilon_l calls of one run and its nodes per rung of
 its cutoff ladder (rung i runs up to 3, 10, 30 and 100 k_F; a node at a
@@ -66,6 +70,7 @@ of them is missing (renamed or deleted), the bench exits 1 naming it.
 
 import argparse
 import contextlib
+import glob
 import io
 import json
 import math
@@ -74,6 +79,7 @@ import platform
 import subprocess
 import sys
 import time
+import tokenize
 
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
@@ -81,11 +87,12 @@ import numpy as np  # noqa: E402
 
 import ewjn.bulk as bulk  # noqa: E402
 import ewjn.fresnel as fresnel  # noqa: E402
+import ewjn.nonlocal_model as nonlocal_model  # noqa: E402
 import ewjn.spectral as spectral  # noqa: E402
 from ewjn import (  # noqa: E402
     COPPER, Material, QuadratureError, bulk_imD_coincident, evaluate_batch)
 from ewjn.cli import main as cli_main  # noqa: E402
-from ewjn.fresnel import lattice_reflection  # noqa: E402
+from ewjn.nonlocal_model import lattice_reflection  # noqa: E402
 from ewjn.materials import E_CHARGE, epsilon_l, epsilon_t, skin_depth  # noqa: E402
 
 OMEGA_0 = 6e8 * math.pi
@@ -134,9 +141,9 @@ def measure(repeat: int) -> dict:
         return run
 
     patches = [
-        (spectral, "lattice_reflection", lattices_counted),
+        (nonlocal_model, "lattice_reflection", lattices_counted),
         (fresnel, "epsilon_l", nodes_counted("eps_l", fresnel.epsilon_l)),
-        (spectral, "epsilon_t", nodes_counted("eps_t", spectral.epsilon_t)),
+        (nonlocal_model, "epsilon_t", nodes_counted("eps_t", nonlocal_model.epsilon_t)),
     ]
     out = {}
     for name, field_kind, zs, omega in _batches():
@@ -217,6 +224,22 @@ def measure_retarded(repeat: int) -> dict:
                 "fresnel_calls": counts["fresnel_calls"], "fresnel_nodes": counts["fresnel_nodes"],
                 "final_h": 0.25 / 2**counts["level"] if counts["level"] >= 0 else None,
                 "direct_terms": counts["direct_terms"]}
+    return out
+
+
+def measure_modules(repeat: int) -> dict:
+    out = {}
+    for path in sorted(glob.glob(os.path.join(os.getcwd(), "src", "ewjn", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        tokens = sum(1 for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                     if token.type not in (tokenize.COMMENT, tokenize.NL))
+        best = math.inf
+        for _ in range(10 * repeat):
+            t0 = time.perf_counter()
+            compile(source, path, "exec")
+            best = min(best, time.perf_counter() - t0)
+        out[os.path.basename(path)] = {"tokens": tokens, "compile_ms": round(best * 1e3, 3)}
     return out
 
 
@@ -317,6 +340,7 @@ def main() -> int:
         "kernel": measure_kernel(max(1, args.repeat)),
         "batches": measure(max(1, args.repeat)),
         "retarded": measure_retarded(max(1, args.repeat)),
+        "modules": measure_modules(max(1, args.repeat)),
         "bulk": measure_bulk(max(1, args.repeat)),
         "cli": measure_cli(max(1, args.repeat)),
     }
