@@ -22,12 +22,13 @@ reduction the same integrand, so one running total is reported as both.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureError, require_positive_finite
+from .errors import DomainError, QuadratureError, require_positive_finite
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_l, epsilon_t
 from .quadrature import GREGORY, H0, ROUNDING, QuadratureConfig, lattice_sums, not_converged
 from .spectral import Model, _drude_scales_error, evaluate
@@ -130,36 +131,41 @@ def bulk_imD_coincident(
 ) -> BulkGreenResult:
     """Im D_xx = Im D_zz at coincident points, via the radial integral.
 
-    The angular average is analytic (<k_i k_j> = delta_ij k^2/3); the
-    radial integral runs over the cutoff ladder until two successive
-    rungs agree to 1%. A ladder that never settles raises
-    QuadratureError with the convergence_series attached; an omega whose
-    omega^2 overflows or whose omega (omega + i nu) underflows raises
-    DomainError.
+    The angular average is analytic (<k_i k_j> = delta_ij k^2/3); the radial
+    integral runs over the cutoff ladder until two successive rungs agree to
+    1%. A ladder that never settles raises QuadratureError with the
+    convergence_series attached; an omega whose omega^2 overflows or whose
+    omega (omega + i nu) underflows, and an Im D below the smallest normal
+    float where omega_p^2 != 0, raise DomainError.
     """
     require_positive_finite("omega", omega)
     if error := _drude_scales_error(material, omega, squared=True, grazing=False):
         raise error
     cfg = cfg or QuadratureConfig()
-    k_f = material.fermi_wavevector
+    k_f, wp = material.fermi_wavevector, material.plasma_frequency
     k_skin = omega / C_LIGHT * math.sqrt(abs(drude_epsilon(material, omega)))
-    edges = np.array([min(k_skin / k_f, _LADDER[0]) * math.exp(-_FIRST_SPAN), *_LADDER]) * k_f
-    series, total = [], 0.0
-    for k_hi, rung in zip(edges[1:].tolist(), _rungs(material, omega, edges, cfg)):
-        if isinstance(rung, QuadratureError):
-            raise rung
-        total += rung
-        series.append((k_hi, total))
-        if len(series) >= 2 and abs(total - series[-2][1]) <= _LADDER_REL * abs(total):
-            return BulkGreenResult(im_D_xx=total, im_D_zz=total, omega=omega, k_max_used=k_hi,
-                                   convergence_series=series)
+    # the ladder leaves the float range without warnings: a rung that does misses
+    with np.errstate(all="ignore"):
+        edges = np.array([min(k_skin / k_f, _LADDER[0]) * math.exp(-_FIRST_SPAN), *_LADDER]) * k_f
+        series, total = [], 0.0
+        for k_hi, rung in zip(edges[1:].tolist(), _rungs(material, omega, edges, cfg)):
+            if isinstance(rung, QuadratureError):
+                raise rung
+            total += rung
+            series.append((k_hi, total))
+            if len(series) >= 2 and abs(total - series[-2][1]) <= _LADDER_REL * abs(total):
+                if abs(total) < sys.float_info.min and wp * wp != 0:
+                    raise DomainError(f"Im D underflows at omega = {omega:.6g} rad/s; the "
+                                      f"inputs leave the float range")
+                return BulkGreenResult(im_D_xx=total, im_D_zz=total, omega=omega,
+                                       k_max_used=k_hi, convergence_series=series)
 
-    exc = QuadratureError(
-        "bulk radial integral not settled to 1% across the cutoff ladder "
-        + ", ".join(f"(k_max={k:.4e}, value={v:.6e})" for k, v in series),
-        best_estimate=total,
-        error_bound=abs(total - series[-2][1]),
-    )
+        exc = QuadratureError(
+            "bulk radial integral not settled to 1% across the cutoff ladder "
+            + ", ".join(f"(k_max={k:.4e}, value={v:.6e})" for k, v in series),
+            best_estimate=total,
+            error_bound=abs(total - series[-2][1]),
+        )
     exc.convergence_series = series
     raise exc
 

@@ -130,11 +130,8 @@ def _flags(command: str) -> dict:
     return out
 
 
-def build_parser(command: str | None = None):
-    """The argparse parser of subcommand command alone, or of all of them
-    when command is None or names none. Its usage line, which an error of
-    the top-level parser prints (an unknown flag after a subcommand),
-    lists every subcommand either way."""
+def build_parser():
+    """The argparse parser of every subcommand, from the flag table."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -145,17 +142,15 @@ def build_parser(command: str | None = None):
             print(f"{self.prog}: error: {message}", file=sys.stderr)
             raise SystemExit(_EXIT_VALIDATION)
 
-    parser = _Parser(prog="ewjn", usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
-                     description="Evanescent-wave Johnson noise and qubit T1 "
-                                 "above a metallic half-space")
-    subs = parser.add_subparsers(dest="command", required=True, prog="ewjn")
+    parser = _Parser(prog="ewjn", description="Evanescent-wave Johnson noise and qubit T1 "
+                                              "above a metallic half-space")
+    subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, _) in _COMMANDS.items():
-        if command not in _COMMANDS or name == command:
-            sub = subs.add_parser(name, help=help_line)
-            for flag, (kind, default, choices, flag_help, required) in _flags(name).items():
-                optional = {"required": required} if flag.startswith("-") else {}
-                sub.add_argument(flag, type=kind, default=default, choices=choices,
-                                 help=flag_help, **optional)
+        sub = subs.add_parser(name, help=help_line)
+        for flag, (kind, default, choices, flag_help, required) in _flags(name).items():
+            optional = {"required": required} if flag.startswith("-") else {}
+            sub.add_argument(flag, type=kind, default=default, choices=choices,
+                             help=flag_help, **optional)
     return parser
 
 
@@ -491,7 +486,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
     if args is None:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     handlers = {"spectral": _cmd_spectral, "t1": _cmd_t1, "sweep": _cmd_sweep, "bulk": _cmd_bulk,
                 "figure": _cmd_figure}
     try:

@@ -122,18 +122,15 @@ def _lindhard_series(x, transverse: bool):
 
 
 def _lindhard(x, transverse: bool):
-    """(f_t or f_l, g) at every x: g = x artanh(1/x) = 1 - f_l where the
-    closed forms run, f_l x^2 (0 for f_t) where the series does."""
+    """(f_t or f_l, g) at every x, the closed forms where |x| < _SERIES_SWITCH
+    and the series elsewhere: g = x artanh(1/x) = 1 - f_l where the closed
+    forms run, f_l x^2 (0 for f_t) where the series does."""
     x = np.asarray(x, dtype=complex)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     on_cut = (x.imag == 0) & (np.abs(x.real) <= 1.0)
     if np.any(on_cut):
         raise DomainError("x on the branch cut [-1, 1] of the Lindhard logarithm")
     big = np.abs(x) >= _SERIES_SWITCH
-    # the closed forms run on the |x| < 8 nodes only (see _SERIES_SWITCH),
-    # on x itself, with no mask and scatter, when there are no others
-    xs = x[~big] if big.any() else x
+    xs = x[~big]
     # ln((x+1)/(x-1)) = 2 artanh(1/x): both sides are analytic on
     # C \ [-1, 1] and agree for real x > 1, so they agree wherever
     # the kernel accepts x, Im x < 0 and x < -1 included (Kahan,
@@ -151,13 +148,10 @@ def _lindhard(x, transverse: bool):
         closed = 1.5 * (x2 - (x2 - 1.0) * xa)
     else:
         closed = 1.0 - xa
-    if xs is x:
-        out, g = closed, xa
-    else:
-        out, g = np.empty_like(x), np.empty_like(x)
-        out[~big], g[~big] = closed, xa
-        out[big], g[big] = _lindhard_series(x[big], transverse)
-    return (out[0], g[0]) if scalar else (out, g)
+    out, g = np.empty_like(x), np.empty_like(x)
+    out[~big], g[~big] = closed, xa
+    out[big], g[big] = _lindhard_series(x[big], transverse)
+    return out[()], g[()]
 
 
 def lindhard_f_l(x):

@@ -186,6 +186,7 @@ def _nonlocal_range(material, omega) -> tuple:
 # I_p above n_c are sums of that series (_beyond_window) over the powers
 # _POWERS: a constant, k^-2 .. k^-5, and k^-6 for the bound on the rest.
 _P_LOW, _A_LOW, _A_HIGH = {"E": 1e-6, "B": 1e-16}, 1e-16, 1e6
+_POWER = {"E": 3, "B": 1}  # of p in a point's r_p summand, p^_POWER e^{-2pz} Im r_p
 _WINDOW_END, _SPAN = 1e4, 40.0
 _POWERS = np.array([0, 2, 3, 4, 5, 6])
 # (2/pi) Integral_0^{pi/2} sin^m for each of _POWERS (Wallis)
@@ -203,8 +204,8 @@ def _nonlocal_cuts(material, field_kind, z, limits):
     p = 2 k_F e^{i H0} from the last grid point at or below _P_LOW min(1/z,
     edge) to the first at or above the cut x/(2z), its k-sum over k = 2 k_F
     e^{j H0}, both from lo/1e3 up. Its DomainError if 0.1/z or 0.1 k_nu
-    lies below lo or the cut exceeds hi, (lo, hi, edge) = limits
-    (_nonlocal_range)."""
+    lies below lo, the cut exceeds hi or its p^_POWER overflows, (lo, hi,
+    edge) = limits (_nonlocal_range)."""
     (lo, hi, edge), k_nu = limits, material.k_nu
     if not (0.1 / z >= lo):
         return DomainError(f"z = {z:.6g} m is too large for the nonlocal model: 0.1/z lies "
@@ -222,6 +223,11 @@ def _nonlocal_cuts(material, field_kind, z, limits):
         return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: its cut "
                            f"wavevector, rounded up to the grid of t, exceeds {hi:.3g} 1/m, "
                            f"where the kernel leaves the float range")
+    try:
+        p_cut ** _POWER[field_kind]
+    except OverflowError:  # only E's: B's p^1 <= hi is finite
+        return DomainError(f"z = {z:.6g} m is too small for the nonlocal model: p^3 of its "
+                           f"summand leaves the float range at its cut wavevector, {p_cut:.3g} 1/m")
     floor = math.ceil(_steps(material, lo / 1e3))
     return (max(math.floor(_steps(material, _P_LOW[field_kind] * min(1.0 / z, edge))),
                 floor + M), i_hi,
@@ -338,7 +344,7 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
     rests = np.array([b for _, b in series]).reshape(-1, 2)
     im_local = [((e - 1.0) / (e + 1.0)).imag
                 for e in (drude_epsilon(material, w) for w in distinct.tolist())]
-    cuts, power = np.array([out[k] for k in running]).reshape(-1, 4), 3 if field_kind == "E" else 1
+    cuts, power = np.array([out[k] for k in running]).reshape(-1, 4), _POWER[field_kind]
     z_of = np.array([zs[k] for k in running])
     phi = phi_lo = im_t = t_lo = None
 

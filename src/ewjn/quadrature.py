@@ -122,19 +122,17 @@ def _span(at, lo, hi):
 
 
 def _refine(old, old_lo, at, lo, hi, h, kernel):
-    """(values, first) of kernel(k, rows) at k = e^{nh} over _span(at, lo,
-    hi), 0 elsewhere, columns from n = first = min(lo): even n from old, the
+    """(values, first) of kernel(k, rows) at k = e^{nh} over _span(at, lo, hi),
+    0 elsewhere, columns from n = first = min(lo): even n from old, the
     lattice at 2h from column old_lo, odd n (all n if old is None) from
-    kernel, whose values may carry trailing axes. The first call of
-    lattice_sums builds its lattice at H0/2 with old None and reads the
+    kernel, whose values may carry trailing axes or be 0-d. The first call
+    of lattice_sums builds its lattice at H0/2 with old None and reads the
     one at H0 from its even nodes; each later call refines the one
     before."""
     n, valid = _span(at, lo, hi)
     fresh = valid if old is None else valid & (n % 2 == 1)
     rows, cols = fresh.nonzero()
     values = np.asarray(kernel(np.exp(n[cols] * h), rows))
-    if values.shape[:1] != rows.shape:
-        values = np.broadcast_to(values, rows.shape + values.shape[1:])
     new = np.zeros(valid.shape + values.shape[1:], dtype=values.dtype)
     new[fresh] = values
     if old is not None:

@@ -247,20 +247,21 @@ def test_surface_limit_is_z_stable(copper, omega0, lam_f, cfg):
 def test_bulk_over_the_full_float_box_gives_a_result_or_a_typed_error():
     # 200 seeded draws of omega_p, nu, E_F (J) and omega, each log-uniform
     # from 1e-300 to 1e300: every ladder returns a finite, non-negative Im D
-    # (exactly 0 where it underflows) or raises DomainError or
-    # QuadratureError, never the OverflowError of omega**2 or the
-    # ZeroDivisionError of an omega (omega + i nu) that underflows. The
-    # ladder's RuntimeWarnings are not checked here.
+    # or raises DomainError or QuadratureError, never the OverflowError of
+    # omega**2 or the ZeroDivisionError of an omega (omega + i nu) that
+    # underflows, and without RuntimeWarnings. An Im D that underflows is a
+    # DomainError; it is exactly 0 only where omega_p^2 does, and the metal
+    # does not respond.
     rng, seen = random.Random(3), collections.Counter()
     for _ in range(200):
         omega_p, nu, fermi, omega = (10.0 ** rng.uniform(-300, 300) for _ in range(4))
         try:
-            with np.errstate(all="ignore"):
-                res = bulk_imD_coincident(Material("m", omega_p, nu, fermi), omega)
+            res = bulk_imD_coincident(Material("m", omega_p, nu, fermi), omega)
         except (DomainError, QuadratureError) as exc:
             seen[type(exc).__name__] += 1
             continue
         assert math.isfinite(res.im_D_xx) and res.im_D_xx >= 0.0 and res.im_D_zz == res.im_D_xx
+        assert res.im_D_xx > 0.0 or omega_p * omega_p == 0.0
         seen["ok"] += 1
     assert min(seen["ok"], seen["DomainError"], seen["QuadratureError"]) > 0, seen
 
@@ -270,6 +271,9 @@ def test_bulk_over_the_full_float_box_gives_a_result_or_a_typed_error():
                             "range"),
     (1e-200, 1e-200, "omega = 1e-200 rad/s is too small for m: omega (omega + i nu) "
                      "underflows to 0"),
+    # every rung's Im D underflows to 0, and the ladder settles on it
+    (6e12 * math.pi, 1e100, "Im D underflows at omega = 1e+100 rad/s; the inputs leave the "
+                            "float range"),
 ])
 def test_bulk_omega_out_of_the_drude_scales_is_a_domain_error(nu, omega, message):
     with pytest.raises(DomainError) as exc:

@@ -597,30 +597,23 @@ _PARSER_CASES = [
 
 @pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
 def test_lean_parser_prints_what_the_full_one_prints(capsys, argv):
-    # main builds only the invoked subcommand's parser; help, usage and
-    # errors must stay byte for byte those of the parser of all five
-    printed = []
-    for parser in (build_parser(), build_parser(argv[0] if argv else None)):
-        with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args(argv)
-        printed.append((excinfo.value.code, *capsys.readouterr()))
-    assert printed[0] == printed[1]
-    assert printed[0][1] or printed[0][2]
+    # the parser that main falls back to prints help to stdout and exits 0, or
+    # prints its usage and error to stderr and exits 1
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    helped = "--help" in argv
+    assert (excinfo.value.code, bool(out), bool(err)) == (0 if helped else 1, helped, not helped)
 
 
 def test_full_parser_usage_is_the_one_argparse_writes(capsys):
     parser = build_parser()
-    usage = parser.format_usage()
-    parser.usage = None
-    assert parser.format_usage() == usage
-    assert usage == "usage: ewjn [-h] {spectral,t1,sweep,bulk,figure} ...\n"
-    # a subcommand's usage names it after the program, and a lean parser
-    # knows its own subcommand only
+    assert parser.usage is None
+    assert parser.format_usage() == "usage: ewjn [-h] {spectral,t1,sweep,bulk,figure} ...\n"
+    # a subcommand's usage names it after the program
     with pytest.raises(SystemExit):
-        build_parser("sweep").parse_args(["sweep", "--help"])
+        parser.parse_args(["sweep", "--help"])
     assert capsys.readouterr().out.startswith("usage: ewjn sweep [-h] ")
-    with pytest.raises(SystemExit):
-        build_parser("sweep").parse_args(["t1", "--z", "1e-8"])
 
 
 # valid values by type, for a flag with no choices, and the values that a
@@ -675,9 +668,9 @@ def _outcome(args) -> dict:
 
 
 @functools.cache
-def _parsers(command) -> tuple:
-    """The parser of all subcommands and the lean one of command."""
-    return build_parser(), build_parser(command)
+def _parser():
+    """The argparse parser of every subcommand."""
+    return build_parser()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -691,18 +684,16 @@ def _parsers(command) -> tuple:
 @example(["figure", "fig1", "fig2"])
 @example(["sweep", "--axis", "z", "--min", "1e-8", "--max", "1e-7", "--count", "1e-8"])
 def test_fast_parse_is_what_argparse_parses(argv):
-    # main parses a well-formed argv without argparse; where it does, the
-    # parser of all subcommands and the lean one parse it to the same
-    # arguments, and where argparse exits the fast path has declined
+    # main parses a well-formed argv without argparse; where it does,
+    # argparse parses it to the same arguments, and where argparse exits
+    # the fast path has declined
     fast = _parse(argv)
-    for parser in _parsers(argv[0]):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            try:
-                parsed = _outcome(parser.parse_args(argv))
-            except SystemExit as exc:
-                parsed = exc.code
-        assert fast is None or _outcome(fast) == parsed, argv
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = _outcome(_parser().parse_args(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+    assert fast is None or _outcome(fast) == parsed, argv
 
 
 def test_well_formed_commands_import_no_argparse(tmp_path):

@@ -169,6 +169,30 @@ def test_lattice_sums_of_no_points_ask_for_none():
     assert not seen and values.size == errors.size == missed.size == 0
 
 
+@pytest.mark.parametrize("old,expected", [
+    (None, [[-1.0] * 5, [0.0, 0.0, -1.0, -1.0, 0.0]]),
+    (np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]),
+     [[2.0, -1.0, 3.0, -1.0, 4.0], [0.0, 0.0, 7.0, -1.0, 0.0]]),
+], ids=["first", "refined"])
+def test_refine_spreads_a_0d_kernel_value_over_every_fresh_node(old, expected):
+    from ewjn.quadrature import _refine
+
+    # a k-independent kernel (a constant eps) returns one 0-d value for all
+    # its nodes, and the masked assignment spreads it: row 0 spans n = 2 .. 6
+    # and row 1 n = 4 .. 5; even n come from old, the lattice at 2h from
+    # column 0, when there is one
+    asked = []
+
+    def kernel(k, rows):
+        asked.append(rows.tolist())
+        return np.float64(-1.0)
+
+    values, first = _refine(old, 0, np.array([0, 1]), np.array([2, 4]), np.array([6, 5]), 0.5,
+                            kernel)
+    assert (values.tolist(), first) == (expected, 2)
+    assert asked == ([[0] * 5 + [1] * 2] if old is None else [[0, 0, 1]])
+
+
 # ------------------------------------------------------- error bound suite
 
 FINITE_CASES = [

@@ -50,16 +50,19 @@ rung's end counts in the lower rung).
 The CLI row times `ewjn sweep` through cli.main, each main() in a fresh
 interpreter timed after `import ewjn.cli`, best of N (default 3)
 interpreters. On local-quasistatic sweeps of copper, whose closed forms
-cost next to nothing, it measures the command's own Python: parsing,
-the checks, relaxation and the table. Every argv here is well formed,
-so main parses it from the flag table without building an argparse
-parser or importing argparse. cold_main_ms is main() for a 2-point
-sweep; cell_us is one warm main() for a 100-point sweep of the
+cost next to nothing, it measures the command's own Python: parsing, the
+checks, relaxation and the table. Every argv here but the fallback's is
+well formed, so main parses it from the flag table without building an
+argparse parser or importing argparse. cold_main_ms is main() for a
+2-point sweep; cell_us is one warm main() for a 100-point sweep of the
 two model columns local-quasistatic,local-quasistatic (200 cells) per
-cell, best of N. cold_retarded_ms is main() for the retarded-farfield
-shape, a 100-height sweep of copper from a tenth of the skin depth to
-30 skin depths with --models auto,local-quasistatic, and
-cold_retarded_model_ms the time of that run inside the model batch
+cell, best of N. cold_fallback_ms is main() for the 2-point sweep with
+--rel 1e-8, an abbreviation of --rel-tol that the flag table declines,
+so main builds the argparse parser of every subcommand and parses it
+there, as for help, usage and errors. cold_retarded_ms is main() for the
+retarded-farfield shape, a 100-height sweep of copper from a tenth of
+the skin depth to 30 skin depths with --models auto,local-quasistatic,
+and cold_retarded_model_ms the time of that run inside the model batch
 functions (the values of spectral._BATCH, patched); the difference is
 the glue around the models. The results print as one JSON object, and
 --out also writes them to FILE.
@@ -317,6 +320,7 @@ def measure_cli(repeat: int) -> dict:
     retarded = ["sweep", "--axis", "z", "--min", repr(delta / 10.0), "--max",
                 repr(30.0 * delta), "--count", "100", "--models", "auto,local-quasistatic"]
     cold, (cold_retarded, inside) = _cold(_sweep_argv(2), repeat)[0], _cold(retarded, repeat)
+    fallback = _cold(_sweep_argv(2) + ["--rel", "1e-8"], repeat)[0]
     warm = math.inf
     with contextlib.redirect_stdout(io.StringIO()):
         cli_main(_sweep_argv(100))
@@ -324,7 +328,8 @@ def measure_cli(repeat: int) -> dict:
             t0 = time.perf_counter()
             cli_main(_sweep_argv(100))
             warm = min(warm, time.perf_counter() - t0)
-    return {"cold_main_ms": round(cold * 1e3, 2), "cell_us": round(warm / 200 * 1e6, 2),
+    return {"cold_main_ms": round(cold * 1e3, 2), "cold_fallback_ms": round(fallback * 1e3, 2),
+            "cell_us": round(warm / 200 * 1e6, 2),
             "cold_retarded_ms": round(cold_retarded * 1e3, 2),
             "cold_retarded_model_ms": round(inside * 1e3, 2)}
 
