@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError, require_positive_finite
 from .materials import C_LIGHT, EPS0, HBAR, Material, drude_epsilon, epsilon_l, epsilon_t
-from .quadrature import GREGORY, H0, ROUNDING, QuadratureConfig, lattice_sums, not_converged
+from .quadrature import GREGORY, H0, QuadratureConfig, _runs, _summed, lattice_sums, not_converged
 from .spectral import Model, _drude_scales_error, evaluate
 
 _LADDER = (3.0, 10.0, 30.0, 100.0)
@@ -76,47 +76,41 @@ def _rungs(material, omega, edges, cfg) -> list:
     max(ceil(ln(k_hi/k_lo)/H0), _MIN_STEPS) doubling at each halving of
     quadrature.lattice_sums. The rungs refine together: one integrand call
     for every node at H0/2, whose even nodes are the lattice at H0, then
-    one per halving for the odd nodes of the live ones. A rung's error is
-    its difference from the sum at 2h, its rounding floor and, for the
-    first, twice its first term, a bound on the part below edges[0]."""
+    one per halving for the odd nodes of the live ones, and their sums at
+    every asked level in one np.add.reduceat (quadrature._summed). A
+    rung's error is its difference from the sum at 2h, its rounding floor
+    and, for the first, twice its first term, a bound on the part below
+    edges[0]."""
     spans = np.log(edges[1:] / edges[:-1])
-    steps = np.maximum(np.ceil(spans / H0), _MIN_STEPS).astype(int)
-    samples = [None] * spans.size
+    # a span beyond the float range (only ever rung 1's) gets one node and h = inf
+    steps = np.where(np.isfinite(spans), np.maximum(np.ceil(spans / H0), _MIN_STEPS), 0).astype(int)
+    samples = 0.0
 
     def sums(levels, live):
-        top = levels[-1]
-        nodes, h = [], [spans / steps / 2**level for level in levels]
-        for i in live.tolist():
-            k = edges[i] * np.exp(np.arange(steps[i] * 2**top + 1) * h[-1][i])
-            k[-1] = edges[i + 1]
-            nodes.append(k if levels[0] == 0 else k[1::2])
-        k = np.concatenate(nodes)
-        fresh, at = _radial_integrand(material, k, omega) * k, 0
-        for i, count in zip(live.tolist(), [x.size for x in nodes]):
-            new, at = fresh[at:at + count], at + count
-            if levels[0]:  # the samples at 2h on the even nodes, the new ones on the odd
-                merged = np.empty(2 * count + 1)
-                merged[::2], merged[1::2] = samples[i], new
-                new = merged
-            samples[i] = new
+        nonlocal samples
+        top, last = levels[-1], steps * 2**levels[-1]
+        # the live rungs' nodes at h = H0/2^top end to end, their samples in
+        # one row per rung: every node on the first call, whose even nodes are
+        # the lattice at H0, then the odd ones beside those at 2h
+        n, _, counts = _runs(0, last[live])
+        rung, fresh = live.repeat(counts), (n % 2 == 1) | (levels[0] == 0)
+        n, rung = n[fresh], rung[fresh]
+        k = np.where(n == last[rung], edges[rung + 1],
+                     edges[rung] * np.exp(n * (spans / steps / 2**top)[rung]))
+        samples, old = np.zeros((spans.size, last.max() + 1)), samples
+        samples[:, ::2], samples[rung, n] = old, _radial_integrand(material, k, omega) * k
         # every asked level's samples of every live rung end to end, each with
         # the trapezoid weights and Gregory's corrections at both of its ends
-        parts = [samples[i][::2**(top - level)] for level in levels for i in live.tolist()]
-        sizes = np.array([part.size for part in parts])
-        ends = sizes.cumsum()
-        starts = ends - sizes
+        level, rung = np.repeat(np.array(levels), live.size), np.tile(live, len(levels))
+        n, starts, counts = _runs(0, steps[rung] * 2**level)
+        part = samples[rung.repeat(counts), n * 2**(top - level).repeat(counts)]
+        ends = starts + counts
         weights = np.ones(ends[-1])
         weights[np.concatenate([starts, ends - 1])] = 0.5
         weights[starts[:, None] + np.arange(8)] += GREGORY
         weights[ends[:, None] - np.arange(8, 0, -1)] += GREGORY[::-1]
-        terms = weights * np.concatenate(parts)
-        moduli = np.abs(terms)
-        values, errs = np.zeros((2, len(levels) * live.size))
-        for k, (i, part, lo, hi) in enumerate(zip(live.tolist() * len(levels), parts,
-                                                  starts.tolist(), ends.tolist())):
-            step = h[k // live.size][i]
-            values[k] = step * float(terms[lo:hi].sum())
-            errs[k] = float(ROUNDING * step * moduli[lo:hi].sum() + 2.0 * (i == 0) * abs(part[0]))
+        values, floor = _summed(weights * part, starts, spans[rung] / steps[rung] / 2.0**level)
+        errs = floor + 2.0 * (rung == 0) * np.abs(part[starts])
         return values.reshape(len(levels), -1, 1), errs.reshape(len(levels), -1, 1)
 
     values, errs, missed = lattice_sums(spans.size, sums, cfg)

@@ -31,8 +31,8 @@ import numpy as np
 from .errors import DomainError
 from .fresnel import surface_response
 from .materials import C_LIGHT, EPS0, HBAR, drude_epsilon, epsilon_t
-from .quadrature import (EPS, H0, MAX_HALVINGS, ROUNDING, _NODES, _WEIGHTS_K, _distinct, _refine,
-                         _runs, _within, lattice_sums, not_converged)
+from .quadrature import (EPS, H0, MAX_HALVINGS, _NODES, _WEIGHTS_K, _distinct, _refine, _runs,
+                         _summed, _within, lattice_sums, not_converged)
 
 # the end correction interpolates at u = -M h .. M h
 M = 6
@@ -321,11 +321,11 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
     that misses rel_tol gets a QuadratureError. The kernels run once for
     h = 1/4 and 1/8, on the lattice at 1/8, and at each further halving
     for the odd nodes only; the work after them carries the steps of one
-    call side by side, with one correlation per step. A node's values
-    depend on (material, omega, h, n) alone and each sum adds an array of
-    its own summands, so a point gets the bits and the outcome it gets
-    alone. A point outside _nonlocal_range gets a DomainError and does
-    not run.
+    call side by side, with one correlation per step, and every sum as
+    a run of one np.add.reduceat (quadrature._summed). A node's values
+    depend on (material, omega, h, n) alone and a run's sum on its terms
+    alone, so a point gets the bits and the outcome it gets alone. A
+    point outside _nonlocal_range gets a DomainError and does not run.
     """
     ranges = {w: _nonlocal_range(material, w) for w in set(omegas)}
     out = [_nonlocal_cuts(material, field_kind, z, ranges[w]) for z, w in zip(zs, omegas)]
@@ -342,8 +342,8 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
               for w, n in zip(distinct.tolist(), ends)]
     coef = np.array([c for c, _ in series], dtype=complex).reshape(-1, 4)
     rests = np.array([b for _, b in series]).reshape(-1, 2)
-    im_local = [((e - 1.0) / (e + 1.0)).imag
-                for e in (drude_epsilon(material, w) for w in distinct.tolist())]
+    im_local = np.array([((e - 1.0) / (e + 1.0)).imag
+                         for e in (drude_epsilon(material, w) for w in distinct.tolist())])
     cuts, power = np.array([out[k] for k in running]).reshape(-1, 4), _POWER[field_kind]
     z_of = np.array([zs[k] for k in running])
     phi = phi_lo = im_t = t_lo = None
@@ -395,7 +395,9 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
         one = 1.0 + r_p
         r_p -= one * one * d / (2.0 + one * d)
         s2 = (1.0 + r_p)**2
-        rest = (np.abs(s2.imag) * bound[:, :1] + np.abs(s2.real) * bound[:, 1:]) * (0.5 * b_6)
+        # a node with no window terms beyond its top has no rest, bounded or not
+        rest = np.where(b_6 > 0, (np.abs(s2.imag) * bound[:, :1] + np.abs(s2.real) * bound[:, 1:])
+                        * (0.5 * b_6), 0.0)
         # every point's sums at each level in turn, their terms end to end: h
         # p^power e^{-2pz} Im r_p over its p, and for B h a Im eps_t(k) G(a)
         # over its k, a = 2kz
@@ -404,9 +406,17 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
         at_run, z_runs = np.concatenate([at] * len(levels)), np.concatenate([z] * len(levels))
         cols, starts, counts = _runs(by_level[:, 0], by_level[:, 1])
         p_run, row_run = p[cols], at_run.repeat(counts)
-        weight = p_run ** power * np.exp(-2.0 * p_run * z_runs.repeat(counts))
+        level, last = np.repeat(np.array(levels), size), starts + counts - 1
+        step, p_power = H0 / 2.0**level, p_run ** power
+        weight = p_power * np.exp(-2.0 * p_run * z_runs.repeat(counts))
         im_run = r_p[row_run, cols].imag
-        terms, rested = [weight * im_run], weight * rest[row_run, cols]
+        terms, firsts = [weight * im_run], [starts]
+        # below p[0] Im r_p stays under the larger of its value there and its
+        # local limit; above p[-1] it grows at most like p
+        im_lo, im_far, x = im_run[starts], im_local[at_run], 2.0 * p_run[last] * z_runs
+        tails = [p_power[starts] / power * np.where(im_far > im_lo, im_far, im_lo)
+                 + terms[0][last] * sum(math.perm(power, n) / x**n for n in range(power + 1)) / x
+                 + step * np.add.reduceat(weight * rest[row_run, cols], starts)]
         if field_kind == "B":
             # one kernel call for the lattice of Im eps_t and one _polar_g call
             # for every term
@@ -414,34 +424,17 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
                                  cut[:, 3] * 2**top, h,
                                  lambda k, r: epsilon_t(material, two_kf * k, distinct[r]).imag)
             j, j_starts, j_counts = _runs(by_level[:, 2], by_level[:, 3])
-            h_j, scale = (np.array(v).repeat(size).repeat(j_counts) for v in (
-                [H0 / 2**level for level in levels], [2**(top - level) for level in levels]))
-            a = 2.0 * two_kf * np.exp(j * h_j) * z_runs.repeat(j_counts)
-            im_a = im_t[at_run.repeat(j_counts), j * scale - t_lo]
+            a = 2.0 * two_kf * np.exp(j * step.repeat(j_counts)) * z_runs.repeat(j_counts)
+            im_a = im_t[at_run.repeat(j_counts), j * 2**(top - level).repeat(j_counts) - t_lo]
             terms.append(a * im_a * _polar_g(a))
-        moduli = [np.abs(t) for t in terms]
-        values, errs = np.zeros((2, len(levels) * size, len(terms)))
-        for k, (r, z_k, lo, count) in enumerate(zip(at_run.tolist(), z_runs.tolist(),
-                                                   starts.tolist(), counts.tolist())):
-            step, hi = H0 / 2**levels[k // size], lo + count
-            # below p[0] Im r_p stays under the larger of its value there and its
-            # local limit; above p[-1] it grows at most like p
-            lo_power, x = float(p_run[lo] ** power), 2.0 * float(p_run[hi - 1]) * z_k
-            tails = [lo_power / power * max(float(im_run[lo]), im_local[r])
-                     + float(terms[0][hi - 1]) * sum(math.perm(power, n) / x**n
-                                                     for n in range(power + 1)) / x
-                     + step * float(rested[lo:hi].sum())]
-            runs = [(lo, hi)]
-            if field_kind == "B":
-                # below a_lo Im eps_t is flat at its value there and G <= 2/3;
-                # above the last node Im eps_t does not grow and G ~ a^-4
-                lo, hi = int(j_starts[k]), int(j_starts[k] + j_counts[k])
-                tails.append(float(a[lo] * im_a[lo]) * 2.0 / 3.0 + float(terms[1][hi - 1]) / 3.0)
-                runs.append((lo, hi))
-            for c, (t, t_abs, (lo, hi), tail) in enumerate(zip(terms, moduli, runs, tails)):
-                values[k, c] = step * float(t[lo:hi].sum())
-                errs[k, c] = tail + ROUNDING * step * float(t_abs[lo:hi].sum())
-        return values.reshape(len(levels), size, -1), errs.reshape(len(levels), size, -1)
+            firsts.append(j_starts)
+            # below a_lo Im eps_t is flat at its value there and G <= 2/3;
+            # above the last node Im eps_t does not grow and G ~ a^-4
+            tails.append(a[j_starts] * im_a[j_starts] * 2.0 / 3.0
+                         + terms[1][j_starts + j_counts - 1] / 3.0)
+        summed = np.moveaxis([_summed(t, s, step) for t, s in zip(terms, firsts)], 0, -1)
+        summed[1] += np.transpose(tails)
+        return summed.reshape(2, len(levels), size, -1)
 
     # a point's non-finite sums, kernel values included, become a DomainError
     # of evaluate_columns, without warnings

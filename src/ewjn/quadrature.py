@@ -8,10 +8,16 @@ for h = H0 and H0/2 together, so a lattice's kernel runs once for both,
 on the nodes at H0/2, whose even ones are the lattice at H0; each later
 call asks for one halving, whose new nodes are the odd ones; _refine,
 _within and _runs build the lattices and lay runs of their nodes end to
-end, and _distinct groups points by omega. Two fixed sets ride along:
-the Gauss-Kronrod 15-point nodes, on which nonlocal_model builds G's
-rule, and Gregory's end correction of a trapezoid sum cut at a point
-where its summand does not vanish.
+end, and _distinct groups points by omega. Every sum is a run of terms
+laid end to end with the others and added by np.add.reduceat (_summed):
+its first term plus the pairwise sum of the rest, in blocks of at most
+128 terms in 8 running sums, then halves. A term meets at most d = 26 +
+log2(n/128) roundings, so a run of n errs by at most d u/(1 - d u) Sum
+|t|, u = eps/2 (N. J. Higham, SIAM J. Sci. Comput. 14, 783 (1993)): under
+ROUNDING Sum |t| below 2^80 terms, and its bits are its terms' alone.
+Two fixed sets ride along: the Gauss-Kronrod 15-point nodes, on which
+nonlocal_model builds G's rule, and Gregory's end correction of a
+trapezoid sum cut at a point where its summand does not vanish.
 """
 
 from __future__ import annotations
@@ -157,6 +163,12 @@ def _runs(lo, hi):
     counts = hi - lo + 1
     starts = counts.cumsum() - counts
     return (lo - starts).repeat(counts) + np.arange(counts.sum()), starts, counts
+
+
+def _summed(terms, starts, h):
+    """(h Sum t, ROUNDING h Sum |t|) of each run of terms, the runs laid end
+    to end and starting at starts (_runs), by np.add.reduceat."""
+    return h * np.add.reduceat(terms, starts), ROUNDING * h * np.add.reduceat(np.abs(terms), starts)
 
 
 def _distinct(values):

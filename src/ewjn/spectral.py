@@ -254,8 +254,8 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> tuple:
     (_propagating), and every evanescent sum starts at one node, so up to
     its switch node, the last with 2 z x <= 1 whose prefix moments Sum
     e^{mnh} F_n (one cumsum per omega and h) are finite, it is a series in
-    -2 z omega/c on them; its other terms and the line's are summed one by
-    one (_decayed). A point gets its bits and outcome alone, and a
+    -2 z omega/c on them; its other terms and the line's are summed
+    directly (_decayed). A point gets its bits and outcome alone, and a
     DomainError if its integrand would leave the float range or its eps
     rounds to 1.
     """
@@ -350,7 +350,7 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> tuple:
             if sector == "line":
                 value = (np.array([_phase(zs[i], omegas[i]) for i in idx.tolist()])[:, None]
                          * value).imag
-            # the terms summed one by one round by count eps of their moduli
+            # _decayed's sums round by at most count eps of their moduli, in any order
             values[idx] += value
             errs[idx] += (h * moduli * ((b - a + 1) * EPS)[:, None] + 2.0 * first
                           + end * ((1 + 3 / y + 6 / y**2 + 6 / y**3) / y)[:, None] + h * err)

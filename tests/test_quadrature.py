@@ -193,6 +193,36 @@ def test_refine_spreads_a_0d_kernel_value_over_every_fresh_node(old, expected):
     assert asked == ([[0] * 5 + [1] * 2] if old is None else [[0, 0, 1]])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4096), min_size=1, max_size=4),
+       st.booleans(), st.integers(0, 15))
+def test_every_run_sum_lies_within_the_rounding_floor_and_has_its_bits_alone(seed, sizes,
+                                                                             is_complex, shift):
+    from ewjn.quadrature import ROUNDING, _runs, _summed
+
+    # the one summation rule of every lattice sum: runs laid end to end, each
+    # added by np.add.reduceat, whose (pairwise) order rounds by less than
+    # ROUNDING Sum |t|, against math.fsum; a run gets the same bits at any
+    # offset in the array, after any other runs
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+
+    terms = np.concatenate([draw(n) + (1j * draw(n) if is_complex else 0.0) for n in sizes])
+    _, starts, counts = _runs(0, np.array(sizes) - 1)
+    values, floors = _summed(terms, starts, 1.0)
+    prefix = draw(shift)
+    for value, floor, lo, n in zip(values, floors, starts.tolist(), counts.tolist()):
+        run = terms[lo:lo + n]
+        bound = ROUNDING * math.fsum(np.abs(run).tolist())
+        assert floor <= bound * (1.0 + 1e-12)
+        for part, exact in ((value.real, run.real), (value.imag, run.imag)):
+            assert abs(part - math.fsum(exact.tolist())) <= bound
+        alone = [np.add.reduceat(np.concatenate([prefix[:k], run]), [k]) for k in (0, shift)]
+        assert value.tobytes() == alone[0][0].tobytes() == alone[1][0].tobytes()
+
+
 # ------------------------------------------------------- error bound suite
 
 FINITE_CASES = [

@@ -146,6 +146,8 @@ _SUBNORMAL = ("subnormal.cfg", "name = subnormal\nomega_p_rad_s = 1e15\nnu_rad_s
               "fermi_energy_ev = 10\n")
 _SLOW = ("slow.cfg", "name = slow\nomega_p_rad_s = 1.8618528317108813e-47\n"
          "nu_rad_s = 2.657495543604398e-283\nfermi_energy_ev = 6.46e-149\n")
+_NEGATIVE = ("negative.cfg", "name = negative\nomega_p_rad_s = 2.2790341271558577e82\n"
+             "nu_rad_s = 4.806925235365373e-162\nfermi_energy_ev = 4.167895900532633e294\n")
 MATERIAL_EDGES = [
     # omega (omega + i nu) of the Drude permittivity underflows to 0
     *((["spectral", "--material", _UNDERFLOW[0], "--z", "7.185790757925412e240",
@@ -157,6 +159,9 @@ MATERIAL_EDGES = [
     # nu/v_F lies below the nonlocal kernel's float range
     (["spectral", "--material", _SLOW[0], "--z", "5.402020032243722e-38",
       "--omega", "0.0030714597545080714", "--model", "nonlocal-quasistatic"], _SLOW),
+    # a local-retarded chi far below zero, beyond its error_estimate
+    (["spectral", "--field", "B", "--material", _NEGATIVE[0], "--z", "0.005275485772244716",
+      "--omega", "1.2458728129232939e78", "--model", "local-retarded"], _NEGATIVE),
 ]
 
 

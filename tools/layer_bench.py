@@ -35,7 +35,7 @@ local_reflection_q is asked, one call per sector for h = 1/4 and 1/8
 together, then one per further halving), the final h of its lattice (the
 deepest level at which quadrature.lattice_sums asks for sums) and the direct
 terms of one run: the (height, node) pairs whose e^{-2zx} F the sweep
-sums one by one (spectral._decayed; the other evanescent terms come
+sums directly (spectral._decayed; the other evanescent terms come
 from moments the heights share).
 
 The modules row gives each module of src/ewjn: its tokens (tokenize,
