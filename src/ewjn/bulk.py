@@ -82,7 +82,8 @@ def _rungs(material, omega, edges, cfg) -> list:
     and, for the first, twice its first term, a bound on the part below
     edges[0]."""
     spans = np.log(edges[1:] / edges[:-1])
-    # a span beyond the float range (only ever rung 1's) gets one node and h = inf
+    # a span beyond the float range (rung 1's, or all where k_F overflows) refuses
+    # its rung: one node at its top, which the kernel checks, and NaN sums
     steps = np.where(np.isfinite(spans), np.maximum(np.ceil(spans / H0), _MIN_STEPS), 0).astype(int)
     samples = 0.0
 
@@ -99,24 +100,26 @@ def _rungs(material, omega, edges, cfg) -> list:
                      edges[rung] * np.exp(n * (spans / steps / 2**top)[rung]))
         samples, old = np.zeros((spans.size, last.max() + 1)), samples
         samples[:, ::2], samples[rung, n] = old, _radial_integrand(material, k, omega) * k
-        # every asked level's samples of every live rung end to end, each with
-        # the trapezoid weights and Gregory's corrections at both of its ends
-        level, rung = np.repeat(np.array(levels), live.size), np.tile(live, len(levels))
+        # every asked level's samples of each live rung not refused end to end,
+        # with the trapezoid weights and Gregory's corrections at both ends
+        out, kept = np.full((2, len(levels), live.size, 1), math.nan), steps[live] > 0
+        level, rung = np.repeat(np.array(levels), kept.sum()), np.tile(live[kept], len(levels))
         n, starts, counts = _runs(0, steps[rung] * 2**level)
         part = samples[rung.repeat(counts), n * 2**(top - level).repeat(counts)]
         ends = starts + counts
-        weights = np.ones(ends[-1])
+        weights = np.ones(counts.sum())
         weights[np.concatenate([starts, ends - 1])] = 0.5
         weights[starts[:, None] + np.arange(8)] += GREGORY
         weights[ends[:, None] - np.arange(8, 0, -1)] += GREGORY[::-1]
         values, floor = _summed(weights * part, starts, spans[rung] / steps[rung] / 2.0**level)
         errs = floor + 2.0 * (rung == 0) * np.abs(part[starts])
-        return values.reshape(len(levels), -1, 1), errs.reshape(len(levels), -1, 1)
+        out[:, :, kept, 0] = values.reshape(len(levels), -1), errs.reshape(len(levels), -1)
+        return out
 
     values, errs, missed = lattice_sums(spans.size, sums, cfg)
     missed |= ~(np.isfinite(values) & np.isfinite(errs))[:, 0]  # leaving the float range misses
     return [not_converged(f"bulk radial rung [{edges[i]:.4e}, {edges[i + 1]:.4e}] 1/m", cfg,
-                          values[i, 0], errs[i, 0].item()) if missed[i] else values[i, 0]
+                          values[i, 0].item(), errs[i, 0].item()) if missed[i] else values[i, 0]
             for i in range(spans.size)]
 
 

@@ -14,15 +14,15 @@ Math. Phys. 40, 271 (1961)), which subtracts Sum_{k<=2M} zeta(1/2 - k)
 c_k h^{k+1/2}, c_k the Taylor coefficients at 0 of the degree-2M
 interpolant of phi sqrt(u/(e^{2u} - 1)) at the nodes u = -Mh .. Mh. Im
 I_p is a sum of Im phi values, so it never cancels against Re I_p. Above
-a fixed k_c, phi is its series in 1/k (_phi_series) and its part of I_p
-a sum in closed form (_beyond_window). The magnetic r_s channel needs no
-coefficient: it is one k-sum of Im eps_t(k) G(2kz) per point, G on a
-fixed Gauss-Kronrod rule (_polar_g).
+a fixed k_c, phi is its series in 1/k (_phi_series): each lattice row runs
+on it past its top (_past_top), so the one correlation sums every term of
+a window, and I_p above k_c is a sum in closed form (_beyond_window). The
+magnetic r_s channel needs no coefficient: it is one k-sum of Im eps_t(k)
+G(2kz) per point, G on a fixed Gauss-Kronrod rule (_polar_g).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -31,8 +31,8 @@ import numpy as np
 from .errors import DomainError
 from .fresnel import surface_response
 from .materials import C_LIGHT, EPS0, HBAR, drude_epsilon, epsilon_t
-from .quadrature import (EPS, H0, MAX_HALVINGS, _NODES, _WEIGHTS_K, _distinct, _refine, _runs,
-                         _summed, _within, lattice_sums, not_converged)
+from .quadrature import (EPS, H0, _NODES, _WEIGHTS_K, _distinct, _refine, _runs, _summed,
+                         _within, lattice_sums, not_converged)
 
 # the end correction interpolates at u = -M h .. M h
 M = 6
@@ -182,9 +182,10 @@ def _nonlocal_range(material, omega) -> tuple:
 # min(k_nu, 1/(2z)) to _A_HIGH, beyond which it falls like a^-3. Every I_p
 # window of an omega ends M nodes above n_c, the first grid point at or
 # above k_c = _WINDOW_END edge, where |x| <= 1e-4 and phi is its series
-# (_phi_series); the window's terms beyond its top, up to _SPAN in u, and
-# I_p above n_c are sums of that series (_beyond_window) over the powers
-# _POWERS: a constant, k^-2 .. k^-5, and k^-6 for the bound on the rest.
+# (_phi_series) over the powers _POWERS: a constant, k^-2 .. k^-5, and k^-6
+# for the bound on the rest. Each lattice row runs on that series past its
+# top (_past_top), so the correlation sums a window's terms beyond it, up
+# to _SPAN in u; I_p above n_c is the series' sum alone (_beyond_window).
 _P_LOW, _A_LOW, _A_HIGH = {"E": 1e-6, "B": 1e-16}, 1e-16, 1e6
 _POWER = {"E": 3, "B": 1}  # of p in a point's r_p summand, p^_POWER e^{-2pz} Im r_p
 _WINDOW_END, _SPAN = 1e4, 40.0
@@ -260,35 +261,35 @@ def _phi_series(material, omega, k):
     return [-eta, -eta * q1, eta * (eta - q2), eta * (2.0 * eta * q1 - q3)], rest
 
 
-@functools.lru_cache(maxsize=MAX_HALVINGS + 1)
-def _beyond_table(h):
-    """(2/pi) B_m(e) of _beyond_window at e = 0 .. _SPAN/h, 0 at the last, m
-    = _POWERS, and e^{-mMh}, m = 2 .. 5: one table per step h of the
-    lattice. Beyond the table's last term, where 1/sqrt(e^{2u} - 1) is
-    e^{-u} to 1e-34, the terms are one geometric sum."""
-    span, m = math.ceil(_SPAN / h), _POWERS[:, None]
-    decay, j = np.exp(-m * np.arange(span + M + 1) * h), np.arange(span + M, M, -1)
-    far = np.add.accumulate(decay[:, :M:-1] * _window_weight(j * h, h), axis=1)
-    tail = [h * math.exp(-(k + 1) * (span + M + 1) * h) / -math.expm1(-(k + 1) * h)
-            for k in _POWERS.tolist()]
-    table = np.zeros((m.size, span + 1))
-    table[:, :span] = 2.0 / math.pi * (far[:, ::-1] + np.array(tail)[:, None]) / decay[:, :span]
-    return table, decay[1:5, M]
+def _past_top(lattice, top, coef, h):
+    """The lattice rows with phi's series Sum_m a_m k^-m (coef, a_m k_e^-m
+    over _POWERS[:5] at k_e, M nodes below the top) on the nodes past each
+    row's top, column top, in a fixed order of elementwise sums, for _SPAN in
+    u where a_0 != 0 and _SPAN/3 where a_0 = 0: the terms left out fall like
+    e^{-u} and e^{-3u} of I_p - 1, to e^-40 of it."""
+    reach = np.ceil(np.where(coef[:, 0] != 0, _SPAN, _SPAN / 3.0) / h).astype(int)
+    j = np.arange(1, reach.max() + 1)
+    series = sum(coef[:, m, None] * np.exp(-power * (M + j) * h)
+                 for m, power in enumerate(_POWERS[:5].tolist()))
+    out = np.zeros((top.size, max(lattice.shape[1], top.max() + j.size + 1)), dtype=complex)
+    out[:, :lattice.shape[1]] = lattice
+    out[np.arange(top.size)[:, None], top[:, None] + j] = np.where(j <= reach[:, None], series, 0)
+    return out
 
 
 def _beyond_window(coef, e, h):
-    """(d, b) at nodes e steps below their window end k_e = k at n_c: d,
-    the I_p - 1 a node gains from phi's series beyond its window's top,
-    n_c + M, Sum_m a_m k_e^-m (2/pi) B_m(e) over the series' constant and
-    k^-2 .. k^-5 (coef, one row per lattice row), and b = (2/pi) B_6(e).
-    For e >= 0, B_m is the window's trapezoid terms beyond its top, Sum_{j
-    > e + M} e^{m(e - j)h} h/sqrt(e^{2jh} - 1), summed from the far end,
-    and 0 from e = _SPAN/h on; for e < 0, a node with no window, e^{meh}
-    Integral_0^{pi/2} sin^m (Wallis)."""
-    table = _beyond_table(h)[0]
-    per_row = sum(coef[:, m, None] * table[m] for m in range(5))
-    rows, at = np.arange(e.shape[0])[:, None], np.minimum(np.maximum(e, 0), table.shape[1] - 1)
-    d, b, above = per_row[rows, at], table[5][at], np.nonzero(e < 0)
+    """(d, b) at nodes e steps below their window end k_e = k at n_c, coef
+    as for _past_top: d, the I_p - 1 from phi's series alone, and b, what
+    multiplies the series' rest at k_e. For e < 0, a node with no window,
+    d = Sum_m a_m k_e^-m e^{meh} (2/pi) Integral_0^{pi/2} sin^m (Wallis) and
+    b its k^-6 term. For e >= 0 the correlation sums the window (_past_top),
+    so d = 0, and as d ln w/du <= -1, w(u) = h/sqrt(e^{2u} - 1), b = (2/pi)
+    w((e + M + 1)h) e^{-6(M + 1)h}/(1 - e^{-7h}) bounds (2/pi) Sum_{j > e +
+    M} e^{6(e - j)h} w(jh); b is 0 from e = _SPAN/h on."""
+    d, b, near = np.zeros(e.shape, dtype=complex), np.zeros(e.shape), (e >= 0) & (e * h < _SPAN)
+    b[near] = (2.0 / math.pi * math.exp(-6.0 * (M + 1) * h) / -math.expm1(-7.0 * h)
+               * _window_weight((e[near] + M + 1) * h, h))
+    above = np.nonzero(e < 0)
     if above[0].size:
         terms = np.exp(_POWERS[:, None] * e[above] * h) * _WALLIS
         d[above], b[above] = (coef[above[0]] * terms[:5].T).sum(axis=1), terms[5]
@@ -310,12 +311,12 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
 
     Each integral is a trapezoid sum in ln p (ln k) on the lattice of its
     omega, shared by all its points: h Sum p^3 e^{-2pz} Im r_p (E; p for
-    B's rp_part) with r_p from one correlation of phi = 1/eps_l - 1
-    (lattice_reflection) up to n_c plus the window's terms beyond
-    its top on phi's series, r_p above n_c from the series alone, and h
-    Sum a Im eps_t(k) G(a), a = 2kz. The summands are analytic in a strip
-    and decay at both ends, so the sums converge geometrically in 1/h, on
-    the lattice rule of quadrature.lattice_sums; a sum's error adds to its
+    B's rp_part) with r_p up to n_c from one correlation of phi = 1/eps_l
+    - 1 run on past each window's top on phi's series (lattice_reflection),
+    above n_c from the series alone, and h Sum a Im eps_t(k) G(a), a =
+    2kz. The summands are analytic in a strip and decay at both ends, so
+    the sums converge geometrically in 1/h, on the lattice rule of
+    quadrature.lattice_sums; a sum's error adds to its
     h/2h difference bounds on its tails beyond its ends, on its summands'
     rounding and, for r_p, on the series' first neglected term. A point
     that misses rel_tol gets a QuadratureError. The kernels run once for
@@ -366,34 +367,33 @@ def _nonlocal_quasistatic(material, field_kind, zs, omegas, cfg) -> tuple:
         if first_call:
             phi, phi_lo = _within(phi, phi_lo, at, low - M, high + M)
         lattices.append((phi, phi_lo))
-        # r_p at the nodes of each level, side by side: I_p - 1 up to
-        # n_c from the window and the series beyond its top, d = that tail, r_p
-        # = r - (1 + r)^2 d/(2 + (1 + r) d) of the window's r; above n_c from
-        # the series alone, with r = 0. The series' constant a_0 = phi(inf) is
-        # what the kernel keeps at the top beyond its rounding, 8 eps: 0 for a
-        # Lindhard eps_l, all of phi for a k-independent one. dr_p = -s2
-        # dI_p/2, s2 = (1 + r_p)^2, so the rest moves Im r_p by at most (|Im
-        # s2| |its Re| + |Re s2| |its Im|)/2.
+        # r_p at the nodes of each level, side by side: up to n_c from the
+        # correlation of each row run on past its top on phi's series
+        # (_past_top), above n_c from the series alone, r_p = -d/(2 + d). The
+        # series' constant a_0 = phi(inf) is what the kernel keeps at the top
+        # beyond its rounding, 8 eps: 0 for a Lindhard eps_l, all of phi for a
+        # k-independent one. dr_p = -s2 dI_p/2, s2 = (1 + r_p)^2, so the rest
+        # moves Im r_p by at most (|Im s2| |its Re| + |Re s2| |its Im|)/2.
         series, bound = coef[:end.size], rests[:end.size]
         blocks, offsets, width = [], [], 0
         for level, (lattice, lo) in zip(levels, lattices):
             step, last = H0 / 2**level, int(cut[:, 1].max()) * 2**level
-            n = np.arange(lo + M, last + 1)
+            n, row_top = np.arange(lo + M, last + 1), end * 2**level + M - lo
             e, r_p = end[:, None] * 2**level - n, np.zeros((end.size, n.size), dtype=complex)
             count = min(last, int(end.max()) * 2**level) - lo - M + 1
+            a_0 = lattice[np.arange(end.size), row_top] - (
+                series * np.exp(-np.arange(2, 6) * M * step)).sum(axis=1)
+            a_0[np.abs(a_0) <= 8.0 * EPS] = 0.0
+            terms = np.concatenate([a_0[:, None], series], axis=1)
+            lattice = _past_top(lattice, row_top, terms, step)
             r_p[:, :count] = lattice_reflection(lattice, step, count)
             r_p[e < 0] = 0.0
-            a_0 = lattice[np.arange(end.size), end * 2**level + M - lo] - (
-                series * _beyond_table(step)[1]).sum(axis=1)
-            a_0[np.abs(a_0) <= 8.0 * EPS] = 0.0
-            blocks.append((n * step, r_p, *_beyond_window(
-                np.concatenate([a_0[:, None], series], axis=1), e, step)))
+            blocks.append((n * step, r_p, *_beyond_window(terms, e, step)))
             offsets.append(width - lo - M)
             width += n.size
         exponent, r_p, d, b_6 = (np.concatenate(part, axis=-1) for part in zip(*blocks))
         p = two_kf * np.exp(exponent)
-        one = 1.0 + r_p
-        r_p -= one * one * d / (2.0 + one * d)
+        r_p -= d / (2.0 + d)
         s2 = (1.0 + r_p)**2
         # a node with no window terms beyond its top has no rest, bounded or not
         rest = np.where(b_6 > 0, (np.abs(s2.imag) * bound[:, :1] + np.abs(s2.real) * bound[:, 1:])

@@ -282,7 +282,8 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> tuple:
             f"leaves the float range" if not fits[i] else f"omega = {omegas[i]:.6g} rad/s is "
             f"too large for {material.name}: its Drude permittivity rounds to 1 and the "
             f"Fresnel coefficients keep no digit")
-    ok = np.flatnonzero(~lost)
+    ok, phase = np.flatnonzero(~lost), np.zeros(len(zs), dtype=complex)
+    phase[far & ~lost] = [_phase(zs[i], omegas[i]) for i in np.flatnonzero(far & ~lost).tolist()]
     low = {k: -round(v / H0) for k, v in _LOW_SPAN.items()}
     last = np.floor(scale_n + math.log(_DECAY_CUT) / H0).astype(int)
     zero = np.zeros_like(last)
@@ -348,8 +349,7 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> tuple:
             direct, moduli = _decayed(x, block, two_z, a, b)
             value, y = h * (head + direct), two_z * x[b]
             if sector == "line":
-                value = (np.array([_phase(zs[i], omegas[i]) for i in idx.tolist()])[:, None]
-                         * value).imag
+                value = (phase[idx][:, None] * value).imag
             # _decayed's sums round by at most count eps of their moduli, in any order
             values[idx] += value
             errs[idx] += (h * moduli * ((b - a + 1) * EPS)[:, None] + 2.0 * first
@@ -362,19 +362,11 @@ def _local_retarded(material, field_kind, zs, omegas, cfg) -> tuple:
             points = asked[member[asked]]
             if points.size:
                 # the lattice at h = H0/2^top: on the first call every node from
-                # the kernel, the lattice at 2h its even nodes
-                lattices[sector] = _refine(
+                # the kernel, the lattice at 2h its even nodes; then its sums
+                fine, first = lattices[sector] = _refine(
                     *(lattices[sector] if levels[0] else (None, None)), row[points],
                     lo[points] * 2**top, hi[points] * 2**top, H0 / 2**top, kernel(sector))
-        live = asked
-        for m, level in enumerate(levels):
-            if m:  # as in lattice_sums, a point with a sum at 2h not finite is lost
-                live = live[np.isfinite(values[m - 1, live]).all(1)
-                            & np.isfinite(errs[m - 1, live]).all(1)]
-            for sector, (member, _, _) in spans.items():
-                points = live[member[live]]
-                if points.size:
-                    fine, first = lattices[sector]
+                for m, level in enumerate(levels):
                     sector_sums(sector, fine[:, ::2**(top - level)], first // 2**(top - level),
                                 points, level, values[m], errs[m])
         return values[:, asked], errs[:, asked]

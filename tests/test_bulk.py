@@ -85,6 +85,25 @@ def test_ladder_rung_beyond_the_float_range_misses_rel_tol():
     assert math.isnan(excinfo.value.best_estimate)
 
 
+def test_rung_refused_for_its_span_leaves_the_other_rungs_alone(copper, omega0):
+    # rung 1 from 1e-300 1/m: its span overflows, so it is refused with NaN
+    # sums, and the other rungs get the values they get beside a finite rung
+    # 1; no end correction of its one node reaches their weights
+    from ewjn.bulk import _rungs
+
+    k_f = copper.fermi_wavevector
+    edges = np.array([1e-300, 3.0 * k_f, 10.0 * k_f, 30.0 * k_f, 100.0 * k_f])
+    with np.errstate(all="ignore"):
+        refused = _rungs(copper, omega0, edges, QuadratureConfig())
+        edges[0] = 3.0 * k_f * math.exp(-12.0)
+        finite = _rungs(copper, omega0, edges, QuadratureConfig())
+    assert str(refused[0]) == ("bulk radial rung [1.0000e-300, 4.0664e+10] 1/m lattice sums not "
+                               "converged after 4 halvings of h (estimate nan, error bound nan)")
+    assert math.isnan(refused[0].best_estimate)
+    assert not any(isinstance(rung, QuadratureError) for rung in finite)
+    assert refused[1:] == finite[1:]
+
+
 def test_ladder_does_not_converge_and_reports_series(copper, omega0, cfg):
     with pytest.raises(QuadratureError) as excinfo:
         bulk_imD_coincident(copper, omega0, cfg)

@@ -951,31 +951,64 @@ def test_phi_series_matches_mpmath_and_the_kernel_above_k_c(material, omega):
             assert abs(kernel.real - series.real) <= 4.0 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("h", [0.25, 0.0625])
-def test_beyond_window_sums_the_trapezoid_terms_past_the_top(h):
-    # B_m(e) per unit a_m k_e^-m, one m per lattice row: for e >= 0 the
-    # window's terms past its top, n_c + M, summed one by one, and 0 from
-    # e = 40/h, where they fall below e^-40; for e < 0, e^{meh} times the
-    # Wallis integral of sin^m; b is B_6 in every row
-    import ewjn.nonlocal_model as nonlocal_model
+def _past_the_top(m, e, h):
+    """(2/pi) B_m(e): the window's trapezoid terms past its top, n_c + M,
+    per unit a_m k_e^-m, by math.fsum, e steps below n_c."""
     from ewjn.nonlocal_model import M
+
+    j = np.arange(e + M + 1, e + M + 1 + int(80.0 / h))
+    return 2.0 / math.pi * math.fsum(
+        (np.exp(m * (e - j) * h) * h / np.sqrt(np.expm1(2.0 * j * h))).tolist())
+
+
+@pytest.mark.parametrize("h", [0.25, 0.0625])
+def test_beyond_window_takes_wallis_above_n_c_and_bounds_the_rest_below(h):
+    # per unit a_m k_e^-m, one m per lattice row: for e < 0, e^{meh} times
+    # the Wallis integral of sin^m, in d for m <= 5 and in b for m = 6; for
+    # e >= 0 the correlation sums the window past its top, so d is 0, and b
+    # bounds (2/pi) B_6(e) from above, to within a factor 2, up to e = 40/h,
+    # from where it is 0
+    import ewjn.nonlocal_model as nonlocal_model
 
     span = math.ceil(nonlocal_model._SPAN / h)
     e = np.tile([-7, -1, 0, 3, 17, span - 1, span, span + 9], (5, 1))
     d, b = nonlocal_model._beyond_window(np.eye(5, dtype=complex), e, h)
+    assert np.array_equal(b, np.tile(b[0], (5, 1)))
     for row, m in enumerate((0, 2, 3, 4, 5, 6)):
         wallis = math.pi / 2.0 if m % 2 == 0 else 1.0
         for k in range(m % 2 + 2, m + 1, 2):
             wallis *= (k - 1) / k
         for col, steps in enumerate(e[0].tolist()):
-            j = np.arange(steps + M + 1, steps + M + 1 + int(80.0 / h))
-            want = 2.0 / math.pi * (math.exp(m * steps * h) * wallis if steps < 0 else math.fsum(
-                (np.exp(m * (steps - j) * h) * h / np.sqrt(np.expm1(2.0 * j * h))).tolist()))
-            got = (d[row, col] if row < 5 else b[0, col]).real
-            if steps < span:
+            got = d[row, col] if row < 5 else b[0, col]
+            if steps < 0:
+                want = 2.0 / math.pi * math.exp(m * steps * h) * wallis
                 assert abs(got - want) <= 1e-14 * want, (m, steps)
+            elif row < 5 or steps >= span:
+                assert got == 0.0, (m, steps)
             else:
-                assert got == 0.0 and want < math.exp(-nonlocal_model._SPAN)
+                want = _past_the_top(m, steps, h)
+                assert want <= got <= 2.0 * want, (m, steps)
+
+
+@pytest.mark.parametrize("h", [0.25, 0.0625])
+def test_window_run_past_its_top_on_a_series_sums_its_trapezoid_terms(h):
+    # rows of zeros up to their top, run on past it on phi's series alone
+    # (_past_top), one power m per row with a_m k_e^-m = 1 at the window end
+    # k_e, M nodes below the top: the one correlation gives every node e
+    # steps below k_e the I_p - 1 of the window's trapezoid terms past its
+    # top, within rounding of their math.fsum (2/pi) B_m(e): at most 73 eps
+    # of it, from the powers q^s of the geometric sums' doubling
+    from ewjn.nonlocal_model import M, _past_top, lattice_reflection
+
+    deep = math.ceil(20.0 / h)
+    rows = _past_top(np.zeros((5, deep + 2 * M + 1), dtype=complex),
+                     np.full(5, deep + 2 * M), np.eye(5, dtype=complex), h)
+    r_p = lattice_reflection(rows, h, deep + 1)
+    i_p = -2.0 * r_p / (1.0 + r_p)
+    for row, m in enumerate((0, 2, 3, 4, 5)):
+        for steps in range(deep + 1):
+            want, got = _past_the_top(m, steps, h), i_p[row, deep - steps]
+            assert abs(got - want) <= 1e-13 * want, (m, steps)
 
 
 # one omega per z, from 1e7 to 1e11 rad/s: auto then resolves to the

@@ -38,6 +38,12 @@ terms of one run: the (height, node) pairs whose e^{-2zx} F the sweep
 sums directly (spectral._decayed; the other evanescent terms come
 from moments the heights share).
 
+The cold_point row times one nonlocal-quasistatic point of copper at z =
+3.3e-9 m and omega = 6 pi 1e8 rad/s, for E and for B: evaluate_batch in a
+fresh interpreter, timed after `import ewjn.cli`, so that it pays every
+first-call cost of the model; the median and the best of 5 N fresh
+interpreters, in ms.
+
 The modules row gives each module of src/ewjn: its tokens (tokenize,
 without COMMENT and NL tokens; each must stay under the parser's
 8,192-token step) and the ms of compile() of its source, best of 10 N.
@@ -79,6 +85,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -315,6 +322,32 @@ def _cold(argv, repeat):
     return min(runs)
 
 
+# one nonlocal point in a fresh interpreter, timed after the import
+_COLD_POINT = """import sys, time
+import ewjn.cli
+from ewjn import COPPER, evaluate_batch
+t0 = time.perf_counter()
+evaluate_batch(COPPER, sys.argv[1], [3.3e-9], float(sys.argv[2]), "nonlocal-quasistatic")
+print(time.perf_counter() - t0)
+"""
+
+
+def measure_cold_point(repeat: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.getcwd(), "src"))
+    out = {}
+    for field_kind in ("E", "B"):
+        runs = []
+        for _ in range(5 * repeat):
+            proc = subprocess.run([sys.executable, "-c", _COLD_POINT, field_kind, repr(OMEGA_0)],
+                                  env=env, capture_output=True, text=True)
+            if proc.returncode:
+                sys.exit(proc.stderr.strip())
+            runs.append(float(proc.stdout))
+        out[field_kind] = {"median_ms": round(statistics.median(runs) * 1e3, 3),
+                           "best_ms": round(min(runs) * 1e3, 3)}
+    return out
+
+
 def measure_cli(repeat: int) -> dict:
     delta = skin_depth(COPPER, OMEGA_0)
     retarded = ["sweep", "--axis", "z", "--min", repr(delta / 10.0), "--max",
@@ -347,6 +380,7 @@ def main() -> int:
         "retarded": measure_retarded(max(1, args.repeat)),
         "modules": measure_modules(max(1, args.repeat)),
         "bulk": measure_bulk(max(1, args.repeat)),
+        "cold_point": measure_cold_point(max(1, args.repeat)),
         "cli": measure_cli(max(1, args.repeat)),
     }
     text = json.dumps(result, indent=2)
